@@ -13,9 +13,9 @@ No exact report may ever show a code LCS below 2k-2 (any k-dimensional
 linear code has two distinct codewords agreeing on a subsequence that long);
 that floor is asserted unconditionally.
 
-census_2dim and sample_orderings split their work into fixed-size chunks
-mapped over an optional thread pool; the reduction is in chunk order, so
-results are identical for any thread count.
+census_2dim, sample_orderings and the construction stages map their work
+through guarded_map, an optional thread pool whose results come back in
+input order, so results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -358,23 +362,36 @@ def bad_ordering_family(fld: Field) -> list[tuple[str, int | None, tuple[int, ..
     return fam
 
 
+@lru_cache(maxsize=None)
+def bad_class_index(fld: Field) -> MappingProxyType:
+    """Read-only map, built once per field, from canonical form to the
+    bad_ordering_family members in that affine class, in family order.
+    A full-length ordering is bad exactly when its canonical form is a key."""
+    index: dict[tuple[int, ...], list] = {}
+    for member in bad_ordering_family(fld):
+        form = canonical_form(EvaluationVector(fld, member[2])).points
+        index.setdefault(form, []).append(member)
+    return MappingProxyType({form: tuple(members) for form, members in index.items()})
+
+
 def classify_bad_ordering(ev: EvaluationVector) -> BadOrderingVerdict:
     """Match a full-length ordering against the complete bad family.
 
     A full-length 2-dimensional code fails to correct a single insdel error
     exactly when its ordering is affinely equivalent to a member of
-    bad_ordering_family.  The witness maps the family member onto ev:
-    lam * member + mu = ev.
+    bad_ordering_family, i.e. when its canonical form is a bad_class_index
+    key.  The witness maps the first member of that class, in family order,
+    onto ev: lam * member + mu = ev.
     """
     if not ev.is_full_length():
         raise ValueError("classification requires a full-length ordering")
     fld = ev.field
-    for reason, theta, vec in bad_ordering_family(fld):
-        w = equivalent(EvaluationVector(fld, vec), ev)
-        if w is not None:
-            witness = {"lam": w[0], "mu": w[1], "theta": theta}
-            return BadOrderingVerdict(True, reason, witness)
-    return BadOrderingVerdict(False, REASON_NOT_BAD, None)
+    members = bad_class_index(fld).get(canonical_form(ev).points)
+    if members is None:
+        return BadOrderingVerdict(False, REASON_NOT_BAD, None)
+    reason, theta, vec = members[0]
+    lam, mu = equivalent(EvaluationVector(fld, vec), ev)
+    return BadOrderingVerdict(True, reason, {"lam": lam, "mu": mu, "theta": theta})
 
 
 @dataclass(frozen=True)
@@ -399,25 +416,44 @@ class CensusResult:
         }
 
 
-def _census_chunk(fld: Field, perms: list, verify_idx: set[int], base: int):
+def _census_chunk(fld: Field, verify_idx: range, chunk: tuple[int, tuple]):
+    # (0, 1) + perm is its own canonical form, so membership is a key test;
+    # vectors are built only for bad and verified classes.
+    base, perms = chunk
+    index = bad_class_index(fld)
     bad_entries = []
-    mismatches = []
     for off, perm in enumerate(perms):
-        ev = EvaluationVector(fld, (0, 1) + perm)
-        verdict = classify_bad_ordering(ev)
-        if verdict.bad:
-            bad_entries.append(
-                {
-                    "alpha": ev.serialize(),
-                    "reason": verdict.reason,
-                    "witness": verdict.witness,
-                }
-            )
-        if base + off in verify_idx:
-            exact = lcs_code_affine(ev, want_witness=False)
-            if verdict.bad != (exact.lcs_of_code == fld.q - 1):
-                mismatches.append(ev.serialize())
-    return bad_entries, mismatches
+        points = (0, 1) + perm
+        bad = points in index
+        verify = base + off in verify_idx
+        if not (bad or verify):
+            continue
+        ev = EvaluationVector(fld, points)
+        if bad:
+            verdict = classify_bad_ordering(ev)
+            bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
+        if verify and bad != (lcs_code_affine(ev, want_witness=False).lcs_of_code == fld.q - 1):
+            raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
+    return bad_entries
+
+
+def check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def guarded_map(fn, items, threads: int = 1, time_guard_s: float | None = None):
+    """Yield fn(item) for each item, in item order, taking `threads` items
+    at a time (over a thread pool when threads > 1).  The time guard is
+    checked after every batch in every mode."""
+    check_threads(threads)
+    t0 = time.perf_counter()
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        while batch := list(itertools.islice(items, threads)):
+            yield from (pool.map(fn, batch) if pool else map(fn, batch))
+            if time_guard_s is not None and time.perf_counter() - t0 > time_guard_s:
+                raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
 
 
 def census_2dim(
@@ -430,12 +466,13 @@ def census_2dim(
 ) -> CensusResult:
     """Classify every equivalence class of full-length orderings (k = 2).
 
-    Each class has a unique representative starting (0, 1); all (q-2)! of
-    them are enumerated and classified.  verify: "all" re-measures every
-    class with the exact affine engine, "spot" re-measures an evenly spaced
-    sample, "none" skips, "auto" picks "all" for q <= 8 and "spot" above.
-    Any disagreement between the classifier and the exact engine is an
-    invariant violation.
+    Each class has a unique representative starting (0, 1), which is its
+    canonical form; all (q-2)! of them are streamed in chunks and each is
+    classified by one bad_class_index lookup.  verify: "all" re-measures
+    every class with the exact affine engine, "spot" re-measures an evenly
+    spaced sample, "none" skips, "auto" picks "all" for q <= 8 and "spot"
+    above.  Any disagreement between the classifier and the exact engine is
+    an invariant violation.
     """
     q = fld.q
     total = math.factorial(q - 2)
@@ -443,48 +480,21 @@ def census_2dim(
         raise GuardExceeded(f"(q-2)! = {total} exceeds max_classes={max_classes}")
     if verify == "auto":
         verify = "all" if q <= 8 else "spot"
-    remaining = [x for x in range(q) if x not in (0, 1)]
-    perms = list(itertools.permutations(remaining))
     if verify == "all":
-        verify_idx = set(range(total))
+        verify_idx = range(total)
     elif verify == "spot":
-        stride = max(1, total // max(1, spot_checks))
-        verify_idx = set(range(0, total, stride))
+        verify_idx = range(0, total, max(1, total // max(1, spot_checks)))
     elif verify == "none":
-        verify_idx = set()
+        verify_idx = range(0)
     else:
         raise ValueError(f"unknown verify mode {verify!r}")
 
-    t0 = time.perf_counter()
-    chunks = [(i, perms[i : i + CENSUS_CHUNK]) for i in range(0, total, CENSUS_CHUNK)]
-
-    def run(chunk):
-        base, block = chunk
-        return _census_chunk(fld, block, verify_idx, base)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = []
-        for chunk in chunks:
-            results.append(run(chunk))
-            if time_guard_s is not None and time.perf_counter() - t0 > time_guard_s:
-                raise GuardExceeded(f"census exceeded time guard of {time_guard_s}s")
-
-    bad_entries: list[dict] = []
-    mismatches: list[str] = []
-    for entries, bad_pairs in results:
-        bad_entries.extend(entries)
-        mismatches.extend(bad_pairs)
-    if mismatches:
-        raise InvariantViolation(
-            f"classifier disagrees with exact LCS on {len(mismatches)} orderings, "
-            f"first: {mismatches[0]}"
-        )
-    reason_counts: dict[str, int] = {}
-    for entry in bad_entries:
-        reason_counts[entry["reason"]] = reason_counts.get(entry["reason"], 0) + 1
+    perms = itertools.permutations([x for x in range(q) if x not in (0, 1)])
+    chunks = ((i, tuple(itertools.islice(perms, CENSUS_CHUNK))) for i in range(0, total, CENSUS_CHUNK))
+    run = partial(_census_chunk, fld, verify_idx)
+    results = guarded_map(run, chunks, threads, time_guard_s)
+    bad_entries = [entry for entries in results for entry in entries]
+    reason_counts = dict(Counter(entry["reason"] for entry in bad_entries))
     good = total - len(bad_entries)
     return CensusResult(
         q=q,
@@ -592,11 +602,7 @@ def sample_orderings(
         report = lcs_code_affine(EvaluationVector(fld, ordering), want_witness=False)
         return report.lcs_of_code
 
-    if trials and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, range(trials)))
-    else:
-        values = [run(i) for i in range(trials)]
+    values = list(guarded_map(run, range(trials), threads))
 
     n_correct = sum(1 for v in values if v <= threshold)
     n_one = sum(1 for v in values if v < q - 1)

@@ -15,7 +15,7 @@ import mpmath
 
 from . import analyze
 from .gf import Field, euler_phi, is_prime
-from .rscode import EvaluationVector, canonical_form
+from .rscode import EvaluationVector
 
 MP_PRECISION_BITS = 250
 
@@ -78,29 +78,26 @@ class BadClassTally:
 
 
 def bad_class_count(fld: Field) -> BadClassTally:
-    """Materialize every explicit bad ordering, deduplicate by affine
-    equivalence (equal canonical forms), and count the distinct classes.
+    """Count the distinct affine classes of the explicit bad family, read
+    from analyze.bad_class_index.
 
-    Each class entry records every family member that landed on it, so
+    Each class entry records every family member that lands on it, so
     coincidences between the explicit vectors are visible.
     """
-    by_form: dict[tuple[int, ...], list] = {}
-    for reason, theta, vec in analyze.bad_ordering_family(fld):
-        form = canonical_form(EvaluationVector(fld, vec)).points
-        by_form.setdefault(form, []).append((reason, theta))
+    index = analyze.bad_class_index(fld)
     classes = []
     mult = 0
-    for form in sorted(by_form):
-        reasons = by_form[form]
-        if any(r in (analyze.REASON_GEOMETRIC, analyze.REASON_REVERSED) for r, _ in reasons):
+    for form in sorted(index):
+        members = index[form]
+        if any(r in (analyze.REASON_GEOMETRIC, analyze.REASON_REVERSED) for r, _, _ in members):
             mult += 1
         classes.append(
             {
                 "alpha": EvaluationVector(fld, form).serialize(),
-                "members": [{"reason": r, "theta": t} for r, t in reasons],
+                "members": [{"reason": r, "theta": t} for r, t, _ in members],
             }
         )
-    return BadClassTally(len(by_form), tuple(classes), mult)
+    return BadClassTally(len(index), tuple(classes), mult)
 
 
 def bad_ordering_count_bound(q: int, ell: int) -> int:

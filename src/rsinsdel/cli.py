@@ -18,7 +18,7 @@ import time
 
 from . import analyze, bounds, construct, insdel
 from .errors import GuardExceeded, InvariantViolation
-from .gf import Field, field_new, prime_power
+from .gf import Field, field_from_order, field_new, prime_power
 from .rscode import EvaluationVector, RsCode, parse_vector
 
 SCHEMA = 1
@@ -55,7 +55,10 @@ def _emit(args, command: str, params: dict, result: dict, t0: float) -> None:
     doc = {"schema": SCHEMA, "command": command, "params": params, "result": result}
     if getattr(args, "timing", False):
         doc["wall_time_s"] = time.perf_counter() - t0
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    _write(args, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _write(args, payload: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(payload)
@@ -166,9 +169,21 @@ def cmd_construct(args) -> None:
     _emit(args, "construct", params, trace.to_dict(), t0)
 
 
+BOUND_REQUIRED = {
+    "half-singleton": ("n", "k"),
+    "class-lower-bound": ("q",),
+    "bad-classes": ("q",),
+    "fail-count-bound": ("q", "ell"),
+    "tail-bound": ("q", "delta"),
+}
+
+
 def cmd_bounds(args) -> None:
     t0 = time.perf_counter()
     which = args.bound
+    missing = [f"--{name}" for name in BOUND_REQUIRED[which] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"bounds {which} requires {' '.join(missing)}")
     if which == "half-singleton":
         result = {
             "name": "half_singleton",
@@ -196,20 +211,14 @@ def cmd_bounds(args) -> None:
             "verdict": None,
         }
     elif which == "fail-count-bound":
-        if args.ell is None:
-            raise ValueError("fail-count-bound requires --ell")
         result = {
             "name": "bad_ordering_count_bound",
             "parameters": {"q": args.q, "ell": args.ell},
             "values": {"bad_orderings_at_most": bounds.bad_ordering_count_bound(args.q, args.ell)},
             "verdict": None,
         }
-    elif which == "tail-bound":
-        if args.delta is None:
-            raise ValueError("tail-bound requires --delta")
-        result = bounds.normalized_bad_fraction_bound(args.q, args.delta).to_dict()
     else:
-        raise ValueError(f"unknown bound {which!r}")
+        result = bounds.normalized_bad_fraction_bound(args.q, args.delta).to_dict()
     _emit(args, "bounds", {"bound": which}, result, t0)
 
 
@@ -220,17 +229,16 @@ def table_rows(qs, census_max_q: int = 9, threads: int = 1) -> list[dict]:
     """One row per field order: exact correcting-class counts and proportion.
 
     Small orders run the full census (exact, classifier cross-checked against
-    the exact LCS engine); larger orders count the deduplicated explicit bad
-    family, which the complete classification makes equally exact.  The
-    3-decimal column rounds census rows and floors dedup rows (a floored
-    value is still a true lower bound at the printed precision).
+    the exact LCS engine); larger orders count the classes of
+    analyze.bad_class_index directly, which the complete classification
+    makes equally exact; both methods read the same index.  The 3-decimal
+    column rounds census rows and floors dedup rows (a floored value is
+    still a true lower bound at the printed precision).
     """
+    analyze.check_threads(threads)
     rows = []
     for q in qs:
-        pm = prime_power(q)
-        if pm is None:
-            raise ValueError(f"{q} is not a prime power")
-        fld = field_new(*pm)
+        fld = field_from_order(q)
         total = math.factorial(q - 2)
         if q <= census_max_q:
             census = analyze.census_2dim(fld, max_classes=max(total, 1), threads=threads)
@@ -238,8 +246,7 @@ def table_rows(qs, census_max_q: int = 9, threads: int = 1) -> list[dict]:
             method = "census"
             prop3 = _round3(census.proportion)
         else:
-            tally = bounds.bad_class_count(fld)
-            good = total - tally.count
+            good = total - len(analyze.bad_class_index(fld))
             method = "bad_family_dedup"
             prop3 = _floor3(good / total)
         rows.append(
@@ -273,12 +280,7 @@ def cmd_table1(args) -> None:
         lines = [",".join(cols)]
         for row in rows:
             lines.append(",".join(str(row[c]) for c in cols))
-        payload = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write(args, "\n".join(lines) + "\n")
         return
     _emit(args, "table1", params, {"rows": rows}, t0)
 
@@ -349,10 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("bounds", help="evaluate counting bounds")
-    p.add_argument(
-        "bound",
-        choices=["half-singleton", "class-lower-bound", "bad-classes", "fail-count-bound", "tail-bound"],
-    )
+    p.add_argument("bound", choices=list(BOUND_REQUIRED))
     p.add_argument("--q", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)

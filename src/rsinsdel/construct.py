@@ -16,7 +16,6 @@ fully reproducible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,15 +206,11 @@ def extend(
         if s_j != s_i and not (restrict_dh and abs(s_j - s_i) < i - 2)
     ]
     bad: set[tuple[int, int]] = set()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for pair_bad in pool.map(
-                lambda sij: _stage_pair_bad_set(fld, points, i, *sij), tasks
-            ):
-                bad |= pair_bad
-    else:
-        for s_i, s_j in tasks:
-            bad |= _stage_pair_bad_set(fld, points, i, s_i, s_j)
+    for pair_bad in analyze.guarded_map(
+        lambda sij: _stage_pair_bad_set(fld, points, i, *sij), tasks, threads
+    ):
+        bad |= pair_bad
+        del pair_bad  # free it before the next pair set is built
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
     if len(bad) > ceiling:
         raise InvariantViolation(
@@ -320,6 +315,7 @@ def construct_half_rate(
     """
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
+    analyze.check_threads(threads)
     if fld.q < min_field_size(k) and not allow_small_q:
         raise ValueError(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "

@@ -1,14 +1,15 @@
 """Tests for the capability engines, classifier, census, and sampling."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from rsinsdel import analyze
+from rsinsdel import analyze, bounds, cli, construct
 from rsinsdel.errors import GuardExceeded, InvariantViolation
-from rsinsdel.gf import field_new
-from rsinsdel.rscode import EvaluationVector, RsCode
+from rsinsdel.gf import field_from_order, field_new
+from rsinsdel.rscode import EvaluationVector, RsCode, equivalent
 
 F7 = field_new(7)
 
@@ -207,6 +208,62 @@ def test_classifier_matches_exact_engine_everywhere_small_q():
             assert bad == (exact.lcs_of_code == fld.q - 1), ev
 
 
+def scan_classifier(ev):
+    # independent route: equivalent() against every family member in family
+    # order, the first hit wins (no canonical forms, no index)
+    fld = ev.field
+    for reason, theta, vec in analyze.bad_ordering_family(fld):
+        w = equivalent(EvaluationVector(fld, vec), ev)
+        if w is not None:
+            return analyze.BadOrderingVerdict(True, reason, {"lam": w[0], "mu": w[1], "theta": theta})
+    return analyze.BadOrderingVerdict(False, analyze.REASON_NOT_BAD, None)
+
+
+def test_index_classifier_matches_scan_on_every_canonical_ordering():
+    for q in (4, 5, 7, 8):
+        fld = field_from_order(q)
+        for ev in canonical_orderings(fld):
+            assert analyze.classify_bad_ordering(ev) == scan_classifier(ev), ev
+
+
+def test_index_classifier_matches_scan_on_sampled_orderings():
+    for fld in (field_new(11), field_new(13), field_new(2, 4)):
+        rng = analyze.SplitMix64(2024 + fld.q)
+        orderings = [analyze.random_ordering(fld.q, rng) for _ in range(150)]
+        for _, _, vec in analyze.bad_ordering_family(fld):
+            lam, mu = 1 + rng.below(fld.q - 1), rng.below(fld.q)
+            orderings.append(tuple(fld.add(fld.mul(lam, x), mu) for x in vec))
+        bad = 0
+        for ordering in orderings:
+            ev = EvaluationVector(fld, ordering)
+            verdict = analyze.classify_bad_ordering(ev)
+            assert verdict == scan_classifier(ev), ev
+            bad += verdict.bad
+        assert bad >= len(analyze.bad_ordering_family(fld))
+
+
+def test_bad_class_index_keys_are_the_family_classes():
+    for fld in (field_new(2, 2), field_new(7), field_new(3, 2), field_new(11)):
+        index = analyze.bad_class_index(fld)
+        assert analyze.bad_class_index(fld) is index
+        family = analyze.bad_ordering_family(fld)
+        assert sum(len(members) for members in index.values()) == len(family)
+        for form, members in index.items():
+            assert form[:2] == (0, 1)
+            for member in members:
+                assert equivalent(EvaluationVector(fld, member[2]), EvaluationVector(fld, form))
+
+
+def test_census_gf11_full():
+    fld = field_new(11)
+    c = analyze.census_2dim(fld, max_classes=math.factorial(9))
+    assert (c.classes_total, c.classes_correcting_one, len(c.bad_classes)) == (362_880, 362_871, 9)
+    assert {e["alpha"] for e in c.bad_classes} == {
+        e["alpha"] for e in bounds.bad_class_count(fld).classes
+    }
+    assert c.verified == len(range(0, 362_880, 362_880 // 200))
+
+
 def test_census_small_fields():
     c = analyze.census_2dim(field_new(2, 2))
     assert (c.classes_total, c.classes_correcting_one) == (2, 0)
@@ -247,6 +304,13 @@ def test_census_q5_q7_against_raw_all_pairs_scan():
         assert census.classes_correcting_one == good
 
 
+def test_census_flags_classifier_disagreeing_with_exact_engine(monkeypatch):
+    # an index missing every bad class must trip the exact cross-check
+    monkeypatch.setattr(analyze, "bad_class_index", lambda fld: {})
+    with pytest.raises(InvariantViolation, match="disagrees"):
+        analyze.census_2dim(field_new(5), verify="all")
+
+
 def test_census_guard():
     with pytest.raises(GuardExceeded):
         analyze.census_2dim(field_new(11))
@@ -256,6 +320,25 @@ def test_census_thread_invariance():
     a = analyze.census_2dim(field_new(5), threads=1)
     b = analyze.census_2dim(field_new(5), threads=4)
     assert a.to_dict() == b.to_dict()
+
+
+def test_census_time_guard_holds_with_threads():
+    for threads in (1, 2):
+        with pytest.raises(GuardExceeded):
+            analyze.census_2dim(field_new(3, 2), threads=threads, time_guard_s=1e-9)
+
+
+def test_threads_below_one_rejected():
+    f16 = field_new(2, 4)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            analyze.census_2dim(field_new(5), threads=threads)
+        with pytest.raises(ValueError):
+            analyze.sample_orderings(f16, "0.5", 0, seed=1, threads=threads)
+        with pytest.raises(ValueError):
+            construct.construct_half_rate(field_new(7), 2, threads=threads)
+        with pytest.raises(ValueError):
+            cli.table_rows((11,), threads=threads)
 
 
 # -- sampling ----------------------------------------------------------------

@@ -59,8 +59,8 @@ def test_bad_class_count_dedup():
 
 
 def test_bad_class_count_agrees_with_census():
-    # two independent routes to the same number: the explicit-family dedup
-    # and the exhaustive classification of all (q-2)! classes
+    # the index's class count against the exhaustive census, whose classes
+    # are re-measured by the exact LCS engine (all of them for q <= 8)
     for q in (4, 5, 7, 8, 9):
         fld = field_from_order(q)
         tally = bounds.bad_class_count(fld)

@@ -91,6 +91,39 @@ def test_census_time_guard(capsys):
     assert code == 3
 
 
+def test_census_time_guard_with_threads(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--field", "9", "--threads", "2", "--time-guard", "0.0001"
+    )
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "GuardExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--field", "5"),
+        ("sample", "--field", "16", "--delta", "0.5", "--trials", "2", "--seed", "1"),
+        ("construct", "--field", "7", "--k", "2"),
+        ("table1", "--qs", "11"),
+    ],
+)
+def test_threads_below_one_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--threads", "0")
+    assert code == 2 and out == ""
+    assert "threads" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("bound", sorted(cli.BOUND_REQUIRED))
+def test_bounds_missing_arguments_exit_2(capsys, bound):
+    code, out, err = run_cli(capsys, "bounds", bound)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    for name in cli.BOUND_REQUIRED[bound]:
+        assert f"--{name}" in error["message"]
+
+
 def test_invariant_violation_exit_4(capsys, monkeypatch):
     from rsinsdel.errors import InvariantViolation
 
