@@ -34,14 +34,13 @@ from types import MappingProxyType
 import numpy as np
 
 from . import insdel, poly
-from .errors import GuardExceeded, InvariantViolation
+from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
 from .gf import Field
 from .insdel import lcs_from_masks, match_masks
 from .rscode import EvaluationVector, RsCode, canonical_form, equivalent
 
 DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
-DEFAULT_MAX_OPS = 100_000_000
 SAMPLE_MAX_Q = 128
 CENSUS_CHUNK = 512
 
@@ -472,9 +471,11 @@ def census_2dim(
     every class with the exact affine engine, "spot" re-measures an evenly
     spaced sample, "none" skips, "auto" picks "all" for q <= 8 and "spot"
     above.  Any disagreement between the classifier and the exact engine is
-    an invariant violation.
+    an invariant violation.  q must be at least 3.
     """
     q = fld.q
+    if q < 3:
+        raise ValueError(f"the census needs q >= 3 (full-length codes of dimension 2), got q={q}")
     total = math.factorial(q - 2)
     if total > max_classes:
         raise GuardExceeded(f"(q-2)! = {total} exceeds max_classes={max_classes}")

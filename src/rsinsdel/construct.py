@@ -4,13 +4,15 @@ extension.
 
 Stage i takes a verified length-(2i-2) evaluation vector and appends two
 fresh points.  For every ordered pair of distinct increasing index sequences
-over the current positions and every value of the free leading coefficient,
-the stage solves one square linear system for the unique normalized
-polynomial pair that could realize a long common subsequence, then collects
-every completion (alpha_{2i-1}, alpha_{2i}) of that near-collision into a bad
-set via root finding.  Any pair of fresh distinct points outside the bad set
-extends the code; the lexicographically least one is chosen, so runs are
-fully reproducible.
+over the current positions, the stage solves one square linear system for
+the normalized polynomial pair that could realize a long common
+subsequence.  Its solution is affine in the free leading coefficient, so
+the pair's values on GF(q) for all q coefficients come from four polynomial
+evaluations and one (coefficient, point) array sweep, in blocks of
+coefficients.  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
+near-collision is a value match in those arrays and goes into a q x q bad
+mask.  Any pair of fresh distinct points outside the mask extends the code;
+the lexicographically least one is chosen, so runs are fully reproducible.
 """
 
 from __future__ import annotations
@@ -21,9 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analyze, insdel, poly
-from .errors import InvariantViolation
+from .errors import GuardExceeded, InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
+
+# A stage sweeps leading coefficients in blocks of about this many
+# (coefficient, point) elements, which keeps peak memory flat in q.
+LEAD_BLOCK_ELEMENTS = 1 << 15
+# Default budgets of construct_half_rate: element operations of stages
+# 3..k (admits k = 5 at q = min_field_size(5)) and bytes of the q x q mask.
+DEFAULT_MAX_STAGE_OPS = 3_000_000_000
+MAX_BAD_MASK_BYTES = 1 << 26
 
 
 class NoBaseCaseError(ValueError):
@@ -69,62 +79,12 @@ def base_case(fld: Field) -> EvaluationVector:
     raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
 
 
-def _collect_bad_pairs(fld: Field, fcoef, gcoef, last_point: int, bad: set) -> None:
-    """Add every completion (x, y) of a near-collision (fcoef, gcoef) to bad.
-
-    The five tail shapes of a hypothetical length-(2i-1) common subsequence
-    reduce to pairs of single-point equations in x = alpha_{2i-1} and
-    y = alpha_{2i}; each equation is solved by scanning precomputed value
-    tables.  Degenerate shapes whose solution set would be all of GF(q)
-    cannot complete an actual collision and are skipped:
-
-    * constant g-side: the collision would force the monic nonconstant
-      f-side to take a single value at 2i-1 distinct points;
-    * f = g as polynomials: a collision needs two distinct codewords, and
-      the normalization preserves distinctness, so only the cross-point
-      tail shapes (systems 1 and 3) are kept for such pairs.
-    """
-    if poly.degree(gcoef) < 1:
-        return
-    f_vals = poly.eval_all(fld, fcoef)
-    g_vals = poly.eval_all(fld, gcoef)
-    f_last = int(f_vals[last_point])
-    g_last = int(g_vals[last_point])
-    degenerate = fcoef == gcoef
-
-    xs_1 = np.flatnonzero(g_vals == f_last)  # g(x) = f(a_last)
-    for x in xs_1:
-        for y in np.flatnonzero(g_vals == int(f_vals[x])):  # g(y) = f(x)
-            bad.add((int(x), int(y)))
-    xs_3 = np.flatnonzero(f_vals == g_last)  # f(x) = g(a_last)
-    for x in xs_3:
-        for y in np.flatnonzero(f_vals == int(g_vals[x])):  # f(y) = g(x)
-            bad.add((int(x), int(y)))
-    if degenerate:
-        return
-    agree = np.flatnonzero(f_vals == g_vals)  # f(z) = g(z)
-    for x in xs_1:
-        for y in agree:
-            bad.add((int(x), int(y)))
-    for x in xs_3:
-        for y in agree:
-            bad.add((int(x), int(y)))
-    for x in agree:
-        for y in agree:
-            bad.add((int(x), int(y)))
-
-
-def _stage_pair_bad_set(
-    fld: Field,
-    points: tuple[int, ...],
-    i: int,
-    s_i: int,
-    s_j: int,
-) -> set[tuple[int, int]]:
-    """Bad pairs contributed by one ordered index-sequence pair (drop s_i,
-    drop s_j), sweeping all q values of the free leading coefficient."""
+def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int):
+    """Solutions (u0, u1) of the stage system for one ordered index-sequence
+    pair (drop s_i, drop s_j); the unknowns for leading coefficient `lead`
+    are u0 - lead*u1.  None when the system is singular below the distance
+    threshold, where no completed collision can use the pair."""
     n = len(points)
-    q = fld.q
     ell = 2 * i - 3
     mid = i - 2  # free coefficients on each side
     d_h = abs(s_j - s_i)
@@ -149,24 +109,78 @@ def _stage_pair_bad_set(
         rhs_fixed.append(fld.pow(ai, i - 1))
         rhs_lead.append(fld.pow(aj, i - 1))
     base = poly.solve_linear(fld, rows, rhs_fixed)
-    bad: set[tuple[int, int]] = set()
     if base.status != "unique":
         if d_h >= i - 2:
             raise SingularSystemError(
                 f"stage {i}: singular system at index pair with distance {d_h} >= {i-2}; "
                 f"the input vector {points} cannot have been optimal"
             )
-        # Below the distance threshold the system may legitimately be
-        # singular, and no completed collision can use such a pair.
-        return bad
+        return None
     shift = poly.solve_linear(fld, rows, rhs_lead)
-    u0, u1 = base.solution, shift.solution
-    for lead in range(q):
+    return base.solution, shift.solution
+
+
+def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int) -> np.ndarray:
+    """Bad pairs contributed by one ordered index-sequence pair over all q
+    values of the free leading coefficient, as sorted unique codes x*q + y.
+
+    For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
+    g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
+    f = C + lead*D for four fixed polynomials; a block of leads gives g and
+    f as (lead, x) arrays.  The five tail shapes of a hypothetical
+    length-(2i-1) common subsequence reduce to pairs of single-point
+    equations in x = alpha_{2i-1} and y = alpha_{2i}: g(x) = f(a_last) with
+    g(y) = f(x); f(x) = g(a_last) with f(y) = g(x); and x in either first
+    set or in the agreement set f = g, with y in the agreement set.
+    Degenerate shapes whose solution set would be all of GF(q) cannot
+    complete an actual collision and are skipped:
+
+    * constant g-side (only possible at lead = 0): the collision would force
+      the monic nonconstant f-side to take a single value at 2i-1 distinct
+      points;
+    * f = g as polynomials (only possible at lead = 1, as f is monic of
+      degree mid + 1): a collision needs two distinct codewords, and the
+      normalization preserves distinctness, so only the cross-point tail
+      shapes are kept for that lead.
+    """
+    q = fld.q
+    sol = _stage_solutions(fld, points, i, s_i, s_j)
+    if sol is None:
+        return np.empty(0, dtype=np.int64)
+    u0, u1 = sol
+    mid = i - 2
+
+    def normalized(lead: int):
         u = tuple(fld.sub(a, fld.mul(lead, b)) for a, b in zip(u0, u1))
-        gcoef = poly.trim(u[: mid + 1] + (lead,))
-        fcoef = poly.trim((0,) + u[mid + 1 :] + (1,))
-        _collect_bad_pairs(fld, fcoef, gcoef, points[-1], bad)
-    return bad
+        return poly.trim((0,) + u[mid + 1 :] + (1,)), poly.trim(u[: mid + 1] + (lead,))
+
+    leads = np.arange(q, dtype=np.int64)
+    if poly.degree(normalized(0)[1]) < 1:
+        leads = leads[1:]
+    f1, g1 = normalized(1)
+    degenerate = f1 == g1
+    a_vals = poly.eval_all(fld, poly.trim(u0[: mid + 1]))
+    b_vals = poly.eval_all(fld, poly.poly_sub(fld, (0,) * (mid + 1) + (1,), u1[: mid + 1]))
+    c_vals = poly.eval_all(fld, poly.trim((0,) + u0[mid + 1 :] + (1,)))
+    d_vals = poly.eval_all(fld, poly.poly_sub(fld, (), (0,) + u1[mid + 1 :]))
+    last = points[-1]
+    step = max(1, LEAD_BLOCK_ELEMENTS // q)
+    codes = []
+    for start in range(0, len(leads), step):
+        block = leads[start : start + step, None]
+        g = fld.v_add(a_vals, fld.v_mul(block, b_vals))
+        f = fld.v_add(c_vals, fld.v_mul(block, d_vals))
+        agree = f == g
+        if degenerate:
+            agree[block[:, 0] == 1] = False
+        l1, x1 = divmod(np.flatnonzero(g == f[:, last, None]), q)  # g(x) = f(a_last)
+        l3, x3 = divmod(np.flatnonzero(f == g[:, last, None]), q)  # f(x) = g(a_last)
+        la, xa = divmod(np.flatnonzero(agree), q)  # f(x) = g(x)
+        # each (lead, x) hit selects one row of y: g(y) = f(x), f(y) = g(x), then agreement
+        ys = (g[l1] == f[l1, x1, None], f[l3] == g[l3, x3, None], agree[l1], agree[l3], agree[la])
+        hit, y = divmod(np.flatnonzero(np.concatenate(ys)), q)
+        codes.append(np.concatenate((x1, x3, x1, x3, xa))[hit] * q + y)
+    return np.unique(np.concatenate(codes))
 
 
 def extend(
@@ -185,7 +199,8 @@ def extend(
     matrix is independent of that leading coefficient, so it is reduced once
     per index pair and the per-coefficient solutions are affine combinations
     of two base solutions.  The pair sweeps are independent and their bad
-    sets merge as a union, so any thread count yields the same result.
+    sets merge as a union into one q x q mask, so any thread count yields
+    the same result.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     the system is singular for an index pair where the input's optimality
@@ -205,27 +220,27 @@ def extend(
         for s_j in range(1, n + 1)
         if s_j != s_i and not (restrict_dh and abs(s_j - s_i) < i - 2)
     ]
-    bad: set[tuple[int, int]] = set()
-    for pair_bad in analyze.guarded_map(
+    bad = np.zeros(q * q, dtype=bool)
+    for codes in analyze.guarded_map(
         lambda sij: _stage_pair_bad_set(fld, points, i, *sij), tasks, threads
     ):
-        bad |= pair_bad
-        del pair_bad  # free it before the next pair set is built
+        bad[codes] = True
+    bad_count = int(np.count_nonzero(bad))
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
-    if len(bad) > ceiling:
+    if bad_count > ceiling:
         raise InvariantViolation(
-            f"stage {i}: bad set has {len(bad)} pairs, above the ceiling {ceiling}"
+            f"stage {i}: bad set has {bad_count} pairs, above the ceiling {ceiling}"
         )
-    used = set(points)
-    for x in range(q):
-        if x in used:
+    for x, row in enumerate(bad.reshape(q, q)):
+        if x in points:
             continue
-        for y in range(q):
-            if y == x or y in used or (x, y) in bad:
-                continue
-            return points + (x, y), len(bad)
+        taken = row.copy()
+        taken[list(points) + [x]] = True
+        y = int(np.argmin(taken))
+        if not taken[y]:
+            return points + (x, y), bad_count
     raise NoGoodPairError(
-        f"stage {i}: bad set ({len(bad)} pairs) exhausted GF({q})^2; "
+        f"stage {i}: bad set ({bad_count} pairs) exhausted GF({q})^2; "
         + (
             f"q={q} is below the guaranteed bound {min_field_size(i)} for this stage"
             if q < min_field_size(i)
@@ -273,6 +288,14 @@ class ConstructionTrace:
         }
 
 
+def stage_work(q: int, k: int) -> tuple[int, int]:
+    """Estimated (element operations, bad-mask bytes) of stages 3..k over
+    GF(q): stage i sweeps (2i-2)(2i-3) ordered index pairs, each over a
+    q x q (leading coefficient, point) array, into one q x q mask."""
+    ops = sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
+    return ops, q * q if k >= 3 else 0
+
+
 def _verify_stage(fld: Field, points: tuple[int, ...], i: int, verify_mode: str) -> str:
     ev = EvaluationVector(fld, points)
     if verify_mode == VERIFY_EXACT:
@@ -303,6 +326,7 @@ def construct_half_rate(
     allow_small_q: bool = False,
     restrict_dh: bool = False,
     threads: int = 1,
+    max_ops: int = DEFAULT_MAX_STAGE_OPS,
 ) -> ConstructionTrace:
     """Build a length-2k dimension-k evaluation vector correcting one insdel.
 
@@ -311,7 +335,9 @@ def construct_half_rate(
     "certificate" runs the rank certificate at t = 1, "none" trusts the
     counting guarantee).  q >= min_field_size(k) is required unless
     allow_small_q is set, in which case NoGoodPairError is a legitimate
-    outcome.  Identical inputs produce identical traces.
+    outcome.  Stages whose estimated work (see stage_work) exceeds max_ops,
+    or whose bad mask exceeds MAX_BAD_MASK_BYTES, raise GuardExceeded
+    before any work.  Identical inputs produce identical traces.
     """
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
@@ -320,6 +346,13 @@ def construct_half_rate(
         raise ValueError(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "
             "pass allow_small_q=True to attempt anyway"
+        )
+    ops, mask_bytes = stage_work(fld.q, k)
+    if ops > max_ops or mask_bytes > MAX_BAD_MASK_BYTES:
+        raise GuardExceeded(
+            f"stages 3..{k} at q={fld.q}: estimated {ops} element operations "
+            f"(max_ops={max_ops}) and a {mask_bytes}-byte bad-pair mask "
+            f"(limit {MAX_BAD_MASK_BYTES})"
         )
     stages = []
     ev = base_case(fld)

@@ -6,6 +6,9 @@ conditions that the underlying theory rules out; seeing one means a bug or a
 broken precondition, not an unlucky input.
 """
 
+# Default work budget of the guarded super-linear entry points.
+DEFAULT_MAX_OPS = 100_000_000
+
 
 class GuardExceeded(RuntimeError):
     """A configured work/time limit would be exceeded; no partial results."""

@@ -9,9 +9,11 @@ tuples.  Everything is pure and thread-safe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import poly
+from .errors import DEFAULT_MAX_OPS, GuardExceeded
 from .rscode import RsCode
 
 
@@ -155,14 +157,15 @@ class CertificateResult:
     pairs_checked: int
 
 
-def rank_certificate(code: RsCode, t: int) -> CertificateResult:
+def rank_certificate(code: RsCode, t: int, max_pairs: int = DEFAULT_MAX_OPS) -> CertificateResult:
     """Check rank(V) = 2k-1 for every index pair that could witness failure.
 
     Sweeps all pairs (I, J) of increasing sequences of length ell = n - t
     whose Hamming distance is at least ell - k + 1 (pairs below the threshold
     cannot witness failure and are skipped).  Full rank everywhere certifies
     that the code corrects t insdel errors.  Enumeration is lexicographic, so
-    the reported witness is deterministic.
+    the reported witness is deterministic.  More than max_pairs candidate
+    pairs, C(n, ell)^2, raise GuardExceeded before any enumeration.
     """
     fld, n, k = code.field, code.n, code.k
     ell = n - t
@@ -170,6 +173,9 @@ def rank_certificate(code: RsCode, t: int) -> CertificateResult:
         raise ValueError(f"need 2k-1 <= n-t <= n, got ell={ell}, k={k}, n={n}")
     threshold = ell - k + 1
     target = 2 * k - 1
+    pairs = math.comb(n, ell) ** 2
+    if pairs > max_pairs:
+        raise GuardExceeded(f"C({n},{ell})^2 = {pairs} index pairs exceed max_pairs={max_pairs}")
     combos = list(enumerate_increasing(n, ell))
     checked = 0
     for i_seq in combos:

@@ -316,6 +316,12 @@ def test_census_guard():
         analyze.census_2dim(field_new(11))
 
 
+def test_census_needs_q_at_least_3():
+    with pytest.raises(ValueError, match="needs q >= 3"):
+        analyze.census_2dim(field_new(2))
+    assert analyze.census_2dim(field_new(3)).classes_total == 1
+
+
 def test_census_thread_invariance():
     a = analyze.census_2dim(field_new(5), threads=1)
     b = analyze.census_2dim(field_new(5), threads=4)

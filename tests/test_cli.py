@@ -157,6 +157,39 @@ def test_construct(capsys):
     assert doc["result"]["alpha"] == "GF(7):0,1,2,5"
 
 
+def test_construct_stage_guard_exit_3(capsys):
+    code, out, err = run_cli(capsys, "construct", "--field", "65537", "--k", "3")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "GuardExceeded"
+    assert "estimated 51541180428 element operations (max_ops=3000000000)" in error["message"]
+
+
+def test_construct_matches_golden_file(capsys):
+    # construct traces pinned byte for byte, as table1.json pins table1
+    golden = json.loads((Path(__file__).parent / "golden" / "construct.json").read_text())
+    for command, expected in golden.items():
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 0, err
+        assert out == expected, command
+
+
+def test_certificate_guard_exit_3(capsys):
+    alpha = ",".join(str(x) for x in range(20))
+    code, out, err = run_cli(
+        capsys, "analyze", "--field", "23", "--alpha", alpha, "--k", "2", "--method", "certificate", "--t", "10"
+    )
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "GuardExceeded"
+
+
+def test_census_q2_exit_2(capsys):
+    code, out, err = run_cli(capsys, "census", "--field", "2")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "needs q >= 3" in error["message"]
+
+
 def test_construct_no_base_case_exit_2(capsys):
     # below the guarantee the precondition trips first...
     code, out, err = run_cli(capsys, "construct", "--field", "5", "--k", "2")

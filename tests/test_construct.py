@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from rsinsdel import analyze, construct, insdel
-from rsinsdel.errors import InvariantViolation
+from rsinsdel import analyze, construct, insdel, poly
+from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
 
@@ -54,6 +55,81 @@ def test_extend_rejects_non_optimal_input():
     # stage system at an index pair where optimality forbids it
     with pytest.raises(construct.SingularSystemError):
         construct.extend(F251, (0, 1, 2, 4), 3)
+
+
+def reference_bad_set(fld, points, i, s_i, s_j):
+    """Set-based per-coefficient sweep: two eval_all calls and the five
+    tail-shape loops for each leading coefficient in turn."""
+    sol = construct._stage_solutions(fld, points, i, s_i, s_j)
+    bad = set()
+    if sol is None:
+        return bad
+    u0, u1 = sol
+    mid = i - 2
+    for lead in range(fld.q):
+        u = tuple(fld.sub(a, fld.mul(lead, b)) for a, b in zip(u0, u1))
+        gcoef = poly.trim(u[: mid + 1] + (lead,))
+        fcoef = poly.trim((0,) + u[mid + 1 :] + (1,))
+        if poly.degree(gcoef) < 1:
+            continue
+        f_vals = poly.eval_all(fld, fcoef)
+        g_vals = poly.eval_all(fld, gcoef)
+        xs_1 = np.flatnonzero(g_vals == f_vals[points[-1]])
+        xs_3 = np.flatnonzero(f_vals == g_vals[points[-1]])
+        bad |= {(x, y) for x in xs_1 for y in np.flatnonzero(g_vals == f_vals[x])}
+        bad |= {(x, y) for x in xs_3 for y in np.flatnonzero(f_vals == g_vals[x])}
+        if fcoef != gcoef:
+            agree = np.flatnonzero(f_vals == g_vals)
+            bad |= {(x, y) for x in (*xs_1, *xs_3, *agree) for y in agree}
+    return {(int(x), int(y)) for x, y in bad}
+
+
+def swept_bad_set(fld, points, i, s_i, s_j):
+    codes = construct._stage_pair_bad_set(fld, points, i, s_i, s_j)
+    return {divmod(int(c), fld.q) for c in codes}
+
+
+def index_pairs(n):
+    return [(s_i, s_j) for s_i in range(1, n + 1) for s_j in range(1, n + 1) if s_i != s_j]
+
+
+@pytest.mark.parametrize(
+    "fld, points",
+    [
+        (F251, (0, 1, 2, 5)),
+        (field_new(3, 4), (0, 1, 2, 5)),
+        (field_new(2, 8), (0, 1, 2, 5)),
+        (field_new(5, 3), (0, 1, 2, 5)),
+        (field_new(13), (0, 1, 2, 5, 3, 12)),
+        (field_new(31), (0, 1, 2, 5, 3, 4)),
+    ],
+    ids=str,
+)
+def test_block_sweep_matches_per_coefficient_reference(fld, points):
+    i = len(points) // 2 + 1
+    for s_i, s_j in index_pairs(len(points)):
+        assert swept_bad_set(fld, points, i, s_i, s_j) == reference_bad_set(fld, points, i, s_i, s_j)
+
+
+def test_block_sweep_is_independent_of_block_size(monkeypatch):
+    fld, points = field_new(31), (0, 1, 2, 5, 3, 4)
+    full = [swept_bad_set(fld, points, 4, *sij) for sij in index_pairs(6)]
+    monkeypatch.setattr(construct, "LEAD_BLOCK_ELEMENTS", 3 * fld.q)
+    assert [swept_bad_set(fld, points, 4, *sij) for sij in index_pairs(6)] == full
+
+
+def test_block_sweep_singular_branch():
+    # (0,1,2,4) is not optimal: some index pair must raise, and every pair
+    # that does not agrees with the reference
+    raised = 0
+    for s_i, s_j in index_pairs(4):
+        try:
+            swept = swept_bad_set(F251, (0, 1, 2, 4), 3, s_i, s_j)
+        except construct.SingularSystemError:
+            raised += 1
+            continue
+        assert swept == reference_bad_set(F251, (0, 1, 2, 4), 3, s_i, s_j)
+    assert raised > 0
 
 
 def test_extend_produces_verified_stage():
@@ -108,6 +184,26 @@ def test_construct_small_q_guard_and_override():
         construct.construct_half_rate(F7, 3)
     with pytest.raises(construct.NoGoodPairError):
         construct.construct_half_rate(F7, 3, allow_small_q=True)
+
+
+def test_stage_work_guard_admits_k4_and_k5():
+    for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5)):
+        ops, mask_bytes = construct.stage_work(q, k)
+        assert ops <= construct.DEFAULT_MAX_STAGE_OPS
+        assert mask_bytes <= construct.MAX_BAD_MASK_BYTES
+    assert construct.stage_work(1367, 4) == (42 * 1367**2, 1367**2)
+    assert construct.stage_work(7, 2) == (0, 0)
+
+
+def test_stage_work_guard_refuses_before_any_work():
+    with pytest.raises(GuardExceeded, match=r"estimated 756012 element operations \(max_ops=756011\)"):
+        construct.construct_half_rate(F251, 3, max_ops=12 * 251**2 - 1)
+    # 8209^2 bytes is just over the mask limit while the work is admitted
+    assert construct.stage_work(8209, 3)[0] <= construct.DEFAULT_MAX_STAGE_OPS
+    with pytest.raises(GuardExceeded, match=r"a 67387681-byte bad-pair mask \(limit 67108864\)"):
+        construct.construct_half_rate(field_new(8209), 3)
+    t = construct.construct_half_rate(F251, 3, verify_mode="none", max_ops=12 * 251**2)
+    assert t.alpha.points == (0, 1, 2, 5, 3, 4)
 
 
 def test_construct_small_q_can_succeed_between_bounds():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rsinsdel import insdel, poly
+from rsinsdel.errors import GuardExceeded
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
 
@@ -152,3 +153,16 @@ def test_rank_certificate_skips_low_distance_pairs():
     res = insdel.rank_certificate(RsCode(ev, 2), 1)
     # pairs with d_H < ell-k+1 = 2 are never built: 6 of the 4*4 pairs qualify
     assert res.pairs_checked == 6
+
+
+def test_rank_certificate_guard():
+    # C(20, 10)^2 = 184756^2 index pairs are refused before enumeration
+    ev = EvaluationVector(field_new(23), tuple(range(20)))
+    with pytest.raises(GuardExceeded, match=r"C\(20,10\)\^2 = 34134779536 index pairs exceed max_pairs=100000000"):
+        insdel.rank_certificate(RsCode(ev, 2), 10)
+    # the k = 4 construction's certificate (C(8, 7)^2 = 64 pairs) still runs
+    ev = EvaluationVector(field_new(1367), (0, 1, 2, 5, 3, 4, 6, 10))
+    res = insdel.rank_certificate(RsCode(ev, 4), 1)
+    assert res.certified and res.pairs_checked > 0
+    with pytest.raises(GuardExceeded):
+        insdel.rank_certificate(RsCode(ev, 4), 1, max_pairs=63)
