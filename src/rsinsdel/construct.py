@@ -10,9 +10,10 @@ subsequence.  Its solution is affine in the free leading coefficient, so
 the pair's values on GF(q) for all q coefficients come from four polynomial
 evaluations and one (coefficient, point) array sweep, in blocks of
 coefficients.  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
-near-collision is a value match in those arrays and goes into a q x q bad
-mask.  Any pair of fresh distinct points outside the mask extends the code;
-the lexicographically least one is chosen, so runs are fully reproducible.
+near-collision is a value match in those arrays and joins the stage's bad
+set, kept as sorted codes x*q + y.  Any pair of fresh distinct points
+outside the bad set extends the code; the lexicographically least one is
+chosen, so runs are fully reproducible.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .rscode import EvaluationVector, RsCode
 # A stage sweeps leading coefficients in blocks of about this many
 # (coefficient, point) elements, which keeps peak memory flat in q.
 LEAD_BLOCK_ELEMENTS = 1 << 15
-# Default budgets of construct_half_rate: element operations of stages
-# 3..k (admits k = 5 at q = min_field_size(5)) and bytes of the q x q mask.
-DEFAULT_MAX_STAGE_OPS = 3_000_000_000
-MAX_BAD_MASK_BYTES = 1 << 26
+# Work budget of construct_half_rate in element operations of stages 3..k
+# (see stage_work); admits k = 6 at q = min_field_size(6).
+MAX_STAGE_OPS = 30_000_000_000
 
 
 class NoBaseCaseError(ValueError):
@@ -120,6 +120,13 @@ def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j:
     return base.solution, shift.solution
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """np.unique for int64 codes, which in numpy 2.x is over ten times
+    slower than one sort and a neighbour comparison."""
+    codes = np.sort(codes)
+    return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
+
+
 def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int) -> np.ndarray:
     """Bad pairs contributed by one ordered index-sequence pair over all q
     values of the free leading coefficient, as sorted unique codes x*q + y.
@@ -149,17 +156,13 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s
         return np.empty(0, dtype=np.int64)
     u0, u1 = sol
     mid = i - 2
-
-    def normalized(lead: int):
-        u = tuple(fld.sub(a, fld.mul(lead, b)) for a, b in zip(u0, u1))
-        return poly.trim((0,) + u[mid + 1 :] + (1,)), poly.trim(u[: mid + 1] + (lead,))
-
+    a = poly.trim(u0[: mid + 1])  # the g-side at lead 0
     leads = np.arange(q, dtype=np.int64)
-    if poly.degree(normalized(0)[1]) < 1:
+    if poly.degree(a) < 1:
         leads = leads[1:]
-    f1, g1 = normalized(1)
-    degenerate = f1 == g1
-    a_vals = poly.eval_all(fld, poly.trim(u0[: mid + 1]))
+    u = tuple(fld.sub(c0, c1) for c0, c1 in zip(u0, u1))  # lead 1
+    degenerate = poly.trim((0,) + u[mid + 1 :] + (1,)) == poly.trim(u[: mid + 1] + (1,))
+    a_vals = poly.eval_all(fld, a)
     b_vals = poly.eval_all(fld, poly.poly_sub(fld, (0,) * (mid + 1) + (1,), u1[: mid + 1]))
     c_vals = poly.eval_all(fld, poly.trim((0,) + u0[mid + 1 :] + (1,)))
     d_vals = poly.eval_all(fld, poly.poly_sub(fld, (), (0,) + u1[mid + 1 :]))
@@ -180,7 +183,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s
         ys = (g[l1] == f[l1, x1, None], f[l3] == g[l3, x3, None], agree[l1], agree[l3], agree[la])
         hit, y = divmod(np.flatnonzero(np.concatenate(ys)), q)
         codes.append(np.concatenate((x1, x3, x1, x3, xa))[hit] * q + y)
-    return np.unique(np.concatenate(codes))
+    return _sorted_unique(np.concatenate(codes))
 
 
 def extend(
@@ -199,8 +202,8 @@ def extend(
     matrix is independent of that leading coefficient, so it is reduced once
     per index pair and the per-coefficient solutions are affine combinations
     of two base solutions.  The pair sweeps are independent and their bad
-    sets merge as a union into one q x q mask, so any thread count yields
-    the same result.
+    sets merge as a union of sorted codes x*q + y, so any thread count
+    yields the same result.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     the system is singular for an index pair where the input's optimality
@@ -220,25 +223,23 @@ def extend(
         for s_j in range(1, n + 1)
         if s_j != s_i and not (restrict_dh and abs(s_j - s_i) < i - 2)
     ]
-    bad = np.zeros(q * q, dtype=bool)
-    for codes in analyze.guarded_map(
-        lambda sij: _stage_pair_bad_set(fld, points, i, *sij), tasks, threads
-    ):
-        bad[codes] = True
-    bad_count = int(np.count_nonzero(bad))
+    bad = np.empty(0, dtype=np.int64)
+    # merged pair by pair, so memory stays at the size of the bad set
+    for codes in analyze.guarded_map(lambda sij: _stage_pair_bad_set(fld, points, i, *sij), tasks, threads):
+        bad = _sorted_unique(np.concatenate((bad, codes)))
+    bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
     if bad_count > ceiling:
         raise InvariantViolation(
             f"stage {i}: bad set has {bad_count} pairs, above the ceiling {ceiling}"
         )
-    for x, row in enumerate(bad.reshape(q, q)):
+    for x in range(q):
         if x in points:
             continue
-        taken = row.copy()
-        taken[list(points) + [x]] = True
-        y = int(np.argmin(taken))
-        if not taken[y]:
-            return points + (x, y), bad_count
+        lo, hi = np.searchsorted(bad, (x * q, (x + 1) * q))
+        free = np.setdiff1d(np.arange(q), np.concatenate((bad[lo:hi] - x * q, points, (x,))))
+        if len(free):
+            return points + (x, int(free[0])), bad_count
     raise NoGoodPairError(
         f"stage {i}: bad set ({bad_count} pairs) exhausted GF({q})^2; "
         + (
@@ -288,12 +289,11 @@ class ConstructionTrace:
         }
 
 
-def stage_work(q: int, k: int) -> tuple[int, int]:
-    """Estimated (element operations, bad-mask bytes) of stages 3..k over
-    GF(q): stage i sweeps (2i-2)(2i-3) ordered index pairs, each over a
-    q x q (leading coefficient, point) array, into one q x q mask."""
-    ops = sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
-    return ops, q * q if k >= 3 else 0
+def stage_work(q: int, k: int) -> int:
+    """Estimated element operations of stages 3..k over GF(q): stage i
+    sweeps (2i-2)(2i-3) ordered index pairs, each over a q x q (leading
+    coefficient, point) array."""
+    return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
 
 
 def _verify_stage(fld: Field, points: tuple[int, ...], i: int, verify_mode: str) -> str:
@@ -326,7 +326,6 @@ def construct_half_rate(
     allow_small_q: bool = False,
     restrict_dh: bool = False,
     threads: int = 1,
-    max_ops: int = DEFAULT_MAX_STAGE_OPS,
 ) -> ConstructionTrace:
     """Build a length-2k dimension-k evaluation vector correcting one insdel.
 
@@ -335,9 +334,9 @@ def construct_half_rate(
     "certificate" runs the rank certificate at t = 1, "none" trusts the
     counting guarantee).  q >= min_field_size(k) is required unless
     allow_small_q is set, in which case NoGoodPairError is a legitimate
-    outcome.  Stages whose estimated work (see stage_work) exceeds max_ops,
-    or whose bad mask exceeds MAX_BAD_MASK_BYTES, raise GuardExceeded
-    before any work.  Identical inputs produce identical traces.
+    outcome.  An estimated stage work (see stage_work) above MAX_STAGE_OPS
+    raises GuardExceeded before any work.  Identical inputs produce
+    identical traces.
     """
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
@@ -347,12 +346,11 @@ def construct_half_rate(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "
             "pass allow_small_q=True to attempt anyway"
         )
-    ops, mask_bytes = stage_work(fld.q, k)
-    if ops > max_ops or mask_bytes > MAX_BAD_MASK_BYTES:
+    ops = stage_work(fld.q, k)
+    if ops > MAX_STAGE_OPS:
         raise GuardExceeded(
             f"stages 3..{k} at q={fld.q}: estimated {ops} element operations "
-            f"(max_ops={max_ops}) and a {mask_bytes}-byte bad-pair mask "
-            f"(limit {MAX_BAD_MASK_BYTES})"
+            f"exceed the limit of {MAX_STAGE_OPS}"
         )
     stages = []
     ev = base_case(fld)

@@ -157,15 +157,16 @@ class CertificateResult:
     pairs_checked: int
 
 
-def rank_certificate(code: RsCode, t: int, max_pairs: int = DEFAULT_MAX_OPS) -> CertificateResult:
+def rank_certificate(code: RsCode, t: int) -> CertificateResult:
     """Check rank(V) = 2k-1 for every index pair that could witness failure.
 
     Sweeps all pairs (I, J) of increasing sequences of length ell = n - t
     whose Hamming distance is at least ell - k + 1 (pairs below the threshold
     cannot witness failure and are skipped).  Full rank everywhere certifies
     that the code corrects t insdel errors.  Enumeration is lexicographic, so
-    the reported witness is deterministic.  More than max_pairs candidate
-    pairs, C(n, ell)^2, raise GuardExceeded before any enumeration.
+    the reported witness is deterministic.  More than DEFAULT_MAX_OPS
+    candidate pairs, C(n, ell)^2, raise GuardExceeded before any
+    enumeration.
     """
     fld, n, k = code.field, code.n, code.k
     ell = n - t
@@ -174,8 +175,8 @@ def rank_certificate(code: RsCode, t: int, max_pairs: int = DEFAULT_MAX_OPS) -> 
     threshold = ell - k + 1
     target = 2 * k - 1
     pairs = math.comb(n, ell) ** 2
-    if pairs > max_pairs:
-        raise GuardExceeded(f"C({n},{ell})^2 = {pairs} index pairs exceed max_pairs={max_pairs}")
+    if pairs > DEFAULT_MAX_OPS:
+        raise GuardExceeded(f"C({n},{ell})^2 = {pairs} index pairs exceed the limit of {DEFAULT_MAX_OPS}")
     combos = list(enumerate_increasing(n, ell))
     checked = 0
     for i_seq in combos:

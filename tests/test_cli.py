@@ -162,7 +162,7 @@ def test_construct_stage_guard_exit_3(capsys):
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
-    assert "estimated 51541180428 element operations (max_ops=3000000000)" in error["message"]
+    assert "estimated 51541180428 element operations exceed the limit of 30000000000" in error["message"]
 
 
 def test_construct_matches_golden_file(capsys):

@@ -132,6 +132,16 @@ def test_block_sweep_singular_branch():
     assert raised > 0
 
 
+def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
+    q = F251.q
+    monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: np.array([3 * q + 4]))
+    assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 3, 6), 1)
+    # row 3 is free only at y = 3, which repeats x
+    row3 = np.array([3 * q + y for y in range(q) if y != 3])
+    monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: row3)
+    assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 4, 3), q - 1)
+
+
 def test_extend_produces_verified_stage():
     points, bad_count = construct.extend(F251, (0, 1, 2, 5), 3)
     assert len(points) == 6 and len(set(points)) == 6
@@ -186,23 +196,23 @@ def test_construct_small_q_guard_and_override():
         construct.construct_half_rate(F7, 3, allow_small_q=True)
 
 
-def test_stage_work_guard_admits_k4_and_k5():
-    for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5)):
-        ops, mask_bytes = construct.stage_work(q, k)
-        assert ops <= construct.DEFAULT_MAX_STAGE_OPS
-        assert mask_bytes <= construct.MAX_BAD_MASK_BYTES
-    assert construct.stage_work(1367, 4) == (42 * 1367**2, 1367**2)
-    assert construct.stage_work(7, 2) == (0, 0)
+def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
+    for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
+        assert construct.stage_work(q, k) <= construct.MAX_STAGE_OPS
+    assert construct.stage_work(1367, 4) == 42 * 1367**2
+    assert construct.stage_work(7, 2) == 0
+    # k = 3 is admitted up to q = 50000 and refused above
+    assert construct.stage_work(50000, 3) <= construct.MAX_STAGE_OPS < construct.stage_work(50001, 3)
 
 
-def test_stage_work_guard_refuses_before_any_work():
-    with pytest.raises(GuardExceeded, match=r"estimated 756012 element operations \(max_ops=756011\)"):
-        construct.construct_half_rate(F251, 3, max_ops=12 * 251**2 - 1)
-    # 8209^2 bytes is just over the mask limit while the work is admitted
-    assert construct.stage_work(8209, 3)[0] <= construct.DEFAULT_MAX_STAGE_OPS
-    with pytest.raises(GuardExceeded, match=r"a 67387681-byte bad-pair mask \(limit 67108864\)"):
-        construct.construct_half_rate(field_new(8209), 3)
-    t = construct.construct_half_rate(F251, 3, verify_mode="none", max_ops=12 * 251**2)
+def test_stage_work_guard_refuses_before_any_work(monkeypatch):
+    monkeypatch.setattr(construct, "MAX_STAGE_OPS", 12 * 251**2 - 1)
+    monkeypatch.setattr(construct, "extend", None)  # never reached
+    with pytest.raises(GuardExceeded, match=r"estimated 756012 element operations exceed the limit of 756011"):
+        construct.construct_half_rate(F251, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(construct, "MAX_STAGE_OPS", 12 * 251**2)
+    t = construct.construct_half_rate(F251, 3, verify_mode="none")
     assert t.alpha.points == (0, 1, 2, 5, 3, 4)
 
 

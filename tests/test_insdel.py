@@ -155,14 +155,17 @@ def test_rank_certificate_skips_low_distance_pairs():
     assert res.pairs_checked == 6
 
 
-def test_rank_certificate_guard():
+def test_rank_certificate_guard(monkeypatch):
     # C(20, 10)^2 = 184756^2 index pairs are refused before enumeration
     ev = EvaluationVector(field_new(23), tuple(range(20)))
-    with pytest.raises(GuardExceeded, match=r"C\(20,10\)\^2 = 34134779536 index pairs exceed max_pairs=100000000"):
+    with pytest.raises(GuardExceeded, match=r"C\(20,10\)\^2 = 34134779536 index pairs exceed the limit of 100000000"):
         insdel.rank_certificate(RsCode(ev, 2), 10)
     # the k = 4 construction's certificate (C(8, 7)^2 = 64 pairs) still runs
     ev = EvaluationVector(field_new(1367), (0, 1, 2, 5, 3, 4, 6, 10))
     res = insdel.rank_certificate(RsCode(ev, 4), 1)
     assert res.certified and res.pairs_checked > 0
-    with pytest.raises(GuardExceeded):
-        insdel.rank_certificate(RsCode(ev, 4), 1, max_pairs=63)
+    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 63)
+    with pytest.raises(GuardExceeded, match="64 index pairs exceed the limit of 63"):
+        insdel.rank_certificate(RsCode(ev, 4), 1)
+    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 64)
+    assert insdel.rank_certificate(RsCode(ev, 4), 1) == res
