@@ -35,14 +35,15 @@ import numpy as np
 
 from . import insdel, poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
-from .gf import Field
+from .gf import Field, euler_phi
 from .insdel import lcs_from_masks, match_masks
-from .rscode import EvaluationVector, RsCode, canonical_form, equivalent
+from .rscode import EvaluationVector, RsCode, canonical_form, codewords, equivalent
 
 DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
 SAMPLE_MAX_Q = 128
 CENSUS_CHUNK = 512
+SPOT_CHECKS = 200  # classes re-measured by census verify="spot"
 
 
 # -- reports ----------------------------------------------------------------
@@ -65,10 +66,9 @@ class AnalysisReport:
     max_correctable: int
     optimal: bool
     witness: dict | None = None
-    elapsed_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "k": self.k,
             "q": self.q,
@@ -78,9 +78,6 @@ class AnalysisReport:
             "optimal": self.optimal,
             "witness": self.witness,
         }
-        if include_timing:
-            out["wall_time_s"] = self.elapsed_s
-        return out
 
 
 def _check_lcs_floor(lcs_value: int, n: int, k: int) -> None:
@@ -95,7 +92,7 @@ def _check_lcs_floor(lcs_value: int, n: int, k: int) -> None:
         )
 
 
-def _report(code: RsCode, method: str, lcs_value: int, witness: dict | None, t0: float) -> AnalysisReport:
+def _report(code: RsCode, method: str, lcs_value: int, witness: dict | None) -> AnalysisReport:
     _check_lcs_floor(lcs_value, code.n, code.k)
     max_corr = code.n - 1 - lcs_value
     return AnalysisReport(
@@ -107,7 +104,6 @@ def _report(code: RsCode, method: str, lcs_value: int, witness: dict | None, t0:
         max_correctable=max_corr,
         optimal=max_corr >= code.n - 2 * code.k + 1,
         witness=witness,
-        elapsed_s=time.perf_counter() - t0,
     )
 
 
@@ -134,41 +130,37 @@ def lcs_code_bruteforce(
     want_witness: bool = True,
 ) -> AnalysisReport:
     """Exact code LCS by scanning normalized-vs-all codeword pairs."""
-    t0 = time.perf_counter()
     fld, k, n = code.field, code.k, code.n
     if fld.q**k > max_codewords:
         raise GuardExceeded(f"q^k = {fld.q**k} exceeds max_codewords={max_codewords}")
     points = code.ev.points
+    # Shifting both words keeps their LCS: LCS(cf, w + c) = LCS(cf - c, w).
+    # So only the first q^(k-1) codewords w (zero constant term) are kept,
+    # and (f, c, w) runs over every pair (f, g = w + c) in codewords order.
+    words = list(itertools.islice(codewords(code), fld.q ** (k - 1)))
     best = -1
     best_pair = None
-    for f in _normalized_polys(fld, k):
-        cf = poly.eval_on(fld, f, points)
-        masks = match_masks(cf)
-        for g_raw in itertools.product(range(fld.q), repeat=k):
-            g = poly.trim(g_raw)
-            if g == f:
+    for f, c in itertools.product(_normalized_polys(fld, k), range(fld.q)):
+        shifted = poly.eval_on(fld, poly.poly_sub(fld, f, (c,)), points)
+        masks = match_masks(shifted)
+        for g0, w in words:
+            if w == shifted:  # g = g0 + c is f
                 continue
-            cg = poly.eval_on(fld, g, points)
-            val = lcs_from_masks(masks, n, cg)
+            val = lcs_from_masks(masks, n, w)
             if val > best:
-                best, best_pair = val, (f, cf, g, cg)
+                best, best_pair = val, (f, poly.poly_add(fld, g0, (c,)))
                 if best == n - 1:
                     break
         if best == n - 1:
             break
-    witness = _pair_witness(best_pair) if want_witness else None
-    return _report(code, "brute_force", best, witness, t0)
+    witness = _pair_witness(code, *best_pair) if want_witness else None
+    return _report(code, "brute_force", best, witness)
 
 
-def _pair_witness(pair) -> dict:
-    f, cf, g, cg = pair
+def _pair_witness(code: RsCode, f, g) -> dict:
+    cf, cg = (poly.eval_on(code.field, h, code.ev.points) for h in (f, g))
     _, i_seq, j_seq = insdel.lcs_with_witness(cf, cg)
-    return {
-        "f": list(f),
-        "g": list(g),
-        "I": list(i_seq),
-        "J": list(j_seq),
-    }
+    return {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
 
 
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:
@@ -180,7 +172,6 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     most 1.  The pair (A, B) and its inverse map give equal LCS, so only the
     lexicographically smaller of the two is evaluated.
     """
-    t0 = time.perf_counter()
     if not ev.is_full_length():
         raise ValueError("affine fast path requires a full-length ordering")
     fld = ev.field
@@ -216,22 +207,21 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
         other = tuple(fld.v_add(fld.v_mul(arr, np.int64(a)), np.int64(b)).tolist())
         _, i_seq, j_seq = insdel.lcs_with_witness(points, other)
         witness = {"f": [0, 1], "g": [b, a], "I": list(i_seq), "J": list(j_seq)}
-    return _report(code, "affine", best, witness, t0)
+    return _report(code, "affine", best, witness)
 
 
-def lcs_code_exact(code: RsCode, max_codewords: int = DEFAULT_MAX_CODEWORDS) -> AnalysisReport:
+def lcs_code_exact(code: RsCode) -> AnalysisReport:
     """Dispatch to the cheapest exact engine for these parameters."""
     if code.k == 2 and code.ev.is_full_length():
         return lcs_code_affine(code.ev, want_witness=False)
-    return lcs_code_bruteforce(code, max_codewords=max_codewords, want_witness=False)
+    return lcs_code_bruteforce(code, want_witness=False)
 
 
-def corrects(code: RsCode, t: int, max_codewords: int = DEFAULT_MAX_CODEWORDS) -> bool:
+def corrects(code: RsCode, t: int) -> bool:
     """True iff the code corrects t insdel errors (exact LCS test)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    report = lcs_code_exact(code, max_codewords=max_codewords)
-    return report.lcs_of_code <= code.n - t - 1
+    return lcs_code_exact(code).lcs_of_code <= code.n - t - 1
 
 
 # -- optimality of length-2k dimension-k codes -------------------------------
@@ -246,7 +236,7 @@ class OptimalityResult:
         return {"optimal": self.optimal, "witness": self.witness}
 
 
-def is_optimal_half_rate(ev: EvaluationVector, k: int, max_ops: int = DEFAULT_MAX_OPS) -> OptimalityResult:
+def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     """Decide whether the length-2k code corrects one insdel error.
 
     The code fails exactly when some reduced f (see _normalized_polys) and
@@ -255,15 +245,16 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int, max_ops: int = DEFAULT_MA
     g of degree < k through the first k constraints is interpolated and the
     remaining k-1 constraints are verified.  I = J is skipped: agreement on
     2k-1 >= k distinct points would force f = g.  The first witness in
-    (f, I, J) scan order is returned, so the outcome is deterministic.
+    (f, I, J) scan order is returned, so the outcome is deterministic.  An
+    estimated work above DEFAULT_MAX_OPS raises GuardExceeded.
     """
     fld = ev.field
     n = ev.n
     if n != 2 * k:
         raise ValueError("optimality checker requires n = 2k")
     est_ops = 2 * fld.q ** max(0, k - 2) * (2 * k) * (2 * k - 1) * k * k
-    if est_ops > max_ops:
-        raise GuardExceeded(f"estimated work {est_ops} exceeds max_ops={max_ops}")
+    if est_ops > DEFAULT_MAX_OPS:
+        raise GuardExceeded(f"estimated work {est_ops} exceeds the limit of {DEFAULT_MAX_OPS}")
     points = ev.points
     seqs = list(insdel.enumerate_increasing(n, n - 1))
     for f in _normalized_polys(fld, k):
@@ -365,7 +356,22 @@ def bad_ordering_family(fld: Field) -> list[tuple[str, int | None, tuple[int, ..
 def bad_class_index(fld: Field) -> MappingProxyType:
     """Read-only map, built once per field, from canonical form to the
     bad_ordering_family members in that affine class, in family order.
-    A full-length ordering is bad exactly when its canonical form is a key."""
+    A full-length ordering is bad exactly when its canonical form is a key.
+
+    Full-length codes of dimension 2 need q >= 3 (ValueError otherwise).
+    Building the 2*phi(q-1)+1 family vectors of length q must stay within
+    DEFAULT_MAX_OPS elements (GuardExceeded otherwise).
+    """
+    q = fld.q
+    if q < 3:
+        raise ValueError(
+            f"the bad-ordering classification needs q >= 3 (full-length codes of dimension 2), got q={q}"
+        )
+    elements = (2 * euler_phi(q - 1) + 1) * q
+    if elements > DEFAULT_MAX_OPS:
+        raise GuardExceeded(
+            f"bad family of {fld.name()}: estimated {elements} elements exceed the limit of {DEFAULT_MAX_OPS}"
+        )
     index: dict[tuple[int, ...], list] = {}
     for member in bad_ordering_family(fld):
         form = canonical_form(EvaluationVector(fld, member[2])).points
@@ -459,7 +465,6 @@ def census_2dim(
     fld: Field,
     max_classes: int = DEFAULT_MAX_CLASSES,
     verify: str = "auto",
-    spot_checks: int = 200,
     threads: int = 1,
     time_guard_s: float | None = None,
 ) -> CensusResult:
@@ -469,22 +474,22 @@ def census_2dim(
     canonical form; all (q-2)! of them are streamed in chunks and each is
     classified by one bad_class_index lookup.  verify: "all" re-measures
     every class with the exact affine engine, "spot" re-measures an evenly
-    spaced sample, "none" skips, "auto" picks "all" for q <= 8 and "spot"
-    above.  Any disagreement between the classifier and the exact engine is
-    an invariant violation.  q must be at least 3.
+    spaced sample of about SPOT_CHECKS classes, "none" skips, "auto" picks
+    "all" for q <= 8 and "spot" above.  Any disagreement between the
+    classifier and the exact engine is an invariant violation.  q must be
+    at least 3.
     """
     q = fld.q
-    if q < 3:
-        raise ValueError(f"the census needs q >= 3 (full-length codes of dimension 2), got q={q}")
     total = math.factorial(q - 2)
     if total > max_classes:
         raise GuardExceeded(f"(q-2)! = {total} exceeds max_classes={max_classes}")
+    bad_class_index(fld)  # refuses q < 3 before any work
     if verify == "auto":
         verify = "all" if q <= 8 else "spot"
     if verify == "all":
         verify_idx = range(total)
     elif verify == "spot":
-        verify_idx = range(0, total, max(1, total // max(1, spot_checks)))
+        verify_idx = range(0, total, max(1, total // SPOT_CHECKS))
     elif verify == "none":
         verify_idx = range(0)
     else:
@@ -574,6 +579,14 @@ class SampleResult:
         }
 
 
+def parse_fraction(text) -> Fraction:
+    """Exact value of a decimal or p/q literal; ValueError when malformed."""
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def sample_orderings(
     fld: Field,
     delta,
@@ -593,7 +606,7 @@ def sample_orderings(
         raise GuardExceeded(f"sampling is budgeted for q <= {SAMPLE_MAX_Q}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    frac = Fraction(str(delta))
+    frac = parse_fraction(delta)
     if not 0 < frac <= 1:
         raise ValueError("delta must satisfy 0 < delta <= 1")
     threshold = math.floor(frac * q) - 1

@@ -135,7 +135,7 @@ def normalized_bad_fraction_bound(q: int, delta) -> BoundReport:
     The verdict asserts exact <= closed form.  When floor(delta*q) < 1 the
     pair is out of regime and no verdict is given.
     """
-    frac = Fraction(str(delta))
+    frac = analyze.parse_fraction(delta)
     if not 0 < frac < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")
     ell = math.floor(frac * q)

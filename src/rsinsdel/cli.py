@@ -2,10 +2,10 @@
 
 Every command emits a single JSON document on stdout (schema version 1,
 sorted keys, compact separators), so identical configurations produce
-byte-identical output; wall-clock timing is only added under --timing.
-Failures emit a diagnostic JSON object on stderr and exit with 2 for
-usage/precondition errors, 3 for exceeded guards, 4 for invariant
-violations.
+byte-identical output; --timing adds a volatile top-level wall_time_s,
+outside the byte-stable result.  Failures emit a diagnostic JSON object on
+stderr and exit with 2 for usage/precondition errors (an unwritable
+--output included), 3 for exceeded guards, 4 for invariant violations.
 """
 
 from __future__ import annotations
@@ -53,15 +53,18 @@ def _parse_alpha(args) -> EvaluationVector:
 
 def _emit(args, command: str, params: dict, result: dict, t0: float) -> None:
     doc = {"schema": SCHEMA, "command": command, "params": params, "result": result}
-    if getattr(args, "timing", False):
+    if args.timing:
         doc["wall_time_s"] = time.perf_counter() - t0
     _write(args, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write(args, payload: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -82,15 +85,11 @@ def cmd_analyze(args) -> None:
     ev = _parse_alpha(args)
     params = {"alpha": ev.serialize(), "k": args.k, "method": args.method}
     if args.method == "brute":
-        report = analyze.lcs_code_bruteforce(
-            RsCode(ev, args.k), max_codewords=args.max_codewords
-        )
-        result = report.to_dict(include_timing=args.timing)
+        result = analyze.lcs_code_bruteforce(RsCode(ev, args.k), max_codewords=args.max_codewords).to_dict()
     elif args.method == "affine":
         if args.k != 2:
             raise ValueError("the affine fast path requires --k 2")
-        report = analyze.lcs_code_affine(ev)
-        result = report.to_dict(include_timing=args.timing)
+        result = analyze.lcs_code_affine(ev).to_dict()
     elif args.method == "certificate":
         if args.t is None:
             raise ValueError("--method certificate requires --t")
@@ -158,7 +157,6 @@ def cmd_construct(args) -> None:
         args.k,
         verify_mode=args.verify,
         allow_small_q=args.allow_small_q,
-        restrict_dh=args.restrict_dh,
         threads=args.threads,
     )
     params = {
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, threads=False):
-        p.add_argument("--timing", action="store_true", help="include wall-clock time in the JSON")
+        p.add_argument("--timing", action="store_true", help="add a top-level wall_time_s to the JSON")
         p.add_argument("--output", help="write the report to a file instead of stdout")
         if threads:
             p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[construct.VERIFY_EXACT, construct.VERIFY_CERTIFICATE, construct.VERIFY_NONE],
     )
     p.add_argument("--allow-small-q", action="store_true")
-    p.add_argument("--restrict-dh", action="store_true", help="skip provably irrelevant index pairs")
     common(p, threads=True)
     p.set_defaults(func=cmd_construct)
 

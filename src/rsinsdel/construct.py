@@ -3,13 +3,14 @@ error: a scanned length-4 base case plus an inductive two-points-per-stage
 extension.
 
 Stage i takes a verified length-(2i-2) evaluation vector and appends two
-fresh points.  For every ordered pair of distinct increasing index sequences
-over the current positions, the stage solves one square linear system for
-the normalized polynomial pair that could realize a long common
-subsequence.  Its solution is affine in the free leading coefficient, so
-the pair's values on GF(q) for all q coefficients come from four polynomial
-evaluations and one (coefficient, point) array sweep, in blocks of
-coefficients.  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
+fresh points.  For every ordered pair of increasing index sequences over
+the current positions at Hamming distance at least i - 2 (closer pairs
+have singular systems and cannot contribute), the stage solves one square
+linear system for the normalized polynomial pair that could realize a long
+common subsequence.  Its solution is affine in the free leading
+coefficient, so the pair's values on GF(q) for all q coefficients come from
+four polynomial evaluations and one (coefficient, point) array sweep, in
+blocks of coefficients.  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
 near-collision is a value match in those arrays and joins the stage's bad
 set, kept as sorted codes x*q + y.  Any pair of fresh distinct points
 outside the bad set extends the code; the lexicographically least one is
@@ -49,17 +50,14 @@ class SingularSystemError(InvariantViolation):
     cannot be; the input code was not actually optimal (or there is a bug)."""
 
 
-def min_field_size(k: int, conservative: bool = False) -> int:
+def min_field_size(k: int) -> int:
     """Smallest field order for which stage-by-stage success is guaranteed.
 
     The guarantee polynomial is 20k^4 - 90k^3 + 150k^2 - 106k + 27; for k = 2
-    the base-case scan only needs q >= 7.  conservative=True returns the
-    looser 100k^4 variant instead.
+    the base-case scan only needs q >= 7.
     """
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
-    if conservative:
-        return 100 * k**4
     if k == 2:
         return 7
     return 20 * k**4 - 90 * k**3 + 150 * k**2 - 106 * k + 27
@@ -79,21 +77,30 @@ def base_case(fld: Field) -> EvaluationVector:
     raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
 
 
-def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int):
-    """Solutions (u0, u1) of the stage system for one ordered index-sequence
-    pair (drop s_i, drop s_j); the unknowns for leading coefficient `lead`
-    are u0 - lead*u1.  None when the system is singular below the distance
-    threshold, where no completed collision can use the pair."""
+def stage_pairs(n: int, i: int) -> list[tuple[int, int]]:
+    """The ordered index pairs (s_i, s_j) that stage i sweeps over n points:
+    the length-(2i-3) sequences omitting s_i and s_j from 1..n, at Hamming
+    distance |s_j - s_i| >= i - 2 (so s_i != s_j, as i >= 3).
+
+    Closer pairs have a singular system and cannot contribute: a position
+    with I_t = J_t = a gives the row (1, a, .., a^mid, -a, .., -a^mid),
+    mid = i - 2, and all such rows span at most i - 1 dimensions, so the
+    rank is at most (i - 1) + |s_j - s_i| < 2i - 3, the number of unknowns.
+    """
+    return [(s_i, s_j) for s_i in range(1, n + 1) for s_j in range(1, n + 1) if abs(s_j - s_i) >= i - 2]
+
+
+def _stage_system(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int):
+    """Rows and the two right-hand sides (fixed part, leading-coefficient
+    part) of the stage system for one ordered index-sequence pair."""
     n = len(points)
-    ell = 2 * i - 3
     mid = i - 2  # free coefficients on each side
-    d_h = abs(s_j - s_i)
     i_seq = tuple(t for t in range(1, n + 1) if t != s_i)
     j_seq = tuple(t for t in range(1, n + 1) if t != s_j)
     rows = []
     rhs_fixed = []
     rhs_lead = []
-    for t in range(ell):
+    for t in range(2 * i - 3):
         ai = points[i_seq[t] - 1]
         aj = points[j_seq[t] - 1]
         row = [1]
@@ -108,16 +115,21 @@ def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j:
         rows.append(row)
         rhs_fixed.append(fld.pow(ai, i - 1))
         rhs_lead.append(fld.pow(aj, i - 1))
+    return rows, rhs_fixed, rhs_lead
+
+
+def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int):
+    """Solutions (u0, u1) of the stage system for one swept index pair (see
+    stage_pairs); the unknowns for leading coefficient `lead` are
+    u0 - lead*u1."""
+    rows, rhs_fixed, rhs_lead = _stage_system(fld, points, i, s_i, s_j)
     base = poly.solve_linear(fld, rows, rhs_fixed)
     if base.status != "unique":
-        if d_h >= i - 2:
-            raise SingularSystemError(
-                f"stage {i}: singular system at index pair with distance {d_h} >= {i-2}; "
-                f"the input vector {points} cannot have been optimal"
-            )
-        return None
-    shift = poly.solve_linear(fld, rows, rhs_lead)
-    return base.solution, shift.solution
+        raise SingularSystemError(
+            f"stage {i}: singular system at index pair with distance {abs(s_j - s_i)} >= {i-2}; "
+            f"the input vector {points} cannot have been optimal"
+        )
+    return base.solution, poly.solve_linear(fld, rows, rhs_lead).solution
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -151,10 +163,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s
       shapes are kept for that lead.
     """
     q = fld.q
-    sol = _stage_solutions(fld, points, i, s_i, s_j)
-    if sol is None:
-        return np.empty(0, dtype=np.int64)
-    u0, u1 = sol
+    u0, u1 = _stage_solutions(fld, points, i, s_i, s_j)
     mid = i - 2
     a = poly.trim(u0[: mid + 1])  # the g-side at lead 0
     leads = np.arange(q, dtype=np.int64)
@@ -186,28 +195,20 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s
     return _sorted_unique(np.concatenate(codes))
 
 
-def extend(
-    fld: Field,
-    points: tuple[int, ...],
-    i: int,
-    restrict_dh: bool = False,
-    threads: int = 1,
-) -> tuple[tuple[int, ...], int]:
+def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tuple[tuple[int, ...], int]:
     """One stage: extend a verified length-(2i-2) vector by two points.
 
-    Sweeps every ordered pair of distinct length-(2i-3) increasing index
-    sequences (restrict_dh=True skips pairs whose Hamming distance is below
-    i-2, which provably cannot contribute; the default keeps the full sweep)
-    and every leading coefficient of the g-side.  The stage linear system's
-    matrix is independent of that leading coefficient, so it is reduced once
-    per index pair and the per-coefficient solutions are affine combinations
-    of two base solutions.  The pair sweeps are independent and their bad
-    sets merge as a union of sorted codes x*q + y, so any thread count
-    yields the same result.
+    Sweeps the ordered pairs of length-(2i-3) increasing index sequences in
+    stage_pairs (no other pair can contribute) and every leading coefficient
+    of the g-side.  The stage linear system's matrix is independent of that
+    leading coefficient, so it is reduced once per index pair and the
+    per-coefficient solutions are affine combinations of two base solutions.
+    The pair sweeps are independent and their bad sets merge as a union of
+    sorted codes x*q + y, so any thread count yields the same result.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
-    the system is singular for an index pair where the input's optimality
-    forbids it, NoGoodPairError if the bad set exhausts all candidates.
+    a swept pair's system is singular, which the input's optimality forbids,
+    NoGoodPairError if the bad set exhausts all candidates.
     """
     n = len(points)
     q = fld.q
@@ -217,15 +218,10 @@ def extend(
         raise ValueError(f"stage {i} needs {2*i - 2} input points, got {n}")
     if len(set(points)) != n:
         raise ValueError("input points must be pairwise distinct")
-    tasks = [
-        (s_i, s_j)
-        for s_i in range(1, n + 1)
-        for s_j in range(1, n + 1)
-        if s_j != s_i and not (restrict_dh and abs(s_j - s_i) < i - 2)
-    ]
     bad = np.empty(0, dtype=np.int64)
     # merged pair by pair, so memory stays at the size of the bad set
-    for codes in analyze.guarded_map(lambda sij: _stage_pair_bad_set(fld, points, i, *sij), tasks, threads):
+    pairs = stage_pairs(n, i)
+    for codes in analyze.guarded_map(lambda sij: _stage_pair_bad_set(fld, points, i, *sij), pairs, threads):
         bad = _sorted_unique(np.concatenate((bad, codes)))
     bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
@@ -291,8 +287,8 @@ class ConstructionTrace:
 
 def stage_work(q: int, k: int) -> int:
     """Estimated element operations of stages 3..k over GF(q): stage i
-    sweeps (2i-2)(2i-3) ordered index pairs, each over a q x q (leading
-    coefficient, point) array."""
+    sweeps at most (2i-2)(2i-3) ordered index pairs, each over a q x q
+    (leading coefficient, point) array."""
     return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
 
 
@@ -324,7 +320,6 @@ def construct_half_rate(
     k: int,
     verify_mode: str = VERIFY_EXACT,
     allow_small_q: bool = False,
-    restrict_dh: bool = False,
     threads: int = 1,
 ) -> ConstructionTrace:
     """Build a length-2k dimension-k evaluation vector correcting one insdel.
@@ -359,7 +354,7 @@ def construct_half_rate(
         StageRecord(2, 0, (points[2], points[3]), _verify_stage(fld, points, 2, verify_mode))
     )
     for i in range(3, k + 1):
-        points, bad_count = extend(fld, points, i, restrict_dh=restrict_dh, threads=threads)
+        points, bad_count = extend(fld, points, i, threads=threads)
         stages.append(
             StageRecord(
                 i,

@@ -121,7 +121,7 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^m) with elements encoded as integers in [0, q)."""
 
-    def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, m: int = 1):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
@@ -132,12 +132,7 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
-        if m == 1:
-            self.modulus = None
-        else:
-            self.modulus = tuple(modulus) if modulus is not None else _find_modulus(p, m)
-            if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree m")
+        self.modulus = None if m == 1 else _find_modulus(p, m)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._nexp: np.ndarray | None = None
@@ -157,15 +152,11 @@ class Field:
         return self.name()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        # the modulus is a function of (p, m)
+        return isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return hash((self.p, self.m))
 
     def check(self, x: int) -> int:
         if not 0 <= x < self.q:

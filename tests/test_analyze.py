@@ -165,11 +165,16 @@ def test_is_optimal_agrees_with_bruteforce_k3_random():
             assert enum == brute.optimal, ev
 
 
-def test_is_optimal_guard():
-    with pytest.raises(GuardExceeded):
-        analyze.is_optimal_half_rate(
-            EvaluationVector(field_new(1367), tuple(range(8))), 4, max_ops=1000
-        )
+def test_is_optimal_guard(monkeypatch):
+    with pytest.raises(GuardExceeded, match="estimated work 3348690688 exceeds the limit of 100000000"):
+        analyze.is_optimal_half_rate(EvaluationVector(field_new(1367), tuple(range(8))), 4)
+    # k = 3 over GF(7): 2 * 7 * 6 * 5 * 9 = 3780 estimated operations
+    ev = EvaluationVector(F7, (0, 1, 2, 5, 3, 4))
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 3779)
+    with pytest.raises(GuardExceeded, match="estimated work 3780 exceeds the limit of 3779"):
+        analyze.is_optimal_half_rate(ev, 3)
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 3780)
+    assert analyze.is_optimal_half_rate(ev, 3).optimal is True
 
 
 def test_optimal_4_2_pair_examples():
@@ -320,6 +325,33 @@ def test_census_needs_q_at_least_3():
     with pytest.raises(ValueError, match="needs q >= 3"):
         analyze.census_2dim(field_new(2))
     assert analyze.census_2dim(field_new(3)).classes_total == 1
+
+
+def test_classification_needs_q_at_least_3():
+    f2 = field_new(2)
+    calls = (
+        lambda: analyze.bad_class_index(f2),
+        lambda: analyze.classify_bad_ordering(EvaluationVector(f2, (0, 1))),
+        lambda: bounds.bad_class_count(f2),
+        lambda: cli.table_rows((2,)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="needs q >= 3"):
+            call()
+    assert analyze.classify_bad_ordering(EvaluationVector(field_new(3), (0, 1, 2))).bad
+
+
+def test_bad_class_index_guard(monkeypatch):
+    # 2 * phi(65536) + 1 = 65537 family vectors of length 65537
+    with pytest.raises(GuardExceeded, match="estimated 4295098369 elements exceed the limit of 100000000"):
+        analyze.bad_class_index(field_new(65537))
+    # GF(7): (2 * phi(6) + 1) * 7 = 35 elements; the uncached function sees the patched limit
+    build = analyze.bad_class_index.__wrapped__
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 34)
+    with pytest.raises(GuardExceeded, match="estimated 35 elements exceed the limit of 34"):
+        build(F7)
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 35)
+    assert len(build(F7)) == 5
 
 
 def test_census_thread_invariance():

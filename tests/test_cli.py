@@ -190,6 +190,31 @@ def test_census_q2_exit_2(capsys):
     assert error["type"] == "ValueError" and "needs q >= 3" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--field", "2", "--alpha", "0,1"),
+        ("bounds", "bad-classes", "--q", "2"),
+        ("table1", "--qs", "2"),
+    ],
+)
+def test_classification_q2_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "needs q >= 3" in error["message"]
+
+
+def test_bad_classes_guard_exit_3(capsys):
+    code, out, err = run_cli(capsys, "bounds", "bad-classes", "--q", "65537")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "GuardExceeded"
+    assert "estimated 4295098369 elements exceed the limit of 100000000" in error["message"]
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
+        assert run_json(capsys, "bounds", "bad-classes", "--q", str(q))["result"]["values"]["count"] >= 1
+
+
 def test_construct_no_base_case_exit_2(capsys):
     # below the guarantee the precondition trips first...
     code, out, err = run_cli(capsys, "construct", "--field", "5", "--k", "2")
@@ -255,10 +280,87 @@ def test_output_file(tmp_path, capsys):
     assert doc["result"]["optimal"] is True
 
 
+# One malformed or out-of-range input per row, with its documented exit code.
+MALFORMED = [
+    (2, ("analyze", "--field", "6", "--k", "2", "--alpha", "0,1,2")),
+    (2, ("analyze", "--field", "2^0", "--k", "2", "--alpha", "0,1,2")),
+    (2, ("analyze", "--field", "4^2", "--k", "2", "--alpha", "0,1,2")),
+    (2, ("analyze", "--field", "2^30", "--k", "2", "--alpha", "0,1,2")),
+    (2, ("analyze", "--field", "x", "--k", "2", "--alpha", "0,1,2")),
+    (2, ("analyze", "--k", "2", "--alpha", "0,1,2")),
+    (2, ("analyze", "--k", "2", "--alpha", "GF(7:0,1")),
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,9")),
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,1")),
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "")),
+    (2, ("analyze", "--field", "7", "--k", "0", "--alpha", "0,1,2")),
+    (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2")),
+    (3, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2", "--max-codewords", "-1")),
+    (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,3", "--method", "affine")),
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2", "--method", "affine")),
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate")),
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate", "--t", "-1")),
+    (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,5", "--method", "optimal")),
+    (2, ("classify", "--field", "7", "--alpha", "0,1,2")),
+    (2, ("classify", "--alpha", "0,1")),
+    (2, ("census", "--field", "6")),
+    (3, ("census", "--field", "7", "--max-classes", "-1")),
+    (3, ("census", "--field", "7", "--time-guard", "-1")),
+    (2, ("sample", "--field", "7", "--delta", "0", "--trials", "1", "--seed", "1")),
+    (2, ("sample", "--field", "7", "--delta", "abc", "--trials", "1", "--seed", "1")),
+    (2, ("sample", "--field", "7", "--delta", "1/0", "--trials", "1", "--seed", "1")),
+    (2, ("sample", "--field", "7", "--delta", "0.5", "--trials", "-1", "--seed", "1")),
+    (2, ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1")),
+    (3, ("sample", "--field", "256", "--delta", "0.5", "--trials", "1", "--seed", "1")),
+    (2, ("construct", "--field", "7", "--k", "1")),
+    (2, ("construct", "--field", "7", "--k", "3", "--allow-small-q")),
+    (2, ("construct", "--field", "2", "--k", "2", "--allow-small-q")),
+    (2, ("construct", "--field", "6", "--k", "2")),
+    (2, ("bounds", "half-singleton", "--n", "2", "--k", "5")),
+    (2, ("bounds", "class-lower-bound", "--q", "3")),
+    (2, ("bounds", "bad-classes", "--q", "6")),
+    (2, ("bounds", "fail-count-bound", "--q", "7", "--ell", "0")),
+    (2, ("bounds", "tail-bound", "--q", "7", "--delta", "2")),
+    (2, ("bounds", "tail-bound", "--q", "7", "--delta", "1/0")),
+    (2, ("table1", "--qs", "6")),
+    (2, ("table1", "--qs", "a")),
+    (2, ("table1", "--qs", "1")),
+]
+
+# The smallest valid call of every command, for the unwritable-output rows.
+VALID = [
+    ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5"),
+    ("classify", "--field", "7", "--alpha", "0,1,2,3,4,5,6"),
+    ("census", "--field", "5"),
+    ("sample", "--field", "7", "--delta", "0.5", "--trials", "1", "--seed", "1"),
+    ("construct", "--field", "7", "--k", "2"),
+    ("bounds", "half-singleton", "--n", "4", "--k", "2"),
+    ("table1", "--qs", "5"),
+    ("table1", "--qs", "5", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("expected, argv", MALFORMED)
+def test_malformed_input_exits_with_a_documented_code(capsys, expected, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and out == ""
+    assert set(json.loads(err)["error"]) == {"type", "message"}
+
+
+@pytest.mark.parametrize("argv", VALID)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    for target, reason in ((tmp_path / "missing" / "report", "No such file"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and reason in error["message"] and str(target) in error["message"]
+
+
 def test_timing_flag_adds_wall_time(capsys):
-    doc = run_json(capsys, "analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--timing")
-    assert "wall_time_s" in doc
-    assert "wall_time_s" in doc["result"]
+    argv = ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5")
+    plain = run_json(capsys, *argv)
+    doc = run_json(capsys, *argv, "--timing")
+    assert doc.pop("wall_time_s") >= 0
+    assert doc == plain  # only the top level carries the time, never the result
 
 
 def test_default_output_is_byte_identical_across_runs(capsys):

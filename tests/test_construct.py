@@ -1,6 +1,8 @@
 """Tests for the rate-1/2 construction."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,8 +20,6 @@ def test_min_field_size_values():
     assert construct.min_field_size(2) == 7
     assert construct.min_field_size(3) == 249
     assert construct.min_field_size(4) == 1363
-    assert construct.min_field_size(2, conservative=True) == 1600
-    assert construct.min_field_size(3, conservative=True) == 8100
     with pytest.raises(ValueError):
         construct.min_field_size(1)
 
@@ -60,11 +60,8 @@ def test_extend_rejects_non_optimal_input():
 def reference_bad_set(fld, points, i, s_i, s_j):
     """Set-based per-coefficient sweep: two eval_all calls and the five
     tail-shape loops for each leading coefficient in turn."""
-    sol = construct._stage_solutions(fld, points, i, s_i, s_j)
+    u0, u1 = construct._stage_solutions(fld, points, i, s_i, s_j)
     bad = set()
-    if sol is None:
-        return bad
-    u0, u1 = sol
     mid = i - 2
     for lead in range(fld.q):
         u = tuple(fld.sub(a, fld.mul(lead, b)) for a, b in zip(u0, u1))
@@ -89,8 +86,9 @@ def swept_bad_set(fld, points, i, s_i, s_j):
     return {divmod(int(c), fld.q) for c in codes}
 
 
-def index_pairs(n):
-    return [(s_i, s_j) for s_i in range(1, n + 1) for s_j in range(1, n + 1) if s_i != s_j]
+def system_rank(fld, points, i, s_i, s_j):
+    rows, _, _ = construct._stage_system(fld, points, i, s_i, s_j)
+    return poly.rank(fld, rows)
 
 
 @pytest.mark.parametrize(
@@ -107,22 +105,22 @@ def index_pairs(n):
 )
 def test_block_sweep_matches_per_coefficient_reference(fld, points):
     i = len(points) // 2 + 1
-    for s_i, s_j in index_pairs(len(points)):
+    for s_i, s_j in construct.stage_pairs(len(points), i):
         assert swept_bad_set(fld, points, i, s_i, s_j) == reference_bad_set(fld, points, i, s_i, s_j)
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
     fld, points = field_new(31), (0, 1, 2, 5, 3, 4)
-    full = [swept_bad_set(fld, points, 4, *sij) for sij in index_pairs(6)]
+    full = [swept_bad_set(fld, points, 4, *sij) for sij in construct.stage_pairs(6, 4)]
     monkeypatch.setattr(construct, "LEAD_BLOCK_ELEMENTS", 3 * fld.q)
-    assert [swept_bad_set(fld, points, 4, *sij) for sij in index_pairs(6)] == full
+    assert [swept_bad_set(fld, points, 4, *sij) for sij in construct.stage_pairs(6, 4)] == full
 
 
 def test_block_sweep_singular_branch():
     # (0,1,2,4) is not optimal: some index pair must raise, and every pair
     # that does not agrees with the reference
     raised = 0
-    for s_i, s_j in index_pairs(4):
+    for s_i, s_j in construct.stage_pairs(4, 3):
         try:
             swept = swept_bad_set(F251, (0, 1, 2, 4), 3, s_i, s_j)
         except construct.SingularSystemError:
@@ -130,6 +128,45 @@ def test_block_sweep_singular_branch():
             continue
         assert swept == reference_bad_set(F251, (0, 1, 2, 4), 3, s_i, s_j)
     assert raised > 0
+
+
+def test_stage_pairs_keep_every_distinct_pair_at_stage_3():
+    assert construct.stage_pairs(4, 3) == [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    assert len(construct.stage_pairs(6, 4)) == 20  # the 10 ordered pairs at distance 1 are skipped
+
+
+@pytest.mark.parametrize("fld", [field_new(13), field_new(1367), field_new(3, 4), field_new(2, 8)], ids=str)
+def test_pairs_below_the_distance_threshold_are_singular(fld):
+    # rows at the positions where I and J agree span at most i - 1
+    # dimensions, so rank <= (i - 1) + |s_j - s_i| < 2i - 3 unknowns
+    rng = random.Random(fld.q)
+    for i in (4, 5, 6):
+        n = 2 * i - 2
+        skipped = set(itertools.product(range(1, n + 1), repeat=2)) - set(construct.stage_pairs(n, i))
+        assert {abs(s_j - s_i) for s_i, s_j in skipped} == set(range(i - 2))
+        for _ in range(10):
+            points = tuple(rng.sample(range(fld.q), n))
+            for s_i, s_j in skipped:
+                assert system_rank(fld, points, i, s_i, s_j) <= i - 1 + abs(s_j - s_i) < 2 * i - 3
+
+
+def test_singular_swept_pair_raises():
+    # random length-6 point sets over GF(13) are rarely optimal, so some
+    # swept pairs are singular; each one, and extend, must raise
+    fld = field_new(13)
+    rng = random.Random(6)
+    singular = 0
+    for _ in range(5):
+        points = tuple(rng.sample(range(fld.q), 6))
+        hits = [sij for sij in construct.stage_pairs(6, 4) if system_rank(fld, points, 4, *sij) < 5]
+        for s_i, s_j in hits:
+            with pytest.raises(construct.SingularSystemError, match=f"distance {abs(s_j - s_i)} >= 2"):
+                construct._stage_pair_bad_set(fld, points, 4, s_i, s_j)
+        if hits:
+            with pytest.raises(construct.SingularSystemError):
+                construct.extend(fld, points, 4)
+        singular += len(hits)
+    assert singular > 0
 
 
 def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
@@ -171,8 +208,16 @@ def test_construct_k3_exact_and_deterministic():
 
 
 def test_construct_restricted_sweep_also_verifies():
-    t = construct.construct_half_rate(F251, 3, verify_mode="exact", restrict_dh=True)
-    assert analyze.is_optimal_half_rate(t.alpha, 3).optimal
+    # stage 4 over GF(251) sweeps only stage_pairs; every other ordered pair
+    # is singular and adds nothing to the bad set
+    t = construct.construct_half_rate(F251, 4, verify_mode="certificate", allow_small_q=True)
+    assert all(s.verification == "rank_certified" for s in t.stages)
+    points = t.alpha.points[:6]
+    full = set()
+    for s_i, s_j in itertools.permutations(range(1, 7), 2):
+        if system_rank(F251, points, 4, s_i, s_j) == 5:
+            full |= swept_bad_set(F251, points, 4, s_i, s_j)
+    assert len(full) == t.stages[2].bad_pair_count
 
 
 def test_construct_certificate_mode():
