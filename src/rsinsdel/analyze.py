@@ -4,7 +4,8 @@ Capability is governed by the largest LCS between distinct codewords: a
 length-n code corrects t insdel errors exactly when that maximum is at most
 n - t - 1.  Two exact engines are provided (a guarded brute force for any
 parameters, and a fast path for full-length 2-dimensional codes that
-exploits the affine edit-distance isometries), plus the complete
+exploits the affine edit-distance isometries; both measure their codeword
+pairs in row blocks with insdel's batched LCS kernel), plus the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes, a
 census over equivalence classes of orderings, and seeded random sampling.
@@ -44,6 +45,11 @@ DEFAULT_MAX_CLASSES = 5_040
 SAMPLE_MAX_Q = 128
 CENSUS_CHUNK = 512
 SPOT_CHECKS = 200  # classes re-measured by census verify="spot"
+# Rows per batched LCS kernel call.  Larger blocks are faster (fewer numpy
+# calls per row) and raise peak RSS; on `sample --field 81` (3,280 rows per
+# ordering) 2^12 ran 0.050 s at +7% RSS, 2^11 0.067 s at +5.6% and 2^10
+# 0.089 s at +4.8% (CHANGES.md has the runs).
+LCS_BLOCK_ROWS = 1 << 10
 
 
 # -- reports ----------------------------------------------------------------
@@ -108,20 +114,32 @@ def _report(code: RsCode, method: str, lcs_value: int, witness: dict | None) -> 
 
 
 def _normalized_polys(fld: Field, k: int):
-    """The 2*q^(k-2) reduced message polynomials: zero constant term, leading
-    coefficient 0 or 1, middle coefficients free.
+    """The reduced message polynomials: zero constant term, leading
+    coefficient 0 or 1, middle coefficients free, and, below degree k-1,
+    first nonzero coefficient 1.
 
     Every pair of distinct codewords can be shifted and scaled (edit
     distance is invariant under both) so that one of them uses a polynomial
     from this family, which is what lets the quadratic factor q^2 be dropped
-    from the pair enumeration.
+    from the pair enumeration.  A lead-0 polynomial whose first nonzero
+    coefficient is not 1 is a scaled copy lam*f of one yielded before it;
+    (lam*f, g) agrees wherever (f, g/lam) does, so dropping the copy loses
+    no LCS value and, since the scans keep the first maximum, no witness.
     """
     if k == 1:
         yield ()
         return
     for lead in (0, 1):
         for mids in itertools.product(range(fld.q), repeat=k - 2):
+            if lead == 0 and next(filter(None, mids), 1) != 1:
+                continue
             yield poly.trim((0, *mids, lead))
+
+
+def _block_rows(n: int) -> int:
+    # LCS_BLOCK_ROWS rows for words of length up to SAMPLE_MAX_Q; longer
+    # words get fewer rows, so no block holds more symbols than that.
+    return max(1, LCS_BLOCK_ROWS * SAMPLE_MAX_Q // max(n, SAMPLE_MAX_Q))
 
 
 def lcs_code_bruteforce(
@@ -129,26 +147,37 @@ def lcs_code_bruteforce(
     max_codewords: int = DEFAULT_MAX_CODEWORDS,
     want_witness: bool = True,
 ) -> AnalysisReport:
-    """Exact code LCS by scanning normalized-vs-all codeword pairs."""
-    fld, k, n = code.field, code.k, code.n
-    if fld.q**k > max_codewords:
-        raise GuardExceeded(f"q^k = {fld.q**k} exceeds max_codewords={max_codewords}")
+    """Exact code LCS by scanning normalized-vs-all codeword pairs.
+
+    Shifting both words keeps their LCS: LCS(cf, w + c) = LCS(cf - c, w).
+    So only the first q^(k-1) codewords w (zero constant term) are built,
+    and each normalized f takes one batched kernel pass over the rows w + c,
+    (c, w) in codewords order, i.e. every g = w + c except g = f.  The
+    witness is the first maximum in (f, c, w) order.
+    """
+    fld, k, n, q = code.field, code.k, code.n, code.q
+    if q**k > max_codewords:
+        raise GuardExceeded(f"q^k = {q**k} exceeds max_codewords={max_codewords}")
     points = code.ev.points
-    # Shifting both words keeps their LCS: LCS(cf, w + c) = LCS(cf - c, w).
-    # So only the first q^(k-1) codewords w (zero constant term) are kept,
-    # and (f, c, w) runs over every pair (f, g = w + c) in codewords order.
-    words = list(itertools.islice(codewords(code), fld.q ** (k - 1)))
+    words = list(itertools.islice(codewords(code), q ** (k - 1)))
+    word_index = {g0: i for i, (g0, _) in enumerate(words)}
+    values = np.array([w for _, w in words], dtype=np.int64)
+    total = q * len(words)
+    block = _block_rows(n)
     best = -1
     best_pair = None
-    for f, c in itertools.product(_normalized_polys(fld, k), range(fld.q)):
-        shifted = poly.eval_on(fld, poly.poly_sub(fld, f, (c,)), points)
-        masks = match_masks(shifted)
-        for g0, w in words:
-            if w == shifted:  # g = g0 + c is f
-                continue
-            val = lcs_from_masks(masks, n, w)
-            if val > best:
-                best, best_pair = val, (f, poly.poly_add(fld, g0, (c,)))
+    for f in _normalized_polys(fld, k):
+        masks = match_masks(poly.eval_on(fld, f, points), q)
+        same = word_index[f]  # the row c = 0, w = f, where g is f
+        for start in range(0, total, block):
+            c, w = np.divmod(np.arange(start, min(start + block, total)), len(words))
+            lengths = lcs_from_masks(masks, n, fld.v_add(values[w], c[:, None]))
+            if start <= same < start + len(c):
+                lengths[same - start] = -1
+            i = int(lengths.argmax())
+            if lengths[i] > best:
+                best = int(lengths[i])
+                best_pair = (f, poly.poly_add(fld, words[w[i]][0], (int(c[i]),)))
                 if best == n - 1:
                     break
         if best == n - 1:
@@ -163,6 +192,40 @@ def _pair_witness(code: RsCode, f, g) -> dict:
     return {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
 
 
+def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (a, b) of the affine scan in scan order (a, then b, ascending):
+    every a != 0 and b, less (1, 0) and the larger of each pair (a, b),
+    (1/a, -b/a).  a < 1/a keeps every b and a > 1/a none; a = 1 pairs b
+    with -b and keeps 0 < b <= -b; a = -1 is its own pair and keeps all.
+    Returns the kept a values, each row's index into them, and its b."""
+    q = fld.q
+    kept, a_idx, b_rows = [], [], []
+    for a in range(1, q):
+        if a == 1:
+            bs = [b for b in range(1, q) if b <= fld.neg(b)]
+        elif a == fld.neg(1) or a < fld.inv(a):
+            bs = range(q)
+        else:
+            continue
+        a_idx.append(np.full(len(bs), len(kept), dtype=np.intp))
+        b_rows.append(np.asarray(bs, dtype=np.int64))
+        kept.append(a)
+    return np.array(kept, dtype=np.int64), np.concatenate(a_idx), np.concatenate(b_rows)
+
+
+def _affine_block(fld: Field, arr, a_vals, a_idx, b_rows) -> np.ndarray:
+    # Rows a*alpha + b, filled column by column into a column-major array;
+    # a function of its own so its temporaries are gone before the kernel.
+    lo = a_idx[0]
+    scaled = fld.v_mul(arr[:, None], a_vals[lo : a_idx[-1] + 1])
+    a_idx = a_idx - lo
+    symbol = np.uint8 if len(arr) <= 256 else np.int32
+    seqs = np.empty((len(b_rows), len(arr)), dtype=symbol, order="F")
+    for j in range(len(arr)):
+        seqs[:, j] = fld.v_add(scaled[j, a_idx], b_rows)
+    return seqs
+
+
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:
     """Exact code LCS for a full-length 2-dimensional code.
 
@@ -170,7 +233,10 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     every pair of distinct non-constant codewords reduces to (alpha, A*alpha + B)
     with (A, B) != (1, 0), A != 0; pairs involving constants contribute at
     most 1.  The pair (A, B) and its inverse map give equal LCS, so only the
-    lexicographically smaller of the two is evaluated.
+    lexicographically smaller of the two is evaluated.  The kept pairs are
+    measured in blocks of rows, in scan order, by the batched kernel; the
+    witness is the first maximum, and the scan stops at the first block
+    reaching q - 1.
     """
     if not ev.is_full_length():
         raise ValueError("affine fast path requires a full-length ordering")
@@ -178,29 +244,21 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     q = fld.q
     code = RsCode(ev, 2)
     points = ev.points
-    masks = match_masks(points)
+    masks = match_masks(points, q)
     arr = np.array(points, dtype=np.int64)
+    a_vals, a_idx, b_rows = _affine_rows(fld)
+    block = _block_rows(q)
     best = -1
     best_ab = None
-    done = False
-    for a in range(1, q):
-        a_inv = fld.inv(a)
-        scaled = fld.v_mul(arr, np.int64(a))
-        for b in range(q):
-            if a == 1 and b == 0:
-                continue
-            partner = (a_inv, fld.neg(fld.mul(a_inv, b)))
-            if (a, b) > partner:
-                continue
-            seq = fld.v_add(scaled, np.int64(b)).tolist()
-            val = lcs_from_masks(masks, q, seq)
-            if val > best:
-                best, best_ab = val, (a, b)
-                if best == q - 1:
-                    done = True
-                    break
-        if done:
-            break
+    for start in range(0, len(b_rows), block):
+        stop = start + block
+        seqs = _affine_block(fld, arr, a_vals, a_idx[start:stop], b_rows[start:stop])
+        lengths = lcs_from_masks(masks, q, seqs)
+        i = int(lengths.argmax())
+        if lengths[i] > best:
+            best, best_ab = int(lengths[i]), (int(a_vals[a_idx[start + i]]), int(b_rows[start + i]))
+            if best == q - 1:
+                break
     witness = None
     if want_witness:
         a, b = best_ab

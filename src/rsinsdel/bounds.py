@@ -14,10 +14,24 @@ from fractions import Fraction
 import mpmath
 
 from . import analyze
+from .errors import GuardExceeded
 from .gf import Field, euler_phi, is_prime
 from .rscode import EvaluationVector
 
 MP_PRECISION_BITS = 250
+# Python's default limit on converting an integer to decimal text: a report
+# holding a larger integer would fail in json.dumps after all the work.
+MAX_DIGITS = 4300
+
+
+def _check_digits(what: str, log_value: float) -> None:
+    """GuardExceeded when a value whose natural log is log_value would have
+    more than MAX_DIGITS decimal digits; the estimate comes before any work."""
+    digits = math.floor(log_value / math.log(10)) + 1
+    if digits > MAX_DIGITS:
+        raise GuardExceeded(
+            f"{what} has an estimated {digits} decimal digits, above the limit of {MAX_DIGITS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,10 +66,12 @@ def good_class_lower_bound(q: int) -> int:
     subtraction ignores coincidences between the explicit classes, so the
     unclamped value can undershoot the true count (at q = 4 it is 2 - 4,
     since reversal is affine there); the clamped bound equals the exact
-    census at q = 4, 5, 7, 8 and 9.
+    census at q = 4, 5, 7, 8 and 9.  A (q-2)! above MAX_DIGITS digits raises
+    GuardExceeded.
     """
     if q < 4:
         raise ValueError("meaningful only for q >= 4")
+    _check_digits(f"(q-2)! at q={q}", math.lgamma(q - 1))
     total = math.factorial(q - 2)
     bound = total - 2 * euler_phi(q - 1) - (1 if is_prime(q) else 0)
     return max(0, bound)
@@ -110,8 +126,7 @@ def bad_ordering_count_bound(q: int, ell: int) -> int:
 
     The empty range (ell = q) gives 0.
     """
-    if not 1 <= ell <= q:
-        raise ValueError("need 1 <= ell <= q")
+    _check_count_range(q, ell)
     total = 0
     for s in range(ell + 1, min(2 * ell, q) + 1):
         term = (
@@ -126,6 +141,28 @@ def bad_ordering_count_bound(q: int, ell: int) -> int:
     return total
 
 
+def _check_count_range(q: int, ell: int) -> None:
+    if not 1 <= ell <= q:
+        raise ValueError("need 1 <= ell <= q")
+
+
+def check_count_bound_digits(q: int, ell: int) -> None:
+    """GuardExceeded when bad_ordering_count_bound(q, ell) would have more
+    than MAX_DIGITS decimal digits, estimated with lgamma before any
+    factorial: term s is q!^2 * s! * (q-1) * q / ((q-s+ell)! * ell!^2 *
+    (s-ell)!^2), and the sum is at most the number of terms times the
+    largest."""
+    _check_count_range(q, ell)
+    lg = math.lgamma
+    logs = [
+        2 * lg(q + 1) + lg(s + 1) - lg(q - s + ell + 1) - 2 * lg(ell + 1) - 2 * lg(s - ell + 1)
+        + math.log((q - 1) * q)
+        for s in range(ell + 1, min(2 * ell, q) + 1)
+    ]
+    if logs:
+        _check_digits(f"bad_ordering_count_bound({q}, {ell})", max(logs) + math.log(len(logs)))
+
+
 def normalized_bad_fraction_bound(q: int, delta) -> BoundReport:
     """Compare the exact bad-ordering fraction with its closed-form bound.
 
@@ -133,8 +170,11 @@ def normalized_bad_fraction_bound(q: int, delta) -> BoundReport:
     bad_ordering_count_bound normalized by q! and the closed form
     q^2 * (4e^2 / (delta^2 q))^(delta*q), using ell = floor(delta*q).
     The verdict asserts exact <= closed form.  When floor(delta*q) < 1 the
-    pair is out of regime and no verdict is given.
+    pair is out of regime and no verdict is given.  q < 2 is no field order
+    (ValueError).
     """
+    if q < 2:
+        raise ValueError(f"q must be a field order >= 2, got {q}")
     frac = analyze.parse_fraction(delta)
     if not 0 < frac < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")

@@ -190,13 +190,11 @@ def cmd_bounds(args) -> None:
             "verdict": None,
         }
     elif which == "class-lower-bound":
+        lower = bounds.good_class_lower_bound(args.q)  # guards (q-2)! first
         result = {
             "name": "good_class_lower_bound",
             "parameters": {"q": args.q},
-            "values": {
-                "classes_total": math.factorial(args.q - 2),
-                "lower_bound": bounds.good_class_lower_bound(args.q),
-            },
+            "values": {"classes_total": math.factorial(args.q - 2), "lower_bound": lower},
             "verdict": None,
         }
     elif which == "bad-classes":
@@ -209,6 +207,7 @@ def cmd_bounds(args) -> None:
             "verdict": None,
         }
     elif which == "fail-count-bound":
+        bounds.check_count_bound_digits(args.q, args.ell)
         result = {
             "name": "bad_ordering_count_bound",
             "parameters": {"q": args.q, "ell": args.ell},

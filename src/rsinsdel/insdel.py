@@ -1,9 +1,15 @@
 """Longest common subsequences, edit distance, increasing index sequences,
 and rank certificates for insdel-correction capability.
 
-Sequences are tuples/lists of field element indices (any hashable symbols
-work for the LCS routines).  Index sequences are 1-based strictly increasing
-tuples.  Everything is pure and thread-safe.
+Sequences are tuples/lists of field element indices (the scalar routines
+accept any hashable symbols).  Index sequences are 1-based strictly
+increasing tuples.  Everything is pure and thread-safe.
+
+The exact capability engines measure many LCS values against one fixed
+sequence s: match_masks builds its bit table once, and lcs_from_masks runs
+the Allison-Dix / Hyyro bit-vector recurrence over a whole array of rows at
+once, one numpy pass per column and 64-bit word.  lcs keeps the scalar
+single-pair recurrence (a test oracle and the cheap path for one pair).
 """
 
 from __future__ import annotations
@@ -12,45 +18,89 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded
 from .rscode import RsCode
 
 
-def match_masks(s) -> dict:
-    """Per-symbol position bitmasks of s, for reuse across many lcs calls."""
-    masks: dict = {}
-    bit = 1
-    for c in s:
-        masks[c] = masks.get(c, 0) | bit
-        bit <<= 1
-    return masks
+def match_masks(s, alphabet: int) -> np.ndarray:
+    """Position bitmasks of s: an (alphabet, words) uint64 table, words =
+    ceil(len(s)/64), whose row c has bit j % 64 of word j // 64 set exactly
+    where s[j] == c.  Symbols must lie in [0, alphabet)."""
+    words = -(-len(s) // 64)
+    bits = [0] * alphabet
+    for j, c in enumerate(s):
+        bits[c] |= 1 << j
+    low = (1 << 64) - 1
+    table = [[(x >> (64 * w)) & low for w in range(words)] for x in bits]
+    return np.array(table, dtype=np.uint64).reshape(alphabet, words)
 
 
-def lcs_from_masks(masks: dict, m: int, t) -> int:
-    """LCS length of a masked length-m sequence against t (bit-parallel)."""
-    if m == 0:
-        return 0
-    full = (1 << m) - 1
-    v = full
-    get = masks.get
-    for c in t:
-        u = v & get(c, 0)
-        v = ((v + u) | (v - u)) & full
-    return m - v.bit_count()
+def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
+    """LCS length of the length-m sequence s behind match_masks' table
+    against every row of an (R, n) symbol array, as an int64 vector.
+
+    v keeps one bit per position of s, set while that position is still
+    unmatched.  Each column c updates u = v & M[c], v = (v + u) | (v & ~u),
+    where the addition carries from word to word.  Carries only move
+    upwards, so the bits above m never reach the ones below it; the top word
+    is masked once, when LCS = m - popcount(v) is read.  Column-major rows
+    (order="F") make each column one contiguous read.
+    """
+    rows = np.asarray(rows)
+    count, n = rows.shape
+    words = table.shape[1]
+    if m == 0 or count == 0:
+        return np.zeros(count, dtype=np.int64)
+    masks = np.ascontiguousarray(table.T)  # one contiguous row per word
+    v = np.full((words, count), np.iinfo(np.uint64).max, dtype=np.uint64)
+    u = np.empty_like(v)
+    rest = np.empty(count, dtype=np.uint64)
+    col = np.empty(count, dtype=np.intp)
+    carry = np.zeros(count, dtype=bool)
+    spill = np.zeros(count, dtype=bool)
+    for j in range(n):
+        col[...] = rows[:, j]
+        for w in range(words):
+            vw, uw = v[w], u[w]
+            np.take(masks[w], col, out=uw, mode="clip")
+            uw &= vw
+            np.bitwise_xor(vw, uw, out=rest)  # v & ~u, since u lies inside v
+            vw += uw  # wraps modulo 2^64
+            if w + 1 < words:
+                np.less(vw, uw, out=spill)  # the carry out of this word
+            if w:
+                vw += carry
+                if w + 1 < words:
+                    spill |= carry & (vw == 0)
+            vw |= rest
+            carry, spill = spill, carry
+    if m % 64:
+        v[-1] &= np.uint64((1 << (m % 64)) - 1)
+    return m - np.bitwise_count(v).sum(axis=0, dtype=np.int64)
 
 
 def lcs(s, t) -> int:
     """Length of a longest common subsequence.
 
-    Bit-parallel row updates, one word per row since lengths here stay small;
+    The single-pair form of lcs_from_masks' recurrence on Python integers;
     agrees with the classic dynamic program (see lcs_with_witness).
     """
     if len(s) > len(t):
         s, t = t, s
     if not s:
         return 0
-    return lcs_from_masks(match_masks(s), len(s), t)
+    masks: dict = {}
+    for i, c in enumerate(s):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    full = (1 << len(s)) - 1
+    v = full
+    for c in t:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(s) - v.bit_count()
 
 
 def lcs_with_witness(s, t) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

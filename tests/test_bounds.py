@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from rsinsdel import analyze, bounds
+from rsinsdel.errors import GuardExceeded
 from rsinsdel.gf import field_from_order, field_new
 
 
@@ -84,6 +85,35 @@ def test_bad_ordering_count_bound_matches_literal_oracle():
         assert bounds.bad_ordering_count_bound(q, ell) == bad_ordering_sum_oracle(q, ell)
     with pytest.raises(ValueError):
         bounds.bad_ordering_count_bound(7, 0)
+
+
+def test_digit_guards_refuse_unprintable_results_before_any_factorial(monkeypatch):
+    # (q-2)! has 4300 digits at q = 1560 and 4303 at q = 1561
+    assert len(str(bounds.good_class_lower_bound(1560))) == bounds.MAX_DIGITS
+    message = r"\(q-2\)! at q=1561 has an estimated 4303 decimal digits, above the limit of 4300"
+    with pytest.raises(GuardExceeded, match=message):
+        bounds.good_class_lower_bound(1561)
+    bounds.check_count_bound_digits(1000, 2)  # 2580 digits
+    message = r"bad_ordering_count_bound\(3000, 2\) has an estimated 9146 decimal digits"
+    with pytest.raises(GuardExceeded, match=message):
+        bounds.check_count_bound_digits(3000, 2)
+    bounds.check_count_bound_digits(3000, 3000)  # the empty sum is 0
+    with pytest.raises(ValueError, match="need 1 <= ell <= q"):
+        bounds.check_count_bound_digits(7, 0)
+    # the lgamma estimate never undershoots, and overshoots by a few digits
+    for q, ell in [(30, 7), (100, 50), (1000, 2), (1000, 500), (1400, 700)]:
+        digits = len(str(bounds.bad_ordering_count_bound(q, ell)))
+        monkeypatch.setattr(bounds, "MAX_DIGITS", digits + 3)
+        bounds.check_count_bound_digits(q, ell)
+        monkeypatch.setattr(bounds, "MAX_DIGITS", digits - 1)
+        with pytest.raises(GuardExceeded):
+            bounds.check_count_bound_digits(q, ell)
+
+
+def test_tail_bound_rejects_q_below_2():
+    for q in (-5, 0, 1):
+        with pytest.raises(ValueError, match="q must be a field order >= 2"):
+            bounds.normalized_bad_fraction_bound(q, "0.5")
 
 
 def test_tail_bound_acceptance_points():

@@ -324,6 +324,9 @@ MALFORMED = [
     (2, ("table1", "--qs", "6")),
     (2, ("table1", "--qs", "a")),
     (2, ("table1", "--qs", "1")),
+    (2, ("bounds", "tail-bound", "--q", "-5", "--delta", "0.5")),
+    (3, ("bounds", "class-lower-bound", "--q", "2000")),
+    (3, ("bounds", "fail-count-bound", "--q", "3000", "--ell", "2")),
 ]
 
 # The smallest valid call of every command, for the unwritable-output rows.

@@ -1,0 +1,277 @@
+"""Differential tests of the batched bit-parallel LCS kernel and of the two
+exact engines built on it.
+
+The references are kept independent of the kernel: the textbook dynamic
+program, scalar per-pair ports of the engines' earlier loops (one
+single-word LCS per codeword pair, scanning the full normalized family with
+its scaled copies), and, for full-length orderings, the longest increasing
+subsequence of the position map (Hunt-Szymanski).
+"""
+
+import bisect
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from rsinsdel import analyze, cli, insdel, poly
+from rsinsdel.gf import field_from_order, field_new
+from rsinsdel.rscode import EvaluationVector, RsCode, codewords
+
+
+def lcs_dp(a, b):
+    m, n = len(a), len(b)
+    table = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[m][n]
+
+
+def lis_length(seq):
+    tails = []
+    for v in seq:
+        i = bisect.bisect_left(tails, v)
+        tails[i : i + 1] = [v]
+    return len(tails)
+
+
+# -- the kernel ---------------------------------------------------------------
+
+
+def test_match_masks_layout():
+    table = insdel.match_masks([2, 0, 2] + [1] * 62 + [2], 3)
+    assert table.dtype == np.uint64 and table.shape == (3, 2)
+    assert table[2].tolist() == [0b101, 1 << 1]  # positions 0, 2 and 65
+    assert table[0].tolist() == [0b10, 0]
+    assert int(table[1, 0]) == ((1 << 61) - 1) << 3 and int(table[1, 1]) == 1  # positions 3..64
+    assert insdel.match_masks([], 4).shape == (4, 0)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 200])
+def test_kernel_matches_dp(m):
+    # Word counts 1..4, so carries cross up to three word boundaries; small
+    # alphabets give long carry chains, large ones sparse matches.
+    rng = random.Random(1000 + m)
+    for alphabet in (2, 3, 11, 200):
+        s = [rng.randrange(alphabet) for _ in range(m)]
+        table = insdel.match_masks(s, alphabet)
+        shapes = ((1, "C", np.uint8), (m, "F", np.uint8), (rng.randrange(2, 260), "C", np.int64))
+        for n, order, dtype in shapes:
+            rows = [[rng.randrange(alphabet) for _ in range(n)] for _ in range(9)]
+            rows = np.array(rows, dtype=dtype, order=order)
+            rows[0] = (s * n)[:n]  # a row sharing a prefix with s
+            got = insdel.lcs_from_masks(table, m, rows)
+            assert got.dtype == np.int64
+            assert got.tolist() == [lcs_dp(s, list(r)) for r in rows]
+
+
+def test_kernel_all_ones_carry_chain():
+    # s = 0^m against rows of 0s: every column carries through every word.
+    for m in (64, 129, 200):
+        table = insdel.match_masks([0] * m, 2)
+        rows = np.zeros((3, 150), dtype=np.int32)
+        rows[1, ::2] = 1
+        rows[2, :] = 1
+        assert insdel.lcs_from_masks(table, m, rows).tolist() == [min(m, 150), min(m, 75), 0]
+
+
+def test_kernel_edge_shapes():
+    table = insdel.match_masks([1, 2, 3], 4)
+    assert insdel.lcs_from_masks(table, 3, np.zeros((0, 5), dtype=np.uint8)).tolist() == []
+    assert insdel.lcs_from_masks(table, 3, np.zeros((2, 0), dtype=np.uint8)).tolist() == [0, 0]
+    assert insdel.lcs_from_masks(insdel.match_masks([], 4), 0, [[1, 2]]).tolist() == [0]
+
+
+# -- the affine engine ----------------------------------------------------------
+
+
+def affine_reference(ev):
+    """Port of the per-pair affine scan: (a, b) ascending, the larger of each
+    inverse pair skipped, one scalar LCS per pair, stop at q - 1."""
+    fld, q, points = ev.field, ev.field.q, ev.points
+    arr = np.array(points, dtype=np.int64)
+    best, best_ab = -1, None
+    for a in range(1, q):
+        a_inv = fld.inv(a)
+        scaled = fld.v_mul(arr, np.int64(a))
+        for b in range(q):
+            if (a == 1 and b == 0) or (a, b) > (a_inv, fld.neg(fld.mul(a_inv, b))):
+                continue
+            val = insdel.lcs(points, fld.v_add(scaled, np.int64(b)).tolist())
+            if val > best:
+                best, best_ab = val, (a, b)
+                if best == q - 1:
+                    return best, best_ab
+    return best, best_ab
+
+
+def affine_lis_oracle(ev):
+    """Max over every (a, b) != (1, 0), a != 0, of the LIS of the position
+    map of alpha into a*alpha + b; no inverse-pair reduction."""
+    fld, q = ev.field, ev.field.q
+    pos = [0] * q
+    for i, x in enumerate(ev.points):
+        pos[x] = i
+    best = 1
+    for a in range(1, q):
+        scaled = [fld.mul(a, x) for x in ev.points]
+        for b in range(q):
+            if a == 1 and b == 0:
+                continue
+            best = max(best, lis_length([pos[fld.add(x, b)] for x in scaled]))
+    return best
+
+
+def orderings(q, count, seed):
+    fld = field_from_order(q)
+    rng = analyze.SplitMix64(seed)
+    out = [EvaluationVector(fld, analyze.random_ordering(q, rng)) for _ in range(count)]
+    fam = analyze.bad_ordering_family(fld)
+    out += [EvaluationVector(fld, fam[0][2]), EvaluationVector(fld, fam[-1][2])]
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49])
+def test_affine_rows_match_the_pairwise_filter(q):
+    fld = field_from_order(q)
+    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
+    a_rows = a_vals[a_idx]
+    want = [
+        (a, b)
+        for a in range(1, q)
+        for b in range(q)
+        if not (a == 1 and b == 0) and (a, b) <= (fld.inv(a), fld.neg(fld.mul(fld.inv(a), b)))
+    ]
+    assert list(zip(a_rows.tolist(), b_rows.tolist())) == want
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
+def test_affine_matches_reference_and_lis_oracle(q):
+    for ev in orderings(q, 4, seed=q):
+        report = analyze.lcs_code_affine(ev)
+        best, (a, b) = affine_reference(ev)
+        assert (report.lcs_of_code, report.witness["g"]) == (best, [b, a])
+        assert report.lcs_of_code == affine_lis_oracle(ev)
+
+
+@pytest.mark.parametrize("q", [81, 131, 257])
+def test_affine_large_fields(q):
+    # q = 81 needs two words per row, 131 three, 257 five and int32 symbols.
+    evs = orderings(q, 1, seed=q)
+    for ev in evs:
+        report = analyze.lcs_code_affine(ev)
+        best, (a, b) = affine_reference(ev)
+        assert (report.lcs_of_code, report.witness["g"]) == (best, [b, a])
+    assert [analyze.lcs_code_affine(ev).lcs_of_code for ev in evs[1:]] == [q - 1, q - 1]
+    if q == 81:
+        assert analyze.lcs_code_affine(evs[0]).lcs_of_code == affine_lis_oracle(evs[0])
+
+
+def test_affine_block_size_does_not_change_results(monkeypatch):
+    evs = orderings(27, 1, seed=5) + orderings(11, 3, seed=6)
+    want = [analyze.lcs_code_affine(ev).to_dict() for ev in evs]
+    for rows in (3, 64):
+        monkeypatch.setattr(analyze, "LCS_BLOCK_ROWS", rows)
+        assert [analyze.lcs_code_affine(ev).to_dict() for ev in evs] == want
+
+
+# -- the brute-force engine -------------------------------------------------------
+
+
+def normalized_with_scaled_copies(fld, k):
+    # the family before scaled copies were dropped: every lead-0 polynomial
+    if k == 1:
+        yield ()
+        return
+    for lead in (0, 1):
+        for mids in itertools.product(range(fld.q), repeat=k - 2):
+            yield poly.trim((0, *mids, lead))
+
+
+def bruteforce_reference(code):
+    """Port of the per-(f, c) scan: one scalar LCS of cf - c against each
+    zero-constant codeword w, skipping w == cf - c; first maximum wins."""
+    fld, k, n = code.field, code.k, code.n
+    words = list(itertools.islice(codewords(code), fld.q ** (k - 1)))
+    best, best_pair = -1, None
+    for f, c in itertools.product(normalized_with_scaled_copies(fld, k), range(fld.q)):
+        shifted = poly.eval_on(fld, poly.poly_sub(fld, f, (c,)), code.ev.points)
+        for g0, w in words:
+            if w == shifted:
+                continue
+            val = insdel.lcs(shifted, w)
+            if val > best:
+                best, best_pair = val, (list(f), list(poly.poly_add(fld, g0, (c,))))
+                if best == n - 1:
+                    return best, best_pair
+    return best, best_pair
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bruteforce_matches_reference(k):
+    rng = random.Random(40 + k)
+    for q in (5, 7, 8, 9, 11):
+        fld = field_from_order(q)
+        for _ in range(4):
+            n = rng.randrange(k + 1, min(q, 2 * k + 3) + 1)
+            code = RsCode(EvaluationVector(fld, tuple(rng.sample(range(q), n))), k)
+            report = analyze.lcs_code_bruteforce(code)
+            best, (f, g) = bruteforce_reference(code)
+            assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
+
+
+def test_bruteforce_block_size_does_not_change_results(monkeypatch):
+    assert analyze._block_rows(10) == analyze.LCS_BLOCK_ROWS
+    assert analyze._block_rows(4 * analyze.SAMPLE_MAX_Q) == analyze.LCS_BLOCK_ROWS // 4
+    cases = [
+        (RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3), 20_000),
+        # k = 1 over a full-length GF(97) ordering: 97 rows of length 97
+        (RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1), 100),
+    ]
+    want = [analyze.lcs_code_bruteforce(code, max_codewords=cap).to_dict() for code, cap in cases]
+    assert want[1]["lcs_of_code"] == 0 and want[1]["witness"]["g"] == [1]
+    for rows in (1, 5, 100):
+        monkeypatch.setattr(analyze, "LCS_BLOCK_ROWS", rows)
+        got = [analyze.lcs_code_bruteforce(code, max_codewords=cap).to_dict() for code, cap in cases]
+        assert got == want
+
+
+def test_normalized_polys_drop_scaled_copies():
+    fld = field_new(23)
+    assert len(list(analyze._normalized_polys(fld, 3))) == 25
+    assert len(list(normalized_with_scaled_copies(fld, 3))) == 46
+    for q, k in ((5, 4), (9, 3), (8, 4)):
+        fld = field_from_order(q)
+        kept = list(analyze._normalized_polys(fld, k))
+        seen = []
+        for f in normalized_with_scaled_copies(fld, k):
+            copies = {poly.trim(tuple(fld.mul(lam, c) for c in f)) for lam in range(2, q)}
+            # kept exactly when no scaled copy was yielded before it
+            assert (f in kept) == (not copies & set(seen))
+            seen.append(f)
+
+
+def test_optimality_checker_unchanged_by_the_dropped_copies(monkeypatch):
+    rng = random.Random(3)
+    cases = [(7, 3, 4), (11, 3, 4), (8, 3, 4), (5, 2, 4), (11, 4, 1)]  # (q, k, codes)
+    evs = []
+    for q, k, count in cases:
+        fld = field_from_order(q)
+        evs += [(EvaluationVector(fld, tuple(rng.sample(range(q), 2 * k))), k) for _ in range(count)]
+    got = [analyze.is_optimal_half_rate(ev, k).to_dict() for ev, k in evs]
+    monkeypatch.setattr(analyze, "_normalized_polys", normalized_with_scaled_copies)
+    assert got == [analyze.is_optimal_half_rate(ev, k).to_dict() for ev, k in evs]
+
+
+def test_sample_is_byte_identical_across_threads(capsys):
+    outputs = []
+    for threads in ("1", "2"):
+        argv = ["sample", "--field", "49", "--delta", "0.5", "--trials", "6", "--seed", "11", "--threads", threads]
+        code = cli.main(argv)
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
