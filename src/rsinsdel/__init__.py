@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`rsinsdel.gf` - finite fields GF(p^m), elements as integer indices
 * :mod:`rsinsdel.poly` - polynomials and exact linear algebra over GF(q)
-* :mod:`rsinsdel.insdel` - LCS/edit distance, index sequences, rank certificates
+* :mod:`rsinsdel.insdel` - LCS kernels, index sequences, rank certificates
 * :mod:`rsinsdel.rscode` - evaluation vectors, codewords, affine equivalence
 * :mod:`rsinsdel.analyze` - exact capability engines, classification, census, sampling
 * :mod:`rsinsdel.construct` - deterministic rate-1/2 single-insdel construction

@@ -229,7 +229,7 @@ def _affine_block(fld: Field, arr, a_vals, a_idx, b_rows) -> np.ndarray:
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:
     """Exact code LCS for a full-length 2-dimensional code.
 
-    Scaling and shifting both codewords leaves edit distance unchanged, so
+    Scaling and shifting both codewords leaves their LCS unchanged, so
     every pair of distinct non-constant codewords reduces to (alpha, A*alpha + B)
     with (A, B) != (1, 0), A != 0; pairs involving constants contribute at
     most 1.  The pair (A, B) and its inverse map give equal LCS, so only the

@@ -22,12 +22,21 @@ MP_PRECISION_BITS = 250
 # Python's default limit on converting an integer to decimal text: a report
 # holding a larger integer would fail in json.dumps after all the work.
 MAX_DIGITS = 4300
+# Work ceiling of the exact fail-count sum: its number of terms times the
+# decimal digits of its largest term.  tail-bound at q = 1024, delta = 1/2
+# needs 1.1e6 (0.05 s); 1e7 takes about 1 s on a 2-core VM (Python 3.11).
+MAX_SUM_WORK = 10**7
+
+
+def _digits(log_value: float) -> int:
+    """Decimal digits of a value whose natural log is log_value."""
+    return math.floor(log_value / math.log(10)) + 1
 
 
 def _check_digits(what: str, log_value: float) -> None:
     """GuardExceeded when a value whose natural log is log_value would have
     more than MAX_DIGITS decimal digits; the estimate comes before any work."""
-    digits = math.floor(log_value / math.log(10)) + 1
+    digits = _digits(log_value)
     if digits > MAX_DIGITS:
         raise GuardExceeded(
             f"{what} has an estimated {digits} decimal digits, above the limit of {MAX_DIGITS}"
@@ -124,11 +133,20 @@ def bad_ordering_count_bound(q: int, ell: int) -> int:
         sum_{s=ell+1}^{min(2*ell, q)} C(q,s) * C(s,ell)^2 * (q-s)! * (q-1) * q
                                        * prod_{i=0}^{s-ell-1} (q-i)
 
-    The empty range (ell = q) gives 0.
+    The empty range (ell = q) gives 0.  A sum whose terms times the digits
+    of its largest term exceed MAX_SUM_WORK raises GuardExceeded first.
     """
-    _check_count_range(q, ell)
+    terms = _term_count(q, ell)
+    if terms:
+        digits = _digits(_last_term_log(q, ell))
+        if terms * digits > MAX_SUM_WORK:
+            raise GuardExceeded(
+                f"bad_ordering_count_bound({q}, {ell}) needs an estimated {terms * digits} "
+                f"term-digits ({terms} terms of up to {digits} decimal digits), "
+                f"above the limit of {MAX_SUM_WORK}"
+            )
     total = 0
-    for s in range(ell + 1, min(2 * ell, q) + 1):
+    for s in range(ell + 1, ell + terms + 1):
         term = (
             math.comb(q, s)
             * math.comb(s, ell) ** 2
@@ -141,26 +159,33 @@ def bad_ordering_count_bound(q: int, ell: int) -> int:
     return total
 
 
-def _check_count_range(q: int, ell: int) -> None:
+def _term_count(q: int, ell: int) -> int:
     if not 1 <= ell <= q:
         raise ValueError("need 1 <= ell <= q")
+    return min(2 * ell, q) - ell
+
+
+def _last_term_log(q: int, ell: int) -> float:
+    """Natural log, estimated with lgamma, of the last term (s = min(2*ell, q))
+    of bad_ordering_count_bound.  Term s is q!^2 * s! * (q-1) * q /
+    ((q-s+ell)! * ell!^2 * (s-ell)!^2), and term(s+1) / term(s) =
+    (s+1)(q-s+ell) / (s-ell+1)^2 > 2 on the range, so the last term is the
+    largest and the sum lies between it and the number of terms times it."""
+    s = min(2 * ell, q)
+    lg = math.lgamma
+    return (
+        2 * lg(q + 1) + lg(s + 1) - lg(q - s + ell + 1) - 2 * lg(ell + 1) - 2 * lg(s - ell + 1)
+        + math.log((q - 1) * q)
+    )
 
 
 def check_count_bound_digits(q: int, ell: int) -> None:
     """GuardExceeded when bad_ordering_count_bound(q, ell) would have more
-    than MAX_DIGITS decimal digits, estimated with lgamma before any
-    factorial: term s is q!^2 * s! * (q-1) * q / ((q-s+ell)! * ell!^2 *
-    (s-ell)!^2), and the sum is at most the number of terms times the
-    largest."""
-    _check_count_range(q, ell)
-    lg = math.lgamma
-    logs = [
-        2 * lg(q + 1) + lg(s + 1) - lg(q - s + ell + 1) - 2 * lg(ell + 1) - 2 * lg(s - ell + 1)
-        + math.log((q - 1) * q)
-        for s in range(ell + 1, min(2 * ell, q) + 1)
-    ]
-    if logs:
-        _check_digits(f"bad_ordering_count_bound({q}, {ell})", max(logs) + math.log(len(logs)))
+    than MAX_DIGITS decimal digits, estimated in O(1) before any factorial
+    as the number of terms times the largest term."""
+    terms = _term_count(q, ell)
+    if terms:
+        _check_digits(f"bad_ordering_count_bound({q}, {ell})", _last_term_log(q, ell) + math.log(terms))
 
 
 def normalized_bad_fraction_bound(q: int, delta) -> BoundReport:

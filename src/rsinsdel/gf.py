@@ -8,9 +8,10 @@ modulus and provides all operations.  Fields are immutable after
 construction; every operation is pure, so instances can be shared freely
 across threads.
 
-Extension fields of order at most 2**16 precompute log/antilog tables
-(multiplication-bound callers dominate the workload); larger extension
-fields fall back to polynomial arithmetic.
+Prime fields use modular arithmetic.  Every extension field builds, once,
+the powers of its smallest-index generator g, the discrete logs and (for odd
+p) the Zech logs log(1 + g^i); multiplication is then a table lookup,
+addition is XOR in characteristic 2 and a Zech lookup otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 1 << 20
-TABLE_MAX = 1 << 16
+MAX_DEGREE = MAX_ORDER.bit_length() - 1  # p^m <= MAX_ORDER forces m <= 20
+# rows per matmul while a power table is laid out: bounds the (rows, m) temporaries
+ORBIT_BLOCK = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -74,36 +77,23 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return p, m
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _digit_rows(values, p: int, m: int) -> np.ndarray:
+    """Base-p digits, least significant first, along a new last axis."""
+    return np.asarray(values, dtype=np.int64)[..., None] // p ** np.arange(m, dtype=np.int64) % p
 
 
-def _poly_divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Division with remainder in F_p[x]; b must be nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p) if p > 2 else lb
-    quot = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lb) % p
-        quot[shift] = factor
-        for i, coef in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * coef) % p
-        _poly_trim(a)
-    return quot, a
-
-
-def _irreducible(candidate: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(candidate) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            divisor = [(enc // p**i) % p for i in range(d)] + [1]
-            _, rem = _poly_divmod_p(candidate, divisor, p)
-            if not rem:
+def _irreducible(coeffs: list[int], p: int) -> bool:
+    """Trial division of a monic polynomial (low-first coefficients) by every
+    monic polynomial of degree <= deg/2."""
+    m = len(coeffs) - 1
+    for d in range(1, m // 2 + 1):
+        for low in _digit_rows(np.arange(p**d), p, d).tolist():
+            rem = list(coeffs)
+            for top in range(m, d - 1, -1):  # cancel x^top with a multiple of x^d + low
+                lead = rem[top]
+                for i, c in enumerate(low):
+                    rem[top - d + i] = (rem[top - d + i] - lead * c) % p
+            if not any(rem[:d]):
                 return False
     return True
 
@@ -112,36 +102,51 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     """Deterministic modulus: the monic irreducible of degree m over F_p whose
     low-first coefficient vector encodes the smallest base-p integer."""
     for enc in range(p**m):
-        coeffs = [(enc // p**i) % p for i in range(m)] + [1]
+        coeffs = _digit_rows(enc, p, m).tolist() + [1]
         if _irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
+
+
+def _orbit(step: np.ndarray, length: int, p: int) -> np.ndarray:
+    """Indices of c^0 .. c^(length-1), where row j of the m x m matrix step
+    holds the digits of c * x^j (so digits(y) @ step = digits(y * c)).
+
+    Doubling: the block c^L .. c^(2L-1) is the block c^0 .. c^(L-1) times
+    the matrix of c^L, and squaring that matrix gives the next one.
+    """
+    weights = p ** np.arange(len(step), dtype=np.int64)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = 1
+    done = 1
+    while done < length:
+        count = min(done, length - done)
+        for lo in range(0, count, ORBIT_BLOCK):
+            hi = min(lo + ORBIT_BLOCK, count)
+            out[done + lo : done + hi] = _digit_rows(out[lo:hi], p, len(step)) @ step % p @ weights
+        done += count
+        step = step @ step % p
+    return out
 
 
 class Field:
     """The finite field GF(p^m) with elements encoded as integers in [0, q)."""
 
     def __init__(self, p: int, m: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        q = p**m
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds ceiling {MAX_ORDER}")
+        # the ceiling comes before any primality test or big power
+        if p > MAX_ORDER or m > MAX_DEGREE or p**m > MAX_ORDER:
+            order = p if m == 1 else f"{p}^{m}"
+            raise ValueError(f"field order {order} exceeds ceiling {MAX_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p**m
         self.modulus = None if m == 1 else _find_modulus(p, m)
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._nexp: np.ndarray | None = None
-        self._nlog: np.ndarray | None = None
-        self._red: list[int] | None = None
         if m > 1:
-            self._red = self._reduction_rows()
-            if q <= TABLE_MAX:
-                self._build_tables()
+            self._build_tables()
 
     # -- representation ------------------------------------------------
 
@@ -170,18 +175,52 @@ class Field:
         """Image of the integer n under Z -> GF(p^m) (repeated addition of 1)."""
         return n % self.p
 
-    def digits(self, x: int) -> list[int]:
-        d = []
-        for _ in range(self.m):
-            d.append(x % self.p)
-            x //= self.p
-        return d
+    # -- tables (extension fields) ----------------------------------------
+    #
+    # With N = q - 1, log[y] is the discrete log of y != 0 and log[0] = 2N.
+    # exp has length 4N + 1: exp[i] = g^(i mod N) for i < 2N and 0 beyond, so
+    # exp[log[x] + log[y]] is x * y with no zero test.  For odd p, zech[d + 2N]
+    # is the shift s with y + z = exp[log[y] + s] for d = log[z] - log[y]:
+    # log(1 + g^d) for |d| < N (2N when 1 + g^d = 0), d itself when y = 0
+    # (d < -N, so the sum is z) and 0 when z = 0 (d > N, so the sum is y).
 
-    def _undigits(self, d: list[int]) -> int:
-        v = 0
-        for coef in reversed(d):
-            v = v * self.p + coef
-        return v
+    def _build_tables(self) -> None:
+        p, m, n = self.p, self.m, self.q - 1
+        x_step = np.eye(m, k=1, dtype=np.int64)  # row j: x^(j+1)
+        x_step[m - 1] = np.negative(self.modulus[:m]) % p
+        # hankel[i, j] = digits of x^(i+j)
+        hankel = _digit_rows(_orbit(x_step, 2 * m - 1, p), p, m)[np.add.outer(np.arange(m), np.arange(m))]
+
+        def matrix(c):
+            """Row j: the digits of c * x^j (a stack of matrices for an array c)."""
+            return np.tensordot(_digit_rows(c, p, m), hankel, axes=1) % p
+
+        # c generates iff c^(n/r) != 1 for every prime r | n.  Each such power
+        # is c^(e % b) * (c^b)^(e // b), read off b + 1 baby and b giant steps.
+        b = math.isqrt(n - 1) + 1
+        exps = np.array([n // r for r in factorize(n)], dtype=np.int64)
+        weights = p ** np.arange(m, dtype=np.int64)
+        # indices below p are constants, of order dividing p - 1
+        for g in range(p, self.q):
+            baby = _orbit(matrix(g), b + 1, p)
+            giant = _orbit(matrix(baby[b]), b, p)
+            low = _digit_rows(baby[exps % b], p, m)
+            if (np.einsum("ij,ijk->ik", low, matrix(giant[exps // b])) % p @ weights != 1).all():
+                break
+        powers = _orbit(matrix(g), n, p)
+        log = np.empty(self.q, dtype=np.int64)
+        log[powers] = np.arange(n)
+        log[0] = 2 * n
+        self._nlog = log
+        self._nexp = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=np.int64)])
+        self._log, self._exp = log.data, self._nexp.data  # scalar lookups give plain ints
+        if p > 2:
+            low = powers % p  # adding 1 changes only the constant digit
+            zech = log[powers - low + (low + 1) % p]
+            self._nzech = np.concatenate(
+                [np.arange(-2 * n, -n), [0], zech[1:], zech, np.zeros(n + 1, dtype=np.int64)]
+            )
+            self._zech = self._nzech.data
 
     # -- scalar arithmetic ----------------------------------------------
 
@@ -190,88 +229,31 @@ class Field:
             return (x + y) % self.p
         if self.p == 2:
             return x ^ y
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += ((x + y) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+        lx = self._log[x]
+        return self._exp[lx + self._zech[self._log[y] - lx + 2 * (self.q - 1)]]
 
     def neg(self, x: int) -> int:
         if self.m == 1:
             return (-x) % self.p
         if self.p == 2:
             return x
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += ((-x) % p) * mult
-            x //= p
-            mult *= p
-        return out
+        # -1 = g^(N/2); log[0] + N/2 lies in the zero region of exp
+        return self._exp[self._log[x] + (self.q - 1) // 2]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
-    def _reduction_rows(self) -> list[int]:
-        """Indices of x^m .. x^(2m-2) reduced modulo the field modulus."""
-        p, m = self.p, self.m
-        rows = []
-        # x^m = -(modulus minus leading term)
-        cur = [(-c) % p for c in self.modulus[:m]]
-        rows.append(self._undigits(cur))
-        for _ in range(m - 2):
-            # multiply current residue by x, reduce once if degree reaches m
-            nxt = [0] + cur[: m - 1]
-            top = cur[m - 1]
-            if top:
-                for i in range(m):
-                    nxt[i] = (nxt[i] + top * ((-self.modulus[i]) % p)) % p
-            rows.append(self._undigits(nxt))
-            cur = nxt
-        return rows
-
-    def _mul_poly(self, x: int, y: int) -> int:
-        p, m = self.p, self.m
-        xd, yd = self.digits(x), self.digits(y)
-        conv = [0] * (2 * m - 1)
-        for i, xi in enumerate(xd):
-            if xi:
-                for j, yj in enumerate(yd):
-                    conv[i + j] += xi * yj
-        out = 0
-        mult = 1
-        low = [c % p for c in conv[:m]]
-        for d in range(m, 2 * m - 1):
-            hi = conv[d] % p
-            if hi:
-                red = self.digits(self._red[d - m])
-                for i in range(m):
-                    low[i] = (low[i] + hi * red[i]) % p
-        for i in range(m):
-            out += low[i] * mult
-            mult *= p
-        return out
-
     def mul(self, x: int, y: int) -> int:
         if self.m == 1:
             return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-        return self._mul_poly(x, y)
+        return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self.name()}")
         if self.m == 1:
             return pow(x, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[x]) % (self.q - 1)]
-        return self.pow(x, self.q - 2)
+        return self._exp[self.q - 1 - self._log[x]]
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -283,53 +265,31 @@ class Field:
             return pow(x, e, self.p)
         if x == 0:
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[(self._log[x] * e) % (self.q - 1)]
-        result, base = 1, x
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
+        return self._exp[self._log[x] * e % (self.q - 1)]
 
     # -- multiplicative structure ----------------------------------------
 
-    def _order_divides_check(self, x: int, e: int) -> bool:
-        return self.pow(x, e) == 1
-
     def generator(self) -> int:
         """Smallest-index generator of the multiplicative group."""
-        if self.q == 2:
-            return 1
-        prime_factors = list(factorize(self.q - 1))
-        for g in range(2, self.q):
-            if all(not self._order_divides_check(g, (self.q - 1) // r) for r in prime_factors):
-                return g
-        raise RuntimeError("no generator found")  # unreachable for a field
+        if self.m > 1:
+            return self._exp[1]
+        return next(self._prime_field_generators())
 
     def primitive_elements(self) -> list[int]:
         """All elements of multiplicative order q-1, ascending; len == phi(q-1)."""
-        if self.q == 2:
-            return [1]
-        prime_factors = list(factorize(self.q - 1))
-        out = []
-        for x in range(2, self.q):
-            if all(not self._order_divides_check(x, (self.q - 1) // r) for r in prime_factors):
-                out.append(x)
-        return out
+        if self.m > 1:
+            # g^e generates exactly when gcd(e, q-1) = 1; log[0] = 2(q-1) never does
+            return np.flatnonzero(np.gcd(self._nlog, self.q - 1) == 1).tolist()
+        return list(self._prime_field_generators())
 
-    def _build_tables(self) -> None:
-        g = self.generator()
-        exp = [1] * (self.q - 1)
-        for i in range(1, self.q - 1):
-            exp[i] = self._mul_poly(exp[i - 1], g)
-        log = [0] * self.q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
-        self._nexp = np.array(exp, dtype=np.int64)
-        self._nlog = np.array(log, dtype=np.int64)
+    def _prime_field_generators(self):
+        if self.q == 2:
+            yield 1
+            return
+        prime_factors = list(factorize(self.q - 1))
+        for x in range(2, self.q):
+            if all(pow(x, (self.q - 1) // r, self.q) != 1 for r in prime_factors):
+                yield x
 
     # -- vectorized arithmetic on numpy int64 arrays ----------------------
 
@@ -338,26 +298,13 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % self.p) * mult
-            a, b = a // self.p, b // self.p
-            mult *= self.p
-        return out
+        la = self._nlog[a]
+        return self._nexp[la + self._nzech[self._nlog[b] - la + 2 * (self.q - 1)]]
 
     def v_mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self._nexp is not None:
-            res = self._nexp[(self._nlog[a] + self._nlog[b]) % (self.q - 1)]
-            return np.where((a == 0) | (b == 0), 0, res)
-        combined = np.frompyfunc(self.mul, 2, 1)(a, b)
-        return np.asarray(combined, dtype=np.int64)
+        return self._nexp[self._nlog[a] + self._nlog[b]]
 
 
 @lru_cache(maxsize=None)
@@ -372,6 +319,8 @@ def field_new(p: int, m: int = 1) -> Field:
 
 def field_from_order(q: int) -> Field:
     """Build GF(q) from the order, rejecting non-prime-powers."""
+    if q > MAX_ORDER:  # before factorizing
+        raise ValueError(f"field order {q} exceeds ceiling {MAX_ORDER}")
     pm = prime_power(q)
     if pm is None:
         raise ValueError(f"{q} is not a prime power")

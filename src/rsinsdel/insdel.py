@@ -1,5 +1,5 @@
-"""Longest common subsequences, edit distance, increasing index sequences,
-and rank certificates for insdel-correction capability.
+"""Longest common subsequences, increasing index sequences, and rank
+certificates for insdel-correction capability.
 
 Sequences are tuples/lists of field element indices (the scalar routines
 accept any hashable symbols).  Index sequences are 1-based strictly
@@ -136,11 +136,6 @@ def lcs_with_witness(s, t) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return table[m][n], tuple(i_idx), tuple(j_idx)
 
 
-def edit_distance(s, t) -> int:
-    """Minimum number of insertions plus deletions transforming s into t."""
-    return len(s) + len(t) - 2 * lcs(s, t)
-
-
 # -- increasing index sequences -------------------------------------------
 
 
@@ -149,13 +144,6 @@ def hamming_increasing(i_seq, j_seq) -> int:
     if len(i_seq) != len(j_seq):
         raise ValueError("index sequences must have equal length")
     return sum(1 for a, b in zip(i_seq, j_seq) if a != b)
-
-
-def missing_index(seq, n: int) -> int:
-    """The unique element of [1, n] absent from a length n-1 sequence."""
-    if len(seq) != n - 1:
-        raise ValueError("sequence must omit exactly one index")
-    return n * (n + 1) // 2 - sum(seq)
 
 
 def enumerate_increasing(n: int, ell: int):

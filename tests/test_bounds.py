@@ -110,6 +110,40 @@ def test_digit_guards_refuse_unprintable_results_before_any_factorial(monkeypatc
             bounds.check_count_bound_digits(q, ell)
 
 
+def test_sum_work_guard_refuses_before_any_factorial(monkeypatch):
+    # tail-bound at q = 8000, delta = 1/2 took 14.5 s before the guard
+    message = (
+        r"bad_ordering_count_bound\(8000, 4000\) needs an estimated 79600000 term-digits "
+        r"\(4000 terms of up to 19900 decimal digits\), above the limit of 10000000"
+    )
+    with pytest.raises(GuardExceeded, match=message):
+        bounds.normalized_bad_fraction_bound(8000, "0.5")
+    # a 5e8-term sum is refused by the O(1) digit estimate
+    with pytest.raises(GuardExceeded, match="5035427766 decimal digits"):
+        bounds.check_count_bound_digits(10**9, 5 * 10**8)
+    # the README point is admitted; the estimate is 512 terms times the
+    # digits of the last term, s = 1024
+    last = math.comb(1024, 512) ** 2 * 1023 * 1024 * math.perm(1024, 512)
+    digits = bounds._digits(bounds._last_term_log(1024, 512))
+    assert digits == len(str(last))
+    assert bounds.normalized_bad_fraction_bound(1024, "0.5").verdict is True
+    monkeypatch.setattr(bounds, "MAX_SUM_WORK", 512 * digits)
+    bounds.bad_ordering_count_bound(1024, 512)
+    monkeypatch.setattr(bounds, "MAX_SUM_WORK", 512 * digits - 1)
+    with pytest.raises(GuardExceeded, match="512 terms of up to"):
+        bounds.bad_ordering_count_bound(1024, 512)
+
+
+def test_last_term_is_the_largest():
+    for q, ell in [(7, 3), (8, 4), (16, 8), (11, 6), (30, 7), (40, 30)]:
+        terms = [
+            math.comb(q, s) * math.comb(s, ell) ** 2 * math.factorial(q - s) * (q - 1) * q * math.perm(q, s - ell)
+            for s in range(ell + 1, min(2 * ell, q) + 1)
+        ]
+        assert all(b > 2 * a for a, b in zip(terms, terms[1:]))
+        assert abs(bounds._last_term_log(q, ell) - math.log(terms[-1])) < 1e-9 * math.log(terms[-1])
+
+
 def test_tail_bound_rejects_q_below_2():
     for q in (-5, 0, 1):
         with pytest.raises(ValueError, match="q must be a field order >= 2"):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,7 +328,16 @@ MALFORMED = [
     (2, ("bounds", "tail-bound", "--q", "-5", "--delta", "0.5")),
     (3, ("bounds", "class-lower-bound", "--q", "2000")),
     (3, ("bounds", "fail-count-bound", "--q", "3000", "--ell", "2")),
+    # orders above the ceiling are refused before any primality test or
+    # factorization, and the fail-count sum before any factorial
+    (2, ("census", "--field", "1000000000000000003")),
+    (2, ("census", "--field", "1000000000000000003^1")),
+    (2, ("classify", "--alpha", "GF(1000000000000000003):0,1")),
+    (2, ("bounds", "bad-classes", "--q", "1000000000000000003")),
+    (3, ("bounds", "tail-bound", "--q", "8000", "--delta", "0.5")),
+    (3, ("bounds", "fail-count-bound", "--q", "1000000000", "--ell", "500000000")),
 ]
+QUICK_REFUSALS = MALFORMED[-6:]
 
 # The smallest valid call of every command, for the unwritable-output rows.
 VALID = [
@@ -347,6 +357,16 @@ def test_malformed_input_exits_with_a_documented_code(capsys, expected, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected and out == ""
     assert set(json.loads(err)["error"]) == {"type", "message"}
+
+
+def test_huge_inputs_are_refused_at_once(capsys):
+    for expected, argv in QUICK_REFUSALS:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == expected and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert ("exceeds ceiling" in message) == (expected == 2), message
 
 
 @pytest.mark.parametrize("argv", VALID)

@@ -1,9 +1,12 @@
 """Tests for finite field arithmetic."""
 
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsinsdel.gf import Field, euler_phi, factorize, field_from_order, field_new, is_prime, prime_power
 
@@ -125,14 +128,147 @@ def test_vectorized_ops_match_scalar():
             assert fld.v_mul(xs, np.int64(a)).tolist() == [fld.mul(int(x), a) for x in xs]
 
 
-def test_no_table_extension_field_path():
-    # q = 2^17 exceeds the table budget; polynomial arithmetic must still work
-    fld = field_new(2, 17)
-    assert fld._exp is None
-    a, b = 12345, 54321
-    assert fld.mul(a, b) == fld.mul(b, a)
-    assert fld.mul(a, fld.inv(a)) == 1
-    assert fld.pow(a, fld.q - 1) == 1
+class Schoolbook:
+    """Arithmetic in F_p[x] / (modulus) on digit lists, independent of the
+    field's tables: digit-wise addition, a polynomial product reduced by
+    long division, and powers (hence inverses) by square-and-multiply."""
+
+    def __init__(self, fld):
+        self.p, self.m, self.q = fld.p, fld.m, fld.q
+        self.modulus = list(fld.modulus)
+
+    def digits(self, x):
+        return [x // self.p**i % self.p for i in range(self.m)]
+
+    def encode(self, d):
+        return sum(c * self.p**i for i, c in enumerate(d))
+
+    def add(self, x, y):
+        return self.encode([(a + b) % self.p for a, b in zip(self.digits(x), self.digits(y))])
+
+    def neg(self, x):
+        return self.encode([(-a) % self.p for a in self.digits(x)])
+
+    def mul(self, x, y):
+        p, m = self.p, self.m
+        prod = [0] * (2 * m - 1)
+        for i, a in enumerate(self.digits(x)):
+            for j, b in enumerate(self.digits(y)):
+                prod[i + j] += a * b
+        for top in range(2 * m - 2, m - 1, -1):  # modulus is monic
+            lead = prod[top] % p
+            for i in range(m + 1):
+                prod[top - m + i] -= lead * self.modulus[i]
+        return self.encode([c % p for c in prod[:m]])
+
+    def pow(self, x, e):
+        if e < 0:
+            return self.pow(self.inv(x), -e)
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return result
+
+    def inv(self, x):
+        assert x != 0
+        return self.pow(x, self.q - 2)
+
+    def has_full_order(self, x):
+        return x != 0 and all(self.pow(x, (self.q - 1) // r) != 1 for r in factorize(self.q - 1))
+
+
+def check_pairs_against_schoolbook(fld, xs, ys):
+    ob = Schoolbook(fld)
+    for x, y in zip(xs, ys):
+        assert fld.add(x, y) == ob.add(x, y), (fld, x, y)
+        assert fld.sub(x, y) == ob.add(x, ob.neg(y)), (fld, x, y)
+        assert fld.mul(x, y) == ob.mul(x, y), (fld, x, y)
+        assert fld.neg(x) == ob.neg(x), (fld, x)
+        if y:
+            assert ob.mul(fld.inv(y), y) == 1 and fld.div(x, y) == ob.mul(x, fld.inv(y)), (fld, x, y)
+    a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    assert fld.v_add(a, b).tolist() == [ob.add(x, y) for x, y in zip(xs, ys)]
+    assert fld.v_mul(a, b).tolist() == [ob.mul(x, y) for x, y in zip(xs, ys)]
+    assert fld.v_add(a, b).dtype == fld.v_mul(a, b).dtype == np.int64
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (5, 2), (7, 2)])
+def test_small_extension_fields_match_schoolbook_on_every_pair(p, m):
+    fld = field_new(p, m)
+    ob = Schoolbook(fld)
+    # the modulus has no root (degree <= 3: irreducible), and every monic
+    # polynomial of smaller encoding has one
+    def has_root(coeffs):
+        return any(sum(c * t**i for i, c in enumerate(coeffs)) % p == 0 for t in range(p))
+
+    assert not has_root(fld.modulus) and fld.modulus[-1] == 1
+    assert all(has_root(ob.digits(enc) + [1]) for enc in range(ob.encode(list(fld.modulus[:m]))))
+    pairs = [(x, y) for x in range(fld.q) for y in range(fld.q)]
+    check_pairs_against_schoolbook(fld, [x for x, _ in pairs], [y for _, y in pairs])
+    grid = np.arange(fld.q, dtype=np.int64)
+    assert fld.v_add(grid[:, None], grid[None, :]).tolist() == [[ob.add(x, y) for y in grid] for x in grid]
+    assert fld.v_mul(grid[:, None], grid[None, :]).tolist() == [[ob.mul(x, y) for y in grid] for x in grid]
+    for x in range(1, fld.q):
+        assert fld.inv(x) == ob.inv(x)
+        for e in (-3, -1, 0, 1, 2, fld.q - 2, fld.q - 1, fld.q, 3 * fld.q + 1):
+            assert fld.pow(x, e) == ob.pow(x, e), (x, e)
+    assert fld.pow(0, 0) == 1 and fld.pow(0, 5) == 0
+    primitive = [x for x in range(fld.q) if ob.has_full_order(x)]
+    assert fld.primitive_elements() == primitive and fld.generator() == primitive[0]
+
+
+SAMPLED_FIELDS = [(3, 4), (5, 3), (2, 8), (2, 16), (3, 10), (2, 17), (3, 11), (2, 20)]
+
+
+@pytest.mark.parametrize("p, m", SAMPLED_FIELDS)
+def test_extension_fields_match_schoolbook_on_seeded_samples(p, m):
+    fld = Field(p, m)  # uncached: the largest tables are released after the test
+    ob = Schoolbook(fld)
+    rng = random.Random(p * 100 + m)
+    xs = [0, 0, 1, fld.q - 1] + [rng.randrange(fld.q) for _ in range(300)]
+    ys = [0, 5, fld.q - 1, fld.q - 1] + [rng.randrange(fld.q) for _ in range(300)]
+    check_pairs_against_schoolbook(fld, xs, ys)
+    for _ in range(30):
+        x, e = rng.randrange(1, fld.q), rng.randrange(-fld.q, 2 * fld.q)
+        assert fld.inv(x) == ob.inv(x)
+        assert fld.pow(x, e) == ob.pow(x, e), (x, e)
+    # the smallest-index generator: indices below p are constants
+    g = fld.generator()
+    assert ob.has_full_order(g) and not any(ob.has_full_order(c) for c in range(p, g))
+    primitive = fld.primitive_elements()
+    assert len(primitive) == euler_phi(fld.q - 1) and primitive[0] == g
+    assert all(ob.has_full_order(x) for x in rng.sample(primitive, 10))
+
+
+FIELD_POOL = [(2, 3), (3, 2), (5, 2), (7, 2), (2, 4), (3, 3), (3, 4), (5, 3), (2, 8), (3, 5), (11, 2)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_field_ops_property_against_schoolbook(data):
+    fld = field_new(*data.draw(st.sampled_from(FIELD_POOL)))
+    ob = Schoolbook(fld)
+    x, y, z = (data.draw(st.integers(0, fld.q - 1)) for _ in range(3))
+    e = data.draw(st.integers(0, 3 * fld.q))
+    check_pairs_against_schoolbook(fld, [x, y], [y, z])
+    assert fld.pow(x, e) == ob.pow(x, e)
+    assert fld.mul(x, fld.add(y, z)) == ob.add(ob.mul(x, y), ob.mul(x, z))
+    if x:
+        assert fld.inv(x) == ob.inv(x) and fld.pow(x, -e) == ob.pow(x, -e)
+
+
+def test_huge_orders_refused_before_any_factorization():
+    # trial division of these would run for minutes; the ceiling comes first
+    t0 = time.perf_counter()
+    for p, m in [(10**18 + 3, 1), (2, 10**12), (10**18 + 3, 2), (3, 13)]:
+        with pytest.raises(ValueError, match="exceeds ceiling"):
+            Field(p, m)
+    with pytest.raises(ValueError, match="exceeds ceiling"):
+        field_from_order(10**18 + 3)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_int_embed_characteristic():

@@ -1,4 +1,4 @@
-"""Tests for LCS, edit distance, index sequences, and rank certificates."""
+"""Tests for LCS, index sequences, and rank certificates."""
 
 import random
 
@@ -28,16 +28,13 @@ def lcs_oracle(a, b):
 def test_lcs_worked_example():
     s = (2, 4, 1, 3, 0, 2)
     t = (4, 3, 2, 1, 0)
-    assert insdel.lcs(s, t) == 3
-    assert insdel.edit_distance(s, t) == 6 + 5 - 2 * 3
+    assert insdel.lcs(s, t) == insdel.lcs(t, s) == lcs_oracle(s, t) == 3
 
 
 def test_lcs_trivial_cases():
     s = (3, 1, 4, 1, 5)
     assert insdel.lcs(s, s) == len(s)
-    assert insdel.lcs(s, ()) == 0
-    assert insdel.edit_distance(s, s) == 0
-    assert insdel.edit_distance(s, ()) == len(s)
+    assert insdel.lcs(s, ()) == insdel.lcs((), s) == insdel.lcs((), ()) == 0
 
 
 def test_lcs_matches_oracle_random():
@@ -62,6 +59,8 @@ def test_lcs_symmetry_and_deletion_monotonicity():
 
 
 def test_edit_distance_affine_isometry():
+    # for equal lengths the insdel distance is 2n - 2 * lcs, so an affine map
+    # x -> lam*x + mu applied to both sequences must keep the LCS
     rng = random.Random(59)
     for fld in (F7, field_new(3, 2)):
         for _ in range(100):
@@ -72,7 +71,7 @@ def test_edit_distance_affine_isometry():
             mu = rng.randrange(fld.q)
             c2 = [fld.add(fld.mul(lam, x), mu) for x in c]
             d2 = [fld.add(fld.mul(lam, x), mu) for x in d]
-            assert insdel.edit_distance(c2, d2) == insdel.edit_distance(c, d)
+            assert insdel.lcs(c2, d2) == insdel.lcs(c, d) == lcs_oracle(c, d)
 
 
 def test_lcs_witness_is_valid():
@@ -100,15 +99,15 @@ def test_missing_index_distance_identity():
     # for single-drop sequences the Hamming distance is the gap between
     # the dropped positions
     rng = random.Random(67)
-    assert insdel.missing_index((1, 2, 3, 4), 5) == 5
-    assert insdel.missing_index((2, 3, 4, 5), 5) == 1
+    assert insdel.hamming_increasing((1, 2, 3, 4), (2, 3, 4, 5)) == 5 - 1
     for _ in range(200):
         n = rng.randrange(2, 10)
         s_i, s_j = rng.sample(range(1, n + 1), 2)
         i_seq = tuple(t for t in range(1, n + 1) if t != s_i)
         j_seq = tuple(t for t in range(1, n + 1) if t != s_j)
         assert insdel.hamming_increasing(i_seq, j_seq) == abs(s_j - s_i)
-        assert insdel.missing_index(i_seq, n) == s_i
+        # the omitted index is the one element of [1, n] not in the sequence
+        assert set(range(1, n + 1)) - set(i_seq) == {s_i} and len(i_seq) == n - 1
 
 
 def test_enumerate_increasing():
