@@ -294,52 +294,47 @@ class OptimalityResult:
         return {"optimal": self.optimal, "witness": self.witness}
 
 
+def _check_work(estimate: int) -> None:
+    if estimate > DEFAULT_MAX_OPS:
+        raise GuardExceeded(f"estimated work {estimate} exceeds the limit of {DEFAULT_MAX_OPS}")
+
+
 def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     """Decide whether the length-2k code corrects one insdel error.
 
     The code fails exactly when some reduced f (see _normalized_polys) and
     some g of degree < k with g != f agree along a pair of increasing index
-    sequences I != J of length 2k-1.  For each candidate (f, I, J) the unique
-    g of degree < k through the first k constraints is interpolated and the
-    remaining k-1 constraints are verified.  I = J is skipped: agreement on
-    2k-1 >= k distinct points would force f = g.  The first witness in
-    (f, I, J) scan order is returned, so the outcome is deterministic.  An
-    estimated work above DEFAULT_MAX_OPS raises GuardExceeded.
+    sequences I, J of length 2k-1.  Two kinds of pair would force g = f: a
+    pair closer than k (f = g on the k or more points a_t with I_t = J_t;
+    index_pairs(n, n-1, k) keeps k(k+1) of the 2k(2k-1) pairs I != J), and
+    a pair whose insdel.build_V matrix has full rank 2k-1 (its kernel,
+    which holds (f0-g0, f1.., -g1..), is zero).  So the rank sweep runs
+    first, and the code is optimal at once when no pair is rank-deficient.
+    Otherwise, for each (f, I, J) over the deficient pairs the unique g of
+    degree < k through the first k constraints is interpolated and checked
+    on the other k-1; the first witness in (f, I, J) order is returned.
+    Each phase's estimated work, k(k+1)(2k-1)^3 for the sweep and
+    2q^(k-2) * (deficient pairs) * k^3 for the scan, is checked against
+    DEFAULT_MAX_OPS before it runs (GuardExceeded).
     """
     fld = ev.field
     n = ev.n
     if n != 2 * k:
         raise ValueError("optimality checker requires n = 2k")
-    est_ops = 2 * fld.q ** max(0, k - 2) * (2 * k) * (2 * k - 1) * k * k
-    if est_ops > DEFAULT_MAX_OPS:
-        raise GuardExceeded(f"estimated work {est_ops} exceeds the limit of {DEFAULT_MAX_OPS}")
+    _check_work(k * (k + 1) * (2 * k - 1) ** 3)
     points = ev.points
-    seqs = list(insdel.enumerate_increasing(n, n - 1))
+    sweep = insdel.index_pairs(n, n - 1, k)
+    pairs = [ij for ij in sweep if poly.rank(fld, insdel.build_V(fld, points, k, *ij)) < 2 * k - 1]
+    if not pairs:
+        return OptimalityResult(True, None)
+    _check_work(2 * fld.q ** max(0, k - 2) * len(pairs) * k**3)
     for f in _normalized_polys(fld, k):
         f_vals = poly.eval_on(fld, f, points)
-        for i_seq in seqs:
-            head_vals = [f_vals[i - 1] for i in i_seq[:k]]
-            tail_vals = [f_vals[i - 1] for i in i_seq[k:]]
-            for j_seq in seqs:
-                if i_seq == j_seq:
-                    continue
-                pts = [(points[j - 1], y) for j, y in zip(j_seq[:k], head_vals)]
-                g = poly.interpolate(fld, pts, k)
-                if g == f:
-                    continue
-                ok = True
-                for j, y in zip(j_seq[k:], tail_vals):
-                    if poly.eval_poly(fld, g, points[j - 1]) != y:
-                        ok = False
-                        break
-                if ok:
-                    witness = {
-                        "f": list(f),
-                        "g": list(g),
-                        "I": list(i_seq),
-                        "J": list(j_seq),
-                    }
-                    return OptimalityResult(False, witness)
+        for i_seq, j_seq in pairs:
+            g = poly.interpolate(fld, [(points[j - 1], f_vals[i - 1]) for i, j in zip(i_seq, j_seq)], k)
+            if g is not None and g != f:
+                witness = {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
+                return OptimalityResult(False, witness)
     return OptimalityResult(True, None)
 
 
@@ -660,6 +655,8 @@ def sample_orderings(
     error, i.e. have LCS below q - 1.
     """
     q = fld.q
+    if q < 3:
+        raise ValueError(f"sampling needs q >= 3 (full-length codes of dimension 2), got q={q}")
     if q > SAMPLE_MAX_Q:
         raise GuardExceeded(f"sampling is budgeted for q <= {SAMPLE_MAX_Q}")
     if trials < 0:

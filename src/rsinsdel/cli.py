@@ -197,7 +197,7 @@ def cmd_bounds(args) -> None:
             "verdict": None,
         }
     elif which == "bad-classes":
-        fld = _parse_field(str(args.q))
+        fld = field_from_order(args.q)
         tally = bounds.bad_class_count(fld)
         result = {
             "name": "bad_class_count",

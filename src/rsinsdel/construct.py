@@ -4,10 +4,11 @@ extension.
 
 Stage i takes a verified length-(2i-2) evaluation vector and appends two
 fresh points.  For every ordered pair of increasing index sequences over
-the current positions at Hamming distance at least i - 2 (closer pairs
-have singular systems and cannot contribute), the stage solves one square
-linear system for the normalized polynomial pair that could realize a long
-common subsequence.  Its solution is affine in the free leading
+the current positions at Hamming distance at least i - 2
+(insdel.index_pairs; closer pairs have singular systems and cannot
+contribute), the stage solves one square linear system, read off
+insdel.build_V, for the normalized polynomial pair that could realize a
+long common subsequence.  Its solution is affine in the free leading
 coefficient, so the pair's values on GF(q) for all q coefficients come from
 four polynomial evaluations and one (coefficient, point) array sweep, in
 blocks of coefficients.  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
@@ -77,56 +78,28 @@ def base_case(fld: Field) -> EvaluationVector:
     raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
 
 
-def stage_pairs(n: int, i: int) -> list[tuple[int, int]]:
-    """The ordered index pairs (s_i, s_j) that stage i sweeps over n points:
-    the length-(2i-3) sequences omitting s_i and s_j from 1..n, at Hamming
-    distance |s_j - s_i| >= i - 2 (so s_i != s_j, as i >= 3).
-
-    Closer pairs have a singular system and cannot contribute: a position
-    with I_t = J_t = a gives the row (1, a, .., a^mid, -a, .., -a^mid),
-    mid = i - 2, and all such rows span at most i - 1 dimensions, so the
-    rank is at most (i - 1) + |s_j - s_i| < 2i - 3, the number of unknowns.
-    """
-    return [(s_i, s_j) for s_i in range(1, n + 1) for s_j in range(1, n + 1) if abs(s_j - s_i) >= i - 2]
-
-
-def _stage_system(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int):
+def _stage_system(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq):
     """Rows and the two right-hand sides (fixed part, leading-coefficient
-    part) of the stage system for one ordered index-sequence pair."""
-    n = len(points)
-    mid = i - 2  # free coefficients on each side
-    i_seq = tuple(t for t in range(1, n + 1) if t != s_i)
-    j_seq = tuple(t for t in range(1, n + 1) if t != s_j)
-    rows = []
-    rhs_fixed = []
-    rhs_lead = []
-    for t in range(2 * i - 3):
-        ai = points[i_seq[t] - 1]
-        aj = points[j_seq[t] - 1]
-        row = [1]
-        pw = 1
-        for _ in range(mid):
-            pw = fld.mul(pw, aj)
-            row.append(pw)
-        pw = 1
-        for _ in range(mid):
-            pw = fld.mul(pw, ai)
-            row.append(fld.neg(pw))
-        rows.append(row)
-        rhs_fixed.append(fld.pow(ai, i - 1))
-        rhs_lead.append(fld.pow(aj, i - 1))
+    part) of the stage system for one ordered index-sequence pair: the
+    matrix insdel.build_V of dimension i over (J, I), its I block negated,
+    with the two top-degree columns moved to the right-hand sides."""
+    rows, rhs_fixed, rhs_lead = [], [], []
+    for row in insdel.build_V(fld, points, i, j_seq, i_seq):
+        rows.append(row[: i - 1] + [fld.neg(c) for c in row[i:-1]])
+        rhs_fixed.append(row[-1])
+        rhs_lead.append(row[i - 1])
     return rows, rhs_fixed, rhs_lead
 
 
-def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int):
+def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq):
     """Solutions (u0, u1) of the stage system for one swept index pair (see
-    stage_pairs); the unknowns for leading coefficient `lead` are
-    u0 - lead*u1."""
-    rows, rhs_fixed, rhs_lead = _stage_system(fld, points, i, s_i, s_j)
+    extend); the unknowns for leading coefficient `lead` are u0 - lead*u1."""
+    rows, rhs_fixed, rhs_lead = _stage_system(fld, points, i, i_seq, j_seq)
     base = poly.solve_linear(fld, rows, rhs_fixed)
     if base.status != "unique":
         raise SingularSystemError(
-            f"stage {i}: singular system at index pair with distance {abs(s_j - s_i)} >= {i-2}; "
+            f"stage {i}: singular system at index pair with distance "
+            f"{insdel.hamming_increasing(i_seq, j_seq)} >= {i-2}; "
             f"the input vector {points} cannot have been optimal"
         )
     return base.solution, poly.solve_linear(fld, rows, rhs_lead).solution
@@ -139,7 +112,7 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
-def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s_j: int) -> np.ndarray:
+def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq) -> np.ndarray:
     """Bad pairs contributed by one ordered index-sequence pair over all q
     values of the free leading coefficient, as sorted unique codes x*q + y.
 
@@ -163,7 +136,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s
       shapes are kept for that lead.
     """
     q = fld.q
-    u0, u1 = _stage_solutions(fld, points, i, s_i, s_j)
+    u0, u1 = _stage_solutions(fld, points, i, i_seq, j_seq)
     mid = i - 2
     a = poly.trim(u0[: mid + 1])  # the g-side at lead 0
     leads = np.arange(q, dtype=np.int64)
@@ -198,11 +171,12 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, s_i: int, s
 def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tuple[tuple[int, ...], int]:
     """One stage: extend a verified length-(2i-2) vector by two points.
 
-    Sweeps the ordered pairs of length-(2i-3) increasing index sequences in
-    stage_pairs (no other pair can contribute) and every leading coefficient
-    of the g-side.  The stage linear system's matrix is independent of that
-    leading coefficient, so it is reduced once per index pair and the
-    per-coefficient solutions are affine combinations of two base solutions.
+    Sweeps the ordered pairs of length-(2i-3) increasing index sequences at
+    Hamming distance at least i - 2 (no other pair can contribute) and every
+    leading coefficient of the g-side.  The stage linear system's matrix is
+    independent of that leading coefficient, so it is reduced once per index
+    pair and the per-coefficient solutions are affine combinations of two
+    base solutions.
     The pair sweeps are independent and their bad sets merge as a union of
     sorted codes x*q + y, so any thread count yields the same result.
 
@@ -219,9 +193,13 @@ def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tup
     if len(set(points)) != n:
         raise ValueError("input points must be pairwise distinct")
     bad = np.empty(0, dtype=np.int64)
+    # Closer pairs have a singular system: a position with I_t = J_t = a
+    # gives the row (1, a, .., a^mid, -a, .., -a^mid), mid = i - 2, and all
+    # such rows span at most i - 1 dimensions, so the rank is at most
+    # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
+    pairs = insdel.index_pairs(n, n - 1, i - 2)
     # merged pair by pair, so memory stays at the size of the bad set
-    pairs = stage_pairs(n, i)
-    for codes in analyze.guarded_map(lambda sij: _stage_pair_bad_set(fld, points, i, *sij), pairs, threads):
+    for codes in analyze.guarded_map(lambda ij: _stage_pair_bad_set(fld, points, i, *ij), pairs, threads):
         bad = _sorted_unique(np.concatenate((bad, codes)))
     bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
@@ -325,7 +303,7 @@ def construct_half_rate(
     """Build a length-2k dimension-k evaluation vector correcting one insdel.
 
     Runs the base case and then stages i = 3..k, verifying each intermediate
-    vector per verify_mode ("exact" re-checks optimality by enumeration,
+    vector per verify_mode ("exact" runs analyze.is_optimal_half_rate,
     "certificate" runs the rank certificate at t = 1, "none" trusts the
     counting guarantee).  q >= min_field_size(k) is required unless
     allow_small_q is set, in which case NoGoodPairError is a legitimate

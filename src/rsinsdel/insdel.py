@@ -3,7 +3,10 @@ certificates for insdel-correction capability.
 
 Sequences are tuples/lists of field element indices (the scalar routines
 accept any hashable symbols).  Index sequences are 1-based strictly
-increasing tuples.  Everything is pure and thread-safe.
+increasing tuples; index_pairs is the one sweep over pairs of them, and
+build_V the one matrix over a pair, behind the rank certificate, the exact
+optimality check (analyze) and the stage systems (construct).  Everything
+is pure and thread-safe.
 
 The exact capability engines measure many LCS values against one fixed
 sequence s: match_masks builds its bit table once, and lcs_from_masks runs
@@ -153,6 +156,21 @@ def enumerate_increasing(n: int, ell: int):
     return itertools.combinations(range(1, n + 1), ell)
 
 
+def index_pairs(n: int, ell: int, min_distance: int):
+    """The ordered pairs (I, J) of increasing length-ell sequences over 1..n
+    at Hamming distance >= min_distance, I-major, each lexicographically.
+
+    More than DEFAULT_MAX_OPS candidate pairs, C(n, ell)^2, raise
+    GuardExceeded at the call, before any sequence is built.
+    """
+    combos = enumerate_increasing(n, ell)
+    pairs = math.comb(n, ell) ** 2
+    if pairs > DEFAULT_MAX_OPS:
+        raise GuardExceeded(f"C({n},{ell})^2 = {pairs} index pairs exceed the limit of {DEFAULT_MAX_OPS}")
+    combos = list(combos)
+    return ((i, j) for i in combos for j in combos if hamming_increasing(i, j) >= min_distance)
+
+
 # -- the ell x (2k-1) coefficient matrix and its rank certificate -----------
 
 
@@ -198,9 +216,8 @@ class CertificateResult:
 def rank_certificate(code: RsCode, t: int) -> CertificateResult:
     """Check rank(V) = 2k-1 for every index pair that could witness failure.
 
-    Sweeps all pairs (I, J) of increasing sequences of length ell = n - t
-    whose Hamming distance is at least ell - k + 1 (pairs below the threshold
-    cannot witness failure and are skipped).  Full rank everywhere certifies
+    Sweeps index_pairs(n, ell, ell - k + 1), ell = n - t: pairs closer than
+    ell - k + 1 cannot witness failure.  Full rank everywhere certifies
     that the code corrects t insdel errors.  Enumeration is lexicographic, so
     the reported witness is deterministic.  More than DEFAULT_MAX_OPS
     candidate pairs, C(n, ell)^2, raise GuardExceeded before any
@@ -210,19 +227,8 @@ def rank_certificate(code: RsCode, t: int) -> CertificateResult:
     ell = n - t
     if not 2 * k - 1 <= ell <= n:
         raise ValueError(f"need 2k-1 <= n-t <= n, got ell={ell}, k={k}, n={n}")
-    threshold = ell - k + 1
-    target = 2 * k - 1
-    pairs = math.comb(n, ell) ** 2
-    if pairs > DEFAULT_MAX_OPS:
-        raise GuardExceeded(f"C({n},{ell})^2 = {pairs} index pairs exceed the limit of {DEFAULT_MAX_OPS}")
-    combos = list(enumerate_increasing(n, ell))
     checked = 0
-    for i_seq in combos:
-        for j_seq in combos:
-            if hamming_increasing(i_seq, j_seq) < threshold:
-                continue
-            checked += 1
-            v = build_V(fld, code.ev.points, k, i_seq, j_seq)
-            if poly.rank(fld, v) < target:
-                return CertificateResult(False, t, (i_seq, j_seq), checked)
+    for checked, (i_seq, j_seq) in enumerate(index_pairs(n, ell, ell - k + 1), 1):
+        if poly.rank(fld, build_V(fld, code.ev.points, k, i_seq, j_seq)) < 2 * k - 1:
+            return CertificateResult(False, t, (i_seq, j_seq), checked)
     return CertificateResult(True, t, None, checked)

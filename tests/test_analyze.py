@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rsinsdel import analyze, bounds, cli, construct
+from rsinsdel import analyze, bounds, cli, construct, insdel
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, equivalent
@@ -166,15 +166,26 @@ def test_is_optimal_agrees_with_bruteforce_k3_random():
 
 
 def test_is_optimal_guard(monkeypatch):
-    with pytest.raises(GuardExceeded, match="estimated work 3348690688 exceeds the limit of 100000000"):
+    # range(8) over GF(1367) leaves 12 rank-deficient pairs: 2 * 1367^2 * 12 * 4^3
+    with pytest.raises(GuardExceeded, match="estimated work 2870306304 exceeds the limit of 100000000"):
         analyze.is_optimal_half_rate(EvaluationVector(field_new(1367), tuple(range(8))), 4)
-    # k = 3 over GF(7): 2 * 7 * 6 * 5 * 9 = 3780 estimated operations
-    ev = EvaluationVector(F7, (0, 1, 2, 5, 3, 4))
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 3779)
-    with pytest.raises(GuardExceeded, match="estimated work 3780 exceeds the limit of 3779"):
-        analyze.is_optimal_half_rate(ev, 3)
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 3780)
-    assert analyze.is_optimal_half_rate(ev, 3).optimal is True
+    # k = 3: the rank sweep is 3 * 4 * 5^3 = 1500, refused before any pair is built
+    ap = EvaluationVector(F7, (0, 1, 2, 3, 4, 5))
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 1499)
+    with monkeypatch.context() as m:
+        m.setattr(insdel, "index_pairs", None)
+        with pytest.raises(GuardExceeded, match="estimated work 1500 exceeds the limit of 1499"):
+            analyze.is_optimal_half_rate(ap, 3)
+    # no pair of the optimal (0,1,2,5,3,4) is rank-deficient, so the scan is never estimated
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 1500)
+    assert analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5, 3, 4)), 3).optimal is True
+    # the arithmetic progression leaves 6 deficient pairs: 2 * 7 * 6 * 3^3 = 2268
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 2267)
+    with pytest.raises(GuardExceeded, match="estimated work 2268 exceeds the limit of 2267"):
+        analyze.is_optimal_half_rate(ap, 3)
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 2268)
+    res = analyze.is_optimal_half_rate(ap, 3)
+    assert res.witness == {"f": [0, 1], "g": [6, 1], "I": [1, 2, 3, 4, 5], "J": [2, 3, 4, 5, 6]}
 
 
 def test_optimal_4_2_pair_examples():

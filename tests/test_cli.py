@@ -175,6 +175,18 @@ def test_construct_matches_golden_file(capsys):
         assert out == expected, command
 
 
+def test_default_exact_construct_matches_certificate_golden(capsys):
+    # the default exact check admits k = 4 at q = 1367 and builds the same code
+    golden = json.loads((Path(__file__).parent / "golden" / "construct.json").read_text())
+    certified = json.loads(golden["construct --field 1367 --k 4 --verify certificate"])
+    exact = run_json(capsys, "construct", "--field", "1367", "--k", "4")
+    for doc, mode in ((exact, "exact"), (certified, "certificate")):
+        assert doc["params"].pop("verify") == doc["result"].pop("verify_mode") == mode
+    assert [s.pop("verification") for s in exact["result"]["stages"]] == ["exact_optimal"] * 3
+    assert [s.pop("verification") for s in certified["result"]["stages"]] == ["rank_certified"] * 3
+    assert exact == certified
+
+
 def test_certificate_guard_exit_3(capsys):
     alpha = ",".join(str(x) for x in range(20))
     code, out, err = run_cli(
@@ -338,6 +350,13 @@ MALFORMED = [
     (3, ("bounds", "fail-count-bound", "--q", "1000000000", "--ell", "500000000")),
 ]
 QUICK_REFUSALS = MALFORMED[-6:]
+# The message of some MALFORMED rows, pinned where it names the offending input.
+MESSAGES = {
+    ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
+    ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"): (
+        "sampling needs q >= 3 (full-length codes of dimension 2), got q=2"
+    ),
+}
 
 # The smallest valid call of every command, for the unwritable-output rows.
 VALID = [
@@ -356,7 +375,9 @@ VALID = [
 def test_malformed_input_exits_with_a_documented_code(capsys, expected, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected and out == ""
-    assert set(json.loads(err)["error"]) == {"type", "message"}
+    error = json.loads(err)["error"]
+    assert set(error) == {"type", "message"}
+    assert MESSAGES.get(argv, "") in error["message"]
 
 
 def test_huge_inputs_are_refused_at_once(capsys):

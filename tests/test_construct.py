@@ -57,10 +57,10 @@ def test_extend_rejects_non_optimal_input():
         construct.extend(F251, (0, 1, 2, 4), 3)
 
 
-def reference_bad_set(fld, points, i, s_i, s_j):
+def reference_bad_set(fld, points, i, i_seq, j_seq):
     """Set-based per-coefficient sweep: two eval_all calls and the five
     tail-shape loops for each leading coefficient in turn."""
-    u0, u1 = construct._stage_solutions(fld, points, i, s_i, s_j)
+    u0, u1 = construct._stage_solutions(fld, points, i, i_seq, j_seq)
     bad = set()
     mid = i - 2
     for lead in range(fld.q):
@@ -81,14 +81,24 @@ def reference_bad_set(fld, points, i, s_i, s_j):
     return {(int(x), int(y)) for x, y in bad}
 
 
-def swept_bad_set(fld, points, i, s_i, s_j):
-    codes = construct._stage_pair_bad_set(fld, points, i, s_i, s_j)
+def swept_bad_set(fld, points, i, i_seq, j_seq):
+    codes = construct._stage_pair_bad_set(fld, points, i, i_seq, j_seq)
     return {divmod(int(c), fld.q) for c in codes}
 
 
-def system_rank(fld, points, i, s_i, s_j):
-    rows, _, _ = construct._stage_system(fld, points, i, s_i, s_j)
+def system_rank(fld, points, i, i_seq, j_seq):
+    rows, _, _ = construct._stage_system(fld, points, i, i_seq, j_seq)
     return poly.rank(fld, rows)
+
+
+def stage_pairs(n, i):
+    """The index pairs stage i sweeps over n points."""
+    return list(insdel.index_pairs(n, n - 1, i - 2))
+
+
+def omitted(n, seq):
+    """The one index of 1..n that a length-(n-1) sequence leaves out."""
+    return n * (n + 1) // 2 - sum(seq)
 
 
 @pytest.mark.parametrize(
@@ -105,49 +115,54 @@ def system_rank(fld, points, i, s_i, s_j):
 )
 def test_block_sweep_matches_per_coefficient_reference(fld, points):
     i = len(points) // 2 + 1
-    for s_i, s_j in construct.stage_pairs(len(points), i):
-        assert swept_bad_set(fld, points, i, s_i, s_j) == reference_bad_set(fld, points, i, s_i, s_j)
+    for i_seq, j_seq in stage_pairs(len(points), i):
+        assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
     fld, points = field_new(31), (0, 1, 2, 5, 3, 4)
-    full = [swept_bad_set(fld, points, 4, *sij) for sij in construct.stage_pairs(6, 4)]
+    full = [swept_bad_set(fld, points, 4, *ij) for ij in stage_pairs(6, 4)]
     monkeypatch.setattr(construct, "LEAD_BLOCK_ELEMENTS", 3 * fld.q)
-    assert [swept_bad_set(fld, points, 4, *sij) for sij in construct.stage_pairs(6, 4)] == full
+    assert [swept_bad_set(fld, points, 4, *ij) for ij in stage_pairs(6, 4)] == full
 
 
 def test_block_sweep_singular_branch():
     # (0,1,2,4) is not optimal: some index pair must raise, and every pair
     # that does not agrees with the reference
     raised = 0
-    for s_i, s_j in construct.stage_pairs(4, 3):
+    for i_seq, j_seq in stage_pairs(4, 3):
         try:
-            swept = swept_bad_set(F251, (0, 1, 2, 4), 3, s_i, s_j)
+            swept = swept_bad_set(F251, (0, 1, 2, 4), 3, i_seq, j_seq)
         except construct.SingularSystemError:
             raised += 1
             continue
-        assert swept == reference_bad_set(F251, (0, 1, 2, 4), 3, s_i, s_j)
+        assert swept == reference_bad_set(F251, (0, 1, 2, 4), 3, i_seq, j_seq)
     assert raised > 0
 
 
 def test_stage_pairs_keep_every_distinct_pair_at_stage_3():
-    assert construct.stage_pairs(4, 3) == [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
-    assert len(construct.stage_pairs(6, 4)) == 20  # the 10 ordered pairs at distance 1 are skipped
+    seqs = list(itertools.combinations(range(1, 5), 3))
+    assert stage_pairs(4, 3) == [(a, b) for a in seqs for b in seqs if a != b]
+    assert len(stage_pairs(6, 4)) == 20  # the 10 ordered pairs at distance 1 are skipped
+    # omitting s_i and s_j puts the sequences at distance |s_j - s_i|
+    for i_seq, j_seq in stage_pairs(6, 4):
+        assert insdel.hamming_increasing(i_seq, j_seq) == abs(omitted(6, j_seq) - omitted(6, i_seq)) >= 2
 
 
 @pytest.mark.parametrize("fld", [field_new(13), field_new(1367), field_new(3, 4), field_new(2, 8)], ids=str)
 def test_pairs_below_the_distance_threshold_are_singular(fld):
     # rows at the positions where I and J agree span at most i - 1
-    # dimensions, so rank <= (i - 1) + |s_j - s_i| < 2i - 3 unknowns
+    # dimensions, so rank <= (i - 1) + d_H(I, J) < 2i - 3 unknowns
     rng = random.Random(fld.q)
     for i in (4, 5, 6):
         n = 2 * i - 2
-        skipped = set(itertools.product(range(1, n + 1), repeat=2)) - set(construct.stage_pairs(n, i))
-        assert {abs(s_j - s_i) for s_i, s_j in skipped} == set(range(i - 2))
+        skipped = set(insdel.index_pairs(n, n - 1, 0)) - set(stage_pairs(n, i))
+        distance = {ij: insdel.hamming_increasing(*ij) for ij in skipped}
+        assert set(distance.values()) == set(range(i - 2))
         for _ in range(10):
             points = tuple(rng.sample(range(fld.q), n))
-            for s_i, s_j in skipped:
-                assert system_rank(fld, points, i, s_i, s_j) <= i - 1 + abs(s_j - s_i) < 2 * i - 3
+            for ij in skipped:
+                assert system_rank(fld, points, i, *ij) <= i - 1 + distance[ij] < 2 * i - 3
 
 
 def test_singular_swept_pair_raises():
@@ -158,10 +173,11 @@ def test_singular_swept_pair_raises():
     singular = 0
     for _ in range(5):
         points = tuple(rng.sample(range(fld.q), 6))
-        hits = [sij for sij in construct.stage_pairs(6, 4) if system_rank(fld, points, 4, *sij) < 5]
-        for s_i, s_j in hits:
-            with pytest.raises(construct.SingularSystemError, match=f"distance {abs(s_j - s_i)} >= 2"):
-                construct._stage_pair_bad_set(fld, points, 4, s_i, s_j)
+        hits = [ij for ij in stage_pairs(6, 4) if system_rank(fld, points, 4, *ij) < 5]
+        for i_seq, j_seq in hits:
+            distance = abs(omitted(6, j_seq) - omitted(6, i_seq))
+            with pytest.raises(construct.SingularSystemError, match=f"distance {distance} >= 2"):
+                construct._stage_pair_bad_set(fld, points, 4, i_seq, j_seq)
         if hits:
             with pytest.raises(construct.SingularSystemError):
                 construct.extend(fld, points, 4)
@@ -208,15 +224,15 @@ def test_construct_k3_exact_and_deterministic():
 
 
 def test_construct_restricted_sweep_also_verifies():
-    # stage 4 over GF(251) sweeps only stage_pairs; every other ordered pair
-    # is singular and adds nothing to the bad set
+    # stage 4 over GF(251) sweeps only the pairs at distance >= 2; every
+    # other ordered pair is singular and adds nothing to the bad set
     t = construct.construct_half_rate(F251, 4, verify_mode="certificate", allow_small_q=True)
     assert all(s.verification == "rank_certified" for s in t.stages)
     points = t.alpha.points[:6]
     full = set()
-    for s_i, s_j in itertools.permutations(range(1, 7), 2):
-        if system_rank(F251, points, 4, s_i, s_j) == 5:
-            full |= swept_bad_set(F251, points, 4, s_i, s_j)
+    for i_seq, j_seq in insdel.index_pairs(6, 5, 1):
+        if system_rank(F251, points, 4, i_seq, j_seq) == 5:
+            full |= swept_bad_set(F251, points, 4, i_seq, j_seq)
     assert len(full) == t.stages[2].bad_pair_count
 
 

@@ -118,6 +118,30 @@ def test_enumerate_increasing():
         list(insdel.enumerate_increasing(3, 4))
 
 
+def test_index_pairs_order_and_distance():
+    seqs = list(insdel.enumerate_increasing(6, 4))
+    for d in range(5):
+        pairs = list(insdel.index_pairs(6, 4, d))
+        assert pairs == sorted(pairs)  # I-major, each lexicographic
+        assert pairs == [(a, b) for a in seqs for b in seqs if insdel.hamming_increasing(a, b) >= d]
+    assert len(list(insdel.index_pairs(6, 4, 0))) == 15**2
+    assert list(insdel.index_pairs(3, 2, 2)) == [((1, 2), (2, 3)), ((2, 3), (1, 2))]
+    assert list(insdel.index_pairs(4, 3, 4)) == []
+    with pytest.raises(ValueError):
+        insdel.index_pairs(3, 4, 0)
+
+
+def test_index_pairs_guard_refuses_at_the_call(monkeypatch):
+    # C(20, 10)^2 pairs are refused before the generator is even iterated
+    with pytest.raises(GuardExceeded, match=r"C\(20,10\)\^2 = 34134779536 index pairs exceed the limit of 100000000"):
+        insdel.index_pairs(20, 10, 0)
+    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 63)
+    with pytest.raises(GuardExceeded, match="64 index pairs exceed the limit of 63"):
+        insdel.index_pairs(8, 7, 0)
+    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 64)
+    assert len(list(insdel.index_pairs(8, 7, 0))) == 64
+
+
 def test_build_v_examples():
     v = insdel.build_V(F7, (0, 1, 2, 5), 2, (1, 2, 3), (2, 3, 4))
     assert v == [[1, 0, 1], [1, 1, 2], [1, 2, 5]]

@@ -1,0 +1,115 @@
+"""The two lemmas behind the rank certificate and the exact optimality
+check, against the brute-force engine and against the all-pairs scan that
+the optimality check ran before it swept only the rank-deficient pairs."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsinsdel import analyze, insdel, poly
+from rsinsdel.gf import field_from_order, field_new
+from rsinsdel.rscode import EvaluationVector, RsCode
+
+# small prime and extension fields (q^3 stays far below the brute-force guard)
+FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (2, 3), (3, 2), (2, 4)]
+
+
+def draw_points(data, fld, n):
+    return tuple(data.draw(st.permutations(range(fld.q)))[:n])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_certified_codes_correct_t_errors(data):
+    # rank(V) = 2k-1 on every far pair proves that no two codewords share a
+    # common subsequence of length n - t
+    fld = field_new(*data.draw(st.sampled_from(FIELDS)))
+    k = data.draw(st.integers(2, 3 if fld.q >= 7 else 2))
+    t = data.draw(st.integers(1, min(2, fld.q - 2 * k + 1)))
+    n = data.draw(st.integers(2 * k - 1 + t, min(fld.q, 2 * k + 2)))
+    code = RsCode(EvaluationVector(fld, draw_points(data, fld, n)), k)
+    if insdel.rank_certificate(code, t).certified:
+        assert analyze.lcs_code_bruteforce(code, want_witness=False).lcs_of_code <= n - t - 1
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_exact_optimality_equals_brute_force(data):
+    fld = field_new(*data.draw(st.sampled_from(FIELDS)))
+    k = data.draw(st.integers(2, 3 if fld.q >= 6 else 2))
+    ev = EvaluationVector(fld, draw_points(data, fld, 2 * k))
+    brute = analyze.lcs_code_bruteforce(RsCode(ev, k), want_witness=False)
+    assert analyze.is_optimal_half_rate(ev, k).optimal == (brute.lcs_of_code <= 2 * k - 2)
+
+
+def all_pairs_optimality(ev, k):
+    """The former scan: every (f, I, J) with I != J, interpolating g on the
+    first k constraints of J and verifying the other k-1."""
+    fld, n, points = ev.field, ev.n, ev.points
+    seqs = list(insdel.enumerate_increasing(n, n - 1))
+    for f in analyze._normalized_polys(fld, k):
+        f_vals = poly.eval_on(fld, f, points)
+        for i_seq in seqs:
+            head_vals = [f_vals[i - 1] for i in i_seq[:k]]
+            tail_vals = [f_vals[i - 1] for i in i_seq[k:]]
+            for j_seq in seqs:
+                if i_seq == j_seq:
+                    continue
+                g = poly.interpolate(fld, [(points[j - 1], y) for j, y in zip(j_seq[:k], head_vals)], k)
+                if g == f:
+                    continue
+                if all(poly.eval_poly(fld, g, points[j - 1]) == y for j, y in zip(j_seq[k:], tail_vals)):
+                    witness = {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
+                    return analyze.OptimalityResult(False, witness)
+    return analyze.OptimalityResult(True, None)
+
+
+def seeded_codes():
+    rng = random.Random(2024)
+    codes = [(field_new(7), (0, 1) + pair) for pair in ((2, 5), (2, 4), (3, 6), (4, 2), (5, 6))]
+    for q, k, count in ((7, 3, 6), (8, 3, 6), (9, 3, 6), (11, 3, 6), (8, 4, 2), (9, 4, 2), (11, 4, 3)):
+        fld = field_from_order(q)
+        codes += [(fld, tuple(rng.sample(range(q), 2 * k))) for _ in range(count)]
+    # k = 5: optimal codes need the former scan's full 2q^3 * 90 interpolations
+    # (seconds each), so only non-optimal ones run here
+    f11 = field_new(11)
+    codes += [(f11, tuple(range(10))), (f11, (0, 1, 2, 3, 4, 5, 6, 7, 8, 10))]
+    codes += [(field_new(13), tuple(range(10))), (f11, (0, 1, 2, 4, 8, 5, 10, 9, 7, 3))]
+    return codes
+
+
+def test_deficient_pair_sweep_matches_the_all_pairs_scan():
+    verdicts = []
+    for fld, points in seeded_codes():
+        ev = EvaluationVector(fld, points)
+        k = len(points) // 2
+        result = analyze.is_optimal_half_rate(ev, k)
+        assert result.to_dict() == all_pairs_optimality(ev, k).to_dict(), points
+        verdicts.append(result.optimal)
+        if not result.optimal:
+            i_seq, j_seq = tuple(result.witness["I"]), tuple(result.witness["J"])
+            assert insdel.hamming_increasing(i_seq, j_seq) >= k
+            assert poly.rank(fld, insdel.build_V(fld, points, k, i_seq, j_seq)) < 2 * k - 1
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 20
+
+
+@pytest.mark.parametrize("fld", [field_new(13), field_new(2, 3)], ids=str)
+def test_pairs_closer_than_k_never_witness(fld):
+    # agreement at k or more positions I_t = J_t forces g = f
+    rng = random.Random(fld.q)
+    for k in (2, 3):
+        n = 2 * k
+        kept = set(insdel.index_pairs(n, n - 1, k))
+        close = [ij for ij in insdel.index_pairs(n, n - 1, 1) if ij not in kept]
+        assert len(kept) == k * (k + 1) and len(close) == 2 * k * (2 * k - 1) - k * (k + 1)
+        for _ in range(3):
+            points = tuple(rng.sample(range(fld.q), n))
+            for f in analyze._normalized_polys(fld, k):
+                f_vals = poly.eval_on(fld, f, points)
+                for i_seq, j_seq in close:
+                    assert insdel.hamming_increasing(i_seq, j_seq) < k
+                    pts = [(points[j - 1], f_vals[i - 1]) for i, j in zip(i_seq, j_seq)]
+                    g = poly.interpolate(fld, pts, k)
+                    assert g is None or g == f
