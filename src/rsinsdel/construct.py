@@ -9,13 +9,14 @@ the current positions at Hamming distance at least i - 2
 contribute), the stage solves one square linear system, read off
 insdel.build_V, for the normalized polynomial pair that could realize a
 long common subsequence.  Its solution is affine in the free leading
-coefficient, so the pair's values on GF(q) for all q coefficients come from
-four polynomial evaluations and one (coefficient, point) array sweep, in
-blocks of coefficients.  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
-near-collision is a value match in those arrays and joins the stage's bad
-set, kept as sorted codes x*q + y.  Any pair of fresh distinct points
-outside the bad set extends the code; the lexicographically least one is
-chosen, so runs are fully reproducible.
+coefficient, so the pair is four polynomials evaluated once on GF(q), and
+every first-point condition, linear in that coefficient, is solved for it
+in closed form; only the cross second points take one row over GF(q) per
+(coefficient, point) solution.  Every completion (alpha_{2i-1}, alpha_{2i})
+of such a near-collision joins the stage's bad set, kept as sorted codes
+x*q + y.  Any pair of fresh distinct points outside the bad set extends the
+code; the lexicographically least one is chosen, so runs are fully
+reproducible.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import GuardExceeded, InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
 
-# A stage sweeps leading coefficients in blocks of about this many
-# (coefficient, point) elements, which keeps peak memory flat in q.
+# A stage evaluates its per-solution rows over GF(q) in blocks of about this
+# many elements, which keeps peak memory flat in q.
 LEAD_BLOCK_ELEMENTS = 1 << 15
 # Work budget of construct_half_rate in element operations of stages 3..k
 # (see stage_work); admits k = 6 at q = min_field_size(6).
@@ -112,20 +113,35 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
-def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq) -> np.ndarray:
+def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarray, allowed: np.ndarray):
+    """Leads solving num + lead*den = 0 pointwise: the one lead -num/den and
+    whether it is allowed, where den != 0; and where num = den = 0, whether
+    every lead solves it."""
+    lead = fld.v_mul(num, neg_inv[den])
+    return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
+
+
+def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq, neg_inv) -> np.ndarray:
     """Bad pairs contributed by one ordered index-sequence pair over all q
-    values of the free leading coefficient, as sorted unique codes x*q + y.
+    values of the free leading coefficient, as sorted unique codes x*q + y;
+    neg_inv[v] = -1/v (and 0 at 0).
 
     For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
     g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
-    f = C + lead*D for four fixed polynomials; a block of leads gives g and
-    f as (lead, x) arrays.  The five tail shapes of a hypothetical
-    length-(2i-1) common subsequence reduce to pairs of single-point
-    equations in x = alpha_{2i-1} and y = alpha_{2i}: g(x) = f(a_last) with
-    g(y) = f(x); f(x) = g(a_last) with f(y) = g(x); and x in either first
-    set or in the agreement set f = g, with y in the agreement set.
+    f = C + lead*D for four fixed polynomials.  The five tail shapes of a
+    hypothetical length-(2i-1) common subsequence reduce to pairs of
+    single-point equations in x = alpha_{2i-1} and y = alpha_{2i}:
+    g(x) = f(a_last) with g(y) = f(x); f(x) = g(a_last) with f(y) = g(x); and
+    x in either first set or in the agreement set f = g, with y in the
+    agreement set.  Every first-point equation is linear in the lead,
+    num(x) + lead*den(x) = 0, so each x has the one lead -num/den, or every
+    lead where num = den = 0; the agreement y are bucketed by lead, and only
+    the cross second points need a row A + lead*B (or C + lead*D) over all y
+    per (lead, x) hit, in blocks of rows.  An x that hits at every lead
+    pairs with every y whose own equation some allowed lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
-    complete an actual collision and are skipped:
+    complete an actual collision and are skipped, as leads that are not
+    allowed:
 
     * constant g-side (only possible at lead = 0): the collision would force
       the monic nonconstant f-side to take a single value at 2i-1 distinct
@@ -138,33 +154,57 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
     q = fld.q
     u0, u1 = _stage_solutions(fld, points, i, i_seq, j_seq)
     mid = i - 2
-    a = poly.trim(u0[: mid + 1])  # the g-side at lead 0
-    leads = np.arange(q, dtype=np.int64)
-    if poly.degree(a) < 1:
-        leads = leads[1:]
     u = tuple(fld.sub(c0, c1) for c0, c1 in zip(u0, u1))  # lead 1
-    degenerate = poly.trim((0,) + u[mid + 1 :] + (1,)) == poly.trim(u[: mid + 1] + (1,))
-    a_vals = poly.eval_all(fld, a)
-    b_vals = poly.eval_all(fld, poly.poly_sub(fld, (0,) * (mid + 1) + (1,), u1[: mid + 1]))
-    c_vals = poly.eval_all(fld, poly.trim((0,) + u0[mid + 1 :] + (1,)))
-    d_vals = poly.eval_all(fld, poly.poly_sub(fld, (), (0,) + u1[mid + 1 :]))
+    allowed = np.ones(q, dtype=bool)
+    allowed[0] = any(u0[1 : mid + 1])  # the g-side at lead 0 is nonconstant
+    agree_allowed = allowed.copy()
+    agree_allowed[1] = poly.trim((0,) + u[mid + 1 :] + (1,)) != poly.trim(u[: mid + 1] + (1,))
+    a, c = list(u0[: mid + 1]), list(u0[mid + 1 :])
+    b, d = [fld.neg(v) for v in u1[: mid + 1]], [fld.neg(v) for v in u1[mid + 1 :]]
+    vals = poly.eval_all(fld, [a + [0], b + [1], [0] + c + [1], [0] + d + [0]])  # A, B, C, D
+    neg = fld.v_mul(vals, fld.neg(1))
     last = points[-1]
+    # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x)
+    other = neg[[2, 0, 0, 3, 1, 1]]
+    other[[0, 1, 3, 4]] = other[[0, 1, 3, 4], last, None]
+    num, den = fld.v_add(vals[[0, 2, 2, 1, 3, 3]], other).reshape(2, 3, q)
+    one, lead, every = _lead_roots(fld, num, den, neg_inv, allowed)
+    one[2] &= agree_allowed[lead[2]]
+    xs = [np.flatnonzero(row) for row in one]
+    ls = [lead[s, x] for s, x in enumerate(xs)]
+    # every den is a nonzero polynomial of degree <= i - 1, or num is, so
+    # each every-lead set has at most i - 1 points
+    es = [np.flatnonzero(row) for row in every]
+    # agreement second points: the hit's own lead bucket, plus the y that
+    # agree at every lead when the hit's lead allows agreement
+    order = np.argsort(ls[2], kind="stable")
+    agree_leads, agree_ys = ls[2][order], xs[2][order]
+    hit_x, hit_l = np.concatenate(xs), np.concatenate(ls)
+    lo = np.searchsorted(agree_leads, hit_l, "left")
+    counts = np.searchsorted(agree_leads, hit_l, "right") - lo
+    offsets = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    codes = [np.repeat(hit_x, counts) * q + agree_ys[offsets]]
+    every_x = np.concatenate(es)
+    codes.append((every_x[:, None] * q + agree_ys).ravel())
+    joined = np.concatenate((hit_x[agree_allowed[hit_l]], every_x))
+    codes.append((joined[:, None] * q + es[2]).ravel())
     step = max(1, LEAD_BLOCK_ELEMENTS // q)
-    codes = []
-    for start in range(0, len(leads), step):
-        block = leads[start : start + step, None]
-        g = fld.v_add(a_vals, fld.v_mul(block, b_vals))
-        f = fld.v_add(c_vals, fld.v_mul(block, d_vals))
-        agree = f == g
-        if degenerate:
-            agree[block[:, 0] == 1] = False
-        l1, x1 = divmod(np.flatnonzero(g == f[:, last, None]), q)  # g(x) = f(a_last)
-        l3, x3 = divmod(np.flatnonzero(f == g[:, last, None]), q)  # f(x) = g(a_last)
-        la, xa = divmod(np.flatnonzero(agree), q)  # f(x) = g(x)
-        # each (lead, x) hit selects one row of y: g(y) = f(x), f(y) = g(x), then agreement
-        ys = (g[l1] == f[l1, x1, None], f[l3] == g[l3, x3, None], agree[l1], agree[l3], agree[la])
-        hit, y = divmod(np.flatnonzero(np.concatenate(ys)), q)
-        codes.append(np.concatenate((x1, x3, x1, x3, xa))[hit] * q + y)
+    # g(y) = f(x) for x in the first set (g = vals[0] + lead*vals[1]), and
+    # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
+    for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
+        target = fld.v_mul_add(l, vals[3 - base, x], vals[2 - base, x])
+        for start in range(0, len(x), step):
+            rows = fld.v_mul_add(l[start : start + step, None], vals[base + 1], vals[base])
+            hit, y = divmod(np.flatnonzero(rows == target[start : start + step, None]), q)
+            codes.append(x[start + hit] * q + y)
+    # the same equations for x that hit at every lead: y is bad when some
+    # allowed lead solves its equation
+    side = np.repeat([0, 2], [len(es[0]), len(es[1])])
+    e = np.concatenate(es[:2])
+    num, den = fld.v_add(vals[[side, side + 1]], neg[[2 - side, 3 - side], e][..., None])
+    one_e, _, every_e = _lead_roots(fld, num, den, neg_inv, allowed)
+    hit, y = divmod(np.flatnonzero(one_e | every_e), q)
+    codes.append(e[hit] * q + y)
     return _sorted_unique(np.concatenate(codes))
 
 
@@ -198,8 +238,9 @@ def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tup
     # such rows span at most i - 1 dimensions, so the rank is at most
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
     pairs = insdel.index_pairs(n, n - 1, i - 2)
+    neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
     # merged pair by pair, so memory stays at the size of the bad set
-    for codes in analyze.guarded_map(lambda ij: _stage_pair_bad_set(fld, points, i, *ij), pairs, threads):
+    for codes in analyze.guarded_map(lambda ij: _stage_pair_bad_set(fld, points, i, *ij, neg_inv), pairs, threads):
         bad = _sorted_unique(np.concatenate((bad, codes)))
     bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
@@ -265,8 +306,9 @@ class ConstructionTrace:
 
 def stage_work(q: int, k: int) -> int:
     """Estimated element operations of stages 3..k over GF(q): stage i
-    sweeps at most (2i-2)(2i-3) ordered index pairs, each over a q x q
-    (leading coefficient, point) array."""
+    sweeps at most (2i-2)(2i-3) ordered index pairs at q^2 each.  The
+    closed-form sweep evaluates about 2q rows of q per pair, each one fused
+    multiply-add, so this is a loose upper bound on its work."""
     return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
 
 

@@ -306,6 +306,33 @@ class Field:
             return (a * b) % self.p
         return self._nexp[self._nlog[a] + self._nlog[b]]
 
+    def v_mul_add(self, a, b, c):
+        """a * b + c with one reduction.  Prime fields compute in uint32 when
+        p(p - 1) < 2^32 (p <= 65521), so the result has that dtype, and in
+        int64 otherwise."""
+        if self.m == 1:
+            dtype = np.uint32 if self.p * (self.p - 1) < 1 << 32 else np.int64
+            return (np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % self.p
+        product = self._nexp[self._nlog[a] + self._nlog[b]]
+        if self.p == 2:
+            return np.bitwise_xor(product, c)
+        la = self._nlog[product]
+        return self._nexp[la + self._nzech[self._nlog[c] - la + 2 * (self.q - 1)]]
+
+    def v_inv(self, a):
+        """Elementwise inverse, with 0 mapped to 0."""
+        if self.m == 1:
+            # a^(p-2) by square and multiply; GF(2) is its own inverse (a^1)
+            a = np.asarray(a, dtype=np.int64)
+            out, e = np.ones_like(a), max(self.p - 2, 1)
+            while e:
+                if e & 1:
+                    out = out * a % self.p
+                a, e = a * a % self.p, e >> 1
+            return out
+        # log[0] = 2N gives the index -N, which wraps into the zero region of exp
+        return self._nexp[self.q - 1 - self._nlog[a]]
+
 
 @lru_cache(maxsize=None)
 def _field_cached(p: int, m: int) -> Field:

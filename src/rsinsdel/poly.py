@@ -77,11 +77,13 @@ def eval_on(fld: Field, coeffs, xs) -> tuple[int, ...]:
 
 
 def eval_all(fld: Field, coeffs) -> np.ndarray:
-    """Values of the polynomial on every field element, indexed by element."""
+    """Values of the polynomial on every field element, indexed by element.
+    A 2-D array of coefficient rows gives one row of values per polynomial."""
     xs = np.arange(fld.q, dtype=np.int64)
-    acc = np.zeros(fld.q, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = fld.v_add(fld.v_mul(acc, xs), np.int64(c))
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    acc = np.zeros(coeffs.shape[:-1] + (fld.q,), dtype=np.int64)
+    for c in coeffs.T[::-1]:
+        acc = fld.v_add(fld.v_mul(acc, xs), c[..., None])
     return acc
 
 

@@ -81,8 +81,12 @@ def reference_bad_set(fld, points, i, i_seq, j_seq):
     return {(int(x), int(y)) for x, y in bad}
 
 
+def neg_inverses(fld):
+    return fld.v_mul(fld.v_inv(np.arange(fld.q)), fld.neg(1))
+
+
 def swept_bad_set(fld, points, i, i_seq, j_seq):
-    codes = construct._stage_pair_bad_set(fld, points, i, i_seq, j_seq)
+    codes = construct._stage_pair_bad_set(fld, points, i, i_seq, j_seq, neg_inverses(fld))
     return {divmod(int(c), fld.q) for c in codes}
 
 
@@ -101,22 +105,78 @@ def omitted(n, seq):
     return n * (n + 1) // 2 - sum(seq)
 
 
-@pytest.mark.parametrize(
-    "fld, points",
-    [
-        (F251, (0, 1, 2, 5)),
-        (field_new(3, 4), (0, 1, 2, 5)),
-        (field_new(2, 8), (0, 1, 2, 5)),
-        (field_new(5, 3), (0, 1, 2, 5)),
-        (field_new(13), (0, 1, 2, 5, 3, 12)),
-        (field_new(31), (0, 1, 2, 5, 3, 4)),
-    ],
-    ids=str,
-)
+SWEEP_INPUTS = [
+    (F251, (0, 1, 2, 5)),
+    (field_new(3, 4), (0, 1, 2, 5)),
+    (field_new(2, 8), (0, 1, 2, 5)),
+    (field_new(5, 3), (0, 1, 2, 5)),
+    (field_new(13), (0, 1, 2, 5, 3, 12)),
+    (field_new(31), (0, 1, 2, 5, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("fld, points", SWEEP_INPUTS, ids=str)
 def test_block_sweep_matches_per_coefficient_reference(fld, points):
     i = len(points) // 2 + 1
     for i_seq, j_seq in stage_pairs(len(points), i):
         assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
+
+
+def test_closed_form_matches_reference_at_q1367():
+    # stage 4 over GF(1367): one pair with f = g at lead 1, one without, and
+    # every-lead first points in each
+    fld, points = field_new(1367), (0, 1, 2, 5, 3, 4)
+    for i_seq, j_seq in (((1, 2, 3, 5, 6), (1, 3, 4, 5, 6)), ((1, 2, 4, 5, 6), (1, 2, 3, 4, 5))):
+        assert swept_bad_set(fld, points, 4, i_seq, j_seq) == reference_bad_set(fld, points, 4, i_seq, j_seq)
+
+
+def sweep_branches(fld, points, i, i_seq, j_seq):
+    """Which special cases of the closed-form sweep one index pair reaches:
+    f = g at lead 1, and first points that hit at every lead for each of
+    g(x) = f(a_last), f(x) = g(a_last) and f(x) = g(x).  Each condition is
+    affine in the lead, so it holds at every lead iff at leads 0 and 1."""
+    u0, u1 = construct._stage_solutions(fld, points, i, i_seq, j_seq)
+    mid, last = i - 2, points[-1]
+    values = []
+    for lead in (0, 1):
+        u = tuple(fld.sub(a, fld.mul(lead, b)) for a, b in zip(u0, u1))
+        g = poly.eval_all(fld, poly.trim(u[: mid + 1] + (lead,)))
+        f = poly.eval_all(fld, poly.trim((0,) + u[mid + 1 :] + (1,)))
+        values.append((g, f, g == f[last], f == g[last], f == g))
+    (_, _, *at0), (g1, f1, *at1) = values
+    names = ("every-lead g(x) = f(a_last)", "every-lead f(x) = g(a_last)", "every-lead agreement")
+    branches = {name: bool((x0 & x1).any()) for name, x0, x1 in zip(names, at0, at1)}
+    return {"lead 1 f = g": bool((f1 == g1).all()), **branches}
+
+
+def test_reference_inputs_reach_every_branch():
+    reached = {}
+    for fld, points in SWEEP_INPUTS:
+        i = len(points) // 2 + 1
+        for ij in stage_pairs(len(points), i):
+            for name, hit in sweep_branches(fld, points, i, *ij).items():
+                reached[name] = reached.get(name, 0) + hit
+    assert all(reached.values()), reached
+    degenerate = [sweep_branches(F251, (0, 1, 2, 5), 3, *ij)["lead 1 f = g"] for ij in stage_pairs(4, 3)]
+    assert sum(degenerate) == 6 and len(degenerate) == 12
+
+
+def test_constant_g_side_skips_lead_zero(monkeypatch):
+    # no real input has a constant g-side at lead 0: force one by zeroing the
+    # nonconstant g coefficients of u0; the reference solves through the
+    # same function, so both see the same system
+    solve = construct._stage_solutions
+
+    def constant_g_side(fld, points, i, i_seq, j_seq):
+        u0, u1 = solve(fld, points, i, i_seq, j_seq)
+        return (u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), u1
+
+    monkeypatch.setattr(construct, "_stage_solutions", constant_g_side)
+    for fld, points in SWEEP_INPUTS[:2] + SWEEP_INPUTS[-1:]:
+        i = len(points) // 2 + 1
+        for i_seq, j_seq in stage_pairs(len(points), i):
+            assert poly.degree(poly.trim(construct._stage_solutions(fld, points, i, i_seq, j_seq)[0][: i - 1])) < 1
+            assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
@@ -177,7 +237,7 @@ def test_singular_swept_pair_raises():
         for i_seq, j_seq in hits:
             distance = abs(omitted(6, j_seq) - omitted(6, i_seq))
             with pytest.raises(construct.SingularSystemError, match=f"distance {distance} >= 2"):
-                construct._stage_pair_bad_set(fld, points, 4, i_seq, j_seq)
+                construct._stage_pair_bad_set(fld, points, 4, i_seq, j_seq, neg_inverses(fld))
         if hits:
             with pytest.raises(construct.SingularSystemError):
                 construct.extend(fld, points, 4)

@@ -128,6 +128,49 @@ def test_vectorized_ops_match_scalar():
             assert fld.v_mul(xs, np.int64(a)).tolist() == [fld.mul(int(x), a) for x in xs]
 
 
+def expected_mul_add(fld, a, b, c):
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return [[fld.add(fld.mul(x, y), z) for x, y, z in zip(*rows)] for rows in zip(a.tolist(), b.tolist(), c.tolist())]
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (251, 1), (3, 4), (2, 8), (5, 3)])
+def test_fused_ops_match_scalar_on_every_element(p, m):
+    fld = field_new(p, m)
+    xs = np.arange(fld.q, dtype=np.int64)
+    inverses = fld.v_inv(xs)
+    assert inverses[0] == 0  # 0 maps to 0; callers mask it
+    assert inverses[1:].tolist() == [fld.inv(int(x)) for x in xs[1:]]
+    # every (a, b) product with a third operand that varies along both axes
+    c = (xs[:, None] + 3 * xs) % fld.q
+    assert fld.v_mul_add(xs[:, None], xs, c).tolist() == expected_mul_add(fld, xs[:, None], xs, c)
+    # the stage sweep's (block, 1) x (q,) broadcast: one row per lead
+    leads = xs[::-1][:13, None]
+    rows = fld.v_mul_add(leads, xs, xs[::-1])
+    assert rows.shape == (len(leads), fld.q)
+    assert rows.tolist() == expected_mul_add(fld, leads, xs, xs[::-1])
+
+
+@pytest.mark.parametrize("p, dtype", [(65521, np.uint32), (65537, np.int64), (1048573, np.int64)])
+def test_fused_ops_on_large_prime_fields(p, dtype):
+    # p(p - 1) < 2^32 holds up to p = 65521, the last prime with a uint32 path
+    fld = field_new(p)
+    rng = np.random.default_rng(p)
+    a, b, c = rng.integers(0, p, (3, 2000))
+    a[:3], b[:3], c[:3] = p - 1, p - 1, (p - 1, 0, 1)  # the largest products
+    out = fld.v_mul_add(a, b, c)
+    assert out.dtype == dtype
+    assert out.tolist() == [fld.add(fld.mul(x, y), z) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert fld.v_mul_add(a[:40, None], b[:50], c[:50]).tolist() == expected_mul_add(fld, a[:40, None], b[:50], c[:50])
+    inverses = fld.v_inv(np.concatenate(([0], a)))
+    assert inverses[0] == 0
+    assert inverses[1:].tolist() == [fld.inv(x) if x else 0 for x in a.tolist()]
+
+
+def test_inverse_in_gf2():
+    # the exponent p - 2 is 0 there, so the power is taken to the first
+    assert field_new(2).v_inv(np.array([0, 1])).tolist() == [0, 1]
+
+
 class Schoolbook:
     """Arithmetic in F_p[x] / (modulus) on digit lists, independent of the
     field's tables: digit-wise addition, a polynomial product reduced by

@@ -45,6 +45,13 @@ def test_eval_all_matches_pointwise():
             assert table.tolist() == [poly.eval_poly(fld, coeffs, x) for x in range(fld.q)]
 
 
+def test_eval_all_on_stacked_rows():
+    rng = random.Random(12)
+    for fld in (F7, field_new(3, 2), field_new(2, 3)):
+        rows = [[rng.randrange(fld.q) for _ in range(4)] for _ in range(3)]
+        assert poly.eval_all(fld, rows).tolist() == [poly.eval_all(fld, row).tolist() for row in rows]
+
+
 def test_interpolate_examples():
     assert poly.interpolate(F7, [(0, 0), (1, 1)], 2) == (0, 1)
     # the line through the first two points is x, and x(2) = 2 != 5
