@@ -152,8 +152,10 @@ def lcs_code_bruteforce(
     Shifting both words keeps their LCS: LCS(cf, w + c) = LCS(cf - c, w).
     So only the first q^(k-1) codewords w (zero constant term) are built,
     and each normalized f takes one batched kernel pass over the rows w + c,
-    (c, w) in codewords order, i.e. every g = w + c except g = f.  The
-    witness is the first maximum in (f, c, w) order.
+    (c, w) in codewords order, i.e. every g = w + c except g = f.  The rows
+    do not depend on f, so they are built once, in the narrowest unsigned
+    dtype that holds q - 1.  The witness is the first maximum in (f, c, w)
+    order.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     if q**k > max_codewords:
@@ -164,20 +166,25 @@ def lcs_code_bruteforce(
     values = np.array([w for _, w in words], dtype=np.int64)
     total = q * len(words)
     block = _block_rows(n)
+    # column-major, so each block's columns are contiguous reads for the kernel
+    rows = np.empty((total, n), dtype=np.min_scalar_type(q - 1), order="F")
+    for start in range(0, total, block):
+        c, w = np.divmod(np.arange(start, min(start + block, total)), len(words))
+        rows[start : start + block] = fld.v_add(values[w], c[:, None])
     best = -1
     best_pair = None
     for f in _normalized_polys(fld, k):
         masks = match_masks(poly.eval_on(fld, f, points), q)
         same = word_index[f]  # the row c = 0, w = f, where g is f
         for start in range(0, total, block):
-            c, w = np.divmod(np.arange(start, min(start + block, total)), len(words))
-            lengths = lcs_from_masks(masks, n, fld.v_add(values[w], c[:, None]))
-            if start <= same < start + len(c):
+            lengths = lcs_from_masks(masks, n, rows[start : start + block])
+            if start <= same < start + len(lengths):
                 lengths[same - start] = -1
             i = int(lengths.argmax())
             if lengths[i] > best:
                 best = int(lengths[i])
-                best_pair = (f, poly.poly_add(fld, words[w[i]][0], (int(c[i]),)))
+                c, w = divmod(start + i, len(words))
+                best_pair = (f, poly.poly_add(fld, words[w][0], (c,)))
                 if best == n - 1:
                     break
         if best == n - 1:

@@ -12,11 +12,12 @@ long common subsequence.  Its solution is affine in the free leading
 coefficient, so the pair is four polynomials evaluated once on GF(q), and
 every first-point condition, linear in that coefficient, is solved for it
 in closed form; only the cross second points take one row over GF(q) per
-(coefficient, point) solution.  Every completion (alpha_{2i-1}, alpha_{2i})
-of such a near-collision joins the stage's bad set, kept as sorted codes
-x*q + y.  Any pair of fresh distinct points outside the bad set extends the
-code; the lexicographically least one is chosen, so runs are fully
-reproducible.
+(coefficient, point) solution, compared with its target by
+Field.v_mul_add_eq (in prime fields a divisibility test with no division).
+Every completion (alpha_{2i-1}, alpha_{2i}) of such a near-collision joins
+the stage's bad set, kept as sorted codes x*q + y.  Any pair of fresh
+distinct points outside the bad set extends the code; the lexicographically
+least one is chosen, so runs are fully reproducible.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
     num(x) + lead*den(x) = 0, so each x has the one lead -num/den, or every
     lead where num = den = 0; the agreement y are bucketed by lead, and only
     the cross second points need a row A + lead*B (or C + lead*D) over all y
-    per (lead, x) hit, in blocks of rows.  An x that hits at every lead
+    per (lead, x) hit, in blocks of rows tested against the hit's target
+    with Field.v_mul_add_eq.  An x that hits at every lead
     pairs with every y whose own equation some allowed lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
@@ -194,8 +196,9 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_mul_add(l, vals[3 - base, x], vals[2 - base, x])
         for start in range(0, len(x), step):
-            rows = fld.v_mul_add(l[start : start + step, None], vals[base + 1], vals[base])
-            hit, y = divmod(np.flatnonzero(rows == target[start : start + step, None]), q)
+            blk = slice(start, start + step)
+            same = fld.v_mul_add_eq(l[blk, None], vals[base + 1], vals[base], target[blk, None])
+            hit, y = divmod(np.flatnonzero(same), q)
             codes.append(x[start + hit] * q + y)
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
@@ -307,8 +310,9 @@ class ConstructionTrace:
 def stage_work(q: int, k: int) -> int:
     """Estimated element operations of stages 3..k over GF(q): stage i
     sweeps at most (2i-2)(2i-3) ordered index pairs at q^2 each.  The
-    closed-form sweep evaluates about 2q rows of q per pair, each one fused
-    multiply-add, so this is a loose upper bound on its work."""
+    closed-form sweep tests about 2q rows of q per pair, each element one
+    multiply, two adds and a compare in prime fields (Field.v_mul_add_eq),
+    so this is a loose upper bound on its work."""
     return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
 
 

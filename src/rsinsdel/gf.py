@@ -147,6 +147,11 @@ class Field:
         self.modulus = None if m == 1 else _find_modulus(p, m)
         if m > 1:
             self._build_tables()
+        elif p > 2:
+            # word, p^-1 mod 2^w and (2^w - 1) // p for v_mul_add_eq
+            word = np.uint32 if p * p < 1 << 32 else np.uint64
+            bits = np.iinfo(word).bits
+            self._divisibility = word, word(pow(p, -1, 1 << bits)), word(((1 << bits) - 1) // p)
 
     # -- representation ------------------------------------------------
 
@@ -309,7 +314,8 @@ class Field:
     def v_mul_add(self, a, b, c):
         """a * b + c with one reduction.  Prime fields compute in uint32 when
         p(p - 1) < 2^32 (p <= 65521), so the result has that dtype, and in
-        int64 otherwise."""
+        int64 otherwise.  A caller that only compares the result with a
+        target should use v_mul_add_eq, which needs no reduction."""
         if self.m == 1:
             dtype = np.uint32 if self.p * (self.p - 1) < 1 << 32 else np.int64
             return (np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % self.p
@@ -318,6 +324,29 @@ class Field:
             return np.bitwise_xor(product, c)
         la = self._nlog[product]
         return self._nexp[la + self._nzech[self._nlog[c] - la + 2 * (self.q - 1)]]
+
+    def v_mul_add_eq(self, a, b, c, t):
+        """The boolean mask of a * b + c == t, broadcast like v_mul_add.
+
+        A prime field with odd p tests divisibility without a division
+        (Granlund & Montgomery 1994): with w = 32 when p <= 65521 and 64
+        otherwise, and pinv = p^-1 mod 2^w, the integer
+        x = a*b + c + (p - t) <= (p-1)^2 + (p-1) + p = p^2 < 2^w is a multiple
+        of p exactly when x*pinv mod 2^w <= (2^w - 1) // p.  As x -> x*pinv
+        is linear mod 2^w, b, c and p - t are scaled once, and each element
+        of the result costs one wrapping multiply, two adds and one compare.
+        p = 2 has no inverse mod 2^w, so GF(2) and the extension fields
+        compare v_mul_add with t.
+        """
+        if self.m > 1 or self.p == 2:
+            return self.v_mul_add(a, b, c) == t
+        word, pinv, limit = self._divisibility
+        a, b, c, t = (np.asarray(v, word) for v in (a, b, c, t))
+        out = np.empty(np.broadcast(a, b, c, t).shape, word)
+        np.multiply(a, np.multiply(b, pinv), out=out)  # ufuncs wrap without a warning
+        out += np.multiply(c, pinv)
+        out += np.multiply(np.subtract(self.p, t), pinv)
+        return out <= limit
 
     def v_inv(self, a):
         """Elementwise inverse, with 0 mapped to 0."""

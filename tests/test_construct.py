@@ -186,6 +186,38 @@ def test_block_sweep_is_independent_of_block_size(monkeypatch):
     assert [swept_bad_set(fld, points, 4, *ij) for ij in stage_pairs(6, 4)] == full
 
 
+def reduced_row_test(fld, calls):
+    """The cross-second-point row test as the sweep ran it before
+    Field.v_mul_add_eq: each block of rows a*b + c reduced with % p (uint32
+    where p(p - 1) < 2^32, int64 above), then compared with its target."""
+
+    def row_test(a, b, c, t):
+        calls.append(np.broadcast(a, b, c, t).size)
+        if fld.m > 1:
+            return fld.v_mul_add(a, b, c) == t
+        dtype = np.uint32 if fld.p * (fld.p - 1) < 1 << 32 else np.int64
+        return (np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % fld.p == t
+
+    return row_test
+
+
+@pytest.mark.parametrize("fld, stages", [(F251, (3, 4)), (field_new(1367), (3, 4)), (field_new(3, 4), (3,))], ids=str)
+def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
+    points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
+    for i in stages:
+        pairs = stage_pairs(len(points), i)
+        swept = [construct._stage_pair_bad_set(fld, points, i, *ij, neg_inv) for ij in pairs]
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(fld, "v_mul_add_eq", reduced_row_test(fld, calls))
+            reduced = [construct._stage_pair_bad_set(fld, points, i, *ij, neg_inv) for ij in pairs]
+        assert sum(calls) >= len(pairs) * fld.q  # the cross rows ran through the port
+        for ij, new, old in zip(pairs, swept, reduced):
+            assert new.dtype == old.dtype and np.array_equal(new, old), ij
+        if i < stages[-1]:
+            points, _ = construct.extend(fld, points, i)
+
+
 def test_block_sweep_singular_branch():
     # (0,1,2,4) is not optimal: some index pair must raise, and every pair
     # that does not agrees with the reference

@@ -166,6 +166,61 @@ def test_fused_ops_on_large_prime_fields(p, dtype):
     assert inverses[1:].tolist() == [fld.inv(x) if x else 0 for x in a.tolist()]
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (13, 1), (3, 4), (2, 8)])
+def test_mul_add_eq_matches_reduced_compare(p, m):
+    fld = field_new(p, m)
+    xs = np.arange(fld.q, dtype=np.int64)
+    if fld.q <= 13:
+        # every (a, b, c, t), each operand on its own axis
+        a, b, c, t = xs[:, None, None, None], xs[:, None, None], xs[:, None], xs
+    else:
+        # every (a, b) with c and t varying along both axes
+        a, b = xs[:, None], xs
+        c, t = (xs[:, None] + 3 * xs) % fld.q, (5 * xs[:, None] + xs) % fld.q
+    eq = fld.v_mul_add_eq(a, b, c, t)
+    assert eq.dtype == bool and eq.shape == np.broadcast(a, b, c, t).shape
+    assert (eq == (fld.v_mul_add(a, b, c) == t)).all()
+    # each (a, b, c) hits its one true target
+    assert fld.v_mul_add_eq(a, b, c, fld.v_mul_add(a, b, c)).all()
+
+
+@pytest.mark.parametrize("p", [65521, 65537, 1048573])
+def test_mul_add_eq_on_large_prime_fields(p):
+    # 65521 is the last prime whose p^2 fits the uint32 word; above it the
+    # test runs in uint64
+    fld = field_new(p)
+    rng = np.random.default_rng(p)
+    a, b, c, t = rng.integers(0, p, (4, 4000))
+    t[::2] = fld.v_mul_add(a, b, c)[::2]  # half the targets are hits
+    a[:4], b[:4], c[:4], t[:4] = p - 1, p - 1, p - 1, (0, 1, p - 1, p - 2)  # x = p^2 at t = 0
+    expected = [(x * y + z) % p == w for x, y, z, w in zip(a.tolist(), b.tolist(), c.tolist(), t.tolist())]
+    assert fld.v_mul_add_eq(a, b, c, t).tolist() == expected
+    assert expected[0] and not any(expected[1:4]) and sum(expected) > 1990
+    a, b, c, t = a[:40, None], b[:50], c[:50], t[:40, None]  # the sweep's broadcast
+    assert (fld.v_mul_add_eq(a, b, c, t) == (fld.v_mul_add(a, b, c) == t)).all()
+    assert fld.v_mul_add_eq(p - 1, p - 1, p - 1, 0)
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mul_add_eq_property_over_prime_fields(data):
+    # 1048573 is the largest prime below the 2^20 ceiling
+    fld = Field(data.draw(st.integers(2, 1048573).map(next_prime)))
+    p = fld.p
+    a, b, c, t = (data.draw(st.lists(st.integers(0, p - 1), min_size=8, max_size=8)) for _ in range(4))
+    hit = data.draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    t = [(x * y + z) % p if h else w for x, y, z, w, h in zip(a, b, c, t, hit)]
+    expected = [(x * y + z) % p == w for x, y, z, w in zip(a, b, c, t)]
+    assert fld.v_mul_add_eq(np.array(a), np.array(b), np.array(c), np.array(t)).tolist() == expected
+    assert bool(fld.v_mul_add_eq(a[0], b[0], c[0], t[0])) == expected[0]
+
+
 def test_inverse_in_gf2():
     # the exponent p - 2 is 0 there, so the power is taken to the first
     assert field_new(2).v_inv(np.array([0, 1])).tolist() == [0, 1]
