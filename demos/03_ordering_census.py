@@ -6,8 +6,9 @@ orderings split into (q-2)! equivalence classes, one canonical representative
 (0, 1, ...) each.  The orderings that fail to correct even one insdel error
 are completely characterized: geometric progressions, reversed geometric
 progressions, and (for prime q) the arithmetic progression.  The census
-classifies every class and cross-checks the verdicts against the exact LCS
-engine.
+lists the bad classes that characterization gives, counts every other class
+as correcting one insdel, and cross-checks the verdicts against the exact
+LCS engine on the verified classes (at q = 7, all of them).
 """
 
 from rsinsdel import field_from_order, field_new

@@ -8,7 +8,7 @@ exploits the affine edit-distance isometries; both measure their codeword
 pairs in row blocks with insdel's batched LCS kernel), plus the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes, a
-census over equivalence classes of orderings, and seeded random sampling.
+census visiting only the bad and verified classes, and seeded random sampling.
 
 No exact report may ever show a code LCS below 2k-2 (any k-dimensional
 linear code has two distinct codewords agreeing on a subsequence that long);
@@ -21,6 +21,7 @@ input order, so results are identical for any thread count.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -43,7 +44,6 @@ from .rscode import EvaluationVector, RsCode, canonical_form, codewords, equival
 DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
 SAMPLE_MAX_Q = 128
-CENSUS_CHUNK = 512
 SPOT_CHECKS = 200  # classes re-measured by census verify="spot"
 # Rows per batched LCS kernel call.  Larger blocks are faster (fewer numpy
 # calls per row) and raise peak RSS; on `sample --field 81` (3,280 rows per
@@ -481,25 +481,26 @@ class CensusResult:
         }
 
 
-def _census_chunk(fld: Field, verify_idx: range, chunk: tuple[int, tuple]):
-    # (0, 1) + perm is its own canonical form, so membership is a key test;
-    # vectors are built only for bad and verified classes.
-    base, perms = chunk
-    index = bad_class_index(fld)
-    bad_entries = []
-    for off, perm in enumerate(perms):
-        points = (0, 1) + perm
-        bad = points in index
-        verify = base + off in verify_idx
-        if not (bad or verify):
-            continue
-        ev = EvaluationVector(fld, points)
-        if bad:
-            verdict = classify_bad_ordering(ev)
-            bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
-        if verify and bad != (lcs_code_affine(ev, want_witness=False).lcs_of_code == fld.q - 1):
-            raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
-    return bad_entries
+def _unrank(items: tuple, index: int) -> tuple:
+    # the index-th permutation of the sorted items, in itertools.permutations order
+    pool, out = list(items), []
+    for left in range(len(pool) - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(left))
+        out.append(pool.pop(digit))
+    return tuple(out)
+
+
+def _census_class(fld: Field, item: tuple) -> dict | None:
+    # one bad or verified class: cross-checked if verified; its entry if bad
+    points, kinds = item
+    ev = EvaluationVector(fld, points)
+    bad = "bad" in kinds
+    if "verify" in kinds and bad != (lcs_code_affine(ev, want_witness=False).lcs_of_code == fld.q - 1):
+        raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
+    if not bad:
+        return None
+    verdict = classify_bad_ordering(ev)
+    return {"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness}
 
 
 def check_threads(threads: int) -> None:
@@ -530,36 +531,35 @@ def census_2dim(
 ) -> CensusResult:
     """Classify every equivalence class of full-length orderings (k = 2).
 
-    Each class has a unique representative starting (0, 1), which is its
-    canonical form; all (q-2)! of them are streamed in chunks and each is
-    classified by one bad_class_index lookup.  verify: "all" re-measures
-    every class with the exact affine engine, "spot" re-measures an evenly
-    spaced sample of about SPOT_CHECKS classes, "none" skips, "auto" picks
-    "all" for q <= 8 and "spot" above.  Any disagreement between the
-    classifier and the exact engine is an invariant violation.  q must be
-    at least 3.
+    Each class has a unique representative starting (0, 1), its canonical
+    form; the bad ones are the bad_class_index keys, listed in class order,
+    and the other classes are counted, not visited.  verify picks the classes
+    re-measured with the exact affine engine by rank in class order: "all"
+    every class, "spot" an evenly spaced sample of about SPOT_CHECKS, "none"
+    none, "auto" "all" for q <= 8 and "spot" above.  Any disagreement between
+    the classifier and the exact engine is an invariant violation.  q must be
+    at least 3, and (q-2)! at most max_classes (GuardExceeded).
     """
     q = fld.q
     total = math.factorial(q - 2)
     if total > max_classes:
         raise GuardExceeded(f"(q-2)! = {total} exceeds max_classes={max_classes}")
-    bad_class_index(fld)  # refuses q < 3 before any work
+    index = bad_class_index(fld)  # refuses q < 3 before any work
     if verify == "auto":
         verify = "all" if q <= 8 else "spot"
-    if verify == "all":
-        verify_idx = range(total)
-    elif verify == "spot":
-        verify_idx = range(0, total, max(1, total // SPOT_CHECKS))
-    elif verify == "none":
-        verify_idx = range(0)
-    else:
+    spot = range(0, total, max(1, total // SPOT_CHECKS))
+    verify_idx = {"all": range(total), "spot": spot, "none": range(0)}.get(verify)
+    if verify_idx is None:
         raise ValueError(f"unknown verify mode {verify!r}")
-
-    perms = itertools.permutations([x for x in range(q) if x not in (0, 1)])
-    chunks = ((i, tuple(itertools.islice(perms, CENSUS_CHUNK))) for i in range(0, total, CENSUS_CHUNK))
-    run = partial(_census_chunk, fld, verify_idx)
-    results = guarded_map(run, chunks, threads, time_guard_s)
-    bad_entries = [entry for entries in results for entry in entries]
+    stray = [key for key in index if key[:2] != (0, 1) or sorted(key) != list(range(q))]
+    if stray:  # the classes between keys are counted, so every key must be a class
+        raise InvariantViolation(f"bad-class key {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
+    # both streams are in class order: merge them lazily, each class once
+    bad = ((key, "bad") for key in sorted(index))
+    verified = (((0, 1) + _unrank(range(2, q), i), "verify") for i in verify_idx)
+    merged = itertools.groupby(heapq.merge(bad, verified), key=lambda item: item[0])
+    classes = ((points, {kind for _, kind in group}) for points, group in merged)
+    bad_entries = [e for e in guarded_map(partial(_census_class, fld), classes, threads, time_guard_s) if e]
     reason_counts = dict(Counter(entry["reason"] for entry in bad_entries))
     good = total - len(bad_entries)
     return CensusResult(

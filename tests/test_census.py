@@ -1,0 +1,168 @@
+"""The census against the per-ordering scan it replaced, and its pinned rows.
+
+census_2dim visits only the bad classes (the index keys) and the verified
+ones (unranked from their class rank).  The oracle here is the scan it
+replaced: every (0, 1)-prefixed ordering, in itertools.permutations order
+and in chunks, looked up in bad_class_index.
+"""
+
+import itertools
+import json
+import math
+from collections import Counter
+
+import pytest
+
+from rsinsdel import analyze, bounds, cli
+from rsinsdel.errors import InvariantViolation
+from rsinsdel.gf import field_from_order, field_new
+from rsinsdel.rscode import EvaluationVector
+
+ORACLE_CHUNK = 512
+DIFFERENTIAL_QS = (3, 4, 5, 7, 8, 9, 11)
+# verify="all" re-measures every class with the real affine engine up to
+# REAL_ALL_MAX_Q; GF(9) runs it with the engine answering from the index (see
+# exact_engine), and GF(11), whose 362,880 classes take tens of seconds even
+# so, runs "spot" and "none" only.
+REAL_ALL_MAX_Q = 8
+ALL_MAX_Q = 9
+
+
+def _oracle_chunk(fld, verify_idx, chunk):
+    base, perms = chunk
+    index = analyze.bad_class_index(fld)
+    bad_entries = []
+    for off, perm in enumerate(perms):
+        points = (0, 1) + perm
+        bad = points in index
+        verify = base + off in verify_idx
+        if not (bad or verify):
+            continue
+        ev = EvaluationVector(fld, points)
+        if bad:
+            verdict = analyze.classify_bad_ordering(ev)
+            bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
+        if verify and bad != (analyze.lcs_code_affine(ev, want_witness=False).lcs_of_code == fld.q - 1):
+            raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
+    return bad_entries
+
+
+def census_oracle(fld, verify):
+    """The census as the per-ordering scan over all (q-2)! classes."""
+    q = fld.q
+    total = math.factorial(q - 2)
+    verify_idx = {
+        "all": range(total),
+        "spot": range(0, total, max(1, total // analyze.SPOT_CHECKS)),
+        "none": range(0),
+    }[verify]
+    perms = itertools.permutations(range(2, q))
+    chunks = ((i, tuple(itertools.islice(perms, ORACLE_CHUNK))) for i in range(0, total, ORACLE_CHUNK))
+    bad_entries = [entry for chunk in chunks for entry in _oracle_chunk(fld, verify_idx, chunk)]
+    good = total - len(bad_entries)
+    return analyze.CensusResult(
+        q=q,
+        classes_total=total,
+        classes_correcting_one=good,
+        proportion=good / total,
+        bad_classes=tuple(bad_entries),
+        reason_counts=dict(Counter(entry["reason"] for entry in bad_entries)),
+        verified=len(verify_idx),
+    ).to_dict()
+
+
+@pytest.fixture
+def exact_engine(monkeypatch):
+    """Record every class the exact engine re-measures.  With real=False
+    the engine answers from the index (q - 1 on a bad class, q - 2 on any
+    other)."""
+    calls = []
+    real_engine = analyze.lcs_code_affine
+
+    def install(real):
+        def engine(ev, want_witness=True):
+            calls.append(ev.points)
+            if real:
+                return real_engine(ev, want_witness)
+            bad = ev.points in analyze.bad_class_index(ev.field)
+            return analyze.AnalysisReport(ev.n, 2, ev.field.q, "affine", ev.n - 2 + bad, 1 - bad, not bad)
+
+        monkeypatch.setattr(analyze, "lcs_code_affine", engine)
+        return calls
+
+    return install
+
+
+@pytest.mark.parametrize("q", DIFFERENTIAL_QS)
+def test_census_matches_per_ordering_scan(q, exact_engine):
+    fld = field_from_order(q)
+    total = math.factorial(q - 2)
+    for verify in ("all", "spot", "none") if q <= ALL_MAX_Q else ("spot", "none"):
+        calls = exact_engine(real=verify != "all" or q <= REAL_ALL_MAX_Q)
+        del calls[:]
+        want = census_oracle(fld, verify)
+        oracle_calls = Counter(calls)
+        for threads in (1, 2):
+            del calls[:]
+            got = analyze.census_2dim(fld, max_classes=total, verify=verify, threads=threads)
+            assert got.to_dict() == want, (q, verify, threads)
+            assert Counter(calls) == oracle_calls, (q, verify, threads)
+        assert len(oracle_calls) == want["verified"]
+
+
+def test_unrank_matches_permutations_for_small_n():
+    for n in range(8):
+        items = tuple(range(2, n + 2))
+        perms = list(itertools.permutations(items))
+        assert [analyze._unrank(items, i) for i in range(len(perms))] == perms, n
+
+
+def test_unrank_gf11_first_last_and_spot_indices():
+    items = tuple(range(2, 11))
+    total = math.factorial(9)
+    wanted = {0, total - 1, *range(0, total, total // analyze.SPOT_CHECKS)}
+    seen = 0
+    for i, perm in enumerate(itertools.permutations(items)):
+        if i in wanted:
+            assert analyze._unrank(items, i) == perm, i
+            seen += 1
+    assert seen == len(wanted)
+    assert analyze._unrank(items, 0) == items
+    assert analyze._unrank(items, total - 1) == items[::-1]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (0, 2, 1, 3, 4),  # not (0, 1)-prefixed
+        (0, 1, 2, 2, 4),  # repeats an element
+        (0, 1, 2, 3),  # not full length
+        (0, 1, 2, 3, 5),  # not an element of GF(5)
+    ],
+)
+def test_census_refuses_malformed_index_key(monkeypatch, key):
+    fld = field_new(5)
+    index = dict(analyze.bad_class_index(fld))
+    index[key] = index[tuple(range(5))]
+    monkeypatch.setattr(analyze, "bad_class_index", lambda fld: index)
+    for verify in ("all", "none"):
+        with pytest.raises(InvariantViolation, match="not a \\(0, 1\\)-prefixed ordering of GF\\(5\\)"):
+            analyze.census_2dim(fld, verify=verify)
+
+
+def test_census_gf13_row_through_cli(capsys):
+    # 11! = 39,916,800 classes: the old per-ordering scan took over 10 s
+    code = cli.main(["census", "--field", "13", "--max-classes", "39916800", "--time-guard", "5"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert result["classes_correcting_one"] == 39_916_791 == bounds.good_class_lower_bound(13)
+    bad = result["classes_total"] - result["classes_correcting_one"]
+    assert bad == bounds.bad_class_count(field_new(13)).count == 9
+
+
+def test_census_gf16_row():
+    fld = field_new(2, 4)
+    census = analyze.census_2dim(fld, max_classes=math.factorial(14), time_guard_s=5)
+    assert census.classes_correcting_one == 87_178_291_184 == bounds.good_class_lower_bound(16)
+    assert census.classes_total - census.classes_correcting_one == bounds.bad_class_count(fld).count == 16
+    assert census.verified == len(range(0, math.factorial(14), math.factorial(14) // analyze.SPOT_CHECKS))
