@@ -3,9 +3,9 @@
 
 The answer is a pure function of the largest LCS between distinct codewords:
 a length-n code corrects t insdel errors exactly when LCS(C) <= n - t - 1.
-This demo measures a few codes exactly and then shows the one-sided rank
-certificate, which can prove correction capability without enumerating
-codeword pairs.
+This demo measures a few codes exactly and then shows the rank certificate,
+which decides correction capability without enumerating codeword pairs:
+exactly at t = 1, one-sided for t >= 2.
 """
 
 from rsinsdel import EvaluationVector, RsCode, field_new
@@ -39,5 +39,5 @@ print("Rank certificate on the arithmetic progression (0,1,2,3), t=1:")
 bad = RsCode(EvaluationVector(f7, (0, 1, 2, 3)), 2)
 cert = insdel.rank_certificate(bad, 1)
 print("  certified:", cert.certified, " first rank-deficient pair:", cert.witness)
-print("  (not certified is not a proof of failure; here the exact engine confirms it)")
+print("  (at t = 1 not certified proves failure; the exact engine agrees)")
 print("  exact:", analyze.lcs_code_bruteforce(bad).lcs_of_code, "= n-1, so one insdel breaks it")

@@ -14,9 +14,8 @@ No exact report may ever show a code LCS below 2k-2 (any k-dimensional
 linear code has two distinct codewords agreeing on a subsequence that long);
 that floor is asserted unconditionally.
 
-census_2dim, sample_orderings and the construction stages map their work
-through guarded_map, an optional thread pool whose results come back in
-input order, so results are identical for any thread count.
+Everything runs serially, in input order, so identical inputs give
+identical results.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ import itertools
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -490,43 +487,20 @@ def _unrank(items: tuple, index: int) -> tuple:
     return tuple(out)
 
 
-def _census_class(fld: Field, item: tuple) -> dict | None:
-    # one bad or verified class: cross-checked if verified; its entry if bad
-    points, kinds = item
-    ev = EvaluationVector(fld, points)
-    bad = "bad" in kinds
-    if "verify" in kinds and bad != (lcs_code_affine(ev, want_witness=False).lcs_of_code == fld.q - 1):
-        raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
-    if not bad:
-        return None
-    verdict = classify_bad_ordering(ev)
-    return {"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness}
-
-
-def check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
-def guarded_map(fn, items, threads: int = 1, time_guard_s: float | None = None):
-    """Yield fn(item) for each item, in item order, taking `threads` items
-    at a time (over a thread pool when threads > 1).  The time guard is
-    checked after every batch in every mode."""
-    check_threads(threads)
-    t0 = time.perf_counter()
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        while batch := list(itertools.islice(items, threads)):
-            yield from (pool.map(fn, batch) if pool else map(fn, batch))
-            if time_guard_s is not None and time.perf_counter() - t0 > time_guard_s:
-                raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
+def _factorial_above(n: int, limit: int) -> bool:
+    # n! > limit, multiplying 1*2*... only until the product passes limit
+    prod = 1
+    for i in range(2, n + 1):
+        prod *= i
+        if prod > limit:
+            return True
+    return prod > limit
 
 
 def census_2dim(
     fld: Field,
     max_classes: int = DEFAULT_MAX_CLASSES,
     verify: str = "auto",
-    threads: int = 1,
     time_guard_s: float | None = None,
 ) -> CensusResult:
     """Classify every equivalence class of full-length orderings (k = 2).
@@ -538,12 +512,16 @@ def census_2dim(
     every class, "spot" an evenly spaced sample of about SPOT_CHECKS, "none"
     none, "auto" "all" for q <= 8 and "spot" above.  Any disagreement between
     the classifier and the exact engine is an invariant violation.  q must be
-    at least 3, and (q-2)! at most max_classes (GuardExceeded).
+    at least 3, and (q-2)! at most max_classes (GuardExceeded, decided
+    without building a larger (q-2)!).  time_guard_s, when set, is checked
+    after every visited class.
     """
     q = fld.q
+    if _factorial_above(q - 2, max_classes):
+        # the exact count only while it fits in 64 bits
+        count = f"(q-2)! = {math.factorial(q - 2)}" if q <= 22 else f"(q-2)! at q={q}"
+        raise GuardExceeded(f"{count} exceeds max_classes={max_classes}")
     total = math.factorial(q - 2)
-    if total > max_classes:
-        raise GuardExceeded(f"(q-2)! = {total} exceeds max_classes={max_classes}")
     index = bad_class_index(fld)  # refuses q < 3 before any work
     if verify == "auto":
         verify = "all" if q <= 8 else "spot"
@@ -557,9 +535,19 @@ def census_2dim(
     # both streams are in class order: merge them lazily, each class once
     bad = ((key, "bad") for key in sorted(index))
     verified = (((0, 1) + _unrank(range(2, q), i), "verify") for i in verify_idx)
-    merged = itertools.groupby(heapq.merge(bad, verified), key=lambda item: item[0])
-    classes = ((points, {kind for _, kind in group}) for points, group in merged)
-    bad_entries = [e for e in guarded_map(partial(_census_class, fld), classes, threads, time_guard_s) if e]
+    bad_entries = []
+    t0 = time.perf_counter()
+    for points, group in itertools.groupby(heapq.merge(bad, verified), key=lambda item: item[0]):
+        kinds = {kind for _, kind in group}
+        ev = EvaluationVector(fld, points)
+        is_bad = "bad" in kinds
+        if "verify" in kinds and is_bad != (lcs_code_affine(ev, want_witness=False).lcs_of_code == q - 1):
+            raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
+        if is_bad:
+            verdict = classify_bad_ordering(ev)
+            bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
+        if time_guard_s is not None and time.perf_counter() - t0 > time_guard_s:
+            raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
     reason_counts = dict(Counter(entry["reason"] for entry in bad_entries))
     good = total - len(bad_entries)
     return CensusResult(
@@ -610,8 +598,8 @@ def random_ordering(q: int, rng: SplitMix64) -> tuple[int, ...]:
 
 
 def _trial_rng(seed: int, index: int) -> SplitMix64:
-    # Per-trial stream derived only from (seed, index): the trial outcome is
-    # independent of scheduling, so any thread count gives identical output.
+    # Per-trial stream derived only from (seed, index), so a trial's outcome
+    # does not depend on the trials before it.
     return SplitMix64((seed ^ ((index + 1) * 0x9E3779B97F4A7C15)) & _MASK64)
 
 
@@ -652,7 +640,6 @@ def sample_orderings(
     delta,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> SampleResult:
     """Measure code LCS over seeded random full-length orderings (k = 2).
 
@@ -672,14 +659,10 @@ def sample_orderings(
     if not 0 < frac <= 1:
         raise ValueError("delta must satisfy 0 < delta <= 1")
     threshold = math.floor(frac * q) - 1
-
-    def run(idx: int) -> int:
+    values = []
+    for idx in range(trials):
         ordering = random_ordering(q, _trial_rng(seed, idx))
-        report = lcs_code_affine(EvaluationVector(fld, ordering), want_witness=False)
-        return report.lcs_of_code
-
-    values = list(guarded_map(run, range(trials), threads))
-
+        values.append(lcs_code_affine(EvaluationVector(fld, ordering), want_witness=False).lcs_of_code)
     n_correct = sum(1 for v in values if v <= threshold)
     n_one = sum(1 for v in values if v < q - 1)
     return SampleResult(

@@ -66,6 +66,14 @@ def half_singleton(n: int, k: int) -> int:
     return n - 2 * k + 1
 
 
+def classes_total(q: int) -> int:
+    """(q-2)!, the number of affine classes of full-length orderings of
+    GF(q).  One of more than MAX_DIGITS digits raises GuardExceeded before
+    it is built."""
+    _check_digits(f"(q-2)! at q={q}", math.lgamma(q - 1))
+    return math.factorial(q - 2)
+
+
 def good_class_lower_bound(q: int) -> int:
     """Lower bound on the number of ordering classes (out of (q-2)!) whose
     2-dimensional full-length code corrects one insdel error.
@@ -80,9 +88,7 @@ def good_class_lower_bound(q: int) -> int:
     """
     if q < 4:
         raise ValueError("meaningful only for q >= 4")
-    _check_digits(f"(q-2)! at q={q}", math.lgamma(q - 1))
-    total = math.factorial(q - 2)
-    bound = total - 2 * euler_phi(q - 1) - (1 if is_prime(q) else 0)
+    bound = classes_total(q) - 2 * euler_phi(q - 1) - (1 if is_prime(q) else 0)
     return max(0, bound)
 
 

@@ -122,7 +122,6 @@ def cmd_census(args) -> None:
         fld,
         max_classes=args.max_classes,
         verify=args.verify,
-        threads=args.threads,
         time_guard_s=args.time_guard,
     )
     params = {
@@ -136,9 +135,7 @@ def cmd_census(args) -> None:
 def cmd_sample(args) -> None:
     t0 = time.perf_counter()
     fld = _parse_field(args.field)
-    result = analyze.sample_orderings(
-        fld, args.delta, args.trials, args.seed, threads=args.threads
-    )
+    result = analyze.sample_orderings(fld, args.delta, args.trials, args.seed)
     params = {
         "field": fld.name(),
         "delta": args.delta,
@@ -156,7 +153,6 @@ def cmd_construct(args) -> None:
         args.k,
         verify_mode=args.verify,
         allow_small_q=args.allow_small_q,
-        threads=args.threads,
     )
     params = {
         "field": fld.name(),
@@ -193,7 +189,7 @@ def cmd_bounds(args) -> None:
         result = {
             "name": "good_class_lower_bound",
             "parameters": {"q": args.q},
-            "values": {"classes_total": math.factorial(args.q - 2), "lower_bound": lower},
+            "values": {"classes_total": bounds.classes_total(args.q), "lower_bound": lower},
             "verdict": None,
         }
     elif which == "bad-classes":
@@ -221,7 +217,7 @@ def cmd_bounds(args) -> None:
 TABLE_DEFAULT_QS = (4, 5, 7, 8, 9, 11, 13)
 
 
-def table_rows(qs, census_max_q: int = 9, threads: int = 1) -> list[dict]:
+def table_rows(qs, census_max_q: int = 9) -> list[dict]:
     """One row per field order: exact correcting-class counts and proportion.
 
     Small orders run the full census (exact, classifier cross-checked against
@@ -229,15 +225,15 @@ def table_rows(qs, census_max_q: int = 9, threads: int = 1) -> list[dict]:
     analyze.bad_class_index directly, which the complete classification
     makes equally exact; both methods read the same index.  The 3-decimal
     column rounds census rows and floors dedup rows (a floored value is
-    still a true lower bound at the printed precision).
+    still a true lower bound at the printed precision).  A (q-2)! of more
+    than bounds.MAX_DIGITS digits is refused before it is built.
     """
-    analyze.check_threads(threads)
     rows = []
     for q in qs:
         fld = field_from_order(q)
-        total = math.factorial(q - 2)
+        total = bounds.classes_total(q)
         if q <= census_max_q:
-            census = analyze.census_2dim(fld, max_classes=max(total, 1), threads=threads)
+            census = analyze.census_2dim(fld, max_classes=max(total, 1))
             good = census.classes_correcting_one
             method = "census"
             prop3 = _round3(census.proportion)
@@ -262,7 +258,7 @@ def table_rows(qs, census_max_q: int = 9, threads: int = 1) -> list[dict]:
 def cmd_table1(args) -> None:
     t0 = time.perf_counter()
     qs = tuple(int(tok) for tok in args.qs.split(","))
-    rows = table_rows(qs, census_max_q=args.census_max_q, threads=args.threads)
+    rows = table_rows(qs, census_max_q=args.census_max_q)
     params = {"qs": list(qs), "census_max_q": args.census_max_q}
     if args.format == "csv":
         cols = [
@@ -294,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, threads=False):
         p.add_argument("--timing", action="store_true", help="add a top-level wall_time_s to the JSON")
         p.add_argument("--output", help="write the report to a file instead of stdout")
-        if threads:
-            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        if threads:  # every run is serial; the flag is kept for compatibility
+            p.add_argument("--threads", type=int, default=1, help="must be >= 1; changes neither work nor output")
 
     p = sub.add_parser("analyze", help="measure insdel capability of one code")
     p.add_argument("--field", help="field order q or p^m")
@@ -378,6 +374,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
         args.func(args)
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, exc)

@@ -211,7 +211,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
     return _sorted_unique(np.concatenate(codes))
 
 
-def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tuple[tuple[int, ...], int]:
+def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
     """One stage: extend a verified length-(2i-2) vector by two points.
 
     Sweeps the ordered pairs of length-(2i-3) increasing index sequences at
@@ -220,8 +220,8 @@ def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tup
     independent of that leading coefficient, so it is reduced once per index
     pair and the per-coefficient solutions are affine combinations of two
     base solutions.
-    The pair sweeps are independent and their bad sets merge as a union of
-    sorted codes x*q + y, so any thread count yields the same result.
+    Each pair's bad set is merged, as sorted codes x*q + y, into the union in
+    sweep order.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     a swept pair's system is singular, which the input's optimality forbids,
@@ -243,8 +243,8 @@ def extend(fld: Field, points: tuple[int, ...], i: int, threads: int = 1) -> tup
     pairs = insdel.index_pairs(n, n - 1, i - 2)
     neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
     # merged pair by pair, so memory stays at the size of the bad set
-    for codes in analyze.guarded_map(lambda ij: _stage_pair_bad_set(fld, points, i, *ij, neg_inv), pairs, threads):
-        bad = _sorted_unique(np.concatenate((bad, codes)))
+    for ij in pairs:
+        bad = _sorted_unique(np.concatenate((bad, _stage_pair_bad_set(fld, points, i, *ij, neg_inv))))
     bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
     if bad_count > ceiling:
@@ -344,7 +344,6 @@ def construct_half_rate(
     k: int,
     verify_mode: str = VERIFY_EXACT,
     allow_small_q: bool = False,
-    threads: int = 1,
 ) -> ConstructionTrace:
     """Build a length-2k dimension-k evaluation vector correcting one insdel.
 
@@ -359,7 +358,6 @@ def construct_half_rate(
     """
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
-    analyze.check_threads(threads)
     if fld.q < min_field_size(k) and not allow_small_q:
         raise ValueError(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "
@@ -378,7 +376,7 @@ def construct_half_rate(
         StageRecord(2, 0, (points[2], points[3]), _verify_stage(fld, points, 2, verify_mode))
     )
     for i in range(3, k + 1):
-        points, bad_count = extend(fld, points, i, threads=threads)
+        points, bad_count = extend(fld, points, i)
         stages.append(
             StageRecord(
                 i,

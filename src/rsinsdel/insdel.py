@@ -203,8 +203,9 @@ class CertificateResult:
     """Outcome of the full-rank sweep.
 
     certified=True proves the code corrects t insdel errors.  certified=False
-    only reports the first rank-deficient index pair; it is NOT a proof of
-    failure (rank deficiency is necessary for failure, not sufficient).
+    reports the first rank-deficient index pair.  At t = 1 that proves
+    failure, so the certificate is exact there; for t >= 2 it is one-sided
+    (rank deficiency is necessary for failure, not sufficient).
     """
 
     certified: bool
@@ -218,8 +219,11 @@ def rank_certificate(code: RsCode, t: int) -> CertificateResult:
 
     Sweeps index_pairs(n, ell, ell - k + 1), ell = n - t: pairs closer than
     ell - k + 1 cannot witness failure.  Full rank everywhere certifies
-    that the code corrects t insdel errors.  Enumeration is lexicographic, so
-    the reported witness is deterministic.  More than DEFAULT_MAX_OPS
+    that the code corrects t insdel errors.  At t = 1 a deficient pair also
+    proves failure: its kernel vector gives f(a_I) = g(a_J), g0 = 0, and
+    f = g would be constant on the d + 1 > k points of the one run of d >=
+    n - k shifted positions, hence 0.  Enumeration is lexicographic, so the
+    reported witness is deterministic.  More than DEFAULT_MAX_OPS
     candidate pairs, C(n, ell)^2, raise GuardExceeded before any
     enumeration.
     """

@@ -1,12 +1,13 @@
 """Tests for the capability engines, classifier, census, and sampling."""
 
 import itertools
+import json
 import math
 import random
 
 import pytest
 
-from rsinsdel import analyze, bounds, cli, construct, insdel
+from rsinsdel import analyze, bounds, cli, insdel
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, equivalent
@@ -365,29 +366,30 @@ def test_bad_class_index_guard(monkeypatch):
     assert len(build(F7)) == 5
 
 
-def test_census_thread_invariance():
-    a = analyze.census_2dim(field_new(5), threads=1)
-    b = analyze.census_2dim(field_new(5), threads=4)
-    assert a.to_dict() == b.to_dict()
+def test_census_thread_invariance(capsys):
+    # the census runs serially; the CLI's --threads leaves its result as is
+    want = analyze.census_2dim(field_new(5)).to_dict()
+    assert cli.main(["census", "--field", "5", "--threads", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == want
 
 
 def test_census_time_guard_holds_with_threads():
-    for threads in (1, 2):
-        with pytest.raises(GuardExceeded):
-            analyze.census_2dim(field_new(3, 2), threads=threads, time_guard_s=1e-9)
+    with pytest.raises(GuardExceeded, match="time guard"):
+        analyze.census_2dim(field_new(3, 2), time_guard_s=1e-9)
 
 
-def test_threads_below_one_rejected():
-    f16 = field_new(2, 4)
-    for threads in (0, -1):
-        with pytest.raises(ValueError):
-            analyze.census_2dim(field_new(5), threads=threads)
-        with pytest.raises(ValueError):
-            analyze.sample_orderings(f16, "0.5", 0, seed=1, threads=threads)
-        with pytest.raises(ValueError):
-            construct.construct_half_rate(field_new(7), 2, threads=threads)
-        with pytest.raises(ValueError):
-            cli.table_rows((11,), threads=threads)
+def test_threads_below_one_rejected(capsys):
+    # --threads is checked once, in the CLI, before any work
+    commands = (
+        ["census", "--field", "5"],
+        ["sample", "--field", "16", "--delta", "0.5", "--trials", "0", "--seed", "1"],
+        ["construct", "--field", "7", "--k", "2"],
+        ["table1", "--qs", "11"],
+    )
+    for threads in ("0", "-1"):
+        for argv in commands:
+            assert cli.main([*argv, "--threads", threads]) == 2
+            assert "threads" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 # -- sampling ----------------------------------------------------------------
@@ -411,11 +413,12 @@ def test_sample_trivial_cases():
     assert vac.fraction_correcting == 1.0  # threshold q-1 always holds
 
 
-def test_sample_reproducible_across_threads():
-    f16 = field_new(2, 4)
-    a = analyze.sample_orderings(f16, "0.5", 12, seed=9, threads=1)
-    b = analyze.sample_orderings(f16, "0.5", 12, seed=9, threads=4)
-    assert a.to_dict() == b.to_dict()
+def test_sample_reproducible_across_threads(capsys):
+    # trials run serially; the CLI's --threads leaves the result as is
+    want = analyze.sample_orderings(field_new(2, 4), "0.5", 12, seed=9).to_dict()
+    argv = ["sample", "--field", "16", "--delta", "0.5", "--trials", "12", "--seed", "9", "--threads", "4"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == want
 
 
 def test_sample_guard():

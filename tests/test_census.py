@@ -102,11 +102,10 @@ def test_census_matches_per_ordering_scan(q, exact_engine):
         del calls[:]
         want = census_oracle(fld, verify)
         oracle_calls = Counter(calls)
-        for threads in (1, 2):
-            del calls[:]
-            got = analyze.census_2dim(fld, max_classes=total, verify=verify, threads=threads)
-            assert got.to_dict() == want, (q, verify, threads)
-            assert Counter(calls) == oracle_calls, (q, verify, threads)
+        del calls[:]
+        got = analyze.census_2dim(fld, max_classes=total, verify=verify)
+        assert got.to_dict() == want, (q, verify)
+        assert Counter(calls) == oracle_calls, (q, verify)
         assert len(oracle_calls) == want["verified"]
 
 

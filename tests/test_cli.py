@@ -85,6 +85,23 @@ def test_census_and_guard(capsys):
     assert json.loads(err)["error"]["type"] == "GuardExceeded"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--field", "1048573"),
+        ("census", "--field", "1567"),
+        ("table1", "--qs", "1048573"),
+    ],
+)
+def test_large_q_class_guards_exit_3_at_once(capsys, argv):
+    # (q-2)! is compared with its limit without being built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "GuardExceeded"
+
+
 def test_census_time_guard(capsys):
     code, out, err = run_cli(
         capsys, "census", "--field", "9", "--time-guard", "0.0"
@@ -107,6 +124,8 @@ def test_census_time_guard_with_threads(capsys):
         ("sample", "--field", "16", "--delta", "0.5", "--trials", "2", "--seed", "1"),
         ("construct", "--field", "7", "--k", "2"),
         ("table1", "--qs", "11"),
+        ("census", "--field", "13"),
+        ("sample", "--field", "256", "--delta", "0.5", "--trials", "1", "--seed", "1"),
     ],
 )
 def test_threads_below_one_exit_2(capsys, argv):
