@@ -27,8 +27,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from . import insdel, poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
 from .insdel import lcs_from_masks, match_masks
-from .rscode import EvaluationVector, RsCode, canonical_form, codewords, equivalent
+from .rscode import EvaluationVector, RsCode, codewords, equivalent
 
 DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
@@ -316,7 +314,9 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     first, and the code is optimal at once when no pair is rank-deficient.
     Otherwise, for each (f, I, J) over the deficient pairs the unique g of
     degree < k through the first k constraints is interpolated and checked
-    on the other k-1; the first witness in (f, I, J) order is returned.
+    on the other k-1; the first witness in (f, I, J) order is returned.  A
+    deficient pair always yields one (see insdel.rank_certificate), so a
+    scan that finds none raises InvariantViolation.
     Each phase's estimated work, k(k+1)(2k-1)^3 for the sweep and
     2q^(k-2) * (deficient pairs) * k^3 for the scan, is checked against
     DEFAULT_MAX_OPS before it runs (GuardExceeded).
@@ -339,7 +339,7 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
             if g is not None and g != f:
                 witness = {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
                 return OptimalityResult(False, witness)
-    return OptimalityResult(True, None)
+    raise InvariantViolation(f"{len(pairs)} rank-deficient index pairs but no collision on {ev.serialize()}")
 
 
 def optimal_4_2_pair(fld: Field, a1: int, a2: int) -> bool:
@@ -395,45 +395,69 @@ def _geometric_vector(fld: Field, theta: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bad_ordering_family(fld: Field) -> list[tuple[str, int | None, tuple[int, ...]]]:
+def bad_ordering_family(fld: Field):
     """The explicit full-length orderings whose 2-dimensional code fails to
-    correct a single insdel: (0,1,theta,..,theta^(q-2)) and its reverse for
-    every primitive theta, plus (0,1,..,q-1) when q is prime."""
-    fam: list[tuple[str, int | None, tuple[int, ...]]] = []
+    correct a single insdel, yielded one at a time as (reason, theta,
+    vector): (0,1,theta,..,theta^(q-2)) and its reverse for every primitive
+    theta, plus (0,1,..,q-1) when q is prime."""
     for theta in fld.primitive_elements():
         geo = _geometric_vector(fld, theta)
-        fam.append((REASON_GEOMETRIC, theta, geo))
-        fam.append((REASON_REVERSED, theta, tuple(reversed(geo))))
+        yield REASON_GEOMETRIC, theta, geo
+        yield REASON_REVERSED, theta, tuple(reversed(geo))
     if fld.m == 1:
-        fam.append((REASON_ARITHMETIC, None, tuple(range(fld.q))))
-    return fam
+        yield REASON_ARITHMETIC, None, tuple(range(fld.q))
 
 
-@lru_cache(maxsize=None)
-def bad_class_index(fld: Field) -> MappingProxyType:
-    """Read-only map, built once per field, from canonical form to the
-    bad_ordering_family members in that affine class, in family order.
-    A full-length ordering is bad exactly when its canonical form is a key.
+def _normalize(fld: Field, arr: np.ndarray) -> np.ndarray:
+    # the affine image lam * arr + mu that starts (0, 1)
+    lam = fld.inv(fld.sub(int(arr[1]), int(arr[0])))
+    mu = fld.neg(fld.mul(lam, int(arr[0])))
+    return fld.v_add(fld.v_mul(arr, np.int64(lam)), np.int64(mu))
 
-    Full-length codes of dimension 2 need q >= 3 (ValueError otherwise).
-    Building the 2*phi(q-1)+1 family vectors of length q must stay within
-    DEFAULT_MAX_OPS elements (GuardExceeded otherwise).
+
+def _class_members(fld: Field, points) -> tuple[np.ndarray, list]:
+    """The canonical form beta of a full-length ordering and the
+    bad_ordering_family members (reason, theta) in its class, in family
+    order, from three O(q) comparisons: beta is geometric (beta[i+1] =
+    beta[2] * beta[i] from i = 1 on, which makes beta[2] primitive), the
+    reversal's canonical form is geometric, or q is prime and beta =
+    (0, 1, .., q-1).  A class holds a geometric and a reversed member only
+    at q = 3 and 4, with equal theta (mapping reverse(geo(theta)) onto
+    geo(theta') forces theta'^j = 1 - theta^-j for j = 1 .. q-2), so the
+    members come out in family order.  q < 3 raises ValueError.
     """
     q = fld.q
     if q < 3:
         raise ValueError(
             f"the bad-ordering classification needs q >= 3 (full-length codes of dimension 2), got q={q}"
         )
+    arr = np.asarray(points, dtype=np.int64)
+    beta = _normalize(fld, arr)
+    members = []
+    for reason, form in ((REASON_GEOMETRIC, beta), (REASON_REVERSED, _normalize(fld, arr[::-1]))):
+        if np.array_equal(form[2:], fld.v_mul(form[1:-1], form[2])):
+            members.append((reason, int(form[2])))
+    if fld.m == 1 and np.array_equal(beta, np.arange(q)):
+        members.append((REASON_ARITHMETIC, None))
+    return beta, members
+
+
+def bad_classes(fld: Field):
+    """Yield each affine class of bad_ordering_family once, at its first
+    member in family order, as (canonical form, _class_members members).
+    Before the first class, q < 3 raises ValueError and more than
+    DEFAULT_MAX_OPS elements in the 2*phi(q-1)+1 family vectors raise
+    GuardExceeded."""
+    q = fld.q
     elements = (2 * euler_phi(q - 1) + 1) * q
     if elements > DEFAULT_MAX_OPS:
         raise GuardExceeded(
             f"bad family of {fld.name()}: estimated {elements} elements exceed the limit of {DEFAULT_MAX_OPS}"
         )
-    index: dict[tuple[int, ...], list] = {}
-    for member in bad_ordering_family(fld):
-        form = canonical_form(EvaluationVector(fld, member[2])).points
-        index.setdefault(form, []).append(member)
-    return MappingProxyType({form: tuple(members) for form, members in index.items()})
+    for reason, theta, vec in bad_ordering_family(fld):
+        form, members = _class_members(fld, vec)  # refuses q < 3 at the first member
+        if members[0] == (reason, theta):
+            yield tuple(form.tolist()), members
 
 
 def classify_bad_ordering(ev: EvaluationVector) -> BadOrderingVerdict:
@@ -441,18 +465,20 @@ def classify_bad_ordering(ev: EvaluationVector) -> BadOrderingVerdict:
 
     A full-length 2-dimensional code fails to correct a single insdel error
     exactly when its ordering is affinely equivalent to a member of
-    bad_ordering_family, i.e. when its canonical form is a bad_class_index
-    key.  The witness maps the first member of that class, in family order,
-    onto ev: lam * member + mu = ev.
+    bad_ordering_family, as _class_members decides.  The witness maps the
+    first member of that class, in family order, onto ev: lam * member +
+    mu = ev, read from two coordinates, since every member starts (0, 1)
+    but the reversed one, which ends (1, 0).
     """
     if not ev.is_full_length():
         raise ValueError("classification requires a full-length ordering")
     fld = ev.field
-    members = bad_class_index(fld).get(canonical_form(ev).points)
-    if members is None:
+    _, members = _class_members(fld, ev.points)
+    if not members:
         return BadOrderingVerdict(False, REASON_NOT_BAD, None)
-    reason, theta, vec = members[0]
-    lam, mu = equivalent(EvaluationVector(fld, vec), ev)
+    reason, theta = members[0]
+    ends = ((1, 0), ev.points[-2:]) if reason == REASON_REVERSED else ((0, 1), ev.points[:2])
+    lam, mu = equivalent(*(EvaluationVector(fld, end) for end in ends))
     return BadOrderingVerdict(True, reason, {"lam": lam, "mu": mu, "theta": theta})
 
 
@@ -506,7 +532,7 @@ def census_2dim(
     """Classify every equivalence class of full-length orderings (k = 2).
 
     Each class has a unique representative starting (0, 1), its canonical
-    form; the bad ones are the bad_class_index keys, listed in class order,
+    form; the bad ones are the forms of bad_classes, listed in class order,
     and the other classes are counted, not visited.  verify picks the classes
     re-measured with the exact affine engine by rank in class order: "all"
     every class, "spot" an evenly spaced sample of about SPOT_CHECKS, "none"
@@ -522,18 +548,18 @@ def census_2dim(
         count = f"(q-2)! = {math.factorial(q - 2)}" if q <= 22 else f"(q-2)! at q={q}"
         raise GuardExceeded(f"{count} exceeds max_classes={max_classes}")
     total = math.factorial(q - 2)
-    index = bad_class_index(fld)  # refuses q < 3 before any work
+    forms = [form for form, _ in bad_classes(fld)]  # refuses q < 3 before any work
     if verify == "auto":
         verify = "all" if q <= 8 else "spot"
     spot = range(0, total, max(1, total // SPOT_CHECKS))
     verify_idx = {"all": range(total), "spot": spot, "none": range(0)}.get(verify)
     if verify_idx is None:
         raise ValueError(f"unknown verify mode {verify!r}")
-    stray = [key for key in index if key[:2] != (0, 1) or sorted(key) != list(range(q))]
-    if stray:  # the classes between keys are counted, so every key must be a class
-        raise InvariantViolation(f"bad-class key {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
+    stray = [form for form in forms if form[:2] != (0, 1) or sorted(form) != list(range(q))]
+    if stray:  # the classes between bad forms are counted, so every form must be a class
+        raise InvariantViolation(f"bad-class form {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
     # both streams are in class order: merge them lazily, each class once
-    bad = ((key, "bad") for key in sorted(index))
+    bad = ((form, "bad") for form in sorted(forms))
     verified = (((0, 1) + _unrank(range(2, q), i), "verify") for i in verify_idx)
     bad_entries = []
     t0 = time.perf_counter()

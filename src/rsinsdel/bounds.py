@@ -109,26 +109,18 @@ class BadClassTally:
 
 
 def bad_class_count(fld: Field) -> BadClassTally:
-    """Count the distinct affine classes of the explicit bad family, read
-    from analyze.bad_class_index.
+    """Count the distinct affine classes of the explicit bad family, as
+    listed by analyze.bad_classes.
 
     Each class entry records every family member that lands on it, so
     coincidences between the explicit vectors are visible.
     """
-    index = analyze.bad_class_index(fld)
-    classes = []
-    mult = 0
-    for form in sorted(index):
-        members = index[form]
-        if any(r in (analyze.REASON_GEOMETRIC, analyze.REASON_REVERSED) for r, _, _ in members):
-            mult += 1
-        classes.append(
-            {
-                "alpha": EvaluationVector(fld, form).serialize(),
-                "members": [{"reason": r, "theta": t} for r, t, _ in members],
-            }
-        )
-    return BadClassTally(len(index), tuple(classes), mult)
+    classes, mult = [], 0
+    for form, members in sorted(analyze.bad_classes(fld)):
+        mult += any(r != analyze.REASON_ARITHMETIC for r, _ in members)
+        entries = [{"reason": r, "theta": t} for r, t in members]
+        classes.append({"alpha": EvaluationVector(fld, form).serialize(), "members": entries})
+    return BadClassTally(len(classes), tuple(classes), mult)
 
 
 def bad_ordering_count_bound(q: int, ell: int) -> int:

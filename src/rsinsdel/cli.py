@@ -178,40 +178,22 @@ def cmd_bounds(args) -> None:
     if missing:
         raise ValueError(f"bounds {which} requires {' '.join(missing)}")
     if which == "half-singleton":
-        result = {
-            "name": "half_singleton",
-            "parameters": {"n": args.n, "k": args.k},
-            "values": {"max_correctable": bounds.half_singleton(args.n, args.k)},
-            "verdict": None,
-        }
+        values = {"max_correctable": bounds.half_singleton(args.n, args.k)}
+        report = bounds.BoundReport("half_singleton", {"n": args.n, "k": args.k}, values)
     elif which == "class-lower-bound":
         lower = bounds.good_class_lower_bound(args.q)  # guards (q-2)! first
-        result = {
-            "name": "good_class_lower_bound",
-            "parameters": {"q": args.q},
-            "values": {"classes_total": bounds.classes_total(args.q), "lower_bound": lower},
-            "verdict": None,
-        }
+        values = {"classes_total": bounds.classes_total(args.q), "lower_bound": lower}
+        report = bounds.BoundReport("good_class_lower_bound", {"q": args.q}, values)
     elif which == "bad-classes":
-        fld = field_from_order(args.q)
-        tally = bounds.bad_class_count(fld)
-        result = {
-            "name": "bad_class_count",
-            "parameters": {"q": args.q},
-            "values": tally.to_dict(),
-            "verdict": None,
-        }
+        tally = bounds.bad_class_count(field_from_order(args.q))
+        report = bounds.BoundReport("bad_class_count", {"q": args.q}, tally.to_dict())
     elif which == "fail-count-bound":
         bounds.check_count_bound_digits(args.q, args.ell)
-        result = {
-            "name": "bad_ordering_count_bound",
-            "parameters": {"q": args.q, "ell": args.ell},
-            "values": {"bad_orderings_at_most": bounds.bad_ordering_count_bound(args.q, args.ell)},
-            "verdict": None,
-        }
+        values = {"bad_orderings_at_most": bounds.bad_ordering_count_bound(args.q, args.ell)}
+        report = bounds.BoundReport("bad_ordering_count_bound", {"q": args.q, "ell": args.ell}, values)
     else:
-        result = bounds.normalized_bad_fraction_bound(args.q, args.delta).to_dict()
-    _emit(args, "bounds", {"bound": which}, result, t0)
+        report = bounds.normalized_bad_fraction_bound(args.q, args.delta)
+    _emit(args, "bounds", {"bound": which}, report.to_dict(), t0)
 
 
 TABLE_DEFAULT_QS = (4, 5, 7, 8, 9, 11, 13)
@@ -221,9 +203,8 @@ def table_rows(qs, census_max_q: int = 9) -> list[dict]:
     """One row per field order: exact correcting-class counts and proportion.
 
     Small orders run the full census (exact, classifier cross-checked against
-    the exact LCS engine); larger orders count the classes of
-    analyze.bad_class_index directly, which the complete classification
-    makes equally exact; both methods read the same index.  The 3-decimal
+    the exact LCS engine); larger orders count analyze.bad_classes, which
+    the complete classification makes equally exact.  The 3-decimal
     column rounds census rows and floors dedup rows (a floored value is
     still a true lower bound at the printed precision).  A (q-2)! of more
     than bounds.MAX_DIGITS digits is refused before it is built.
@@ -238,7 +219,7 @@ def table_rows(qs, census_max_q: int = 9) -> list[dict]:
             method = "census"
             prop3 = _round3(census.proportion)
         else:
-            good = total - len(analyze.bad_class_index(fld))
+            good = total - sum(1 for _ in analyze.bad_classes(fld))
             method = "bad_family_dedup"
             prop3 = _floor3(good / total)
         rows.append(

@@ -139,6 +139,17 @@ def test_is_optimal_witness_is_a_real_collision():
     assert tuple(w["f"]) != tuple(w["g"])
 
 
+def test_is_optimal_refuses_a_deficient_pair_without_collision(monkeypatch, capsys):
+    # GF(7):0,1,2,4 has rank-deficient pairs, so a scan finding no collision
+    # is a broken engine, never an optimal code
+    monkeypatch.setattr(analyze, "_normalized_polys", lambda fld, k: iter(()))
+    with pytest.raises(InvariantViolation, match="rank-deficient index pairs but no collision"):
+        analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 4)), 2)
+    argv = ["analyze", "--field", "7", "--alpha", "0,1,2,4", "--k", "2", "--method", "optimal"]
+    assert cli.main(argv) == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvariantViolation"
+
+
 def test_is_optimal_agrees_with_bruteforce_k2():
     for q in (7, 8, 9, 11, 13):
         fld = field_new(*__import__("rsinsdel.gf", fromlist=["prime_power"]).prime_power(q))
@@ -244,10 +255,11 @@ def test_index_classifier_matches_scan_on_every_canonical_ordering():
 
 
 def test_index_classifier_matches_scan_on_sampled_orderings():
-    for fld in (field_new(11), field_new(13), field_new(2, 4)):
+    for fld in (field_new(11), field_new(13), field_new(2, 4), field_new(5, 2), field_new(3, 3), field_new(2, 5)):
         rng = analyze.SplitMix64(2024 + fld.q)
         orderings = [analyze.random_ordering(fld.q, rng) for _ in range(150)]
-        for _, _, vec in analyze.bad_ordering_family(fld):
+        family = list(analyze.bad_ordering_family(fld))
+        for _, _, vec in family:
             lam, mu = 1 + rng.below(fld.q - 1), rng.below(fld.q)
             orderings.append(tuple(fld.add(fld.mul(lam, x), mu) for x in vec))
         bad = 0
@@ -256,19 +268,14 @@ def test_index_classifier_matches_scan_on_sampled_orderings():
             verdict = analyze.classify_bad_ordering(ev)
             assert verdict == scan_classifier(ev), ev
             bad += verdict.bad
-        assert bad >= len(analyze.bad_ordering_family(fld))
+        assert bad >= len(family)
 
 
-def test_bad_class_index_keys_are_the_family_classes():
-    for fld in (field_new(2, 2), field_new(7), field_new(3, 2), field_new(11)):
-        index = analyze.bad_class_index(fld)
-        assert analyze.bad_class_index(fld) is index
-        family = analyze.bad_ordering_family(fld)
-        assert sum(len(members) for members in index.values()) == len(family)
-        for form, members in index.items():
-            assert form[:2] == (0, 1)
-            for member in members:
-                assert equivalent(EvaluationVector(fld, member[2]), EvaluationVector(fld, form))
+def test_bad_classes_match_the_index_oracle(bad_class_index):
+    # forms, class order and member order against canonical_form per member
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 128, 256):
+        fld = field_from_order(q)
+        assert list(analyze.bad_classes(fld)) == list(bad_class_index(fld).items()), q
 
 
 def test_census_gf11_full():
@@ -322,8 +329,8 @@ def test_census_q5_q7_against_raw_all_pairs_scan():
 
 
 def test_census_flags_classifier_disagreeing_with_exact_engine(monkeypatch):
-    # an index missing every bad class must trip the exact cross-check
-    monkeypatch.setattr(analyze, "bad_class_index", lambda fld: {})
+    # an enumerator missing every bad class must trip the exact cross-check
+    monkeypatch.setattr(analyze, "bad_classes", lambda fld: iter(()))
     with pytest.raises(InvariantViolation, match="disagrees"):
         analyze.census_2dim(field_new(5), verify="all")
 
@@ -342,7 +349,7 @@ def test_census_needs_q_at_least_3():
 def test_classification_needs_q_at_least_3():
     f2 = field_new(2)
     calls = (
-        lambda: analyze.bad_class_index(f2),
+        lambda: list(analyze.bad_classes(f2)),
         lambda: analyze.classify_bad_ordering(EvaluationVector(f2, (0, 1))),
         lambda: bounds.bad_class_count(f2),
         lambda: cli.table_rows((2,)),
@@ -353,17 +360,16 @@ def test_classification_needs_q_at_least_3():
     assert analyze.classify_bad_ordering(EvaluationVector(field_new(3), (0, 1, 2))).bad
 
 
-def test_bad_class_index_guard(monkeypatch):
+def test_bad_classes_guard(monkeypatch):
     # 2 * phi(65536) + 1 = 65537 family vectors of length 65537
     with pytest.raises(GuardExceeded, match="estimated 4295098369 elements exceed the limit of 100000000"):
-        analyze.bad_class_index(field_new(65537))
-    # GF(7): (2 * phi(6) + 1) * 7 = 35 elements; the uncached function sees the patched limit
-    build = analyze.bad_class_index.__wrapped__
+        next(analyze.bad_classes(field_new(65537)))
+    # GF(7): (2 * phi(6) + 1) * 7 = 35 elements
     monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 34)
     with pytest.raises(GuardExceeded, match="estimated 35 elements exceed the limit of 34"):
-        build(F7)
+        next(analyze.bad_classes(F7))
     monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 35)
-    assert len(build(F7)) == 5
+    assert len(list(analyze.bad_classes(F7))) == 5
 
 
 def test_census_thread_invariance(capsys):

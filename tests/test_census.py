@@ -1,9 +1,10 @@
 """The census against the per-ordering scan it replaced, and its pinned rows.
 
-census_2dim visits only the bad classes (the index keys) and the verified
-ones (unranked from their class rank).  The oracle here is the scan it
-replaced: every (0, 1)-prefixed ordering, in itertools.permutations order
-and in chunks, looked up in bad_class_index.
+census_2dim visits only the bad classes (the forms of analyze.bad_classes)
+and the verified ones (unranked from their class rank).  The oracle here is
+the scan it replaced: every (0, 1)-prefixed ordering, in
+itertools.permutations order and in chunks, looked up in the bad-class
+index built member by member (the bad_class_index fixture).
 """
 
 import itertools
@@ -21,16 +22,15 @@ from rsinsdel.rscode import EvaluationVector
 ORACLE_CHUNK = 512
 DIFFERENTIAL_QS = (3, 4, 5, 7, 8, 9, 11)
 # verify="all" re-measures every class with the real affine engine up to
-# REAL_ALL_MAX_Q; GF(9) runs it with the engine answering from the index (see
-# exact_engine), and GF(11), whose 362,880 classes take tens of seconds even
-# so, runs "spot" and "none" only.
+# REAL_ALL_MAX_Q; GF(9) runs it with the engine answering from the oracle
+# index (see exact_engine), and GF(11), whose 362,880 classes take tens of
+# seconds even so, runs "spot" and "none" only.
 REAL_ALL_MAX_Q = 8
 ALL_MAX_Q = 9
 
 
-def _oracle_chunk(fld, verify_idx, chunk):
+def _oracle_chunk(fld, index, verify_idx, chunk):
     base, perms = chunk
-    index = analyze.bad_class_index(fld)
     bad_entries = []
     for off, perm in enumerate(perms):
         points = (0, 1) + perm
@@ -47,7 +47,7 @@ def _oracle_chunk(fld, verify_idx, chunk):
     return bad_entries
 
 
-def census_oracle(fld, verify):
+def census_oracle(fld, index, verify):
     """The census as the per-ordering scan over all (q-2)! classes."""
     q = fld.q
     total = math.factorial(q - 2)
@@ -58,7 +58,7 @@ def census_oracle(fld, verify):
     }[verify]
     perms = itertools.permutations(range(2, q))
     chunks = ((i, tuple(itertools.islice(perms, ORACLE_CHUNK))) for i in range(0, total, ORACLE_CHUNK))
-    bad_entries = [entry for chunk in chunks for entry in _oracle_chunk(fld, verify_idx, chunk)]
+    bad_entries = [entry for chunk in chunks for entry in _oracle_chunk(fld, index, verify_idx, chunk)]
     good = total - len(bad_entries)
     return analyze.CensusResult(
         q=q,
@@ -72,10 +72,10 @@ def census_oracle(fld, verify):
 
 
 @pytest.fixture
-def exact_engine(monkeypatch):
+def exact_engine(monkeypatch, bad_class_index):
     """Record every class the exact engine re-measures.  With real=False
-    the engine answers from the index (q - 1 on a bad class, q - 2 on any
-    other)."""
+    the engine answers from the oracle index (q - 1 on a bad class, q - 2
+    on any other)."""
     calls = []
     real_engine = analyze.lcs_code_affine
 
@@ -84,7 +84,7 @@ def exact_engine(monkeypatch):
             calls.append(ev.points)
             if real:
                 return real_engine(ev, want_witness)
-            bad = ev.points in analyze.bad_class_index(ev.field)
+            bad = ev.points in bad_class_index(ev.field)
             return analyze.AnalysisReport(ev.n, 2, ev.field.q, "affine", ev.n - 2 + bad, 1 - bad, not bad)
 
         monkeypatch.setattr(analyze, "lcs_code_affine", engine)
@@ -94,13 +94,13 @@ def exact_engine(monkeypatch):
 
 
 @pytest.mark.parametrize("q", DIFFERENTIAL_QS)
-def test_census_matches_per_ordering_scan(q, exact_engine):
+def test_census_matches_per_ordering_scan(q, exact_engine, bad_class_index):
     fld = field_from_order(q)
     total = math.factorial(q - 2)
     for verify in ("all", "spot", "none") if q <= ALL_MAX_Q else ("spot", "none"):
         calls = exact_engine(real=verify != "all" or q <= REAL_ALL_MAX_Q)
         del calls[:]
-        want = census_oracle(fld, verify)
+        want = census_oracle(fld, bad_class_index(fld), verify)
         oracle_calls = Counter(calls)
         del calls[:]
         got = analyze.census_2dim(fld, max_classes=total, verify=verify)
@@ -141,9 +141,9 @@ def test_unrank_gf11_first_last_and_spot_indices():
 )
 def test_census_refuses_malformed_index_key(monkeypatch, key):
     fld = field_new(5)
-    index = dict(analyze.bad_class_index(fld))
-    index[key] = index[tuple(range(5))]
-    monkeypatch.setattr(analyze, "bad_class_index", lambda fld: index)
+    classes = list(analyze.bad_classes(fld))
+    classes.append((key, [(analyze.REASON_ARITHMETIC, None)]))
+    monkeypatch.setattr(analyze, "bad_classes", lambda fld: iter(classes))
     for verify in ("all", "none"):
         with pytest.raises(InvariantViolation, match="not a \\(0, 1\\)-prefixed ordering of GF\\(5\\)"):
             analyze.census_2dim(fld, verify=verify)

@@ -77,6 +77,31 @@ def test_classify(capsys):
     assert doc["result"]["reason"] == "arithmetic_progression"
 
 
+def test_classify_answers_on_gf65521(capsys):
+    # an O(q) test per ordering: no bad family of 2*phi(65520)+1 vectors is built
+    from rsinsdel.gf import field_new
+
+    fld = field_new(65521)
+    theta = fld.primitive_elements()[-1]
+    member = [0, 1]
+    for _ in range(fld.q - 2):
+        member.append(fld.mul(member[-1], theta))
+    member.reverse()
+    scaled = [fld.add(fld.mul(12345, x), 678) for x in member]
+    for ordering, reason in ((range(fld.q), "arithmetic_progression"), (scaled, "reversed_geometric")):
+        t0 = time.perf_counter()
+        doc = run_json(capsys, "classify", "--field", "65521", "--alpha", ",".join(map(str, ordering)))
+        assert time.perf_counter() - t0 < 1.0
+        result = doc["result"]
+        assert result["bad"] and result["reason"] == reason
+        lam, mu, got_theta = (result["witness"][key] for key in ("lam", "mu", "theta"))
+        if reason == "arithmetic_progression":
+            assert (lam, mu, got_theta) == (1, 0, None)
+        else:
+            assert got_theta == theta
+            assert [fld.add(fld.mul(lam, x), mu) for x in member] == scaled
+
+
 def test_census_and_guard(capsys):
     doc = run_json(capsys, "census", "--field", "5")
     assert doc["result"]["classes_correcting_one"] == 1

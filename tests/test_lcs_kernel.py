@@ -131,7 +131,7 @@ def orderings(q, count, seed):
     fld = field_from_order(q)
     rng = analyze.SplitMix64(seed)
     out = [EvaluationVector(fld, analyze.random_ordering(q, rng)) for _ in range(count)]
-    fam = analyze.bad_ordering_family(fld)
+    fam = list(analyze.bad_ordering_family(fld))
     out += [EvaluationVector(fld, fam[0][2]), EvaluationVector(fld, fam[-1][2])]
     return out
 
