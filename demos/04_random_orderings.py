@@ -15,7 +15,7 @@ from rsinsdel import analyze
 f81 = field_new(3, 4)
 result = analyze.sample_orderings(f81, delta="0.5", trials=40, seed=2024)
 
-print("q = 81, 40 seeded random orderings, threshold floor(q/2)-1 =", result.threshold)
+print("q = 81, 40 seeded random orderings, threshold floor(q/2)-1 =", result.lcs_threshold)
 hist = collections.Counter(result.lcs_values)
 for value in sorted(hist):
     print(f"  LCS(C) = {value:>3}: {'#' * hist[value]}")
@@ -25,4 +25,4 @@ print("fraction correcting at least one insdel:", result.fraction_correcting_one
 print()
 print("Same seed reproduces byte-identical results:")
 again = analyze.sample_orderings(f81, delta="0.5", trials=40, seed=2024)
-print("  identical:", result.to_dict() == again.to_dict())
+print("  identical:", result == again)

@@ -68,18 +68,6 @@ class AnalysisReport:
     optimal: bool
     witness: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "method": self.method,
-            "lcs_of_code": self.lcs_of_code,
-            "max_correctable": self.max_correctable,
-            "optimal": self.optimal,
-            "witness": self.witness,
-        }
-
 
 def _check_lcs_floor(lcs_value: int, n: int, k: int) -> None:
     # For n >= 2k-1, any k-dimensional linear code has two distinct codewords
@@ -292,9 +280,6 @@ class OptimalityResult:
     optimal: bool
     witness: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {"optimal": self.optimal, "witness": self.witness}
-
 
 def _check_work(estimate: int) -> None:
     if estimate > DEFAULT_MAX_OPS:
@@ -381,9 +366,6 @@ class BadOrderingVerdict:
     bad: bool
     reason: str
     witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"bad": self.bad, "reason": self.reason, "witness": self.witness}
 
 
 def _geometric_vector(fld: Field, theta: int) -> tuple[int, ...]:
@@ -491,17 +473,6 @@ class CensusResult:
     bad_classes: tuple[dict, ...]
     reason_counts: dict
     verified: int
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "classes_total": self.classes_total,
-            "classes_correcting_one": self.classes_correcting_one,
-            "proportion": self.proportion,
-            "bad_classes": list(self.bad_classes),
-            "reason_counts": dict(sorted(self.reason_counts.items())),
-            "verified": self.verified,
-        }
 
 
 def _unrank(items: tuple, index: int) -> tuple:
@@ -635,22 +606,10 @@ class SampleResult:
     delta: str
     trials: int
     seed: int
-    threshold: int
+    lcs_threshold: int
     lcs_values: tuple[int, ...]
     fraction_correcting: float
     fraction_correcting_one: float
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "lcs_threshold": self.threshold,
-            "lcs_values": list(self.lcs_values),
-            "fraction_correcting": self.fraction_correcting,
-            "fraction_correcting_one": self.fraction_correcting_one,
-        }
 
 
 def parse_fraction(text) -> Fraction:
@@ -696,7 +655,7 @@ def sample_orderings(
         delta=str(frac),
         trials=trials,
         seed=seed,
-        threshold=threshold,
+        lcs_threshold=threshold,
         lcs_values=tuple(values),
         fraction_correcting=n_correct / trials if trials else 0.0,
         fraction_correcting_one=n_one / trials if trials else 0.0,

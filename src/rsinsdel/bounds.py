@@ -20,7 +20,7 @@ from .rscode import EvaluationVector
 
 MP_PRECISION_BITS = 250
 # Python's default limit on converting an integer to decimal text: a report
-# holding a larger integer would fail in json.dumps after all the work.
+# holding a larger integer would fail in cli.dumps after all the work.
 MAX_DIGITS = 4300
 # Work ceiling of the exact fail-count sum: its number of terms times the
 # decimal digits of its largest term.  tail-bound at q = 1024, delta = 1/2
@@ -47,16 +47,8 @@ def _check_digits(what: str, log_value: float) -> None:
 class BoundReport:
     name: str
     parameters: dict
-    values: dict
+    values: dict | BadClassTally
     verdict: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": dict(sorted(self.parameters.items())),
-            "values": dict(sorted(self.values.items())),
-            "verdict": self.verdict,
-        }
 
 
 def half_singleton(n: int, k: int) -> int:
@@ -99,13 +91,6 @@ class BadClassTally:
     count: int
     classes: tuple[dict, ...]
     multiplicative_count: int  # classes hit by a geometric/reversed vector
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "classes": list(self.classes),
-            "multiplicative_count": self.multiplicative_count,
-        }
 
 
 def bad_class_count(fld: Field) -> BadClassTally:

@@ -11,6 +11,7 @@ stderr and exit with 2 for usage/precondition errors (an unwritable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,19 +43,36 @@ def _parse_field(text: str) -> Field:
 
 def _parse_alpha(args) -> EvaluationVector:
     text = args.alpha.strip()
+    fld = None if args.field is None else _parse_field(args.field)
     if text.startswith("GF("):
-        return parse_vector(text)
-    if args.field is None:
+        ev = parse_vector(text)
+        if fld is not None and fld != ev.field:
+            raise ValueError(f"--field {fld.name()} and --alpha {ev.field.name()} name different fields")
+        return ev
+    if fld is None:
         raise ValueError("--alpha without GF() prefix requires --field")
-    fld = _parse_field(args.field)
     return EvaluationVector(fld, tuple(int(tok) for tok in text.split(",")))
 
 
-def _emit(args, command: str, params: dict, result: dict, t0: float) -> None:
+def _fields(obj):
+    if isinstance(obj, EvaluationVector):
+        return obj.serialize()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps(doc) -> str:
+    """The one JSON encoding of every report: sorted keys, compact
+    separators, and each result dataclass written as its fields."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_fields)
+
+
+def _emit(args, command: str, params: dict, result, t0: float) -> None:
     doc = {"schema": SCHEMA, "command": command, "params": params, "result": result}
     if args.timing:
         doc["wall_time_s"] = time.perf_counter() - t0
-    _write(args, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write(args, dumps(doc) + "\n")
 
 
 def _write(args, payload: str) -> None:
@@ -84,25 +102,18 @@ def cmd_analyze(args) -> None:
     ev = _parse_alpha(args)
     params = {"alpha": ev.serialize(), "k": args.k, "method": args.method}
     if args.method == "brute":
-        result = analyze.lcs_code_bruteforce(RsCode(ev, args.k), max_codewords=args.max_codewords).to_dict()
+        result = analyze.lcs_code_bruteforce(RsCode(ev, args.k), max_codewords=args.max_codewords)
     elif args.method == "affine":
         if args.k != 2:
             raise ValueError("the affine fast path requires --k 2")
-        result = analyze.lcs_code_affine(ev).to_dict()
+        result = analyze.lcs_code_affine(ev)
     elif args.method == "certificate":
         if args.t is None:
             raise ValueError("--method certificate requires --t")
-        cert = insdel.rank_certificate(RsCode(ev, args.k), args.t)
+        result = insdel.rank_certificate(RsCode(ev, args.k), args.t)
         params["t"] = args.t
-        result = {
-            "certified": cert.certified,
-            "t": cert.t,
-            "witness": list(map(list, cert.witness)) if cert.witness else None,
-            "pairs_checked": cert.pairs_checked,
-        }
     elif args.method == "optimal":
-        res = analyze.is_optimal_half_rate(ev, args.k)
-        result = res.to_dict()
+        result = analyze.is_optimal_half_rate(ev, args.k)
     else:
         raise ValueError(f"unknown method {args.method!r}")
     _emit(args, "analyze", params, result, t0)
@@ -112,7 +123,7 @@ def cmd_classify(args) -> None:
     t0 = time.perf_counter()
     ev = _parse_alpha(args)
     verdict = analyze.classify_bad_ordering(ev)
-    _emit(args, "classify", {"alpha": ev.serialize()}, verdict.to_dict(), t0)
+    _emit(args, "classify", {"alpha": ev.serialize()}, verdict, t0)
 
 
 def cmd_census(args) -> None:
@@ -129,7 +140,7 @@ def cmd_census(args) -> None:
         "verify": args.verify,
         "max_classes": args.max_classes,
     }
-    _emit(args, "census", params, result.to_dict(), t0)
+    _emit(args, "census", params, result, t0)
 
 
 def cmd_sample(args) -> None:
@@ -142,7 +153,7 @@ def cmd_sample(args) -> None:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _emit(args, "sample", params, result.to_dict(), t0)
+    _emit(args, "sample", params, result, t0)
 
 
 def cmd_construct(args) -> None:
@@ -159,7 +170,7 @@ def cmd_construct(args) -> None:
         "k": args.k,
         "verify": args.verify,
     }
-    _emit(args, "construct", params, trace.to_dict(), t0)
+    _emit(args, "construct", params, trace, t0)
 
 
 BOUND_REQUIRED = {
@@ -186,14 +197,14 @@ def cmd_bounds(args) -> None:
         report = bounds.BoundReport("good_class_lower_bound", {"q": args.q}, values)
     elif which == "bad-classes":
         tally = bounds.bad_class_count(field_from_order(args.q))
-        report = bounds.BoundReport("bad_class_count", {"q": args.q}, tally.to_dict())
+        report = bounds.BoundReport("bad_class_count", {"q": args.q}, tally)
     elif which == "fail-count-bound":
         bounds.check_count_bound_digits(args.q, args.ell)
         values = {"bad_orderings_at_most": bounds.bad_ordering_count_bound(args.q, args.ell)}
         report = bounds.BoundReport("bad_ordering_count_bound", {"q": args.q, "ell": args.ell}, values)
     else:
         report = bounds.normalized_bad_fraction_bound(args.q, args.delta)
-    _emit(args, "bounds", {"bound": which}, report.to_dict(), t0)
+    _emit(args, "bounds", {"bound": which}, report, t0)
 
 
 TABLE_DEFAULT_QS = (4, 5, 7, 8, 9, 11, 13)
@@ -347,7 +358,7 @@ def _fail(exit_code: int, exc: BaseException) -> int:
         "schema": SCHEMA,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    sys.stderr.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stderr.write(dumps(doc) + "\n")
     return exit_code
 
 

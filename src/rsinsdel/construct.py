@@ -280,14 +280,6 @@ class StageRecord:
     chosen_pair: tuple[int, int]
     verification: str
 
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "bad_pair_count": self.bad_pair_count,
-            "chosen_pair": list(self.chosen_pair),
-            "verification": self.verification,
-        }
-
 
 @dataclass(frozen=True)
 class ConstructionTrace:
@@ -296,15 +288,6 @@ class ConstructionTrace:
     verify_mode: str
     stages: tuple[StageRecord, ...]
     alpha: EvaluationVector
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "verify_mode": self.verify_mode,
-            "stages": [s.to_dict() for s in self.stages],
-            "alpha": self.alpha.serialize(),
-        }
 
 
 def stage_work(q: int, k: int) -> int:

@@ -14,7 +14,6 @@ README for details.
 """
 
 import itertools
-import json
 import math
 import random
 import time
@@ -261,14 +260,14 @@ def test_criterion_10_random_orderings_statistics():
     t0 = time.perf_counter()
     f81 = field_new(3, 4)
     result = analyze.sample_orderings(f81, "0.5", 100, seed=42)
-    assert result.threshold == 39
+    assert result.lcs_threshold == 39
     # hard assertion: almost every ordering corrects at least one insdel
     assert result.fraction_correcting_one >= 0.95
     # soft threshold: shortfalls emit a warning artifact instead of failing
     if result.fraction_correcting < 0.90:
         ARTIFACT_DIR.mkdir(exist_ok=True)
         (ARTIFACT_DIR / "random_sampling_warning.json").write_text(
-            json.dumps(result.to_dict(), indent=2)
+            cli.dumps(result)
         )
     assert time.perf_counter() - t0 < 1200.0
 

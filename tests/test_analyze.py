@@ -374,7 +374,7 @@ def test_bad_classes_guard(monkeypatch):
 
 def test_census_thread_invariance(capsys):
     # the census runs serially; the CLI's --threads leaves its result as is
-    want = analyze.census_2dim(field_new(5)).to_dict()
+    want = json.loads(cli.dumps(analyze.census_2dim(field_new(5))))
     assert cli.main(["census", "--field", "5", "--threads", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == want
 
@@ -421,7 +421,7 @@ def test_sample_trivial_cases():
 
 def test_sample_reproducible_across_threads(capsys):
     # trials run serially; the CLI's --threads leaves the result as is
-    want = analyze.sample_orderings(field_new(2, 4), "0.5", 12, seed=9).to_dict()
+    want = json.loads(cli.dumps(analyze.sample_orderings(field_new(2, 4), "0.5", 12, seed=9)))
     argv = ["sample", "--field", "16", "--delta", "0.5", "--trials", "12", "--seed", "9", "--threads", "4"]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"] == want

@@ -1,11 +1,12 @@
 """Tests for the counting-bound evaluators."""
 
+import json
 import math
 
 import mpmath
 import pytest
 
-from rsinsdel import analyze, bounds
+from rsinsdel import analyze, bounds, cli
 from rsinsdel.errors import GuardExceeded
 from rsinsdel.gf import field_from_order, field_new
 
@@ -205,7 +206,7 @@ def test_tail_bound_float_oracle_agreement():
 
 def test_bound_report_serialization():
     rep = bounds.normalized_bad_fraction_bound(256, "0.25")
-    doc = rep.to_dict()
+    doc = json.loads(cli.dumps(rep))
     assert doc["name"] == "normalized_bad_fraction_bound"
     assert doc["verdict"] is True
     assert doc["parameters"] == {"delta": "1/4", "q": 256}

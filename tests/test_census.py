@@ -68,7 +68,7 @@ def census_oracle(fld, index, verify):
         bad_classes=tuple(bad_entries),
         reason_counts=dict(Counter(entry["reason"] for entry in bad_entries)),
         verified=len(verify_idx),
-    ).to_dict()
+    )
 
 
 @pytest.fixture
@@ -104,9 +104,9 @@ def test_census_matches_per_ordering_scan(q, exact_engine, bad_class_index):
         oracle_calls = Counter(calls)
         del calls[:]
         got = analyze.census_2dim(fld, max_classes=total, verify=verify)
-        assert got.to_dict() == want, (q, verify)
+        assert got == want, (q, verify)
         assert Counter(calls) == oracle_calls, (q, verify)
-        assert len(oracle_calls) == want["verified"]
+        assert len(oracle_calls) == want.verified
 
 
 def test_unrank_matches_permutations_for_small_n():

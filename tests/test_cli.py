@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from rsinsdel import cli
+from rsinsdel import analyze, cli, rscode
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -21,6 +23,14 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def replay_golden(capsys, name):
+    golden = json.loads((GOLDEN / name).read_text())
+    for command, expected in golden.items():
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 0, err
+        assert out == expected, command
 
 
 def test_analyze_brute(capsys):
@@ -212,16 +222,36 @@ def test_construct_stage_guard_exit_3(capsys):
 
 def test_construct_matches_golden_file(capsys):
     # construct traces pinned byte for byte, as table1.json pins table1
-    golden = json.loads((Path(__file__).parent / "golden" / "construct.json").read_text())
-    for command, expected in golden.items():
-        code, out, err = run_cli(capsys, *command.split())
-        assert code == 0, err
-        assert out == expected, command
+    replay_golden(capsys, "construct.json")
+
+
+def test_commands_match_golden_file(capsys):
+    # analyze, classify, census, sample and bounds reports pinned byte for byte
+    replay_golden(capsys, "commands.json")
+
+
+def test_benchmark_tracer_finds_and_restores_its_seams(capsys, monkeypatch):
+    # the benchmark's tracer patches fixed names; a rename breaks it here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    seams = [(owner, attr) for owner, attr, _ in tracing.SPANS.values()]
+    originals = [getattr(owner, attr) for owner, attr in seams]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, out, err = run_cli(capsys, "census", "--field", "7")
+    finally:
+        tracer.remove()
+    assert code == 0, err
+    assert tracer.spans["analyze.census_2dim"].calls == 1
+    assert analyze.equivalent is rscode.equivalent
+    assert [getattr(owner, attr) for owner, attr in seams] == originals
 
 
 def test_default_exact_construct_matches_certificate_golden(capsys):
     # the default exact check admits k = 4 at q = 1367 and builds the same code
-    golden = json.loads((Path(__file__).parent / "golden" / "construct.json").read_text())
+    golden = json.loads((GOLDEN / "construct.json").read_text())
     certified = json.loads(golden["construct --field 1367 --k 4 --verify certificate"])
     exact = run_json(capsys, "construct", "--field", "1367", "--k", "4")
     for doc, mode in ((exact, "exact"), (certified, "certificate")):
@@ -313,7 +343,7 @@ def test_table_dedup_path(capsys):
 
 
 def test_table_matches_golden_file(capsys):
-    golden = (Path(__file__).parent / "golden" / "table1.json").read_text()
+    golden = (GOLDEN / "table1.json").read_text()
     code, out, err = run_cli(capsys, "table1", "--qs", "4,5,7,8,9,11,13")
     assert code == 0
     assert out == golden
@@ -337,6 +367,16 @@ def test_output_file(tmp_path, capsys):
     assert doc["result"]["optimal"] is True
 
 
+# Orders above the ceiling are refused before any primality test or
+# factorization, and the fail-count sum before any factorial.
+QUICK_REFUSALS = [
+    (2, ("census", "--field", "1000000000000000003")),
+    (2, ("census", "--field", "1000000000000000003^1")),
+    (2, ("classify", "--alpha", "GF(1000000000000000003):0,1")),
+    (2, ("bounds", "bad-classes", "--q", "1000000000000000003")),
+    (3, ("bounds", "tail-bound", "--q", "8000", "--delta", "0.5")),
+    (3, ("bounds", "fail-count-bound", "--q", "1000000000", "--ell", "500000000")),
+]
 # One malformed or out-of-range input per row, with its documented exit code.
 MALFORMED = [
     (2, ("analyze", "--field", "6", "--k", "2", "--alpha", "0,1,2")),
@@ -384,18 +424,23 @@ MALFORMED = [
     (2, ("bounds", "tail-bound", "--q", "-5", "--delta", "0.5")),
     (3, ("bounds", "class-lower-bound", "--q", "2000")),
     (3, ("bounds", "fail-count-bound", "--q", "3000", "--ell", "2")),
-    # orders above the ceiling are refused before any primality test or
-    # factorization, and the fail-count sum before any factorial
-    (2, ("census", "--field", "1000000000000000003")),
-    (2, ("census", "--field", "1000000000000000003^1")),
-    (2, ("classify", "--alpha", "GF(1000000000000000003):0,1")),
-    (2, ("bounds", "bad-classes", "--q", "1000000000000000003")),
-    (3, ("bounds", "tail-bound", "--q", "8000", "--delta", "0.5")),
-    (3, ("bounds", "fail-count-bound", "--q", "1000000000", "--ell", "500000000")),
+    *QUICK_REFUSALS,
+    # a GF(..) prefix must name the same field as --field
+    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5")),
+    (2, ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5")),
+    (2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10")),
 ]
-QUICK_REFUSALS = MALFORMED[-6:]
 # The message of some MALFORMED rows, pinned where it names the offending input.
 MESSAGES = {
+    ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5"): (
+        "--field GF(7) and --alpha GF(11) name different fields"
+    ),
+    ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5"): (
+        "--field GF(2^2) and --alpha GF(2^3) name different fields"
+    ),
+    ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10"): (
+        "--field GF(7) and --alpha GF(11) name different fields"
+    ),
     ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
     ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"): (
         "sampling needs q >= 3 (full-length codes of dimension 2), got q=2"
@@ -422,6 +467,14 @@ def test_malformed_input_exits_with_a_documented_code(capsys, expected, argv):
     error = json.loads(err)["error"]
     assert set(error) == {"type", "message"}
     assert MESSAGES.get(argv, "") in error["message"]
+
+
+def test_alpha_prefix_matching_field_is_accepted(capsys):
+    plain = run_json(capsys, "analyze", "--k", "2", "--alpha", "GF(2^2):0,1,2,3")
+    for field in ("4", "2^2"):
+        doc = run_json(capsys, "analyze", "--field", field, "--k", "2", "--alpha", "GF(2^2):0,1,2,3")
+        assert doc == plain
+    assert plain["params"]["alpha"] == "GF(2^2):0,1,2,3"
 
 
 def test_huge_inputs_are_refused_at_once(capsys):

@@ -1,13 +1,14 @@
 """Tests for the rate-1/2 construction."""
 
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from rsinsdel import analyze, construct, insdel, poly
+from rsinsdel import analyze, cli, construct, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
@@ -310,7 +311,7 @@ def test_construct_k2():
 def test_construct_k3_exact_and_deterministic():
     t1 = construct.construct_half_rate(F251, 3, verify_mode="exact")
     t2 = construct.construct_half_rate(F251, 3, verify_mode="exact")
-    assert t1.to_dict() == t2.to_dict()
+    assert t1 == t2
     assert analyze.is_optimal_half_rate(t1.alpha, 3).optimal
     assert [s.i for s in t1.stages] == [2, 3]
 
@@ -388,7 +389,7 @@ def test_bad_set_stays_under_ceiling_k3():
 
 def test_trace_serialization_shape():
     t = construct.construct_half_rate(F7, 2)
-    doc = t.to_dict()
+    doc = json.loads(cli.dumps(t))
     assert doc["alpha"] == "GF(7):0,1,2,5"
     assert doc["stages"][0]["chosen_pair"] == [2, 5]
     assert doc["q"] == 7 and doc["k"] == 2

@@ -174,10 +174,10 @@ def test_affine_large_fields(q):
 
 def test_affine_block_size_does_not_change_results(monkeypatch):
     evs = orderings(27, 1, seed=5) + orderings(11, 3, seed=6)
-    want = [analyze.lcs_code_affine(ev).to_dict() for ev in evs]
+    want = [analyze.lcs_code_affine(ev) for ev in evs]
     for rows in (3, 64):
         monkeypatch.setattr(analyze, "LCS_BLOCK_ROWS", rows)
-        assert [analyze.lcs_code_affine(ev).to_dict() for ev in evs] == want
+        assert [analyze.lcs_code_affine(ev) for ev in evs] == want
 
 
 # -- the brute-force engine -------------------------------------------------------
@@ -233,11 +233,11 @@ def test_bruteforce_block_size_does_not_change_results(monkeypatch):
         # k = 1 over a full-length GF(97) ordering: 97 rows of length 97
         (RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1), 100),
     ]
-    want = [analyze.lcs_code_bruteforce(code, max_codewords=cap).to_dict() for code, cap in cases]
-    assert want[1]["lcs_of_code"] == 0 and want[1]["witness"]["g"] == [1]
+    want = [analyze.lcs_code_bruteforce(code, max_codewords=cap) for code, cap in cases]
+    assert want[1].lcs_of_code == 0 and want[1].witness["g"] == [1]
     for rows in (1, 5, 100):
         monkeypatch.setattr(analyze, "LCS_BLOCK_ROWS", rows)
-        got = [analyze.lcs_code_bruteforce(code, max_codewords=cap).to_dict() for code, cap in cases]
+        got = [analyze.lcs_code_bruteforce(code, max_codewords=cap) for code, cap in cases]
         assert got == want
 
 
@@ -263,9 +263,9 @@ def test_optimality_checker_unchanged_by_the_dropped_copies(monkeypatch):
     for q, k, count in cases:
         fld = field_from_order(q)
         evs += [(EvaluationVector(fld, tuple(rng.sample(range(q), 2 * k))), k) for _ in range(count)]
-    got = [analyze.is_optimal_half_rate(ev, k).to_dict() for ev, k in evs]
+    got = [analyze.is_optimal_half_rate(ev, k) for ev, k in evs]
     monkeypatch.setattr(analyze, "_normalized_polys", normalized_with_scaled_copies)
-    assert got == [analyze.is_optimal_half_rate(ev, k).to_dict() for ev, k in evs]
+    assert got == [analyze.is_optimal_half_rate(ev, k) for ev, k in evs]
 
 
 def test_sample_is_byte_identical_across_threads(capsys):
