@@ -5,7 +5,7 @@ length-n code corrects t insdel errors exactly when that maximum is at most
 n - t - 1.  Two exact engines are provided (a guarded brute force for any
 parameters, and a fast path for full-length 2-dimensional codes that
 exploits the affine edit-distance isometries; both measure their codeword
-pairs in row blocks with insdel's batched LCS kernel), plus the complete
+pairs with insdel's batched LCS kernel), plus the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes, a
 census visiting only the bad and verified classes, and seeded random sampling.
@@ -134,11 +134,11 @@ def lcs_code_bruteforce(
 
     Shifting both words keeps their LCS: LCS(cf, w + c) = LCS(cf - c, w).
     So only the first q^(k-1) codewords w (zero constant term) are built,
-    and each normalized f takes one batched kernel pass over the rows w + c,
-    (c, w) in codewords order, i.e. every g = w + c except g = f.  The rows
-    do not depend on f, so they are built once, in the narrowest unsigned
-    dtype that holds q - 1.  The witness is the first maximum in (f, c, w)
-    order.
+    and each normalized f takes one batched kernel call over all the rows
+    w + c, (c, w) in codewords order, i.e. every g = w + c except g = f.
+    The rows do not depend on f, so they are built once, in the narrowest
+    unsigned dtype that holds q - 1.  The witness is the first maximum in
+    (f, c, w) order.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     if q**k > max_codewords:
@@ -149,7 +149,7 @@ def lcs_code_bruteforce(
     values = np.array([w for _, w in words], dtype=np.int64)
     total = q * len(words)
     block = _block_rows(n)
-    # column-major, so each block's columns are contiguous reads for the kernel
+    # column-major, so each column is one contiguous read for the kernel
     rows = np.empty((total, n), dtype=np.min_scalar_type(q - 1), order="F")
     for start in range(0, total, block):
         c, w = np.divmod(np.arange(start, min(start + block, total)), len(words))
@@ -158,20 +158,15 @@ def lcs_code_bruteforce(
     best_pair = None
     for f in _normalized_polys(fld, k):
         masks = match_masks(poly.eval_on(fld, f, points), q)
-        same = word_index[f]  # the row c = 0, w = f, where g is f
-        for start in range(0, total, block):
-            lengths = lcs_from_masks(masks, n, rows[start : start + block])
-            if start <= same < start + len(lengths):
-                lengths[same - start] = -1
-            i = int(lengths.argmax())
-            if lengths[i] > best:
-                best = int(lengths[i])
-                c, w = divmod(start + i, len(words))
-                best_pair = (f, poly.poly_add(fld, words[w][0], (c,)))
-                if best == n - 1:
-                    break
-        if best == n - 1:
-            break
+        lengths = lcs_from_masks(masks, n, rows)
+        lengths[word_index[f]] = -1  # the row c = 0, w = f, where g is f
+        i = int(lengths.argmax())
+        if lengths[i] > best:
+            best = int(lengths[i])
+            c, w = divmod(i, len(words))
+            best_pair = (f, poly.poly_add(fld, words[w][0], (c,)))
+            if best == n - 1:
+                break
     witness = _pair_witness(code, *best_pair) if want_witness else None
     return _report(code, "brute_force", best, witness)
 
@@ -312,8 +307,7 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
         raise ValueError("optimality checker requires n = 2k")
     _check_work(k * (k + 1) * (2 * k - 1) ** 3)
     points = ev.points
-    sweep = insdel.index_pairs(n, n - 1, k)
-    pairs = [ij for ij in sweep if poly.rank(fld, insdel.build_V(fld, points, k, *ij)) < 2 * k - 1]
+    pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))]
     if not pairs:
         return OptimalityResult(True, None)
     _check_work(2 * fld.q ** max(0, k - 2) * len(pairs) * k**3)
@@ -369,12 +363,12 @@ class BadOrderingVerdict:
 
 
 def _geometric_vector(fld: Field, theta: int) -> tuple[int, ...]:
-    out = [0, 1]
-    cur = 1
-    for _ in range(fld.q - 2):
-        cur = fld.mul(cur, theta)
-        out.append(cur)
-    return tuple(out)
+    """(0, 1, theta, .., theta^(q-2)) by doubling: the powers theta^L ..
+    theta^(2L-1) are theta^0 .. theta^(L-1) times theta^L."""
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < fld.q - 1:
+        powers = np.concatenate((powers, fld.v_mul(powers, fld.mul(int(powers[-1]), theta))))
+    return (0, *powers[: fld.q - 1].tolist())
 
 
 def bad_ordering_family(fld: Field):

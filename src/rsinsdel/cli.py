@@ -368,6 +368,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
+        if math.isnan(getattr(args, "time_guard", None) or 0.0):  # NaN compares false with every time
+            raise ValueError("time guard must be a number of seconds, got nan")
         args.func(args)
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, exc)

@@ -80,31 +80,23 @@ def base_case(fld: Field) -> EvaluationVector:
     raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
 
 
-def _stage_system(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq):
-    """Rows and the two right-hand sides (fixed part, leading-coefficient
-    part) of the stage system for one ordered index-sequence pair: the
-    matrix insdel.build_V of dimension i over (J, I), its I block negated,
-    with the two top-degree columns moved to the right-hand sides."""
-    rows, rhs_fixed, rhs_lead = [], [], []
-    for row in insdel.build_V(fld, points, i, j_seq, i_seq):
-        rows.append(row[: i - 1] + [fld.neg(c) for c in row[i:-1]])
-        rhs_fixed.append(row[-1])
-        rhs_lead.append(row[i - 1])
-    return rows, rhs_fixed, rhs_lead
-
-
 def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq):
     """Solutions (u0, u1) of the stage system for one swept index pair (see
-    extend); the unknowns for leading coefficient `lead` are u0 - lead*u1."""
-    rows, rhs_fixed, rhs_lead = _stage_system(fld, points, i, i_seq, j_seq)
-    base = poly.solve_linear(fld, rows, rhs_fixed)
-    if base.status != "unique":
+    extend): insdel.build_V of dimension i over (J, I), its I block negated,
+    its two top-degree columns moved to the right-hand sides (fixed part,
+    leading-coefficient part).  The unknowns for leading coefficient `lead`
+    are u0 - lead*u1."""
+    v = insdel.build_V(fld, points, i, j_seq, i_seq)
+    rows = np.hstack((v[:, : i - 1], fld.v_mul(v[:, i:-1], fld.neg(1))))
+    solved = poly.solve_linear(fld, rows, v[:, [-1, i - 1]])
+    if solved.status != "unique":
         raise SingularSystemError(
             f"stage {i}: singular system at index pair with distance "
             f"{insdel.hamming_increasing(i_seq, j_seq)} >= {i-2}; "
             f"the input vector {points} cannot have been optimal"
         )
-    return base.solution, poly.solve_linear(fld, rows, rhs_lead).solution
+    u0, u1 = zip(*solved.solution)
+    return u0, u1
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:

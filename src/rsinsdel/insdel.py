@@ -4,9 +4,9 @@ certificates for insdel-correction capability.
 Sequences are tuples/lists of field element indices (the scalar routines
 accept any hashable symbols).  Index sequences are 1-based strictly
 increasing tuples; index_pairs is the one sweep over pairs of them, and
-build_V the one matrix over a pair, behind the rank certificate, the exact
-optimality check (analyze) and the stage systems (construct).  Everything
-is pure and thread-safe.
+build_V the one matrix over a pair or a stack of pairs, behind the rank
+certificate (deficient_pairs ranks a sweep block by block), the exact
+optimality check (analyze) and the stage systems (construct).  All pure.
 
 The exact capability engines measure many LCS values against one fixed
 sequence s: match_masks builds its bit table once, and lcs_from_masks runs
@@ -26,6 +26,9 @@ import numpy as np
 from . import poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded
 from .rscode import RsCode
+
+# build_V entries ranked by one poly.rank call: 8 MB per int64 temporary
+RANK_BLOCK_ELEMENTS = 1 << 20
 
 
 def match_masks(s, alphabet: int) -> np.ndarray:
@@ -174,28 +177,37 @@ def index_pairs(n: int, ell: int, min_distance: int):
 # -- the ell x (2k-1) coefficient matrix and its rank certificate -----------
 
 
-def build_V(fld, points, k: int, i_seq, j_seq) -> list[list[int]]:
+def build_V(fld, points, k: int, i_seq, j_seq) -> np.ndarray:
     """Row t is (1, a_{I_t}, .., a_{I_t}^{k-1}, a_{J_t}, .., a_{J_t}^{k-1})
-    where a = points; shape len(I) x (2k-1)."""
-    if len(i_seq) != len(j_seq):
+    where a = points; shape len(I) x (2k-1).  Stacks of index sequences
+    (..., ell) give the stack of their matrices (..., ell, 2k-1)."""
+    i_idx, j_idx = np.asarray(i_seq, dtype=np.int64), np.asarray(j_seq, dtype=np.int64)
+    if i_idx.shape != j_idx.shape:
         raise ValueError("index sequences must have equal length")
-    n = len(points)
-    rows = []
-    for it, jt in zip(i_seq, j_seq):
-        if not (1 <= it <= n and 1 <= jt <= n):
-            raise ValueError("index out of range")
-        ai, aj = points[it - 1], points[jt - 1]
-        row = [1]
-        power = 1
-        for _ in range(k - 1):
-            power = fld.mul(power, ai)
-            row.append(power)
-        power = 1
-        for _ in range(k - 1):
-            power = fld.mul(power, aj)
-            row.append(power)
-        rows.append(row)
-    return rows
+    if i_idx.size and not 1 <= min(i_idx.min(), j_idx.min()) <= max(i_idx.max(), j_idx.max()) <= len(points):
+        raise ValueError("index out of range")
+    powers = np.ones((len(points), k), dtype=np.int64)  # powers[s, e] = a_s^e
+    for e in range(1, k):
+        powers[:, e] = fld.v_mul(powers[:, e - 1], np.asarray(points, dtype=np.int64))
+    return np.concatenate((powers[i_idx - 1], powers[j_idx - 1, 1:]), axis=-1)
+
+
+def deficient_pairs(fld, points, k: int, pairs):
+    """Yield (position from 1, (I, J)) for each index pair whose build_V
+    matrix has rank below 2k - 1, in sweep order; return the number swept.
+    Blocks of pairs, one poly.rank call each, double from one pair up to
+    RANK_BLOCK_ELEMENTS entries, so stopping at the first deficient pair
+    ranks at most about twice the pairs before it."""
+    pairs = iter(pairs)
+    size, swept = 1, 0
+    while block := list(itertools.islice(pairs, size)):
+        seqs = np.array(block)  # (pairs, 2, ell)
+        matrices = build_V(fld, points, k, seqs[:, 0], seqs[:, 1])
+        for b in np.flatnonzero(poly.rank(fld, matrices) < 2 * k - 1).tolist():
+            yield swept + b + 1, block[b]
+        swept += len(block)
+        size = min(2 * size, max(1, RANK_BLOCK_ELEMENTS // matrices[0].size))
+    return swept
 
 
 @dataclass(frozen=True)
@@ -222,17 +234,16 @@ def rank_certificate(code: RsCode, t: int) -> CertificateResult:
     that the code corrects t insdel errors.  At t = 1 a deficient pair also
     proves failure: its kernel vector gives f(a_I) = g(a_J), g0 = 0, and
     f = g would be constant on the d + 1 > k points of the one run of d >=
-    n - k shifted positions, hence 0.  Enumeration is lexicographic, so the
-    reported witness is deterministic.  More than DEFAULT_MAX_OPS
-    candidate pairs, C(n, ell)^2, raise GuardExceeded before any
-    enumeration.
+    n - k shifted positions, hence 0.  The witness is the first deficient
+    pair in lexicographic order; index_pairs' guard runs before any pair.
     """
     fld, n, k = code.field, code.n, code.k
     ell = n - t
     if not 2 * k - 1 <= ell <= n:
         raise ValueError(f"need 2k-1 <= n-t <= n, got ell={ell}, k={k}, n={n}")
-    checked = 0
-    for checked, (i_seq, j_seq) in enumerate(index_pairs(n, ell, ell - k + 1), 1):
-        if poly.rank(fld, build_V(fld, code.ev.points, k, i_seq, j_seq)) < 2 * k - 1:
-            return CertificateResult(False, t, (i_seq, j_seq), checked)
-    return CertificateResult(True, t, None, checked)
+    sweep = deficient_pairs(fld, code.ev.points, k, index_pairs(n, ell, ell - k + 1))
+    try:
+        checked, witness = next(sweep)
+    except StopIteration as done:
+        return CertificateResult(True, t, None, done.value)
+    return CertificateResult(False, t, witness, checked)

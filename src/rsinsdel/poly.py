@@ -2,9 +2,10 @@
 
 Polynomials are tuples of element indices, low degree first, in canonical
 form: no trailing zero coefficient, the zero polynomial being the empty
-tuple.  Matrices are lists of row lists.  Sizes never exceed a few tens of
-rows, so everything here is plain Gaussian elimination with exact field
-arithmetic.  All functions are pure.
+tuple.  Matrices are int64 arrays (or nested lists) of element indices;
+the one Gaussian elimination, _row_echelon, reduces a whole stack of them
+at once with the field's vector operations, one pass per column, so rank
+ranks many small matrices in one call.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -140,71 +141,68 @@ class LinearSolution:
     """Full description of the solution set of A x = b.
 
     status is "unique", "inconsistent", or "underdetermined"; `solution` is a
-    particular solution when one exists (free variables set to 0), `kernel` a
-    basis of the homogeneous solution space.
+    particular solution when one exists (free variables 0; a row per unknown
+    for a 2-D rhs), `kernel` a basis of the homogeneous solution space.
     """
 
     status: str
-    solution: tuple[int, ...] | None
+    solution: tuple | None
     kernel: tuple[tuple[int, ...], ...]
 
 
-def _row_echelon(fld: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place reduced row echelon over the first ncols columns.
-
-    Returns the list of pivot column indices.  Columns beyond ncols (e.g. an
-    augmented right-hand side) are carried along.
+def _row_echelon(fld: Field, stack, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form, in lockstep, of every matrix of a (B, R, C)
+    stack over its first ncols columns (later columns, such as right-hand
+    sides, are carried along).  Rows stay in place: per column, each matrix
+    scales its first free (not yet pivotal) row with a nonzero entry there
+    to a leading 1 and clears the column in every other row.  Returns the
+    reduced stack and the (B, ncols) pivot row of each column, -1 if none.
     """
-    pivots: list[int] = []
-    r = 0
+    a = np.array(stack, dtype=np.int64)
+    pivots = np.full((len(a), ncols), -1, dtype=np.int64)
+    used = np.zeros(a.shape[:2], dtype=bool)
+    each = np.arange(len(a))
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = fld.inv(rows[r][c])
-        rows[r] = [fld.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        found = (a[:, :, c] != 0) & ~used
+        has = found.any(axis=1)
+        row = found.argmax(axis=1)
+        # A free row is zero left of c, so only columns c.. change.  With no
+        # pivot the row read is zeroed (the inverse of 0 is 0) so that no used
+        # row is subtracted; a pivot row is overwritten after the update.
+        head = a[each, row, c:]
+        head = fld.v_mul(head, fld.v_inv(np.where(has, head[:, 0], 0))[:, None])
+        factor = fld.v_mul(a[:, :, c, None], fld.neg(1))
+        a[:, :, c:] = fld.v_add(a[:, :, c:], fld.v_mul(factor, head[:, None, :]))
+        a[each[has], row[has], c:] = head[has]
+        pivots[has, c] = row[has]
+        used[each[has], row[has]] = True
+    return a, pivots
 
 
-def rank(fld: Field, matrix) -> int:
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    return len(_row_echelon(fld, rows, len(rows[0])))
+def rank(fld: Field, matrices) -> np.ndarray:
+    """Rank of every matrix of a (..., R, C) stack, keeping the leading axes;
+    a single matrix gives a 0-d result."""
+    a = np.asarray(matrices, dtype=np.int64)
+    _, pivots = _row_echelon(fld, a.reshape((-1,) + a.shape[-2:]), a.shape[-1])
+    return (pivots >= 0).sum(axis=-1).reshape(a.shape[:-2])
 
 
 def solve_linear(fld: Field, matrix, rhs) -> LinearSolution:
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if len(rows) != len(matrix) or len(rows) != len(rhs):
+    """Solve A x = b.  As in numpy.linalg.solve, a 2-D rhs holds one
+    right-hand side per column and the solution has one column per
+    right-hand side; the status covers them all."""
+    a, b = np.asarray(matrix, dtype=np.int64), np.asarray(rhs, dtype=np.int64)
+    if a.ndim != 2 or b.ndim not in (1, 2) or len(b) != len(a):
         raise ValueError("matrix/rhs dimension mismatch")
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = _row_echelon(fld, rows, ncols)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][ncols] != 0:
-            return LinearSolution("inconsistent", None, ())
-    solution = [0] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = fld.neg(rows[r][fc])
-        kernel.append(tuple(vec))
-    status = "unique" if not free_cols else "underdetermined"
-    return LinearSolution(status, tuple(solution), tuple(kernel))
+    ncols = a.shape[1]
+    (reduced,), (pivots,) = _row_echelon(fld, np.hstack((a, b.reshape(len(b), -1)))[None], ncols)
+    if np.delete(reduced[:, ncols:], pivots[pivots >= 0], axis=0).any():
+        return LinearSolution("inconsistent", None, ())
+    pivot_cols, free_cols = np.flatnonzero(pivots >= 0), np.flatnonzero(pivots < 0)
+    solution = np.zeros((ncols, reduced.shape[1] - ncols), dtype=np.int64)
+    solution[pivot_cols] = reduced[pivots[pivot_cols], ncols:]
+    kernel = np.eye(ncols, dtype=np.int64)[free_cols]
+    kernel[:, pivot_cols] = fld.v_mul(reduced[pivots[pivot_cols]][:, free_cols].T, fld.neg(1))
+    status = "unique" if not len(free_cols) else "underdetermined"
+    solution = tuple(map(tuple, solution.tolist())) if b.ndim == 2 else tuple(solution[:, 0].tolist())
+    return LinearSolution(status, solution, tuple(map(tuple, kernel.tolist())))

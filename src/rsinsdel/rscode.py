@@ -27,8 +27,9 @@ class EvaluationVector:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValueError("evaluation vector must be nonempty")
-        for x in self.points:
-            self.field.check(x)
+        if min(self.points) < 0 or max(self.points) >= self.field.q:
+            for x in self.points:  # the first offending point names the error
+                self.field.check(x)
         if len(set(self.points)) != len(self.points):
             raise ValueError("evaluation points must be pairwise distinct")
 
@@ -41,7 +42,7 @@ class EvaluationVector:
         return len(self.points) == self.field.q
 
     def serialize(self) -> str:
-        return f"{self.field.name()}:" + ",".join(str(x) for x in self.points)
+        return f"{self.field.name()}:" + ",".join(map(str, self.points))
 
     def __str__(self) -> str:
         return self.serialize()

@@ -249,6 +249,22 @@ def test_benchmark_tracer_finds_and_restores_its_seams(capsys, monkeypatch):
     assert [getattr(owner, attr) for owner, attr in seams] == originals
 
 
+def test_benchmark_tracer_sees_the_construct_layers(capsys, monkeypatch):
+    # the traced construct workload needs calls in each of these spans
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, out, err = run_cli(capsys, "construct", "--field", "251", "--k", "3", "--verify", "certificate")
+    finally:
+        tracer.remove()
+    assert code == 0, err
+    for name in ("poly.rank", "poly.solve_linear", "poly.eval_all", "insdel.rank_certificate", "construct.extend"):
+        assert tracer.spans[name].calls > 0, name
+
+
 def test_default_exact_construct_matches_certificate_golden(capsys):
     # the default exact check admits k = 4 at q = 1367 and builds the same code
     golden = json.loads((GOLDEN / "construct.json").read_text())
@@ -429,6 +445,8 @@ MALFORMED = [
     (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5")),
     (2, ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5")),
     (2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10")),
+    # every comparison with NaN is false, so a NaN guard would never fire
+    (2, ("census", "--field", "7", "--time-guard", "nan")),
 ]
 # The message of some MALFORMED rows, pinned where it names the offending input.
 MESSAGES = {
@@ -442,6 +460,7 @@ MESSAGES = {
         "--field GF(7) and --alpha GF(11) name different fields"
     ),
     ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
+    ("census", "--field", "7", "--time-guard", "nan"): "time guard must be a number of seconds, got nan",
     ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"): (
         "sampling needs q >= 3 (full-length codes of dimension 2), got q=2"
     ),

@@ -92,8 +92,10 @@ def swept_bad_set(fld, points, i, i_seq, j_seq):
 
 
 def system_rank(fld, points, i, i_seq, j_seq):
-    rows, _, _ = construct._stage_system(fld, points, i, i_seq, j_seq)
-    return poly.rank(fld, rows)
+    """Rank of the stage system's matrix: build_V over (J, I) without its two
+    top-degree columns, the I block negated (negation keeps the rank)."""
+    v = insdel.build_V(fld, points, i, j_seq, i_seq)
+    return poly.rank(fld, np.delete(v, [i - 1, 2 * i - 2], axis=1))
 
 
 def stage_pairs(n, i):

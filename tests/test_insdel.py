@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rsinsdel import insdel, poly
@@ -144,13 +145,30 @@ def test_index_pairs_guard_refuses_at_the_call(monkeypatch):
 
 def test_build_v_examples():
     v = insdel.build_V(F7, (0, 1, 2, 5), 2, (1, 2, 3), (2, 3, 4))
-    assert v == [[1, 0, 1], [1, 1, 2], [1, 2, 5]]
+    assert v.tolist() == [[1, 0, 1], [1, 1, 2], [1, 2, 5]]
     v = insdel.build_V(F7, (0, 1, 2, 5, 3), 3, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
-    assert len(v) == 5 and all(len(row) == 5 for row in v)
+    assert v.shape == (5, 5)
     v = insdel.build_V(F7, (0, 1, 2), 1, (1, 2), (2, 3))
-    assert v == [[1], [1]]
+    assert v.tolist() == [[1], [1]]
     with pytest.raises(ValueError):
         insdel.build_V(F7, (0, 1, 2), 2, (1, 2), (2, 4))
+
+
+def test_build_v_stacks_index_pairs():
+    # a stack of pairs gives the stack of their matrices; both checks cover it
+    fld, points = field_new(2, 3), (0, 1, 2, 5, 3, 7)
+    pairs = list(insdel.index_pairs(6, 5, 3))
+    seqs = np.array(pairs)
+    stack = insdel.build_V(fld, points, 3, seqs[:, 0], seqs[:, 1])
+    assert stack.shape == (len(pairs), 5, 5)
+    for matrix, (i_seq, j_seq) in zip(stack, pairs):
+        assert matrix.tolist() == insdel.build_V(fld, points, 3, i_seq, j_seq).tolist()
+        assert matrix[:, 2].tolist() == [fld.pow(points[i - 1], 2) for i in i_seq]
+        assert matrix[:, 4].tolist() == [fld.pow(points[j - 1], 2) for j in j_seq]
+    with pytest.raises(ValueError, match="equal length"):
+        insdel.build_V(fld, points, 3, seqs[:, 0], seqs[:2, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        insdel.build_V(fld, points, 3, seqs[:, 0], seqs[:, 1] + 1)
 
 
 def test_rank_certificate_examples():
@@ -169,6 +187,22 @@ def test_rank_certificate_examples():
 
     with pytest.raises(ValueError):
         insdel.rank_certificate(RsCode(ev, 2), 2)  # ell would drop below 2k-1
+
+
+def test_rank_certificate_stops_early_in_growing_blocks(monkeypatch):
+    # the AP code fails at its second k = 20 pair: blocks of 1 and 2 pairs
+    # rank 3 matrices, not the whole 420-pair sweep
+    ranked = []
+    rank = poly.rank
+
+    def counting_rank(fld, matrices):
+        ranked.append(len(matrices))
+        return rank(fld, matrices)
+
+    monkeypatch.setattr(poly, "rank", counting_rank)
+    res = insdel.rank_certificate(RsCode(EvaluationVector(field_new(41), tuple(range(40))), 20), 1)
+    assert (res.certified, res.pairs_checked) == (False, 2)
+    assert ranked == [1, 2]
 
 
 def test_rank_certificate_skips_low_distance_pairs():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rsinsdel import poly
@@ -10,24 +11,72 @@ from rsinsdel.gf import field_new
 F7 = field_new(7)
 
 
-def rank_oracle_mod_p(matrix, p):
-    """Independent row-echelon rank over F_p, written against plain ints."""
-    rows = [list(r) for r in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+def echelon_oracle(fld, matrix, ncols):
+    """Independent reduced row echelon form over the first ncols columns:
+    textbook row swaps, one scalar field operation at a time.  Returns the
+    rows and the pivot columns."""
+    rows = [[int(v) for v in r] for r in matrix]
+    pivots = []
+    for c in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        inv = fld.inv(rows[rank][c])
+        rows[rank] = [fld.mul(v, inv) for v in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
+            if i != rank and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                rows[i] = [fld.sub(v, fld.mul(f, w)) for v, w in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank_oracle(fld, matrix):
+    return len(echelon_oracle(fld, matrix, len(matrix[0]))[1])
+
+
+def solve_oracle(fld, matrix, rhs):
+    """The solution set of A x = b for one right-hand side, from the oracle's
+    echelon form: free variables 0, one kernel vector per free column."""
+    ncols = len(matrix[0])
+    rows, pivots = echelon_oracle(fld, [list(r) + [b] for r, b in zip(matrix, rhs)], ncols)
+    if any(row[ncols] for row in rows[len(pivots) :]):
+        return poly.LinearSolution("inconsistent", None, ())
+    solution = [0] * ncols
+    for r, c in enumerate(pivots):
+        solution[c] = rows[r][ncols]
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = fld.neg(rows[r][free])
+        kernel.append(tuple(vec))
+    status = "underdetermined" if kernel else "unique"
+    return poly.LinearSolution(status, tuple(solution), tuple(kernel))
+
+
+def random_matrix(fld, rng, m, n, kind):
+    """A random m x n matrix: "random" entries, "deficient" (its rows
+    combine fewer than min(m, n) random rows), or "zero"."""
+    if kind == "zero":
+        return [[0] * n for _ in range(m)]
+    if kind == "random":
+        return [[rng.randrange(fld.q) for _ in range(n)] for _ in range(m)]
+    base = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(rng.randrange(min(m, n)))]
+    out = []
+    for _ in range(m):
+        row = [0] * n
+        for b in base:
+            c = rng.randrange(fld.q)
+            row = [fld.add(v, fld.mul(c, w)) for v, w in zip(row, b)]
+        out.append(row)
+    return out
+
+
+ORACLE_FIELDS = [F7, field_new(1367), field_new(2, 8), field_new(3, 4), field_new(5, 3)]
 
 
 def test_eval_examples():
@@ -135,7 +184,55 @@ def test_rank_matches_independent_oracle():
     for _ in range(200):
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         a = [[rng.randrange(7) for _ in range(n)] for _ in range(m)]
-        assert poly.rank(F7, a) == rank_oracle_mod_p(a, 7)
+        assert poly.rank(F7, a) == rank_oracle(F7, a)
+
+
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=str)
+def test_stacked_rank_matches_the_oracle(fld):
+    # each stack mixes full-rank, deficient and zero matrices
+    rng = random.Random(fld.q)
+    kinds = set()
+    for _ in range(12):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        stack = [random_matrix(fld, rng, m, n, rng.choice(["random", "random", "deficient", "zero"])) for _ in range(6)]
+        want = [rank_oracle(fld, a) for a in stack]
+        assert poly.rank(fld, stack).tolist() == want
+        # leading axes are kept, and a single matrix gives a 0-d result
+        assert poly.rank(fld, np.reshape(stack, (2, 3, m, n))).tolist() == [want[:3], want[3:]]
+        assert np.ndim(poly.rank(fld, stack[0])) == 0 and poly.rank(fld, stack[0]) == want[0]
+        kinds.update("full" if r == min(m, n) else "zero" if r == 0 else "deficient" for r in want)
+    assert kinds == {"full", "deficient", "zero"}
+
+
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=str)
+def test_solve_linear_matches_the_oracle(fld):
+    rng = random.Random(fld.q + 1)
+    statuses = set()
+    for _ in range(40):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        a = random_matrix(fld, rng, m, n, rng.choice(["random", "deficient", "zero"]))
+        columns = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.5:  # a consistent right-hand side A x
+                x = [rng.randrange(fld.q) for _ in range(n)]
+                b = [0] * m
+                for i, row in enumerate(a):
+                    for v, xv in zip(row, x):
+                        b[i] = fld.add(b[i], fld.mul(v, xv))
+            else:
+                b = [rng.randrange(fld.q) for _ in range(m)]
+            columns.append(b)
+        singles = [solve_oracle(fld, a, b) for b in columns]
+        assert poly.solve_linear(fld, a, columns[0]) == singles[0]
+        # several right-hand sides solve as columns, as in numpy.linalg.solve
+        got = poly.solve_linear(fld, a, np.transpose(columns))
+        if any(s.status == "inconsistent" for s in singles):
+            assert got == poly.LinearSolution("inconsistent", None, ())
+        else:
+            assert got.status == singles[0].status and got.kernel == singles[0].kernel
+            assert got.solution == tuple(zip(*(s.solution for s in singles)))
+        statuses.update(s.status for s in singles)
+    assert statuses == {"unique", "underdetermined", "inconsistent"}
 
 
 def test_rank_invariant_under_shuffle_and_scaling():
