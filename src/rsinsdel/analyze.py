@@ -253,18 +253,16 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     return _report(code, "affine", best, witness)
 
 
-def lcs_code_exact(code: RsCode) -> AnalysisReport:
-    """Dispatch to the cheapest exact engine for these parameters."""
-    if code.k == 2 and code.ev.is_full_length():
-        return lcs_code_affine(code.ev, want_witness=False)
-    return lcs_code_bruteforce(code, want_witness=False)
-
-
 def corrects(code: RsCode, t: int) -> bool:
-    """True iff the code corrects t insdel errors (exact LCS test)."""
+    """True iff the code corrects t insdel errors (exact LCS test, by the
+    cheapest exact engine for these parameters)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return lcs_code_exact(code).lcs_of_code <= code.n - t - 1
+    if code.k == 2 and code.ev.is_full_length():
+        report = lcs_code_affine(code.ev, want_witness=False)
+    else:
+        report = lcs_code_bruteforce(code, want_witness=False)
+    return report.lcs_of_code <= code.n - t - 1
 
 
 # -- optimality of length-2k dimension-k codes -------------------------------

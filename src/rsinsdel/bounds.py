@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import analyze
 from .errors import GuardExceeded
 from .gf import Field, euler_phi, is_prime
@@ -194,6 +192,8 @@ def normalized_bad_fraction_bound(q: int, delta) -> BoundReport:
             values={"status": "out_of_regime", "ell": ell},
             verdict=None,
         )
+    import mpmath  # only here: importing it would add to every command's start-up
+
     exact_sum = bad_ordering_count_bound(q, ell)
     with mpmath.workprec(MP_PRECISION_BITS):
         d_eff = mpmath.mpf(ell) / q

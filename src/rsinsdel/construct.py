@@ -6,18 +6,20 @@ Stage i takes a verified length-(2i-2) evaluation vector and appends two
 fresh points.  For every ordered pair of increasing index sequences over
 the current positions at Hamming distance at least i - 2
 (insdel.index_pairs; closer pairs have singular systems and cannot
-contribute), the stage solves one square linear system, read off
+contribute), the stage needs one square linear system, read off
 insdel.build_V, for the normalized polynomial pair that could realize a
-long common subsequence.  Its solution is affine in the free leading
-coefficient, so the pair is four polynomials evaluated once on GF(q), and
-every first-point condition, linear in that coefficient, is solved for it
-in closed form; only the cross second points take one row over GF(q) per
-(coefficient, point) solution, compared with its target by
-Field.v_mul_add_eq (in prime fields a divisibility test with no division).
-Every completion (alpha_{2i-1}, alpha_{2i}) of such a near-collision joins
-the stage's bad set, kept as sorted codes x*q + y.  Any pair of fresh
-distinct points outside the bad set extends the code; the lexicographically
-least one is chosen, so runs are fully reproducible.
+long common subsequence; one stacked poly.solve_linear call solves the
+systems of all the stage's pairs.  Each solution is affine in the free
+leading coefficient, so the pair is four polynomials evaluated once on
+GF(q), and every first-point condition, linear in that coefficient, is
+solved for it in closed form; only the cross second points take one row
+over GF(q) per (coefficient, point) solution, compared with its target by
+a Field.mul_add_matcher built once per pair and side (in prime fields a
+divisibility test with no division).  Every completion (alpha_{2i-1},
+alpha_{2i}) of such a near-collision joins the stage's bad set, kept as
+sorted codes x*q + y.  Any pair of fresh distinct points outside the bad
+set extends the code; the lexicographically least one is chosen, so runs
+are fully reproducible.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from .errors import GuardExceeded, InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
 
-# A stage evaluates its per-solution rows over GF(q) in blocks of about this
-# many elements, which keeps peak memory flat in q.
-LEAD_BLOCK_ELEMENTS = 1 << 15
 # Work budget of construct_half_rate in element operations of stages 3..k
 # (see stage_work); admits k = 6 at q = min_field_size(6).
 MAX_STAGE_OPS = 30_000_000_000
@@ -80,29 +79,33 @@ def base_case(fld: Field) -> EvaluationVector:
     raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
 
 
-def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq):
-    """Solutions (u0, u1) of the stage system for one swept index pair (see
-    extend): insdel.build_V of dimension i over (J, I), its I block negated,
+def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, pairs) -> list:
+    """Solutions (u0, u1) of the stage system of every swept index pair (see
+    extend), in sweep order, from one stacked poly.solve_linear call: per
+    pair, insdel.build_V of dimension i over (J, I), its I block negated,
     its two top-degree columns moved to the right-hand sides (fixed part,
     leading-coefficient part).  The unknowns for leading coefficient `lead`
-    are u0 - lead*u1."""
-    v = insdel.build_V(fld, points, i, j_seq, i_seq)
-    rows = np.hstack((v[:, : i - 1], fld.v_mul(v[:, i:-1], fld.neg(1))))
-    solved = poly.solve_linear(fld, rows, v[:, [-1, i - 1]])
-    if solved.status != "unique":
-        raise SingularSystemError(
-            f"stage {i}: singular system at index pair with distance "
-            f"{insdel.hamming_increasing(i_seq, j_seq)} >= {i-2}; "
-            f"the input vector {points} cannot have been optimal"
-        )
-    u0, u1 = zip(*solved.solution)
-    return u0, u1
+    are u0 - lead*u1.  The first singular system raises."""
+    seqs = np.array(pairs, dtype=np.int64)  # (pairs, 2, ell)
+    v = insdel.build_V(fld, points, i, seqs[:, 1], seqs[:, 0])
+    rows = np.concatenate((v[..., : i - 1], fld.v_mul(v[..., i:-1], fld.neg(1))), axis=-1)
+    solved = poly.solve_linear(fld, rows, v[..., [-1, i - 1]])
+    for (i_seq, j_seq), s in zip(pairs, solved):
+        if s.status != "unique":
+            raise SingularSystemError(
+                f"stage {i}: singular system at index pair with distance "
+                f"{insdel.hamming_increasing(i_seq, j_seq)} >= {i-2}; "
+                f"the input vector {points} cannot have been optimal"
+            )
+    return [tuple(zip(*s.solution)) for s in solved]
 
 
-def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+def _sorted_unique(codes: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     """np.unique for int64 codes, which in numpy 2.x is over ten times
-    slower than one sort and a neighbour comparison."""
-    codes = np.sort(codes)
+    slower than one sort and a neighbour comparison.  kind="stable" suits
+    codes that are two sorted runs: numpy's stable sort finds the runs and
+    merges them in linear time, where quicksort sorts them again."""
+    codes = np.sort(codes, kind=kind)
     return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
 
 
@@ -114,10 +117,11 @@ def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarra
     return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
 
 
-def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_seq, neg_inv) -> np.ndarray:
-    """Bad pairs contributed by one ordered index-sequence pair over all q
-    values of the free leading coefficient, as sorted unique codes x*q + y;
-    neg_inv[v] = -1/v (and 0 at 0).
+def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv) -> np.ndarray:
+    """Bad pairs contributed by one ordered index-sequence pair, given its
+    stage solutions (u0, u1), over all q values of the free leading
+    coefficient, as sorted unique codes x*q + y; neg_inv[v] = -1/v (and 0
+    at 0).
 
     For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
     g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
@@ -130,8 +134,8 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
     num(x) + lead*den(x) = 0, so each x has the one lead -num/den, or every
     lead where num = den = 0; the agreement y are bucketed by lead, and only
     the cross second points need a row A + lead*B (or C + lead*D) over all y
-    per (lead, x) hit, in blocks of rows tested against the hit's target
-    with Field.v_mul_add_eq.  An x that hits at every lead
+    per (lead, x) hit, tested against the hit's target by one
+    Field.mul_add_matcher per side.  An x that hits at every lead
     pairs with every y whose own equation some allowed lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
@@ -146,7 +150,6 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
       shapes are kept for that lead.
     """
     q = fld.q
-    u0, u1 = _stage_solutions(fld, points, i, i_seq, j_seq)
     mid = i - 2
     u = tuple(fld.sub(c0, c1) for c0, c1 in zip(u0, u1))  # lead 1
     allowed = np.ones(q, dtype=bool)
@@ -182,16 +185,12 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, i_seq, j_se
     codes.append((every_x[:, None] * q + agree_ys).ravel())
     joined = np.concatenate((hit_x[agree_allowed[hit_l]], every_x))
     codes.append((joined[:, None] * q + es[2]).ravel())
-    step = max(1, LEAD_BLOCK_ELEMENTS // q)
     # g(y) = f(x) for x in the first set (g = vals[0] + lead*vals[1]), and
     # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_mul_add(l, vals[3 - base, x], vals[2 - base, x])
-        for start in range(0, len(x), step):
-            blk = slice(start, start + step)
-            same = fld.v_mul_add_eq(l[blk, None], vals[base + 1], vals[base], target[blk, None])
-            hit, y = divmod(np.flatnonzero(same), q)
-            codes.append(x[start + hit] * q + y)
+        hit, y = fld.mul_add_matcher(vals[base + 1], vals[base])(l, target)
+        codes.append(x[hit] * q + y)
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
     side = np.repeat([0, 2], [len(es[0]), len(es[1])])
@@ -209,9 +208,9 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     Sweeps the ordered pairs of length-(2i-3) increasing index sequences at
     Hamming distance at least i - 2 (no other pair can contribute) and every
     leading coefficient of the g-side.  The stage linear system's matrix is
-    independent of that leading coefficient, so it is reduced once per index
-    pair and the per-coefficient solutions are affine combinations of two
-    base solutions.
+    independent of that leading coefficient, so the systems of all index
+    pairs are reduced together, once, and the per-coefficient solutions are
+    affine combinations of two base solutions.
     Each pair's bad set is merged, as sorted codes x*q + y, into the union in
     sweep order.
 
@@ -232,11 +231,11 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     # gives the row (1, a, .., a^mid, -a, .., -a^mid), mid = i - 2, and all
     # such rows span at most i - 1 dimensions, so the rank is at most
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
-    pairs = insdel.index_pairs(n, n - 1, i - 2)
+    solutions = _stage_solutions(fld, points, i, list(insdel.index_pairs(n, n - 1, i - 2)))
     neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
     # merged pair by pair, so memory stays at the size of the bad set
-    for ij in pairs:
-        bad = _sorted_unique(np.concatenate((bad, _stage_pair_bad_set(fld, points, i, *ij, neg_inv))))
+    for u0, u1 in solutions:
+        bad = _sorted_unique(np.concatenate((bad, _stage_pair_bad_set(fld, points, i, u0, u1, neg_inv))), "stable")
     bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
     if bad_count > ceiling:
@@ -286,8 +285,8 @@ def stage_work(q: int, k: int) -> int:
     """Estimated element operations of stages 3..k over GF(q): stage i
     sweeps at most (2i-2)(2i-3) ordered index pairs at q^2 each.  The
     closed-form sweep tests about 2q rows of q per pair, each element one
-    multiply, two adds and a compare in prime fields (Field.v_mul_add_eq),
-    so this is a loose upper bound on its work."""
+    multiply, two adds and a compare in prime fields
+    (Field.mul_add_matcher), so this is a loose upper bound on its work."""
     return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
 
 

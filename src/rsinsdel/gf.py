@@ -12,6 +12,11 @@ Prime fields use modular arithmetic.  Every extension field builds, once,
 the powers of its smallest-index generator g, the discrete logs and (for odd
 p) the Zech logs log(1 + g^i); multiplication is then a table lookup,
 addition is XOR in characteristic 2 and a Zech lookup otherwise.
+
+Field.mul_add_matcher finds every (r, y) with a[r] * b[y] + c[y] == t[r]
+for fixed rows b and c: it prepares b and c once (scaled for a division-free
+divisibility test in odd prime fields, as logs in extension fields) and
+sweeps the queries in row blocks sized by MATCH_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ MAX_ORDER = 1 << 20
 MAX_DEGREE = MAX_ORDER.bit_length() - 1  # p^m <= MAX_ORDER forces m <= 20
 # rows per matmul while a power table is laid out: bounds the (rows, m) temporaries
 ORBIT_BLOCK = 1 << 15
+# working memory of one block of mul_add_matcher rows, in bytes
+MATCH_BLOCK_BYTES = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -148,7 +155,7 @@ class Field:
         if m > 1:
             self._build_tables()
         elif p > 2:
-            # word, p^-1 mod 2^w and (2^w - 1) // p for v_mul_add_eq
+            # word, p^-1 mod 2^w and (2^w - 1) // p for mul_add_matcher
             word = np.uint32 if p * p < 1 << 32 else np.uint64
             bits = np.iinfo(word).bits
             self._divisibility = word, word(pow(p, -1, 1 << bits)), word(((1 << bits) - 1) // p)
@@ -172,9 +179,6 @@ class Field:
         if not 0 <= x < self.q:
             raise ValueError(f"{x} is not an element index of {self.name()}")
         return x
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def int_embed(self, n: int) -> int:
         """Image of the integer n under Z -> GF(p^m) (repeated addition of 1)."""
@@ -315,7 +319,7 @@ class Field:
         """a * b + c with one reduction.  Prime fields compute in uint32 when
         p(p - 1) < 2^32 (p <= 65521), so the result has that dtype, and in
         int64 otherwise.  A caller that only compares the result with a
-        target should use v_mul_add_eq, which needs no reduction."""
+        target should use mul_add_matcher, which needs no reduction."""
         if self.m == 1:
             dtype = np.uint32 if self.p * (self.p - 1) < 1 << 32 else np.int64
             return (np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % self.p
@@ -325,28 +329,85 @@ class Field:
         la = self._nlog[product]
         return self._nexp[la + self._nzech[self._nlog[c] - la + 2 * (self.q - 1)]]
 
-    def v_mul_add_eq(self, a, b, c, t):
-        """The boolean mask of a * b + c == t, broadcast like v_mul_add.
+    def mul_add_matcher(self, b, c):
+        """Return match(a, t), the (rows, columns) of every a[r] * b[y] + c[y]
+        == t[r], row-major as np.nonzero gives them, for 1-D a, t of one
+        length and b, c of another.  The rows b and c are prepared once, so
+        one matcher serves many calls; each call tests its rows in blocks
+        of at most MATCH_BLOCK_BYTES of working memory, reused block to
+        block.
 
         A prime field with odd p tests divisibility without a division
         (Granlund & Montgomery 1994): with w = 32 when p <= 65521 and 64
         otherwise, and pinv = p^-1 mod 2^w, the integer
         x = a*b + c + (p - t) <= (p-1)^2 + (p-1) + p = p^2 < 2^w is a multiple
         of p exactly when x*pinv mod 2^w <= (2^w - 1) // p.  As x -> x*pinv
-        is linear mod 2^w, b, c and p - t are scaled once, and each element
-        of the result costs one wrapping multiply, two adds and one compare.
-        p = 2 has no inverse mod 2^w, so GF(2) and the extension fields
-        compare v_mul_add with t.
+        is linear mod 2^w, b and c are scaled once per matcher and p - t
+        once per row, and each element costs one wrapping multiply, two
+        adds and one compare.  Extension fields keep the logs of b (and of
+        c for odd p) and run v_mul_add's lookups from there; GF(2), where
+        p has no inverse mod 2^w, compares v_mul_add with t.
         """
-        if self.m > 1 or self.p == 2:
-            return self.v_mul_add(a, b, c) == t
-        word, pinv, limit = self._divisibility
-        a, b, c, t = (np.asarray(v, word) for v in (a, b, c, t))
-        out = np.empty(np.broadcast(a, b, c, t).shape, word)
-        np.multiply(a, np.multiply(b, pinv), out=out)  # ufuncs wrap without a warning
-        out += np.multiply(c, pinv)
-        out += np.multiply(np.subtract(self.p, t), pinv)
-        return out <= limit
+        b, c = np.asarray(b, np.int64), np.asarray(c, np.int64)
+        if self.m == 1 and self.p > 2:
+            word, pinv, limit = self._divisibility
+            bp, cp = np.multiply(b.astype(word), pinv), np.multiply(c.astype(word), pinv)
+            buffers = (word,)
+
+            def test(a, t, out, mask):
+                np.multiply(a.astype(word)[:, None], bp, out=out)  # ufuncs wrap without a warning
+                out += cp
+                out += np.multiply(np.subtract(self.p, t).astype(word), pinv)[:, None]
+                return np.less_equal(out, limit, out=mask)
+
+        elif self.m > 1 and self.p > 2:
+            lb, lc = self._nlog[b], self._nlog[c] + 2 * (self.q - 1)
+            buffers = (np.int64, np.int64, np.int64)
+
+            def test(a, t, index, value, shift, mask):
+                # every index is in range; mode="clip" writes straight into out
+                np.add(self._nlog[a][:, None], lb, out=index)
+                np.take(self._nexp, index, out=value, mode="clip")  # the product
+                np.take(self._nlog, value, out=index, mode="clip")
+                np.subtract(lc, index, out=value)
+                np.take(self._nzech, value, out=shift, mode="clip")
+                index += shift
+                np.take(self._nexp, index, out=value, mode="clip")
+                return np.equal(value, t[:, None], out=mask)
+
+        elif self.m > 1:
+            lb = self._nlog[b]
+            buffers = (np.int64, np.int64)
+
+            def test(a, t, index, value, mask):
+                np.add(self._nlog[a][:, None], lb, out=index)
+                np.take(self._nexp, index, out=value, mode="clip")
+                value ^= c
+                return np.equal(value, t[:, None], out=mask)
+
+        else:
+            buffers = ()
+
+            def test(a, t, mask):
+                return np.equal(self.v_mul_add(a[:, None], b, c), t[:, None], out=mask)
+
+        per_element = 1 + sum(np.dtype(d).itemsize for d in buffers)  # with the bool mask
+
+        def match(a, t):
+            a, t = np.asarray(a, np.int64), np.asarray(t, np.int64)
+            width = max(len(b), 1)
+            step = max(1, MATCH_BLOCK_BYTES // (per_element * width))
+            work = [np.empty((min(step, len(a)), len(b)), d) for d in buffers + (bool,)]
+            rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+            for start in range(0, len(a), step):
+                a_blk, t_blk = a[start : start + step], t[start : start + step]
+                same = test(a_blk, t_blk, *(w[: len(a_blk)] for w in work))
+                hit, y = divmod(np.flatnonzero(same), width)
+                rows.append(hit + start)
+                cols.append(y)
+            return np.concatenate(rows), np.concatenate(cols)
+
+        return match
 
     def v_inv(self, a):
         """Elementwise inverse, with 0 mapped to 0."""

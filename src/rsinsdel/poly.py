@@ -187,15 +187,25 @@ def rank(fld: Field, matrices) -> np.ndarray:
     return (pivots >= 0).sum(axis=-1).reshape(a.shape[:-2])
 
 
-def solve_linear(fld: Field, matrix, rhs) -> LinearSolution:
+def solve_linear(fld: Field, matrix, rhs) -> LinearSolution | tuple[LinearSolution, ...]:
     """Solve A x = b.  As in numpy.linalg.solve, a 2-D rhs holds one
     right-hand side per column and the solution has one column per
-    right-hand side; the status covers them all."""
+    right-hand side; the status covers them all.  A (B, R, C) stack of
+    matrices takes a (B, R) or (B, R, K) stack of right-hand sides, is
+    reduced in one pass, and gives a tuple of B solutions."""
     a, b = np.asarray(matrix, dtype=np.int64), np.asarray(rhs, dtype=np.int64)
-    if a.ndim != 2 or b.ndim not in (1, 2) or len(b) != len(a):
+    if a.ndim not in (2, 3) or b.ndim not in (a.ndim - 1, a.ndim) or b.shape[: a.ndim - 1] != a.shape[:-1]:
         raise ValueError("matrix/rhs dimension mismatch")
-    ncols = a.shape[1]
-    (reduced,), (pivots,) = _row_echelon(fld, np.hstack((a, b.reshape(len(b), -1)))[None], ncols)
+    ncols, columns = a.shape[-1], b.ndim == a.ndim
+    stack = a.reshape((-1,) + a.shape[-2:])
+    rhs_stack = b.reshape(stack.shape[:2] + (b.shape[-1] if columns else 1,))
+    reduced, pivots = _row_echelon(fld, np.concatenate((stack, rhs_stack), axis=2), ncols)
+    solved = tuple(_solution(fld, r, p, ncols, columns) for r, p in zip(reduced, pivots))
+    return solved if a.ndim == 3 else solved[0]
+
+
+def _solution(fld: Field, reduced, pivots, ncols: int, columns: bool) -> LinearSolution:
+    """The LinearSolution read off one reduced matrix and its pivot rows."""
     if np.delete(reduced[:, ncols:], pivots[pivots >= 0], axis=0).any():
         return LinearSolution("inconsistent", None, ())
     pivot_cols, free_cols = np.flatnonzero(pivots >= 0), np.flatnonzero(pivots < 0)
@@ -204,5 +214,5 @@ def solve_linear(fld: Field, matrix, rhs) -> LinearSolution:
     kernel = np.eye(ncols, dtype=np.int64)[free_cols]
     kernel[:, pivot_cols] = fld.v_mul(reduced[pivots[pivot_cols]][:, free_cols].T, fld.neg(1))
     status = "unique" if not len(free_cols) else "underdetermined"
-    solution = tuple(map(tuple, solution.tolist())) if b.ndim == 2 else tuple(solution[:, 0].tolist())
+    solution = tuple(map(tuple, solution.tolist())) if columns else tuple(solution[:, 0].tolist())
     return LinearSolution(status, solution, tuple(map(tuple, kernel.tolist())))

@@ -538,3 +538,12 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["values"]["max_correctable"] == 1
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the normalized tail bound uses mpmath, and it imports it on use,
+    # so no other command pays for loading it
+    probe = "import sys, rsinsdel.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

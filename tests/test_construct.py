@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from rsinsdel import analyze, cli, construct, insdel, poly
+from rsinsdel import analyze, cli, construct, gf, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
@@ -53,15 +53,26 @@ def test_extend_validates_input():
 
 def test_extend_rejects_non_optimal_input():
     # (0,1,2,4) is not optimal (4 = 2^2), which must surface as a singular
-    # stage system at an index pair where optimality forbids it
-    with pytest.raises(construct.SingularSystemError):
+    # stage system at an index pair where optimality forbids it; the message
+    # names the first singular pair in sweep order
+    with pytest.raises(construct.SingularSystemError) as err:
         construct.extend(F251, (0, 1, 2, 4), 3)
+    assert str(err.value) == (
+        "stage 3: singular system at index pair with distance 2 >= 1; "
+        "the input vector (0, 1, 2, 4) cannot have been optimal"
+    )
+
+
+def pair_solutions(fld, points, i, i_seq, j_seq):
+    """The stage solutions (u0, u1) of one index pair."""
+    (solution,) = construct._stage_solutions(fld, points, i, [(i_seq, j_seq)])
+    return solution
 
 
 def reference_bad_set(fld, points, i, i_seq, j_seq):
     """Set-based per-coefficient sweep: two eval_all calls and the five
     tail-shape loops for each leading coefficient in turn."""
-    u0, u1 = construct._stage_solutions(fld, points, i, i_seq, j_seq)
+    u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
     bad = set()
     mid = i - 2
     for lead in range(fld.q):
@@ -87,7 +98,8 @@ def neg_inverses(fld):
 
 
 def swept_bad_set(fld, points, i, i_seq, j_seq):
-    codes = construct._stage_pair_bad_set(fld, points, i, i_seq, j_seq, neg_inverses(fld))
+    u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
+    codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inverses(fld))
     return {divmod(int(c), fld.q) for c in codes}
 
 
@@ -133,12 +145,32 @@ def test_closed_form_matches_reference_at_q1367():
         assert swept_bad_set(fld, points, 4, i_seq, j_seq) == reference_bad_set(fld, points, 4, i_seq, j_seq)
 
 
+@pytest.mark.parametrize(
+    "fld", [F251, field_new(1367), field_new(3, 4), field_new(2, 8), field_new(5, 3)], ids=str
+)
+def test_stacked_stage_solutions_match_per_pair_solves(fld):
+    # every swept pair of stages 3 and 4, each right-hand side solved alone
+    points = construct.base_case(fld).points
+    for i in (3, 4):
+        pairs = stage_pairs(len(points), i)
+        stacked = construct._stage_solutions(fld, points, i, pairs)
+        assert len(stacked) == len(pairs)
+        for (i_seq, j_seq), (u0, u1) in zip(pairs, stacked):
+            v = insdel.build_V(fld, points, i, j_seq, i_seq)
+            rows = np.hstack((v[:, : i - 1], fld.v_mul(v[:, i:-1], fld.neg(1))))
+            fixed, lead = (poly.solve_linear(fld, rows, v[:, col]) for col in (-1, i - 1))
+            assert fixed.status == lead.status == "unique"
+            assert (u0, u1) == (fixed.solution, lead.solution)
+        if i == 3:
+            points, _ = construct.extend(fld, points, i)
+
+
 def sweep_branches(fld, points, i, i_seq, j_seq):
     """Which special cases of the closed-form sweep one index pair reaches:
     f = g at lead 1, and first points that hit at every lead for each of
     g(x) = f(a_last), f(x) = g(a_last) and f(x) = g(x).  Each condition is
     affine in the lead, so it holds at every lead iff at leads 0 and 1."""
-    u0, u1 = construct._stage_solutions(fld, points, i, i_seq, j_seq)
+    u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
     mid, last = i - 2, points[-1]
     values = []
     for lead in (0, 1):
@@ -170,38 +202,51 @@ def test_constant_g_side_skips_lead_zero(monkeypatch):
     # same function, so both see the same system
     solve = construct._stage_solutions
 
-    def constant_g_side(fld, points, i, i_seq, j_seq):
-        u0, u1 = solve(fld, points, i, i_seq, j_seq)
-        return (u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), u1
+    def constant_g_side(fld, points, i, pairs):
+        return [((u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), u1) for u0, u1 in solve(fld, points, i, pairs)]
 
     monkeypatch.setattr(construct, "_stage_solutions", constant_g_side)
     for fld, points in SWEEP_INPUTS[:2] + SWEEP_INPUTS[-1:]:
         i = len(points) // 2 + 1
         for i_seq, j_seq in stage_pairs(len(points), i):
-            assert poly.degree(poly.trim(construct._stage_solutions(fld, points, i, i_seq, j_seq)[0][: i - 1])) < 1
+            assert poly.degree(poly.trim(pair_solutions(fld, points, i, i_seq, j_seq)[0][: i - 1])) < 1
             assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
-    fld, points = field_new(31), (0, 1, 2, 5, 3, 4)
-    full = [swept_bad_set(fld, points, 4, *ij) for ij in stage_pairs(6, 4)]
-    monkeypatch.setattr(construct, "LEAD_BLOCK_ELEMENTS", 3 * fld.q)
-    assert [swept_bad_set(fld, points, 4, *ij) for ij in stage_pairs(6, 4)] == full
+    # stages 3 and 4 over a prime and an extension field: budgets of a few
+    # rows and of less than one row (one row per block) against the default
+    for fld in (field_new(1367), field_new(3, 4)):
+        points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
+        for i in (3, 4):
+            solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))
+            full = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+            for budget in (3 * fld.q * 25, 1):
+                monkeypatch.setattr(gf, "MATCH_BLOCK_BYTES", budget)
+                for uu, codes in zip(solutions, full):
+                    assert np.array_equal(construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv), codes)
+            monkeypatch.undo()
+            if i == 3:
+                points, _ = construct.extend(fld, points, i)
 
 
-def reduced_row_test(fld, calls):
-    """The cross-second-point row test as the sweep ran it before
-    Field.v_mul_add_eq: each block of rows a*b + c reduced with % p (uint32
-    where p(p - 1) < 2^32, int64 above), then compared with its target."""
+def reduced_matcher(fld, calls):
+    """The cross-second-point row test as the sweep ran it before the
+    division-free matcher: rows a*b + c reduced with % p (uint32 where
+    p(p - 1) < 2^32, int64 above), then compared with their targets."""
 
-    def row_test(a, b, c, t):
-        calls.append(np.broadcast(a, b, c, t).size)
-        if fld.m > 1:
-            return fld.v_mul_add(a, b, c) == t
-        dtype = np.uint32 if fld.p * (fld.p - 1) < 1 << 32 else np.int64
-        return (np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % fld.p == t
+    def matcher(b, c):
+        def match(a, t):
+            a, t = np.asarray(a)[:, None], np.asarray(t)[:, None]
+            calls.append(a.size * len(b))
+            if fld.m > 1:
+                return np.nonzero(fld.v_mul_add(a, b, c) == t)
+            dtype = np.uint32 if fld.p * (fld.p - 1) < 1 << 32 else np.int64
+            return np.nonzero((np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % fld.p == t)
 
-    return row_test
+        return match
+
+    return matcher
 
 
 @pytest.mark.parametrize("fld, stages", [(F251, (3, 4)), (field_new(1367), (3, 4)), (field_new(3, 4), (3,))], ids=str)
@@ -209,11 +254,12 @@ def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
     points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
     for i in stages:
         pairs = stage_pairs(len(points), i)
-        swept = [construct._stage_pair_bad_set(fld, points, i, *ij, neg_inv) for ij in pairs]
+        solutions = construct._stage_solutions(fld, points, i, pairs)
+        swept = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(fld, "v_mul_add_eq", reduced_row_test(fld, calls))
-            reduced = [construct._stage_pair_bad_set(fld, points, i, *ij, neg_inv) for ij in pairs]
+            m.setattr(fld, "mul_add_matcher", reduced_matcher(fld, calls))
+            reduced = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
         assert sum(calls) >= len(pairs) * fld.q  # the cross rows ran through the port
         for ij, new, old in zip(pairs, swept, reduced):
             assert new.dtype == old.dtype and np.array_equal(new, old), ij
@@ -272,9 +318,11 @@ def test_singular_swept_pair_raises():
         for i_seq, j_seq in hits:
             distance = abs(omitted(6, j_seq) - omitted(6, i_seq))
             with pytest.raises(construct.SingularSystemError, match=f"distance {distance} >= 2"):
-                construct._stage_pair_bad_set(fld, points, 4, i_seq, j_seq, neg_inverses(fld))
+                pair_solutions(fld, points, 4, i_seq, j_seq)
         if hits:
-            with pytest.raises(construct.SingularSystemError):
+            # the stacked solve names the first singular pair in sweep order
+            first = abs(omitted(6, hits[0][1]) - omitted(6, hits[0][0]))
+            with pytest.raises(construct.SingularSystemError, match=f"distance {first} >= 2"):
                 construct.extend(fld, points, 4)
         singular += len(hits)
     assert singular > 0

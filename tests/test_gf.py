@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsinsdel import gf
 from rsinsdel.gf import Field, euler_phi, factorize, field_from_order, field_new, is_prime, prime_power
 
 
@@ -166,22 +167,37 @@ def test_fused_ops_on_large_prime_fields(p, dtype):
     assert inverses[1:].tolist() == [fld.inv(x) if x else 0 for x in a.tolist()]
 
 
+def matched(fld, a, b, c, t):
+    """The (len(a), len(b)) mask of a[r] * b[y] + c[y] == t[r], read off the
+    matcher's hits, which must come row-major, each once."""
+    rows, cols = fld.mul_add_matcher(b, c)(a, t)
+    assert rows.dtype.kind == cols.dtype.kind == "i" and rows.shape == cols.shape
+    flat = rows * len(b) + cols
+    assert (np.diff(flat) > 0).all()
+    mask = np.zeros((len(a), len(b)), dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (13, 1), (3, 4), (2, 8)])
 def test_mul_add_eq_matches_reduced_compare(p, m):
     fld = field_new(p, m)
     xs = np.arange(fld.q, dtype=np.int64)
     if fld.q <= 13:
-        # every (a, b, c, t), each operand on its own axis
-        a, b, c, t = xs[:, None, None, None], xs[:, None, None], xs[:, None], xs
+        # every (a, b, c, t): rows (a, t) and columns (b, c) each run over every pair
+        hi, lo = np.divmod(np.arange(fld.q**2), fld.q)
+        cases = [(hi, hi, lo, lo)]
     else:
-        # every (a, b) with c and t varying along both axes
-        a, b = xs[:, None], xs
+        # every (a, b) with c and t varying along both axes: one matcher per
+        # a, whose row j tests the targets t[a, j] (the diagonal holds t[a, y])
         c, t = (xs[:, None] + 3 * xs) % fld.q, (5 * xs[:, None] + xs) % fld.q
-    eq = fld.v_mul_add_eq(a, b, c, t)
-    assert eq.dtype == bool and eq.shape == np.broadcast(a, b, c, t).shape
-    assert (eq == (fld.v_mul_add(a, b, c) == t)).all()
-    # each (a, b, c) hits its one true target
-    assert fld.v_mul_add_eq(a, b, c, fld.v_mul_add(a, b, c)).all()
+        cases = [(np.full(fld.q, a), xs, c[a], t[a]) for a in range(fld.q)]
+    for a, b, c, t in cases:
+        eq = matched(fld, a, b, c, t)
+        assert eq.dtype == bool and eq.shape == (len(a), len(b))
+        assert (eq == (fld.v_mul_add(a[:, None], b, c) == t[:, None])).all()
+        # each (a, b, c) hits its one true target: row j asks for a[j] * b[j] + c[j]
+        assert matched(fld, a, b, c, fld.v_mul_add(a, b, c)).diagonal().all()
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 1048573])
@@ -194,11 +210,16 @@ def test_mul_add_eq_on_large_prime_fields(p):
     t[::2] = fld.v_mul_add(a, b, c)[::2]  # half the targets are hits
     a[:4], b[:4], c[:4], t[:4] = p - 1, p - 1, p - 1, (0, 1, p - 1, p - 2)  # x = p^2 at t = 0
     expected = [(x * y + z) % p == w for x, y, z, w in zip(a.tolist(), b.tolist(), c.tolist(), t.tolist())]
-    assert fld.v_mul_add_eq(a, b, c, t).tolist() == expected
+    # one matcher over all 4000 x 4000 (row, column) pairs: the diagonal is
+    # the elementwise test, and every hit off it is a true one
+    rows, cols = fld.mul_add_matcher(b, c)(a, t)
+    assert (np.diff(rows * len(b) + cols) > 0).all()
+    assert ((a[rows] * b[cols] + c[cols]) % p == t[rows]).all()
+    assert np.isin(np.arange(len(a)) * (len(b) + 1), rows * len(b) + cols).tolist() == expected
     assert expected[0] and not any(expected[1:4]) and sum(expected) > 1990
-    a, b, c, t = a[:40, None], b[:50], c[:50], t[:40, None]  # the sweep's broadcast
-    assert (fld.v_mul_add_eq(a, b, c, t) == (fld.v_mul_add(a, b, c) == t)).all()
-    assert fld.v_mul_add_eq(p - 1, p - 1, p - 1, 0)
+    a, b, c, t = a[:40], b[:50], c[:50], t[:40]  # the sweep's shape: rows of leads against q columns
+    assert (matched(fld, a, b, c, t) == (fld.v_mul_add(a[:, None], b, c) == t[:, None])).all()
+    assert matched(fld, [p - 1], [p - 1], [p - 1], [0]).all()
 
 
 def next_prime(n):
@@ -217,8 +238,26 @@ def test_mul_add_eq_property_over_prime_fields(data):
     hit = data.draw(st.lists(st.booleans(), min_size=8, max_size=8))
     t = [(x * y + z) % p if h else w for x, y, z, w, h in zip(a, b, c, t, hit)]
     expected = [(x * y + z) % p == w for x, y, z, w in zip(a, b, c, t)]
-    assert fld.v_mul_add_eq(np.array(a), np.array(b), np.array(c), np.array(t)).tolist() == expected
-    assert bool(fld.v_mul_add_eq(a[0], b[0], c[0], t[0])) == expected[0]
+    eq = matched(fld, np.array(a), np.array(b), np.array(c), np.array(t))
+    assert eq.diagonal().tolist() == expected
+    assert eq.tolist() == [[(x * y + z) % p == w for y, z in zip(b, c)] for x, w in zip(a, t)]
+    assert bool(matched(fld, a[:1], b[:1], c[:1], t[:1])[0, 0]) == expected[0]
+
+
+@pytest.mark.parametrize("p, m", [(1367, 1), (65537, 1), (2, 8), (3, 4)])
+def test_mul_add_matcher_is_independent_of_block_size(p, m, monkeypatch):
+    fld = field_new(p, m)
+    rng = np.random.default_rng(fld.q)
+    b, c = rng.integers(0, fld.q, (2, 300))
+    a = rng.integers(0, fld.q, 50)
+    t = fld.v_mul_add(a, b[:50], c[:50])  # one hit per row, at least
+    match = fld.mul_add_matcher(b, c)
+    full = match(a, t)
+    assert len(full[0]) >= len(a)
+    for budget in (1, 2 * 300 * 25, 7 * 300 * 25):  # one row, a few rows, blocks with a ragged end
+        monkeypatch.setattr(gf, "MATCH_BLOCK_BYTES", budget)
+        assert all(np.array_equal(x, y) for x, y in zip(match(a, t), full))
+    assert [len(x) for x in match(a[:0], t[:0])] == [0, 0]
 
 
 def test_inverse_in_gf2():

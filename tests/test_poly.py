@@ -235,6 +235,39 @@ def test_solve_linear_matches_the_oracle(fld):
     assert statuses == {"unique", "underdetermined", "inconsistent"}
 
 
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=str)
+def test_stacked_solve_matches_single_solves(fld):
+    # a (B, R, C) stack solves as its matrices do one by one, with vector
+    # and with column right-hand sides
+    rng = random.Random(fld.q + 2)
+    statuses = set()
+    for _ in range(12):
+        m, n, k = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 4)
+        stack = [random_matrix(fld, rng, m, n, rng.choice(["random", "deficient", "zero"])) for _ in range(5)]
+        rhs = []
+        for a in stack:
+            columns = []
+            for _ in range(k):
+                x = [rng.randrange(fld.q) for _ in range(n)]
+                b = [rng.randrange(fld.q) for _ in range(m)]
+                if rng.random() < 0.6:  # a consistent right-hand side A x
+                    b = [0] * m
+                    for i, row in enumerate(a):
+                        for v, xv in zip(row, x):
+                            b[i] = fld.add(b[i], fld.mul(v, xv))
+                columns.append(b)
+            rhs.append(np.transpose(columns))
+        singles = tuple(poly.solve_linear(fld, a, b) for a, b in zip(stack, rhs))
+        assert poly.solve_linear(fld, stack, rhs) == singles
+        vectors = [b[:, 0] for b in rhs]
+        assert poly.solve_linear(fld, stack, vectors) == tuple(poly.solve_linear(fld, a, b) for a, b in zip(stack, vectors))
+        statuses.update(s.status for s in singles)
+        with pytest.raises(ValueError):
+            poly.solve_linear(fld, stack, rhs[:-1])
+    assert statuses == {"unique", "underdetermined", "inconsistent"}
+    assert poly.solve_linear(fld, np.zeros((0, 2, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)) == ()
+
+
 def test_rank_invariant_under_shuffle_and_scaling():
     rng = random.Random(31)
     for _ in range(100):
