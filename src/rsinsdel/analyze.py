@@ -2,10 +2,14 @@
 
 Capability is governed by the largest LCS between distinct codewords: a
 length-n code corrects t insdel errors exactly when that maximum is at most
-n - t - 1.  Two exact engines are provided (a guarded brute force for any
-parameters, and a fast path for full-length 2-dimensional codes that
-exploits the affine edit-distance isometries; both measure their codeword
-pairs with insdel's batched LCS kernel), plus the complete
+n - t - 1.  Two exact engines are provided, both measuring their codeword
+pairs with insdel's batched LCS kernel: a guarded brute force for any
+parameters, and a guarded fast path for full-length 2-dimensional codes
+that exploits the affine edit-distance isometries.  In the fast path both
+words of a pair are orderings of the field, so relabelling every symbol by
+its position in the ordering turns each LCS into a longest increasing
+subsequence against 0 .. q-1, and one identity mask table and one
+relabelling table serve every row.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes, a
 census visiting only the bad and verified classes, and seeded random sampling.
@@ -34,17 +38,17 @@ from . import insdel, poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
 from .insdel import lcs_from_masks, match_masks
-from .rscode import EvaluationVector, RsCode, codewords, equivalent
+from .rscode import EvaluationVector, RsCode, equivalent
 
 DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
 SAMPLE_MAX_Q = 128
 SPOT_CHECKS = 200  # classes re-measured by census verify="spot"
-# Rows per batched LCS kernel call.  Larger blocks are faster (fewer numpy
-# calls per row) and raise peak RSS; on `sample --field 81` (3,280 rows per
-# ordering) 2^12 ran 0.050 s at +7% RSS, 2^11 0.067 s at +5.6% and 2^10
-# 0.089 s at +4.8% (CHANGES.md has the runs).
-LCS_BLOCK_ROWS = 1 << 10
+# Working memory of one block of affine rows, in bytes: each symbol is held
+# twice, in the gathered table rows and in the block.  2^20 scans a GF(81)
+# ordering (3,280 rows of 81) in one kernel call; in interleaved `sample
+# --field 81` runs it beat 2^18 and 2^19 by 20-30% and tied 2^21.
+LCS_BLOCK_BYTES = 1 << 20
 
 
 # -- reports ----------------------------------------------------------------
@@ -119,10 +123,18 @@ def _normalized_polys(fld: Field, k: int):
             yield poly.trim((0, *mids, lead))
 
 
-def _block_rows(n: int) -> int:
-    # LCS_BLOCK_ROWS rows for words of length up to SAMPLE_MAX_Q; longer
-    # words get fewer rows, so no block holds more symbols than that.
-    return max(1, LCS_BLOCK_ROWS * SAMPLE_MAX_Q // max(n, SAMPLE_MAX_Q))
+def _codeword_table(code: RsCode, count: int) -> np.ndarray:
+    """The first count codewords in rscode.codewords order, one int64 row
+    each: row i evaluates the coefficients (c_0, .., c_(k-1)) read off the
+    k base-q digits of i, most significant first, by one stacked Horner
+    pass over the points."""
+    k, q = code.k, code.q
+    digits = np.arange(count)[:, None] // q ** np.arange(k - 1, -1, -1) % q
+    xs = np.asarray(code.ev.points, dtype=np.int64)
+    acc = np.broadcast_to(digits[:, k - 1 :], (count, len(xs)))
+    for j in range(k - 2, -1, -1):
+        acc = code.field.v_add(code.field.v_mul(acc, xs), digits[:, j : j + 1])
+    return acc
 
 
 def lcs_code_bruteforce(
@@ -132,39 +144,35 @@ def lcs_code_bruteforce(
 ) -> AnalysisReport:
     """Exact code LCS by scanning normalized-vs-all codeword pairs.
 
-    Shifting both words keeps their LCS: LCS(cf, w + c) = LCS(cf - c, w).
-    So only the first q^(k-1) codewords w (zero constant term) are built,
-    and each normalized f takes one batched kernel call over all the rows
-    w + c, (c, w) in codewords order, i.e. every g = w + c except g = f.
-    The rows do not depend on f, so they are built once, in the narrowest
-    unsigned dtype that holds q - 1.  The witness is the first maximum in
-    (f, c, w) order.
+    Each normalized f takes one batched kernel call over the rows of every
+    codeword g, in codewords order, except g = f.  The rows do not depend
+    on f, so they are built once, in the narrowest unsigned dtype that
+    holds q - 1: the q^(k-1) words w with zero constant term come from
+    _codeword_table, and the rows with constant term c are w + c, one
+    v_add of at most max_codewords elements per c.  A row's index and g's
+    coefficients are each other's base-q digits.  The witness is the first
+    maximum in (f, g) order.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     if q**k > max_codewords:
         raise GuardExceeded(f"q^k = {q**k} exceeds max_codewords={max_codewords}")
     points = code.ev.points
-    words = list(itertools.islice(codewords(code), q ** (k - 1)))
-    word_index = {g0: i for i, (g0, _) in enumerate(words)}
-    values = np.array([w for _, w in words], dtype=np.int64)
-    total = q * len(words)
-    block = _block_rows(n)
+    words = _codeword_table(code, q ** (k - 1))
+    size = len(words)
     # column-major, so each column is one contiguous read for the kernel
-    rows = np.empty((total, n), dtype=np.min_scalar_type(q - 1), order="F")
-    for start in range(0, total, block):
-        c, w = np.divmod(np.arange(start, min(start + block, total)), len(words))
-        rows[start : start + block] = fld.v_add(values[w], c[:, None])
+    rows = np.empty((q * size, n), dtype=np.min_scalar_type(q - 1), order="F")
+    for c in range(q):
+        rows[c * size : (c + 1) * size] = fld.v_add(words, c)
     best = -1
     best_pair = None
     for f in _normalized_polys(fld, k):
         masks = match_masks(poly.eval_on(fld, f, points), q)
         lengths = lcs_from_masks(masks, n, rows)
-        lengths[word_index[f]] = -1  # the row c = 0, w = f, where g is f
+        lengths[sum(c * q ** (k - 1 - j) for j, c in enumerate(f))] = -1  # the row of g = f
         i = int(lengths.argmax())
         if lengths[i] > best:
             best = int(lengths[i])
-            c, w = divmod(i, len(words))
-            best_pair = (f, poly.poly_add(fld, words[w][0], (c,)))
+            best_pair = (f, poly.trim(i // q ** (k - 1 - j) % q for j in range(k)))
             if best == n - 1:
                 break
     witness = _pair_witness(code, *best_pair) if want_witness else None
@@ -182,33 +190,16 @@ def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every a != 0 and b, less (1, 0) and the larger of each pair (a, b),
     (1/a, -b/a).  a < 1/a keeps every b and a > 1/a none; a = 1 pairs b
     with -b and keeps 0 < b <= -b; a = -1 is its own pair and keeps all.
-    Returns the kept a values, each row's index into them, and its b."""
+    That leaves (q^2 - 1) // 2 rows.  Returns the kept a values, each
+    row's index into them, and its b."""
     q = fld.q
-    kept, a_idx, b_rows = [], [], []
-    for a in range(1, q):
-        if a == 1:
-            bs = [b for b in range(1, q) if b <= fld.neg(b)]
-        elif a == fld.neg(1) or a < fld.inv(a):
-            bs = range(q)
-        else:
-            continue
-        a_idx.append(np.full(len(bs), len(kept), dtype=np.intp))
-        b_rows.append(np.asarray(bs, dtype=np.int64))
-        kept.append(a)
-    return np.array(kept, dtype=np.int64), np.concatenate(a_idx), np.concatenate(b_rows)
-
-
-def _affine_block(fld: Field, arr, a_vals, a_idx, b_rows) -> np.ndarray:
-    # Rows a*alpha + b, filled column by column into a column-major array;
-    # a function of its own so its temporaries are gone before the kernel.
-    lo = a_idx[0]
-    scaled = fld.v_mul(arr[:, None], a_vals[lo : a_idx[-1] + 1])
-    a_idx = a_idx - lo
-    symbol = np.uint8 if len(arr) <= 256 else np.int32
-    seqs = np.empty((len(b_rows), len(arr)), dtype=symbol, order="F")
-    for j in range(len(arr)):
-        seqs[:, j] = fld.v_add(scaled[j, a_idx], b_rows)
-    return seqs
+    a = np.arange(1, q)
+    kept = a[a <= fld.v_inv(a)]  # kept[0] = 1
+    b = np.arange(q)
+    rows = np.ones((len(kept), q), dtype=bool)
+    rows[0] = (b != 0) & (b <= fld.v_mul(b, fld.neg(1)))
+    a_idx, b_rows = np.nonzero(rows)
+    return kept, a_idx, b_rows
 
 
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:
@@ -218,37 +209,56 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     every pair of distinct non-constant codewords reduces to (alpha, A*alpha + B)
     with (A, B) != (1, 0), A != 0; pairs involving constants contribute at
     most 1.  The pair (A, B) and its inverse map give equal LCS, so only the
-    lexicographically smaller of the two is evaluated.  The kept pairs are
-    measured in blocks of rows, in scan order, by the batched kernel; the
-    witness is the first maximum, and the scan stops at the first block
-    reaching q - 1.
+    lexicographically smaller of the two is evaluated (_affine_rows).
+
+    Both words are orderings of GF(q), and renaming every symbol x by its
+    position pos[x] in alpha keeps their LCS, so each row is measured
+    against the identity 0 .. q-1 (its LCS is then the longest increasing
+    subsequence of the relabelled row; Hunt and Szymanski).  One q x q
+    table relabel[x, b] = pos[x + b], from one v_add, and the ordering
+    scaled once per kept A turn a block of rows into two gathers: the
+    table's rows A*alpha_j for the block's A values, then the block's
+    (A, B) columns.  Blocks of LCS_BLOCK_BYTES go to the batched kernel in
+    scan order; the witness is the first maximum, on the original symbols,
+    and the scan stops at the first block reaching q - 1.  More than
+    DEFAULT_MAX_OPS symbols in the (q^2 - 1) // 2 rows raise GuardExceeded
+    before any table is built.
     """
     if not ev.is_full_length():
         raise ValueError("affine fast path requires a full-length ordering")
     fld = ev.field
     q = fld.q
     code = RsCode(ev, 2)
-    points = ev.points
-    masks = match_masks(points, q)
-    arr = np.array(points, dtype=np.int64)
+    _check_work(q * ((q * q - 1) // 2))
+    arr = np.array(ev.points, dtype=np.int64)
+    symbol = np.min_scalar_type(q - 1)
+    elements = np.arange(q)
+    pos = np.empty(q, dtype=symbol)
+    pos[arr] = elements
+    relabel = pos[fld.v_add(elements[:, None], elements)]
     a_vals, a_idx, b_rows = _affine_rows(fld)
-    block = _block_rows(q)
+    scaled = fld.v_mul(arr[:, None], a_vals)  # scaled[j, i] = a_vals[i] * alpha_j
+    cols = a_idx * q + b_rows
+    masks = insdel.identity_masks(q)
+    block = max(1, LCS_BLOCK_BYTES // (2 * q * symbol.itemsize))
     best = -1
-    best_ab = None
-    for start in range(0, len(b_rows), block):
-        stop = start + block
-        seqs = _affine_block(fld, arr, a_vals, a_idx[start:stop], b_rows[start:stop])
-        lengths = lcs_from_masks(masks, q, seqs)
+    best_row = None
+    for start in range(0, len(cols), block):
+        stop = min(start + block, len(cols))
+        lo, hi = a_idx[start], a_idx[stop - 1] + 1
+        # C-order (q, rows), so .T is the column-major rows the kernel reads
+        seqs = relabel[scaled[:, lo:hi]].reshape(q, -1)[:, cols[start:stop] - lo * q]
+        lengths = lcs_from_masks(masks, q, seqs.T)
         i = int(lengths.argmax())
         if lengths[i] > best:
-            best, best_ab = int(lengths[i]), (int(a_vals[a_idx[start + i]]), int(b_rows[start + i]))
+            best, best_row = int(lengths[i]), start + i
             if best == q - 1:
                 break
     witness = None
     if want_witness:
-        a, b = best_ab
+        a, b = int(a_vals[a_idx[best_row]]), int(b_rows[best_row])
         other = tuple(fld.v_add(fld.v_mul(arr, np.int64(a)), np.int64(b)).tolist())
-        _, i_seq, j_seq = insdel.lcs_with_witness(points, other)
+        _, i_seq, j_seq = insdel.lcs_with_witness(ev.points, other)
         witness = {"f": [0, 1], "g": [b, a], "I": list(i_seq), "J": list(j_seq)}
     return _report(code, "affine", best, witness)
 

@@ -9,7 +9,8 @@ certificate (deficient_pairs ranks a sweep block by block), the exact
 optimality check (analyze) and the stage systems (construct).  All pure.
 
 The exact capability engines measure many LCS values against one fixed
-sequence s: match_masks builds its bit table once, and lcs_from_masks runs
+sequence s: match_masks builds its bit table once (identity_masks when s
+is 0 .. m-1, as in the relabelled affine scan), and lcs_from_masks runs
 the Allison-Dix / Hyyro bit-vector recurrence over a whole array of rows at
 once, one numpy pass per column and 64-bit word.  lcs keeps the scalar
 single-pair recurrence (a test oracle and the cheap path for one pair).
@@ -42,6 +43,16 @@ def match_masks(s, alphabet: int) -> np.ndarray:
     low = (1 << 64) - 1
     table = [[(x >> (64 * w)) & low for w in range(words)] for x in bits]
     return np.array(table, dtype=np.uint64).reshape(alphabet, words)
+
+
+def identity_masks(m: int) -> np.ndarray:
+    """match_masks(range(m), m), built directly: row c holds bit c alone."""
+    words = -(-m // 64)
+    table = np.zeros((m, words), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    for w in range(words):
+        table[64 * w : 64 * (w + 1), w] = bits[: m - 64 * w]
+    return table
 
 
 def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:

@@ -137,6 +137,29 @@ def test_large_q_class_guards_exit_3_at_once(capsys, argv):
     assert json.loads(err)["error"]["type"] == "GuardExceeded"
 
 
+def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
+    # 1021 * (1021^2 - 1) / 2 symbols: refused before any table is built
+    alpha = ",".join(map(str, range(1021)))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--field", "1021", "--k", "2", "--alpha", alpha, "--method", "affine")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "GuardExceeded"
+    assert error["message"] == "estimated work 532165620 exceeds the limit of 100000000"
+
+    class Admitted(Exception):
+        pass
+
+    def kernel(masks, m, rows):
+        raise Admitted
+
+    # q = 509 (65,935,860 symbols) passes the guard and reaches the kernel
+    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
+    with pytest.raises(Admitted):
+        cli.main(["analyze", "--field", "509", "--k", "2", "--alpha", ",".join(map(str, range(509))), "--method", "affine"])
+
+
 def test_census_time_guard(capsys):
     code, out, err = run_cli(
         capsys, "census", "--field", "9", "--time-guard", "0.0"

@@ -11,13 +11,14 @@ subsequence of the position map (Hunt-Szymanski).
 import bisect
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
 from rsinsdel import analyze, cli, insdel, poly
 from rsinsdel.gf import field_from_order, field_new
-from rsinsdel.rscode import EvaluationVector, RsCode, codewords
+from rsinsdel.rscode import EvaluationVector, RsCode, codeword, codewords
 
 
 def lcs_dp(a, b):
@@ -172,12 +173,114 @@ def test_affine_large_fields(q):
         assert analyze.lcs_code_affine(evs[0]).lcs_of_code == affine_lis_oracle(evs[0])
 
 
+def affine_kernel_reference(ev):
+    """The scan on the original symbols: every row a*alpha + b of
+    _affine_rows built with v_mul/v_add, one kernel call against
+    match_masks(alpha), the first maximum."""
+    fld, q = ev.field, ev.field.q
+    arr = np.array(ev.points, dtype=np.int64)
+    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
+    rows = np.empty((len(b_rows), q), dtype=np.uint16, order="F")
+    for i, a in enumerate(a_vals):
+        sel = a_idx == i
+        rows[sel] = fld.v_add(fld.v_mul(arr, a)[None, :], b_rows[sel, None])
+    lengths = insdel.lcs_from_masks(insdel.match_masks(ev.points, q), q, rows)
+    i = int(lengths.argmax())
+    return int(lengths[i]), [int(b_rows[i]), int(a_vals[a_idx[i]])]
+
+
+def counting_kernel(monkeypatch):
+    """Patch the kernel the exact engines call; the list collects its rows."""
+    seen = []
+    real = insdel.lcs_from_masks
+
+    def kernel(masks, m, rows):
+        seen.append(rows)
+        return real(masks, m, rows)
+
+    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
+    return seen
+
+
 def test_affine_block_size_does_not_change_results(monkeypatch):
     evs = orderings(27, 1, seed=5) + orderings(11, 3, seed=6)
     want = [analyze.lcs_code_affine(ev) for ev in evs]
-    for rows in (3, 64):
-        monkeypatch.setattr(analyze, "LCS_BLOCK_ROWS", rows)
+    # 1 byte: one-row blocks; 10 rows of q symbols held twice: blocks that
+    # split the 27 (or 11) rows of one a
+    for budget in (1, 10 * 2 * 27, 10 * 2 * 11):
+        monkeypatch.setattr(analyze, "LCS_BLOCK_BYTES", budget)
         assert [analyze.lcs_code_affine(ev) for ev in evs] == want
+
+
+def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
+    # a geometric ordering of GF(27): its q - 1 row lies past the first blocks
+    fld = field_new(3, 3)
+    ev = EvaluationVector(fld, next(analyze.bad_ordering_family(fld))[2])
+    best, g = affine_kernel_reference(ev)
+    assert best == 26
+    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
+    row = next(r for r in range(len(b_rows)) if [b_rows[r], a_vals[a_idx[r]]] == g)
+    rows_per_block = 5
+    assert row >= 3 * rows_per_block
+    monkeypatch.setattr(analyze, "LCS_BLOCK_BYTES", rows_per_block * 2 * 27)
+    seen = counting_kernel(monkeypatch)
+    report = analyze.lcs_code_affine(ev)
+    assert (report.lcs_of_code, report.witness["g"]) == (best, g)
+    assert len(seen) == row // rows_per_block + 1  # no block after the one holding it
+    assert [len(rows) for rows in seen] == [rows_per_block] * len(seen)
+
+
+def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
+    fld = field_new(3, 4)
+    seen = counting_kernel(monkeypatch)
+    adds = []
+    real_add = type(fld).v_add
+    monkeypatch.setattr(type(fld), "v_add", lambda self, a, b: adds.append(1) or real_add(self, a, b))
+    analyze.sample_orderings(fld, "0.5", 5, seed=3)
+    # 3,280 rows of 81 symbols per ordering; the q x q table is the one v_add
+    assert [rows.shape for rows in seen] == [(3280, 81)] * 5
+    assert len(adds) == 5
+
+
+@pytest.mark.parametrize("q", [256, 257])
+def test_affine_on_both_sides_of_the_symbol_dtype_switch(q, monkeypatch):
+    # q = 256 relabels into uint8 up to 255, q = 257 into uint16
+    ev = orderings(q, 1, seed=q)[0]
+    seen = counting_kernel(monkeypatch)
+    report = analyze.lcs_code_affine(ev)
+    assert (report.lcs_of_code, report.witness["g"]) == affine_kernel_reference(ev)
+    assert {rows.dtype for rows in seen} == {np.dtype(np.uint8 if q == 256 else np.uint16)}
+
+
+def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
+    # the scan has (q^2 - 1) // 2 rows of q symbols
+    for q in (3, 4, 5, 8, 9, 25, 32):
+        assert len(analyze._affine_rows(field_from_order(q))[2]) == (q * q - 1) // 2
+    for q in (1021, 1024):
+        work = q * ((q * q - 1) // 2)
+        ev = EvaluationVector(field_from_order(q), tuple(range(q)))
+        t0 = time.perf_counter()
+        with pytest.raises(analyze.GuardExceeded, match=f"estimated work {work} exceeds the limit of 100000000"):
+            analyze.lcs_code_affine(ev)
+        assert time.perf_counter() - t0 < 1.0
+
+    class Admitted(Exception):
+        pass
+
+    def kernel(masks, m, rows):
+        raise Admitted
+
+    # q = 509 (65,935,860 symbols) passes the guard and reaches the kernel
+    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
+    with pytest.raises(Admitted):
+        analyze.lcs_code_affine(EvaluationVector(field_new(509), tuple(range(509))))
+
+
+def test_identity_masks_match_the_general_table():
+    for m in (0, 1, 11, 63, 64, 65, 81, 128, 257):
+        table = insdel.identity_masks(m)
+        assert table.dtype == np.uint64
+        assert np.array_equal(table, insdel.match_masks(range(m), m))
 
 
 # -- the brute-force engine -------------------------------------------------------
@@ -225,20 +328,36 @@ def test_bruteforce_matches_reference(k):
             assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
 
 
-def test_bruteforce_block_size_does_not_change_results(monkeypatch):
-    assert analyze._block_rows(10) == analyze.LCS_BLOCK_ROWS
-    assert analyze._block_rows(4 * analyze.SAMPLE_MAX_Q) == analyze.LCS_BLOCK_ROWS // 4
+def test_bruteforce_rows_are_the_codewords(monkeypatch):
     cases = [
         (RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3), 20_000),
         # k = 1 over a full-length GF(97) ordering: 97 rows of length 97
         (RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1), 100),
     ]
-    want = [analyze.lcs_code_bruteforce(code, max_codewords=cap) for code, cap in cases]
-    assert want[1].lcs_of_code == 0 and want[1].witness["g"] == [1]
-    for rows in (1, 5, 100):
-        monkeypatch.setattr(analyze, "LCS_BLOCK_ROWS", rows)
-        got = [analyze.lcs_code_bruteforce(code, max_codewords=cap) for code, cap in cases]
-        assert got == want
+    seen = counting_kernel(monkeypatch)
+    for code, cap in cases:
+        seen.clear()
+        report = analyze.lcs_code_bruteforce(code, max_codewords=cap)
+        assert np.array_equal(seen[0], [w for _, w in codewords(code)])
+        assert seen[0].flags.f_contiguous
+        best, (f, g) = bruteforce_reference(code)
+        assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
+    assert report.lcs_of_code == 0 and report.witness["g"] == [1]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 23])
+def test_codeword_table_matches_codewords(q):
+    fld = field_from_order(q)
+    points = (3, 0, 5, 1, 6)
+    for k in (1, 2, 3, 4):
+        code = RsCode(EvaluationVector(fld, points), k)
+        # GF(23) at k = 4 has 279,841 codewords: the first 2 * 23^3 cover
+        # every lower digit and two leading ones
+        count = q**k if q**k < 20_000 else 2 * q ** (k - 1)
+        want = [w for _, w in itertools.islice(codewords(code), count)]
+        table = analyze._codeword_table(code, count)
+        assert table.dtype == np.int64 and np.array_equal(table, want)
+    assert analyze._codeword_table(code, q**4)[-1].tolist() == list(codeword(code, (q - 1,) * 4))
 
 
 def test_normalized_polys_drop_scaled_copies():
