@@ -188,7 +188,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     # g(y) = f(x) for x in the first set (g = vals[0] + lead*vals[1]), and
     # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
-        target = fld.v_mul_add(l, vals[3 - base, x], vals[2 - base, x])
+        target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
         hit, y = fld.mul_add_matcher(vals[base + 1], vals[base])(l, target)
         codes.append(x[hit] * q + y)
     # the same equations for x that hit at every lead: y is bad when some

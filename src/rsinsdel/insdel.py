@@ -82,7 +82,7 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
         col[...] = rows[:, j]
         for w in range(words):
             vw, uw = v[w], u[w]
-            np.take(masks[w], col, out=uw, mode="clip")
+            masks[w].take(col, out=uw, mode="clip")
             uw &= vw
             np.bitwise_xor(vw, uw, out=rest)  # v & ~u, since u lies inside v
             vw += uw  # wraps modulo 2^64

@@ -45,10 +45,6 @@ def poly_add(fld: Field, a, b) -> tuple[int, ...]:
     return trim(out)
 
 
-def poly_sub(fld: Field, a, b) -> tuple[int, ...]:
-    return poly_add(fld, a, [fld.neg(c) for c in b])
-
-
 def poly_scale(fld: Field, a, s: int) -> tuple[int, ...]:
     return trim([fld.mul(c, s) for c in a])
 

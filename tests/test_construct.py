@@ -240,7 +240,7 @@ def reduced_matcher(fld, calls):
             a, t = np.asarray(a)[:, None], np.asarray(t)[:, None]
             calls.append(a.size * len(b))
             if fld.m > 1:
-                return np.nonzero(fld.v_mul_add(a, b, c) == t)
+                return np.nonzero(fld.v_add(fld.v_mul(a, b), c) == t)
             dtype = np.uint32 if fld.p * (fld.p - 1) < 1 << 32 else np.int64
             return np.nonzero((np.asarray(a, dtype) * np.asarray(b, dtype) + np.asarray(c, dtype)) % fld.p == t)
 

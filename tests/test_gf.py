@@ -129,6 +129,10 @@ def test_vectorized_ops_match_scalar():
             assert fld.v_mul(xs, np.int64(a)).tolist() == [fld.mul(int(x), a) for x in xs]
 
 
+def mul_add(fld, a, b, c):
+    return fld.v_add(fld.v_mul(a, b), c)
+
+
 def expected_mul_add(fld, a, b, c):
     a, b, c = np.broadcast_arrays(a, b, c)
     return [[fld.add(fld.mul(x, y), z) for x, y, z in zip(*rows)] for rows in zip(a.tolist(), b.tolist(), c.tolist())]
@@ -143,25 +147,24 @@ def test_fused_ops_match_scalar_on_every_element(p, m):
     assert inverses[1:].tolist() == [fld.inv(int(x)) for x in xs[1:]]
     # every (a, b) product with a third operand that varies along both axes
     c = (xs[:, None] + 3 * xs) % fld.q
-    assert fld.v_mul_add(xs[:, None], xs, c).tolist() == expected_mul_add(fld, xs[:, None], xs, c)
+    assert mul_add(fld, xs[:, None], xs, c).tolist() == expected_mul_add(fld, xs[:, None], xs, c)
     # the stage sweep's (block, 1) x (q,) broadcast: one row per lead
     leads = xs[::-1][:13, None]
-    rows = fld.v_mul_add(leads, xs, xs[::-1])
+    rows = mul_add(fld, leads, xs, xs[::-1])
     assert rows.shape == (len(leads), fld.q)
     assert rows.tolist() == expected_mul_add(fld, leads, xs, xs[::-1])
 
 
-@pytest.mark.parametrize("p, dtype", [(65521, np.uint32), (65537, np.int64), (1048573, np.int64)])
-def test_fused_ops_on_large_prime_fields(p, dtype):
-    # p(p - 1) < 2^32 holds up to p = 65521, the last prime with a uint32 path
+@pytest.mark.parametrize("p", [65521, 65537, 1048573])
+def test_fused_ops_on_large_prime_fields(p):
+    # the primes on either side of 2^16 and the largest below the 2^20 ceiling
     fld = field_new(p)
     rng = np.random.default_rng(p)
     a, b, c = rng.integers(0, p, (3, 2000))
     a[:3], b[:3], c[:3] = p - 1, p - 1, (p - 1, 0, 1)  # the largest products
-    out = fld.v_mul_add(a, b, c)
-    assert out.dtype == dtype
+    out = mul_add(fld, a, b, c)
     assert out.tolist() == [fld.add(fld.mul(x, y), z) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-    assert fld.v_mul_add(a[:40, None], b[:50], c[:50]).tolist() == expected_mul_add(fld, a[:40, None], b[:50], c[:50])
+    assert mul_add(fld, a[:40, None], b[:50], c[:50]).tolist() == expected_mul_add(fld, a[:40, None], b[:50], c[:50])
     inverses = fld.v_inv(np.concatenate(([0], a)))
     assert inverses[0] == 0
     assert inverses[1:].tolist() == [fld.inv(x) if x else 0 for x in a.tolist()]
@@ -195,9 +198,9 @@ def test_mul_add_eq_matches_reduced_compare(p, m):
     for a, b, c, t in cases:
         eq = matched(fld, a, b, c, t)
         assert eq.dtype == bool and eq.shape == (len(a), len(b))
-        assert (eq == (fld.v_mul_add(a[:, None], b, c) == t[:, None])).all()
+        assert (eq == (mul_add(fld, a[:, None], b, c) == t[:, None])).all()
         # each (a, b, c) hits its one true target: row j asks for a[j] * b[j] + c[j]
-        assert matched(fld, a, b, c, fld.v_mul_add(a, b, c)).diagonal().all()
+        assert matched(fld, a, b, c, mul_add(fld, a, b, c)).diagonal().all()
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 1048573])
@@ -207,7 +210,7 @@ def test_mul_add_eq_on_large_prime_fields(p):
     fld = field_new(p)
     rng = np.random.default_rng(p)
     a, b, c, t = rng.integers(0, p, (4, 4000))
-    t[::2] = fld.v_mul_add(a, b, c)[::2]  # half the targets are hits
+    t[::2] = mul_add(fld, a, b, c)[::2]  # half the targets are hits
     a[:4], b[:4], c[:4], t[:4] = p - 1, p - 1, p - 1, (0, 1, p - 1, p - 2)  # x = p^2 at t = 0
     expected = [(x * y + z) % p == w for x, y, z, w in zip(a.tolist(), b.tolist(), c.tolist(), t.tolist())]
     # one matcher over all 4000 x 4000 (row, column) pairs: the diagonal is
@@ -218,7 +221,7 @@ def test_mul_add_eq_on_large_prime_fields(p):
     assert np.isin(np.arange(len(a)) * (len(b) + 1), rows * len(b) + cols).tolist() == expected
     assert expected[0] and not any(expected[1:4]) and sum(expected) > 1990
     a, b, c, t = a[:40], b[:50], c[:50], t[:40]  # the sweep's shape: rows of leads against q columns
-    assert (matched(fld, a, b, c, t) == (fld.v_mul_add(a[:, None], b, c) == t[:, None])).all()
+    assert (matched(fld, a, b, c, t) == (mul_add(fld, a[:, None], b, c) == t[:, None])).all()
     assert matched(fld, [p - 1], [p - 1], [p - 1], [0]).all()
 
 
@@ -250,7 +253,7 @@ def test_mul_add_matcher_is_independent_of_block_size(p, m, monkeypatch):
     rng = np.random.default_rng(fld.q)
     b, c = rng.integers(0, fld.q, (2, 300))
     a = rng.integers(0, fld.q, 50)
-    t = fld.v_mul_add(a, b[:50], c[:50])  # one hit per row, at least
+    t = mul_add(fld, a, b[:50], c[:50])  # one hit per row, at least
     match = fld.mul_add_matcher(b, c)
     full = match(a, t)
     assert len(full[0]) >= len(a)
@@ -260,8 +263,34 @@ def test_mul_add_matcher_is_independent_of_block_size(p, m, monkeypatch):
     assert [len(x) for x in match(a[:0], t[:0])] == [0, 0]
 
 
+@pytest.mark.parametrize("p", [p for p in range(200) if is_prime(p)] + [1367, 65521, 65537, 1048573])
+def test_prime_field_tables_match_integer_arithmetic(p):
+    fld = field_new(p)
+    divisors = list(factorize(p - 1))
+
+    def generates(x):
+        return all(pow(x, (p - 1) // r, p) != 1 for r in divisors)
+
+    # the rule the tables replaced: the smallest x >= 1 of full order
+    assert fld.generator() == next(x for x in range(1, p) if generates(x))
+    if p < 200:
+        assert fld.primitive_elements() == [x for x in range(1, p) if generates(x)]
+    # every nonzero element up to 1367, a seeded sample above
+    xs = list(range(1, p)) if p <= 1367 else np.random.default_rng(p).integers(1, p, 500).tolist()
+    ys = xs[1:] + xs[:1]
+    inverses = [pow(x, -1, p) for x in xs]
+    assert [fld.inv(x) for x in xs] == inverses
+    assert fld.v_inv(np.array([0] + xs)).tolist() == [0] + inverses
+    for e in (0, 1, 2, 5, p - 2, p - 1, p, 3 * p + 7, -1, -2, -(p + 3)):
+        assert [fld.pow(x, e) for x in xs] == [pow(x, e, p) for x in xs]
+    assert fld.pow(0, 0) == 1 and fld.pow(0, 5) == 0
+    assert [fld.mul(x, y) for x, y in zip(xs, ys)] == [x * y % p for x, y in zip(xs, ys)]
+    assert fld.v_mul(np.array(xs), np.array(ys)).tolist() == [x * y % p for x, y in zip(xs, ys)]
+    assert [fld.neg(x) for x in [0] + xs] == [-x % p for x in [0] + xs]
+
+
 def test_inverse_in_gf2():
-    # the exponent p - 2 is 0 there, so the power is taken to the first
+    # N = 1 there: 1 = exp[N - log 1] and 0 = exp[N - 2N], in the zero region
     assert field_new(2).v_inv(np.array([0, 1])).tolist() == [0, 1]
 
 

@@ -303,7 +303,7 @@ def bruteforce_reference(code):
     words = list(itertools.islice(codewords(code), fld.q ** (k - 1)))
     best, best_pair = -1, None
     for f, c in itertools.product(normalized_with_scaled_copies(fld, k), range(fld.q)):
-        shifted = poly.eval_on(fld, poly.poly_sub(fld, f, (c,)), code.ev.points)
+        shifted = poly.eval_on(fld, poly.poly_add(fld, f, (fld.neg(c),)), code.ev.points)
         for g0, w in words:
             if w == shifted:
                 continue
