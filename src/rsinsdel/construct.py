@@ -12,14 +12,16 @@ long common subsequence; one stacked poly.solve_linear call solves the
 systems of all the stage's pairs.  Each solution is affine in the free
 leading coefficient, so the pair is four polynomials evaluated once on
 GF(q), and every first-point condition, linear in that coefficient, is
-solved for it in closed form; only the cross second points take one row
-over GF(q) per (coefficient, point) solution, compared with its target by
-a Field.mul_add_matcher built once per pair and side (in prime fields a
-divisibility test with no division).  Every completion (alpha_{2i-1},
-alpha_{2i}) of such a near-collision joins the stage's bad set, kept as
-sorted codes x*q + y.  Any pair of fresh distinct points outside the bad
-set extends the code; the lexicographically least one is chosen, so runs
-are fully reproducible.
+solved for it in closed form.  The cross second points are the roots of
+one polynomial of degree at most i - 1 in y per (coefficient, point)
+solution, found by one poly.pencil_roots call per pair and side: rows of
+degree at most 2 in closed form, so stage 3 tests no row over GF(q), and
+only rows of degree 3 or more (from stage 4 on) by a Field.mul_add_matcher
+(in prime fields a divisibility test with no division).  Every completion
+(alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
+set, kept as sorted codes x*q + y.  Any pair of fresh distinct points
+outside the bad set extends the code; the lexicographically least one is
+chosen, so runs are fully reproducible.
 """
 
 from __future__ import annotations
@@ -133,10 +135,12 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     agreement set.  Every first-point equation is linear in the lead,
     num(x) + lead*den(x) = 0, so each x has the one lead -num/den, or every
     lead where num = den = 0; the agreement y are bucketed by lead, and only
-    the cross second points need a row A + lead*B (or C + lead*D) over all y
-    per (lead, x) hit, tested against the hit's target by one
-    Field.mul_add_matcher per side.  An x that hits at every lead
-    pairs with every y whose own equation some allowed lead solves.
+    the cross second points need the roots y of A + lead*B (or C + lead*D)
+    minus the hit's target per (lead, x) hit, of degree at most i - 1, from
+    one poly.pencil_roots call per side: closed form up to degree 2 (every
+    row of stage 3), a Field.mul_add_matcher row over GF(q) for degree 3 or
+    more.  An x that hits at every lead pairs with every y whose own
+    equation some allowed lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
     allowed:
@@ -158,7 +162,8 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     agree_allowed[1] = poly.trim((0,) + u[mid + 1 :] + (1,)) != poly.trim(u[: mid + 1] + (1,))
     a, c = list(u0[: mid + 1]), list(u0[mid + 1 :])
     b, d = [fld.neg(v) for v in u1[: mid + 1]], [fld.neg(v) for v in u1[mid + 1 :]]
-    vals = poly.eval_all(fld, [a + [0], b + [1], [0] + c + [1], [0] + d + [0]])  # A, B, C, D
+    polys = [a + [0], b + [1], [0] + c + [1], [0] + d + [0]]  # A, B, C, D
+    vals = poly.eval_all(fld, polys)
     neg = fld.v_mul(vals, fld.neg(1))
     last = points[-1]
     # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x)
@@ -174,11 +179,11 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     es = [np.flatnonzero(row) for row in every]
     # agreement second points: the hit's own lead bucket, plus the y that
     # agree at every lead when the hit's lead allows agreement
-    order = np.argsort(ls[2], kind="stable")
-    agree_leads, agree_ys = ls[2][order], xs[2][order]
+    agree_ys = xs[2][np.argsort(ls[2], kind="stable")]
+    bucket = np.bincount(ls[2], minlength=q)
     hit_x, hit_l = np.concatenate(xs), np.concatenate(ls)
-    lo = np.searchsorted(agree_leads, hit_l, "left")
-    counts = np.searchsorted(agree_leads, hit_l, "right") - lo
+    counts = bucket[hit_l]
+    lo = (np.cumsum(bucket) - bucket)[hit_l]
     offsets = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     codes = [np.repeat(hit_x, counts) * q + agree_ys[offsets]]
     every_x = np.concatenate(es)
@@ -189,7 +194,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
-        hit, y = fld.mul_add_matcher(vals[base + 1], vals[base])(l, target)
+        hit, y = poly.pencil_roots(fld, polys[base], polys[base + 1], l, target, vals[base : base + 2])
         codes.append(x[hit] * q + y)
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
@@ -284,9 +289,11 @@ class ConstructionTrace:
 def stage_work(q: int, k: int) -> int:
     """Estimated element operations of stages 3..k over GF(q): stage i
     sweeps at most (2i-2)(2i-3) ordered index pairs at q^2 each.  The
-    closed-form sweep tests about 2q rows of q per pair, each element one
+    sweep tests at most about 2q rows of q per pair, each element one
     multiply, two adds and a compare in prime fields
-    (Field.mul_add_matcher), so this is a loose upper bound on its work."""
+    (Field.mul_add_matcher), and only for rows of degree 3 or more: stage 3
+    tests none, its rows being solved in closed form.  So this is a loose
+    upper bound on its work."""
     return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
 
 

@@ -9,12 +9,12 @@ construction; every operation is pure, so instances can be shared freely
 across threads.
 
 Every field builds, once, the powers of its smallest-index generator g and
-the discrete logs; multiplication, inversion, powers and negation are table
-lookups.  Addition is modular in a prime field, XOR in characteristic 2 and,
-in the other extension fields, a lookup in the Zech logs log(1 + g^i).  A
-prime field's tables take 40 bytes per element: GF(1048573), the largest
-prime below the 2^20 ceiling, holds about 42 MB and builds in about 55 ms
-(2-core x86-64 VM, numpy 2).
+the discrete logs; multiplication, inversion, powers, square roots and
+negation are table lookups.  Addition is modular in a prime field, XOR in
+characteristic 2 and, in the other extension fields, a lookup in the Zech
+logs log(1 + g^i).  A prime field's tables take 40 bytes per element:
+GF(1048573), the largest prime below the 2^20 ceiling, holds about 42 MB and
+builds in about 55 ms (2-core x86-64 VM, numpy 2).
 
 Field.mul_add_matcher finds every (r, y) with a[r] * b[y] + c[y] == t[r]
 for fixed rows b and c: it prepares b and c once (scaled for a division-free
@@ -377,6 +377,22 @@ class Field:
         """Elementwise inverse, with 0 mapped to 0."""
         # log[0] = 2N gives the index -N, which wraps into the zero region of exp
         return self._nexp[self.q - 1 - self._nlog[a]]
+
+    def v_sqrt(self, a):
+        """Elementwise square roots: (whether a is a square, a root where it
+        is), with 0 its own root.  g^e is a square exactly when e is even,
+        with root g^(e/2), or when N = q - 1 is odd (characteristic 2), where
+        g^((e + N)/2) is the one root for odd e."""
+        a = np.asarray(a, np.int64)
+        n = self.q - 1
+        log = self._nlog[a]
+        if n % 2:
+            square = np.ones(a.shape, bool)
+            log = log + n * (log % 2)
+        else:
+            square = log % 2 == 0
+        # log[0] = 2N would halve to N, the log of 1: keep 2N, where exp is 0
+        return square, self._nexp[np.where(a == 0, 2 * n, log // 2)]
 
 
 @lru_cache(maxsize=None)

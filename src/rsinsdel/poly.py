@@ -5,7 +5,9 @@ form: no trailing zero coefficient, the zero polynomial being the empty
 tuple.  Matrices are int64 arrays (or nested lists) of element indices;
 the one Gaussian elimination, _row_echelon, reduces a whole stack of them
 at once with the field's vector operations, one pass per column, so rank
-ranks many small matrices in one call.  All functions are pure.
+ranks many small matrices in one call.  The one root finder,
+pencil_roots, likewise takes a stack of rows a + lead*b - target at once.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -115,18 +117,75 @@ def interpolate(fld: Field, points, bound: int) -> tuple[int, ...] | None:
 
 
 def roots(fld: Field, coeffs) -> list[int]:
-    """All roots in GF(q), found by a full scan; ascending element order.
-
-    The scan is O(q * deg) which is cheap at the field sizes used here and
-    avoids factorization machinery.
-    """
+    """All roots in GF(q), ascending: pencil_roots on the one row coeffs."""
     coeffs = trim(coeffs)
     if not coeffs:
         raise ZeroPolynomialError("every field element is a root of the zero polynomial")
-    if len(coeffs) == 1:
-        return []
-    vals = eval_all(fld, coeffs)
-    return [int(x) for x in np.flatnonzero(vals == 0)]
+    _, ys = pencil_roots(fld, coeffs, (), [0], [0])
+    return sorted(ys.tolist())
+
+
+def pencil_roots(fld: Field, a, b, lead, target, values=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every (r, y) with a(y) + lead[r]*b(y) == target[r], for coefficient
+    tuples a and b and 1-D lead and target of one length: the roots of one
+    polynomial per row, as index arrays (rows, ys) in no set order.
+
+    Rows of degree at most 2 are solved in closed form through the field's
+    tables (the last step of Berlekamp 1970 and Cantor-Zassenhaus 1981): a
+    nonzero constant has no root, the zero polynomial every y, a line one.
+    A monic quadratic y^2 + s*y + t has the roots -s/2 +- sqrt(s^2/4 - t)
+    in odd characteristic; in characteristic 2 it has sqrt(t) when s = 0,
+    and otherwise s*z and s*(z + 1) for z^2 + z = t/s^2, read from a table
+    of z^2 + z over GF(q) (none when t/s^2 is not such a value).  Only rows
+    of degree 3 or more are tested at every y, by one Field.mul_add_matcher
+    on the values of a and b over GF(q): `values`, the two rows of
+    eval_all, when the caller has them.
+    """
+    q, minus = fld.q, fld.neg(1)
+    lead, target = np.asarray(lead, np.int64), np.asarray(target, np.int64)
+    ab = np.zeros((2, max(len(a), len(b), 3), 1), np.int64)  # columns 0..2 always exist
+    ab[0, : len(a), 0], ab[1, : len(b), 0] = a, b
+    coeffs = fld.v_add(ab[0], fld.v_mul(ab[1], lead))  # one column per row
+    coeffs[0] = fld.v_add(coeffs[0], fld.v_mul(target, minus))
+    degree = np.where(coeffs != 0, np.arange(len(coeffs))[:, None], -1).max(axis=0)
+    rows, ys = [], []
+    r = np.flatnonzero(degree >= 3)
+    if len(r):
+        va, vb = eval_all(fld, ab[..., 0]) if values is None else values
+        hit, y = fld.mul_add_matcher(vb, va)(lead[r], target[r])
+        rows.append(r[hit])
+        ys.append(y)
+    every = np.flatnonzero(degree < 0)
+    hit, y = np.nonzero(np.ones((len(every), q), bool))
+    r = np.flatnonzero(degree == 1)
+    c0, c1 = coeffs[:2].take(r, axis=1)
+    rows += [every[hit], r]
+    ys += [y, fld.v_mul(c0, fld.v_mul(fld.v_inv(c1), minus))]
+    r = np.flatnonzero(degree == 2)
+    c0, c1, c2 = coeffs[:3].take(r, axis=1)
+    inv = fld.v_inv(c2)
+    s, t = fld.v_mul(c1, inv), fld.v_mul(c0, inv)
+    if fld.p == 2:
+        flat = s == 0
+        rows.append(r[flat])
+        ys.append(fld.v_sqrt(t[flat])[1])
+        r, s, t = r[~flat], s[~flat], t[~flat]
+        if len(r):
+            z = np.arange(q)
+            preimage = np.full(q, -1)
+            preimage[fld.v_add(fld.v_mul(z, z), z)] = z
+            z = preimage[fld.v_mul(t, fld.v_inv(fld.v_mul(s, s)))]
+            r, s, z = r[z >= 0], s[z >= 0], z[z >= 0]
+            rows += [r, r]
+            ys += [fld.v_mul(s, z), fld.v_mul(s, fld.v_add(z, 1))]
+    else:
+        centre = fld.v_mul(s, fld.neg(fld.inv(fld.int_embed(2))))  # -s/2
+        square, root = fld.v_sqrt(fld.v_add(fld.v_mul(centre, centre), fld.v_mul(t, minus)))
+        r, centre, root = r[square], centre[square], root[square]
+        two = root != 0
+        rows += [r, r[two]]
+        ys += [fld.v_add(centre, root), fld.v_add(centre[two], fld.v_mul(root[two], minus))]
+    return np.concatenate(rows), np.concatenate(ys)
 
 
 # -- linear algebra ------------------------------------------------------

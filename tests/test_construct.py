@@ -249,8 +249,21 @@ def reduced_matcher(fld, calls):
     return matcher
 
 
+def row_scan(fld, matcher):
+    """poly.pencil_roots as the sweep ran before the closed form: every
+    cross row, whatever its degree, tested at every y by matcher."""
+
+    def pencil_roots(_, a, b, lead, target, values=None):
+        va, vb = poly.eval_all(fld, [a, b])
+        return matcher(vb, va)(lead, target)
+
+    return pencil_roots
+
+
 @pytest.mark.parametrize("fld, stages", [(F251, (3, 4)), (field_new(1367), (3, 4)), (field_new(3, 4), (3,))], ids=str)
 def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
+    # stage 3 rows are quadratics, solved in closed form with no matcher
+    # call, so there the reference sends every cross row through the port
     points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
     for i in stages:
         pairs = stage_pairs(len(points), i)
@@ -258,12 +271,50 @@ def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
         swept = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(fld, "mul_add_matcher", reduced_matcher(fld, calls))
+            if i == 3:
+                m.setattr(poly, "pencil_roots", row_scan(fld, reduced_matcher(fld, calls)))
+            else:
+                m.setattr(fld, "mul_add_matcher", reduced_matcher(fld, calls))
             reduced = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
         assert sum(calls) >= len(pairs) * fld.q  # the cross rows ran through the port
         for ij, new, old in zip(pairs, swept, reduced):
             assert new.dtype == old.dtype and np.array_equal(new, old), ij
         if i < stages[-1]:
+            points, _ = construct.extend(fld, points, i)
+
+
+def counted(matcher, rows):
+    """matcher, recording how many rows each match call tests."""
+
+    def prepare(b, c):
+        match = matcher(b, c)
+        return lambda a, t: rows.append(len(a)) or match(a, t)
+
+    return prepare
+
+
+@pytest.mark.parametrize("fld", [field_new(1367), field_new(3, 4), field_new(2, 8), field_new(5, 3)], ids=str)
+def test_closed_form_rows_match_the_row_scan(fld, monkeypatch):
+    # every swept pair of stages 3 and 4 against the sweep that tests every
+    # cross row at every y by Field.mul_add_matcher; the closed form leaves
+    # the matcher no stage-3 row (all are of degree <= 2), and at stage 4
+    # only the cubic rows
+    points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
+    scan, matcher = row_scan(fld, fld.mul_add_matcher), fld.mul_add_matcher
+    for i in (3, 4):
+        pairs = stage_pairs(len(points), i)
+        solutions = construct._stage_solutions(fld, points, i, pairs)
+        matched = []
+        with monkeypatch.context() as m:
+            m.setattr(fld, "mul_add_matcher", counted(matcher, matched))
+            swept = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+        with monkeypatch.context() as m:
+            m.setattr(poly, "pencil_roots", scan)
+            scanned = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+        for ij, new, old in zip(pairs, swept, scanned):
+            assert np.array_equal(new, old), ij
+        assert (sum(matched) == 0) == (i == 3), sum(matched)
+        if i == 3:
             points, _ = construct.extend(fld, points, i)
 
 

@@ -263,6 +263,18 @@ def test_mul_add_matcher_is_independent_of_block_size(p, m, monkeypatch):
     assert [len(x) for x in match(a[:0], t[:0])] == [0, 0]
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (7, 1), (1367, 1), (2, 2), (2, 8), (3, 4), (5, 3)])
+def test_v_sqrt_matches_the_squares(p, m):
+    # every element against the set of squares, with every root squared back
+    fld = field_new(p, m)
+    xs = np.arange(fld.q)
+    squares = set(fld.v_mul(xs, xs).tolist())
+    square, root = fld.v_sqrt(xs)
+    assert square.tolist() == [x in squares for x in range(fld.q)]
+    assert np.array_equal(fld.v_mul(root, root)[square], xs[square])
+    assert square[0] and root[0] == 0
+
+
 @pytest.mark.parametrize("p", [p for p in range(200) if is_prime(p)] + [1367, 65521, 65537, 1048573])
 def test_prime_field_tables_match_integer_arithmetic(p):
     fld = field_new(p)

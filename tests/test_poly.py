@@ -1,5 +1,6 @@
 """Tests for polynomial arithmetic and exact linear algebra."""
 
+import itertools
 import random
 
 import numpy as np
@@ -134,16 +135,126 @@ def test_roots_examples():
 
 
 def test_roots_match_definition_scan():
+    # seeded polynomials up to degree 4, and every one of degree <= 2 over
+    # the smallest fields, where the closed form meets each of its cases
     rng = random.Random(5)
-    for fld in (F7, field_new(3, 2)):
-        for _ in range(40):
-            coeffs = poly.trim([rng.randrange(fld.q) for _ in range(rng.randrange(1, 5))])
-            if not coeffs:
-                continue
-            expected = [x for x in range(fld.q) if poly.eval_poly(fld, coeffs, x) == 0]
-            got = poly.roots(fld, coeffs)
-            assert got == expected
-            assert len(got) <= max(poly.degree(coeffs), 0)
+    cases = [
+        (fld, [rng.randrange(fld.q) for _ in range(rng.randrange(1, 5))])
+        for fld in (F7, field_new(3, 2))
+        for _ in range(40)
+    ]
+    for fld in (field_new(2), field_new(3), F7, field_new(2, 2)):
+        cases += [(fld, coeffs) for coeffs in itertools.product(range(fld.q), repeat=3)]
+    for fld, coeffs in cases:
+        coeffs = poly.trim(coeffs)
+        if not coeffs:
+            continue
+        expected = [x for x in range(fld.q) if poly.eval_poly(fld, coeffs, x) == 0]
+        got = poly.roots(fld, coeffs)
+        assert got == expected
+        assert len(got) <= max(poly.degree(coeffs), 0)
+
+
+ROOT_FIELDS = [
+    field_new(2),
+    field_new(3),
+    F7,
+    field_new(1367),
+    field_new(2, 2),
+    field_new(2, 8),
+    field_new(3, 4),
+    field_new(5, 3),
+]
+
+
+def pencils(fld, rng):
+    """(a, b, leads) triples whose rows reach every case of the closed form:
+    a line where lead kills the y^2 term of a quadratic pencil, y^2 + c
+    where it kills the y term, rows that drop to constants and to the zero
+    polynomial, cubic rows, lines, and pencils with no y at all.  Every lead
+    is taken when q <= 256, else the special ones plus five seeded ones."""
+    q, neg = fld.q, fld.neg
+    r = lambda: rng.randrange(q)
+    a1 = r()
+    a2 = rng.choice([v for v in range(q) if v != a1])
+    l0 = r()
+    cubic_a = (r(), r(), r(), r())
+    chosen = [
+        ((r(), a1, a2), (r(), 1, 1), [neg(a1), neg(a2)]),  # y^2 + c at -a1, a line at -a2
+        ((r(), 1, r()), (r(), 0, 1), []),  # the y coefficient is 1 on every row
+        ((r(), neg(l0), neg(l0)), (r(), 1, 1), [l0]),  # constants at l0
+        (cubic_a, (r(), r(), r(), 1), [neg(cubic_a[3])]),  # a quadratic at -a3
+        ((r(), r()), (r(), 1), []),
+        ((), (), []),
+        ((r(), r(), r()), (), []),
+    ]
+    out = []
+    for a, b, special in chosen:
+        leads = range(q) if q <= 256 else sorted(set(special + [r() for _ in range(5)]))
+        out.append((a, b, np.array(leads, dtype=np.int64)))
+    return out
+
+
+def pencil_coefficients(fld, a, b, lead, target):
+    """Coefficients of a + lead*b - target, one row per pencil row, by scalar
+    field operations."""
+    width = max(len(a), len(b), 1)
+    a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+    return [
+        [fld.sub(fld.add(a[j], fld.mul(l, b[j])), t if j == 0 else 0) for j in range(width)]
+        for l, t in zip(lead.tolist(), target.tolist())
+    ]
+
+
+@pytest.mark.parametrize("fld", ROOT_FIELDS, ids=str)
+def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
+    # rows (lead, t) for every target t: the row a(y) + lead*b(y) - t vanishes
+    # exactly at t = a(y) + lead*b(y), so a full scan of the values gives
+    # every root; rows of degree >= 3, and only those, reach the matcher
+    q, rng = fld.q, random.Random(fld.q)
+    matched = []
+    matcher = fld.mul_add_matcher
+
+    def counted(b, c):
+        match = matcher(b, c)
+
+        def count(a, t):
+            matched.append(len(a))
+            return match(a, t)
+
+        return count
+
+    monkeypatch.setattr(fld, "mul_add_matcher", counted)
+    cases = set()
+    for a, b, leads in pencils(fld, rng):
+        lead, target = np.repeat(leads, q), np.tile(np.arange(q), len(leads))
+        before = sum(matched)
+        rows, ys = poly.pencil_roots(fld, a, b, lead, target)
+        got = np.sort(rows * q + ys)
+        width = max(len(a), len(b), 1)
+        va, vb = poly.eval_all(fld, [list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))])
+        values = fld.v_add(va, fld.v_mul(leads[:, None], vb))  # (leads, q)
+        expected = np.sort(((np.arange(len(leads))[:, None] * q + values) * q + np.arange(q)).ravel())
+        assert np.array_equal(got, expected), (a, b)
+        coeffs = [poly.trim(c) for c in pencil_coefficients(fld, a, b, lead, target)]
+        degrees = np.array([poly.degree(c) for c in coeffs])
+        assert sum(matched) - before == (degrees >= 3).sum()
+        counts = np.bincount(expected // q, minlength=len(lead))
+        for c, n in zip(coeffs, counts.tolist()):
+            cases.add((poly.degree(c), n, len(c) == 3 and c[1] == 0))
+    # zero polynomial, nonzero constants, lines, quadratics with no root
+    # (non-squares, trace-1 right-hand sides), a double root and two roots,
+    # y^2 + c, and cubics
+    assert {(-1, q, False), (0, 0, False), (1, 1, False)} <= cases
+    assert {n for d, n, _ in cases if d == 2} == {0, 1, 2}
+    assert (2, 1, True) in cases and any(d == 3 for d, _, _ in cases)
+    if fld.p > 2:
+        assert (2, 1, False) in cases  # s^2/4 = t with s != 0
+
+
+def test_pencil_roots_of_no_rows():
+    rows, ys = poly.pencil_roots(F7, (1, 2, 3, 4), (0, 1), [], [])
+    assert rows.shape == ys.shape == (0,)
 
 
 def test_solve_linear_examples():
