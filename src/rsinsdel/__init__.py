@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .gf import Field, euler_phi, field_from_order, field_new, prime_power
-from .rscode import EvaluationVector, RsCode, canonical_form, codeword, equivalent, parse_vector
+from .rscode import EvaluationVector, RsCode, codeword, equivalent, parse_vector
 
 __all__ = [
     "Field",
@@ -23,7 +23,6 @@ __all__ = [
     "prime_power",
     "EvaluationVector",
     "RsCode",
-    "canonical_form",
     "codeword",
     "equivalent",
     "parse_vector",

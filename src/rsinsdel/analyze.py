@@ -11,8 +11,10 @@ its position in the ordering turns each LCS into a longest increasing
 subsequence against 0 .. q-1, and one identity mask table and one
 relabelling table serve every row.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
-even one error, an optimality checker for length-2k dimension-k codes, a
-census visiting only the bad and verified classes, and seeded random sampling.
+even one error, an optimality checker for length-2k dimension-k codes (a
+rank sweep of the index pairs, then one stacked elimination of the
+deficient ones that reads g off as a linear map of f), a census visiting
+only the bad and verified classes, and seeded random sampling.
 
 No exact report may ever show a code LCS below 2k-2 (any k-dimensional
 linear code has two distinct codewords agreeing on a subsequence that long);
@@ -116,25 +118,21 @@ def _normalized_polys(fld: Field, k: int):
     if k == 1:
         yield ()
         return
-    for lead in (0, 1):
-        for mids in itertools.product(range(fld.q), repeat=k - 2):
-            if lead == 0 and next(filter(None, mids), 1) != 1:
-                continue
-            yield poly.trim((0, *mids, lead))
+    for mids in itertools.product(range(fld.q), repeat=k - 2):
+        if next(filter(None, mids), 1) == 1:
+            yield poly.trim((0, *mids))
+    for mids in itertools.product(range(fld.q), repeat=k - 2):
+        yield (0, *mids, 1)
 
 
 def _codeword_table(code: RsCode, count: int) -> np.ndarray:
     """The first count codewords in rscode.codewords order, one int64 row
     each: row i evaluates the coefficients (c_0, .., c_(k-1)) read off the
-    k base-q digits of i, most significant first, by one stacked Horner
-    pass over the points."""
+    k base-q digits of i, most significant first, by one poly.eval_all
+    call at the points."""
     k, q = code.k, code.q
     digits = np.arange(count)[:, None] // q ** np.arange(k - 1, -1, -1) % q
-    xs = np.asarray(code.ev.points, dtype=np.int64)
-    acc = np.broadcast_to(digits[:, k - 1 :], (count, len(xs)))
-    for j in range(k - 2, -1, -1):
-        acc = code.field.v_add(code.field.v_mul(acc, xs), digits[:, j : j + 1])
-    return acc
+    return poly.eval_all(code.field, digits, code.ev.points)
 
 
 def lcs_code_bruteforce(
@@ -289,6 +287,16 @@ def _check_work(estimate: int) -> None:
         raise GuardExceeded(f"estimated work {estimate} exceeds the limit of {DEFAULT_MAX_OPS}")
 
 
+def _dot(fld: Field, a, b) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j] over the field, broadcasting the other
+    axes: a stacked matrix product."""
+    terms = fld.v_mul(a, b)
+    acc = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        acc = fld.v_add(acc, terms[..., j])
+    return acc
+
+
 def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     """Decide whether the length-2k code corrects one insdel error.
 
@@ -300,11 +308,20 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     a pair whose insdel.build_V matrix has full rank 2k-1 (its kernel,
     which holds (f0-g0, f1.., -g1..), is zero).  So the rank sweep runs
     first, and the code is optimal at once when no pair is rank-deficient.
-    Otherwise, for each (f, I, J) over the deficient pairs the unique g of
-    degree < k through the first k constraints is interpolated and checked
-    on the other k-1; the first witness in (f, I, J) order is returned.  A
-    deficient pair always yields one (see insdel.rank_certificate), so a
-    scan that finds none raises InvariantViolation.
+
+    Otherwise g(a_J) = f(a_I) is a linear system in g whose right-hand side
+    is linear in f (every family member has zero constant term).  The
+    deficient pairs' build_V(J, I) matrices, g's k columns first, are
+    stacked and reduced once by poly._row_echelon over those k columns:
+    the J points are distinct, so each pair has k pivot rows, which give g
+    as a linear map of f's other coefficients, and k-1 rows that give the
+    conditions on them.  The family is then tested in f-major blocks, which
+    double from one member up to insdel.RANK_BLOCK_ELEMENTS entries of the
+    conditions product: the conditions of every (f, pair) of a block, then
+    g for the pairs that meet them.  The first (f, pair) with g != f in
+    (f, I, J) order is the witness.  A deficient pair always yields one
+    (see insdel.rank_certificate), so a scan that finds none raises
+    InvariantViolation.
     Each phase's estimated work, k(k+1)(2k-1)^3 for the sweep and
     2q^(k-2) * (deficient pairs) * k^3 for the scan, is checked against
     DEFAULT_MAX_OPS before it runs (GuardExceeded).
@@ -319,13 +336,27 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     if not pairs:
         return OptimalityResult(True, None)
     _check_work(2 * fld.q ** max(0, k - 2) * len(pairs) * k**3)
-    for f in _normalized_polys(fld, k):
-        f_vals = poly.eval_on(fld, f, points)
-        for i_seq, j_seq in pairs:
-            g = poly.interpolate(fld, [(points[j - 1], f_vals[i - 1]) for i, j in zip(i_seq, j_seq)], k)
-            if g is not None and g != f:
-                witness = {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
-                return OptimalityResult(False, witness)
+    seqs = np.array(pairs)  # (pairs, 2, 2k-1)
+    reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
+    maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
+    free = np.ones(reduced.shape[:2], dtype=bool)
+    free[np.arange(len(pairs))[:, None], pivots] = False
+    conditions = maps[free].reshape(len(pairs), k - 1, k - 1)
+    to_g = np.take_along_axis(maps, pivots[:, :, None], axis=1)
+    family = _normalized_polys(fld, k)
+    size = 1
+    while block := list(itertools.islice(family, size)):
+        fs = np.fromiter(itertools.chain.from_iterable(f + (0,) * (k - len(f)) for f in block), np.int64)
+        fs = fs.reshape(len(block), k)
+        met = ~_dot(fld, fs[:, None, None, 1:], conditions).any(axis=2)  # (f, pair)
+        b, p = np.nonzero(met)
+        g = _dot(fld, fs[b, None, 1:], to_g[p])
+        new = np.flatnonzero((g != fs[b]).any(axis=1))
+        if len(new):
+            i = new[0]
+            f, g, (i_seq, j_seq) = block[b[i]], poly.trim(g[i].tolist()), pairs[p[i]]
+            return OptimalityResult(False, {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)})
+        size = min(2 * size, max(1, insdel.RANK_BLOCK_ELEMENTS // conditions.size))
     raise InvariantViolation(f"{len(pairs)} rank-deficient index pairs but no collision on {ev.serialize()}")
 
 

@@ -5,9 +5,10 @@ form: no trailing zero coefficient, the zero polynomial being the empty
 tuple.  Matrices are int64 arrays (or nested lists) of element indices;
 the one Gaussian elimination, _row_echelon, reduces a whole stack of them
 at once with the field's vector operations, one pass per column, so rank
-ranks many small matrices in one call.  The one root finder,
-pencil_roots, likewise takes a stack of rows a + lead*b - target at once.
-All functions are pure.
+ranks many small matrices in one call, and interpolation is one
+solve_linear call on a Vandermonde system.  eval_all is the one stacked
+Horner evaluation, and the one root finder, pencil_roots, likewise takes a
+stack of rows a + lead*b - target at once.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -37,32 +38,6 @@ def degree(coeffs) -> int:
     return len(coeffs) - 1
 
 
-def poly_add(fld: Field, a, b) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(fld.add(x, y))
-    return trim(out)
-
-
-def poly_scale(fld: Field, a, s: int) -> tuple[int, ...]:
-    return trim([fld.mul(c, s) for c in a])
-
-
-def poly_mul(fld: Field, a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = fld.add(out[i + j], fld.mul(x, y))
-    return trim(out)
-
-
 def eval_poly(fld: Field, coeffs, x: int) -> int:
     """Horner evaluation."""
     acc = 0
@@ -75,12 +50,13 @@ def eval_on(fld: Field, coeffs, xs) -> tuple[int, ...]:
     return tuple(eval_poly(fld, coeffs, x) for x in xs)
 
 
-def eval_all(fld: Field, coeffs) -> np.ndarray:
-    """Values of the polynomial on every field element, indexed by element.
-    A 2-D array of coefficient rows gives one row of values per polynomial."""
-    xs = np.arange(fld.q, dtype=np.int64)
+def eval_all(fld: Field, coeffs, xs=None) -> np.ndarray:
+    """Values of the polynomial at the points xs, or on every field element,
+    indexed by element, when xs is None: one stacked Horner pass.  A 2-D
+    array of coefficient rows gives one row of values per polynomial."""
+    xs = np.arange(fld.q, dtype=np.int64) if xs is None else np.asarray(xs, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    acc = np.zeros(coeffs.shape[:-1] + (fld.q,), dtype=np.int64)
+    acc = np.zeros(coeffs.shape[:-1] + xs.shape, dtype=np.int64)
     for c in coeffs.T[::-1]:
         acc = fld.v_add(fld.v_mul(acc, xs), c[..., None])
     return acc
@@ -89,31 +65,19 @@ def eval_all(fld: Field, coeffs) -> np.ndarray:
 def interpolate(fld: Field, points, bound: int) -> tuple[int, ...] | None:
     """Unique polynomial of degree < bound through the points, or None.
 
-    Lagrange interpolation on the first `bound` points, then verification of
-    the rest.  Duplicate x-values raise ValueError.
+    One solve_linear call on the Vandermonde system of every point: with
+    distinct nodes and at least `bound` of them its columns are independent,
+    so the system is either unique or inconsistent.  Duplicate x-values
+    raise ValueError.
     """
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate interpolation nodes")
     if len(points) < bound:
         raise ValueError("need at least `bound` points")
-    head = points[:bound]
-    result: tuple[int, ...] = ()
-    for i, (xi, yi) in enumerate(head):
-        if yi == 0:
-            continue
-        basis: tuple[int, ...] = (1,)
-        denom = 1
-        for j, (xj, _) in enumerate(head):
-            if j == i:
-                continue
-            basis = poly_mul(fld, basis, (fld.neg(xj), 1))
-            denom = fld.mul(denom, fld.sub(xi, xj))
-        result = poly_add(fld, result, poly_scale(fld, basis, fld.mul(yi, fld.inv(denom))))
-    for x, y in points[bound:]:
-        if eval_poly(fld, result, x) != y:
-            return None
-    return result
+    vandermonde = eval_all(fld, np.eye(bound, dtype=np.int64), xs).T
+    solved = solve_linear(fld, vandermonde, [y for _, y in points])
+    return None if solved.solution is None else trim(solved.solution)
 
 
 def roots(fld: Field, coeffs) -> list[int]:
@@ -252,7 +216,7 @@ def solve_linear(fld: Field, matrix, rhs) -> LinearSolution | tuple[LinearSoluti
     if a.ndim not in (2, 3) or b.ndim not in (a.ndim - 1, a.ndim) or b.shape[: a.ndim - 1] != a.shape[:-1]:
         raise ValueError("matrix/rhs dimension mismatch")
     ncols, columns = a.shape[-1], b.ndim == a.ndim
-    stack = a.reshape((-1,) + a.shape[-2:])
+    stack = a if a.ndim == 3 else a[None]
     rhs_stack = b.reshape(stack.shape[:2] + (b.shape[-1] if columns else 1,))
     reduced, pivots = _row_echelon(fld, np.concatenate((stack, rhs_stack), axis=2), ncols)
     solved = tuple(_solution(fld, r, p, ncols, columns) for r, p in zip(reduced, pivots))

@@ -119,12 +119,3 @@ def equivalent(a: EvaluationVector, b: EvaluationVector) -> tuple[int, int] | No
             return None
     return lam, mu
 
-
-def canonical_form(a: EvaluationVector) -> EvaluationVector:
-    """The unique equivalent vector whose first two coordinates are (0, 1)."""
-    if a.n < 2:
-        raise ValueError("need at least two coordinates to canonicalize")
-    fld = a.field
-    lam = fld.inv(fld.sub(a.points[1], a.points[0]))
-    mu = fld.neg(fld.mul(lam, a.points[0]))
-    return EvaluationVector(fld, tuple(fld.add(fld.mul(lam, x), mu) for x in a.points))

@@ -1,11 +1,24 @@
-"""Shared oracle: the bad family grouped by class, built member by member."""
+"""Shared oracles: the canonical form of an evaluation vector, and the bad
+family grouped by class, built member by member."""
 
 import functools
 
 import pytest
 
 from rsinsdel import analyze
-from rsinsdel.rscode import EvaluationVector, canonical_form
+from rsinsdel.rscode import EvaluationVector
+
+
+def canonical_form(a: EvaluationVector) -> EvaluationVector:
+    """The unique equivalent vector whose first two coordinates are (0, 1),
+    one scalar field operation at a time (analyze._normalize is the
+    library's vectorized form)."""
+    if a.n < 2:
+        raise ValueError("need at least two coordinates to canonicalize")
+    fld = a.field
+    lam = fld.inv(fld.sub(a.points[1], a.points[0]))
+    mu = fld.neg(fld.mul(lam, a.points[0]))
+    return EvaluationVector(fld, tuple(fld.add(fld.mul(lam, x), mu) for x in a.points))
 
 
 def _bad_class_index(fld):

@@ -303,13 +303,14 @@ def bruteforce_reference(code):
     words = list(itertools.islice(codewords(code), fld.q ** (k - 1)))
     best, best_pair = -1, None
     for f, c in itertools.product(normalized_with_scaled_copies(fld, k), range(fld.q)):
-        shifted = poly.eval_on(fld, poly.poly_add(fld, f, (fld.neg(c),)), code.ev.points)
+        # f and every g0 have zero constant term, so the shifts set it
+        shifted = poly.eval_on(fld, poly.trim((fld.neg(c), *f[1:])), code.ev.points)
         for g0, w in words:
             if w == shifted:
                 continue
             val = insdel.lcs(shifted, w)
             if val > best:
-                best, best_pair = val, (list(f), list(poly.poly_add(fld, g0, (c,))))
+                best, best_pair = val, (list(f), list(poly.trim((c, *g0[1:]))))
                 if best == n - 1:
                     return best, best_pair
     return best, best_pair

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsinsdel import analyze, insdel, poly
+from rsinsdel.errors import InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
 
@@ -49,6 +50,24 @@ def test_exact_optimality_equals_brute_force(data):
     assert analyze.is_optimal_half_rate(ev, k).optimal == (brute.lcs_of_code <= 2 * k - 2)
 
 
+def lagrange(fld, points, bound):
+    """Reference interpolation, independent of poly.solve_linear: the
+    Lagrange formula on the first `bound` points, one scalar field operation
+    at a time, then a check of the others; None when one is off the curve."""
+    head = points[:bound]
+    coeffs = [0] * bound
+    for i, (xi, yi) in enumerate(head):
+        basis, denom = [1], 1
+        for j, (xj, _) in enumerate(head):
+            if j != i:  # basis *= (x - xj)
+                basis = [fld.sub(lower, fld.mul(xj, c)) for lower, c in zip([0] + basis, basis + [0])]
+                denom = fld.mul(denom, fld.sub(xi, xj))
+        scale = fld.mul(yi, fld.inv(denom))
+        coeffs = [fld.add(c, fld.mul(scale, b)) for c, b in zip(coeffs, basis)]
+    g = poly.trim(coeffs)
+    return g if all(poly.eval_poly(fld, g, x) == y for x, y in points[bound:]) else None
+
+
 def all_pairs_optimality(ev, k):
     """The former scan: every (f, I, J) with I != J, interpolating g on the
     first k constraints of J and verifying the other k-1."""
@@ -62,7 +81,7 @@ def all_pairs_optimality(ev, k):
             for j_seq in seqs:
                 if i_seq == j_seq:
                     continue
-                g = poly.interpolate(fld, [(points[j - 1], y) for j, y in zip(j_seq[:k], head_vals)], k)
+                g = lagrange(fld, [(points[j - 1], y) for j, y in zip(j_seq[:k], head_vals)], k)
                 if g == f:
                     continue
                 if all(poly.eval_poly(fld, g, points[j - 1]) == y for j, y in zip(j_seq[k:], tail_vals)):
@@ -116,5 +135,112 @@ def test_pairs_closer_than_k_never_witness(fld):
                 for i_seq, j_seq in close:
                     assert insdel.hamming_increasing(i_seq, j_seq) < k
                     pts = [(points[j - 1], f_vals[i - 1]) for i, j in zip(i_seq, j_seq)]
-                    g = poly.interpolate(fld, pts, k)
+                    g = lagrange(fld, pts, k)
                     assert g is None or g == f
+
+
+# -- the stacked witness scan against the former one ---------------------------
+
+
+def deficient_pair_scan(ev, k):
+    """The former witness scan: every (f, I, J) over the rank-deficient pairs,
+    in order, g by the Lagrange reference through the J points."""
+    fld, points = ev.field, ev.points
+    sweep = insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))
+    pairs = [ij for _, ij in sweep]
+    for f in analyze._normalized_polys(fld, k):
+        f_vals = poly.eval_on(fld, f, points)
+        for i_seq, j_seq in pairs:
+            g = lagrange(fld, [(points[j - 1], f_vals[i - 1]) for i, j in zip(i_seq, j_seq)], k)
+            if g is not None and g != f:
+                return analyze.OptimalityResult(False, {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)})
+    return analyze.OptimalityResult(True, None)
+
+
+def first_non_optimal(rng, fld, k):
+    while True:
+        points = tuple(rng.sample(range(fld.q), 2 * k))
+        if not insdel.rank_certificate(RsCode(EvaluationVector(fld, points), k), 1).certified:
+            return EvaluationVector(fld, points)
+
+
+def test_stacked_scan_matches_the_former_scan_at_k5_and_k6():
+    # the former scan takes seconds on most non-optimal k = 6 codes (its
+    # witness comes late in the family); seed 11 draws codes it checks in
+    # milliseconds, and the arithmetic progression over GF(11) adds 20 pairs
+    rng = random.Random(11)
+    evs = [first_non_optimal(rng, field_new(q), k) for q, k in ((11, 5), (13, 5), (13, 6))]
+    evs.append(EvaluationVector(field_new(11), tuple(range(10))))
+    for ev in evs:
+        result = analyze.is_optimal_half_rate(ev, ev.n // 2)
+        assert not result.optimal and result == deficient_pair_scan(ev, ev.n // 2), ev
+
+
+def test_stacked_scan_over_extension_fields():
+    rng = random.Random(5)
+    verdicts = []
+    for fld in (field_new(2, 3), field_new(2, 4), field_new(3, 2), field_new(5, 2)):
+        for k in (2, 3, 4):
+            for _ in range(4):
+                ev = EvaluationVector(fld, tuple(rng.sample(range(fld.q), 2 * k)))
+                result = analyze.is_optimal_half_rate(ev, k)
+                assert result == deficient_pair_scan(ev, k), ev
+                verdicts.append(result.optimal)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_stacked_scan_on_pairs_with_large_kernels():
+    # x -> x + 1 maps an arithmetic progression one step along itself, and
+    # x -> theta x a geometric one, so every f meets the shifted pair's
+    # conditions: its kernel has dimension k - 1
+    f9 = field_new(3, 2)
+    geometric = tuple(f9.pow(f9.generator(), e) for e in range(8))
+    for ev, k in (
+        (EvaluationVector(field_new(7), tuple(range(6))), 3),
+        (EvaluationVector(field_new(11), tuple(range(8))), 4),
+        (EvaluationVector(f9, geometric), 4),
+    ):
+        fld = ev.field
+        sweep = insdel.deficient_pairs(fld, ev.points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))
+        ranks = [int(poly.rank(fld, insdel.build_V(fld, ev.points, k, *ij))) for _, ij in sweep]
+        assert min(ranks) <= 2 * k - 3
+        assert analyze.is_optimal_half_rate(ev, k) == deficient_pair_scan(ev, k)
+
+
+def test_stacked_scan_skips_g_equal_to_f(monkeypatch):
+    # the zero polynomial meets every pair's conditions with g = 0 = f: it
+    # is never a witness, so a family of it alone finds no collision
+    ev = EvaluationVector(field_new(7), (0, 1, 2, 4))
+    witness = deficient_pair_scan(ev, 2).witness
+    monkeypatch.setattr(analyze, "_normalized_polys", lambda fld, k: iter([()]))
+    with pytest.raises(InvariantViolation, match="rank-deficient index pairs but no collision"):
+        analyze.is_optimal_half_rate(ev, 2)
+    monkeypatch.setattr(analyze, "_normalized_polys", lambda fld, k: iter([(), tuple(witness["f"])]))
+    assert analyze.is_optimal_half_rate(ev, 2).witness == witness
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
+    # non-optimal codes whose witness f comes 33 to 116 members into the family
+    cases = [
+        (field_new(2, 3), (3, 0, 6, 5, 2, 7, 4, 1)),
+        (field_new(3, 2), (1, 2, 7, 8, 5, 6, 3, 0)),
+        (field_new(11), (6, 4, 1, 3, 0, 8, 10, 9)),
+        (field_new(13), (10, 8, 9, 1, 3, 7, 11, 0)),
+    ]
+    for fld, points in cases:
+        ev, k = EvaluationVector(fld, points), len(points) // 2
+        want = deficient_pair_scan(ev, k)
+        pairs = len(list(insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))))
+        blocks = []
+
+        def conditions_dot(fld, a, b, dot=analyze._dot):
+            if a.ndim == 4:  # the (f, pair) conditions product, one row per f
+                blocks.append(len(a))
+            return dot(fld, a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(insdel, "RANK_BLOCK_ELEMENTS", rows * pairs * (k - 1) ** 2)
+            m.setattr(analyze, "_dot", conditions_dot)
+            assert analyze.is_optimal_half_rate(ev, k) == want and not want.optimal
+        assert max(blocks) == rows and sum(blocks) > 33

@@ -3,12 +3,12 @@
 import random
 
 import pytest
+from conftest import canonical_form
 
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import (
     EvaluationVector,
     RsCode,
-    canonical_form,
     codeword,
     codewords,
     equivalent,
