@@ -339,10 +339,11 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     seqs = np.array(pairs)  # (pairs, 2, 2k-1)
     reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
     maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
+    pivot_rows = np.arange(len(pairs))[:, None], pivots
+    to_g = maps[pivot_rows]
     free = np.ones(reduced.shape[:2], dtype=bool)
-    free[np.arange(len(pairs))[:, None], pivots] = False
+    free[pivot_rows] = False
     conditions = maps[free].reshape(len(pairs), k - 1, k - 1)
-    to_g = np.take_along_axis(maps, pivots[:, :, None], axis=1)
     family = _normalized_polys(fld, k)
     size = 1
     while block := list(itertools.islice(family, size)):
