@@ -7,6 +7,8 @@ This keeps the hot loops cheap and makes every result reproducible, because
 the modulus is chosen deterministically.
 """
 
+import numpy as np
+
 from rsinsdel import field_new
 from rsinsdel import poly
 
@@ -28,9 +30,13 @@ print("roots of x^2-1 over GF(7):", poly.roots(f7, f))
 print("roots of x^2+1 over GF(7):", poly.roots(f7, (1, 0, 1)), "(no square root of -1 mod 7)")
 
 pts = [(0, 0), (1, 1), (2, 4), (3, 2)]
-print("interpolating", pts, "with degree bound 3:", poly.interpolate(f7, pts, 3))
-print("same points, degree bound 2:", poly.interpolate(f7, pts, 2),
-      "(the line through the first two points misses (2,4), so None)")
+xs, ys = zip(*pts)
+for bound in (3, 2):
+    # the Vandermonde system of the points: row j is (1, x_j, .., x_j^(bound-1))
+    vandermonde = poly.eval_all(f7, np.eye(bound, dtype=np.int64), xs).T
+    sol = poly.solve_linear(f7, vandermonde, ys)
+    print(f"interpolating {pts} with degree bound {bound}:", sol.status, sol.solution)
+print("(degree bound 2: the line through the first two points misses (2,4))")
 
 print()
 print("Exact linear algebra over the field:")

@@ -8,13 +8,14 @@ parameters, and a guarded fast path for full-length 2-dimensional codes
 that exploits the affine edit-distance isometries.  In the fast path both
 words of a pair are orderings of the field, so relabelling every symbol by
 its position in the ordering turns each LCS into a longest increasing
-subsequence against 0 .. q-1, and one identity mask table and one
+subsequence against 0 .. q-1, and the mask table of 0 .. q-1 and one
 relabelling table serve every row.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes (a
 rank sweep of the index pairs, then one stacked elimination of the
 deficient ones that reads g off as a linear map of f), a census visiting
-only the bad and verified classes, and seeded random sampling.
+only the verified classes and then the bad ones, and seeded random sampling.
+Every blocked loop sizes its blocks by errors.BLOCK_BYTES.
 
 No exact report may ever show a code LCS below 2k-2 (any k-dimensional
 linear code has two distinct codewords agreeing on a subsequence that long);
@@ -26,7 +27,6 @@ identical results.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import insdel, poly
+from . import errors, insdel, poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
 from .insdel import lcs_from_masks, match_masks
@@ -46,11 +46,6 @@ DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
 SAMPLE_MAX_Q = 128
 SPOT_CHECKS = 200  # classes re-measured by census verify="spot"
-# Working memory of one block of affine rows, in bytes: each symbol is held
-# twice, in the gathered table rows and in the block.  2^20 scans a GF(81)
-# ordering (3,280 rows of 81) in one kernel call; in interleaved `sample
-# --field 81` runs it beat 2^18 and 2^19 by 20-30% and tied 2^21.
-LCS_BLOCK_BYTES = 1 << 20
 
 
 # -- reports ----------------------------------------------------------------
@@ -148,13 +143,13 @@ def lcs_code_bruteforce(
     holds q - 1: the q^(k-1) words w with zero constant term come from
     _codeword_table, and the rows with constant term c are w + c, one
     v_add of at most max_codewords elements per c.  A row's index and g's
-    coefficients are each other's base-q digits.  The witness is the first
+    coefficients are each other's base-q digits, so f's own codeword is
+    the row of g = f, which its scan skips.  The witness is the first
     maximum in (f, g) order.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     if q**k > max_codewords:
         raise GuardExceeded(f"q^k = {q**k} exceeds max_codewords={max_codewords}")
-    points = code.ev.points
     words = _codeword_table(code, q ** (k - 1))
     size = len(words)
     # column-major, so each column is one contiguous read for the kernel
@@ -164,9 +159,9 @@ def lcs_code_bruteforce(
     best = -1
     best_pair = None
     for f in _normalized_polys(fld, k):
-        masks = match_masks(poly.eval_on(fld, f, points), q)
-        lengths = lcs_from_masks(masks, n, rows)
-        lengths[sum(c * q ** (k - 1 - j) for j, c in enumerate(f))] = -1  # the row of g = f
+        row = sum(c * q ** (k - 1 - j) for j, c in enumerate(f))  # constant term 0: a row of words
+        lengths = lcs_from_masks(match_masks(words[row], q), n, rows)
+        lengths[row] = -1
         i = int(lengths.argmax())
         if lengths[i] > best:
             best = int(lengths[i])
@@ -216,8 +211,9 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     table relabel[x, b] = pos[x + b], from one v_add, and the ordering
     scaled once per kept A turn a block of rows into two gathers: the
     table's rows A*alpha_j for the block's A values, then the block's
-    (A, B) columns.  Blocks of LCS_BLOCK_BYTES go to the batched kernel in
-    scan order; the witness is the first maximum, on the original symbols,
+    (A, B) columns.  Blocks of errors.BLOCK_BYTES, each symbol held twice
+    (in the gathered table rows and in the block), go to the batched kernel
+    in scan order; the witness is the first maximum, on the original symbols,
     and the scan stops at the first block reaching q - 1.  More than
     DEFAULT_MAX_OPS symbols in the (q^2 - 1) // 2 rows raise GuardExceeded
     before any table is built.
@@ -237,8 +233,8 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     a_vals, a_idx, b_rows = _affine_rows(fld)
     scaled = fld.v_mul(arr[:, None], a_vals)  # scaled[j, i] = a_vals[i] * alpha_j
     cols = a_idx * q + b_rows
-    masks = insdel.identity_masks(q)
-    block = max(1, LCS_BLOCK_BYTES // (2 * q * symbol.itemsize))
+    masks = match_masks(elements, q)
+    block = max(1, errors.BLOCK_BYTES // (2 * q * symbol.itemsize))
     best = -1
     best_row = None
     for start in range(0, len(cols), block):
@@ -316,15 +312,16 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     the J points are distinct, so each pair has k pivot rows, which give g
     as a linear map of f's other coefficients, and k-1 rows that give the
     conditions on them.  The family is then tested in f-major blocks, which
-    double from one member up to insdel.RANK_BLOCK_ELEMENTS entries of the
-    conditions product: the conditions of every (f, pair) of a block, then
-    g for the pairs that meet them.  The first (f, pair) with g != f in
-    (f, I, J) order is the witness.  A deficient pair always yields one
-    (see insdel.rank_certificate), so a scan that finds none raises
-    InvariantViolation.
-    Each phase's estimated work, k(k+1)(2k-1)^3 for the sweep and
-    2q^(k-2) * (deficient pairs) * k^3 for the scan, is checked against
-    DEFAULT_MAX_OPS before it runs (GuardExceeded).
+    double from one member up to errors.BLOCK_BYTES of the conditions
+    product, conditions.nbytes per member: the conditions of every (f, pair)
+    of a block, then g for the pairs that meet them.  The first (f, pair)
+    with g != f in (f, I, J) order is the witness.  A deficient pair always
+    yields one (see insdel.rank_certificate), so a scan that finds none
+    raises InvariantViolation.
+    Each phase's estimated work is checked against DEFAULT_MAX_OPS before
+    it runs (GuardExceeded): k(k+1)(2k-1)^3 for the sweep, and for the scan
+    the entries of its two field products, |family| * (deficient pairs) *
+    (k-1)(2k-1), with |family| = q^(k-2) + (q^(k-2) - 1)/(q - 1) + 1.
     """
     fld = ev.field
     n = ev.n
@@ -335,7 +332,8 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))]
     if not pairs:
         return OptimalityResult(True, None)
-    _check_work(2 * fld.q ** max(0, k - 2) * len(pairs) * k**3)
+    q_k2 = fld.q ** (k - 2)  # k >= 2: at k = 1 every build_V matrix is (1), of full rank
+    _check_work((q_k2 + (q_k2 - 1) // (fld.q - 1) + 1) * len(pairs) * (k - 1) * (2 * k - 1))
     seqs = np.array(pairs)  # (pairs, 2, 2k-1)
     reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
     maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
@@ -357,7 +355,7 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
             i = new[0]
             f, g, (i_seq, j_seq) = block[b[i]], poly.trim(g[i].tolist()), pairs[p[i]]
             return OptimalityResult(False, {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)})
-        size = min(2 * size, max(1, insdel.RANK_BLOCK_ELEMENTS // conditions.size))
+        size = min(2 * size, max(1, errors.BLOCK_BYTES // conditions.nbytes))
     raise InvariantViolation(f"{len(pairs)} rank-deficient index pairs but no collision on {ev.serialize()}")
 
 
@@ -537,15 +535,16 @@ def census_2dim(
     """Classify every equivalence class of full-length orderings (k = 2).
 
     Each class has a unique representative starting (0, 1), its canonical
-    form; the bad ones are the forms of bad_classes, listed in class order,
-    and the other classes are counted, not visited.  verify picks the classes
-    re-measured with the exact affine engine by rank in class order: "all"
-    every class, "spot" an evenly spaced sample of about SPOT_CHECKS, "none"
-    none, "auto" "all" for q <= 8 and "spot" above.  Any disagreement between
-    the classifier and the exact engine is an invariant violation.  q must be
+    form; the bad ones are the forms of bad_classes, and the other classes
+    are counted, not visited.  verify picks the classes re-measured with the
+    exact affine engine by rank in class order: "all" every class, "spot" an
+    evenly spaced sample of about SPOT_CHECKS, "none" none, "auto" "all" for
+    q <= 8 and "spot" above.  One loop re-measures the verified classes, and
+    any disagreement with the bad forms is an invariant violation; a second
+    loop then lists the bad forms, sorted, with their verdicts.  q must be
     at least 3, and (q-2)! at most max_classes (GuardExceeded, decided
     without building a larger (q-2)!).  time_guard_s, when set, is checked
-    after every visited class.
+    after every visited class of either loop.
     """
     q = fld.q
     if _factorial_above(q - 2, max_classes):
@@ -563,21 +562,20 @@ def census_2dim(
     stray = [form for form in forms if form[:2] != (0, 1) or sorted(form) != list(range(q))]
     if stray:  # the classes between bad forms are counted, so every form must be a class
         raise InvariantViolation(f"bad-class form {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
-    # both streams are in class order: merge them lazily, each class once
-    bad = ((form, "bad") for form in sorted(forms))
-    verified = (((0, 1) + _unrank(range(2, q), i), "verify") for i in verify_idx)
-    bad_entries = []
-    t0 = time.perf_counter()
-    for points, group in itertools.groupby(heapq.merge(bad, verified), key=lambda item: item[0]):
-        kinds = {kind for _, kind in group}
-        ev = EvaluationVector(fld, points)
-        is_bad = "bad" in kinds
-        if "verify" in kinds and is_bad != (lcs_code_affine(ev, want_witness=False).lcs_of_code == q - 1):
+    deadline = time.perf_counter() + (math.inf if time_guard_s is None else time_guard_s)
+    bad = set(forms)
+    for i in verify_idx:
+        ev = EvaluationVector(fld, (0, 1) + _unrank(range(2, q), i))
+        if (ev.points in bad) != (lcs_code_affine(ev, want_witness=False).lcs_of_code == q - 1):
             raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
-        if is_bad:
-            verdict = classify_bad_ordering(ev)
-            bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
-        if time_guard_s is not None and time.perf_counter() - t0 > time_guard_s:
+        if time.perf_counter() > deadline:
+            raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
+    bad_entries = []
+    for form in sorted(forms):
+        ev = EvaluationVector(fld, form)
+        verdict = classify_bad_ordering(ev)
+        bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
+        if time.perf_counter() > deadline:
             raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
     reason_counts = dict(Counter(entry["reason"] for entry in bad_entries))
     good = total - len(bad_entries)

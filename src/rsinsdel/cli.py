@@ -19,7 +19,7 @@ import time
 
 from . import analyze, bounds, construct, insdel
 from .errors import GuardExceeded, InvariantViolation
-from .gf import MAX_ORDER, Field, field_from_order, field_new, prime_power
+from .gf import Field, field_from_order, field_new
 from .rscode import EvaluationVector, RsCode, parse_vector
 
 SCHEMA = 1
@@ -35,10 +35,7 @@ def _parse_field(text: str) -> Field:
     if "^" in text:
         p_str, m_str = text.split("^", 1)
         return field_new(int(p_str), int(m_str))
-    q = int(text)
-    if q <= MAX_ORDER and prime_power(q) is None:
-        raise ValueError(f"--field must be a prime power, got {q}")
-    return field_from_order(q)  # refuses an order above the ceiling before factorizing
+    return field_from_order(int(text))  # refuses an order above the ceiling before factorizing
 
 
 def _parse_alpha(args) -> EvaluationVector:

@@ -19,7 +19,7 @@ builds in about 55 ms (2-core x86-64 VM, numpy 2).
 Field.mul_add_matcher finds every (r, y) with a[r] * b[y] + c[y] == t[r]
 for fixed rows b and c: it prepares b and c once (scaled for a division-free
 divisibility test in odd prime fields, as logs otherwise) and sweeps the
-queries in row blocks sized by MATCH_BLOCK_BYTES.
+queries in row blocks sized by errors.BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import errors
+
 MAX_ORDER = 1 << 20
 MAX_DEGREE = MAX_ORDER.bit_length() - 1  # p^m <= MAX_ORDER forces m <= 20
-# rows per matmul while a power table is laid out: bounds the (rows, m) temporaries
-ORBIT_BLOCK = 1 << 15
-# working memory of one block of mul_add_matcher rows, in bytes
-MATCH_BLOCK_BYTES = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -126,13 +124,14 @@ def _orbit(step: np.ndarray, length: int, p: int) -> np.ndarray:
     the matrix of c^L, and squaring that matrix gives the next one.
     """
     weights = p ** np.arange(len(step), dtype=np.int64)
+    block = max(1, errors.BLOCK_BYTES // (3 * 8 * len(step)))  # three (rows, m) int64 temporaries
     out = np.empty(length, dtype=np.int64)
     out[0] = 1
     done = 1
     while done < length:
         count = min(done, length - done)
-        for lo in range(0, count, ORBIT_BLOCK):
-            hi = min(lo + ORBIT_BLOCK, count)
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
             out[done + lo : done + hi] = _digit_rows(out[lo:hi], p, len(step)) @ step % p @ weights
         done += count
         step = step @ step % p
@@ -303,7 +302,7 @@ class Field:
         == t[r], row-major as np.nonzero gives them, for 1-D a, t of one
         length and b, c of another.  The rows b and c are prepared once, so
         one matcher serves many calls; each call tests its rows in blocks
-        of at most MATCH_BLOCK_BYTES of working memory, reused block to
+        of at most errors.BLOCK_BYTES of working memory, reused block to
         block.
 
         A prime field with odd p tests divisibility without a division
@@ -360,7 +359,7 @@ class Field:
         def match(a, t):
             a, t = np.asarray(a, np.int64), np.asarray(t, np.int64)
             width = max(len(b), 1)
-            step = max(1, MATCH_BLOCK_BYTES // (per_element * width))
+            step = max(1, errors.BLOCK_BYTES // (per_element * width))
             work = [np.empty((min(step, len(a)), len(b)), d) for d in buffers + (bool,)]
             rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
             for start in range(0, len(a), step):

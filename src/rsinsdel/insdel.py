@@ -9,11 +9,11 @@ certificate (deficient_pairs ranks a sweep block by block), the exact
 optimality check (analyze) and the stage systems (construct).  All pure.
 
 The exact capability engines measure many LCS values against one fixed
-sequence s: match_masks builds its bit table once (identity_masks when s
-is 0 .. m-1, as in the relabelled affine scan), and lcs_from_masks runs
-the Allison-Dix / Hyyro bit-vector recurrence over a whole array of rows at
-once, one numpy pass per column and 64-bit word.  lcs keeps the scalar
-single-pair recurrence (a test oracle and the cheap path for one pair).
+sequence s: match_masks builds its bit table once, by one numpy scatter,
+and lcs_from_masks runs the Allison-Dix / Hyyro bit-vector recurrence over
+a whole array of rows at once, one numpy pass per column and 64-bit word.
+lcs_with_witness is the dynamic program that recovers one common
+subsequence of a single pair.
 """
 
 from __future__ import annotations
@@ -24,34 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poly
+from . import errors, poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded
 from .rscode import RsCode
-
-# build_V entries ranked by one poly.rank call: 8 MB per int64 temporary
-RANK_BLOCK_ELEMENTS = 1 << 20
 
 
 def match_masks(s, alphabet: int) -> np.ndarray:
     """Position bitmasks of s: an (alphabet, words) uint64 table, words =
     ceil(len(s)/64), whose row c has bit j % 64 of word j // 64 set exactly
     where s[j] == c.  Symbols must lie in [0, alphabet)."""
-    words = -(-len(s) // 64)
-    bits = [0] * alphabet
-    for j, c in enumerate(s):
-        bits[c] |= 1 << j
-    low = (1 << 64) - 1
-    table = [[(x >> (64 * w)) & low for w in range(words)] for x in bits]
-    return np.array(table, dtype=np.uint64).reshape(alphabet, words)
-
-
-def identity_masks(m: int) -> np.ndarray:
-    """match_masks(range(m), m), built directly: row c holds bit c alone."""
-    words = -(-m // 64)
-    table = np.zeros((m, words), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    for w in range(words):
-        table[64 * w : 64 * (w + 1), w] = bits[: m - 64 * w]
+    j = np.arange(len(s))
+    table = np.zeros((alphabet, -(-len(s) // 64)), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+    np.bitwise_or.at(table, (np.asarray(s, dtype=np.intp), j // 64), bits)  # repeated symbols accumulate
     return table
 
 
@@ -97,27 +82,6 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     if m % 64:
         v[-1] &= np.uint64((1 << (m % 64)) - 1)
     return m - np.bitwise_count(v).sum(axis=0, dtype=np.int64)
-
-
-def lcs(s, t) -> int:
-    """Length of a longest common subsequence.
-
-    The single-pair form of lcs_from_masks' recurrence on Python integers;
-    agrees with the classic dynamic program (see lcs_with_witness).
-    """
-    if len(s) > len(t):
-        s, t = t, s
-    if not s:
-        return 0
-    masks: dict = {}
-    for i, c in enumerate(s):
-        masks[c] = masks.get(c, 0) | (1 << i)
-    full = (1 << len(s)) - 1
-    v = full
-    for c in t:
-        u = v & masks.get(c, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(s) - v.bit_count()
 
 
 def lcs_with_witness(s, t) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -207,8 +171,8 @@ def deficient_pairs(fld, points, k: int, pairs):
     """Yield (position from 1, (I, J)) for each index pair whose build_V
     matrix has rank below 2k - 1, in sweep order; return the number swept.
     Blocks of pairs, one poly.rank call each, double from one pair up to
-    RANK_BLOCK_ELEMENTS entries, so stopping at the first deficient pair
-    ranks at most about twice the pairs before it."""
+    errors.BLOCK_BYTES of build_V matrices, so stopping at the first
+    deficient pair ranks at most about twice the pairs before it."""
     pairs = iter(pairs)
     size, swept = 1, 0
     while block := list(itertools.islice(pairs, size)):
@@ -217,7 +181,7 @@ def deficient_pairs(fld, points, k: int, pairs):
         for b in np.flatnonzero(poly.rank(fld, matrices) < 2 * k - 1).tolist():
             yield swept + b + 1, block[b]
         swept += len(block)
-        size = min(2 * size, max(1, RANK_BLOCK_ELEMENTS // matrices[0].size))
+        size = min(2 * size, max(1, errors.BLOCK_BYTES // matrices[0].nbytes))
     return swept
 
 

@@ -5,8 +5,7 @@ form: no trailing zero coefficient, the zero polynomial being the empty
 tuple.  Matrices are int64 arrays (or nested lists) of element indices;
 the one Gaussian elimination, _row_echelon, reduces a whole stack of them
 at once with the field's vector operations, one pass per column, so rank
-ranks many small matrices in one call, and interpolation is one
-solve_linear call on a Vandermonde system.  eval_all is the one stacked
+ranks many small matrices in one call.  eval_all is the one stacked
 Horner evaluation, and the one root finder, pencil_roots, likewise takes a
 stack of rows a + lead*b - target at once.  All functions are pure.
 """
@@ -60,24 +59,6 @@ def eval_all(fld: Field, coeffs, xs=None) -> np.ndarray:
     for c in coeffs.T[::-1]:
         acc = fld.v_add(fld.v_mul(acc, xs), c[..., None])
     return acc
-
-
-def interpolate(fld: Field, points, bound: int) -> tuple[int, ...] | None:
-    """Unique polynomial of degree < bound through the points, or None.
-
-    One solve_linear call on the Vandermonde system of every point: with
-    distinct nodes and at least `bound` of them its columns are independent,
-    so the system is either unique or inconsistent.  Duplicate x-values
-    raise ValueError.
-    """
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate interpolation nodes")
-    if len(points) < bound:
-        raise ValueError("need at least `bound` points")
-    vandermonde = eval_all(fld, np.eye(bound, dtype=np.int64), xs).T
-    solved = solve_linear(fld, vandermonde, [y for _, y in points])
-    return None if solved.solution is None else trim(solved.solution)
 
 
 def roots(fld: Field, coeffs) -> list[int]:

@@ -1,12 +1,54 @@
-"""Shared oracles: the canonical form of an evaluation vector, and the bad
-family grouped by class, built member by member."""
+"""Shared oracles: the canonical form of an evaluation vector, the bad
+family grouped by class, built member by member, the scalar single-pair
+LCS, and interpolation through one Vandermonde solve."""
 
 import functools
 
+import numpy as np
 import pytest
 
-from rsinsdel import analyze
+from rsinsdel import analyze, poly
 from rsinsdel.rscode import EvaluationVector
+
+
+def lcs(s, t) -> int:
+    """Length of a longest common subsequence.
+
+    The single-pair form of insdel.lcs_from_masks' recurrence on Python
+    integers; agrees with the classic dynamic program (see
+    insdel.lcs_with_witness).
+    """
+    if len(s) > len(t):
+        s, t = t, s
+    if not s:
+        return 0
+    masks: dict = {}
+    for i, c in enumerate(s):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    full = (1 << len(s)) - 1
+    v = full
+    for c in t:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(s) - v.bit_count()
+
+
+def interpolate(fld, points, bound: int) -> tuple[int, ...] | None:
+    """Unique polynomial of degree < bound through the points, or None.
+
+    One poly.solve_linear call on the Vandermonde system of every point:
+    with distinct nodes and at least `bound` of them its columns are
+    independent, so the system is either unique or inconsistent.  Duplicate
+    x-values raise ValueError.
+    """
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate interpolation nodes")
+    if len(points) < bound:
+        raise ValueError("need at least `bound` points")
+    vandermonde = poly.eval_all(fld, np.eye(bound, dtype=np.int64), xs).T
+    solved = poly.solve_linear(fld, vandermonde, [y for _, y in points])
+    return None if solved.solution is None else poly.trim(solved.solution)
 
 
 def canonical_form(a: EvaluationVector) -> EvaluationVector:

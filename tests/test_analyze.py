@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from rsinsdel import analyze, bounds, cli, insdel
+from rsinsdel import analyze, bounds, cli, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, equivalent
@@ -54,7 +54,7 @@ def test_bruteforce_normalization_matches_unreduced_scan():
             pts = tuple(rng.sample(range(fld.q), n))
             code = RsCode(EvaluationVector(fld, pts), k)
             report = analyze.lcs_code_bruteforce(code)
-            from rsinsdel.insdel import lcs
+            from conftest import lcs
             from rsinsdel.rscode import codewords
 
             words = [w for _, w in codewords(code)]
@@ -178,8 +178,9 @@ def test_is_optimal_agrees_with_bruteforce_k3_random():
 
 
 def test_is_optimal_guard(monkeypatch):
-    # range(8) over GF(1367) leaves 12 rank-deficient pairs: 2 * 1367^2 * 12 * 4^3
-    with pytest.raises(GuardExceeded, match="estimated work 2870306304 exceeds the limit of 100000000"):
+    # range(8) over GF(1367) leaves 12 rank-deficient pairs: the family's
+    # 1367^2 + 1368 + 1 members * 12 * (k-1)(2k-1) = 21 product entries
+    with pytest.raises(GuardExceeded, match="estimated work 471254616 exceeds the limit of 100000000"):
         analyze.is_optimal_half_rate(EvaluationVector(field_new(1367), tuple(range(8))), 4)
     # k = 3: the rank sweep is 3 * 4 * 5^3 = 1500, refused before any pair is built
     ap = EvaluationVector(F7, (0, 1, 2, 3, 4, 5))
@@ -191,13 +192,24 @@ def test_is_optimal_guard(monkeypatch):
     # no pair of the optimal (0,1,2,5,3,4) is rank-deficient, so the scan is never estimated
     monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 1500)
     assert analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5, 3, 4)), 3).optimal is True
-    # the arithmetic progression leaves 6 deficient pairs: 2 * 7 * 6 * 3^3 = 2268
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 2267)
-    with pytest.raises(GuardExceeded, match="estimated work 2268 exceeds the limit of 2267"):
-        analyze.is_optimal_half_rate(ap, 3)
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 2268)
+    # the arithmetic progression leaves 6 deficient pairs: (7 + 1 + 1) * 6 * 2 * 5 = 540,
+    # below its sweep estimate, so the sweep's limit admits the scan too
+    estimates = []
+    check_work = analyze._check_work
+    monkeypatch.setattr(analyze, "_check_work", lambda work: estimates.append(work) or check_work(work))
     res = analyze.is_optimal_half_rate(ap, 3)
+    assert estimates == [1500, 540]
     assert res.witness == {"f": [0, 1], "g": [6, 1], "I": [1, 2, 3, 4, 5], "J": [2, 3, 4, 5, 6]}
+    # range(8) over GF(11), k = 4: 12 deficient pairs, (121 + 12 + 1) * 12 * 21 = 33768,
+    # above its sweep estimate 4 * 5 * 7^3 = 6860
+    ap8 = EvaluationVector(field_new(11), tuple(range(8)))
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 33767)
+    with pytest.raises(GuardExceeded, match="estimated work 33768 exceeds the limit of 33767"):
+        analyze.is_optimal_half_rate(ap8, 4)
+    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 33768)
+    assert analyze.is_optimal_half_rate(ap8, 4).witness == {
+        "f": [0, 0, 1], "g": [1, 9, 1], "I": [1, 2, 3, 4, 5, 6, 7], "J": [2, 3, 4, 5, 6, 7, 8]
+    }
 
 
 def test_optimal_4_2_pair_examples():
@@ -305,7 +317,7 @@ def test_census_small_fields():
 def test_census_q5_q7_against_raw_all_pairs_scan():
     # third route: no normalization, no equivalence, no classifier - just the
     # maximum LCS over every one of the q^2-choose-2 codeword pairs
-    from rsinsdel.insdel import lcs
+    from conftest import lcs
     from rsinsdel.rscode import codewords
 
     for q, expected_good in [(5, 1), (7, 115)]:
@@ -382,6 +394,24 @@ def test_census_thread_invariance(capsys):
 def test_census_time_guard_holds_with_threads():
     with pytest.raises(GuardExceeded, match="time guard"):
         analyze.census_2dim(field_new(3, 2), time_guard_s=1e-9)
+
+
+def test_census_time_guard_covers_the_bad_forms():
+    # nothing to verify: the guard is checked in the loop over the bad forms
+    with pytest.raises(GuardExceeded, match="time guard"):
+        analyze.census_2dim(F7, verify="none", time_guard_s=0)
+
+
+def test_bruteforce_analyze_evaluates_only_the_witness(monkeypatch, capsys):
+    # a fully scanned code (LCS 2k - 2): every scanned codeword comes from
+    # the one table, so eval_on runs only for the witness pair
+    calls = []
+    eval_on = poly.eval_on
+    monkeypatch.setattr(poly, "eval_on", lambda fld, f, xs: calls.append(tuple(f)) or eval_on(fld, f, xs))
+    assert cli.main(["analyze", "--field", "23", "--k", "3", "--alpha", "4,18,2,8,3,15"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["lcs_of_code"] == 4
+    assert calls == [tuple(result["witness"]["f"]), tuple(result["witness"]["g"])]
 
 
 def test_threads_below_one_rejected(capsys):

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from rsinsdel import analyze, cli, construct, gf, insdel, poly
+from rsinsdel import analyze, cli, construct, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
@@ -222,7 +222,7 @@ def test_block_sweep_is_independent_of_block_size(monkeypatch):
             solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))
             full = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
             for budget in (3 * fld.q * 25, 1):
-                monkeypatch.setattr(gf, "MATCH_BLOCK_BYTES", budget)
+                monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
                 for uu, codes in zip(solutions, full):
                     assert np.array_equal(construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv), codes)
             monkeypatch.undo()

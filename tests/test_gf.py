@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsinsdel import gf
+from rsinsdel import errors, gf
 from rsinsdel.gf import Field, euler_phi, factorize, field_from_order, field_new, is_prime, prime_power
 
 
@@ -258,9 +258,24 @@ def test_mul_add_matcher_is_independent_of_block_size(p, m, monkeypatch):
     full = match(a, t)
     assert len(full[0]) >= len(a)
     for budget in (1, 2 * 300 * 25, 7 * 300 * 25):  # one row, a few rows, blocks with a ragged end
-        monkeypatch.setattr(gf, "MATCH_BLOCK_BYTES", budget)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         assert all(np.array_equal(x, y) for x, y in zip(match(a, t), full))
     assert [len(x) for x in match(a[:0], t[:0])] == [0, 0]
+
+
+@pytest.mark.parametrize("p, m", [(1367, 1), (2, 8), (3, 4)])
+def test_tables_are_independent_of_the_orbit_block_size(p, m, monkeypatch):
+    want = Field(p, m)
+    sizes = []
+    digit_rows = gf._digit_rows
+    monkeypatch.setattr(gf, "_digit_rows", lambda v, p, m: sizes.append(np.size(v)) or digit_rows(v, p, m))
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
+    got = Field(p, m)
+    assert sizes.count(1) >= want.q - 2  # the powers past g^1, each laid out as a one-row block
+    tables = [name for name in ("_nlog", "_nexp", "_nzech") if hasattr(want, name)]
+    assert tables == [name for name in ("_nlog", "_nexp", "_nzech") if hasattr(got, name)]
+    for name in tables:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (7, 1), (1367, 1), (2, 2), (2, 8), (3, 4), (5, 3)])

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import lcs
 
 from rsinsdel import insdel, poly
 from rsinsdel.errors import GuardExceeded
@@ -29,13 +30,13 @@ def lcs_oracle(a, b):
 def test_lcs_worked_example():
     s = (2, 4, 1, 3, 0, 2)
     t = (4, 3, 2, 1, 0)
-    assert insdel.lcs(s, t) == insdel.lcs(t, s) == lcs_oracle(s, t) == 3
+    assert lcs(s, t) == lcs(t, s) == lcs_oracle(s, t) == 3
 
 
 def test_lcs_trivial_cases():
     s = (3, 1, 4, 1, 5)
-    assert insdel.lcs(s, s) == len(s)
-    assert insdel.lcs(s, ()) == insdel.lcs((), s) == insdel.lcs((), ()) == 0
+    assert lcs(s, s) == len(s)
+    assert lcs(s, ()) == lcs((), s) == lcs((), ()) == 0
 
 
 def test_lcs_matches_oracle_random():
@@ -44,7 +45,7 @@ def test_lcs_matches_oracle_random():
         m, n, sigma = rng.randrange(0, 14), rng.randrange(0, 14), rng.randrange(1, 9)
         a = tuple(rng.randrange(sigma) for _ in range(m))
         b = tuple(rng.randrange(sigma) for _ in range(n))
-        assert insdel.lcs(a, b) == lcs_oracle(a, b)
+        assert lcs(a, b) == lcs_oracle(a, b)
 
 
 def test_lcs_symmetry_and_deletion_monotonicity():
@@ -52,11 +53,11 @@ def test_lcs_symmetry_and_deletion_monotonicity():
     for _ in range(200):
         a = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 10)))
         b = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 10)))
-        v = insdel.lcs(a, b)
-        assert insdel.lcs(b, a) == v
+        v = lcs(a, b)
+        assert lcs(b, a) == v
         pos = rng.randrange(len(a))
         shorter = a[:pos] + a[pos + 1 :]
-        assert v - 1 <= insdel.lcs(shorter, b) <= v
+        assert v - 1 <= lcs(shorter, b) <= v
 
 
 def test_edit_distance_affine_isometry():
@@ -72,7 +73,7 @@ def test_edit_distance_affine_isometry():
             mu = rng.randrange(fld.q)
             c2 = [fld.add(fld.mul(lam, x), mu) for x in c]
             d2 = [fld.add(fld.mul(lam, x), mu) for x in d]
-            assert insdel.lcs(c2, d2) == insdel.lcs(c, d) == lcs_oracle(c, d)
+            assert lcs(c2, d2) == lcs(c, d) == lcs_oracle(c, d)
 
 
 def test_lcs_witness_is_valid():

