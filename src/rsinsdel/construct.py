@@ -14,14 +14,15 @@ leading coefficient, so the pair is four polynomials evaluated once on
 GF(q), and every first-point condition, linear in that coefficient, is
 solved for it in closed form.  The cross second points are the roots of
 one polynomial of degree at most i - 1 in y per (coefficient, point)
-solution, found by one poly.pencil_roots call per pair and side: rows of
-degree at most 2 in closed form, so stage 3 tests no row over GF(q), and
-only rows of degree 3 or more (from stage 4 on) by a Field.mul_add_matcher
-(in prime fields a divisibility test with no division).  Every completion
-(alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
-set, kept as sorted codes x*q + y.  Any pair of fresh distinct points
-outside the bad set extends the code; the lexicographically least one is
-chosen, so runs are fully reproducible.
+solution.  Every pair hands these cross rows, each with its first point,
+to one root pool for the whole stage, which poly.split_round splits in
+blocks of errors.BLOCK_BYTES: rows of degree at most 2 (all of stage 3)
+in closed form, the others by equal-degree splitting, so no row is tested
+at every y of GF(q).  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
+near-collision joins the stage's bad set, kept as sorted codes x*q + y.
+Any pair of fresh distinct points outside the bad set extends the code;
+the lexicographically least one is chosen, so runs are fully
+reproducible.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analyze, insdel, poly
+from . import analyze, errors, insdel, poly
 from .errors import GuardExceeded, InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
 
-# Work budget of construct_half_rate in element operations of stages 3..k
-# (see stage_work); admits k = 6 at q = min_field_size(6).
-MAX_STAGE_OPS = 30_000_000_000
+# Work budget of construct_half_rate in units of stage_work, about 30 s on a
+# 2-core x86-64 VM: admits k = 6 at q = min_field_size(6) (about 12 s) and
+# refuses k = 7 at min_field_size(7) (about a minute).
+MAX_STAGE_OPS = 2_000_000_000
 
 
 class NoBaseCaseError(ValueError):
@@ -119,11 +121,43 @@ def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarra
     return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
 
 
-def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv) -> np.ndarray:
+class _RootPool:
+    """The cross rows of one stage, each with its first point x, waiting for
+    their roots y.  split() runs poly.split_round on blocks of
+    errors.BLOCK_BYTES (divided by poly.split_bytes per row) in arrival
+    order and queues the pieces left at the end, so the few rows that need
+    more rounds share blocks with fresh ones; the pool never holds more
+    than one block between calls."""
+
+    def __init__(self, fld: Field, width: int):
+        self.fld, self.width = fld, width
+        self.queue = []  # (xs, rows, rounds) in arrival order
+        self.size = 0
+
+    def add(self, xs, rows, rounds=None) -> None:
+        self.queue.append((xs, rows, np.zeros(len(xs), np.int64) if rounds is None else rounds))
+        self.size += len(xs)
+
+    def split(self, drain: bool = False) -> np.ndarray:
+        """The codes x*q + y of the roots of every full block, or, with
+        drain, of every row until the pool is empty, in no set order."""
+        block = max(1, errors.BLOCK_BYTES // poly.split_bytes(self.width))
+        codes = [np.empty(0, np.int64)]
+        while self.size >= block or (drain and self.size):
+            xs, rows, rounds = (np.concatenate(part) for part in zip(*self.queue))
+            self.queue, self.size = [(xs[block:], rows[block:], rounds[block:])], len(xs[block:])
+            (hit, y), (left, pieces, after) = poly.split_round(self.fld, rows[:block], rounds[:block])
+            codes.append(xs[hit] * self.fld.q + y)
+            self.add(xs[left], pieces, after)
+        return np.concatenate(codes)
+
+
+def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv, pool) -> np.ndarray:
     """Bad pairs contributed by one ordered index-sequence pair, given its
     stage solutions (u0, u1), over all q values of the free leading
-    coefficient, as sorted unique codes x*q + y; neg_inv[v] = -1/v (and 0
-    at 0).
+    coefficient, as sorted unique codes x*q + y, but for the cross second
+    points, whose rows go to the stage's root pool; neg_inv[v] = -1/v (and
+    0 at 0).
 
     For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
     g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
@@ -136,11 +170,10 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     num(x) + lead*den(x) = 0, so each x has the one lead -num/den, or every
     lead where num = den = 0; the agreement y are bucketed by lead, and only
     the cross second points need the roots y of A + lead*B (or C + lead*D)
-    minus the hit's target per (lead, x) hit, of degree at most i - 1, from
-    one poly.pencil_roots call per side: closed form up to degree 2 (every
-    row of stage 3), a Field.mul_add_matcher row over GF(q) for degree 3 or
-    more.  An x that hits at every lead pairs with every y whose own
-    equation some allowed lead solves.
+    minus the hit's target per (lead, x) hit, of degree at most i - 1: one
+    poly.pencil_rows per side, added to `pool` with the hits' x.  An x that
+    hits at every lead pairs with every y whose own equation some allowed
+    lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
     allowed:
@@ -194,8 +227,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
-        hit, y = poly.pencil_roots(fld, polys[base], polys[base + 1], l, target, vals[base : base + 2])
-        codes.append(x[hit] * q + y)
+        pool.add(x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target))
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
     side = np.repeat([0, 2], [len(es[0]), len(es[1])])
@@ -216,8 +248,9 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     independent of that leading coefficient, so the systems of all index
     pairs are reduced together, once, and the per-coefficient solutions are
     affine combinations of two base solutions.
-    Each pair's bad set is merged, as sorted codes x*q + y, into the union in
-    sweep order.
+    Each pair's bad set and the roots its cross rows get from the stage's
+    root pool (_RootPool) are merged, as sorted codes x*q + y, into the
+    union.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     a swept pair's system is singular, which the input's optimality forbids,
@@ -238,9 +271,16 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
     solutions = _stage_solutions(fld, points, i, list(insdel.index_pairs(n, n - 1, i - 2)))
     neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
-    # merged pair by pair, so memory stays at the size of the bad set
+    # new codes are merged into the bad set once they outnumber it four to
+    # one, so memory stays within about five times the bad set, and the root
+    # pool at one block
+    pool, new = _RootPool(fld, i), []
     for u0, u1 in solutions:
-        bad = _sorted_unique(np.concatenate((bad, _stage_pair_bad_set(fld, points, i, u0, u1, neg_inv))), "stable")
+        new += [_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, pool), pool.split()]
+        if sum(map(len, new)) >= 4 * len(bad):
+            bad, new = _sorted_unique(np.concatenate([bad, _sorted_unique(np.concatenate(new))]), "stable"), []
+    new.append(pool.split(drain=True))
+    bad = _sorted_unique(np.concatenate([bad, _sorted_unique(np.concatenate(new))]), "stable")
     bad_count = len(bad)
     ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
     if bad_count > ceiling:
@@ -286,15 +326,29 @@ class ConstructionTrace:
     alpha: EvaluationVector
 
 
+def swept_pair_count(i: int) -> int:
+    """The ordered index-sequence pairs stage i sweeps (see extend): two of
+    the 2i - 2 sequences of length 2i - 3, omitting positions a and b, are
+    at Hamming distance |a - b|, which must be at least i - 2."""
+    return 2 * sum(2 * i - 2 - t for t in range(i - 2, 2 * i - 2))
+
+
 def stage_work(q: int, k: int) -> int:
-    """Estimated element operations of stages 3..k over GF(q): stage i
-    sweeps at most (2i-2)(2i-3) ordered index pairs at q^2 each.  The
-    sweep tests at most about 2q rows of q per pair, each element one
-    multiply, two adds and a compare in prime fields
-    (Field.mul_add_matcher), and only for rows of degree 3 or more: stage 3
-    tests none, its rows being solved in closed form.  So this is a loose
-    upper bound on its work."""
-    return sum((2 * i - 2) * (2 * i - 3) for i in range(3, k + 1)) * q * q
+    """Estimated work of stages 3..k over GF(q), in units the sweep's loops
+    spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i) index
+    pairs.  Each pair costs 8b units per first point x (its vectors over
+    GF(q) and the sort of the codes it emits, a few per x) and sends at
+    most 2q cross rows, one per first point and side, to the root pool,
+    with half as many again allowed for the pieces split in later rounds.
+    A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
+    squares of the power mod P; its gcd cost less), a row of degree <= 2
+    one unit (the closed form).  On this package's test runs the estimate
+    is within 1.5 times the rows' units counted, and a unit takes 13-22 ns
+    on a 2-core x86-64 VM."""
+    bits = max(1, (q - 1).bit_length())
+    return sum(
+        swept_pair_count(i) * q * (8 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)
+    )
 
 
 def _verify_stage(fld: Field, points: tuple[int, ...], i: int, verify_mode: str) -> str:

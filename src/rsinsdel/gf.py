@@ -16,10 +16,10 @@ logs log(1 + g^i).  A prime field's tables take 40 bytes per element:
 GF(1048573), the largest prime below the 2^20 ceiling, holds about 42 MB and
 builds in about 55 ms (2-core x86-64 VM, numpy 2).
 
-Field.mul_add_matcher finds every (r, y) with a[r] * b[y] + c[y] == t[r]
-for fixed rows b and c: it prepares b and c once (scaled for a division-free
-divisibility test in odd prime fields, as logs otherwise) and sweeps the
-queries in row blocks sized by errors.BLOCK_BYTES.
+For stacked polynomial arithmetic (poly.split_round) Field.v_log and
+Field.v_exp expose the tables themselves, so a product of many pairs takes
+each factor's log once, and Field.v_sum adds a whole axis at once, with one
+reduction per sum in a prime field.
 """
 
 from __future__ import annotations
@@ -155,11 +155,7 @@ class Field:
         self.q = p**m
         self.modulus = None if m == 1 else _find_modulus(p, m)
         self._build_tables()
-        if m == 1 and p > 2:
-            # word, p^-1 mod 2^w and (2^w - 1) // p for mul_add_matcher
-            word = np.uint32 if p * p < 1 << 32 else np.uint64
-            bits = np.iinfo(word).bits
-            self._divisibility = word, word(pow(p, -1, 1 << bits)), word(((1 << bits) - 1) // p)
+        self._wraps = [np.uint64(p << shift) for shift in range(64 - p.bit_length())]  # p * 2^t, for v_add, v_sum
 
     # -- representation ------------------------------------------------
 
@@ -288,7 +284,14 @@ class Field:
 
     def v_add(self, a, b):
         if self.m == 1:
-            return (a + b) % self.p
+            # for elements a + b < 2p, and as uint64 the sum minus p wraps
+            # above the sum exactly when the sum is below p
+            total = np.add(a, b, dtype=np.int64)
+            if not isinstance(total, np.ndarray):
+                return total % self.p
+            unsigned = total.view(np.uint64)
+            np.minimum(unsigned, unsigned - self._wraps[0], out=unsigned)
+            return total
         if self.p == 2:
             return np.bitwise_xor(a, b)
         la = self._nlog[a]
@@ -297,80 +300,34 @@ class Field:
     def v_mul(self, a, b):
         return self._nexp[self._nlog[a] + self._nlog[b]]
 
-    def mul_add_matcher(self, b, c):
-        """Return match(a, t), the (rows, columns) of every a[r] * b[y] + c[y]
-        == t[r], row-major as np.nonzero gives them, for 1-D a, t of one
-        length and b, c of another.  The rows b and c are prepared once, so
-        one matcher serves many calls; each call tests its rows in blocks
-        of at most errors.BLOCK_BYTES of working memory, reused block to
-        block.
+    def v_log(self, a):
+        """Elementwise discrete logs, with 2N for 0 (N = q - 1): a sum of two
+        logs is >= 2N exactly when a factor is 0, and v_exp gives 0 there."""
+        return self._nlog[a]
 
-        A prime field with odd p tests divisibility without a division
-        (Granlund & Montgomery 1994): with w = 32 when p <= 65521 and 64
-        otherwise, and pinv = p^-1 mod 2^w, the integer
-        x = a*b + c + (p - t) <= (p-1)^2 + (p-1) + p = p^2 < 2^w is a multiple
-        of p exactly when x*pinv mod 2^w <= (2^w - 1) // p.  As x -> x*pinv
-        is linear mod 2^w, b and c are scaled once per matcher and p - t
-        once per row, and each element costs one wrapping multiply, two
-        adds and one compare.  The other fields keep the logs of b and
-        gather each product from the exp table; odd-characteristic
-        extension fields add c through its Zech logs, and characteristic 2
-        (GF(2) too, where p has no inverse mod 2^w) adds it by XOR.
-        """
-        b, c = np.asarray(b, np.int64), np.asarray(c, np.int64)
-        if self.m == 1 and self.p > 2:
-            word, pinv, limit = self._divisibility
-            bp, cp = np.multiply(b.astype(word), pinv), np.multiply(c.astype(word), pinv)
-            buffers = (word,)
+    def v_exp(self, e):
+        """Elementwise g^e for 0 <= e < 2N and 0 for 2N <= e <= 4N, so that
+        v_exp of a sum of two v_log values is the product."""
+        return self._nexp.take(e, mode="clip")
 
-            def test(a, t, out, mask):
-                np.multiply(a.astype(word)[:, None], bp, out=out)  # ufuncs wrap without a warning
-                out += cp
-                out += np.multiply(np.subtract(self.p, t).astype(word), pinv)[:, None]
-                return np.less_equal(out, limit, out=mask)
-
-        elif self.p > 2:
-            lb, lc = self._nlog[b], self._nlog[c] + 2 * (self.q - 1)
-            buffers = (np.int64, np.int64, np.int64)
-
-            def test(a, t, index, value, shift, mask):
-                # every index is in range; mode="clip" writes straight into out
-                np.add(self._nlog[a][:, None], lb, out=index)
-                np.take(self._nexp, index, out=value, mode="clip")  # the product
-                np.take(self._nlog, value, out=index, mode="clip")
-                np.subtract(lc, index, out=value)
-                np.take(self._nzech, value, out=shift, mode="clip")
-                index += shift
-                np.take(self._nexp, index, out=value, mode="clip")
-                return np.equal(value, t[:, None], out=mask)
-
-        else:
-            lb = self._nlog[b]
-            buffers = (np.int64, np.int64)
-
-            def test(a, t, index, value, mask):
-                np.add(self._nlog[a][:, None], lb, out=index)
-                np.take(self._nexp, index, out=value, mode="clip")
-                value ^= c
-                return np.equal(value, t[:, None], out=mask)
-
-        per_element = 1 + sum(np.dtype(d).itemsize for d in buffers)  # with the bool mask
-
-        def match(a, t):
-            a, t = np.asarray(a, np.int64), np.asarray(t, np.int64)
-            width = max(len(b), 1)
-            step = max(1, errors.BLOCK_BYTES // (per_element * width))
-            work = [np.empty((min(step, len(a)), len(b)), d) for d in buffers + (bool,)]
-            rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-            for start in range(0, len(a), step):
-                a_blk, t_blk = a[start : start + step], t[start : start + step]
-                same = test(a_blk, t_blk, *(w[: len(a_blk)] for w in work))
-                hit, y = divmod(np.flatnonzero(same), width)
-                rows.append(hit + start)
-                cols.append(y)
-            return np.concatenate(rows), np.concatenate(cols)
-
-        return match
+    def v_sum(self, a, axis: int = -1):
+        """Sum of the elements along an axis: modular in a prime field, XOR
+        in characteristic 2 and a chain of v_add otherwise."""
+        if self.m == 1:
+            # the sum of n elements is below 2^t * p for 2^t >= n: t steps
+            # subtract p * 2^(t-1), .., p where they do not wrap (as in v_add)
+            total = np.add.reduce(a, axis=axis, dtype=np.int64)
+            unsigned = total.view(np.uint64)
+            for wrap in reversed(self._wraps[: (np.shape(a)[axis] - 1).bit_length()]):
+                np.minimum(unsigned, unsigned - wrap, out=unsigned)
+            return total
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        a = np.moveaxis(a, axis, 0)
+        total = a[0]
+        for b in a[1:]:
+            total = self.v_add(total, b)
+        return total
 
     def v_inv(self, a):
         """Elementwise inverse, with 0 mapped to 0."""

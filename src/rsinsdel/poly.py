@@ -6,13 +6,19 @@ tuple.  Matrices are int64 arrays (or nested lists) of element indices;
 the one Gaussian elimination, _row_echelon, reduces a whole stack of them
 at once with the field's vector operations, one pass per column, so rank
 ranks many small matrices in one call.  eval_all is the one stacked
-Horner evaluation, and the one root finder, pencil_roots, likewise takes a
-stack of rows a + lead*b - target at once.  All functions are pure.
+Horner evaluation.  The one root finder, split_round, takes a stack of
+coefficient rows of any degrees at once and finds their roots in rounds
+(Berlekamp 1970; Cantor & Zassenhaus 1981), with no scan of GF(q):
+closed forms up to degree 2, equal-degree splitting above.  pencil_roots
+runs it to the end on the rows a + lead*b - target of a pencil, and the
+construction feeds it a whole stage's rows in blocks.  All functions are
+pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,56 +76,251 @@ def roots(fld: Field, coeffs) -> list[int]:
     return sorted(ys.tolist())
 
 
-def pencil_roots(fld: Field, a, b, lead, target, values=None) -> tuple[np.ndarray, np.ndarray]:
-    """Every (r, y) with a(y) + lead[r]*b(y) == target[r], for coefficient
-    tuples a and b and 1-D lead and target of one length: the roots of one
-    polynomial per row, as index arrays (rows, ys) in no set order.
-
-    Rows of degree at most 2 are solved in closed form through the field's
-    tables (the last step of Berlekamp 1970 and Cantor-Zassenhaus 1981): a
-    nonzero constant has no root, the zero polynomial every y, a line one.
-    A monic quadratic y^2 + s*y + t has the roots -s/2 +- sqrt(s^2/4 - t)
-    in odd characteristic; in characteristic 2 it has sqrt(t) when s = 0,
-    and otherwise s*z and s*(z + 1) for z^2 + z = t/s^2, read from a table
-    of z^2 + z over GF(q) (none when t/s^2 is not such a value).  Only rows
-    of degree 3 or more are tested at every y, by one Field.mul_add_matcher
-    on the values of a and b over GF(q): `values`, the two rows of
-    eval_all, when the caller has them.
-    """
-    q, minus = fld.q, fld.neg(1)
+def pencil_rows(fld: Field, a, b, lead, target) -> np.ndarray:
+    """The coefficient rows, low first, of a + lead[r]*b - target[r] for
+    coefficient tuples a and b and 1-D lead and target of one length: an
+    (R, W) array, W = max(len(a), len(b), 1)."""
     lead, target = np.asarray(lead, np.int64), np.asarray(target, np.int64)
-    ab = np.zeros((2, max(len(a), len(b), 3), 1), np.int64)  # columns 0..2 always exist
-    ab[0, : len(a), 0], ab[1, : len(b), 0] = a, b
-    coeffs = fld.v_add(ab[0], fld.v_mul(ab[1], lead))  # one column per row
-    coeffs[0] = fld.v_add(coeffs[0], fld.v_mul(target, minus))
-    degree = np.where(coeffs != 0, np.arange(len(coeffs))[:, None], -1).max(axis=0)
-    rows, ys = [], []
-    r = np.flatnonzero(degree >= 3)
-    if len(r):
-        va, vb = eval_all(fld, ab[..., 0]) if values is None else values
-        hit, y = fld.mul_add_matcher(vb, va)(lead[r], target[r])
-        rows.append(r[hit])
+    ab = np.zeros((2, max(len(a), len(b), 1)), np.int64)
+    ab[0, : len(a)], ab[1, : len(b)] = a, b
+    rows = fld.v_add(ab[0], fld.v_mul(ab[1], lead[:, None]))
+    rows[:, 0] = fld.v_add(rows[:, 0], fld.v_mul(target, fld.neg(1)))
+    return rows
+
+
+def pencil_roots(fld: Field, a, b, lead, target) -> tuple[np.ndarray, np.ndarray]:
+    """Every (r, y) with a(y) + lead[r]*b(y) == target[r]: the roots of the
+    rows of pencil_rows, as index arrays (rows, ys) in no set order, from
+    split_round repeated until no piece is left."""
+    rows = pencil_rows(fld, a, b, lead, target)
+    source, rounds = np.arange(len(rows)), np.zeros(len(rows), np.int64)
+    found, ys = [source[:0]], [source[:0]]
+    while len(rows):
+        (hit, y), (left, rows, rounds) = split_round(fld, rows, rounds)
+        found.append(source[hit])
         ys.append(y)
+        source = source[left]
+    return np.concatenate(found), np.concatenate(ys)
+
+
+def split_bytes(width: int) -> int:
+    """Working memory of split_round per row of width W, in bytes: an upper
+    bound of its peak under tracemalloc (tests pin it), which holds a few
+    int64 (W, W) arrays per row (the logs of y^k mod P, d <= k < 2d, the
+    products of a square, the gcd's logs): at most 41 W^2 bytes for W >= 3
+    on rows of full degree (653 at W = 4 and 3,316 at W = 10 over GF(5^3),
+    whose Zech additions hold the most temporaries), below 190 bytes for
+    shorter rows, which are padded to 3 columns."""
+    return 44 * max(width, 3) ** 2
+
+
+def split_round(fld: Field, rows, rounds) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
+    """One round of the root finder on an (R, W) stack of coefficient rows,
+    low first, each with the number of rounds it has had.  Returns the
+    roots found, as index arrays (rows, ys), and the pieces left to split,
+    as (rows, pieces, rounds): monic (R', W) rows of degree 3 or more, each
+    with the row it divides and its round count plus one.
+
+    A zero row has every y as root and a nonzero constant none; rows of
+    degree 1 and 2 are solved in closed form (_closed_form).  A row P of
+    degree d >= 3 is split by equal-degree splitting (Berlekamp 1970;
+    Cantor & Zassenhaus 1981) into gcd(P, w + c) for two constants c.  In
+    odd characteristic, in round j, delta = j (an element index),
+    w = (y + delta)^((q-1)/2) mod P and c = -1, +1, and y = -delta is tested
+    alone; in characteristic 2, delta = 2^j (the basis element x^j),
+    w = Tr(delta*y) mod P and c = 0, 1, so any two roots are apart within
+    m rounds.  Both gcd, from a Euclid of 2d - 1 masked steps
+    (_gcd_pieces), are squarefree products of lines that hold every root of
+    P but -delta between them.  A piece of degree <= 2 is solved in closed
+    form at once; the others are split again with the next delta.
+    """
+    rows, rounds = np.asarray(rows, np.int64), np.asarray(rounds, np.int64)
+    width = rows.shape[1]
+    cols = np.zeros((max(width, 3), len(rows)), np.int64)  # coefficient-major
+    cols[:width] = rows.T
+    degree = np.where(cols != 0, np.arange(len(cols))[:, None], -1).max(axis=0, initial=-1)
     every = np.flatnonzero(degree < 0)
-    hit, y = np.nonzero(np.ones((len(every), q), bool))
-    r = np.flatnonzero(degree == 1)
-    c0, c1 = coeffs[:2].take(r, axis=1)
-    rows += [every[hit], r]
-    ys += [y, fld.v_mul(c0, fld.v_mul(fld.v_inv(c1), minus))]
+    hit, y = np.nonzero(np.ones((len(every), fld.q), bool))
+    found, ys = [every[hit]], [y]
+    monic = fld.v_mul(cols, fld.v_inv(cols[degree, np.arange(len(rows))]))
+    del cols
+    small = np.flatnonzero((degree == 1) | (degree == 2))
+    sources, pieces, sizes = [small], [monic[:3, small]], [degree[small]]
+    left, split = [np.empty(0, np.int64)], [np.empty((0, width), np.int64)]
+    for d in np.flatnonzero(np.bincount(degree[degree >= 3])).tolist():
+        source = np.flatnonzero(degree == d)
+        (root, z), (size, g) = _split(fld, monic[:d, source], rounds[source])
+        found.append(source[root])
+        ys.append(z)
+        source = np.concatenate((source, source))
+        few = (size == 1) | (size == 2)
+        sources.append(source[few])
+        pieces.append(g[:3, few])
+        sizes.append(size[few])
+        left.append(source[size >= 3])
+        split.append(np.zeros((len(left[-1]), width), np.int64))
+        split[-1][:, : d + 1] = g[:, size >= 3].T
+    hit, y = _closed_form(fld, np.concatenate(pieces, axis=1), np.concatenate(sizes))
+    found.append(np.concatenate(sources)[hit])
+    ys.append(y)
+    left = np.concatenate(left)
+    return (np.concatenate(found), np.concatenate(ys)), (left, np.concatenate(split), rounds[left] + 1)
+
+
+@lru_cache(maxsize=None)
+def _square_pattern(d: int, char2: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j) whose products w_i*w_j make up w^2 for w of degree
+    below d, i <= j (and i = j in characteristic 2), with a last pair (d, d)
+    that reads as 0, and for each k < 2d - 1 the pairs with i + j = k, those
+    with i < j twice (2*w_i*w_j), padded with the last pair."""
+    i, j = (np.arange(d), np.arange(d)) if char2 else np.triu_indices(d)
+    groups = [np.repeat(np.flatnonzero(i + j == k), 1 + (i < j)[i + j == k]) for k in range(2 * d - 1)]
+    width = max(map(len, groups))
+    groups = [np.pad(g, (0, width - len(g)), constant_values=len(i)) for g in groups]
+    return np.append(i, d), np.append(j, d), np.array(groups)
+
+
+def _split(fld: Field, low, rounds):
+    """One split, as split_round describes, of the monic rows y^d + low(y)
+    given coefficient-major as a (d, R) array, d >= 3.  Returns the roots
+    y = -delta found, as (rows, ys), and the two gcd of every row, row r
+    and then row R + r for the constants c, as (degrees, pieces): monic,
+    coefficient-major, in a (d + 1, 2R) array."""
+    d, n = low.shape
+    if fld.p == 2:
+        return (rounds[:0], rounds[:0]), _gcd_pieces(fld, low, _power(fld, low, rounds), (0, 1))
+    minus = fld.neg(1)
+    z = fld.v_mul(rounds, minus)
+    value = low[0]  # P(-delta), by Horner unless every delta is 0
+    if rounds.any():
+        value = np.ones(n, np.int64)
+        for k in range(d - 1, -1, -1):
+            value = fld.v_add(fld.v_mul(value, z), low[k])
+    root = np.flatnonzero(value == 0)
+    return (root, z[root]), _gcd_pieces(fld, low, _power(fld, low, rounds), (minus, 1))
+
+
+def _power(fld: Field, low, rounds) -> np.ndarray:
+    """w of split_round mod the monic rows P = y^d + low(y), low given
+    coefficient-major as a (d, R) array, and so w: (y + delta)^((q-1)/2) by
+    square and multiply, or Tr(delta*y) by m - 1 squares.  A square sums
+    the products w_i*w_j (from the logs of w, taken once) into the 2d - 1
+    coefficients of w^2, times y + delta where the exponent's bit is 1, and
+    is reduced mod P by adding s_k * (y^k mod P) for every coefficient s_k
+    of degree k >= d, with the logs of y^k mod P, d <= k < 2d, tabled once
+    per call."""
+    d, n = low.shape
+    neg_low = fld.v_mul(low, fld.neg(1))
+    powers = np.empty((d, d, n), np.int64)  # y^(d+k) mod P
+    powers[0] = neg_low
+    for k in range(1, d):
+        powers[k, 0] = 0
+        powers[k, 1:] = powers[k - 1, :-1]
+        powers[k] = fld.v_add(powers[k], fld.v_mul(powers[k - 1, -1], neg_low))
+    powers = fld.v_log(powers)
+    i, j, groups = _square_pattern(d, fld.p == 2)
+    logs = np.full((d + 1, n), 2 * (fld.q - 1))  # the logs of w, and a last 0
+
+    shift, zero = bool(rounds.any()), np.zeros((1, n), np.int64)
+
+    def square(w, times=False):
+        """w^2 mod P, or w^2 * (y + delta) mod P with times: s mod P is
+        s_low plus s_k * (y^k mod P) for each s_k of degree k >= d."""
+        logs[:d] = fld.v_log(w)
+        products = fld.v_exp(logs.take(i, axis=0) + logs.take(j, axis=0))
+        s = fld.v_sum(products.take(groups, axis=0), axis=1)
+        if times:
+            shifted = np.concatenate((zero, s))
+            if shift:
+                shifted[:-1] = fld.v_add(shifted[:-1], fld.v_mul(s, rounds))
+            s = shifted
+        top = fld.v_exp(fld.v_log(s[d:])[:, None] + powers[: len(s) - d])
+        return fld.v_sum(np.concatenate((s[None, :d], top)), axis=0)
+
+    w = np.zeros((d, n), np.int64)
+    if fld.p == 2:
+        w[1] = 1 << rounds  # delta*y
+        power = w
+        for _ in range(fld.m - 1):  # Tr(delta*y) = sum of (delta*y)^(2^i), i < m
+            power = square(power)
+            w = fld.v_add(w, power)
+        return w
+    # (y + delta)^m for the exponent's leading bits m < d: products with
+    # y + delta that need no reduction (w*y is w shifted, its top being 0)
+    bits = bin((fld.q - 1) // 2)[2:]
+    top = max(t for t in range(1, len(bits) + 1) if int(bits[:t], 2) < d)
+    w[0] = 1
+    for _ in range(int(bits[:top], 2)):
+        times_y = np.concatenate((zero, w[:-1]))
+        w = fld.v_add(times_y, fld.v_mul(w, rounds)) if shift else times_y
+    for bit in bits[top:]:
+        w = square(w, bit == "1")
+    return w
+
+
+def _gcd_pieces(fld: Field, low, w, constants) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(P, w + c) for the monic rows P = y^d + low(y) and both constants
+    c, as (degrees, pieces): the pieces monic and coefficient-major in a
+    (d + 1, 2R) array, row r and then R + r.  2d - 1 divsteps (Bernstein &
+    Yang 2019, Theorem 6.2), kept as logs, on f = y^d P(1/y) and
+    g = y^(d-1) (w + c)(1/y) leave a delta whose half is the degree of the
+    gcd, which is y^(delta/2) f(1/y) / f(0)."""
+    d, n = low.shape
+    zero = 2 * (fld.q - 1)
+    lf = np.full((d + 1, 2 * n), fld.v_log(1))
+    lf[1:, :n] = lf[1:, n:] = fld.v_log(low[::-1])
+    lg = np.full((d + 1, 2 * n), zero)
+    lg[:d, :n] = lg[:d, n:] = fld.v_log(w[::-1])
+    lg[d - 1] = fld.v_log(fld.v_add(np.concatenate((w[0], w[0])), np.repeat(constants, n)))
+    half = fld.v_log(fld.neg(1))  # -x = g^(log x + half)
+    delta = np.ones(2 * n, np.int64)
+    for _ in range(2 * d - 1):
+        swap = (delta > 0) & (lg[0] < zero)
+        # h = f(0) g - g(0) f, shifted down
+        h = fld.v_add(fld.v_exp(lf[0] + lg[1:]), fld.v_exp(fld.v_log(fld.v_exp(lg[0] + half)) + lf[1:]))
+        np.copyto(lf, lg, where=swap)
+        lg[:-1] = fld.v_log(h)
+        delta = np.where(swap, -delta, delta) + 1
+    del lg  # the pieces' temporaries set the round's peak memory (split_bytes)
+    size = delta // 2
+    at = size - np.arange(d + 1)[:, None]
+    g = lf[np.maximum(at, 0), np.arange(2 * n)]
+    g[at < 0] = zero
+    g += fld.q - 1 - lf[0]
+    return size, fld.v_exp(g)
+
+
+@lru_cache(maxsize=None)
+def _artin_schreier(fld: Field) -> np.ndarray:
+    """For each c of GF(2^m), a root z of the Artin-Schreier equation
+    z^2 + z = c, or -1 when there is none: one table per field, built on
+    first use, so that no call scans GF(q)."""
+    z = np.arange(fld.q)
+    table = np.full(fld.q, -1)
+    table[fld.v_add(fld.v_mul(z, z), z)] = z
+    return table
+
+
+def _closed_form(fld: Field, monic, degree) -> tuple[np.ndarray, np.ndarray]:
+    """The roots (rows, ys) of monic rows of degree 1 or 2, given
+    coefficient-major as a (3, R) array, low first, with their degrees,
+    read off the field's tables: a line y + t has -t; a quadratic
+    y^2 + s*y + t has -s/2 +- sqrt(s^2/4 - t) in odd characteristic; in
+    characteristic 2 it has sqrt(t) when s = 0, and otherwise s*z and
+    s*(z + 1) for z^2 + z = t/s^2 (_artin_schreier; none when t/s^2 is not
+    such a value)."""
+    minus = fld.neg(1)
+    line = np.flatnonzero(degree == 1)
+    rows, ys = [line], [fld.v_mul(monic[0, line], minus)]
     r = np.flatnonzero(degree == 2)
-    c0, c1, c2 = coeffs[:3].take(r, axis=1)
-    inv = fld.v_inv(c2)
-    s, t = fld.v_mul(c1, inv), fld.v_mul(c0, inv)
+    t, s = monic[:2, r]
     if fld.p == 2:
         flat = s == 0
         rows.append(r[flat])
         ys.append(fld.v_sqrt(t[flat])[1])
         r, s, t = r[~flat], s[~flat], t[~flat]
         if len(r):
-            z = np.arange(q)
-            preimage = np.full(q, -1)
-            preimage[fld.v_add(fld.v_mul(z, z), z)] = z
-            z = preimage[fld.v_mul(t, fld.v_inv(fld.v_mul(s, s)))]
+            z = _artin_schreier(fld)[fld.v_mul(t, fld.v_inv(fld.v_mul(s, s)))]
             r, s, z = r[z >= 0], s[z >= 0], z[z >= 0]
             rows += [r, r]
             ys += [fld.v_mul(s, z), fld.v_mul(s, fld.v_add(z, 1))]

@@ -236,11 +236,11 @@ def test_construct(capsys):
 
 
 def test_construct_stage_guard_exit_3(capsys):
-    code, out, err = run_cli(capsys, "construct", "--field", "65537", "--k", "3")
+    code, out, err = run_cli(capsys, "construct", "--field", "65537", "--k", "7")
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
-    assert "estimated 51541180428 element operations exceed the limit of 30000000000" in error["message"]
+    assert "estimated 13882178414 element operations exceed the limit of 2000000000" in error["message"]
 
 
 def test_construct_matches_golden_file(capsys):

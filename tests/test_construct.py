@@ -97,9 +97,18 @@ def neg_inverses(fld):
     return fld.v_mul(fld.v_inv(np.arange(fld.q)), fld.neg(1))
 
 
+def pair_bad_set(fld, points, i, u0, u1, neg_inv, pool=None):
+    """One pair's whole bad set as sorted unique codes: the codes the sweep
+    finds itself and the roots of its cross rows, from a pool of its own
+    (construct._RootPool unless another is given), drained."""
+    pool = construct._RootPool(fld, i) if pool is None else pool
+    codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, pool)
+    return construct._sorted_unique(np.concatenate((codes, pool.split(drain=True))))
+
+
 def swept_bad_set(fld, points, i, i_seq, j_seq):
     u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
-    codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inverses(fld))
+    codes = pair_bad_set(fld, points, i, u0, u1, neg_inverses(fld))
     return {divmod(int(c), fld.q) for c in codes}
 
 
@@ -215,25 +224,39 @@ def test_constant_g_side_skips_lead_zero(monkeypatch):
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
     # stages 3 and 4 over a prime and an extension field: budgets of a few
-    # rows and of less than one row (one row per block) against the default
+    # rows and (over GF(3^4)) of less than one row, one row per block, give
+    # the default's codes on the first swept pair, from more blocks of the
+    # root pool, none above its budget
+    split_round, blocks = poly.split_round, []
+
+    def counted(fld, rows, rounds):
+        blocks.append(len(rows))
+        return split_round(fld, rows, rounds)
+
+    monkeypatch.setattr(poly, "split_round", counted)
     for fld in (field_new(1367), field_new(3, 4)):
         points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
         for i in (3, 4):
-            solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))
-            full = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
-            for budget in (3 * fld.q * 25, 1):
-                monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
-                for uu, codes in zip(solutions, full):
-                    assert np.array_equal(construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv), codes)
-            monkeypatch.undo()
+            solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))[:1]
+            counts, full = [], None
+            for budget in (errors.BLOCK_BYTES, 3 * poly.split_bytes(i)) + ((1,) if fld.q < 1367 else ()):
+                with monkeypatch.context() as m:
+                    m.setattr(errors, "BLOCK_BYTES", budget)
+                    blocks.clear()
+                    got = [pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+                full = got if full is None else full
+                assert all(np.array_equal(a, b) for a, b in zip(got, full))
+                assert max(blocks) <= max(1, budget // poly.split_bytes(i))
+                counts.append(len(blocks))
+            assert counts == sorted(set(counts)), counts  # more blocks for each smaller budget
             if i == 3:
                 points, _ = construct.extend(fld, points, i)
 
 
 def reduced_matcher(fld, calls):
-    """The cross-second-point row test as the sweep ran it before the
-    division-free matcher: rows a*b + c reduced with % p (uint32 where
-    p(p - 1) < 2^32, int64 above), then compared with their targets."""
+    """The cross-second-point row test as the sweep once ran it, a scan of
+    every y: rows a*b + c reduced with % p (uint32 where p(p - 1) < 2^32,
+    int64 above), then compared with their targets."""
 
     def matcher(b, c):
         def match(a, t):
@@ -249,33 +272,43 @@ def reduced_matcher(fld, calls):
     return matcher
 
 
-def row_scan(fld, matcher):
-    """poly.pencil_roots as the sweep ran before the closed form: every
-    cross row, whatever its degree, tested at every y by matcher."""
+class ScanPool:
+    """The root pool as the sweep ran before the splitter: every cross row
+    a + lead*b - target tested at every y by `matcher` on the values of a
+    and b over GF(q).  Needs poly.pencil_rows patched to hand over the
+    pencil itself (scan_pencils)."""
 
-    def pencil_roots(_, a, b, lead, target, values=None):
-        va, vb = poly.eval_all(fld, [a, b])
-        return matcher(vb, va)(lead, target)
+    def __init__(self, fld, matcher):
+        self.fld, self.matcher, self.codes = fld, matcher, [np.empty(0, np.int64)]
 
-    return pencil_roots
+    def add(self, xs, pencil):
+        a, b, lead, target = pencil
+        va, vb = poly.eval_all(self.fld, [a, b])
+        hit, y = self.matcher(vb, va)(lead, target)
+        self.codes.append(xs[hit] * self.fld.q + y)
+
+    def split(self, drain=False):
+        codes, self.codes = np.concatenate(self.codes), [np.empty(0, np.int64)]
+        return codes
+
+
+def scan_pencils(monkeypatch):
+    monkeypatch.setattr(poly, "pencil_rows", lambda fld, a, b, lead, target: (a, b, lead, target))
 
 
 @pytest.mark.parametrize("fld, stages", [(F251, (3, 4)), (field_new(1367), (3, 4)), (field_new(3, 4), (3,))], ids=str)
 def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
-    # stage 3 rows are quadratics, solved in closed form with no matcher
-    # call, so there the reference sends every cross row through the port
+    # every cross row of the swept pairs, of every degree, through the root
+    # pool (closed form and splitter) against the reduced row test above
     points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
     for i in stages:
         pairs = stage_pairs(len(points), i)
         solutions = construct._stage_solutions(fld, points, i, pairs)
-        swept = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+        swept = [pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
         calls = []
         with monkeypatch.context() as m:
-            if i == 3:
-                m.setattr(poly, "pencil_roots", row_scan(fld, reduced_matcher(fld, calls)))
-            else:
-                m.setattr(fld, "mul_add_matcher", reduced_matcher(fld, calls))
-            reduced = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+            scan_pencils(m)
+            reduced = [pair_bad_set(fld, points, i, *uu, neg_inv, ScanPool(fld, reduced_matcher(fld, calls))) for uu in solutions]
         assert sum(calls) >= len(pairs) * fld.q  # the cross rows ran through the port
         for ij, new, old in zip(pairs, swept, reduced):
             assert new.dtype == old.dtype and np.array_equal(new, old), ij
@@ -283,38 +316,29 @@ def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
             points, _ = construct.extend(fld, points, i)
 
 
-def counted(matcher, rows):
-    """matcher, recording how many rows each match call tests."""
-
-    def prepare(b, c):
-        match = matcher(b, c)
-        return lambda a, t: rows.append(len(a)) or match(a, t)
-
-    return prepare
-
-
 @pytest.mark.parametrize("fld", [field_new(1367), field_new(3, 4), field_new(2, 8), field_new(5, 3)], ids=str)
 def test_closed_form_rows_match_the_row_scan(fld, monkeypatch):
-    # every swept pair of stages 3 and 4 against the sweep that tests every
-    # cross row at every y by Field.mul_add_matcher; the closed form leaves
-    # the matcher no stage-3 row (all are of degree <= 2), and at stage 4
-    # only the cubic rows
+    # every swept pair of stages 3 and 4 (and 5 over GF(1367)) against the
+    # sweep that tests every cross row at every y; the splitter sees no
+    # stage-3 row (all are of degree <= 2), and from stage 4 on the rows of
+    # degree 3 or more
     points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
-    scan, matcher = row_scan(fld, fld.mul_add_matcher), fld.mul_add_matcher
-    for i in (3, 4):
+    stages = (3, 4, 5) if fld.q == 1367 else (3, 4)
+    split = poly._split
+    for i in stages:
         pairs = stage_pairs(len(points), i)
         solutions = construct._stage_solutions(fld, points, i, pairs)
-        matched = []
+        split_rows = []
         with monkeypatch.context() as m:
-            m.setattr(fld, "mul_add_matcher", counted(matcher, matched))
-            swept = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+            m.setattr(poly, "_split", lambda fld_, low, rounds: split_rows.append(len(rounds)) or split(fld_, low, rounds))
+            swept = [pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
         with monkeypatch.context() as m:
-            m.setattr(poly, "pencil_roots", scan)
-            scanned = [construct._stage_pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+            scan_pencils(m)
+            scanned = [pair_bad_set(fld, points, i, *uu, neg_inv, ScanPool(fld, reduced_matcher(fld, []))) for uu in solutions]
         for ij, new, old in zip(pairs, swept, scanned):
             assert np.array_equal(new, old), ij
-        assert (sum(matched) == 0) == (i == 3), sum(matched)
-        if i == 3:
+        assert (sum(split_rows) == 0) == (i == 3), sum(split_rows)
+        if i < stages[-1]:
             points, _ = construct.extend(fld, points, i)
 
 
@@ -454,19 +478,59 @@ def test_construct_small_q_guard_and_override():
 def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
         assert construct.stage_work(q, k) <= construct.MAX_STAGE_OPS
-    assert construct.stage_work(1367, 4) == 42 * 1367**2
+    assert construct.stage_work(construct.min_field_size(7), 7) > construct.MAX_STAGE_OPS
+    # 12 and 20 pairs at 1367 * (8 * 11 + 3) and 1367 * (8 * 11 + 3 * 9 * 11)
+    assert construct.stage_work(1367, 4) == 12 * 1367 * 91 + 20 * 1367 * 385 == 12018664
     assert construct.stage_work(7, 2) == 0
-    # k = 3 is admitted up to q = 50000 and refused above
-    assert construct.stage_work(50000, 3) <= construct.MAX_STAGE_OPS < construct.stage_work(50001, 3)
+    # k = 6 is admitted up to q = 22354 and k = 3 up to q = 1022494
+    assert construct.stage_work(22354, 6) <= construct.MAX_STAGE_OPS < construct.stage_work(22355, 6)
+    assert construct.stage_work(1022494, 3) <= construct.MAX_STAGE_OPS < construct.stage_work(1022495, 3)
+
+
+def test_swept_pair_count_counts_the_swept_pairs():
+    for i in range(3, 9):
+        n = 2 * i - 2
+        assert construct.swept_pair_count(i) == len(stage_pairs(n, i))
+
+
+def test_stage_work_bounds_the_counted_work(monkeypatch):
+    # the units the sweep spends, counted as stage_work charges them: 8b per
+    # first point of each pair, and per row the root pool splits (pieces of
+    # later rounds again) d^2 b for degree d >= 3, else 1; the estimate is
+    # at least that and within twice it
+    for q, k in ((251, 4), (251, 5), (field_new(3, 4).q, 4), (1367, 4)):
+        fld = field_new(*{81: (3, 4)}.get(q, (q,)))
+        bits, counted = max(1, (q - 1).bit_length()), {}
+        pair_bad_set_, split_round = construct._stage_pair_bad_set, poly.split_round
+
+        def pair(fld_, points, i, *rest):
+            counted[i] = counted.get(i, 0) + 8 * bits * q
+            return pair_bad_set_(fld_, points, i, *rest)
+
+        def split(fld_, rows, rounds):
+            degree = np.where(rows != 0, np.arange(rows.shape[1]), -1).max(axis=1, initial=-1)
+            i = rows.shape[1]
+            counted[i] = counted.get(i, 0) + int(np.where(degree >= 3, degree**2 * bits, 1).sum())
+            return split_round(fld_, rows, rounds)
+
+        points = construct.base_case(fld).points
+        with monkeypatch.context() as m:
+            m.setattr(construct, "_stage_pair_bad_set", pair)
+            m.setattr(poly, "split_round", split)
+            for i in range(3, k + 1):
+                points, _ = construct.extend(fld, points, i)
+        for i in range(3, k + 1):
+            estimate = construct.stage_work(q, i) - construct.stage_work(q, i - 1)
+            assert counted[i] <= estimate <= 2 * counted[i], (q, i, counted[i], estimate)
 
 
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
-    monkeypatch.setattr(construct, "MAX_STAGE_OPS", 12 * 251**2 - 1)
+    monkeypatch.setattr(construct, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    with pytest.raises(GuardExceeded, match=r"estimated 756012 element operations exceed the limit of 756011"):
+    with pytest.raises(GuardExceeded, match=r"estimated 201804 element operations exceed the limit of 201803"):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
-    monkeypatch.setattr(construct, "MAX_STAGE_OPS", 12 * 251**2)
+    monkeypatch.setattr(construct, "MAX_STAGE_OPS", construct.stage_work(251, 3))
     t = construct.construct_half_rate(F251, 3, verify_mode="none")
     assert t.alpha.points == (0, 1, 2, 5, 3, 4)
 

@@ -170,97 +170,33 @@ def test_fused_ops_on_large_prime_fields(p):
     assert inverses[1:].tolist() == [fld.inv(x) if x else 0 for x in a.tolist()]
 
 
-def matched(fld, a, b, c, t):
-    """The (len(a), len(b)) mask of a[r] * b[y] + c[y] == t[r], read off the
-    matcher's hits, which must come row-major, each once."""
-    rows, cols = fld.mul_add_matcher(b, c)(a, t)
-    assert rows.dtype.kind == cols.dtype.kind == "i" and rows.shape == cols.shape
-    flat = rows * len(b) + cols
-    assert (np.diff(flat) > 0).all()
-    mask = np.zeros((len(a), len(b)), dtype=bool)
-    mask[rows, cols] = True
-    return mask
-
-
-@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (13, 1), (3, 4), (2, 8)])
-def test_mul_add_eq_matches_reduced_compare(p, m):
+@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (1367, 1), (2, 8), (3, 4), (5, 3)])
+def test_log_exp_and_sums_match_scalar(p, m):
+    # every product through the logs, including 0 on either side, and sums
+    # along each axis of stacks of 1..9 elements against chains of add
     fld = field_new(p, m)
     xs = np.arange(fld.q, dtype=np.int64)
-    if fld.q <= 13:
-        # every (a, b, c, t): rows (a, t) and columns (b, c) each run over every pair
-        hi, lo = np.divmod(np.arange(fld.q**2), fld.q)
-        cases = [(hi, hi, lo, lo)]
-    else:
-        # every (a, b) with c and t varying along both axes: one matcher per
-        # a, whose row j tests the targets t[a, j] (the diagonal holds t[a, y])
-        c, t = (xs[:, None] + 3 * xs) % fld.q, (5 * xs[:, None] + xs) % fld.q
-        cases = [(np.full(fld.q, a), xs, c[a], t[a]) for a in range(fld.q)]
-    for a, b, c, t in cases:
-        eq = matched(fld, a, b, c, t)
-        assert eq.dtype == bool and eq.shape == (len(a), len(b))
-        assert (eq == (mul_add(fld, a[:, None], b, c) == t[:, None])).all()
-        # each (a, b, c) hits its one true target: row j asks for a[j] * b[j] + c[j]
-        assert matched(fld, a, b, c, mul_add(fld, a, b, c)).diagonal().all()
-
-
-@pytest.mark.parametrize("p", [65521, 65537, 1048573])
-def test_mul_add_eq_on_large_prime_fields(p):
-    # 65521 is the last prime whose p^2 fits the uint32 word; above it the
-    # test runs in uint64
-    fld = field_new(p)
-    rng = np.random.default_rng(p)
-    a, b, c, t = rng.integers(0, p, (4, 4000))
-    t[::2] = mul_add(fld, a, b, c)[::2]  # half the targets are hits
-    a[:4], b[:4], c[:4], t[:4] = p - 1, p - 1, p - 1, (0, 1, p - 1, p - 2)  # x = p^2 at t = 0
-    expected = [(x * y + z) % p == w for x, y, z, w in zip(a.tolist(), b.tolist(), c.tolist(), t.tolist())]
-    # one matcher over all 4000 x 4000 (row, column) pairs: the diagonal is
-    # the elementwise test, and every hit off it is a true one
-    rows, cols = fld.mul_add_matcher(b, c)(a, t)
-    assert (np.diff(rows * len(b) + cols) > 0).all()
-    assert ((a[rows] * b[cols] + c[cols]) % p == t[rows]).all()
-    assert np.isin(np.arange(len(a)) * (len(b) + 1), rows * len(b) + cols).tolist() == expected
-    assert expected[0] and not any(expected[1:4]) and sum(expected) > 1990
-    a, b, c, t = a[:40], b[:50], c[:50], t[:40]  # the sweep's shape: rows of leads against q columns
-    assert (matched(fld, a, b, c, t) == (mul_add(fld, a[:, None], b, c) == t[:, None])).all()
-    assert matched(fld, [p - 1], [p - 1], [p - 1], [0]).all()
-
-
-def next_prime(n):
-    while not is_prime(n):
-        n += 1
-    return n
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_mul_add_eq_property_over_prime_fields(data):
-    # 1048573 is the largest prime below the 2^20 ceiling
-    fld = Field(data.draw(st.integers(2, 1048573).map(next_prime)))
-    p = fld.p
-    a, b, c, t = (data.draw(st.lists(st.integers(0, p - 1), min_size=8, max_size=8)) for _ in range(4))
-    hit = data.draw(st.lists(st.booleans(), min_size=8, max_size=8))
-    t = [(x * y + z) % p if h else w for x, y, z, w, h in zip(a, b, c, t, hit)]
-    expected = [(x * y + z) % p == w for x, y, z, w in zip(a, b, c, t)]
-    eq = matched(fld, np.array(a), np.array(b), np.array(c), np.array(t))
-    assert eq.diagonal().tolist() == expected
-    assert eq.tolist() == [[(x * y + z) % p == w for y, z in zip(b, c)] for x, w in zip(a, t)]
-    assert bool(matched(fld, a[:1], b[:1], c[:1], t[:1])[0, 0]) == expected[0]
-
-
-@pytest.mark.parametrize("p, m", [(1367, 1), (65537, 1), (2, 8), (3, 4)])
-def test_mul_add_matcher_is_independent_of_block_size(p, m, monkeypatch):
-    fld = field_new(p, m)
+    logs = fld.v_log(xs)
+    assert fld.v_exp(logs[:, None] + logs).tolist() == fld.v_mul(xs[:, None], xs).tolist()
     rng = np.random.default_rng(fld.q)
-    b, c = rng.integers(0, fld.q, (2, 300))
-    a = rng.integers(0, fld.q, 50)
-    t = mul_add(fld, a, b[:50], c[:50])  # one hit per row, at least
-    match = fld.mul_add_matcher(b, c)
-    full = match(a, t)
-    assert len(full[0]) >= len(a)
-    for budget in (1, 2 * 300 * 25, 7 * 300 * 25):  # one row, a few rows, blocks with a ragged end
-        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
-        assert all(np.array_equal(x, y) for x, y in zip(match(a, t), full))
-    assert [len(x) for x in match(a[:0], t[:0])] == [0, 0]
+    for count in range(1, 10):
+        stack = rng.integers(0, fld.q, (count, 3, 7))
+        stack[0, 0] = fld.q - 1  # the largest sums
+        for axis in range(3):
+            total = np.zeros(np.delete(stack.shape, axis), np.int64)
+            for part in np.moveaxis(stack, axis, 0):
+                total = np.vectorize(fld.add)(total, part)
+            assert fld.v_sum(stack, axis=axis).tolist() == total.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 65537, 1048573])
+def test_prime_field_add_at_the_wrap(p):
+    # a + b >= p and a + b < p on either side of p, scalars and arrays
+    fld = field_new(p)
+    a = np.array([0, p - 1, p - 1, p // 2, 1 % p, p - 1])
+    b = np.array([0, 0, p - 1, p - p // 2, p - 1, 1 % p])
+    assert fld.v_add(a, b).tolist() == [(x + y) % p for x, y in zip(a.tolist(), b.tolist())]
+    assert fld.v_add(p - 1, p - 1) == (2 * p - 2) % p and fld.v_add(np.int64(p - 1), 1 % p) == p % p
 
 
 @pytest.mark.parametrize("p, m", [(1367, 1), (2, 8), (3, 4)])

@@ -2,13 +2,16 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import interpolate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsinsdel import poly
-from rsinsdel.gf import field_new
+from rsinsdel.gf import field_new, is_prime
 
 F7 = field_new(7)
 
@@ -185,30 +188,66 @@ ROOT_FIELDS = [
 ]
 
 
+def expand(fld, roots):
+    """Coefficients, low first, of the product of (y - r) over roots."""
+    coeffs = [1]
+    for r in roots:
+        shifted = [0] + coeffs
+        coeffs = [fld.sub(s, fld.mul(r, c)) for s, c in zip(shifted, coeffs + [0])]
+    return tuple(coeffs)
+
+
+def trace(fld, x):
+    """Tr(x) = x + x^p + ... + x^(p^(m-1)), by scalar field operations."""
+    total = power = x
+    for _ in range(fld.m - 1):
+        power = fld.pow(power, fld.p)
+        total = fld.add(total, power)
+    return total
+
+
+def one_class(fld):
+    """Up to five distinct elements that the first round of the splitter
+    leaves together: nonzero squares in odd characteristic, elements of
+    trace 0 in characteristic 2."""
+    if fld.p == 2:
+        return [x for x in range(fld.q) if trace(fld, x) == 0][:5]
+    return sorted({fld.mul(x, x) for x in range(1, fld.q)})[:5]
+
+
 def pencils(fld, rng):
-    """(a, b, leads) triples whose rows reach every case of the closed form:
+    """(a, b, leads) triples whose rows reach every case of the root finder:
     a line where lead kills the y^2 term of a quadratic pencil, y^2 + c
     where it kills the y term, rows that drop to constants and to the zero
-    polynomial, cubic rows, lines, and pencils with no y at all.  Every lead
-    is taken when q <= 256, else the special ones plus five seeded ones."""
+    polynomial, cubic rows, a quartic pencil whose top term a lead kills,
+    quintic rows, a double root in a quartic, rows that split into lines
+    sharing the first round's class (so they need a second round), lines,
+    and pencils with no y at all.  Every lead is taken when q <= 81, else
+    the special ones plus five seeded ones."""
     q, neg = fld.q, fld.neg
     r = lambda: rng.randrange(q)
     a1 = r()
     a2 = rng.choice([v for v in range(q) if v != a1])
     l0 = r()
     cubic_a = (r(), r(), r(), r())
+    quartic_a = (r(), r(), r(), r(), r())
+    double = expand(fld, [a1, a1, a2, rng.choice([v for v in range(q) if v not in (a1, a2)] or [a1])])
     chosen = [
         ((r(), a1, a2), (r(), 1, 1), [neg(a1), neg(a2)]),  # y^2 + c at -a1, a line at -a2
         ((r(), 1, r()), (r(), 0, 1), []),  # the y coefficient is 1 on every row
         ((r(), neg(l0), neg(l0)), (r(), 1, 1), [l0]),  # constants at l0
         (cubic_a, (r(), r(), r(), 1), [neg(cubic_a[3])]),  # a quadratic at -a3
+        (quartic_a, (r(), r(), r(), r(), 1), [neg(quartic_a[4])]),  # a cubic at -a4
+        ((r(), r(), r(), r(), r(), 1), (r(), r(), 1), []),
+        (double, (1,), [0]),  # lead = target gives the row (y - a1)^2 (y - a2)(y - c)
+        (expand(fld, one_class(fld)), (1,), [0]),
         ((r(), r()), (r(), 1), []),
         ((), (), []),
         ((r(), r(), r()), (), []),
     ]
     out = []
     for a, b, special in chosen:
-        leads = range(q) if q <= 256 else sorted(set(special + [r() for _ in range(5)]))
+        leads = range(q) if q <= 81 else sorted(set(special + [r() for _ in range(5)]))
         out.append((a, b, np.array(leads, dtype=np.int64)))
     return out
 
@@ -228,25 +267,21 @@ def pencil_coefficients(fld, a, b, lead, target):
 def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     # rows (lead, t) for every target t: the row a(y) + lead*b(y) - t vanishes
     # exactly at t = a(y) + lead*b(y), so a full scan of the values gives
-    # every root; rows of degree >= 3, and only those, reach the matcher
+    # every root; rows of degree >= 3, and only those, are split
     q, rng = fld.q, random.Random(fld.q)
-    matched = []
-    matcher = fld.mul_add_matcher
+    split, rounds_seen = [], []
+    split_round = poly._split
 
-    def counted(b, c):
-        match = matcher(b, c)
+    def counted(fld_, low, rounds):
+        split.append(len(rounds) * (not rounds.any()))  # the rows of a first round
+        rounds_seen.append(int(rounds.max(initial=0)))
+        return split_round(fld_, low, rounds)
 
-        def count(a, t):
-            matched.append(len(a))
-            return match(a, t)
-
-        return count
-
-    monkeypatch.setattr(fld, "mul_add_matcher", counted)
+    monkeypatch.setattr(poly, "_split", counted)
     cases = set()
     for a, b, leads in pencils(fld, rng):
         lead, target = np.repeat(leads, q), np.tile(np.arange(q), len(leads))
-        before = sum(matched)
+        before = sum(split)
         rows, ys = poly.pencil_roots(fld, a, b, lead, target)
         got = np.sort(rows * q + ys)
         width = max(len(a), len(b), 1)
@@ -256,23 +291,129 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
         assert np.array_equal(got, expected), (a, b)
         coeffs = [poly.trim(c) for c in pencil_coefficients(fld, a, b, lead, target)]
         degrees = np.array([poly.degree(c) for c in coeffs])
-        assert sum(matched) - before == (degrees >= 3).sum()
+        assert sum(split) - before == (degrees >= 3).sum()
         counts = np.bincount(expected // q, minlength=len(lead))
         for c, n in zip(coeffs, counts.tolist()):
             cases.add((poly.degree(c), n, len(c) == 3 and c[1] == 0))
     # zero polynomial, nonzero constants, lines, quadratics with no root
     # (non-squares, trace-1 right-hand sides), a double root and two roots,
-    # y^2 + c, and cubics
+    # y^2 + c, and rows of degree 3 to 5
     assert {(-1, q, False), (0, 0, False), (1, 1, False)} <= cases
     assert {n for d, n, _ in cases if d == 2} == {0, 1, 2}
-    assert (2, 1, True) in cases and any(d == 3 for d, _, _ in cases)
+    assert (2, 1, True) in cases and {3, 4, 5} <= {d for d, _, _ in cases}
     if fld.p > 2:
         assert (2, 1, False) in cases  # s^2/4 = t with s != 0
+    # a double root among three roots of a quartic, and rows of degree >= 3
+    # that split completely, some only in a second round
+    if q > 3:
+        assert (4, 3, False) in cases
+    full = len(one_class(fld))
+    if full >= 3:
+        assert (full, full, False) in cases and max(rounds_seen) >= 1
 
 
 def test_pencil_roots_of_no_rows():
     rows, ys = poly.pencil_roots(F7, (1, 2, 3, 4), (0, 1), [], [])
     assert rows.shape == ys.shape == (0,)
+
+
+@pytest.mark.parametrize("fld", ROOT_FIELDS, ids=str)
+def test_split_round_matches_a_full_scan_of_seeded_rows(fld):
+    # rows of width 1..8 with random coefficients, zero rows, products of
+    # chosen lines with repeats, and a random factor; the roots of every
+    # row, round after round, against the values of the row on GF(q)
+    rng = np.random.default_rng(fld.q)
+    for width in range(1, 9):
+        rows = rng.integers(0, fld.q, (60, width))
+        rows[:10] = 0
+        for row in rows[10:40]:
+            line_roots = rng.integers(0, fld.q, rng.integers(0, width)).tolist()
+            row[:] = 0
+            row[: len(line_roots) + 1] = [fld.mul(c, int(rng.integers(1, fld.q))) for c in expand(fld, line_roots)]
+        source, rounds, found = np.arange(len(rows)), np.zeros(len(rows), np.int64), []
+        left = rows
+        while len(left):
+            (hit, ys), (cut, left, rounds) = poly.split_round(fld, left, rounds)
+            found += list(zip(source[hit].tolist(), ys.tolist()))
+            source = source[cut]
+        assert len(found) == len(set(found))  # each root once
+        values = poly.eval_all(fld, rows)
+        assert sorted(found) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(values == 0)))), width
+
+
+@pytest.mark.parametrize("fld", [field_new(1367), field_new(2, 8), field_new(3, 4), field_new(5, 3)], ids=str)
+def test_split_round_stays_within_its_bytes_per_row(fld):
+    # the peak tracemalloc sees in one round over 512 rows of each width,
+    # all of full degree and a third of them products of distinct lines,
+    # against split_bytes
+    rng = np.random.default_rng(fld.q)
+    for width in (1, 2, 3, 4, 5, 6, 8, 10):
+        rows = rng.integers(0, fld.q, (512, width))
+        rows[:, -1] = 1
+        for row in rows[::3]:
+            row[:] = expand(fld, rng.choice(fld.q, width - 1, replace=False).tolist())
+        rounds = np.zeros(len(rows), np.int64)
+        poly.split_round(fld, rows, rounds)  # the cached index arrays
+        tracemalloc.start()
+        try:
+            poly.split_round(fld, rows, rounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(rows) * poly.split_bytes(width), (width, peak / len(rows))
+
+
+@pytest.mark.parametrize("p", [65521, 65537, 1048573])
+def test_pencil_roots_on_large_prime_fields(p):
+    # the primes on either side of 2^16 and the largest below the 2^20
+    # ceiling: rows of degree 3 to 5 made of chosen lines (with a double
+    # root, and squares only, so that they need a second round) times
+    # y^2 - n for a non-square n, so their roots are the chosen ones
+    fld = field_new(p)
+    rng = random.Random(p)
+    nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    cofactor = (fld.neg(nonsquare), 0, 1)
+    chosen = [
+        [rng.randrange(p) for _ in range(3)],
+        [5, 5, 7],
+        [fld.mul(x, x) for x in (2, 3, 4)],
+        [0, p - 1, 1],
+    ]
+    for roots in chosen:
+        line = expand(fld, roots)
+        coeffs = [0] * (len(line) + 2)
+        for i, c in enumerate(line):
+            for j, e in enumerate(cofactor):
+                coeffs[i + j] = fld.add(coeffs[i + j], fld.mul(c, e))
+        assert poly.roots(fld, coeffs) == sorted(set(roots))
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_pencil_roots_property_over_prime_fields(data):
+    # a random prime up to the ceiling, a random scaled product of lines
+    # (repeats allowed) of degree up to 6 and a shift t: the roots of
+    # product - t over GF(p) are the chosen lines' roots when t = 0, and in
+    # every case exactly the y where the product takes the value t
+    p = data.draw(st.integers(2, 1048573).map(next_prime))
+    fld = field_new(p)
+    roots = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    scale = data.draw(st.integers(1, p - 1))
+    coeffs = [fld.mul(scale, c) for c in expand(fld, roots)]
+    rows, ys = poly.pencil_roots(fld, coeffs, (), [0], [0])
+    assert sorted(ys.tolist()) == sorted(set(roots)) and not rows.any()
+    candidates = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5))
+    t = poly.eval_poly(fld, coeffs, candidates[0])
+    _, ys = poly.pencil_roots(fld, coeffs, (), [0], [t])
+    assert candidates[0] in ys.tolist()
+    assert all(poly.eval_poly(fld, coeffs, y) == t for y in ys.tolist())
+    assert len(ys) <= len(roots) and len(set(ys.tolist())) == len(ys)
 
 
 def test_solve_linear_examples():
