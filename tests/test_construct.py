@@ -1,5 +1,6 @@
 """Tests for the rate-1/2 construction."""
 
+import functools
 import itertools
 import json
 import math
@@ -251,6 +252,62 @@ def test_block_sweep_is_independent_of_block_size(monkeypatch):
             assert counts == sorted(set(counts)), counts  # more blocks for each smaller budget
             if i == 3:
                 points, _ = construct.extend(fld, points, i)
+
+
+def product_row(fld, roots, cofactor):
+    """Coefficients, low first, of cofactor times the product of (y - r)
+    over roots, by scalar field operations."""
+    coeffs = list(cofactor)
+    for r in roots:
+        shifted = [0] + coeffs
+        coeffs = [fld.sub(s, fld.mul(r, c)) for s, c in zip(shifted, coeffs + [0])]
+    return coeffs
+
+
+@pytest.mark.parametrize("p, m", [(1367, 1), (2, 8), (3, 4), (65537, 1)])
+def test_root_pool_is_independent_of_block_size(p, m, monkeypatch):
+    # rows of degree 3 to 5 with known roots (a double one, five that the
+    # first round leaves together), a zero row and a constant, added in
+    # ragged batches with a split after each: every budget, from one row per
+    # block to blocks with a ragged end, gives the roots of a full scan, from
+    # blocks none above its budget; an empty pool gives none
+    fld, width = field_new(p, m), 6
+    rng = random.Random(fld.q)
+    r = lambda: rng.randrange(fld.q)
+    if fld.p == 2:  # elements of trace 0
+        trace = lambda x: functools.reduce(fld.add, [fld.pow(x, fld.p**j) for j in range(fld.m)])
+        together = [x for x in range(fld.q) if trace(x) == 0][:5]
+    else:  # nonzero squares
+        together = sorted({fld.mul(x, x) for x in range(1, 40)})[:5]
+    rows = [product_row(fld, together, [1]), product_row(fld, [1, 1, 2], [r(), r(), 1]), [0] * width, [r() or 1]]
+    for _ in range(56):
+        d = rng.randrange(3, width)
+        k = rng.randrange(d + 1)
+        rows.append(product_row(fld, [r() for _ in range(k)], [r() for _ in range(d - k)] + [rng.randrange(1, fld.q)]))
+    rows = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
+    xs = 7 * np.arange(len(rows)) + 3
+    hit, y = np.nonzero(poly.eval_all(fld, rows) == 0)
+    expected = np.sort(xs[hit] * fld.q + y)
+    split_round, blocks, rounds_seen = poly.split_round, [], []
+
+    def counted(fld_, rows_, rounds):
+        blocks.append(len(rows_))
+        rounds_seen.append(int(rounds.max(initial=0)))
+        return split_round(fld_, rows_, rounds)
+
+    monkeypatch.setattr(poly, "split_round", counted)
+    for budget in (errors.BLOCK_BYTES, 1, 2 * poly.split_bytes(width), 7 * poly.split_bytes(width)):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        pool, codes, blocks[:] = construct._RootPool(fld, width), [], []
+        for start in range(0, len(rows), 13):
+            pool.add(xs[start : start + 13], rows[start : start + 13])
+            codes.append(pool.split())
+        codes.append(pool.split(drain=True))
+        assert np.array_equal(np.sort(np.concatenate(codes)), expected), budget
+        assert pool.size == 0 and max(blocks) <= max(1, budget // poly.split_bytes(width))
+        assert budget == errors.BLOCK_BYTES or len(blocks) > len(rows) // 7
+    assert max(rounds_seen) >= 1  # the five together need a second round
+    assert construct._RootPool(fld, width).split(drain=True).shape == (0,)
 
 
 def reduced_matcher(fld, calls):
