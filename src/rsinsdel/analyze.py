@@ -286,11 +286,7 @@ def _check_work(estimate: int) -> None:
 def _dot(fld: Field, a, b) -> np.ndarray:
     """sum_j a[..., j] * b[..., j] over the field, broadcasting the other
     axes: a stacked matrix product."""
-    terms = fld.v_mul(a, b)
-    acc = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        acc = fld.v_add(acc, terms[..., j])
-    return acc
+    return fld.v_sum(fld.v_mul(a, b), axis=-1)
 
 
 def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
@@ -401,12 +397,10 @@ class BadOrderingVerdict:
 
 
 def _geometric_vector(fld: Field, theta: int) -> tuple[int, ...]:
-    """(0, 1, theta, .., theta^(q-2)) by doubling: the powers theta^L ..
-    theta^(2L-1) are theta^0 .. theta^(L-1) times theta^L."""
-    powers = np.ones(1, dtype=np.int64)
-    while len(powers) < fld.q - 1:
-        powers = np.concatenate((powers, fld.v_mul(powers, fld.mul(int(powers[-1]), theta))))
-    return (0, *powers[: fld.q - 1].tolist())
+    """(0, 1, theta, .., theta^(q-2)) from the log table: theta^j is
+    g^(j log theta mod (q - 1)), theta being primitive and so nonzero."""
+    logs = np.arange(fld.q - 1, dtype=np.int64) * int(fld.v_log(theta)) % (fld.q - 1)
+    return (0, *fld.v_exp(logs).tolist())
 
 
 def bad_ordering_family(fld: Field):

@@ -14,11 +14,11 @@ leading coefficient, so the pair is four polynomials evaluated once on
 GF(q), and every first-point condition, linear in that coefficient, is
 solved for it in closed form.  The cross second points are the roots of
 one polynomial of degree at most i - 1 in y per (coefficient, point)
-solution.  Every pair hands these cross rows, each with its first point,
-to one root pool for the whole stage, which poly.split_round splits in
-blocks of errors.BLOCK_BYTES: rows of degree at most 2 (all of stage 3)
-in closed form, the others by equal-degree splitting, so no row is tested
-at every y of GF(q).  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
+solution.  Every pair hands these cross rows, tagged with their first
+point, to one poly.RootPool for the whole stage, which finds their roots
+in blocks: rows of degree at most 2 (all of stage 3) in closed form, the
+others by equal-degree splitting, so no row is tested at every y of
+GF(q).  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
 near-collision joins the stage's bad set, kept as sorted codes x*q + y.
 Any pair of fresh distinct points outside the bad set extends the code;
 the lexicographically least one is chosen, so runs are fully
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analyze, errors, insdel, poly
+from . import analyze, insdel, poly
 from .errors import GuardExceeded, InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
@@ -121,37 +121,6 @@ def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarra
     return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
 
 
-class _RootPool:
-    """The cross rows of one stage, each with its first point x, waiting for
-    their roots y.  split() runs poly.split_round on blocks of
-    errors.BLOCK_BYTES (divided by poly.split_bytes per row) in arrival
-    order and queues the pieces left at the end, so the few rows that need
-    more rounds share blocks with fresh ones; the pool never holds more
-    than one block between calls."""
-
-    def __init__(self, fld: Field, width: int):
-        self.fld, self.width = fld, width
-        self.queue = []  # (xs, rows, rounds) in arrival order
-        self.size = 0
-
-    def add(self, xs, rows, rounds=None) -> None:
-        self.queue.append((xs, rows, np.zeros(len(xs), np.int64) if rounds is None else rounds))
-        self.size += len(xs)
-
-    def split(self, drain: bool = False) -> np.ndarray:
-        """The codes x*q + y of the roots of every full block, or, with
-        drain, of every row until the pool is empty, in no set order."""
-        block = max(1, errors.BLOCK_BYTES // poly.split_bytes(self.width))
-        codes = [np.empty(0, np.int64)]
-        while self.size >= block or (drain and self.size):
-            xs, rows, rounds = (np.concatenate(part) for part in zip(*self.queue))
-            self.queue, self.size = [(xs[block:], rows[block:], rounds[block:])], len(xs[block:])
-            (hit, y), (left, pieces, after) = poly.split_round(self.fld, rows[:block], rounds[:block])
-            codes.append(xs[hit] * self.fld.q + y)
-            self.add(xs[left], pieces, after)
-        return np.concatenate(codes)
-
-
 def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv, pool) -> np.ndarray:
     """Bad pairs contributed by one ordered index-sequence pair, given its
     stage solutions (u0, u1), over all q values of the free leading
@@ -171,9 +140,9 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     lead where num = den = 0; the agreement y are bucketed by lead, and only
     the cross second points need the roots y of A + lead*B (or C + lead*D)
     minus the hit's target per (lead, x) hit, of degree at most i - 1: one
-    poly.pencil_rows per side, added to `pool` with the hits' x.  An x that
-    hits at every lead pairs with every y whose own equation some allowed
-    lead solves.
+    poly.pencil_rows per side, added to the stage's poly.RootPool `pool`
+    tagged with the hits' x.  An x that hits at every lead pairs with every
+    y whose own equation some allowed lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
     allowed:
@@ -249,8 +218,8 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     pairs are reduced together, once, and the per-coefficient solutions are
     affine combinations of two base solutions.
     Each pair's bad set and the roots its cross rows get from the stage's
-    root pool (_RootPool) are merged, as sorted codes x*q + y, into the
-    union.
+    poly.RootPool, tagged with their first points, are merged, as sorted
+    codes x*q + y, into the union.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     a swept pair's system is singular, which the input's optimality forbids,
@@ -274,7 +243,7 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     # new codes are merged into the bad set once they outnumber it four to
     # one, so memory stays within about five times the bad set, and the root
     # pool at one block
-    pool, new = _RootPool(fld, i), []
+    pool, new = poly.RootPool(fld), []
     for u0, u1 in solutions:
         new += [_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, pool), pool.split()]
         if sum(map(len, new)) >= 4 * len(bad):

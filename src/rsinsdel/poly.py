@@ -9,10 +9,10 @@ ranks many small matrices in one call.  eval_all is the one stacked
 Horner evaluation.  The one root finder, split_round, takes a stack of
 coefficient rows of any degrees at once and finds their roots in rounds
 (Berlekamp 1970; Cantor & Zassenhaus 1981), with no scan of GF(q):
-closed forms up to degree 2, equal-degree splitting above.  pencil_roots
-runs it to the end on the rows a + lead*b - target of a pencil, and the
-construction feeds it a whole stage's rows in blocks.  All functions are
-pure.
+closed forms up to degree 2, equal-degree splitting above.  Its one
+driver, RootPool, runs the rounds in blocks of errors.BLOCK_BYTES: roots
+drains one over a single row, the construction one over a stage's rows.
+All functions are pure; RootPool is the one object with state.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import errors
 from .gf import Field
 
 
@@ -68,12 +69,13 @@ def eval_all(fld: Field, coeffs, xs=None) -> np.ndarray:
 
 
 def roots(fld: Field, coeffs) -> list[int]:
-    """All roots in GF(q), ascending: pencil_roots on the one row coeffs."""
+    """All roots in GF(q), ascending: a drained RootPool of one row, tag 0."""
     coeffs = trim(coeffs)
     if not coeffs:
         raise ZeroPolynomialError("every field element is a root of the zero polynomial")
-    _, ys = pencil_roots(fld, coeffs, (), [0], [0])
-    return sorted(ys.tolist())
+    pool = RootPool(fld)
+    pool.add(np.zeros(1, np.int64), np.array([coeffs], np.int64))
+    return sorted(pool.split(drain=True).tolist())
 
 
 def pencil_rows(fld: Field, a, b, lead, target) -> np.ndarray:
@@ -88,19 +90,35 @@ def pencil_rows(fld: Field, a, b, lead, target) -> np.ndarray:
     return rows
 
 
-def pencil_roots(fld: Field, a, b, lead, target) -> tuple[np.ndarray, np.ndarray]:
-    """Every (r, y) with a(y) + lead[r]*b(y) == target[r]: the roots of the
-    rows of pencil_rows, as index arrays (rows, ys) in no set order, from
-    split_round repeated until no piece is left."""
-    rows = pencil_rows(fld, a, b, lead, target)
-    source, rounds = np.arange(len(rows)), np.zeros(len(rows), np.int64)
-    found, ys = [source[:0]], [source[:0]]
-    while len(rows):
-        (hit, y), (left, rows, rounds) = split_round(fld, rows, rounds)
-        found.append(source[hit])
-        ys.append(y)
-        source = source[left]
-    return np.concatenate(found), np.concatenate(ys)
+class RootPool:
+    """Coefficient rows with integer tags (the construction's first points)
+    waiting for their roots: the one driver of split_round.  split() runs it
+    on blocks of errors.BLOCK_BYTES // split_bytes(W) rows, W the rows'
+    width, in arrival order, and queues the pieces a round leaves behind the
+    waiting rows, so rows that need more rounds share blocks with fresh ones."""
+
+    def __init__(self, fld: Field):
+        self.fld, self.queue, self.size = fld, [], 0  # queue: (tags, rows, rounds) in arrival order
+
+    def add(self, tags, rows, rounds=None) -> None:
+        """Queue (R, W) coefficient rows, low first, one W per pool, with R tags."""
+        self.queue.append((tags, rows, np.zeros(len(tags), np.int64) if rounds is None else rounds))
+        self.size += len(tags)
+
+    def split(self, drain: bool = False) -> np.ndarray:
+        """The codes tag*q + y of the roots of every full block, or, with
+        drain, of every row until the pool is empty, in no set order."""
+        codes = [np.empty(0, np.int64)]
+        while self.size:
+            block = max(1, errors.BLOCK_BYTES // split_bytes(self.queue[0][1].shape[1]))
+            if self.size < block and not drain:
+                break
+            tags, rows, rounds = (np.concatenate(part) for part in zip(*self.queue))
+            self.queue, self.size = [(tags[block:], rows[block:], rounds[block:])], len(tags[block:])
+            (hit, y), (left, pieces, after) = split_round(self.fld, rows[:block], rounds[:block])
+            codes.append(tags[hit] * self.fld.q + y)
+            self.add(tags[left], pieces, after)
+        return np.concatenate(codes)
 
 
 def split_bytes(width: int) -> int:

@@ -101,8 +101,8 @@ def neg_inverses(fld):
 def pair_bad_set(fld, points, i, u0, u1, neg_inv, pool=None):
     """One pair's whole bad set as sorted unique codes: the codes the sweep
     finds itself and the roots of its cross rows, from a pool of its own
-    (construct._RootPool unless another is given), drained."""
-    pool = construct._RootPool(fld, i) if pool is None else pool
+    (a poly.RootPool unless another is given), drained."""
+    pool = poly.RootPool(fld) if pool is None else pool
     codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, pool)
     return construct._sorted_unique(np.concatenate((codes, pool.split(drain=True))))
 
@@ -298,7 +298,7 @@ def test_root_pool_is_independent_of_block_size(p, m, monkeypatch):
     monkeypatch.setattr(poly, "split_round", counted)
     for budget in (errors.BLOCK_BYTES, 1, 2 * poly.split_bytes(width), 7 * poly.split_bytes(width)):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
-        pool, codes, blocks[:] = construct._RootPool(fld, width), [], []
+        pool, codes, blocks[:] = poly.RootPool(fld), [], []
         for start in range(0, len(rows), 13):
             pool.add(xs[start : start + 13], rows[start : start + 13])
             codes.append(pool.split())
@@ -307,7 +307,7 @@ def test_root_pool_is_independent_of_block_size(p, m, monkeypatch):
         assert pool.size == 0 and max(blocks) <= max(1, budget // poly.split_bytes(width))
         assert budget == errors.BLOCK_BYTES or len(blocks) > len(rows) // 7
     assert max(rounds_seen) >= 1  # the five together need a second round
-    assert construct._RootPool(fld, width).split(drain=True).shape == (0,)
+    assert poly.RootPool(fld).split(drain=True).shape == (0,)
 
 
 def reduced_matcher(fld, calls):

@@ -10,7 +10,7 @@ from conftest import interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsinsdel import poly
+from rsinsdel import errors, poly
 from rsinsdel.gf import field_new, is_prime
 
 F7 = field_new(7)
@@ -263,6 +263,16 @@ def pencil_coefficients(fld, a, b, lead, target):
     ]
 
 
+def pencil_roots(fld, a, b, lead, target):
+    """Every (r, y) with a(y) + lead[r]*b(y) == target[r], as index arrays
+    (rows, ys) in no set order: poly.pencil_rows, then one drained
+    poly.RootPool with each row tagged by its index."""
+    rows = poly.pencil_rows(fld, a, b, lead, target)
+    pool = poly.RootPool(fld)
+    pool.add(np.arange(len(rows)), rows)
+    return divmod(pool.split(drain=True), fld.q)
+
+
 @pytest.mark.parametrize("fld", ROOT_FIELDS, ids=str)
 def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     # rows (lead, t) for every target t: the row a(y) + lead*b(y) - t vanishes
@@ -273,7 +283,7 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     split_round = poly._split
 
     def counted(fld_, low, rounds):
-        split.append(len(rounds) * (not rounds.any()))  # the rows of a first round
+        split.append(int((rounds == 0).sum()))  # the rows of a first round
         rounds_seen.append(int(rounds.max(initial=0)))
         return split_round(fld_, low, rounds)
 
@@ -282,7 +292,7 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     for a, b, leads in pencils(fld, rng):
         lead, target = np.repeat(leads, q), np.tile(np.arange(q), len(leads))
         before = sum(split)
-        rows, ys = poly.pencil_roots(fld, a, b, lead, target)
+        rows, ys = pencil_roots(fld, a, b, lead, target)
         got = np.sort(rows * q + ys)
         width = max(len(a), len(b), 1)
         va, vb = poly.eval_all(fld, [list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))])
@@ -313,8 +323,31 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
 
 
 def test_pencil_roots_of_no_rows():
-    rows, ys = poly.pencil_roots(F7, (1, 2, 3, 4), (0, 1), [], [])
+    rows, ys = pencil_roots(F7, (1, 2, 3, 4), (0, 1), [], [])
     assert rows.shape == ys.shape == (0,)
+
+
+@pytest.mark.parametrize("fld", [field_new(1367), field_new(2, 8)], ids=str)
+def test_roots_honour_the_block_budget(fld, monkeypatch):
+    # with a budget below one row, no split_round call sees more than one
+    # row: a sextic of three roots the first round keeps together (nonzero
+    # squares, trace 0) and three others it keeps together (non-squares,
+    # trace 1), so two cubic pieces need a second round
+    first = one_class(fld)[:3]
+    other = [x for x in range(1, fld.q) if (trace(fld, x) if fld.p == 2 else fld.pow(x, fld.q // 2)) == fld.neg(1)][:3]
+    coeffs = expand(fld, first + other)
+    split_round, blocks = poly.split_round, []
+
+    def counted(fld_, rows, rounds):
+        blocks.append(len(rows))
+        return split_round(fld_, rows, rounds)
+
+    monkeypatch.setattr(poly, "split_round", counted)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
+    got = poly.roots(fld, coeffs)
+    assert got == np.flatnonzero(poly.eval_all(fld, coeffs) == 0).tolist() == sorted(first + other)
+    assert blocks[0] == 1 and len(blocks) >= 3, blocks
+    assert max(blocks) == 1, blocks
 
 
 @pytest.mark.parametrize("fld", ROOT_FIELDS, ids=str)
@@ -406,11 +439,11 @@ def test_pencil_roots_property_over_prime_fields(data):
     roots = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
     scale = data.draw(st.integers(1, p - 1))
     coeffs = [fld.mul(scale, c) for c in expand(fld, roots)]
-    rows, ys = poly.pencil_roots(fld, coeffs, (), [0], [0])
+    rows, ys = pencil_roots(fld, coeffs, (), [0], [0])
     assert sorted(ys.tolist()) == sorted(set(roots)) and not rows.any()
     candidates = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5))
     t = poly.eval_poly(fld, coeffs, candidates[0])
-    _, ys = poly.pencil_roots(fld, coeffs, (), [0], [t])
+    _, ys = pencil_roots(fld, coeffs, (), [0], [t])
     assert candidates[0] in ys.tolist()
     assert all(poly.eval_poly(fld, coeffs, y) == t for y in ys.tolist())
     assert len(ys) <= len(roots) and len(set(ys.tolist())) == len(ys)
