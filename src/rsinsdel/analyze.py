@@ -137,15 +137,18 @@ def lcs_code_bruteforce(
 ) -> AnalysisReport:
     """Exact code LCS by scanning normalized-vs-all codeword pairs.
 
-    Each normalized f takes one batched kernel call over the rows of every
-    codeword g, in codewords order, except g = f.  The rows do not depend
-    on f, so they are built once, in the narrowest unsigned dtype that
-    holds q - 1: the q^(k-1) words w with zero constant term come from
-    _codeword_table, and the rows with constant term c are w + c, one
-    v_add of at most max_codewords elements per c.  A row's index and g's
-    coefficients are each other's base-q digits, so f's own codeword is
-    the row of g = f, which its scan skips.  The witness is the first
-    maximum in (f, g) order.
+    Each normalized f is measured against the rows of every codeword g, in
+    codewords order, except g = f, with one kernel pass per block of
+    normalized f: the kernel packs 64 // insdel.lane_bits(n) patterns into
+    each word (8 at n <= 7), so a block of that many f shares each column's
+    gather and add.  The rows do not depend on f, so they are built once,
+    in the narrowest unsigned dtype that holds q - 1: the q^(k-1) words w
+    with zero constant term come from _codeword_table, and the rows with
+    constant term c are w + c, one v_add of at most max_codewords elements
+    per c.  A row's index and g's coefficients are each other's base-q
+    digits, so f's own codeword is the row of g = f, which its scan skips.
+    The block's f are then walked in order; the witness is the first
+    maximum in (f, g) order, and a scan reaching n - 1 stops there.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     if q**k > max_codewords:
@@ -158,16 +161,19 @@ def lcs_code_bruteforce(
         rows[c * size : (c + 1) * size] = fld.v_add(words, c)
     best = -1
     best_pair = None
-    for f in _normalized_polys(fld, k):
-        row = sum(c * q ** (k - 1 - j) for j, c in enumerate(f))  # constant term 0: a row of words
-        lengths = lcs_from_masks(match_masks(words[row], q), n, rows)
-        lengths[row] = -1
-        i = int(lengths.argmax())
-        if lengths[i] > best:
-            best = int(lengths[i])
-            best_pair = (f, poly.trim(i // q ** (k - 1 - j) % q for j in range(k)))
-            if best == n - 1:
-                break
+    family = _normalized_polys(fld, k)
+    while best < n - 1 and (block := list(itertools.islice(family, 64 // insdel.lane_bits(n)))):
+        # constant term 0: each f is a row of words
+        block_rows = [sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in block]
+        block_lengths = lcs_from_masks(np.stack([match_masks(words[row], q) for row in block_rows]), n, rows)
+        for f, row, lengths in zip(block, block_rows, block_lengths):
+            lengths[row] = -1
+            i = int(lengths.argmax())
+            if lengths[i] > best:
+                best = int(lengths[i])
+                best_pair = (f, poly.trim(i // q ** (k - 1 - j) % q for j in range(k)))
+                if best == n - 1:
+                    break
     witness = _pair_witness(code, *best_pair) if want_witness else None
     return _report(code, "brute_force", best, witness)
 

@@ -11,9 +11,13 @@ optimality check (analyze) and the stage systems (construct).  All pure.
 The exact capability engines measure many LCS values against one fixed
 sequence s: match_masks builds its bit table once, by one numpy scatter,
 and lcs_from_masks runs the Allison-Dix / Hyyro bit-vector recurrence over
-a whole array of rows at once, one numpy pass per column and 64-bit word.
-lcs_with_witness is the dynamic program that recovers one common
-subsequence of a single pair.
+a whole array of rows at once, one numpy pass per column and word.  It
+also takes a stack of such tables, several patterns of one length m, and
+below m = 64 packs them side by side into the lanes of each word, one
+lane_bits(m)-bit lane per pattern with a guard bit above m for its carry
+(Hyyro, Fredriksson and Navarro's increased bit-parallelism), so one pass
+measures up to 64 // lane_bits(m) patterns.  lcs_with_witness is the
+dynamic program that recovers one common subsequence of a single pair.
 """
 
 from __future__ import annotations
@@ -40,48 +44,79 @@ def match_masks(s, alphabet: int) -> np.ndarray:
     return table
 
 
+def lane_bits(m: int) -> int:
+    """Bits of one pattern's lane in lcs_from_masks: the narrowest of 8, 16,
+    32 and 64 above m, which leaves each lane a guard bit, and 64 from m =
+    64 up."""
+    return min(64, max(8, 1 << m.bit_length()))
+
+
 def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     """LCS length of the length-m sequence s behind match_masks' table
-    against every row of an (R, n) symbol array, as an int64 vector.
+    against every row of an (R, n) symbol array, as an int64 vector.  A
+    (P, alphabet, words) stack of P such tables, one per pattern of length
+    m, gives the (P, R) lengths of every pattern against every row, in the
+    narrowest signed dtype that holds every length and -1.
 
     v keeps one bit per position of s, set while that position is still
     unmatched.  Each column c updates u = v & M[c], v = (v + u) | (v & ~u),
     where the addition carries from word to word.  Carries only move
-    upwards, so the bits above m never reach the ones below it; the top word
-    is masked once, when LCS = m - popcount(v) is read.  Column-major rows
-    (order="F") make each column one contiguous read.
+    upwards, so the bits above m never reach the ones below it, and v & ~u
+    sets them all again; v starts all ones, so LCS = (bits of s's words) -
+    popcount(v).  Below m = 64 each pattern has its own lane of L =
+    lane_bits(m) bits, and the patterns share words of up to 64 // L lanes,
+    as narrow as their count allows (a lone pattern runs in an L-bit word).
+    Where a word holds more than one lane, each column clears the bits of
+    every lane from m up before the addition, so bit m, the guard, catches
+    the lane's carry before it reaches the next lane.  From m = 64 up each
+    pattern has its own words.  Column-major rows (order="F") make each
+    column one contiguous read.
     """
     rows = np.asarray(rows)
     count, n = rows.shape
-    words = table.shape[1]
-    if m == 0 or count == 0:
-        return np.zeros(count, dtype=np.int64)
-    masks = np.ascontiguousarray(table.T)  # one contiguous row per word
-    v = np.full((words, count), np.iinfo(np.uint64).max, dtype=np.uint64)
-    u = np.empty_like(v)
-    rest = np.empty(count, dtype=np.uint64)
+    stack = table if table.ndim == 3 else table[None]
+    patterns, alphabet, words = stack.shape
+    bits = lane_bits(m)
+    lanes = min(64 // bits, 1 << (patterns - 1).bit_length())
+    lane, word = np.dtype(f"u{bits // 8}"), np.dtype(f"u{bits * lanes // 8}")
+    groups = -(-patterns // lanes)
+    # a word's lanes lie side by side in memory, so viewing them as words packs them
+    packed = np.zeros((words, alphabet, groups * lanes), dtype=lane)
+    packed[..., :patterns] = stack.transpose(2, 1, 0)
+    masks = packed.view(word)  # (words, alphabet, groups)
+    if lanes > 1:  # m < 64: each lane's bits below m
+        keep = np.array([(1 << m) - 1] * lanes, dtype=lane).view(word)
+    v = np.empty((words, count, groups), dtype=word)
+    v.fill((1 << 8 * word.itemsize) - 1)
+    u = np.empty((count, groups), dtype=word)
+    rest = np.empty_like(u)
+    carry = np.zeros((count, groups), dtype=bool)
+    spill = np.zeros((count, groups), dtype=bool)
     col = np.empty(count, dtype=np.intp)
-    carry = np.zeros(count, dtype=bool)
-    spill = np.zeros(count, dtype=bool)
+    state = list(zip(masks, v))
     for j in range(n):
         col[...] = rows[:, j]
-        for w in range(words):
-            vw, uw = v[w], u[w]
-            masks[w].take(col, out=uw, mode="clip")
-            uw &= vw
-            np.bitwise_xor(vw, uw, out=rest)  # v & ~u, since u lies inside v
-            vw += uw  # wraps modulo 2^64
+        for w, (mw, vw) in enumerate(state):
+            mw.take(col, axis=0, out=u, mode="clip")
+            u &= vw
+            np.bitwise_xor(vw, u, out=rest)  # v & ~u, since u lies inside v
+            if lanes > 1:
+                vw &= keep  # clear the guards
+            vw += u  # wraps modulo the word
             if w + 1 < words:
-                np.less(vw, uw, out=spill)  # the carry out of this word
+                np.less(vw, u, out=spill)  # the carry out of this word
             if w:
                 vw += carry
                 if w + 1 < words:
                     spill |= carry & (vw == 0)
             vw |= rest
             carry, spill = spill, carry
-    if m % 64:
-        v[-1] &= np.uint64((1 << (m % 64)) - 1)
-    return m - np.bitwise_count(v).sum(axis=0, dtype=np.int64)
+    del u, rest, col, carry, spill  # the read-out's arrays take their place
+    total = bits * words
+    dtype = np.min_scalar_type(-1 - total) if table.ndim == 3 else np.int64
+    unmatched = np.bitwise_count(v.view(lane)).sum(axis=0, dtype=dtype)  # (R, groups * lanes)
+    lengths = total - unmatched[:, :patterns].T
+    return lengths if table.ndim == 3 else lengths[0]
 
 
 def lcs_with_witness(s, t) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

@@ -12,6 +12,7 @@ import bisect
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,10 +55,11 @@ def test_match_masks_layout():
     assert insdel.match_masks([], 4).shape == (4, 0)
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 200])
+@pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 127, 128, 129, 200])
 def test_kernel_matches_dp(m):
-    # Word counts 1..4, so carries cross up to three word boundaries; small
-    # alphabets give long carry chains, large ones sparse matches.
+    # Word counts 1..4, so carries cross up to three word boundaries, and
+    # below 64 lanes of 8, 16, 32 and 64 bits on both sides of each width;
+    # small alphabets give long carry chains, large ones sparse matches.
     rng = random.Random(1000 + m)
     for alphabet in (2, 3, 11, 200):
         s = [rng.randrange(alphabet) for _ in range(m)]
@@ -87,6 +89,52 @@ def test_kernel_edge_shapes():
     assert insdel.lcs_from_masks(table, 3, np.zeros((0, 5), dtype=np.uint8)).tolist() == []
     assert insdel.lcs_from_masks(table, 3, np.zeros((2, 0), dtype=np.uint8)).tolist() == [0, 0]
     assert insdel.lcs_from_masks(insdel.match_masks([], 4), 0, [[1, 2]]).tolist() == [0]
+
+
+@pytest.mark.parametrize("m", [1, 6, 7, 8, 15, 16, 31, 32, 63, 64, 65])
+def test_stacked_kernel_matches_lcs(m):
+    # P patterns share words of 64 // lane_bits(m) lanes, so 7, 9 and 17
+    # leave the last word ragged; every pattern must still read its own lane.
+    rng = random.Random(2000 + m)
+    lanes = 64 // insdel.lane_bits(m)
+    assert lanes == {1: 8, 6: 8, 7: 8, 8: 4, 15: 4, 16: 2, 31: 2, 32: 1, 63: 1}.get(m, 1)
+    for patterns in (1, 2, 7, 8, 9, 17):
+        alphabet = rng.choice((2, 3, 23))
+        seqs = [[rng.randrange(alphabet) for _ in range(m)] for _ in range(patterns)]
+        stack = np.stack([insdel.match_masks(s, alphabet) for s in seqs])
+        n = rng.randrange(1, 2 * m + 3)
+        rows = np.array([[rng.randrange(alphabet) for _ in range(n)] for _ in range(7)], dtype=np.uint8, order="F")
+        rows[0] = (seqs[-1] * n)[:n]  # a row sharing a prefix with the last pattern
+        got = insdel.lcs_from_masks(stack, m, rows)
+        assert got.shape == (patterns, 7) and got.dtype.kind == "i"
+        assert got.tolist() == [[lcs(s, list(r)) for r in rows] for s in seqs]
+        for table, lengths in zip(stack, got):
+            alone = insdel.lcs_from_masks(table, m, rows)
+            assert alone.dtype == np.int64 and np.array_equal(alone, lengths)
+
+
+@pytest.mark.parametrize("m", [1, 6, 7, 8, 15, 16, 31, 32, 63])
+def test_stacked_kernel_all_carry_in_every_lane(m):
+    # s = 0^m against rows of 0s: each column adds every unmatched bit of
+    # a lane to itself, so its carry runs into the guard bit; a guard left
+    # set would pass the next column's carry into the neighbouring lane.
+    n = 2 * m + 5
+    rows = np.ones((3, n), dtype=np.uint8)
+    rows[0] = 0
+    rows[1, ::2] = 0
+    table = insdel.match_masks([0] * m, 2)
+    for patterns in (2, 8, 9, 17):
+        got = insdel.lcs_from_masks(np.stack([table] * patterns), m, rows)
+        assert got.tolist() == [[m, min(m, (n + 1) // 2), 0]] * patterns
+
+
+def test_stacked_kernel_edge_shapes():
+    stack = np.stack([insdel.match_masks(s, 4) for s in ([1, 2, 3], [3, 3, 0], [0, 1, 2])])
+    for rows, want in ((np.zeros((0, 5), dtype=np.uint8), (3, 0)), (np.zeros((2, 0), dtype=np.uint8), (3, 2))):
+        got = insdel.lcs_from_masks(stack, 3, rows)
+        assert got.shape == want and not got.any()
+    empty = np.stack([insdel.match_masks([], 4)] * 9)  # m = 0: no words at all
+    assert insdel.lcs_from_masks(empty, 0, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
 
 
 # -- the affine engine ----------------------------------------------------------
@@ -372,6 +420,66 @@ def test_bruteforce_rows_are_the_codewords(monkeypatch):
         best, (f, g) = bruteforce_reference(code)
         assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
     assert report.lcs_of_code == 0 and report.witness["g"] == [1]
+
+
+def pattern_counts(monkeypatch):
+    """Patch the kernel the exact engines call; the list collects the
+    number of patterns of each pass."""
+    seen = []
+    real = insdel.lcs_from_masks
+
+    def kernel(masks, m, rows):
+        seen.append(len(masks) if masks.ndim == 3 else 1)
+        return real(masks, m, rows)
+
+    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
+    return seen
+
+
+# (q, points, the witness f's place in _normalized_polys, patterns of each pass)
+LANE_CASES = [
+    # a full scan whose first maximum, LCS 5, lies in lane 1 of the second pass
+    (17, (7, 4, 5, 3, 14, 15, 9), 9, [8, 8, 3]),
+    # n - 1 = 5 reached in lane 5 of the second pass: the third never runs
+    (16, (13, 12, 0, 2, 9, 4), 13, [8, 8]),
+]
+
+
+@pytest.mark.parametrize("q, points, place, passes", LANE_CASES)
+def test_bruteforce_walks_each_pass_in_order(q, points, place, passes, monkeypatch):
+    fld = field_from_order(q)
+    code = RsCode(EvaluationVector(fld, points), 3)
+    seen = pattern_counts(monkeypatch)
+    report = analyze.lcs_code_bruteforce(code)
+    best, (f, g) = bruteforce_reference(code)
+    assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
+    assert list(analyze._normalized_polys(fld, 3)).index(tuple(f)) == place
+    assert seen == passes
+
+
+def test_bruteforce_packs_eight_polynomials_per_pass(monkeypatch):
+    # GF(23), k = 3: 25 normalized f of length 6, 8 to a 64-bit word
+    code = RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3)
+    seen = pattern_counts(monkeypatch)
+    report = analyze.lcs_code_bruteforce(code)
+    assert seen == [8, 8, 8, 1]  # ceil(25 / 8) passes
+    assert (report.lcs_of_code, report.witness) == (4, {"f": [0, 1], "g": [0, 19, 16], "I": [3, 4, 5, 6], "J": [1, 2, 5, 6]})
+
+
+def test_bruteforce_scan_stays_within_the_block_budget():
+    # the 12,167 rows, the kernel's state and the (8, R) lengths of a pass
+    code = RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3)
+    analyze.lcs_code_bruteforce(code)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = analyze.lcs_code_bruteforce(code)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.lcs_of_code == 4
+    assert peak <= errors.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 23])
