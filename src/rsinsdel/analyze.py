@@ -146,9 +146,12 @@ def lcs_code_bruteforce(
     with zero constant term come from _codeword_table, and the rows with
     constant term c are w + c, one v_add of at most max_codewords elements
     per c.  A row's index and g's coefficients are each other's base-q
-    digits, so f's own codeword is the row of g = f, which its scan skips.
-    The block's f are then walked in order; the witness is the first
-    maximum in (f, g) order, and a scan reaching n - 1 stops there.
+    digits, so f's own codeword is the row of g = f, which its scan skips:
+    the block's tables come from one match_masks call on the block's rows
+    of words, each f's own row is set to -1, and one argmax over the block
+    gives every f's first maximum.  The block's f are then walked in order;
+    the witness is the first maximum in (f, g) order, and a scan reaching
+    n - 1 stops there.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     if q**k > max_codewords:
@@ -165,12 +168,13 @@ def lcs_code_bruteforce(
     while best < n - 1 and (block := list(itertools.islice(family, 64 // insdel.lane_bits(n)))):
         # constant term 0: each f is a row of words
         block_rows = [sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in block]
-        block_lengths = lcs_from_masks(np.stack([match_masks(words[row], q) for row in block_rows]), n, rows)
-        for f, row, lengths in zip(block, block_rows, block_lengths):
-            lengths[row] = -1
-            i = int(lengths.argmax())
-            if lengths[i] > best:
-                best = int(lengths[i])
+        block_lengths = lcs_from_masks(match_masks(words[block_rows], q), n, rows)
+        lanes = np.arange(len(block))
+        block_lengths[lanes, block_rows] = -1
+        firsts = block_lengths.argmax(axis=1)
+        for f, i, length in zip(block, firsts.tolist(), block_lengths[lanes, firsts].tolist()):
+            if length > best:
+                best = length
                 best_pair = (f, poly.trim(i // q ** (k - 1 - j) % q for j in range(k)))
                 if best == n - 1:
                     break

@@ -6,12 +6,16 @@ byte-identical output; --timing adds a volatile top-level wall_time_s,
 outside the byte-stable result.  Failures emit a diagnostic JSON object on
 stderr and exit with 2 for usage/precondition errors (an unwritable
 --output included), 3 for exceeded guards, 4 for invariant violations.
+
+The argparse tree is built once per process, on the first main call, and
+every later call parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -269,7 +273,14 @@ def cmd_table1(args) -> None:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use and shared
+    by every later main call; each parse_args still fills a fresh namespace.
+    The build binds each subcommand's func=cmd_* and its defaults, such as
+    analyze.DEFAULT_MAX_CODEWORDS, so patching those names after the first
+    call changes nothing; the engines the cmd_* functions call are still
+    looked up at call time."""
     parser = argparse.ArgumentParser(
         prog="rsinsdel",
         description="Reed-Solomon codes under insertion/deletion errors",

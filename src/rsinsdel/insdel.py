@@ -9,15 +9,16 @@ certificate (deficient_pairs ranks a sweep block by block), the exact
 optimality check (analyze) and the stage systems (construct).  All pure.
 
 The exact capability engines measure many LCS values against one fixed
-sequence s: match_masks builds its bit table once, by one numpy scatter,
-and lcs_from_masks runs the Allison-Dix / Hyyro bit-vector recurrence over
-a whole array of rows at once, one numpy pass per column and word.  It
-also takes a stack of such tables, several patterns of one length m, and
-below m = 64 packs them side by side into the lanes of each word, one
-lane_bits(m)-bit lane per pattern with a guard bit above m for its carry
-(Hyyro, Fredriksson and Navarro's increased bit-parallelism), so one pass
-measures up to 64 // lane_bits(m) patterns.  lcs_with_witness is the
-dynamic program that recovers one common subsequence of a single pair.
+sequence s: match_masks builds its bit table once, by one numpy scatter
+(a stack of sequences gets the stack of their tables from the same one
+scatter), and lcs_from_masks runs the Allison-Dix / Hyyro bit-vector
+recurrence over a whole array of rows at once, one numpy pass per column
+and word.  It also takes a stack of such tables, several patterns of one
+length m, and below m = 64 packs them side by side into the lanes of each
+word, one lane_bits(m)-bit lane per pattern with a guard bit above m for
+its carry (Hyyro, Fredriksson and Navarro's increased bit-parallelism), so
+one pass measures up to 64 // lane_bits(m) patterns.  lcs_with_witness is
+the dynamic program that recovers one common subsequence of a single pair.
 """
 
 from __future__ import annotations
@@ -36,11 +37,16 @@ from .rscode import RsCode
 def match_masks(s, alphabet: int) -> np.ndarray:
     """Position bitmasks of s: an (alphabet, words) uint64 table, words =
     ceil(len(s)/64), whose row c has bit j % 64 of word j // 64 set exactly
-    where s[j] == c.  Symbols must lie in [0, alphabet)."""
-    j = np.arange(len(s))
-    table = np.zeros((alphabet, -(-len(s) // 64)), dtype=np.uint64)
+    where s[j] == c.  A (P, m) stack of sequences gives the (P, alphabet,
+    words) stack of their tables, from the same one scatter.  Symbols must
+    lie in [0, alphabet)."""
+    s = np.asarray(s, dtype=np.intp)
+    m = s.shape[-1]
+    j = np.arange(m)
+    table = np.zeros((*s.shape[:-1], alphabet, -(-m // 64)), dtype=np.uint64)
     bits = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
-    np.bitwise_or.at(table, (np.asarray(s, dtype=np.intp), j // 64), bits)  # repeated symbols accumulate
+    index = (s, j // 64) if s.ndim == 1 else (np.arange(len(s))[:, None], s, j // 64)
+    np.bitwise_or.at(table, index, bits)  # repeated symbols accumulate
     return table
 
 

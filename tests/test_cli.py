@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -551,6 +552,40 @@ def test_default_output_is_byte_identical_across_runs(capsys):
     a = run_cli(capsys, *args)
     b = run_cli(capsys, *args)
     assert a[1] == b[1]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # The parser is built on the first call and reused; --timing, --output
+    # and a usage error between the plain calls must leave them printing
+    # exactly what each prints alone in a fresh interpreter.
+    analyze_argv = ["analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5"]
+    census_argv = ["census", "--field", "7"]
+    sample_argv = ["sample", "--field", "16", "--delta", "0.5", "--trials", "6", "--seed", "42"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    alone = {
+        tuple(argv): subprocess.run(
+            [sys.executable, "-m", "rsinsdel.cli", *argv], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for argv in (analyze_argv, census_argv, sample_argv)
+    }
+    target = tmp_path / "report.json"
+    plain = []
+    assert "wall_time_s" in run_json(capsys, *analyze_argv, "--timing")
+    plain.append((analyze_argv, run_cli(capsys, *analyze_argv)))
+    assert run_cli(capsys, *census_argv, "--output", str(target))[:2] == (0, "")
+    assert target.read_text() == alone[tuple(census_argv)]
+    plain.append((census_argv, run_cli(capsys, *census_argv)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--field", "7", "--alpha", "0,1,2,5"])  # no --k
+    assert exc.value.code == 2
+    capsys.readouterr()
+    plain.append((sample_argv, run_cli(capsys, *sample_argv)))
+    plain.append((analyze_argv, run_cli(capsys, *analyze_argv)))
+    for argv, (code, out, err) in plain:
+        assert code == 0 and err == "", argv
+        assert out == alone[tuple(argv)], argv
+        assert "wall_time_s" not in json.loads(out), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_console_entry_point():

@@ -337,15 +337,22 @@ def bigint_masks(s, alphabet):
     return np.array(table, dtype=np.uint64).reshape(alphabet, words)
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 509])
+@pytest.mark.parametrize("n", [0, 1, 6, 63, 64, 65, 130, 509])
 def test_match_masks_equal_the_bigint_construction(n):
+    # small alphabets repeat symbols, so the scatter must accumulate them
     rng = random.Random(n)
     for alphabet in (1, 2, 7, 509):
         s = [rng.randrange(alphabet) for _ in range(n)]
         for seq in (s, tuple(s), np.array(s, dtype=np.int64), np.array(s, dtype=np.uint16)):
             masks = insdel.match_masks(seq, alphabet)
-            assert masks.dtype == np.uint64
+            assert masks.dtype == np.uint64 and masks.shape == (alphabet, -(-n // 64))
             assert np.array_equal(masks, bigint_masks(s, alphabet))
+        # a (P, n) stack of sequences gives the stack of their tables
+        seqs = [s] + [[rng.randrange(alphabet) for _ in range(n)] for _ in range(4)]
+        for stack in (seqs, np.array(seqs, dtype=np.int64), np.array(seqs, dtype=np.uint16)[:1]):
+            masks = insdel.match_masks(stack, alphabet)
+            assert masks.dtype == np.uint64
+            assert np.array_equal(masks, np.stack([bigint_masks(r, alphabet) for r in seqs[: len(stack)]]))
 
 
 def test_identity_masks_match_the_general_table():
