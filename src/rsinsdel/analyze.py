@@ -39,12 +39,10 @@ import numpy as np
 from . import errors, insdel, poly
 from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
-from .insdel import lcs_from_masks, match_masks
+from .insdel import kernel_steps, lcs_from_masks, match_masks
 from .rscode import EvaluationVector, RsCode, equivalent
 
-DEFAULT_MAX_CODEWORDS = 20_000
 DEFAULT_MAX_CLASSES = 5_040
-SAMPLE_MAX_Q = 128
 SPOT_CHECKS = 200  # classes re-measured by census verify="spot"
 
 
@@ -120,6 +118,16 @@ def _normalized_polys(fld: Field, k: int):
         yield (0, *mids, 1)
 
 
+def _family_size(q: int, k: int) -> int:
+    # len(_normalized_polys): from k = 2 on, q^(k-2) of lead 1, 0 and (q^(k-2) - 1)/(q - 1) of lead 0
+    return 1 if k == 1 else q ** (k - 2) + (q ** (k - 2) - 1) // (q - 1) + 1
+
+
+def _check_work(estimate: int, limit: int) -> None:
+    if estimate > limit:
+        raise GuardExceeded(f"estimated work {estimate} exceeds the limit of {limit}")
+
+
 def _codeword_table(code: RsCode, count: int) -> np.ndarray:
     """The first count codewords in rscode.codewords order, one int64 row
     each: row i evaluates the coefficients (c_0, .., c_(k-1)) read off the
@@ -130,56 +138,55 @@ def _codeword_table(code: RsCode, count: int) -> np.ndarray:
     return poly.eval_all(code.field, digits, code.ev.points)
 
 
-def lcs_code_bruteforce(
-    code: RsCode,
-    max_codewords: int = DEFAULT_MAX_CODEWORDS,
-    want_witness: bool = True,
-) -> AnalysisReport:
+def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisReport:
     """Exact code LCS by scanning normalized-vs-all codeword pairs.
 
     Each normalized f is measured against the rows of every codeword g, in
     codewords order, except g = f, with one kernel pass per block of
-    normalized f: the kernel packs 64 // insdel.lane_bits(n) patterns into
-    each word (8 at n <= 7), so a block of that many f shares each column's
-    gather and add.  The rows do not depend on f, so they are built once,
-    in the narrowest unsigned dtype that holds q - 1: the q^(k-1) words w
-    with zero constant term come from _codeword_table, and the rows with
-    constant term c are w + c, one v_add of at most max_codewords elements
-    per c.  A row's index and g's coefficients are each other's base-q
-    digits, so f's own codeword is the row of g = f, which its scan skips:
-    the block's tables come from one match_masks call on the block's rows
-    of words, each f's own row is set to -1, and one argmax over the block
-    gives every f's first maximum.  The block's f are then walked in order;
-    the witness is the first maximum in (f, g) order, and a scan reaching
-    n - 1 stops there.
+    64 // insdel.lane_bits(n) normalized f, as many as the kernel packs into
+    a word.  The rows, in the narrowest unsigned dtype that holds q - 1, are
+    built once, in chunks of whole constant terms c sized by
+    errors.BLOCK_BYTES: the q^(k-1) words w with zero constant term come
+    from _codeword_table, and the rows of c are w + c, one v_add per c.  A
+    row's index and g's coefficients are each other's base-q digits, so f's
+    own codeword is the row of g = f, which its scan skips.  Per chunk and
+    block, one match_masks call on the block's rows of words gives the
+    tables, each f's own row is set to -1, and one argmax gives every f's
+    first maximum, kept where it beats f's earlier chunks.  The witness is
+    the first maximum in (f, g) order, so once some f reaches n - 1 the scan
+    drops every f after it.  A full scan of more than errors.MAX_KERNEL_STEPS
+    word-steps raises GuardExceeded before any table is built.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
-    if q**k > max_codewords:
-        raise GuardExceeded(f"q^k = {q**k} exceeds max_codewords={max_codewords}")
+    _check_work(kernel_steps(_family_size(q, k), q**k, n, n), errors.MAX_KERNEL_STEPS)
     words = _codeword_table(code, q ** (k - 1))
     size = len(words)
-    # column-major, so each column is one contiguous read for the kernel
-    rows = np.empty((q * size, n), dtype=np.min_scalar_type(q - 1), order="F")
-    for c in range(q):
-        rows[c * size : (c + 1) * size] = fld.v_add(words, c)
-    best = -1
-    best_pair = None
-    family = _normalized_polys(fld, k)
-    while best < n - 1 and (block := list(itertools.islice(family, 64 // insdel.lane_bits(n)))):
-        # constant term 0: each f is a row of words
-        block_rows = [sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in block]
-        block_lengths = lcs_from_masks(match_masks(words[block_rows], q), n, rows)
-        lanes = np.arange(len(block))
-        block_lengths[lanes, block_rows] = -1
-        firsts = block_lengths.argmax(axis=1)
-        for f, i, length in zip(block, firsts.tolist(), block_lengths[lanes, firsts].tolist()):
-            if length > best:
-                best = length
-                best_pair = (f, poly.trim(i // q ** (k - 1 - j) % q for j in range(k)))
-                if best == n - 1:
-                    break
-    witness = _pair_witness(code, *best_pair) if want_witness else None
-    return _report(code, "brute_force", best, witness)
+    family = list(_normalized_polys(fld, k))
+    own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f is a row of words
+    best, first = np.full(len(family), -1), np.zeros(len(family), dtype=np.int64)  # f's longest LCS, its first row
+    stop, lanes, symbol = len(family), 64 // insdel.lane_bits(n), np.min_scalar_type(q - 1)
+    # per row: its symbols, one 8-byte kernel word per 64 of them, ~26 bytes of kernel scratch
+    step = max(1, errors.BLOCK_BYTES // (size * (n * symbol.itemsize + 8 * -(-n // 64) + 26)))
+    for c0 in range(0, q, step):
+        # column-major, so each column is one contiguous read for the kernel
+        rows = np.empty((min(step, q - c0) * size, n), dtype=symbol, order="F")
+        for c in range(c0, min(c0 + step, q)):
+            rows[(c - c0) * size : (c - c0 + 1) * size] = fld.v_add(words, c)
+        for block in np.split(np.arange(stop), range(lanes, stop, lanes)):
+            lengths = lcs_from_masks(match_masks(words[own[block]], q), n, rows)
+            if c0 == 0:
+                lengths[np.arange(len(block)), own[block]] = -1
+            firsts = lengths.argmax(axis=1)
+            top = lengths[np.arange(len(block)), firsts]
+            gain = top > best[block]
+            best[block[gain]], first[block[gain]] = top[gain], c0 * size + firsts[gain]
+            if (top == n - 1).any():  # later chunks rescan only the f up to the first with n - 1
+                stop = block[0] + int((top == n - 1).argmax()) + 1
+                break
+    i = int(best[:stop].argmax())  # the first f with the maximum
+    g = poly.trim(int(first[i]) // q ** (k - 1 - j) % q for j in range(k))
+    witness = _pair_witness(code, family[i], g) if want_witness else None
+    return _report(code, "brute_force", int(best[i]), witness)
 
 
 def _pair_witness(code: RsCode, f, g) -> dict:
@@ -225,15 +232,15 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     (in the gathered table rows and in the block), go to the batched kernel
     in scan order; the witness is the first maximum, on the original symbols,
     and the scan stops at the first block reaching q - 1.  More than
-    DEFAULT_MAX_OPS symbols in the (q^2 - 1) // 2 rows raise GuardExceeded
-    before any table is built.
+    errors.MAX_KERNEL_STEPS word-steps in the full scan raise GuardExceeded
+    before any table is built; that admits q <= 577.
     """
     if not ev.is_full_length():
         raise ValueError("affine fast path requires a full-length ordering")
     fld = ev.field
     q = fld.q
     code = RsCode(ev, 2)
-    _check_work(q * ((q * q - 1) // 2))
+    _check_work(kernel_steps(1, (q * q - 1) // 2, q, q), errors.MAX_KERNEL_STEPS)
     arr = np.array(ev.points, dtype=np.int64)
     symbol = np.min_scalar_type(q - 1)
     elements = np.arange(q)
@@ -243,7 +250,7 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     a_vals, a_idx, b_rows = _affine_rows(fld)
     scaled = fld.v_mul(arr[:, None], a_vals)  # scaled[j, i] = a_vals[i] * alpha_j
     cols = a_idx * q + b_rows
-    masks = match_masks(elements, q)
+    masks = match_masks(elements[None], q)
     block = max(1, errors.BLOCK_BYTES // (2 * q * symbol.itemsize))
     best = -1
     best_row = None
@@ -252,7 +259,7 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
         lo, hi = a_idx[start], a_idx[stop - 1] + 1
         # C-order (q, rows), so .T is the column-major rows the kernel reads
         seqs = relabel[scaled[:, lo:hi]].reshape(q, -1)[:, cols[start:stop] - lo * q]
-        lengths = lcs_from_masks(masks, q, seqs.T)
+        lengths = lcs_from_masks(masks, q, seqs.T)[0]
         i = int(lengths.argmax())
         if lengths[i] > best:
             best, best_row = int(lengths[i]), start + i
@@ -260,10 +267,7 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
                 break
     witness = None
     if want_witness:
-        a, b = int(a_vals[a_idx[best_row]]), int(b_rows[best_row])
-        other = tuple(fld.v_add(fld.v_mul(arr, np.int64(a)), np.int64(b)).tolist())
-        _, i_seq, j_seq = insdel.lcs_with_witness(ev.points, other)
-        witness = {"f": [0, 1], "g": [b, a], "I": list(i_seq), "J": list(j_seq)}
+        witness = _pair_witness(code, (0, 1), (int(b_rows[best_row]), int(a_vals[a_idx[best_row]])))
     return _report(code, "affine", best, witness)
 
 
@@ -286,11 +290,6 @@ def corrects(code: RsCode, t: int) -> bool:
 class OptimalityResult:
     optimal: bool
     witness: dict | None = None
-
-
-def _check_work(estimate: int) -> None:
-    if estimate > DEFAULT_MAX_OPS:
-        raise GuardExceeded(f"estimated work {estimate} exceeds the limit of {DEFAULT_MAX_OPS}")
 
 
 def _dot(fld: Field, a, b) -> np.ndarray:
@@ -327,19 +326,18 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     Each phase's estimated work is checked against DEFAULT_MAX_OPS before
     it runs (GuardExceeded): k(k+1)(2k-1)^3 for the sweep, and for the scan
     the entries of its two field products, |family| * (deficient pairs) *
-    (k-1)(2k-1), with |family| = q^(k-2) + (q^(k-2) - 1)/(q - 1) + 1.
+    (k-1)(2k-1), with |family| = _family_size(q, k).
     """
     fld = ev.field
     n = ev.n
     if n != 2 * k:
         raise ValueError("optimality checker requires n = 2k")
-    _check_work(k * (k + 1) * (2 * k - 1) ** 3)
+    _check_work(k * (k + 1) * (2 * k - 1) ** 3, DEFAULT_MAX_OPS)
     points = ev.points
     pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))]
     if not pairs:
         return OptimalityResult(True, None)
-    q_k2 = fld.q ** (k - 2)  # k >= 2: at k = 1 every build_V matrix is (1), of full rank
-    _check_work((q_k2 + (q_k2 - 1) // (fld.q - 1) + 1) * len(pairs) * (k - 1) * (2 * k - 1))
+    _check_work(_family_size(fld.q, k) * len(pairs) * (k - 1) * (2 * k - 1), DEFAULT_MAX_OPS)
     seqs = np.array(pairs)  # (pairs, 2, 2k-1)
     reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
     maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
@@ -667,18 +665,18 @@ def sample_orderings(
     A trial counts as correcting (1-delta)*q insdel errors when its code LCS
     is at most floor(delta*q) - 1 (delta*q is floored when fractional).
     fraction_correcting_one reports how many trials correct at least one
-    error, i.e. have LCS below q - 1.
+    error, i.e. have LCS below q - 1.  The trials' affine scans share the
+    engine's limit, checked before the first trial (GuardExceeded).
     """
     q = fld.q
     if q < 3:
         raise ValueError(f"sampling needs q >= 3 (full-length codes of dimension 2), got q={q}")
-    if q > SAMPLE_MAX_Q:
-        raise GuardExceeded(f"sampling is budgeted for q <= {SAMPLE_MAX_Q}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     frac = parse_fraction(delta)
     if not 0 < frac <= 1:
         raise ValueError("delta must satisfy 0 < delta <= 1")
+    _check_work(trials * kernel_steps(1, (q * q - 1) // 2, q, q), errors.MAX_KERNEL_STEPS)
     threshold = math.floor(frac * q) - 1
     values = []
     for idx in range(trials):

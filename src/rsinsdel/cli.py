@@ -103,7 +103,7 @@ def cmd_analyze(args) -> None:
     ev = _parse_alpha(args)
     params = {"alpha": ev.serialize(), "k": args.k, "method": args.method}
     if args.method == "brute":
-        result = analyze.lcs_code_bruteforce(RsCode(ev, args.k), max_codewords=args.max_codewords)
+        result = analyze.lcs_code_bruteforce(RsCode(ev, args.k))
     elif args.method == "affine":
         if args.k != 2:
             raise ValueError("the affine fast path requires --k 2")
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use and shared
     by every later main call; each parse_args still fills a fresh namespace.
     The build binds each subcommand's func=cmd_* and its defaults, such as
-    analyze.DEFAULT_MAX_CODEWORDS, so patching those names after the first
+    analyze.DEFAULT_MAX_CLASSES, so patching those names after the first
     call changes nothing; the engines the cmd_* functions call are still
     looked up at call time."""
     parser = argparse.ArgumentParser(
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["brute", "affine", "certificate", "optimal"],
     )
     p.add_argument("--t", type=int, help="insdel count for --method certificate")
-    p.add_argument("--max-codewords", type=int, default=analyze.DEFAULT_MAX_CODEWORDS)
     common(p)
     p.set_defaults(func=cmd_analyze)
 

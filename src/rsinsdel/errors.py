@@ -8,6 +8,8 @@ broken precondition, not an unlucky input.
 
 # Default work budget of the guarded super-linear entry points.
 DEFAULT_MAX_OPS = 100_000_000
+# Word-steps (insdel.kernel_steps) of one exact LCS engine run, 3-15 ns each.
+MAX_KERNEL_STEPS = 10**9
 # Working memory of one block of every blocked loop, in bytes, read at call
 # time; in `sample --field 81` runs 2^20 beat 2^18 and 2^19 by 20-30%.
 BLOCK_BYTES = 1 << 20

@@ -8,17 +8,16 @@ build_V the one matrix over a pair or a stack of pairs, behind the rank
 certificate (deficient_pairs ranks a sweep block by block), the exact
 optimality check (analyze) and the stage systems (construct).  All pure.
 
-The exact capability engines measure many LCS values against one fixed
-sequence s: match_masks builds its bit table once, by one numpy scatter
-(a stack of sequences gets the stack of their tables from the same one
-scatter), and lcs_from_masks runs the Allison-Dix / Hyyro bit-vector
-recurrence over a whole array of rows at once, one numpy pass per column
-and word.  It also takes a stack of such tables, several patterns of one
-length m, and below m = 64 packs them side by side into the lanes of each
-word, one lane_bits(m)-bit lane per pattern with a guard bit above m for
-its carry (Hyyro, Fredriksson and Navarro's increased bit-parallelism), so
-one pass measures up to 64 // lane_bits(m) patterns.  lcs_with_witness is
-the dynamic program that recovers one common subsequence of a single pair.
+The exact capability engines measure LCS values of a few patterns of one
+length m against many rows: match_masks builds the stack of the patterns'
+bit tables by one numpy scatter, and lcs_from_masks runs the Allison-Dix /
+Hyyro bit-vector recurrence over every row at once, one numpy pass per
+column and word, below m = 64 with the patterns packed side by side into
+lanes of lane_bits(m) bits, each with a guard bit above m for its carry
+(Hyyro, Fredriksson and Navarro's increased bit-parallelism).  The engines
+check kernel_steps, the word-steps of a scan, against the one limit before
+building anything.  lcs_with_witness is the dynamic program that recovers
+one common subsequence of a single pair.
 """
 
 from __future__ import annotations
@@ -34,19 +33,17 @@ from .errors import DEFAULT_MAX_OPS, GuardExceeded
 from .rscode import RsCode
 
 
-def match_masks(s, alphabet: int) -> np.ndarray:
-    """Position bitmasks of s: an (alphabet, words) uint64 table, words =
-    ceil(len(s)/64), whose row c has bit j % 64 of word j // 64 set exactly
-    where s[j] == c.  A (P, m) stack of sequences gives the (P, alphabet,
-    words) stack of their tables, from the same one scatter.  Symbols must
-    lie in [0, alphabet)."""
-    s = np.asarray(s, dtype=np.intp)
-    m = s.shape[-1]
+def match_masks(seqs, alphabet: int) -> np.ndarray:
+    """Position bitmasks of a (P, m) stack of sequences: the (P, alphabet,
+    words) uint64 stack of their tables, words = ceil(m/64), from one
+    scatter.  Row c of table p has bit j % 64 of word j // 64 set exactly
+    where seqs[p][j] == c.  Symbols must lie in [0, alphabet)."""
+    seqs = np.asarray(seqs, dtype=np.intp)
+    patterns, m = seqs.shape
     j = np.arange(m)
-    table = np.zeros((*s.shape[:-1], alphabet, -(-m // 64)), dtype=np.uint64)
+    table = np.zeros((patterns, alphabet, -(-m // 64)), dtype=np.uint64)
     bits = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
-    index = (s, j // 64) if s.ndim == 1 else (np.arange(len(s))[:, None], s, j // 64)
-    np.bitwise_or.at(table, index, bits)  # repeated symbols accumulate
+    np.bitwise_or.at(table, (np.arange(patterns)[:, None], seqs, j // 64), bits)  # repeated symbols accumulate
     return table
 
 
@@ -57,19 +54,25 @@ def lane_bits(m: int) -> int:
     return min(64, max(8, 1 << m.bit_length()))
 
 
-def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
-    """LCS length of the length-m sequence s behind match_masks' table
-    against every row of an (R, n) symbol array, as an int64 vector.  A
-    (P, alphabet, words) stack of P such tables, one per pattern of length
-    m, gives the (P, R) lengths of every pattern against every row, in the
-    narrowest signed dtype that holds every length and -1.
+def kernel_steps(patterns: int, rows: int, m: int, n: int) -> int:
+    """Word-steps of lcs_from_masks over patterns of length m and rows of
+    length n, in calls of up to 64 // lane_bits(m) patterns: one per word
+    of each lane group, row and column.  A scan that stops early takes fewer."""
+    return -(-patterns // (64 // lane_bits(m))) * rows * n * -(-m // 64)
 
-    v keeps one bit per position of s, set while that position is still
-    unmatched.  Each column c updates u = v & M[c], v = (v + u) | (v & ~u),
-    where the addition carries from word to word.  Carries only move
-    upwards, so the bits above m never reach the ones below it, and v & ~u
-    sets them all again; v starts all ones, so LCS = (bits of s's words) -
-    popcount(v).  Below m = 64 each pattern has its own lane of L =
+
+def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
+    """LCS lengths of P patterns of length m, given by match_masks' (P,
+    alphabet, words) stack of tables, against every row of an (R, n)
+    symbol array: the (P, R) lengths, in the narrowest signed dtype that
+    holds every length and -1.
+
+    v keeps one bit per position of a pattern, set while that position is
+    still unmatched.  Each column c updates u = v & M[c], v = (v + u) |
+    (v & ~u), where the addition carries from word to word.  Carries only
+    move upwards, so the bits above m never reach the ones below it, and
+    v & ~u sets them all again; v starts all ones, so LCS = (bits of its
+    words) - popcount(v).  Below m = 64 each pattern has its own lane of L =
     lane_bits(m) bits, and the patterns share words of up to 64 // L lanes,
     as narrow as their count allows (a lone pattern runs in an L-bit word).
     Where a word holds more than one lane, each column clears the bits of
@@ -80,15 +83,14 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     """
     rows = np.asarray(rows)
     count, n = rows.shape
-    stack = table if table.ndim == 3 else table[None]
-    patterns, alphabet, words = stack.shape
+    patterns, alphabet, words = table.shape
     bits = lane_bits(m)
     lanes = min(64 // bits, 1 << (patterns - 1).bit_length())
     lane, word = np.dtype(f"u{bits // 8}"), np.dtype(f"u{bits * lanes // 8}")
     groups = -(-patterns // lanes)
     # a word's lanes lie side by side in memory, so viewing them as words packs them
     packed = np.zeros((words, alphabet, groups * lanes), dtype=lane)
-    packed[..., :patterns] = stack.transpose(2, 1, 0)
+    packed[..., :patterns] = table.transpose(2, 1, 0)
     masks = packed.view(word)  # (words, alphabet, groups)
     if lanes > 1:  # m < 64: each lane's bits below m
         keep = np.array([(1 << m) - 1] * lanes, dtype=lane).view(word)
@@ -119,10 +121,8 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
             carry, spill = spill, carry
     del u, rest, col, carry, spill  # the read-out's arrays take their place
     total = bits * words
-    dtype = np.min_scalar_type(-1 - total) if table.ndim == 3 else np.int64
-    unmatched = np.bitwise_count(v.view(lane)).sum(axis=0, dtype=dtype)  # (R, groups * lanes)
-    lengths = total - unmatched[:, :patterns].T
-    return lengths if table.ndim == 3 else lengths[0]
+    unmatched = np.bitwise_count(v.view(lane)).sum(axis=0, dtype=np.min_scalar_type(-1 - total))  # (R, groups * lanes)
+    return total - unmatched[:, :patterns].T
 
 
 def lcs_with_witness(s, t) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

@@ -196,7 +196,7 @@ def test_is_optimal_guard(monkeypatch):
     # below its sweep estimate, so the sweep's limit admits the scan too
     estimates = []
     check_work = analyze._check_work
-    monkeypatch.setattr(analyze, "_check_work", lambda work: estimates.append(work) or check_work(work))
+    monkeypatch.setattr(analyze, "_check_work", lambda work, limit: estimates.append(work) or check_work(work, limit))
     res = analyze.is_optimal_half_rate(ap, 3)
     assert estimates == [1500, 540]
     assert res.witness == {"f": [0, 1], "g": [6, 1], "I": [1, 2, 3, 4, 5], "J": [2, 3, 4, 5, 6]}
@@ -457,6 +457,10 @@ def test_sample_reproducible_across_threads(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == want
 
 
-def test_sample_guard():
-    with pytest.raises(GuardExceeded):
-        analyze.sample_orderings(field_new(251), "0.5", 1, seed=0)
+def test_sample_guard(monkeypatch):
+    # trials full affine scans of (q^2 - 1) // 2 rows of q symbols, one
+    # word-step per word of each symbol, refused before the first trial
+    monkeypatch.setattr(analyze, "lcs_code_affine", None)
+    for q, trials, work in ((587, 1, 1_011_307_080), (257, 24, 24 * 42_435_840)):
+        with pytest.raises(GuardExceeded, match=f"estimated work {work} exceeds the limit of 1000000000"):
+            analyze.sample_orderings(field_new(q), "0.5", trials, seed=0)

@@ -139,7 +139,7 @@ def test_large_q_class_guards_exit_3_at_once(capsys, argv):
 
 
 def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
-    # 1021 * (1021^2 - 1) / 2 symbols: refused before any table is built
+    # (1021^2 - 1) / 2 rows of 1021 symbols, 16 words each: refused before any table is built
     alpha = ",".join(map(str, range(1021)))
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", "--field", "1021", "--k", "2", "--alpha", alpha, "--method", "affine")
@@ -147,7 +147,7 @@ def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
-    assert error["message"] == "estimated work 532165620 exceeds the limit of 100000000"
+    assert error["message"] == "estimated work 8514649920 exceeds the limit of 1000000000"
 
     class Admitted(Exception):
         pass
@@ -155,10 +155,10 @@ def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
     def kernel(masks, m, rows):
         raise Admitted
 
-    # q = 509 (65,935,860 symbols) passes the guard and reaches the kernel
+    # q = 577 (960,497,280 word-steps) passes the guard and reaches the kernel
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
     with pytest.raises(Admitted):
-        cli.main(["analyze", "--field", "509", "--k", "2", "--alpha", ",".join(map(str, range(509))), "--method", "affine"])
+        cli.main(["analyze", "--field", "577", "--k", "2", "--alpha", ",".join(map(str, range(577))), "--method", "affine"])
 
 
 def test_census_time_guard(capsys):
@@ -222,6 +222,12 @@ def test_sample_reproducible(capsys):
     assert a == b
     doc = json.loads(a[1])
     assert doc["result"]["trials"] == 6
+
+
+def test_sample_runs_above_q_128(capsys):
+    # one GF(2^8) scan is 32,767 rows of 256 symbols, 4 words each: 33,553,408 word-steps
+    doc = run_json(capsys, "sample", "--field", "256", "--delta", "0.5", "--trials", "1", "--seed", "1")
+    assert len(doc["result"]["lcs_values"]) == 1
 
 
 def test_sample_thread_count_invariance(capsys):
@@ -431,7 +437,8 @@ MALFORMED = [
     (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "")),
     (2, ("analyze", "--field", "7", "--k", "0", "--alpha", "0,1,2")),
     (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2")),
-    (3, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2", "--max-codewords", "-1")),
+    # 176 passes of 8 patterns against 37^4 rows of 5: 1,649,261,680 word-steps
+    (3, ("analyze", "--field", "37", "--k", "4", "--alpha", "0,1,2,3,4")),
     (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,3", "--method", "affine")),
     (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2", "--method", "affine")),
     (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate")),
@@ -447,7 +454,7 @@ MALFORMED = [
     (2, ("sample", "--field", "7", "--delta", "1/0", "--trials", "1", "--seed", "1")),
     (2, ("sample", "--field", "7", "--delta", "0.5", "--trials", "-1", "--seed", "1")),
     (2, ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1")),
-    (3, ("sample", "--field", "256", "--delta", "0.5", "--trials", "1", "--seed", "1")),
+    (3, ("sample", "--field", "587", "--delta", "0.5", "--trials", "1", "--seed", "1")),
     (2, ("construct", "--field", "7", "--k", "1")),
     (2, ("construct", "--field", "7", "--k", "3", "--allow-small-q")),
     (2, ("construct", "--field", "2", "--k", "2", "--allow-small-q")),

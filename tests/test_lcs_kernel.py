@@ -47,12 +47,13 @@ def lis_length(seq):
 
 
 def test_match_masks_layout():
-    table = insdel.match_masks([2, 0, 2] + [1] * 62 + [2], 3)
-    assert table.dtype == np.uint64 and table.shape == (3, 2)
+    stack = insdel.match_masks([[2, 0, 2] + [1] * 62 + [2]], 3)
+    assert stack.dtype == np.uint64 and stack.shape == (1, 3, 2)
+    table = stack[0]
     assert table[2].tolist() == [0b101, 1 << 1]  # positions 0, 2 and 65
     assert table[0].tolist() == [0b10, 0]
     assert int(table[1, 0]) == ((1 << 61) - 1) << 3 and int(table[1, 1]) == 1  # positions 3..64
-    assert insdel.match_masks([], 4).shape == (4, 0)
+    assert insdel.match_masks([[]], 4).shape == (1, 4, 0)
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 127, 128, 129, 200])
@@ -63,32 +64,32 @@ def test_kernel_matches_dp(m):
     rng = random.Random(1000 + m)
     for alphabet in (2, 3, 11, 200):
         s = [rng.randrange(alphabet) for _ in range(m)]
-        table = insdel.match_masks(s, alphabet)
+        table = insdel.match_masks([s], alphabet)
         shapes = ((1, "C", np.uint8), (m, "F", np.uint8), (rng.randrange(2, 260), "C", np.int64))
         for n, order, dtype in shapes:
             rows = [[rng.randrange(alphabet) for _ in range(n)] for _ in range(9)]
             rows = np.array(rows, dtype=dtype, order=order)
             rows[0] = (s * n)[:n]  # a row sharing a prefix with s
             got = insdel.lcs_from_masks(table, m, rows)
-            assert got.dtype == np.int64
-            assert got.tolist() == [lcs_dp(s, list(r)) for r in rows]
+            assert got.shape == (1, len(rows)) and got.dtype.kind == "i"
+            assert got.tolist() == [[lcs_dp(s, list(r)) for r in rows]]
 
 
 def test_kernel_all_ones_carry_chain():
     # s = 0^m against rows of 0s: every column carries through every word.
     for m in (64, 129, 200):
-        table = insdel.match_masks([0] * m, 2)
+        table = insdel.match_masks([[0] * m], 2)
         rows = np.zeros((3, 150), dtype=np.int32)
         rows[1, ::2] = 1
         rows[2, :] = 1
-        assert insdel.lcs_from_masks(table, m, rows).tolist() == [min(m, 150), min(m, 75), 0]
+        assert insdel.lcs_from_masks(table, m, rows).tolist() == [[min(m, 150), min(m, 75), 0]]
 
 
 def test_kernel_edge_shapes():
-    table = insdel.match_masks([1, 2, 3], 4)
-    assert insdel.lcs_from_masks(table, 3, np.zeros((0, 5), dtype=np.uint8)).tolist() == []
-    assert insdel.lcs_from_masks(table, 3, np.zeros((2, 0), dtype=np.uint8)).tolist() == [0, 0]
-    assert insdel.lcs_from_masks(insdel.match_masks([], 4), 0, [[1, 2]]).tolist() == [0]
+    table = insdel.match_masks([[1, 2, 3]], 4)
+    assert insdel.lcs_from_masks(table, 3, np.zeros((0, 5), dtype=np.uint8)).tolist() == [[]]
+    assert insdel.lcs_from_masks(table, 3, np.zeros((2, 0), dtype=np.uint8)).tolist() == [[0, 0]]
+    assert insdel.lcs_from_masks(insdel.match_masks([[]], 4), 0, [[1, 2]]).tolist() == [[0]]
 
 
 @pytest.mark.parametrize("m", [1, 6, 7, 8, 15, 16, 31, 32, 63, 64, 65])
@@ -101,7 +102,7 @@ def test_stacked_kernel_matches_lcs(m):
     for patterns in (1, 2, 7, 8, 9, 17):
         alphabet = rng.choice((2, 3, 23))
         seqs = [[rng.randrange(alphabet) for _ in range(m)] for _ in range(patterns)]
-        stack = np.stack([insdel.match_masks(s, alphabet) for s in seqs])
+        stack = np.concatenate([insdel.match_masks([s], alphabet) for s in seqs])
         n = rng.randrange(1, 2 * m + 3)
         rows = np.array([[rng.randrange(alphabet) for _ in range(n)] for _ in range(7)], dtype=np.uint8, order="F")
         rows[0] = (seqs[-1] * n)[:n]  # a row sharing a prefix with the last pattern
@@ -109,8 +110,8 @@ def test_stacked_kernel_matches_lcs(m):
         assert got.shape == (patterns, 7) and got.dtype.kind == "i"
         assert got.tolist() == [[lcs(s, list(r)) for r in rows] for s in seqs]
         for table, lengths in zip(stack, got):
-            alone = insdel.lcs_from_masks(table, m, rows)
-            assert alone.dtype == np.int64 and np.array_equal(alone, lengths)
+            alone = insdel.lcs_from_masks(table[None], m, rows)
+            assert alone.dtype == got.dtype and np.array_equal(alone, [lengths])
 
 
 @pytest.mark.parametrize("m", [1, 6, 7, 8, 15, 16, 31, 32, 63])
@@ -122,18 +123,18 @@ def test_stacked_kernel_all_carry_in_every_lane(m):
     rows = np.ones((3, n), dtype=np.uint8)
     rows[0] = 0
     rows[1, ::2] = 0
-    table = insdel.match_masks([0] * m, 2)
+    table = insdel.match_masks([[0] * m], 2)
     for patterns in (2, 8, 9, 17):
-        got = insdel.lcs_from_masks(np.stack([table] * patterns), m, rows)
+        got = insdel.lcs_from_masks(np.concatenate([table] * patterns), m, rows)
         assert got.tolist() == [[m, min(m, (n + 1) // 2), 0]] * patterns
 
 
 def test_stacked_kernel_edge_shapes():
-    stack = np.stack([insdel.match_masks(s, 4) for s in ([1, 2, 3], [3, 3, 0], [0, 1, 2])])
+    stack = np.concatenate([insdel.match_masks([s], 4) for s in ([1, 2, 3], [3, 3, 0], [0, 1, 2])])
     for rows, want in ((np.zeros((0, 5), dtype=np.uint8), (3, 0)), (np.zeros((2, 0), dtype=np.uint8), (3, 2))):
         got = insdel.lcs_from_masks(stack, 3, rows)
         assert got.shape == want and not got.any()
-    empty = np.stack([insdel.match_masks([], 4)] * 9)  # m = 0: no words at all
+    empty = np.concatenate([insdel.match_masks([[]], 4)] * 9)  # m = 0: no words at all
     assert insdel.lcs_from_masks(empty, 0, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
 
 
@@ -233,7 +234,7 @@ def affine_kernel_reference(ev):
     for i, a in enumerate(a_vals):
         sel = a_idx == i
         rows[sel] = fld.v_add(fld.v_mul(arr, a)[None, :], b_rows[sel, None])
-    lengths = insdel.lcs_from_masks(insdel.match_masks(ev.points, q), q, rows)
+    lengths = insdel.lcs_from_masks(insdel.match_masks([ev.points], q), q, rows)[0]
     i = int(lengths.argmax())
     return int(lengths[i]), [int(b_rows[i]), int(a_vals[a_idx[i]])]
 
@@ -302,14 +303,15 @@ def test_affine_on_both_sides_of_the_symbol_dtype_switch(q, monkeypatch):
 
 
 def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
-    # the scan has (q^2 - 1) // 2 rows of q symbols
+    # the scan has (q^2 - 1) // 2 rows of q symbols, one word-step per word of
+    # the pattern 0 .. q-1 for each symbol
     for q in (3, 4, 5, 8, 9, 25, 32):
         assert len(analyze._affine_rows(field_from_order(q))[2]) == (q * q - 1) // 2
-    for q in (1021, 1024):
-        work = q * ((q * q - 1) // 2)
+    for q, work in ((587, 1_011_307_080), (1021, 8_514_649_920), (1024, 8_589_918_208)):
+        assert work == (q * q - 1) // 2 * q * -(-q // 64)
         ev = EvaluationVector(field_from_order(q), tuple(range(q)))
         t0 = time.perf_counter()
-        with pytest.raises(analyze.GuardExceeded, match=f"estimated work {work} exceeds the limit of 100000000"):
+        with pytest.raises(analyze.GuardExceeded, match=f"estimated work {work} exceeds the limit of 1000000000"):
             analyze.lcs_code_affine(ev)
         assert time.perf_counter() - t0 < 1.0
 
@@ -319,10 +321,10 @@ def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
     def kernel(masks, m, rows):
         raise Admitted
 
-    # q = 509 (65,935,860 symbols) passes the guard and reaches the kernel
+    # q = 577 (960,497,280 word-steps) passes the guard and reaches the kernel
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
     with pytest.raises(Admitted):
-        analyze.lcs_code_affine(EvaluationVector(field_new(509), tuple(range(509))))
+        analyze.lcs_code_affine(EvaluationVector(field_new(577), tuple(range(577))))
 
 
 def bigint_masks(s, alphabet):
@@ -344,9 +346,9 @@ def test_match_masks_equal_the_bigint_construction(n):
     for alphabet in (1, 2, 7, 509):
         s = [rng.randrange(alphabet) for _ in range(n)]
         for seq in (s, tuple(s), np.array(s, dtype=np.int64), np.array(s, dtype=np.uint16)):
-            masks = insdel.match_masks(seq, alphabet)
-            assert masks.dtype == np.uint64 and masks.shape == (alphabet, -(-n // 64))
-            assert np.array_equal(masks, bigint_masks(s, alphabet))
+            masks = insdel.match_masks([seq], alphabet)
+            assert masks.dtype == np.uint64 and masks.shape == (1, alphabet, -(-n // 64))
+            assert np.array_equal(masks[0], bigint_masks(s, alphabet))
         # a (P, n) stack of sequences gives the stack of their tables
         seqs = [s] + [[rng.randrange(alphabet) for _ in range(n)] for _ in range(4)]
         for stack in (seqs, np.array(seqs, dtype=np.int64), np.array(seqs, dtype=np.uint16)[:1]):
@@ -361,9 +363,9 @@ def test_identity_masks_match_the_general_table():
         table = np.zeros((m, -(-m // 64)), dtype=np.uint64)
         for c in range(m):
             table[c, c // 64] = np.uint64(1) << np.uint64(c % 64)
-        masks = insdel.match_masks(np.arange(m), m)
+        masks = insdel.match_masks(np.arange(m)[None], m)
         assert masks.dtype == np.uint64
-        assert np.array_equal(masks, table)
+        assert np.array_equal(masks, table[None])
 
 
 # -- the brute-force engine -------------------------------------------------------
@@ -414,14 +416,14 @@ def test_bruteforce_matches_reference(k):
 
 def test_bruteforce_rows_are_the_codewords(monkeypatch):
     cases = [
-        (RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3), 20_000),
+        RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3),
         # k = 1 over a full-length GF(97) ordering: 97 rows of length 97
-        (RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1), 100),
+        RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1),
     ]
     seen = counting_kernel(monkeypatch)
-    for code, cap in cases:
+    for code in cases:
         seen.clear()
-        report = analyze.lcs_code_bruteforce(code, max_codewords=cap)
+        report = analyze.lcs_code_bruteforce(code)
         assert np.array_equal(seen[0], [w for _, w in codewords(code)])
         assert seen[0].flags.f_contiguous
         best, (f, g) = bruteforce_reference(code)
@@ -436,7 +438,7 @@ def pattern_counts(monkeypatch):
     real = insdel.lcs_from_masks
 
     def kernel(masks, m, rows):
-        seen.append(len(masks) if masks.ndim == 3 else 1)
+        seen.append(len(masks))
         return real(masks, m, rows)
 
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
@@ -474,19 +476,161 @@ def test_bruteforce_packs_eight_polynomials_per_pass(monkeypatch):
 
 
 def test_bruteforce_scan_stays_within_the_block_budget():
-    # the 12,167 rows, the kernel's state and the (8, R) lengths of a pass
-    code = RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3)
-    analyze.lcs_code_bruteforce(code)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        report = analyze.lcs_code_bruteforce(code)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert report.lcs_of_code == 4
-    assert peak <= errors.BLOCK_BYTES
+    cases = [
+        # the 12,167 rows, the kernel's state and the (8, R) lengths of a pass
+        (RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3), 4),
+        # 1021^2 rows of 3 symbols, about 40 MB in one piece: built and measured in chunks
+        (RsCode(EvaluationVector(field_new(1021), (0, 1, 2)), 2), 2),
+    ]
+    for code, lcs_value in cases:
+        analyze.lcs_code_bruteforce(code)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = analyze.lcs_code_bruteforce(code)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.lcs_of_code == lcs_value
+        assert peak <= errors.BLOCK_BYTES
+
+
+def test_bruteforce_chunk_size_does_not_change_results(monkeypatch):
+    # GF(7), (5, 2, 6, 4, 1), k = 3, one constant term per chunk: family member 3
+    # reaches n - 1 in the chunk of c = 0, member 2 in that of c = 1 and the
+    # witness, member 1, in that of c = 4, so later chunks rescan fewer members
+    codes = [
+        RsCode(EvaluationVector(field_new(7), (5, 2, 6, 4, 1)), 3),
+        RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3),
+        RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1),
+        RsCode(EvaluationVector(field_new(11), (10, 9, 0, 6)), 2),
+    ] + [RsCode(EvaluationVector(field_from_order(q), points), 3) for q, points, _, _ in LANE_CASES]
+    want = [analyze.lcs_code_bruteforce(code) for code in codes]
+    for code, report in zip(codes, want):
+        best, (f, g) = bruteforce_reference(code)
+        assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
+    for budget in (1, 300, 3000):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        assert [analyze.lcs_code_bruteforce(code) for code in codes] == want
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
+    seen = pattern_counts(monkeypatch)
+    analyze.lcs_code_bruteforce(codes[0])
+    assert seen == [8, 4, 3, 3, 3, 2, 2]
+
+
+# -- the kernel-work guard -------------------------------------------------------
+
+
+def step_counts(monkeypatch):
+    """Patch the kernel the exact engines call; the list collects the
+    word-steps of each pass, read off its arguments as the kernel lays them
+    out: one per word of each group of lanes, row and column."""
+    seen = []
+    real = insdel.lcs_from_masks
+
+    def kernel(masks, m, rows):
+        patterns, _, words = masks.shape
+        lanes = min(64 // insdel.lane_bits(m), 1 << (patterns - 1).bit_length())
+        seen.append(-(-patterns // lanes) * rows.shape[0] * rows.shape[1] * words)
+        return real(masks, m, rows)
+
+    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
+    return seen
+
+
+def test_kernel_steps_count_the_bruteforce_passes(monkeypatch):
+    seen = step_counts(monkeypatch)
+    full_scans = [
+        RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3),  # 25 patterns, 8 to a word
+        RsCode(EvaluationVector(field_new(17), (7, 4, 5, 3, 14, 15, 9)), 3),
+        RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1),  # two words per row
+        RsCode(EvaluationVector(field_new(67), analyze.random_ordering(67, analyze.SplitMix64(1))), 2),
+        RsCode(EvaluationVector(field_new(7), (0, 1, 2, 5)), 2),
+    ]
+    early_stops = [
+        RsCode(EvaluationVector(field_from_order(16), (13, 12, 0, 2, 9, 4)), 3),  # n - 1 in the second pass
+        RsCode(EvaluationVector(field_new(7), tuple(range(7))), 2),
+    ]
+    skipped = []
+    for code in full_scans + early_stops:
+        seen.clear()
+        report = analyze.lcs_code_bruteforce(code, want_witness=False)
+        estimate = insdel.kernel_steps(analyze._family_size(code.q, code.k), code.q**code.k, code.n, code.n)
+        assert (report.lcs_of_code < code.n - 1) == (code in full_scans)
+        if code in full_scans:
+            assert sum(seen) == estimate
+        else:
+            assert sum(seen) <= estimate
+            skipped.append(sum(seen) < estimate)
+    assert skipped == [True, False]  # GF(7)'s one pass reaches n - 1
+
+
+@pytest.mark.parametrize("q", [11, 27, 81, 131])
+def test_kernel_steps_count_the_affine_passes(q, monkeypatch):
+    # four blocks of uint8 symbols: the passes of one full scan add up to its estimate
+    rows = (q * q - 1) // 2
+    monkeypatch.setattr(errors, "BLOCK_BYTES", -(-rows // 4) * 2 * q)
+    seen = step_counts(monkeypatch)
+    estimate = insdel.kernel_steps(1, rows, q, q)
+    kinds = set()
+    for ev in orderings(q, 2, seed=q):  # two random orderings, then two bad ones
+        seen.clear()
+        full = analyze.lcs_code_affine(ev, want_witness=False).lcs_of_code < q - 1
+        assert sum(seen) == estimate if full else sum(seen) <= estimate
+        kinds.add(full)
+    assert kinds == {True, False}
+
+
+def test_family_size_counts_the_normalized_polys():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        fld = field_from_order(q)
+        for k in range(1, 6):
+            assert analyze._family_size(q, k) == len(list(analyze._normalized_polys(fld, k)))
+
+
+def test_kernel_work_guard_boundary(monkeypatch):
+    # each engine is refused one word-step below its estimate and runs at it
+    code = RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3)
+    ev = EvaluationVector(field_new(11), analyze.random_ordering(11, analyze.SplitMix64(2)))
+    runs = [
+        (-(-9 // 8) * 7**3 * 6, lambda: analyze.lcs_code_bruteforce(code)),  # 9 patterns of 6, 8 to a word
+        (60 * 11, lambda: analyze.lcs_code_affine(ev)),  # 60 rows of 11
+        (3 * 60 * 11, lambda: analyze.sample_orderings(ev.field, "0.5", 3, seed=1)),
+    ]
+    for estimate, run in runs:
+        monkeypatch.setattr(errors, "MAX_KERNEL_STEPS", estimate - 1)
+        message = f"^estimated work {estimate} exceeds the limit of {estimate - 1}$"
+        with pytest.raises(analyze.GuardExceeded, match=message):
+            run()
+        monkeypatch.setattr(errors, "MAX_KERNEL_STEPS", estimate)
+        run()
+
+
+def test_bruteforce_guard_counts_kernel_steps(monkeypatch):
+    # k = 1 over all of GF(8191): one pattern against 8191 rows of 128 words,
+    # refused before the codeword table is built
+    code = RsCode(EvaluationVector(field_new(8191), tuple(range(8191))), 1)
+    with monkeypatch.context() as m:
+        m.setattr(analyze, "_codeword_table", None)
+        t0 = time.perf_counter()
+        with pytest.raises(analyze.GuardExceeded, match="estimated work 8587837568 exceeds the limit of 1000000000"):
+            analyze.lcs_code_bruteforce(code)
+        assert time.perf_counter() - t0 < 1.0
+
+    class Admitted(Exception):
+        pass
+
+    def kernel(masks, m, rows):
+        raise Admitted
+
+    # k = 3 over all of GF(59), 739,159,021 word-steps, and k = 2 over all of
+    # GF(139), the largest k >= 2 scan of the former 20,000-codeword limit, pass
+    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
+    for q, k, work in ((59, 3, 739_159_021), (139, 2, 16_113_714)):
+        assert insdel.kernel_steps(analyze._family_size(q, k), q**k, q, q) == work
+        with pytest.raises(Admitted):
+            analyze.lcs_code_bruteforce(RsCode(EvaluationVector(field_new(q), tuple(range(q))), k))
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 23])
