@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors, insdel, poly
-from .errors import DEFAULT_MAX_OPS, GuardExceeded, InvariantViolation
+from .errors import GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
 from .insdel import kernel_steps, lcs_from_masks, match_masks
 from .rscode import EvaluationVector, RsCode, equivalent
@@ -123,9 +122,9 @@ def _family_size(q: int, k: int) -> int:
     return 1 if k == 1 else q ** (k - 2) + (q ** (k - 2) - 1) // (q - 1) + 1
 
 
-def _check_work(estimate: int, limit: int) -> None:
-    if estimate > limit:
-        raise GuardExceeded(f"estimated work {estimate} exceeds the limit of {limit}")
+def _affine_steps(q: int) -> int:
+    # kernel_steps of lcs_code_affine's full scan: one pattern against (q^2 - 1) // 2 rows of q
+    return kernel_steps(1, (q * q - 1) // 2, q, q)
 
 
 def _codeword_table(code: RsCode, count: int) -> np.ndarray:
@@ -158,7 +157,7 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     word-steps raises GuardExceeded before any table is built.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
-    _check_work(kernel_steps(_family_size(q, k), q**k, n, n), errors.MAX_KERNEL_STEPS)
+    errors.check_work(kernel_steps(_family_size(q, k), q**k, n, n), errors.MAX_KERNEL_STEPS)
     words = _codeword_table(code, q ** (k - 1))
     size = len(words)
     family = list(_normalized_polys(fld, k))
@@ -240,7 +239,7 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     fld = ev.field
     q = fld.q
     code = RsCode(ev, 2)
-    _check_work(kernel_steps(1, (q * q - 1) // 2, q, q), errors.MAX_KERNEL_STEPS)
+    errors.check_work(_affine_steps(q), errors.MAX_KERNEL_STEPS)
     arr = np.array(ev.points, dtype=np.int64)
     symbol = np.min_scalar_type(q - 1)
     elements = np.arange(q)
@@ -323,7 +322,7 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     with g != f in (f, I, J) order is the witness.  A deficient pair always
     yields one (see insdel.rank_certificate), so a scan that finds none
     raises InvariantViolation.
-    Each phase's estimated work is checked against DEFAULT_MAX_OPS before
+    Each phase's estimated work is checked against errors.MAX_OPS before
     it runs (GuardExceeded): k(k+1)(2k-1)^3 for the sweep, and for the scan
     the entries of its two field products, |family| * (deficient pairs) *
     (k-1)(2k-1), with |family| = _family_size(q, k).
@@ -332,12 +331,12 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     n = ev.n
     if n != 2 * k:
         raise ValueError("optimality checker requires n = 2k")
-    _check_work(k * (k + 1) * (2 * k - 1) ** 3, DEFAULT_MAX_OPS)
+    errors.check_work(k * (k + 1) * (2 * k - 1) ** 3, errors.MAX_OPS)
     points = ev.points
     pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))]
     if not pairs:
         return OptimalityResult(True, None)
-    _check_work(_family_size(fld.q, k) * len(pairs) * (k - 1) * (2 * k - 1), DEFAULT_MAX_OPS)
+    errors.check_work(_family_size(fld.q, k) * len(pairs) * (k - 1) * (2 * k - 1), errors.MAX_OPS)
     seqs = np.array(pairs)  # (pairs, 2, 2k-1)
     reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
     maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
@@ -462,14 +461,10 @@ def bad_classes(fld: Field):
     """Yield each affine class of bad_ordering_family once, at its first
     member in family order, as (canonical form, _class_members members).
     Before the first class, q < 3 raises ValueError and more than
-    DEFAULT_MAX_OPS elements in the 2*phi(q-1)+1 family vectors raise
+    errors.MAX_OPS elements in the 2*phi(q-1)+1 family vectors raise
     GuardExceeded."""
-    q = fld.q
-    elements = (2 * euler_phi(q - 1) + 1) * q
-    if elements > DEFAULT_MAX_OPS:
-        raise GuardExceeded(
-            f"bad family of {fld.name()}: estimated {elements} elements exceed the limit of {DEFAULT_MAX_OPS}"
-        )
+    elements = (2 * euler_phi(fld.q - 1) + 1) * fld.q
+    errors.check_work(elements, errors.MAX_OPS, f"elements of the bad family of {fld.name()}")
     for reason, theta, vec in bad_ordering_family(fld):
         form, members = _class_members(fld, vec)  # refuses q < 3 at the first member
         if members[0] == (reason, theta):
@@ -528,12 +523,7 @@ def _factorial_above(n: int, limit: int) -> bool:
     return prod > limit
 
 
-def census_2dim(
-    fld: Field,
-    max_classes: int = DEFAULT_MAX_CLASSES,
-    verify: str = "auto",
-    time_guard_s: float | None = None,
-) -> CensusResult:
+def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str = "auto") -> CensusResult:
     """Classify every equivalence class of full-length orderings (k = 2).
 
     Each class has a unique representative starting (0, 1), its canonical
@@ -541,44 +531,42 @@ def census_2dim(
     are counted, not visited.  verify picks the classes re-measured with the
     exact affine engine by rank in class order: "all" every class, "spot" an
     evenly spaced sample of about SPOT_CHECKS, "none" none, "auto" "all" for
-    q <= 8 and "spot" above.  One loop re-measures the verified classes, and
-    any disagreement with the bad forms is an invariant violation; a second
-    loop then lists the bad forms, sorted, with their verdicts.  q must be
-    at least 3, and (q-2)! at most max_classes (GuardExceeded, decided
-    without building a larger (q-2)!).  time_guard_s, when set, is checked
-    after every visited class of either loop.
+    q <= 8 and "spot" above; any other mode is a ValueError before any work.
+    One loop re-measures the verified classes, and any disagreement with the
+    bad forms is an invariant violation; a second loop then lists the bad
+    forms, sorted, with their verdicts.  q must be at least 3, and (q-2)! at
+    most max_classes (GuardExceeded, decided without building a larger
+    (q-2)!).  The verified classes' affine scans share the engine's limit,
+    errors.MAX_KERNEL_STEPS, checked before the bad family is walked.
     """
     q = fld.q
+    if verify == "auto":
+        verify = "all" if q <= 8 else "spot"
+    if verify not in ("all", "spot", "none"):
+        raise ValueError(f"unknown verify mode {verify!r}")
     if _factorial_above(q - 2, max_classes):
         # the exact count only while it fits in 64 bits
         count = f"(q-2)! = {math.factorial(q - 2)}" if q <= 22 else f"(q-2)! at q={q}"
         raise GuardExceeded(f"{count} exceeds max_classes={max_classes}")
     total = math.factorial(q - 2)
-    forms = [form for form, _ in bad_classes(fld)]  # refuses q < 3 before any work
-    if verify == "auto":
-        verify = "all" if q <= 8 else "spot"
     spot = range(0, total, max(1, total // SPOT_CHECKS))
-    verify_idx = {"all": range(total), "spot": spot, "none": range(0)}.get(verify)
-    if verify_idx is None:
-        raise ValueError(f"unknown verify mode {verify!r}")
+    verify_idx = {"all": range(total), "spot": spot, "none": range(0)}[verify]
+    what = f"kernel word-steps of verifying {len(verify_idx)} classes of {fld.name()}"
+    errors.check_work(len(verify_idx) * _affine_steps(q), errors.MAX_KERNEL_STEPS, what)
+    forms = [form for form, _ in bad_classes(fld)]  # refuses q < 3 before any work
     stray = [form for form in forms if form[:2] != (0, 1) or sorted(form) != list(range(q))]
     if stray:  # the classes between bad forms are counted, so every form must be a class
         raise InvariantViolation(f"bad-class form {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
-    deadline = time.perf_counter() + (math.inf if time_guard_s is None else time_guard_s)
     bad = set(forms)
     for i in verify_idx:
         ev = EvaluationVector(fld, (0, 1) + _unrank(range(2, q), i))
         if (ev.points in bad) != (lcs_code_affine(ev, want_witness=False).lcs_of_code == q - 1):
             raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
-        if time.perf_counter() > deadline:
-            raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
     bad_entries = []
     for form in sorted(forms):
         ev = EvaluationVector(fld, form)
         verdict = classify_bad_ordering(ev)
         bad_entries.append({"alpha": ev.serialize(), "reason": verdict.reason, "witness": verdict.witness})
-        if time.perf_counter() > deadline:
-            raise GuardExceeded(f"exceeded time guard of {time_guard_s}s")
     reason_counts = dict(Counter(entry["reason"] for entry in bad_entries))
     good = total - len(bad_entries)
     return CensusResult(
@@ -676,7 +664,7 @@ def sample_orderings(
     frac = parse_fraction(delta)
     if not 0 < frac <= 1:
         raise ValueError("delta must satisfy 0 < delta <= 1")
-    _check_work(trials * kernel_steps(1, (q * q - 1) // 2, q, q), errors.MAX_KERNEL_STEPS)
+    errors.check_work(trials * _affine_steps(q), errors.MAX_KERNEL_STEPS)
     threshold = math.floor(frac * q) - 1
     values = []
     for idx in range(trials):

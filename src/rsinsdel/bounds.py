@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import analyze
-from .errors import GuardExceeded
+from . import analyze, errors
 from .gf import Field, euler_phi, is_prime
 from .rscode import EvaluationVector
 
@@ -34,11 +33,7 @@ def _digits(log_value: float) -> int:
 def _check_digits(what: str, log_value: float) -> None:
     """GuardExceeded when a value whose natural log is log_value would have
     more than MAX_DIGITS decimal digits; the estimate comes before any work."""
-    digits = _digits(log_value)
-    if digits > MAX_DIGITS:
-        raise GuardExceeded(
-            f"{what} has an estimated {digits} decimal digits, above the limit of {MAX_DIGITS}"
-        )
+    errors.check_work(_digits(log_value), MAX_DIGITS, f"decimal digits of {what}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +115,8 @@ def bad_ordering_count_bound(q: int, ell: int) -> int:
     terms = _term_count(q, ell)
     if terms:
         digits = _digits(_last_term_log(q, ell))
-        if terms * digits > MAX_SUM_WORK:
-            raise GuardExceeded(
-                f"bad_ordering_count_bound({q}, {ell}) needs an estimated {terms * digits} "
-                f"term-digits ({terms} terms of up to {digits} decimal digits), "
-                f"above the limit of {MAX_SUM_WORK}"
-            )
+        what = f"term-digits of bad_ordering_count_bound({q}, {ell}), {terms} terms of up to {digits} digits"
+        errors.check_work(terms * digits, MAX_SUM_WORK, what)
     total = 0
     for s in range(ell + 1, ell + terms + 1):
         term = (

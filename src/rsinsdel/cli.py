@@ -130,12 +130,7 @@ def cmd_classify(args) -> None:
 def cmd_census(args) -> None:
     t0 = time.perf_counter()
     fld = _parse_field(args.field)
-    result = analyze.census_2dim(
-        fld,
-        max_classes=args.max_classes,
-        verify=args.verify,
-        time_guard_s=args.time_guard,
-    )
+    result = analyze.census_2dim(fld, max_classes=args.max_classes, verify=args.verify)
     params = {
         "field": fld.name(),
         "verify": args.verify,
@@ -316,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--verify", default="auto", choices=["auto", "all", "spot", "none"])
     p.add_argument("--max-classes", type=int, default=analyze.DEFAULT_MAX_CLASSES)
-    p.add_argument("--time-guard", type=float, default=None, help="abort after this many seconds")
     common(p, threads=True)
     p.set_defaults(func=cmd_census)
 
@@ -375,8 +369,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
-        if math.isnan(getattr(args, "time_guard", None) or 0.0):  # NaN compares false with every time
-            raise ValueError("time guard must be a number of seconds, got nan")
         args.func(args)
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, exc)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analyze, insdel, poly
-from .errors import GuardExceeded, InvariantViolation
+from . import analyze, errors, insdel, poly
+from .errors import InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
 
@@ -367,12 +367,7 @@ def construct_half_rate(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "
             "pass allow_small_q=True to attempt anyway"
         )
-    ops = stage_work(fld.q, k)
-    if ops > MAX_STAGE_OPS:
-        raise GuardExceeded(
-            f"stages 3..{k} at q={fld.q}: estimated {ops} element operations "
-            f"exceed the limit of {MAX_STAGE_OPS}"
-        )
+    errors.check_work(stage_work(fld.q, k), MAX_STAGE_OPS, f"element operations of stages 3..{k} at q={fld.q}")
     stages = []
     ev = base_case(fld)
     points = ev.points

@@ -1,14 +1,19 @@
-"""Shared error types.
+"""Shared error types and work limits.
 
 Guards are explicit limits, never silent truncation: exceeding one raises
 GuardExceeded so results are all-or-nothing.  InvariantViolation marks
 conditions that the underlying theory rules out; seeing one means a bug or a
-broken precondition, not an unlucky input.
+broken precondition, not an unlucky input.  Every fixed limit is checked by
+check_work, and every guard reads its limit at call time.
 """
 
-# Default work budget of the guarded super-linear entry points.
-DEFAULT_MAX_OPS = 100_000_000
-# Word-steps (insdel.kernel_steps) of one exact LCS engine run, 3-15 ns each.
+# Work limit of the index-pair sweep, the optimality checker and the bad family.
+MAX_OPS = 100_000_000
+# Word-steps (insdel.kernel_steps) of one exact LCS engine run.  It bounds
+# kernel work, and wall time only for large scans: a word-step of a large
+# scan takes 3-15 ns on a 2-core VM, but the one-ordering affine scans that
+# census and sample repeat cost 45-435 ns per word-step at q = 7..16
+# (64-92 us per ordering, mostly fixed cost per call).
 MAX_KERNEL_STEPS = 10**9
 # Working memory of one block of every blocked loop, in bytes, read at call
 # time; in `sample --field 81` runs 2^20 beat 2^18 and 2^19 by 20-30%.
@@ -16,8 +21,16 @@ BLOCK_BYTES = 1 << 20
 
 
 class GuardExceeded(RuntimeError):
-    """A configured work/time limit would be exceeded; no partial results."""
+    """A configured work limit would be exceeded; no partial results."""
 
 
 class InvariantViolation(RuntimeError):
     """A mathematically impossible condition was observed."""
+
+
+def check_work(estimate: int, limit: int, what: str = "") -> None:
+    """GuardExceeded, before any work, when estimate exceeds limit; what
+    names the bounded work and its unit, and prefixes the message."""
+    if estimate > limit:
+        prefix = f"{what}: " if what else ""
+        raise GuardExceeded(f"{prefix}estimated work {estimate} exceeds the limit of {limit}")

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, poly
-from .errors import DEFAULT_MAX_OPS, GuardExceeded
 from .rscode import RsCode
 
 
@@ -179,13 +178,11 @@ def index_pairs(n: int, ell: int, min_distance: int):
     """The ordered pairs (I, J) of increasing length-ell sequences over 1..n
     at Hamming distance >= min_distance, I-major, each lexicographically.
 
-    More than DEFAULT_MAX_OPS candidate pairs, C(n, ell)^2, raise
+    More than errors.MAX_OPS candidate pairs, C(n, ell)^2, raise
     GuardExceeded at the call, before any sequence is built.
     """
     combos = enumerate_increasing(n, ell)
-    pairs = math.comb(n, ell) ** 2
-    if pairs > DEFAULT_MAX_OPS:
-        raise GuardExceeded(f"C({n},{ell})^2 = {pairs} index pairs exceed the limit of {DEFAULT_MAX_OPS}")
+    errors.check_work(math.comb(n, ell) ** 2, errors.MAX_OPS, f"C({n},{ell})^2 index pairs")
     combos = list(combos)
     return ((i, j) for i in combos for j in combos if hamming_increasing(i, j) >= min_distance)
 

@@ -4,10 +4,11 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
-from rsinsdel import analyze, bounds, cli, insdel, poly
+from rsinsdel import analyze, bounds, cli, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, equivalent
@@ -184,29 +185,30 @@ def test_is_optimal_guard(monkeypatch):
         analyze.is_optimal_half_rate(EvaluationVector(field_new(1367), tuple(range(8))), 4)
     # k = 3: the rank sweep is 3 * 4 * 5^3 = 1500, refused before any pair is built
     ap = EvaluationVector(F7, (0, 1, 2, 3, 4, 5))
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 1499)
+    monkeypatch.setattr(errors, "MAX_OPS", 1499)
     with monkeypatch.context() as m:
         m.setattr(insdel, "index_pairs", None)
         with pytest.raises(GuardExceeded, match="estimated work 1500 exceeds the limit of 1499"):
             analyze.is_optimal_half_rate(ap, 3)
     # no pair of the optimal (0,1,2,5,3,4) is rank-deficient, so the scan is never estimated
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 1500)
+    monkeypatch.setattr(errors, "MAX_OPS", 1500)
     assert analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5, 3, 4)), 3).optimal is True
     # the arithmetic progression leaves 6 deficient pairs: (7 + 1 + 1) * 6 * 2 * 5 = 540,
-    # below its sweep estimate, so the sweep's limit admits the scan too
+    # below its sweep estimate, so the sweep's limit admits the scan too; between
+    # them index_pairs checks its C(6, 5)^2 = 36 candidate pairs
     estimates = []
-    check_work = analyze._check_work
-    monkeypatch.setattr(analyze, "_check_work", lambda work, limit: estimates.append(work) or check_work(work, limit))
+    check_work = errors.check_work
+    monkeypatch.setattr(errors, "check_work", lambda work, *args: estimates.append(work) or check_work(work, *args))
     res = analyze.is_optimal_half_rate(ap, 3)
-    assert estimates == [1500, 540]
+    assert estimates == [1500, 36, 540]
     assert res.witness == {"f": [0, 1], "g": [6, 1], "I": [1, 2, 3, 4, 5], "J": [2, 3, 4, 5, 6]}
     # range(8) over GF(11), k = 4: 12 deficient pairs, (121 + 12 + 1) * 12 * 21 = 33768,
     # above its sweep estimate 4 * 5 * 7^3 = 6860
     ap8 = EvaluationVector(field_new(11), tuple(range(8)))
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 33767)
+    monkeypatch.setattr(errors, "MAX_OPS", 33767)
     with pytest.raises(GuardExceeded, match="estimated work 33768 exceeds the limit of 33767"):
         analyze.is_optimal_half_rate(ap8, 4)
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 33768)
+    monkeypatch.setattr(errors, "MAX_OPS", 33768)
     assert analyze.is_optimal_half_rate(ap8, 4).witness == {
         "f": [0, 0, 1], "g": [1, 9, 1], "I": [1, 2, 3, 4, 5, 6, 7], "J": [2, 3, 4, 5, 6, 7, 8]
     }
@@ -374,13 +376,14 @@ def test_classification_needs_q_at_least_3():
 
 def test_bad_classes_guard(monkeypatch):
     # 2 * phi(65536) + 1 = 65537 family vectors of length 65537
-    with pytest.raises(GuardExceeded, match="estimated 4295098369 elements exceed the limit of 100000000"):
+    message = r"^elements of the bad family of GF\(65537\): estimated work 4295098369 exceeds the limit of 100000000$"
+    with pytest.raises(GuardExceeded, match=message):
         next(analyze.bad_classes(field_new(65537)))
     # GF(7): (2 * phi(6) + 1) * 7 = 35 elements
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 34)
-    with pytest.raises(GuardExceeded, match="estimated 35 elements exceed the limit of 34"):
+    monkeypatch.setattr(errors, "MAX_OPS", 34)
+    with pytest.raises(GuardExceeded, match=r"^elements of the bad family of GF\(7\): estimated work 35 exceeds the limit of 34"):
         next(analyze.bad_classes(F7))
-    monkeypatch.setattr(analyze, "DEFAULT_MAX_OPS", 35)
+    monkeypatch.setattr(errors, "MAX_OPS", 35)
     assert len(list(analyze.bad_classes(F7))) == 5
 
 
@@ -391,15 +394,32 @@ def test_census_thread_invariance(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == want
 
 
-def test_census_time_guard_holds_with_threads():
-    with pytest.raises(GuardExceeded, match="time guard"):
-        analyze.census_2dim(field_new(3, 2), time_guard_s=1e-9)
+def test_census_refuses_before_walking_the_bad_family(monkeypatch):
+    def walked(fld):
+        raise AssertionError("the bad family was walked")
 
-
-def test_census_time_guard_covers_the_bad_forms():
-    # nothing to verify: the guard is checked in the loop over the bad forms
-    with pytest.raises(GuardExceeded, match="time guard"):
-        analyze.census_2dim(F7, verify="none", time_guard_s=0)
+    monkeypatch.setattr(analyze, "bad_classes", walked)
+    # an unknown verify mode, at GF(16) (over the default max_classes) and at GF(7)
+    for fld in (field_new(2, 4), F7):
+        with pytest.raises(ValueError, match="unknown verify mode 'bogus'"):
+            analyze.census_2dim(fld, verify="bogus")
+    # verification over the kernel limit: 14! classes of GF(16) at 2,032
+    # word-steps each, 200 of GF(151) at 5,164,200, 11! of GF(13) at 1,092
+    refused = [
+        (field_new(2, 4), "all", "verifying 87178291200 classes of GF\\(2\\^4\\): estimated work 177146287718400 "),
+        (field_new(151), "auto", "verifying 200 classes of GF\\(151\\): estimated work 1032840000 "),
+        (field_new(13), "all", "estimated work 43589145600 "),
+    ]
+    for fld, verify, message in refused:
+        t0 = time.perf_counter()
+        with pytest.raises(GuardExceeded, match=message):
+            analyze.census_2dim(fld, max_classes=10**300, verify=verify)
+        assert time.perf_counter() - t0 < 1.0
+    # GF(149)'s default verification, 200 classes at 4,961,700 word-steps, and
+    # GF(11)'s 9! classes at 660 are admitted and walk the bad family
+    for fld, verify in ((field_new(149), "auto"), (field_new(11), "all")):
+        with pytest.raises(AssertionError, match="walked"):
+            analyze.census_2dim(fld, max_classes=10**300, verify=verify)
 
 
 def test_bruteforce_analyze_evaluates_only_the_witness(monkeypatch, capsys):

@@ -91,11 +91,11 @@ def test_bad_ordering_count_bound_matches_literal_oracle():
 def test_digit_guards_refuse_unprintable_results_before_any_factorial(monkeypatch):
     # (q-2)! has 4300 digits at q = 1560 and 4303 at q = 1561
     assert len(str(bounds.good_class_lower_bound(1560))) == bounds.MAX_DIGITS
-    message = r"\(q-2\)! at q=1561 has an estimated 4303 decimal digits, above the limit of 4300"
+    message = r"^decimal digits of \(q-2\)! at q=1561: estimated work 4303 exceeds the limit of 4300$"
     with pytest.raises(GuardExceeded, match=message):
         bounds.good_class_lower_bound(1561)
     bounds.check_count_bound_digits(1000, 2)  # 2580 digits
-    message = r"bad_ordering_count_bound\(3000, 2\) has an estimated 9146 decimal digits"
+    message = r"decimal digits of bad_ordering_count_bound\(3000, 2\): estimated work 9146 exceeds"
     with pytest.raises(GuardExceeded, match=message):
         bounds.check_count_bound_digits(3000, 2)
     bounds.check_count_bound_digits(3000, 3000)  # the empty sum is 0
@@ -114,13 +114,13 @@ def test_digit_guards_refuse_unprintable_results_before_any_factorial(monkeypatc
 def test_sum_work_guard_refuses_before_any_factorial(monkeypatch):
     # tail-bound at q = 8000, delta = 1/2 took 14.5 s before the guard
     message = (
-        r"bad_ordering_count_bound\(8000, 4000\) needs an estimated 79600000 term-digits "
-        r"\(4000 terms of up to 19900 decimal digits\), above the limit of 10000000"
+        r"^term-digits of bad_ordering_count_bound\(8000, 4000\), 4000 terms of up to 19900 digits: "
+        r"estimated work 79600000 exceeds the limit of 10000000$"
     )
     with pytest.raises(GuardExceeded, match=message):
         bounds.normalized_bad_fraction_bound(8000, "0.5")
     # a 5e8-term sum is refused by the O(1) digit estimate
-    with pytest.raises(GuardExceeded, match="5035427766 decimal digits"):
+    with pytest.raises(GuardExceeded, match="estimated work 5035427766 exceeds"):
         bounds.check_count_bound_digits(10**9, 5 * 10**8)
     # the README point is admitted; the estimate is 512 terms times the
     # digits of the last term, s = 1024

@@ -151,7 +151,7 @@ def test_census_refuses_malformed_index_key(monkeypatch, key):
 
 def test_census_gf13_row_through_cli(capsys):
     # 11! = 39,916,800 classes: the old per-ordering scan took over 10 s
-    code = cli.main(["census", "--field", "13", "--max-classes", "39916800", "--time-guard", "5"])
+    code = cli.main(["census", "--field", "13", "--max-classes", "39916800"])
     result = json.loads(capsys.readouterr().out)["result"]
     assert code == 0
     assert result["classes_correcting_one"] == 39_916_791 == bounds.good_class_lower_bound(13)
@@ -161,7 +161,7 @@ def test_census_gf13_row_through_cli(capsys):
 
 def test_census_gf16_row():
     fld = field_new(2, 4)
-    census = analyze.census_2dim(fld, max_classes=math.factorial(14), time_guard_s=5)
+    census = analyze.census_2dim(fld, max_classes=math.factorial(14))
     assert census.classes_correcting_one == 87_178_291_184 == bounds.good_class_lower_bound(16)
     assert census.classes_total - census.classes_correcting_one == bounds.bad_class_count(fld).count == 16
     assert census.verified == len(range(0, math.factorial(14), math.factorial(14) // analyze.SPOT_CHECKS))

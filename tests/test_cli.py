@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ import pytest
 
 from rsinsdel import analyze, cli, rscode
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -161,21 +164,6 @@ def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
         cli.main(["analyze", "--field", "577", "--k", "2", "--alpha", ",".join(map(str, range(577))), "--method", "affine"])
 
 
-def test_census_time_guard(capsys):
-    code, out, err = run_cli(
-        capsys, "census", "--field", "9", "--time-guard", "0.0"
-    )
-    assert code == 3
-
-
-def test_census_time_guard_with_threads(capsys):
-    code, out, err = run_cli(
-        capsys, "census", "--field", "9", "--threads", "2", "--time-guard", "0.0001"
-    )
-    assert code == 3
-    assert json.loads(err)["error"]["type"] == "GuardExceeded"
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -247,7 +235,9 @@ def test_construct_stage_guard_exit_3(capsys):
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
-    assert "estimated 13882178414 element operations exceed the limit of 2000000000" in error["message"]
+    assert error["message"] == (
+        "element operations of stages 3..7 at q=65537: estimated work 13882178414 exceeds the limit of 2000000000"
+    )
 
 
 def test_construct_matches_golden_file(capsys):
@@ -343,7 +333,9 @@ def test_bad_classes_guard_exit_3(capsys):
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
-    assert "estimated 4295098369 elements exceed the limit of 100000000" in error["message"]
+    assert error["message"] == (
+        "elements of the bad family of GF(65537): estimated work 4295098369 exceeds the limit of 100000000"
+    )
     for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
         assert run_json(capsys, "bounds", "bad-classes", "--q", str(q))["result"]["values"]["count"] >= 1
 
@@ -448,7 +440,8 @@ MALFORMED = [
     (2, ("classify", "--alpha", "0,1")),
     (2, ("census", "--field", "6")),
     (3, ("census", "--field", "7", "--max-classes", "-1")),
-    (3, ("census", "--field", "7", "--time-guard", "-1")),
+    # 14! classes verified at 2,032 kernel word-steps each: refused before the bad family is walked
+    (3, ("census", "--field", "16", "--max-classes", "100000000000", "--verify", "all")),
     (2, ("sample", "--field", "7", "--delta", "0", "--trials", "1", "--seed", "1")),
     (2, ("sample", "--field", "7", "--delta", "abc", "--trials", "1", "--seed", "1")),
     (2, ("sample", "--field", "7", "--delta", "1/0", "--trials", "1", "--seed", "1")),
@@ -476,8 +469,6 @@ MALFORMED = [
     (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5")),
     (2, ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5")),
     (2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10")),
-    # every comparison with NaN is false, so a NaN guard would never fire
-    (2, ("census", "--field", "7", "--time-guard", "nan")),
 ]
 # The message of some MALFORMED rows, pinned where it names the offending input.
 MESSAGES = {
@@ -491,7 +482,6 @@ MESSAGES = {
         "--field GF(7) and --alpha GF(11) name different fields"
     ),
     ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
-    ("census", "--field", "7", "--time-guard", "nan"): "time guard must be a number of seconds, got nan",
     ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"): (
         "sampling needs q >= 3 (full-length codes of dimension 2), got q=2"
     ),
@@ -612,3 +602,25 @@ def test_cli_import_leaves_mpmath_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_docs_and_cli_options_agree():
+    # every long option of every command is documented, and every option on
+    # a documented `rsinsdel <command> ...` line is one that command accepts
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    docs = {name: (ROOT / name).read_text() for name in ("README.md", "docs/formats.md")}
+    for command, sub in commands.items():
+        for option in sub._option_string_actions:
+            if option.startswith("--") and option != "--help":
+                assert re.search(re.escape(option) + r"(?![\w-])", docs["docs/formats.md"]), (command, option)
+    lines = [m for text in docs.values() for m in re.finditer(r"(?:^|`)rsinsdel ([\w-]+)([^`\n#]*)", text, re.M)]
+    assert len(lines) >= 9
+    for line in lines:
+        command, rest = line.groups()
+        assert command in commands, line[0]
+        for option in re.findall(r"--[\w-]+", rest):
+            assert option in commands[command]._option_string_actions, line[0]
+    # README and docs/formats.md carry one guard table
+    tables = [re.search(r"^\| entry point .*?\n(?!\|)", text, re.M | re.S)[0] for text in docs.values()]
+    assert tables[0] == tables[1]

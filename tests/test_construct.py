@@ -584,7 +584,8 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(construct, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    with pytest.raises(GuardExceeded, match=r"estimated 201804 element operations exceed the limit of 201803"):
+    message = r"^element operations of stages 3\.\.3 at q=251: estimated work 201804 exceeds the limit of 201803$"
+    with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
     monkeypatch.setattr(construct, "MAX_STAGE_OPS", construct.stage_work(251, 3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import lcs
 
-from rsinsdel import insdel, poly
+from rsinsdel import errors, insdel, poly
 from rsinsdel.errors import GuardExceeded
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
@@ -135,12 +135,13 @@ def test_index_pairs_order_and_distance():
 
 def test_index_pairs_guard_refuses_at_the_call(monkeypatch):
     # C(20, 10)^2 pairs are refused before the generator is even iterated
-    with pytest.raises(GuardExceeded, match=r"C\(20,10\)\^2 = 34134779536 index pairs exceed the limit of 100000000"):
+    message = r"^C\(20,10\)\^2 index pairs: estimated work 34134779536 exceeds the limit of 100000000$"
+    with pytest.raises(GuardExceeded, match=message):
         insdel.index_pairs(20, 10, 0)
-    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 63)
-    with pytest.raises(GuardExceeded, match="64 index pairs exceed the limit of 63"):
+    monkeypatch.setattr(errors, "MAX_OPS", 63)
+    with pytest.raises(GuardExceeded, match=r"C\(8,7\)\^2 index pairs: estimated work 64 exceeds the limit of 63"):
         insdel.index_pairs(8, 7, 0)
-    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 64)
+    monkeypatch.setattr(errors, "MAX_OPS", 64)
     assert len(list(insdel.index_pairs(8, 7, 0))) == 64
 
 
@@ -216,14 +217,15 @@ def test_rank_certificate_skips_low_distance_pairs():
 def test_rank_certificate_guard(monkeypatch):
     # C(20, 10)^2 = 184756^2 index pairs are refused before enumeration
     ev = EvaluationVector(field_new(23), tuple(range(20)))
-    with pytest.raises(GuardExceeded, match=r"C\(20,10\)\^2 = 34134779536 index pairs exceed the limit of 100000000"):
+    message = r"^C\(20,10\)\^2 index pairs: estimated work 34134779536 exceeds the limit of 100000000$"
+    with pytest.raises(GuardExceeded, match=message):
         insdel.rank_certificate(RsCode(ev, 2), 10)
     # the k = 4 construction's certificate (C(8, 7)^2 = 64 pairs) still runs
     ev = EvaluationVector(field_new(1367), (0, 1, 2, 5, 3, 4, 6, 10))
     res = insdel.rank_certificate(RsCode(ev, 4), 1)
     assert res.certified and res.pairs_checked > 0
-    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 63)
-    with pytest.raises(GuardExceeded, match="64 index pairs exceed the limit of 63"):
+    monkeypatch.setattr(errors, "MAX_OPS", 63)
+    with pytest.raises(GuardExceeded, match=r"C\(8,7\)\^2 index pairs: estimated work 64 exceeds the limit of 63"):
         insdel.rank_certificate(RsCode(ev, 4), 1)
-    monkeypatch.setattr(insdel, "DEFAULT_MAX_OPS", 64)
+    monkeypatch.setattr(errors, "MAX_OPS", 64)
     assert insdel.rank_certificate(RsCode(ev, 4), 1) == res

@@ -594,13 +594,16 @@ def test_kernel_work_guard_boundary(monkeypatch):
     code = RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3)
     ev = EvaluationVector(field_new(11), analyze.random_ordering(11, analyze.SplitMix64(2)))
     runs = [
-        (-(-9 // 8) * 7**3 * 6, lambda: analyze.lcs_code_bruteforce(code)),  # 9 patterns of 6, 8 to a word
-        (60 * 11, lambda: analyze.lcs_code_affine(ev)),  # 60 rows of 11
-        (3 * 60 * 11, lambda: analyze.sample_orderings(ev.field, "0.5", 3, seed=1)),
+        (-(-9 // 8) * 7**3 * 6, "", lambda: analyze.lcs_code_bruteforce(code)),  # 9 patterns of 6, 8 to a word
+        (60 * 11, "", lambda: analyze.lcs_code_affine(ev)),  # 60 rows of 11
+        (3 * 60 * 11, "", lambda: analyze.sample_orderings(ev.field, "0.5", 3, seed=1)),
+        # all 3! classes of GF(5), 12 rows of 5 each
+        (6 * 12 * 5, r"kernel word-steps of verifying 6 classes of GF\(5\): ",
+         lambda: analyze.census_2dim(field_new(5), verify="all")),
     ]
-    for estimate, run in runs:
+    for estimate, prefix, run in runs:
         monkeypatch.setattr(errors, "MAX_KERNEL_STEPS", estimate - 1)
-        message = f"^estimated work {estimate} exceeds the limit of {estimate - 1}$"
+        message = f"^{prefix}estimated work {estimate} exceeds the limit of {estimate - 1}$"
         with pytest.raises(analyze.GuardExceeded, match=message):
             run()
         monkeypatch.setattr(errors, "MAX_KERNEL_STEPS", estimate)
