@@ -8,13 +8,15 @@ parameters, and a guarded fast path for full-length 2-dimensional codes
 that exploits the affine edit-distance isometries.  In the fast path both
 words of a pair are orderings of the field, so relabelling every symbol by
 its position in the ordering turns each LCS into a longest increasing
-subsequence against 0 .. q-1, and the mask table of 0 .. q-1 and one
-relabelling table serve every row.  Beside them: the complete
+subsequence against 0 .. q-1, the mask table of 0 .. q-1 serves every row,
+and one batched core (_affine_lcs) measures a block of orderings per kernel
+call; the engine is that core on one ordering.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes (a
 rank sweep of the index pairs, then one stacked elimination of the
 deficient ones that reads g off as a linear map of f), a census visiting
-only the verified classes and then the bad ones, and seeded random sampling.
+only the verified classes, measured in blocks by the core, and then the bad
+ones, and seeded random sampling.
 Every blocked loop sizes its blocks by errors.BLOCK_BYTES.
 
 No exact report may ever show a code LCS below 2k-2 (any k-dimensional
@@ -211,6 +213,90 @@ def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kept, a_idx, b_rows
 
 
+def _row_blocks(a_idx: np.ndarray, rows: int) -> list[tuple[int, int]]:
+    """The (start, stop) blocks of one ordering's scan, in scan order: as
+    many whole a groups as fit in rows, a group longer than rows in chunks
+    of rows, and a = 1 (a_idx 0), the one group that skips some b, never
+    beside another a."""
+    bounds = np.searchsorted(a_idx, np.arange(a_idx[-1] + 2)).tolist()  # where each a starts, then the end
+    blocks = []
+    for lo, hi in itertools.pairwise(bounds):
+        if blocks and blocks[-1][0] >= bounds[1] and hi - blocks[-1][0] <= rows:
+            blocks[-1] = (blocks[-1][0], hi)
+        else:
+            blocks += [(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
+    return blocks
+
+
+def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
+    """The code LCS of each full-length ordering of an (N, q) array, and
+    the first row of _affine_rows, in scan order, that reaches it.
+
+    Renaming every symbol x by its position pos[x] in alpha keeps an LCS,
+    so each row (A, B) is measured against 0 .. q-1: its LCS is the longest
+    increasing subsequence of pos[A*alpha_j + B] (Hunt and Szymanski).  The
+    _affine_rows geometry, the table x + b and the mask table of 0 .. q-1
+    are built once per call, and each ordering gathers its relabel table
+    pos[x + b] from that table.  A block's rows come from the relabel rows
+    A*alpha_j of its A values: whole A groups as gathered, a range within
+    one A by its B columns, and whole orderings by their (A, B) columns.
+    Each block is one lcs_from_masks call within errors.BLOCK_BYTES, every
+    temporary counted, the gathers' int64 indices and the kernel's words and
+    scratch too.  While one ordering's (q^2 - 1) // 2 rows fit (q <= 89 at
+    the default budget), a block holds as many whole orderings as fit;
+    otherwise each ordering is scanned alone in _row_blocks, each row held
+    once beside its relabel table, and stops at its first block reaching
+    q - 1.  The callers check the work.
+    """
+    q = fld.q
+    arr = np.asarray(orderings, dtype=np.int64).reshape(-1, q)
+    best = np.full(len(arr), -1, dtype=np.int64)
+    first = np.zeros(len(arr), dtype=np.int64)
+    symbol = np.min_scalar_type(q - 1)
+    elements = np.arange(q)
+    shifted = fld.v_add(elements[:, None], elements)  # shifted[x, b] = x + b
+    a_vals, a_idx, b_rows = _affine_rows(fld)
+    cols = a_idx * q + b_rows  # each row's column among the gathered relabel rows of its block
+    masks = match_masks(elements[None], q)
+    s = symbol.itemsize
+    kernel = 8 * -(-q // 64) + 26  # a row's kernel words and about 26 bytes of kernel scratch
+    # a whole ordering: its relabel table, two int64 (the gather index and
+    # its product) and a relabel row of q symbols per (A, alpha_j), then
+    # each row again, taken by an int64 index, and its kernel state
+    whole = q * q * s + len(a_vals) * q * (16 + q * s) + len(cols) * (q * s + 8 + kernel)
+    if whole <= errors.BLOCK_BYTES:
+        per_block, blocks = errors.BLOCK_BYTES // whole, [(0, len(cols))]
+    else:
+        per_block, blocks = 1, _row_blocks(a_idx, max(1, errors.BLOCK_BYTES // (q * s + 16 + kernel)))
+    for o0 in range(0, len(arr), per_block):
+        block = arr[o0 : o0 + per_block]
+        count = len(block)
+        top_b, first_b = best[o0 : o0 + count], first[o0 : o0 + count]  # views
+        pos = np.empty((count, q), dtype=symbol)
+        pos[np.arange(count)[:, None], block] = elements
+        relabel = pos[:, shifted].reshape(count * q, q)  # row o*q + x holds pos_o[x + b] over b
+        offsets = np.arange(0, count * q, q)[:, None]
+        for start, stop in blocks:
+            lo, hi = a_idx[start], a_idx[stop - 1] + 1
+            index = fld.v_mul(block.T[:, :, None], a_vals[lo:hi])  # (q, count, hi - lo): A * alpha_j
+            index += offsets
+            # C-order (q, count, rows), so the kernel's rows are column-major
+            if hi - lo == 1:
+                seqs = relabel[index, b_rows[start:stop]]
+            else:
+                seqs = relabel[index].reshape(q, count, -1)
+                if seqs.shape[2] != stop - start:
+                    seqs = np.take(seqs, cols[start:stop] - lo * q, axis=2)
+            lengths = lcs_from_masks(masks, q, seqs.reshape(q, -1).T)[0].reshape(count, -1)
+            firsts = lengths.argmax(axis=1)
+            top = lengths[np.arange(count), firsts]
+            gain = top > top_b
+            top_b[gain], first_b[gain] = top[gain], start + firsts[gain]
+            if (top_b == q - 1).all():
+                break
+    return best, first
+
+
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:
     """Exact code LCS for a full-length 2-dimensional code.
 
@@ -218,56 +304,23 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     every pair of distinct non-constant codewords reduces to (alpha, A*alpha + B)
     with (A, B) != (1, 0), A != 0; pairs involving constants contribute at
     most 1.  The pair (A, B) and its inverse map give equal LCS, so only the
-    lexicographically smaller of the two is evaluated (_affine_rows).
-
-    Both words are orderings of GF(q), and renaming every symbol x by its
-    position pos[x] in alpha keeps their LCS, so each row is measured
-    against the identity 0 .. q-1 (its LCS is then the longest increasing
-    subsequence of the relabelled row; Hunt and Szymanski).  One q x q
-    table relabel[x, b] = pos[x + b], from one v_add, and the ordering
-    scaled once per kept A turn a block of rows into two gathers: the
-    table's rows A*alpha_j for the block's A values, then the block's
-    (A, B) columns.  Blocks of errors.BLOCK_BYTES, each symbol held twice
-    (in the gathered table rows and in the block), go to the batched kernel
-    in scan order; the witness is the first maximum, on the original symbols,
-    and the scan stops at the first block reaching q - 1.  More than
-    errors.MAX_KERNEL_STEPS word-steps in the full scan raise GuardExceeded
-    before any table is built; that admits q <= 577.
+    lexicographically smaller of the two is evaluated (_affine_rows).  The
+    scan is _affine_lcs on this one ordering; the witness is its first
+    maximal row, on the original symbols.  More than errors.MAX_KERNEL_STEPS
+    word-steps in the full scan raise GuardExceeded before any table is
+    built; that admits q <= 577.
     """
     if not ev.is_full_length():
         raise ValueError("affine fast path requires a full-length ordering")
     fld = ev.field
-    q = fld.q
     code = RsCode(ev, 2)
-    errors.check_work(_affine_steps(q), errors.MAX_KERNEL_STEPS)
-    arr = np.array(ev.points, dtype=np.int64)
-    symbol = np.min_scalar_type(q - 1)
-    elements = np.arange(q)
-    pos = np.empty(q, dtype=symbol)
-    pos[arr] = elements
-    relabel = pos[fld.v_add(elements[:, None], elements)]
-    a_vals, a_idx, b_rows = _affine_rows(fld)
-    scaled = fld.v_mul(arr[:, None], a_vals)  # scaled[j, i] = a_vals[i] * alpha_j
-    cols = a_idx * q + b_rows
-    masks = match_masks(elements[None], q)
-    block = max(1, errors.BLOCK_BYTES // (2 * q * symbol.itemsize))
-    best = -1
-    best_row = None
-    for start in range(0, len(cols), block):
-        stop = min(start + block, len(cols))
-        lo, hi = a_idx[start], a_idx[stop - 1] + 1
-        # C-order (q, rows), so .T is the column-major rows the kernel reads
-        seqs = relabel[scaled[:, lo:hi]].reshape(q, -1)[:, cols[start:stop] - lo * q]
-        lengths = lcs_from_masks(masks, q, seqs.T)[0]
-        i = int(lengths.argmax())
-        if lengths[i] > best:
-            best, best_row = int(lengths[i]), start + i
-            if best == q - 1:
-                break
+    errors.check_work(_affine_steps(fld.q), errors.MAX_KERNEL_STEPS)
+    (best,), (row,) = _affine_lcs(fld, [ev.points])
     witness = None
     if want_witness:
-        witness = _pair_witness(code, (0, 1), (int(b_rows[best_row]), int(a_vals[a_idx[best_row]])))
-    return _report(code, "affine", best, witness)
+        a_vals, a_idx, b_rows = _affine_rows(fld)
+        witness = _pair_witness(code, (0, 1), (int(b_rows[row]), int(a_vals[a_idx[row]])))
+    return _report(code, "affine", int(best), witness)
 
 
 def corrects(code: RsCode, t: int) -> bool:
@@ -532,9 +585,13 @@ def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str 
     exact affine engine by rank in class order: "all" every class, "spot" an
     evenly spaced sample of about SPOT_CHECKS, "none" none, "auto" "all" for
     q <= 8 and "spot" above; any other mode is a ValueError before any work.
-    One loop re-measures the verified classes, and any disagreement with the
-    bad forms is an invariant violation; a second loop then lists the bad
-    forms, sorted, with their verdicts.  q must be at least 3, and (q-2)! at
+    One loop re-measures the verified classes in rank order, in chunks of
+    errors.BLOCK_BYTES (each class held as a tuple and as an int64 row):
+    those among the bad forms one at a time by lcs_code_affine, each of which
+    must reach q - 1, and the others together by _affine_lcs, each of which
+    must stay below it.  The first disagreement in rank order is an
+    invariant violation.  A second loop then lists the bad forms, sorted,
+    with their verdicts.  q must be at least 3, and (q-2)! at
     most max_classes (GuardExceeded, decided without building a larger
     (q-2)!).  The verified classes' affine scans share the engine's limit,
     errors.MAX_KERNEL_STEPS, checked before the bad family is walked.
@@ -558,9 +615,19 @@ def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str 
     if stray:  # the classes between bad forms are counted, so every form must be a class
         raise InvariantViolation(f"bad-class form {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
     bad = set(forms)
-    for i in verify_idx:
-        ev = EvaluationVector(fld, (0, 1) + _unrank(range(2, q), i))
-        if (ev.points in bad) != (lcs_code_affine(ev, want_witness=False).lcs_of_code == q - 1):
+    items = tuple(range(2, q))
+    classes = itertools.permutations(items) if verify == "all" else (_unrank(items, i) for i in verify_idx)
+    size = max(1, errors.BLOCK_BYTES // (16 * q + 48))
+    while chunk := [(0, 1) + perm for perm in itertools.islice(classes, size)]:
+        flagged = [i for i, points in enumerate(chunk) if points in bad]
+        others = [i for i, points in enumerate(chunk) if points not in bad]
+        lengths, _ = _affine_lcs(fld, [chunk[i] for i in others])
+        wrong = [others[i] for i in np.flatnonzero(lengths == q - 1)]
+        for i in flagged:
+            if lcs_code_affine(EvaluationVector(fld, chunk[i]), want_witness=False).lcs_of_code != q - 1:
+                wrong.append(i)
+        if wrong:
+            ev = EvaluationVector(fld, chunk[min(wrong)])
             raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
     bad_entries = []
     for form in sorted(forms):

@@ -1,10 +1,12 @@
 """The census against the per-ordering scan it replaced, and its pinned rows.
 
 census_2dim visits only the bad classes (the forms of analyze.bad_classes)
-and the verified ones (unranked from their class rank).  The oracle here is
-the scan it replaced: every (0, 1)-prefixed ordering, in
-itertools.permutations order and in chunks, looked up in the bad-class
-index built member by member (the bad_class_index fixture).
+and the verified ones, in rank order, measuring the latter in blocks of the
+batched affine core.  The oracle here is the scan it replaced: every
+(0, 1)-prefixed ordering, in itertools.permutations order and in chunks,
+looked up in the bad-class index built member by member (the
+bad_class_index fixture), each verified class re-measured by the
+one-ordering engine.
 """
 
 import itertools
@@ -14,19 +16,17 @@ from collections import Counter
 
 import pytest
 
-from rsinsdel import analyze, bounds, cli
+from rsinsdel import analyze, bounds, cli, errors
 from rsinsdel.errors import InvariantViolation
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector
 
 ORACLE_CHUNK = 512
 DIFFERENTIAL_QS = (3, 4, 5, 7, 8, 9, 11)
-# verify="all" re-measures every class with the real affine engine up to
-# REAL_ALL_MAX_Q; GF(9) runs it with the engine answering from the oracle
-# index (see exact_engine), and GF(11), whose 362,880 classes take tens of
-# seconds even so, runs "spot" and "none" only.
-REAL_ALL_MAX_Q = 8
-ALL_MAX_Q = 9
+# verify="all" runs up to REAL_ALL_MAX_Q, where the oracle re-measures
+# every class with the one-ordering engine; GF(11), whose 362,880 classes
+# take that engine tens of seconds, runs "spot" and "none" only.
+REAL_ALL_MAX_Q = 9
 
 
 def _oracle_chunk(fld, index, verify_idx, chunk):
@@ -72,41 +72,61 @@ def census_oracle(fld, index, verify):
 
 
 @pytest.fixture
-def exact_engine(monkeypatch, bad_class_index):
-    """Record every class the exact engine re-measures.  With real=False
-    the engine answers from the oracle index (q - 1 on a bad class, q - 2
-    on any other)."""
+def exact_engine(monkeypatch):
+    """Record every class the one-ordering engine re-measures."""
     calls = []
     real_engine = analyze.lcs_code_affine
 
-    def install(real):
-        def engine(ev, want_witness=True):
-            calls.append(ev.points)
-            if real:
-                return real_engine(ev, want_witness)
-            bad = ev.points in bad_class_index(ev.field)
-            return analyze.AnalysisReport(ev.n, 2, ev.field.q, "affine", ev.n - 2 + bad, 1 - bad, not bad)
+    def engine(ev, want_witness=True):
+        calls.append(ev.points)
+        return real_engine(ev, want_witness)
 
-        monkeypatch.setattr(analyze, "lcs_code_affine", engine)
-        return calls
-
-    return install
+    monkeypatch.setattr(analyze, "lcs_code_affine", engine)
+    return calls
 
 
 @pytest.mark.parametrize("q", DIFFERENTIAL_QS)
 def test_census_matches_per_ordering_scan(q, exact_engine, bad_class_index):
     fld = field_from_order(q)
     total = math.factorial(q - 2)
-    for verify in ("all", "spot", "none") if q <= ALL_MAX_Q else ("spot", "none"):
-        calls = exact_engine(real=verify != "all" or q <= REAL_ALL_MAX_Q)
-        del calls[:]
-        want = census_oracle(fld, bad_class_index(fld), verify)
-        oracle_calls = Counter(calls)
-        del calls[:]
+    index = bad_class_index(fld)
+    for verify in ("all", "spot", "none") if q <= REAL_ALL_MAX_Q else ("spot", "none"):
+        del exact_engine[:]
+        want = census_oracle(fld, index, verify)
+        oracle_calls = Counter(exact_engine)
+        del exact_engine[:]
         got = analyze.census_2dim(fld, max_classes=total, verify=verify)
         assert got == want, (q, verify)
-        assert Counter(calls) == oracle_calls, (q, verify)
         assert len(oracle_calls) == want.verified
+        # the census measures the other verified classes in blocks of the batched core
+        verified_bad = Counter({points: n for points, n in oracle_calls.items() if points in index})
+        assert Counter(exact_engine) == verified_bad, (q, verify)
+
+
+def test_census_names_the_first_disagreement_in_rank_order(monkeypatch):
+    # GF(7)'s bad classes have ranks 0, 28, 70, 88 and 102.  A bad class
+    # left out of the bad list reaches q - 1 in the batched core; a good
+    # class put in it stays below q - 1 in the one-ordering engine.
+    fld = field_new(7)
+    forms = [(0, 1) + perm for perm in itertools.permutations(range(2, 7))]
+    classes = list(analyze.bad_classes(fld))
+    assert sorted(forms.index(form) for form, _ in classes) == [0, 28, 70, 88, 102]
+    cases = (
+        (28, [29], 28),  # a bad class missing before a good one listed
+        (28, [27], 27),  # a good class listed before a bad one missing
+        (None, [40, 33], 33),  # good classes listed, out of rank order
+    )
+    for missing, listed, first in cases:
+        bad = [entry for entry in classes if entry[0] != forms[missing]] if missing else classes
+        bad += [(forms[rank], [(analyze.REASON_ARITHMETIC, None)]) for rank in listed]
+        monkeypatch.setattr(analyze, "bad_classes", lambda fld: iter(bad))
+        # every class in one chunk, and in chunks of 3
+        for budget in (1 << 20, 3 * 8 * 7):
+            monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+            with pytest.raises(InvariantViolation) as raised:
+                analyze.census_2dim(fld, verify="all")
+            named = EvaluationVector(fld, forms[first]).serialize()
+            assert str(raised.value) == f"classifier disagrees with exact LCS on {named}", (missing, listed, budget)
 
 
 def test_unrank_matches_permutations_for_small_n():

@@ -408,67 +408,77 @@ def test_output_file(tmp_path, capsys):
 # Orders above the ceiling are refused before any primality test or
 # factorization, and the fail-count sum before any factorial.
 QUICK_REFUSALS = [
-    (2, ("census", "--field", "1000000000000000003")),
-    (2, ("census", "--field", "1000000000000000003^1")),
-    (2, ("classify", "--alpha", "GF(1000000000000000003):0,1")),
-    (2, ("bounds", "bad-classes", "--q", "1000000000000000003")),
-    (3, ("bounds", "tail-bound", "--q", "8000", "--delta", "0.5")),
-    (3, ("bounds", "fail-count-bound", "--q", "1000000000", "--ell", "500000000")),
+    pytest.param(2, ("census", "--field", "1000000000000000003"), id="2-argv45"),
+    pytest.param(2, ("census", "--field", "1000000000000000003^1"), id="2-argv46"),
+    pytest.param(2, ("classify", "--alpha", "GF(1000000000000000003):0,1"), id="2-argv47"),
+    pytest.param(2, ("bounds", "bad-classes", "--q", "1000000000000000003"), id="2-argv48"),
+    pytest.param(3, ("bounds", "tail-bound", "--q", "8000", "--delta", "0.5"), id="3-argv49"),
+    pytest.param(3, ("bounds", "fail-count-bound", "--q", "1000000000", "--ell", "500000000"), id="3-argv50"),
 ]
 # One malformed or out-of-range input per row, with its documented exit code.
+# Every row names its own id, so adding or deleting a row renames no other;
+# the "N-argvI" ids are the positional names the rows had before.
 MALFORMED = [
-    (2, ("analyze", "--field", "6", "--k", "2", "--alpha", "0,1,2")),
-    (2, ("analyze", "--field", "2^0", "--k", "2", "--alpha", "0,1,2")),
-    (2, ("analyze", "--field", "4^2", "--k", "2", "--alpha", "0,1,2")),
-    (2, ("analyze", "--field", "2^30", "--k", "2", "--alpha", "0,1,2")),
-    (2, ("analyze", "--field", "x", "--k", "2", "--alpha", "0,1,2")),
-    (2, ("analyze", "--k", "2", "--alpha", "0,1,2")),
-    (2, ("analyze", "--k", "2", "--alpha", "GF(7:0,1")),
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,9")),
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,1")),
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "")),
-    (2, ("analyze", "--field", "7", "--k", "0", "--alpha", "0,1,2")),
-    (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2")),
+    pytest.param(2, ("analyze", "--field", "6", "--k", "2", "--alpha", "0,1,2"), id="2-argv0"),
+    pytest.param(2, ("analyze", "--field", "2^0", "--k", "2", "--alpha", "0,1,2"), id="2-argv1"),
+    pytest.param(2, ("analyze", "--field", "4^2", "--k", "2", "--alpha", "0,1,2"), id="2-argv2"),
+    pytest.param(2, ("analyze", "--field", "2^30", "--k", "2", "--alpha", "0,1,2"), id="2-argv3"),
+    pytest.param(2, ("analyze", "--field", "x", "--k", "2", "--alpha", "0,1,2"), id="2-argv4"),
+    pytest.param(2, ("analyze", "--k", "2", "--alpha", "0,1,2"), id="2-argv5"),
+    pytest.param(2, ("analyze", "--k", "2", "--alpha", "GF(7:0,1"), id="2-argv6"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,9"), id="2-argv7"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,1"), id="2-argv8"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "2", "--alpha", ""), id="2-argv9"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "0", "--alpha", "0,1,2"), id="2-argv10"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2"), id="2-argv11"),
     # 176 passes of 8 patterns against 37^4 rows of 5: 1,649,261,680 word-steps
-    (3, ("analyze", "--field", "37", "--k", "4", "--alpha", "0,1,2,3,4")),
-    (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,3", "--method", "affine")),
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2", "--method", "affine")),
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate")),
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate", "--t", "-1")),
-    (2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,5", "--method", "optimal")),
-    (2, ("classify", "--field", "7", "--alpha", "0,1,2")),
-    (2, ("classify", "--alpha", "0,1")),
-    (2, ("census", "--field", "6")),
-    (3, ("census", "--field", "7", "--max-classes", "-1")),
+    pytest.param(3, ("analyze", "--field", "37", "--k", "4", "--alpha", "0,1,2,3,4"), id="3-argv12"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,3", "--method", "affine"), id="2-argv13"),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2", "--method", "affine"), id="2-argv14"),
+    pytest.param(
+        2, ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate"), id="2-argv15"
+    ),
+    pytest.param(
+        2,
+        ("analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5", "--method", "certificate", "--t", "-1"),
+        id="2-argv16",
+    ),
+    pytest.param(
+        2, ("analyze", "--field", "7", "--k", "3", "--alpha", "0,1,2,5", "--method", "optimal"), id="2-argv17"
+    ),
+    pytest.param(2, ("classify", "--field", "7", "--alpha", "0,1,2"), id="2-argv18"),
+    pytest.param(2, ("classify", "--alpha", "0,1"), id="2-argv19"),
+    pytest.param(2, ("census", "--field", "6"), id="2-argv20"),
+    pytest.param(3, ("census", "--field", "7", "--max-classes", "-1"), id="3-argv21"),
     # 14! classes verified at 2,032 kernel word-steps each: refused before the bad family is walked
-    (3, ("census", "--field", "16", "--max-classes", "100000000000", "--verify", "all")),
-    (2, ("sample", "--field", "7", "--delta", "0", "--trials", "1", "--seed", "1")),
-    (2, ("sample", "--field", "7", "--delta", "abc", "--trials", "1", "--seed", "1")),
-    (2, ("sample", "--field", "7", "--delta", "1/0", "--trials", "1", "--seed", "1")),
-    (2, ("sample", "--field", "7", "--delta", "0.5", "--trials", "-1", "--seed", "1")),
-    (2, ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1")),
-    (3, ("sample", "--field", "587", "--delta", "0.5", "--trials", "1", "--seed", "1")),
-    (2, ("construct", "--field", "7", "--k", "1")),
-    (2, ("construct", "--field", "7", "--k", "3", "--allow-small-q")),
-    (2, ("construct", "--field", "2", "--k", "2", "--allow-small-q")),
-    (2, ("construct", "--field", "6", "--k", "2")),
-    (2, ("bounds", "half-singleton", "--n", "2", "--k", "5")),
-    (2, ("bounds", "class-lower-bound", "--q", "3")),
-    (2, ("bounds", "bad-classes", "--q", "6")),
-    (2, ("bounds", "fail-count-bound", "--q", "7", "--ell", "0")),
-    (2, ("bounds", "tail-bound", "--q", "7", "--delta", "2")),
-    (2, ("bounds", "tail-bound", "--q", "7", "--delta", "1/0")),
-    (2, ("table1", "--qs", "6")),
-    (2, ("table1", "--qs", "a")),
-    (2, ("table1", "--qs", "1")),
-    (2, ("bounds", "tail-bound", "--q", "-5", "--delta", "0.5")),
-    (3, ("bounds", "class-lower-bound", "--q", "2000")),
-    (3, ("bounds", "fail-count-bound", "--q", "3000", "--ell", "2")),
+    pytest.param(3, ("census", "--field", "16", "--max-classes", "100000000000", "--verify", "all"), id="3-argv22"),
+    pytest.param(2, ("sample", "--field", "7", "--delta", "0", "--trials", "1", "--seed", "1"), id="2-argv23"),
+    pytest.param(2, ("sample", "--field", "7", "--delta", "abc", "--trials", "1", "--seed", "1"), id="2-argv24"),
+    pytest.param(2, ("sample", "--field", "7", "--delta", "1/0", "--trials", "1", "--seed", "1"), id="2-argv25"),
+    pytest.param(2, ("sample", "--field", "7", "--delta", "0.5", "--trials", "-1", "--seed", "1"), id="2-argv26"),
+    pytest.param(2, ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"), id="2-argv27"),
+    pytest.param(3, ("sample", "--field", "587", "--delta", "0.5", "--trials", "1", "--seed", "1"), id="3-argv28"),
+    pytest.param(2, ("construct", "--field", "7", "--k", "1"), id="2-argv29"),
+    pytest.param(2, ("construct", "--field", "7", "--k", "3", "--allow-small-q"), id="2-argv30"),
+    pytest.param(2, ("construct", "--field", "2", "--k", "2", "--allow-small-q"), id="2-argv31"),
+    pytest.param(2, ("construct", "--field", "6", "--k", "2"), id="2-argv32"),
+    pytest.param(2, ("bounds", "half-singleton", "--n", "2", "--k", "5"), id="2-argv33"),
+    pytest.param(2, ("bounds", "class-lower-bound", "--q", "3"), id="2-argv34"),
+    pytest.param(2, ("bounds", "bad-classes", "--q", "6"), id="2-argv35"),
+    pytest.param(2, ("bounds", "fail-count-bound", "--q", "7", "--ell", "0"), id="2-argv36"),
+    pytest.param(2, ("bounds", "tail-bound", "--q", "7", "--delta", "2"), id="2-argv37"),
+    pytest.param(2, ("bounds", "tail-bound", "--q", "7", "--delta", "1/0"), id="2-argv38"),
+    pytest.param(2, ("table1", "--qs", "6"), id="2-argv39"),
+    pytest.param(2, ("table1", "--qs", "a"), id="2-argv40"),
+    pytest.param(2, ("table1", "--qs", "1"), id="2-argv41"),
+    pytest.param(2, ("bounds", "tail-bound", "--q", "-5", "--delta", "0.5"), id="2-argv42"),
+    pytest.param(3, ("bounds", "class-lower-bound", "--q", "2000"), id="3-argv43"),
+    pytest.param(3, ("bounds", "fail-count-bound", "--q", "3000", "--ell", "2"), id="3-argv44"),
     *QUICK_REFUSALS,
     # a GF(..) prefix must name the same field as --field
-    (2, ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5")),
-    (2, ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5")),
-    (2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10")),
+    pytest.param(2, ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5"), id="2-argv51"),
+    pytest.param(2, ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5"), id="2-argv52"),
+    pytest.param(2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10"), id="2-argv53"),
 ]
 # The message of some MALFORMED rows, pinned where it names the offending input.
 MESSAGES = {
@@ -518,7 +528,7 @@ def test_alpha_prefix_matching_field_is_accepted(capsys):
 
 
 def test_huge_inputs_are_refused_at_once(capsys):
-    for expected, argv in QUICK_REFUSALS:
+    for expected, argv in (row.values for row in QUICK_REFUSALS):
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0, argv

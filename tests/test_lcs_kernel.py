@@ -13,12 +13,13 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import lcs
 
-from rsinsdel import analyze, cli, errors, insdel, poly
+from rsinsdel import analyze, bounds, cli, errors, insdel, poly
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, codeword, codewords
 
@@ -270,14 +271,86 @@ def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
     assert best == 26
     a_vals, a_idx, b_rows = analyze._affine_rows(fld)
     row = next(r for r in range(len(b_rows)) if [b_rows[r], a_vals[a_idx[r]]] == g)
-    rows_per_block = 5
-    assert row >= 3 * rows_per_block
-    monkeypatch.setattr(errors, "BLOCK_BYTES", rows_per_block * 2 * 27)
+    # a budget of a few rows: a = 1's 13 rows and every later a in chunks
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 400)
     seen = counting_kernel(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == (best, g)
-    assert len(seen) == row // rows_per_block + 1  # no block after the one holding it
-    assert [len(rows) for rows in seen] == [rows_per_block] * len(seen)
+    rows_per_block = len(seen[0])
+    assert 1 < rows_per_block < 13
+    blocks = analyze._row_blocks(a_idx, rows_per_block)
+    held = next(i for i, (start, stop) in enumerate(blocks) if start <= row < stop)
+    assert held >= 3
+    # no block after the one holding it
+    assert [len(rows) for rows in seen] == [stop - start for start, stop in blocks[: held + 1]]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 27, 32])
+def test_row_blocks_are_whole_groups_or_chunks_of_one(q):
+    fld = field_from_order(q)
+    _, a_idx, _ = analyze._affine_rows(fld)
+    for rows in (1, 2, q - 1, q, q + 1, 3 * q, len(a_idx), 10**6):
+        blocks = analyze._row_blocks(a_idx, rows)
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == len(a_idx)
+        for start, stop in blocks:
+            groups = set(a_idx[start:stop].tolist())
+            assert stop - start <= rows and (len(groups) == 1 or whole_groups(a_idx, start, stop)), (rows, start)
+        # neighbouring blocks of whole groups would not fit in one
+        for (s0, _), (s1, e1) in itertools.pairwise(blocks):
+            if whole_groups(a_idx, s0, s1) and whole_groups(a_idx, s1, e1):
+                assert e1 - s0 > rows, (rows, s0, e1)
+
+
+def whole_groups(a_idx, start, stop):
+    # the rows of whole a groups, a != 1
+    ends = stop == len(a_idx) or a_idx[stop] != a_idx[stop - 1]
+    return a_idx[start] != 0 and a_idx[start - 1] != a_idx[start] and ends
+
+
+def kernel_calls_by_shape(seen, rows):
+    """The block shapes of a run of the core: more rows than one ordering
+    has, all of one ordering's rows, or fewer."""
+    return {("many" if len(r) > rows else "one" if len(r) == rows else "range") for r in seen}
+
+
+@pytest.mark.parametrize("q", [5, 8, 9, 16, 27, 81, 127])
+def test_affine_core_matches_engine_and_lis_oracle_in_every_block_shape(q, monkeypatch):
+    fld = field_from_order(q)
+    evs = orderings(q, 4, seed=100 + q)
+    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
+    # the first maximal row of a scan of every row on the original symbols
+    want = [affine_kernel_reference(ev) for ev in evs]
+    oracle = evs if q < 81 else evs[:1]
+    assert [lcs for lcs, _ in want[: len(oracle)]] == [affine_lis_oracle(ev) for ev in oracle]
+    reports = [analyze.lcs_code_affine(ev) for ev in evs]
+    assert [(r.lcs_of_code, r.witness["g"]) for r in reports] == want
+    seen = counting_kernel(monkeypatch)
+    shapes = set()
+    # from blocks of a few a groups of one ordering up to every ordering at once
+    for budget in (4**k for k in range(4, 13) if 4**k >= 4 * q * q):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        del seen[:]
+        lengths, first = analyze._affine_lcs(fld, [ev.points for ev in evs])
+        got = [(int(lcs), [int(b_rows[r]), int(a_vals[a_idx[r]])]) for lcs, r in zip(lengths, first)]
+        assert got == want, budget
+        assert [analyze.lcs_code_affine(ev) for ev in evs] == reports, budget
+        shapes |= kernel_calls_by_shape(seen, len(b_rows))
+    assert shapes == {"many", "one", "range"}
+
+
+def test_affine_core_gf11_spectrum():
+    # every class of GF(11), in blocks of 40,320 orderings: the exact code LCS
+    # spectrum, whose top bin is the bad classes
+    fld = field_new(11)
+    perms = itertools.permutations(range(2, 11))
+    spectrum = Counter()
+    while block := list(itertools.islice(perms, 40_320)):
+        orders = np.zeros((len(block), 11), dtype=np.int64)
+        orders[:, 1], orders[:, 2:] = 1, block
+        spectrum.update(analyze._affine_lcs(fld, orders)[0].tolist())
+    assert spectrum == {6: 128_045, 7: 213_170, 8: 20_942, 9: 714, 10: 9}
+    assert spectrum[10] == bounds.bad_class_count(fld).count
 
 
 def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
