@@ -40,7 +40,7 @@ import numpy as np
 from . import errors, insdel, poly
 from .errors import GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
-from .insdel import kernel_steps, lcs_from_masks, match_masks
+from .insdel import kernel_row_bytes, kernel_steps, lcs_from_masks, match_masks
 from .rscode import EvaluationVector, RsCode, equivalent
 
 DEFAULT_MAX_CLASSES = 5_040
@@ -166,8 +166,7 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f is a row of words
     best, first = np.full(len(family), -1), np.zeros(len(family), dtype=np.int64)  # f's longest LCS, its first row
     stop, lanes, symbol = len(family), 64 // insdel.lane_bits(n), np.min_scalar_type(q - 1)
-    # per row: its symbols, one 8-byte kernel word per 64 of them, ~26 bytes of kernel scratch
-    step = max(1, errors.BLOCK_BYTES // (size * (n * symbol.itemsize + 8 * -(-n // 64) + 26)))
+    step = max(1, errors.BLOCK_BYTES // (size * (n * symbol.itemsize + kernel_row_bytes(n))))
     for c0 in range(0, q, step):
         # column-major, so each column is one contiguous read for the kernel
         rows = np.empty((min(step, q - c0) * size, n), dtype=symbol, order="F")
@@ -259,7 +258,7 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     cols = a_idx * q + b_rows  # each row's column among the gathered relabel rows of its block
     masks = match_masks(elements[None], q)
     s = symbol.itemsize
-    kernel = 8 * -(-q // 64) + 26  # a row's kernel words and about 26 bytes of kernel scratch
+    kernel = kernel_row_bytes(q)
     # a whole ordering: its relabel table, two int64 (the gather index and
     # its product) and a relabel row of q symbols per (A, alpha_j), then
     # each row again, taken by an int64 index, and its kernel state

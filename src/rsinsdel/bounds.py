@@ -176,33 +176,23 @@ def normalized_bad_fraction_bound(q: int, delta) -> BoundReport:
     if not 0 < frac < 1:
         raise ValueError("delta must satisfy 0 < delta < 1")
     ell = math.floor(frac * q)
-    if ell < 1:
-        return BoundReport(
-            name="normalized_bad_fraction_bound",
-            parameters={"q": q, "delta": str(frac)},
-            values={"status": "out_of_regime", "ell": ell},
-            verdict=None,
-        )
-    import mpmath  # only here: importing it would add to every command's start-up
+    values, verdict = {"status": "out_of_regime", "ell": ell}, None
+    if ell >= 1:
+        import mpmath  # only here: importing it would add to every command's start-up
 
-    exact_sum = bad_ordering_count_bound(q, ell)
-    with mpmath.workprec(MP_PRECISION_BITS):
-        d_eff = mpmath.mpf(ell) / q
-        normalized = mpmath.mpf(exact_sum) / mpmath.factorial(q)
-        closed = q**2 * (4 * mpmath.e**2 / (d_eff**2 * q)) ** ell
-        verdict = bool(normalized <= closed)
-        values = {
-            "ell": ell,
-            "delta_effective": str(Fraction(ell, q)),
-            "log10_normalized_sum": mpmath.nstr(mpmath.log10(normalized), 20)
-            if exact_sum
-            else None,
-            "log10_closed_form": mpmath.nstr(mpmath.log10(closed), 20),
-            "precision_bits": MP_PRECISION_BITS,
-        }
-    return BoundReport(
-        name="normalized_bad_fraction_bound",
-        parameters={"q": q, "delta": str(frac)},
-        values=values,
-        verdict=verdict,
-    )
+        exact_sum = bad_ordering_count_bound(q, ell)
+        with mpmath.workprec(MP_PRECISION_BITS):
+            d_eff = mpmath.mpf(ell) / q
+            normalized = mpmath.mpf(exact_sum) / mpmath.factorial(q)
+            closed = q**2 * (4 * mpmath.e**2 / (d_eff**2 * q)) ** ell
+            verdict = bool(normalized <= closed)
+            values = {
+                "ell": ell,
+                "delta_effective": str(Fraction(ell, q)),
+                "log10_normalized_sum": mpmath.nstr(mpmath.log10(normalized), 20)
+                if exact_sum
+                else None,
+                "log10_closed_form": mpmath.nstr(mpmath.log10(closed), 20),
+                "precision_bits": MP_PRECISION_BITS,
+            }
+    return BoundReport("normalized_bad_fraction_bound", {"q": q, "delta": str(frac)}, values, verdict)

@@ -1,9 +1,11 @@
 """Command-line front end: reproducible experiments with JSON reports.
 
-Every command emits a single JSON document on stdout (schema version 1,
-sorted keys, compact separators), so identical configurations produce
-byte-identical output; --timing adds a volatile top-level wall_time_s,
-outside the byte-stable result.  Failures emit a diagnostic JSON object on
+Every command function returns (params, result), and main times the
+command and emits that pair as a single JSON document on stdout (schema
+version 1, sorted keys, compact separators), so identical configurations
+produce byte-identical output; --timing adds a volatile top-level
+wall_time_s, outside the byte-stable result.  table1 --format csv writes
+its text itself and returns None.  Failures emit a diagnostic JSON object on
 stderr and exit with 2 for usage/precondition errors (an unwritable
 --output included), 3 for exceeded guards, 4 for invariant violations.
 
@@ -98,8 +100,7 @@ def _floor3(x: float) -> str:
 # -- subcommand implementations ----------------------------------------------
 
 
-def cmd_analyze(args) -> None:
-    t0 = time.perf_counter()
+def cmd_analyze(args):
     ev = _parse_alpha(args)
     params = {"alpha": ev.serialize(), "k": args.k, "method": args.method}
     if args.method == "brute":
@@ -113,22 +114,18 @@ def cmd_analyze(args) -> None:
             raise ValueError("--method certificate requires --t")
         result = insdel.rank_certificate(RsCode(ev, args.k), args.t)
         params["t"] = args.t
-    elif args.method == "optimal":
-        result = analyze.is_optimal_half_rate(ev, args.k)
     else:
-        raise ValueError(f"unknown method {args.method!r}")
-    _emit(args, "analyze", params, result, t0)
+        result = analyze.is_optimal_half_rate(ev, args.k)
+    return params, result
 
 
-def cmd_classify(args) -> None:
-    t0 = time.perf_counter()
+def cmd_classify(args):
     ev = _parse_alpha(args)
     verdict = analyze.classify_bad_ordering(ev)
-    _emit(args, "classify", {"alpha": ev.serialize()}, verdict, t0)
+    return {"alpha": ev.serialize()}, verdict
 
 
-def cmd_census(args) -> None:
-    t0 = time.perf_counter()
+def cmd_census(args):
     fld = _parse_field(args.field)
     result = analyze.census_2dim(fld, max_classes=args.max_classes, verify=args.verify)
     params = {
@@ -136,11 +133,10 @@ def cmd_census(args) -> None:
         "verify": args.verify,
         "max_classes": args.max_classes,
     }
-    _emit(args, "census", params, result, t0)
+    return params, result
 
 
-def cmd_sample(args) -> None:
-    t0 = time.perf_counter()
+def cmd_sample(args):
     fld = _parse_field(args.field)
     result = analyze.sample_orderings(fld, args.delta, args.trials, args.seed)
     params = {
@@ -149,11 +145,10 @@ def cmd_sample(args) -> None:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _emit(args, "sample", params, result, t0)
+    return params, result
 
 
-def cmd_construct(args) -> None:
-    t0 = time.perf_counter()
+def cmd_construct(args):
     fld = _parse_field(args.field)
     trace = construct.construct_half_rate(
         fld,
@@ -166,7 +161,7 @@ def cmd_construct(args) -> None:
         "k": args.k,
         "verify": args.verify,
     }
-    _emit(args, "construct", params, trace, t0)
+    return params, trace
 
 
 BOUND_REQUIRED = {
@@ -178,29 +173,26 @@ BOUND_REQUIRED = {
 }
 
 
-def cmd_bounds(args) -> None:
-    t0 = time.perf_counter()
+def cmd_bounds(args):
     which = args.bound
     missing = [f"--{name}" for name in BOUND_REQUIRED[which] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"bounds {which} requires {' '.join(missing)}")
+    if which == "tail-bound":
+        return {"bound": which}, bounds.normalized_bad_fraction_bound(args.q, args.delta)
     if which == "half-singleton":
-        values = {"max_correctable": bounds.half_singleton(args.n, args.k)}
-        report = bounds.BoundReport("half_singleton", {"n": args.n, "k": args.k}, values)
+        name, values = "half_singleton", {"max_correctable": bounds.half_singleton(args.n, args.k)}
     elif which == "class-lower-bound":
         lower = bounds.good_class_lower_bound(args.q)  # guards (q-2)! first
-        values = {"classes_total": bounds.classes_total(args.q), "lower_bound": lower}
-        report = bounds.BoundReport("good_class_lower_bound", {"q": args.q}, values)
+        name, values = "good_class_lower_bound", {"classes_total": bounds.classes_total(args.q), "lower_bound": lower}
     elif which == "bad-classes":
-        tally = bounds.bad_class_count(field_from_order(args.q))
-        report = bounds.BoundReport("bad_class_count", {"q": args.q}, tally)
-    elif which == "fail-count-bound":
-        bounds.check_count_bound_digits(args.q, args.ell)
-        values = {"bad_orderings_at_most": bounds.bad_ordering_count_bound(args.q, args.ell)}
-        report = bounds.BoundReport("bad_ordering_count_bound", {"q": args.q, "ell": args.ell}, values)
+        name, values = "bad_class_count", bounds.bad_class_count(field_from_order(args.q))
     else:
-        report = bounds.normalized_bad_fraction_bound(args.q, args.delta)
-    _emit(args, "bounds", {"bound": which}, report, t0)
+        bounds.check_count_bound_digits(args.q, args.ell)
+        name = "bad_ordering_count_bound"
+        values = {"bad_orderings_at_most": bounds.bad_ordering_count_bound(args.q, args.ell)}
+    parameters = {arg: getattr(args, arg) for arg in BOUND_REQUIRED[which]}
+    return {"bound": which}, bounds.BoundReport(name, parameters, values)
 
 
 TABLE_DEFAULT_QS = (4, 5, 7, 8, 9, 11, 13)
@@ -243,8 +235,7 @@ def table_rows(qs, census_max_q: int = 9) -> list[dict]:
     return rows
 
 
-def cmd_table1(args) -> None:
-    t0 = time.perf_counter()
+def cmd_table1(args):
     qs = tuple(int(tok) for tok in args.qs.split(","))
     rows = table_rows(qs, census_max_q=args.census_max_q)
     params = {"qs": list(qs), "census_max_q": args.census_max_q}
@@ -261,8 +252,8 @@ def cmd_table1(args) -> None:
         for row in rows:
             lines.append(",".join(str(row[c]) for c in cols))
         _write(args, "\n".join(lines) + "\n")
-        return
-    _emit(args, "table1", params, {"rows": rows}, t0)
+        return None
+    return params, {"rows": rows}
 
 
 # -- parser -------------------------------------------------------------------
@@ -369,12 +360,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
-        args.func(args)
+        t0 = time.perf_counter()
+        report = args.func(args)
+        if report is not None:
+            _emit(args, args.command, *report, t0)
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, exc)
     except InvariantViolation as exc:
         return _fail(EXIT_INVARIANT, exc)
-    except (ValueError, construct.NoBaseCaseError, construct.NoGoodPairError) as exc:
+    except (ValueError, construct.NoGoodPairError) as exc:
         return _fail(EXIT_USAGE, exc)
     return EXIT_OK
 

@@ -338,9 +338,7 @@ def _verify_stage(fld: Field, points: tuple[int, ...], i: int, verify_mode: str)
                 f"witness pair {cert.witness}"
             )
         return "rank_certified"
-    if verify_mode == VERIFY_NONE:
-        return "skipped"
-    raise ValueError(f"unknown verify mode {verify_mode!r}")
+    return "skipped"
 
 
 def construct_half_rate(
@@ -354,12 +352,15 @@ def construct_half_rate(
     Runs the base case and then stages i = 3..k, verifying each intermediate
     vector per verify_mode ("exact" runs analyze.is_optimal_half_rate,
     "certificate" runs the rank certificate at t = 1, "none" trusts the
-    counting guarantee).  q >= min_field_size(k) is required unless
-    allow_small_q is set, in which case NoGoodPairError is a legitimate
-    outcome.  An estimated stage work (see stage_work) above MAX_STAGE_OPS
-    raises GuardExceeded before any work.  Identical inputs produce
-    identical traces.
+    counting guarantee); any other verify_mode raises ValueError before
+    any work.  Stage 2, the base case, records a bad-pair count of 0.
+    q >= min_field_size(k) is required unless allow_small_q is set, in
+    which case NoGoodPairError is a legitimate outcome.  An estimated stage
+    work (see stage_work) above MAX_STAGE_OPS raises GuardExceeded before
+    any work.  Identical inputs produce identical traces.
     """
+    if verify_mode not in (VERIFY_EXACT, VERIFY_CERTIFICATE, VERIFY_NONE):
+        raise ValueError(f"unknown verify mode {verify_mode!r}")
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
     if fld.q < min_field_size(k) and not allow_small_q:
@@ -368,22 +369,11 @@ def construct_half_rate(
             "pass allow_small_q=True to attempt anyway"
         )
     errors.check_work(stage_work(fld.q, k), MAX_STAGE_OPS, f"element operations of stages 3..{k} at q={fld.q}")
-    stages = []
-    ev = base_case(fld)
-    points = ev.points
-    stages.append(
-        StageRecord(2, 0, (points[2], points[3]), _verify_stage(fld, points, 2, verify_mode))
-    )
-    for i in range(3, k + 1):
-        points, bad_count = extend(fld, points, i)
-        stages.append(
-            StageRecord(
-                i,
-                bad_count,
-                (points[-2], points[-1]),
-                _verify_stage(fld, points, i, verify_mode),
-            )
-        )
+    stages, points, bad_count = [], base_case(fld).points, 0
+    for i in range(2, k + 1):
+        if i > 2:
+            points, bad_count = extend(fld, points, i)
+        stages.append(StageRecord(i, bad_count, points[-2:], _verify_stage(fld, points, i, verify_mode)))
     return ConstructionTrace(
         q=fld.q,
         k=k,

@@ -16,7 +16,8 @@ column and word, below m = 64 with the patterns packed side by side into
 lanes of lane_bits(m) bits, each with a guard bit above m for its carry
 (Hyyro, Fredriksson and Navarro's increased bit-parallelism).  The engines
 check kernel_steps, the word-steps of a scan, against the one limit before
-building anything.  lcs_with_witness is the dynamic program that recovers
+building anything, and size their blocks by kernel_row_bytes, the kernel's
+memory per row.  lcs_with_witness is the dynamic program that recovers
 one common subsequence of a single pair.
 """
 
@@ -58,6 +59,15 @@ def kernel_steps(patterns: int, rows: int, m: int, n: int) -> int:
     length n, in calls of up to 64 // lane_bits(m) patterns: one per word
     of each lane group, row and column.  A scan that stops early takes fewer."""
     return -(-patterns // (64 // lane_bits(m))) * rows * n * -(-m // 64)
+
+
+def kernel_row_bytes(m: int) -> int:
+    """Working memory of lcs_from_masks per row, in bytes, for one lane
+    group of patterns of length m: v's ceil(m/64) 8-byte words, u and v &
+    ~u, two one-byte carry flags and the 8-byte column index; from three
+    words on, the carry test of a middle word holds about 2 bytes more."""
+    words = -(-m // 64)
+    return 8 * words + 26 + (2 if words >= 3 else 0)
 
 
 def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:

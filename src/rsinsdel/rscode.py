@@ -103,7 +103,8 @@ def equivalent(a: EvaluationVector, b: EvaluationVector) -> tuple[int, int] | No
     """Witness (lam, mu) with lam*a + mu = b componentwise, or None.
 
     lam and mu are forced by the first two coordinates (evaluation points are
-    distinct, so a is never constant); the rest of the vector is verified.
+    distinct, so both differences are nonzero and so is lam); the rest of
+    the vector is verified.
     """
     if a.field != b.field:
         raise ValueError("vectors live in different fields")
@@ -111,8 +112,6 @@ def equivalent(a: EvaluationVector, b: EvaluationVector) -> tuple[int, int] | No
         raise ValueError("vectors must have equal length >= 2")
     fld = a.field
     lam = fld.mul(fld.sub(b.points[1], b.points[0]), fld.inv(fld.sub(a.points[1], a.points[0])))
-    if lam == 0:
-        return None
     mu = fld.sub(b.points[0], fld.mul(lam, a.points[0]))
     for x, y in zip(a.points, b.points):
         if fld.add(fld.mul(lam, x), mu) != y:

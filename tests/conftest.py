@@ -1,8 +1,10 @@
-"""Shared oracles: the canonical form of an evaluation vector, the bad
-family grouped by class, built member by member, the scalar single-pair
-LCS, and interpolation through one Vandermonde solve."""
+"""Shared oracles: the canonical form of an evaluation vector and every
+canonical ordering of a field, the bad family grouped by class, built
+member by member, the scalar single-pair LCS and the textbook dynamic
+program, and interpolation through one Vandermonde solve."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -33,6 +35,19 @@ def lcs(s, t) -> int:
     return len(s) - v.bit_count()
 
 
+def lcs_dp(a, b) -> int:
+    """Textbook dynamic program, kept independent of the library code."""
+    m, n = len(a), len(b)
+    table = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[m][n]
+
+
 def interpolate(fld, points, bound: int) -> tuple[int, ...] | None:
     """Unique polynomial of degree < bound through the points, or None.
 
@@ -61,6 +76,14 @@ def canonical_form(a: EvaluationVector) -> EvaluationVector:
     lam = fld.inv(fld.sub(a.points[1], a.points[0]))
     mu = fld.neg(fld.mul(lam, a.points[0]))
     return EvaluationVector(fld, tuple(fld.add(fld.mul(lam, x), mu) for x in a.points))
+
+
+def canonical_orderings(fld):
+    """Every full-length ordering of fld that starts (0, 1), one per affine
+    class."""
+    rest = [x for x in range(fld.q) if x not in (0, 1)]
+    for perm in itertools.permutations(rest):
+        yield EvaluationVector(fld, (0, 1) + perm)
 
 
 def _bad_class_index(fld):

@@ -20,18 +20,13 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import canonical_orderings
 
 from rsinsdel import analyze, bounds, cli, construct, insdel, rscode
 from rsinsdel.gf import euler_phi, field_from_order, field_new, prime_power
 from rsinsdel.rscode import EvaluationVector, RsCode
 
 ARTIFACT_DIR = Path(__file__).parent / "_artifacts"
-
-
-def canonical_orderings(fld):
-    rest = [x for x in range(fld.q) if x not in (0, 1)]
-    for perm in itertools.permutations(rest):
-        yield EvaluationVector(fld, (0, 1) + perm)
 
 
 def distinct_tuples(fld, length):

@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from conftest import canonical_orderings
 
 from rsinsdel import analyze, bounds, cli, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
@@ -14,12 +15,6 @@ from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, equivalent
 
 F7 = field_new(7)
-
-
-def canonical_orderings(fld):
-    rest = [x for x in range(fld.q) if x not in (0, 1)]
-    for perm in itertools.permutations(rest):
-        yield EvaluationVector(fld, (0, 1) + perm)
 
 
 # -- exact engines -----------------------------------------------------------
@@ -107,6 +102,31 @@ def test_corrects():
     assert analyze.corrects(code, 0)
     assert analyze.corrects(code, 1)
     assert not analyze.corrects(code, 2)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13])
+def test_capability_is_monotone_in_k(q):
+    # RS_2 is a subcode of RS_3 on one ordering, so the code LCS cannot
+    # fall from k = 2 to k = 3, and a class that fails at k = 2 fails at
+    # k = 3; the t = 1 certificate is exact at both k
+    fld = field_from_order(q)
+    rng = random.Random(q)
+    orderings = [(0, 1, *rng.sample(range(2, q), q - 2)) for _ in range(5)]
+    orderings += [vec for _, _, vec in analyze.bad_ordering_family(fld)]
+    for points in orderings:
+        ev = EvaluationVector(fld, points)
+        lcs2 = analyze.lcs_code_affine(ev, want_witness=False).lcs_of_code
+        lcs3 = analyze.lcs_code_bruteforce(RsCode(ev, 3), want_witness=False).lcs_of_code
+        certified2 = insdel.rank_certificate(RsCode(ev, 2), 1).certified
+        certified3 = insdel.rank_certificate(RsCode(ev, 3), 1).certified
+        assert lcs2 <= lcs3, points
+        assert certified2 == (lcs2 <= q - 2) and certified3 == (lcs3 <= q - 2), points
+        assert certified2 or not certified3, points
+
+
+def test_corrects_refuses_a_negative_error_count():
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        analyze.corrects(RsCode(EvaluationVector(F7, (0, 1, 2, 5)), 2), -1)
 
 
 def test_half_singleton_floor_is_enforced():

@@ -479,6 +479,8 @@ MALFORMED = [
     pytest.param(2, ("analyze", "--field", "7", "--k", "2", "--alpha", "GF(11):0,1,2,5"), id="2-argv51"),
     pytest.param(2, ("analyze", "--field", "2^2", "--k", "2", "--alpha", "GF(2^3):0,1,2,5"), id="2-argv52"),
     pytest.param(2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10"), id="2-argv53"),
+    # the class-count lower bound needs q >= 4, in table1 as in bounds class-lower-bound (2-argv34)
+    pytest.param(2, ("table1", "--qs", "3"), id="2-table1-q3"),
 ]
 # The message of some MALFORMED rows, pinned where it names the offending input.
 MESSAGES = {
@@ -492,6 +494,8 @@ MESSAGES = {
         "--field GF(7) and --alpha GF(11) name different fields"
     ),
     ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
+    ("bounds", "class-lower-bound", "--q", "3"): "meaningful only for q >= 4",
+    ("table1", "--qs", "3"): "meaningful only for q >= 4",
     ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"): (
         "sampling needs q >= 3 (full-length codes of dimension 2), got q=2"
     ),

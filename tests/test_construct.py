@@ -610,6 +610,42 @@ def test_bad_set_stays_under_ceiling_k3():
     assert stage3.bad_pair_count <= math.comb(4, 2) * 5 * 4 * 251
 
 
+def test_extend_refuses_a_bad_set_above_its_ceiling(monkeypatch):
+    # every code of GF(251)^2 is far above the stage-3 ceiling C(4,2) * 5 * 2^2 * 251
+    everything = np.arange(F251.q**2, dtype=np.int64)
+    monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: everything)
+    with pytest.raises(InvariantViolation, match=r"^stage 3: bad set has 63001 pairs, above the ceiling 30120$"):
+        construct.extend(F251, (0, 1, 2, 5), 3)
+
+
+def test_every_verify_mode_checks_what_extend_returns(monkeypatch, capsys):
+    # (0, 1, 2, 5, 3, 34) is not optimal over GF(251): both checks refuse it
+    bad = (0, 1, 2, 5, 3, 34)
+    assert not analyze.is_optimal_half_rate(EvaluationVector(F251, bad), 3).optimal
+    monkeypatch.setattr(construct, "extend", lambda fld, points, i: (bad, 0))
+    with pytest.raises(InvariantViolation, match="failed the exact optimality check"):
+        construct.construct_half_rate(F251, 3)
+    with pytest.raises(InvariantViolation, match="failed the rank certificate"):
+        construct.construct_half_rate(F251, 3, verify_mode="certificate")
+    t = construct.construct_half_rate(F251, 3, verify_mode="none")
+    assert [s.verification for s in t.stages] == ["skipped", "skipped"]
+    assert t.alpha.points == bad and t.stages[1].chosen_pair == (3, 34)
+    assert cli.main(["construct", "--field", "251", "--k", "3"]) == cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "InvariantViolation" and "failed the exact optimality check" in error["message"]
+
+
+def test_unknown_verify_mode_is_refused_before_any_work(monkeypatch):
+    def never(fld):
+        raise AssertionError("the base case ran")
+
+    monkeypatch.setattr(construct, "base_case", never)
+    with pytest.raises(ValueError, match="unknown verify mode 'bogus'"):
+        construct.construct_half_rate(F7, 2, verify_mode="bogus")
+
+
 def test_trace_serialization_shape():
     t = construct.construct_half_rate(F7, 2)
     doc = json.loads(cli.dumps(t))

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import lcs
+from conftest import lcs, lcs_dp
 
 from rsinsdel import errors, insdel, poly
 from rsinsdel.errors import GuardExceeded
@@ -14,23 +14,10 @@ from rsinsdel.rscode import EvaluationVector, RsCode
 F7 = field_new(7)
 
 
-def lcs_oracle(a, b):
-    """Textbook dynamic program, kept independent of the library code."""
-    m, n = len(a), len(b)
-    table = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[m][n]
-
-
 def test_lcs_worked_example():
     s = (2, 4, 1, 3, 0, 2)
     t = (4, 3, 2, 1, 0)
-    assert lcs(s, t) == lcs(t, s) == lcs_oracle(s, t) == 3
+    assert lcs(s, t) == lcs(t, s) == lcs_dp(s, t) == 3
 
 
 def test_lcs_trivial_cases():
@@ -45,7 +32,7 @@ def test_lcs_matches_oracle_random():
         m, n, sigma = rng.randrange(0, 14), rng.randrange(0, 14), rng.randrange(1, 9)
         a = tuple(rng.randrange(sigma) for _ in range(m))
         b = tuple(rng.randrange(sigma) for _ in range(n))
-        assert lcs(a, b) == lcs_oracle(a, b)
+        assert lcs(a, b) == lcs_dp(a, b)
 
 
 def test_lcs_symmetry_and_deletion_monotonicity():
@@ -73,7 +60,7 @@ def test_edit_distance_affine_isometry():
             mu = rng.randrange(fld.q)
             c2 = [fld.add(fld.mul(lam, x), mu) for x in c]
             d2 = [fld.add(fld.mul(lam, x), mu) for x in d]
-            assert lcs(c2, d2) == lcs(c, d) == lcs_oracle(c, d)
+            assert lcs(c2, d2) == lcs(c, d) == lcs_dp(c, d)
 
 
 def test_lcs_witness_is_valid():
@@ -82,7 +69,7 @@ def test_lcs_witness_is_valid():
         a = tuple(rng.randrange(6) for _ in range(rng.randrange(0, 10)))
         b = tuple(rng.randrange(6) for _ in range(rng.randrange(0, 10)))
         length, i_seq, j_seq = insdel.lcs_with_witness(a, b)
-        assert length == lcs_oracle(a, b)
+        assert length == lcs_dp(a, b)
         assert len(i_seq) == len(j_seq) == length
         assert all(x < y for x, y in zip(i_seq, i_seq[1:]))
         assert all(x < y for x, y in zip(j_seq, j_seq[1:]))

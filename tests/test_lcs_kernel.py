@@ -17,23 +17,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import lcs
+from conftest import lcs, lcs_dp
 
 from rsinsdel import analyze, bounds, cli, errors, insdel, poly
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode, codeword, codewords
-
-
-def lcs_dp(a, b):
-    m, n = len(a), len(b)
-    table = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[m][n]
 
 
 def lis_length(seq):
@@ -137,6 +125,30 @@ def test_stacked_kernel_edge_shapes():
         assert got.shape == want and not got.any()
     empty = np.concatenate([insdel.match_masks([[]], 4)] * 9)  # m = 0: no words at all
     assert insdel.lcs_from_masks(empty, 0, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
+
+
+@pytest.mark.parametrize("m", [3, 31, 64, 65, 128, 129, 193, 257, 577])
+def test_kernel_stays_within_its_bytes_per_row(m):
+    # the tracemalloc peak of one call at two row counts separates the
+    # per-row slope from the fixed buffers; a full word group of patterns
+    # reaches kernel_row_bytes(m) within a byte, one narrow lane stays below
+    rng = np.random.default_rng(m)
+    for patterns in sorted({1, 64 // insdel.lane_bits(m)}):
+        table = insdel.match_masks(rng.integers(0, 8, (patterns, m)), 8)
+        peaks = []
+        for count in (20_000, 60_000):
+            rows = np.asfortranarray(rng.integers(0, 8, (count, 3), dtype=np.uint8))
+            tracemalloc.start()
+            try:
+                insdel.lcs_from_masks(table, m, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / 40_000
+        fixed = peaks[0] - 20_000 * slope
+        assert slope <= insdel.kernel_row_bytes(m) and fixed <= 128 << 10, (patterns, slope, fixed)
+        if patterns == 64 // insdel.lane_bits(m):
+            assert slope > insdel.kernel_row_bytes(m) - 1, (patterns, slope)
 
 
 # -- the affine engine ----------------------------------------------------------

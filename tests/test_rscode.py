@@ -70,6 +70,12 @@ def test_equivalent_rejects_mixed_fields():
         equivalent(EvaluationVector(F7, (0, 1)), EvaluationVector(field_new(5), (0, 1)))
 
 
+def test_equivalent_refuses_length_one_vectors():
+    # a single coordinate leaves lam undetermined
+    with pytest.raises(ValueError, match="equal length >= 2"):
+        equivalent(EvaluationVector(F7, (3,)), EvaluationVector(F7, (4,)))
+
+
 def test_equivalence_relation_properties():
     rng = random.Random(71)
     for fld in (F7, field_new(3, 2)):
