@@ -9,7 +9,8 @@ that exploits the affine edit-distance isometries.  In the fast path both
 words of a pair are orderings of the field, so relabelling every symbol by
 its position in the ordering turns each LCS into a longest increasing
 subsequence against 0 .. q-1, the mask table of 0 .. q-1 serves every row,
-and one batched core (_affine_lcs) measures a block of orderings per kernel
+and one batched core (_affine_lcs) measures a block of orderings, or above
+q = 89 a block of one ordering's rows read column by column, per kernel
 call; the engine is that core on one ordering.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes (a
@@ -40,7 +41,7 @@ import numpy as np
 from . import errors, insdel, poly
 from .errors import GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
-from .insdel import kernel_row_bytes, kernel_steps, lcs_from_masks, match_masks
+from .insdel import Columns, kernel_row_bytes, kernel_steps, lcs_from_masks, match_masks
 from .rscode import EvaluationVector, RsCode, equivalent
 
 DEFAULT_MAX_CLASSES = 5_040
@@ -166,7 +167,7 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f is a row of words
     best, first = np.full(len(family), -1), np.zeros(len(family), dtype=np.int64)  # f's longest LCS, its first row
     stop, lanes, symbol = len(family), 64 // insdel.lane_bits(n), np.min_scalar_type(q - 1)
-    step = max(1, errors.BLOCK_BYTES // (size * (n * symbol.itemsize + kernel_row_bytes(n))))
+    step = max(1, errors.BLOCK_BYTES // (size * (n * symbol.itemsize + kernel_row_bytes(n, lanes))))
     for c0 in range(0, q, step):
         # column-major, so each column is one contiguous read for the kernel
         rows = np.empty((min(step, q - c0) * size, n), dtype=symbol, order="F")
@@ -214,13 +215,12 @@ def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _row_blocks(a_idx: np.ndarray, rows: int) -> list[tuple[int, int]]:
     """The (start, stop) blocks of one ordering's scan, in scan order: as
-    many whole a groups as fit in rows, a group longer than rows in chunks
-    of rows, and a = 1 (a_idx 0), the one group that skips some b, never
-    beside another a."""
+    many whole a groups as fit in rows, and a group longer than rows in
+    chunks of rows."""
     bounds = np.searchsorted(a_idx, np.arange(a_idx[-1] + 2)).tolist()  # where each a starts, then the end
     blocks = []
     for lo, hi in itertools.pairwise(bounds):
-        if blocks and blocks[-1][0] >= bounds[1] and hi - blocks[-1][0] <= rows:
+        if blocks and hi - blocks[-1][0] <= rows:
             blocks[-1] = (blocks[-1][0], hi)
         else:
             blocks += [(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
@@ -236,64 +236,82 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     increasing subsequence of pos[A*alpha_j + B] (Hunt and Szymanski).  The
     _affine_rows geometry, the table x + b and the mask table of 0 .. q-1
     are built once per call, and each ordering gathers its relabel table
-    pos[x + b] from that table.  A block's rows come from the relabel rows
-    A*alpha_j of its A values: whole A groups as gathered, a range within
-    one A by its B columns, and whole orderings by their (A, B) columns.
-    Each block is one lcs_from_masks call within errors.BLOCK_BYTES, every
-    temporary counted, the gathers' int64 indices and the kernel's words and
-    scratch too.  While one ordering's (q^2 - 1) // 2 rows fit (q <= 89 at
-    the default budget), a block holds as many whole orderings as fit;
-    otherwise each ordering is scanned alone in _row_blocks, each row held
-    once beside its relabel table, and stops at its first block reaching
+    pos[x + b] from that table.  Each block is one lcs_from_masks call
+    within errors.BLOCK_BYTES, every temporary per row or per ordering of
+    the block counted; the tables of one call or one ordering scanned alone
+    (x + b, pos[x + b], A*alpha_j) lie beside it.  While one
+    ordering's (q^2 - 1) // 2 rows fit beside their gathers (q <= 89 at the
+    default budget), a block holds as many whole orderings as fit, their
+    rows gathered from the relabel rows A*alpha_j: a = 1 by its kept b, the
+    other a whole, joined by one concatenate.  Otherwise each ordering is
+    scanned alone in _row_blocks, each block a Columns source that holds no
+    rows (_affine_columns), and stops at its first block reaching
     q - 1.  The callers check the work.
     """
     q = fld.q
     arr = np.asarray(orderings, dtype=np.int64).reshape(-1, q)
     best = np.full(len(arr), -1, dtype=np.int64)
     first = np.zeros(len(arr), dtype=np.int64)
-    symbol = np.min_scalar_type(q - 1)
     elements = np.arange(q)
     shifted = fld.v_add(elements[:, None], elements)  # shifted[x, b] = x + b
     a_vals, a_idx, b_rows = _affine_rows(fld)
-    cols = a_idx * q + b_rows  # each row's column among the gathered relabel rows of its block
     masks = match_masks(elements[None], q)
+    symbol = np.min_scalar_type(q - 1)
     s = symbol.itemsize
-    kernel = kernel_row_bytes(q)
     # a whole ordering: its relabel table, two int64 (the gather index and
     # its product) and a relabel row of q symbols per (A, alpha_j), then
-    # each row again, taken by an int64 index, and its kernel state
-    whole = q * q * s + len(a_vals) * q * (16 + q * s) + len(cols) * (q * s + 8 + kernel)
+    # each row again, joined, and its kernel state
+    whole = q * q * s + len(a_vals) * q * (16 + q * s) + len(a_idx) * (q * s + kernel_row_bytes(q))
     if whole <= errors.BLOCK_BYTES:
-        per_block, blocks = errors.BLOCK_BYTES // whole, [(0, len(cols))]
-    else:
-        per_block, blocks = 1, _row_blocks(a_idx, max(1, errors.BLOCK_BYTES // (q * s + 16 + kernel)))
-    for o0 in range(0, len(arr), per_block):
-        block = arr[o0 : o0 + per_block]
-        count = len(block)
-        top_b, first_b = best[o0 : o0 + count], first[o0 : o0 + count]  # views
-        pos = np.empty((count, q), dtype=symbol)
-        pos[np.arange(count)[:, None], block] = elements
-        relabel = pos[:, shifted].reshape(count * q, q)  # row o*q + x holds pos_o[x + b] over b
-        offsets = np.arange(0, count * q, q)[:, None]
-        for start, stop in blocks:
-            lo, hi = a_idx[start], a_idx[stop - 1] + 1
-            index = fld.v_mul(block.T[:, :, None], a_vals[lo:hi])  # (q, count, hi - lo): A * alpha_j
-            index += offsets
+        per_block, ones = errors.BLOCK_BYTES // whole, int(np.count_nonzero(a_idx == 0))  # a = 1's rows
+        for o0 in range(0, len(arr), per_block):
+            block = arr[o0 : o0 + per_block]
+            count = len(block)
+            pos = np.empty((count, q), dtype=symbol)
+            pos[np.arange(count)[:, None], block] = elements
+            relabel = pos[:, shifted].reshape(count * q, q)  # row o*q + x holds pos_o[x + b] over b
+            index = fld.v_mul(block.T[:, :, None], a_vals)  # (q, count, A): A * alpha_j
+            index += np.arange(0, count * q, q)[:, None]
             # C-order (q, count, rows), so the kernel's rows are column-major
-            if hi - lo == 1:
-                seqs = relabel[index, b_rows[start:stop]]
-            else:
-                seqs = relabel[index].reshape(q, count, -1)
-                if seqs.shape[2] != stop - start:
-                    seqs = np.take(seqs, cols[start:stop] - lo * q, axis=2)
+            kept = relabel[index[..., :1], b_rows[:ones]]
+            seqs = np.concatenate((kept, relabel[index[..., 1:]].reshape(q, count, -1)), axis=2)
             lengths = lcs_from_masks(masks, q, seqs.reshape(q, -1).T)[0].reshape(count, -1)
-            firsts = lengths.argmax(axis=1)
-            top = lengths[np.arange(count), firsts]
-            gain = top > top_b
-            top_b[gain], first_b[gain] = top[gain], start + firsts[gain]
-            if (top_b == q - 1).all():
+            first[o0 : o0 + count] = lengths.argmax(axis=1)
+            best[o0 : o0 + count] = lengths[np.arange(count), first[o0 : o0 + count]]
+        return best, first
+    # per row: the kernel's state with the source's gather index, and its share of the gathered relabel rows
+    blocks = _row_blocks(a_idx, max(1, errors.BLOCK_BYTES // (kernel_row_bytes(q, source=True) + 8)))
+    for o, points in enumerate(arr):
+        pos = np.empty(q, dtype=np.intp)
+        pos[points] = elements
+        relabel = pos[shifted]  # relabel[x, b] = pos[x + b]
+        scaled = fld.v_mul(points[:, None], a_vals)  # (q, A): A * alpha_j
+        for start, stop in blocks:
+            source = _affine_columns(relabel, scaled, a_idx[start:stop], b_rows[start:stop])
+            lengths = lcs_from_masks(masks, q, source)[0]
+            f = int(lengths.argmax())
+            if lengths[f] > best[o]:
+                best[o], first[o] = lengths[f], start + f
+            if best[o] == q - 1:
                 break
     return best, first
+
+
+def _affine_columns(relabel: np.ndarray, scaled: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray) -> Columns:
+    """Consecutive rows of _affine_rows, given by their a index and b, as a
+    Columns source: column j of row (A, b) is relabel[A*alpha_j, b], read
+    by gathering the relabel rows A*alpha_j of the block's A values,
+    scaled[j] holding every kept A's, then each row's b from them by one
+    fixed gather index."""
+    lo, hi = a_rows[0], a_rows[-1] + 1
+    held = np.empty((hi - lo, relabel.shape[1]), dtype=np.intp)
+    index = (a_rows - lo) * relabel.shape[1] + b_rows
+
+    def read(j: int, out: np.ndarray) -> None:
+        relabel.take(scaled[j, lo:hi], axis=0, out=held, mode="clip")
+        held.reshape(-1).take(index, out=out, mode="clip")
+
+    return Columns(len(index), len(scaled), read)
 
 
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:

@@ -14,15 +14,18 @@ bit tables by one numpy scatter, and lcs_from_masks runs the Allison-Dix /
 Hyyro bit-vector recurrence over every row at once, one numpy pass per
 column and word, below m = 64 with the patterns packed side by side into
 lanes of lane_bits(m) bits, each with a guard bit above m for its carry
-(Hyyro, Fredriksson and Navarro's increased bit-parallelism).  The engines
-check kernel_steps, the word-steps of a scan, against the one limit before
-building anything, and size their blocks by kernel_row_bytes, the kernel's
-memory per row.  lcs_with_witness is the dynamic program that recovers
+(Hyyro, Fredriksson and Navarro's increased bit-parallelism), and from
+m = 65 up with a top word no wider than its bits.  The rows are an array
+or a Columns source that writes each column when the kernel reads it.
+The engines check kernel_steps, the word-steps of a scan, against the one
+limit before building anything, and size their blocks by
+kernel_row_bytes, the kernel's memory per row.  lcs_with_witness is the dynamic program that recovers
 one common subsequence of a single pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,6 +57,22 @@ def lane_bits(m: int) -> int:
     return min(64, max(8, 1 << m.bit_length()))
 
 
+@functools.cache
+def _layout(m: int, patterns: int) -> tuple[np.dtype, int, np.dtype, tuple[np.dtype, ...]]:
+    """lcs_from_masks' words for P patterns of length m: the lane dtype, the
+    lanes to a word, the word dtype and the dtype of each of v's ceil(m/64)
+    words.  Below m = 64 a word holds as many lanes as the patterns need, up
+    to 64 // lane_bits(m); from m = 65 up the top word holds m - 64 (words -
+    1) bits, in the narrowest of 8, 16, 32 and 64 bits that holds them."""
+    bits = lane_bits(m)
+    lanes = min(64 // bits, 1 << (patterns - 1).bit_length())
+    word = np.dtype(f"u{bits * lanes // 8}")
+    widths = [word] * -(-m // 64)
+    if len(widths) > 1:
+        widths[-1] = np.dtype(f"u{max(8, 1 << (m - 64 * len(widths) + 63).bit_length()) // 8}")
+    return np.dtype(f"u{bits // 8}"), lanes, word, tuple(widths)
+
+
 def kernel_steps(patterns: int, rows: int, m: int, n: int) -> int:
     """Word-steps of lcs_from_masks over patterns of length m and rows of
     length n, in calls of up to 64 // lane_bits(m) patterns: one per word
@@ -61,20 +80,36 @@ def kernel_steps(patterns: int, rows: int, m: int, n: int) -> int:
     return -(-patterns // (64 // lane_bits(m))) * rows * n * -(-m // 64)
 
 
-def kernel_row_bytes(m: int) -> int:
-    """Working memory of lcs_from_masks per row, in bytes, for one lane
-    group of patterns of length m: v's ceil(m/64) 8-byte words, u and v &
-    ~u, two one-byte carry flags and the 8-byte column index; from three
-    words on, the carry test of a middle word holds about 2 bytes more."""
-    words = -(-m // 64)
-    return 8 * words + 26 + (2 if words >= 3 else 0)
+def kernel_row_bytes(m: int, patterns: int = 1, source: bool = False) -> int:
+    """Working memory of lcs_from_masks per row, in bytes, for P patterns of
+    length m: per group of lanes v's words (_layout), u and v & ~u at the
+    word width, two one-byte carry flags and, from three words on, about 2
+    bytes more for the carry test of a middle word; per row the 8-byte
+    column index, and for a Columns source its 8-byte gather index too."""
+    _, lanes, word, widths = _layout(m, patterns)
+    group = sum(w.itemsize for w in widths) + 2 * word.itemsize + 2 + (2 if len(widths) >= 3 else 0)
+    return -(-patterns // lanes) * group + (16 if source else 8)
+
+
+class Columns:
+    """Rows for lcs_from_masks that are read column by column and never held:
+    count rows of length n, whose column j read(j, out) writes, as intp, into
+    out.  kernel_row_bytes(m, P, source=True) counts one 8-byte gather index
+    per row for the source."""
+
+    def __init__(self, count: int, n: int, read):
+        self.shape = (count, n)
+        self.read = read
+
+    def __len__(self) -> int:
+        return self.shape[0]
 
 
 def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     """LCS lengths of P patterns of length m, given by match_masks' (P,
     alphabet, words) stack of tables, against every row of an (R, n)
-    symbol array: the (P, R) lengths, in the narrowest signed dtype that
-    holds every length and -1.
+    symbol array or a Columns source of R rows: the (P, R) lengths, in the
+    narrowest signed dtype that holds every length and -1.
 
     v keeps one bit per position of a pattern, set while that position is
     still unmatched.  Each column c updates u = v & M[c], v = (v + u) |
@@ -87,15 +122,18 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     Where a word holds more than one lane, each column clears the bits of
     every lane from m up before the addition, so bit m, the guard, catches
     the lane's carry before it reaches the next lane.  From m = 64 up each
-    pattern has its own words.  Column-major rows (order="F") make each
-    column one contiguous read.
+    pattern has its own words, 64-bit ones under a top word as narrow as
+    its bits allow, whose carry out is dropped.  Column-major rows
+    (order="F") make each column one contiguous read.
     """
-    rows = np.asarray(rows)
+    source = isinstance(rows, Columns)
+    if not source:
+        rows = np.asarray(rows)
     count, n = rows.shape
     patterns, alphabet, words = table.shape
-    bits = lane_bits(m)
-    lanes = min(64 // bits, 1 << (patterns - 1).bit_length())
-    lane, word = np.dtype(f"u{bits // 8}"), np.dtype(f"u{bits * lanes // 8}")
+    if not words:  # m = 0
+        return np.zeros((patterns, count), dtype=np.int8)
+    lane, lanes, word, widths = _layout(m, patterns)
     groups = -(-patterns // lanes)
     # a word's lanes lie side by side in memory, so viewing them as words packs them
     packed = np.zeros((words, alphabet, groups * lanes), dtype=lane)
@@ -103,34 +141,46 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     masks = packed.view(word)  # (words, alphabet, groups)
     if lanes > 1:  # m < 64: each lane's bits below m
         keep = np.array([(1 << m) - 1] * lanes, dtype=lane).view(word)
-    v = np.empty((words, count, groups), dtype=word)
-    v.fill((1 << 8 * word.itemsize) - 1)
     u = np.empty((count, groups), dtype=word)
     rest = np.empty_like(u)
     carry = np.zeros((count, groups), dtype=bool)
     spill = np.zeros((count, groups), dtype=bool)
     col = np.empty(count, dtype=np.intp)
-    state = list(zip(masks, v))
+    v, state = [], []
+    for mw, width in zip(masks, widths):
+        vw = np.empty((count, groups), dtype=width)
+        vw.fill((1 << 8 * width.itemsize) - 1)
+        v.append(vw)
+        if width == word:
+            state.append((mw, vw, u, rest))
+        else:  # the narrow top word, over the first bytes of u and rest
+            uw, rw = (a.reshape(-1).view(width)[: count * groups].reshape(count, groups) for a in (u, rest))
+            state.append((mw.astype(width), vw, uw, rw))
     for j in range(n):
-        col[...] = rows[:, j]
-        for w, (mw, vw) in enumerate(state):
-            mw.take(col, axis=0, out=u, mode="clip")
-            u &= vw
-            np.bitwise_xor(vw, u, out=rest)  # v & ~u, since u lies inside v
+        if source:
+            rows.read(j, col)
+        else:
+            col[...] = rows[:, j]
+        for w, (mw, vw, uw, rw) in enumerate(state):
+            mw.take(col, axis=0, out=uw, mode="clip")
+            uw &= vw
+            np.bitwise_xor(vw, uw, out=rw)  # v & ~u, since u lies inside v
             if lanes > 1:
                 vw &= keep  # clear the guards
-            vw += u  # wraps modulo the word
+            vw += uw  # wraps modulo the word
             if w + 1 < words:
-                np.less(vw, u, out=spill)  # the carry out of this word
+                np.less(vw, uw, out=spill)  # the carry out of this word
             if w:
                 vw += carry
                 if w + 1 < words:
                     spill |= carry & (vw == 0)
-            vw |= rest
+            vw |= rw
             carry, spill = spill, carry
-    del u, rest, col, carry, spill  # the read-out's arrays take their place
-    total = bits * words
-    unmatched = np.bitwise_count(v.view(lane)).sum(axis=0, dtype=np.min_scalar_type(-1 - total))  # (R, groups * lanes)
+    u = rest = uw = rw = col = carry = spill = state = None  # the read-out's arrays take their place
+    total = sum(8 * w.itemsize for w in widths) // lanes
+    unmatched = np.bitwise_count(v[0].view(lane)).astype(np.min_scalar_type(-1 - total))  # (R, groups * lanes)
+    for vw in v[1:]:
+        unmatched += np.bitwise_count(vw)
     return total - unmatched[:, :patterns].T
 
 

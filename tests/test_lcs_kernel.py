@@ -45,11 +45,13 @@ def test_match_masks_layout():
     assert insdel.match_masks([[]], 4).shape == (1, 4, 0)
 
 
-@pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 127, 128, 129, 200])
+@pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 72, 80, 81, 96, 97, 112, 113, 127, 128, 129, 200])
 def test_kernel_matches_dp(m):
     # Word counts 1..4, so carries cross up to three word boundaries, and
     # below 64 lanes of 8, 16, 32 and 64 bits on both sides of each width;
-    # small alphabets give long carry chains, large ones sparse matches.
+    # from 65 up top words of 8, 16, 17, 32, 33, 48 and 49 bits, in 8-, 16-,
+    # 32- and 64-bit words; small alphabets give long carry chains, large
+    # ones sparse matches.
     rng = random.Random(1000 + m)
     for alphabet in (2, 3, 11, 200):
         s = [rng.randrange(alphabet) for _ in range(m)]
@@ -65,8 +67,10 @@ def test_kernel_matches_dp(m):
 
 
 def test_kernel_all_ones_carry_chain():
-    # s = 0^m against rows of 0s: every column carries through every word.
-    for m in (64, 129, 200):
+    # s = 0^m against rows of 0s: every column carries through every word,
+    # into a narrow top word (72: 8 bits, 81: 17 bits in 32, 96: all 32,
+    # 129: 1 bit in 8) and out of it.
+    for m in (64, 72, 81, 96, 97, 129, 200):
         table = insdel.match_masks([[0] * m], 2)
         rows = np.zeros((3, 150), dtype=np.int32)
         rows[1, ::2] = 1
@@ -127,28 +131,58 @@ def test_stacked_kernel_edge_shapes():
     assert insdel.lcs_from_masks(empty, 0, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
 
 
-@pytest.mark.parametrize("m", [3, 31, 64, 65, 128, 129, 193, 257, 577])
+def array_columns(rows):
+    """An (R, n) array as a Columns source with a gather index of its own:
+    column j is taken through an index of R int64."""
+    index = np.arange(len(rows))
+
+    def read(j, out):
+        rows[:, j].take(index, out=out, mode="clip")  # unbuffered
+
+    return insdel.Columns(*rows.shape, read)
+
+
+@pytest.mark.parametrize("m", [3, 31, 64, 65, 81, 100, 128, 129, 193, 257, 577])
 def test_kernel_stays_within_its_bytes_per_row(m):
     # the tracemalloc peak of one call at two row counts separates the
-    # per-row slope from the fixed buffers; a full word group of patterns
-    # reaches kernel_row_bytes(m) within a byte, one narrow lane stays below
+    # per-row slope from the fixed buffers; one pattern in its narrow lane
+    # and a full word group each reach kernel_row_bytes(m, patterns) within
+    # a byte, and a Columns source adds its gather index
     rng = np.random.default_rng(m)
     for patterns in sorted({1, 64 // insdel.lane_bits(m)}):
         table = insdel.match_masks(rng.integers(0, 8, (patterns, m)), 8)
-        peaks = []
-        for count in (20_000, 60_000):
-            rows = np.asfortranarray(rng.integers(0, 8, (count, 3), dtype=np.uint8))
-            tracemalloc.start()
-            try:
-                insdel.lcs_from_masks(table, m, rows)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        slope = (peaks[1] - peaks[0]) / 40_000
-        fixed = peaks[0] - 20_000 * slope
-        assert slope <= insdel.kernel_row_bytes(m) and fixed <= 128 << 10, (patterns, slope, fixed)
-        if patterns == 64 // insdel.lane_bits(m):
-            assert slope > insdel.kernel_row_bytes(m) - 1, (patterns, slope)
+        for source in (False, True):
+            peaks = []
+            for count in (20_000, 60_000):
+                rows = np.asfortranarray(rng.integers(0, 8, (count, 3), dtype=np.intp))
+                tracemalloc.start()
+                try:
+                    insdel.lcs_from_masks(table, m, array_columns(rows) if source else rows)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            slope = (peaks[1] - peaks[0]) / 40_000
+            fixed = peaks[0] - 20_000 * slope
+            charge = insdel.kernel_row_bytes(m, patterns, source)
+            assert charge - 1 < slope <= charge and fixed <= 128 << 10, (patterns, source, slope, fixed)
+
+
+@pytest.mark.parametrize("m", [3, 31, 64, 81, 129])
+def test_column_source_matches_the_array(m):
+    # the same rows as an array and as a Columns source give equal lengths,
+    # those of the dynamic program, for one pattern and more than a word group
+    rng = np.random.default_rng(100 + m)
+    for patterns in (1, 64 // insdel.lane_bits(m) + 1):
+        seqs = rng.integers(0, 5, (patterns, m))
+        table = insdel.match_masks(seqs, 5)
+        for count, n in ((0, 4), (3, 0), (40, 2 * m + 1)):
+            rows = rng.integers(0, 5, (count, n))
+            source = array_columns(rows)
+            assert len(source) == count and source.shape == rows.shape
+            got = insdel.lcs_from_masks(table, m, source)
+            want = insdel.lcs_from_masks(table, m, rows)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tolist() == [[lcs_dp(list(t), list(r)) for r in rows] for t in seqs]
 
 
 # -- the affine engine ----------------------------------------------------------
@@ -283,8 +317,8 @@ def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
     assert best == 26
     a_vals, a_idx, b_rows = analyze._affine_rows(fld)
     row = next(r for r in range(len(b_rows)) if [b_rows[r], a_vals[a_idx[r]]] == g)
-    # a budget of a few rows: a = 1's 13 rows and every later a in chunks
-    monkeypatch.setattr(errors, "BLOCK_BYTES", 400)
+    # a budget of five rows: a = 1's 13 rows and every later a in chunks
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 5 * (insdel.kernel_row_bytes(27, source=True) + 8))
     seen = counting_kernel(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == (best, g)
@@ -315,9 +349,9 @@ def test_row_blocks_are_whole_groups_or_chunks_of_one(q):
 
 
 def whole_groups(a_idx, start, stop):
-    # the rows of whole a groups, a != 1
+    # the rows of whole a groups
     ends = stop == len(a_idx) or a_idx[stop] != a_idx[stop - 1]
-    return a_idx[start] != 0 and a_idx[start - 1] != a_idx[start] and ends
+    return (start == 0 or a_idx[start - 1] != a_idx[start]) and ends
 
 
 def kernel_calls_by_shape(seen, rows):
@@ -340,7 +374,7 @@ def test_affine_core_matches_engine_and_lis_oracle_in_every_block_shape(q, monke
     seen = counting_kernel(monkeypatch)
     shapes = set()
     # from blocks of a few a groups of one ordering up to every ordering at once
-    for budget in (4**k for k in range(4, 13) if 4**k >= 4 * q * q):
+    for budget in (4 * q * q, *(4**k for k in range(4, 13) if 4**k > 4 * q * q)):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         del seen[:]
         lengths, first = analyze._affine_lcs(fld, [ev.points for ev in evs])
@@ -365,6 +399,33 @@ def test_affine_core_gf11_spectrum():
     assert spectrum[10] == bounds.bad_class_count(fld).count
 
 
+def seeded_ordering(q, s):
+    # [0, 1] followed by 2 .. q-1 shuffled by random.Random(s)
+    rest = list(range(2, q))
+    random.Random(s).shuffle(rest)
+    return [0, 1] + rest
+
+
+@pytest.mark.parametrize("q, want", [(97, [23, 22]), (127, [27, 28])])
+def test_affine_core_agrees_in_whole_and_column_fed_blocks(q, want, monkeypatch):
+    # the seeded orderings s = 0, 1: whole-ordering blocks (a large budget),
+    # one column-fed block run per ordering (the default) and column-fed
+    # blocks of a few a groups give the same (best, first), the LIS oracle's
+    fld = field_new(q)
+    orders = [seeded_ordering(q, s) for s in (0, 1)]
+    seen = counting_kernel(monkeypatch)
+    runs, kinds = [], []
+    for budget in (64 << 20, 1 << 20, 4 * q * q):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        del seen[:]
+        best, first = analyze._affine_lcs(fld, orders)
+        runs.append((best.tolist(), first.tolist()))
+        kinds.append({type(rows) for rows in seen})
+    assert runs[0] == runs[1] == runs[2]
+    assert kinds == [{np.ndarray}, {insdel.Columns}, {insdel.Columns}]
+    assert runs[0][0] == want == [affine_lis_oracle(EvaluationVector(fld, tuple(o))) for o in orders]
+
+
 def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
     fld = field_new(3, 4)
     seen = counting_kernel(monkeypatch)
@@ -379,11 +440,19 @@ def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
 
 @pytest.mark.parametrize("q", [256, 257])
 def test_affine_on_both_sides_of_the_symbol_dtype_switch(q, monkeypatch):
-    # q = 256 relabels into uint8 up to 255, q = 257 into uint16
+    # whole-ordering blocks relabel q = 256 into uint8 up to 255 and q = 257
+    # into uint16; at the default budget a source feeds the kernel instead
     ev = orderings(q, 1, seed=q)[0]
+    want = affine_kernel_reference(ev)
     seen = counting_kernel(monkeypatch)
     report = analyze.lcs_code_affine(ev)
-    assert (report.lcs_of_code, report.witness["g"]) == affine_kernel_reference(ev)
+    assert (report.lcs_of_code, report.witness["g"]) == want
+    assert {type(rows) for rows in seen} == {insdel.Columns}
+    del seen[:]
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 64 << 20)
+    report = analyze.lcs_code_affine(ev)
+    assert (report.lcs_of_code, report.witness["g"]) == want
+    assert [rows.shape for rows in seen] == [((q * q - 1) // 2, q)]
     assert {rows.dtype for rows in seen} == {np.dtype(np.uint8 if q == 256 else np.uint16)}
 
 
