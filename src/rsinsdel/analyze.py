@@ -160,7 +160,8 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     word-steps raises GuardExceeded before any table is built.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
-    errors.check_work(kernel_steps(_family_size(q, k), q**k, n, n), errors.MAX_KERNEL_STEPS)
+    what = f"kernel word-steps of the brute force of n={n}, k={k} over {fld.name()}"
+    errors.check_work(kernel_steps(_family_size(q, k), q**k, n, n), errors.MAX_KERNEL_STEPS, what)
     words = _codeword_table(code, q ** (k - 1))
     size = len(words)
     family = list(_normalized_polys(fld, k))
@@ -213,20 +214,6 @@ def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kept, a_idx, b_rows
 
 
-def _row_blocks(a_idx: np.ndarray, rows: int) -> list[tuple[int, int]]:
-    """The (start, stop) blocks of one ordering's scan, in scan order: as
-    many whole a groups as fit in rows, and a group longer than rows in
-    chunks of rows."""
-    bounds = np.searchsorted(a_idx, np.arange(a_idx[-1] + 2)).tolist()  # where each a starts, then the end
-    blocks = []
-    for lo, hi in itertools.pairwise(bounds):
-        if blocks and hi - blocks[-1][0] <= rows:
-            blocks[-1] = (blocks[-1][0], hi)
-        else:
-            blocks += [(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
-    return blocks
-
-
 def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     """The code LCS of each full-length ordering of an (N, q) array, and
     the first row of _affine_rows, in scan order, that reaches it.
@@ -244,9 +231,9 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     default budget), a block holds as many whole orderings as fit, their
     rows gathered from the relabel rows A*alpha_j: a = 1 by its kept b, the
     other a whole, joined by one concatenate.  Otherwise each ordering is
-    scanned alone in _row_blocks, each block a Columns source that holds no
-    rows (_affine_columns), and stops at its first block reaching
-    q - 1.  The callers check the work.
+    scanned alone in fixed-size ranges of rows, each block a Columns source
+    that holds no rows (_affine_columns), and stops at its first block
+    reaching q - 1.  The callers check the work.
     """
     q = fld.q
     arr = np.asarray(orderings, dtype=np.int64).reshape(-1, q)
@@ -279,15 +266,16 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
             first[o0 : o0 + count] = lengths.argmax(axis=1)
             best[o0 : o0 + count] = lengths[np.arange(count), first[o0 : o0 + count]]
         return best, first
-    # per row: the kernel's state with the source's gather index, and its share of the gathered relabel rows
-    blocks = _row_blocks(a_idx, max(1, errors.BLOCK_BYTES // (kernel_row_bytes(q, source=True) + 8)))
+    # per row: the kernel's state with the source's gather index, and its share of the
+    # gathered relabel rows; per block: the gathered rows of the two a groups at its ends
+    rows = max(1, (errors.BLOCK_BYTES - 16 * q) // (kernel_row_bytes(q, source=True) + 8))
     for o, points in enumerate(arr):
         pos = np.empty(q, dtype=np.intp)
         pos[points] = elements
         relabel = pos[shifted]  # relabel[x, b] = pos[x + b]
         scaled = fld.v_mul(points[:, None], a_vals)  # (q, A): A * alpha_j
-        for start, stop in blocks:
-            source = _affine_columns(relabel, scaled, a_idx[start:stop], b_rows[start:stop])
+        for start in range(0, len(a_idx), rows):
+            source = _affine_columns(relabel, scaled, a_idx[start : start + rows], b_rows[start : start + rows])
             lengths = lcs_from_masks(masks, q, source)[0]
             f = int(lengths.argmax())
             if lengths[f] > best[o]:
@@ -331,7 +319,8 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
         raise ValueError("affine fast path requires a full-length ordering")
     fld = ev.field
     code = RsCode(ev, 2)
-    errors.check_work(_affine_steps(fld.q), errors.MAX_KERNEL_STEPS)
+    what = f"kernel word-steps of the affine scan of {fld.name()}"
+    errors.check_work(_affine_steps(fld.q), errors.MAX_KERNEL_STEPS, what)
     (best,), (row,) = _affine_lcs(fld, [ev.points])
     witness = None
     if want_witness:
@@ -401,12 +390,13 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     n = ev.n
     if n != 2 * k:
         raise ValueError("optimality checker requires n = 2k")
-    errors.check_work(k * (k + 1) * (2 * k - 1) ** 3, errors.MAX_OPS)
+    errors.check_work(k * (k + 1) * (2 * k - 1) ** 3, errors.MAX_OPS, f"field operations of the rank sweep at k={k}")
     points = ev.points
     pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))]
     if not pairs:
         return OptimalityResult(True, None)
-    errors.check_work(_family_size(fld.q, k) * len(pairs) * (k - 1) * (2 * k - 1), errors.MAX_OPS)
+    what = f"product entries of the family scan of {len(pairs)} deficient pairs at k={k} over {fld.name()}"
+    errors.check_work(_family_size(fld.q, k) * len(pairs) * (k - 1) * (2 * k - 1), errors.MAX_OPS, what)
     seqs = np.array(pairs)  # (pairs, 2, 2k-1)
     reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
     maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
@@ -748,7 +738,8 @@ def sample_orderings(
     frac = parse_fraction(delta)
     if not 0 < frac <= 1:
         raise ValueError("delta must satisfy 0 < delta <= 1")
-    errors.check_work(trials * _affine_steps(q), errors.MAX_KERNEL_STEPS)
+    what = f"kernel word-steps of the affine scans of {fld.name()}, trials={trials}"
+    errors.check_work(trials * _affine_steps(q), errors.MAX_KERNEL_STEPS, what)
     threshold = math.floor(frac * q) - 1
     values = []
     for idx in range(trials):

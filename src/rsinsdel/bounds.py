@@ -16,13 +16,6 @@ from .gf import Field, euler_phi, is_prime
 from .rscode import EvaluationVector
 
 MP_PRECISION_BITS = 250
-# Python's default limit on converting an integer to decimal text: a report
-# holding a larger integer would fail in cli.dumps after all the work.
-MAX_DIGITS = 4300
-# Work ceiling of the exact fail-count sum: its number of terms times the
-# decimal digits of its largest term.  tail-bound at q = 1024, delta = 1/2
-# needs 1.1e6 (0.05 s); 1e7 takes about 1 s on a 2-core VM (Python 3.11).
-MAX_SUM_WORK = 10**7
 
 
 def _digits(log_value: float) -> int:
@@ -32,8 +25,8 @@ def _digits(log_value: float) -> int:
 
 def _check_digits(what: str, log_value: float) -> None:
     """GuardExceeded when a value whose natural log is log_value would have
-    more than MAX_DIGITS decimal digits; the estimate comes before any work."""
-    errors.check_work(_digits(log_value), MAX_DIGITS, f"decimal digits of {what}")
+    more than errors.MAX_DIGITS decimal digits, estimated before any work."""
+    errors.check_work(_digits(log_value), errors.MAX_DIGITS, f"decimal digits of {what}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +46,8 @@ def half_singleton(n: int, k: int) -> int:
 
 def classes_total(q: int) -> int:
     """(q-2)!, the number of affine classes of full-length orderings of
-    GF(q).  One of more than MAX_DIGITS digits raises GuardExceeded before
-    it is built."""
+    GF(q).  One of more than errors.MAX_DIGITS digits raises GuardExceeded
+    before it is built."""
     _check_digits(f"(q-2)! at q={q}", math.lgamma(q - 1))
     return math.factorial(q - 2)
 
@@ -68,8 +61,8 @@ def good_class_lower_bound(q: int) -> int:
     subtraction ignores coincidences between the explicit classes, so the
     unclamped value can undershoot the true count (at q = 4 it is 2 - 4,
     since reversal is affine there); the clamped bound equals the exact
-    census at q = 4, 5, 7, 8 and 9.  A (q-2)! above MAX_DIGITS digits raises
-    GuardExceeded.
+    census at q = 4, 5, 7, 8 and 9.  A (q-2)! above errors.MAX_DIGITS
+    digits raises GuardExceeded.
     """
     if q < 4:
         raise ValueError("meaningful only for q >= 4")
@@ -110,13 +103,13 @@ def bad_ordering_count_bound(q: int, ell: int) -> int:
                                        * prod_{i=0}^{s-ell-1} (q-i)
 
     The empty range (ell = q) gives 0.  A sum whose terms times the digits
-    of its largest term exceed MAX_SUM_WORK raises GuardExceeded first.
+    of its largest term exceed errors.MAX_SUM_WORK raises GuardExceeded first.
     """
     terms = _term_count(q, ell)
     if terms:
         digits = _digits(_last_term_log(q, ell))
         what = f"term-digits of bad_ordering_count_bound({q}, {ell}), {terms} terms of up to {digits} digits"
-        errors.check_work(terms * digits, MAX_SUM_WORK, what)
+        errors.check_work(terms * digits, errors.MAX_SUM_WORK, what)
     total = 0
     for s in range(ell + 1, ell + terms + 1):
         term = (
@@ -153,8 +146,8 @@ def _last_term_log(q: int, ell: int) -> float:
 
 def check_count_bound_digits(q: int, ell: int) -> None:
     """GuardExceeded when bad_ordering_count_bound(q, ell) would have more
-    than MAX_DIGITS decimal digits, estimated in O(1) before any factorial
-    as the number of terms times the largest term."""
+    than errors.MAX_DIGITS decimal digits, estimated in O(1) before any
+    factorial as the number of terms times the largest term."""
     terms = _term_count(q, ell)
     if terms:
         _check_digits(f"bad_ordering_count_bound({q}, {ell})", _last_term_log(q, ell) + math.log(terms))

@@ -206,7 +206,7 @@ def table_rows(qs, census_max_q: int = 9) -> list[dict]:
     the complete classification makes equally exact.  The 3-decimal
     column rounds census rows and floors dedup rows (a floored value is
     still a true lower bound at the printed precision).  A (q-2)! of more
-    than bounds.MAX_DIGITS digits is refused before it is built.
+    than errors.MAX_DIGITS digits is refused before it is built.
     """
     rows = []
     for q in qs:

@@ -37,11 +37,6 @@ from .errors import InvariantViolation
 from .gf import Field
 from .rscode import EvaluationVector, RsCode
 
-# Work budget of construct_half_rate in units of stage_work, about 30 s on a
-# 2-core x86-64 VM: admits k = 6 at q = min_field_size(6) (about 12 s) and
-# refuses k = 7 at min_field_size(7) (about a minute).
-MAX_STAGE_OPS = 2_000_000_000
-
 
 class NoBaseCaseError(ValueError):
     """No admissible length-4 starting vector exists (q < 7)."""
@@ -312,8 +307,8 @@ def stage_work(q: int, k: int) -> int:
     A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
     squares of the power mod P; its gcd cost less), a row of degree <= 2
     one unit (the closed form).  On this package's test runs the estimate
-    is within 1.5 times the rows' units counted, and a unit takes 13-22 ns
-    on a 2-core x86-64 VM."""
+    is within 1.5 times the rows' units counted, and a unit takes 5-8 ns
+    on a 2-core x86-64 VM (see errors.MAX_STAGE_OPS)."""
     bits = max(1, (q - 1).bit_length())
     return sum(
         swept_pair_count(i) * q * (8 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)
@@ -356,8 +351,8 @@ def construct_half_rate(
     any work.  Stage 2, the base case, records a bad-pair count of 0.
     q >= min_field_size(k) is required unless allow_small_q is set, in
     which case NoGoodPairError is a legitimate outcome.  An estimated stage
-    work (see stage_work) above MAX_STAGE_OPS raises GuardExceeded before
-    any work.  Identical inputs produce identical traces.
+    work (see stage_work) above errors.MAX_STAGE_OPS raises GuardExceeded
+    before any work.  Identical inputs produce identical traces.
     """
     if verify_mode not in (VERIFY_EXACT, VERIFY_CERTIFICATE, VERIFY_NONE):
         raise ValueError(f"unknown verify mode {verify_mode!r}")
@@ -368,7 +363,7 @@ def construct_half_rate(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "
             "pass allow_small_q=True to attempt anyway"
         )
-    errors.check_work(stage_work(fld.q, k), MAX_STAGE_OPS, f"element operations of stages 3..{k} at q={fld.q}")
+    errors.check_work(stage_work(fld.q, k), errors.MAX_STAGE_OPS, f"element operations of stages 3..{k} at q={fld.q}")
     stages, points, bad_count = [], base_case(fld).points, 0
     for i in range(2, k + 1):
         if i > 2:

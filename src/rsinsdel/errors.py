@@ -3,8 +3,8 @@
 Guards are explicit limits, never silent truncation: exceeding one raises
 GuardExceeded so results are all-or-nothing.  InvariantViolation marks
 conditions that the underlying theory rules out; seeing one means a bug or a
-broken precondition, not an unlucky input.  Every fixed limit is checked by
-check_work, and every guard reads its limit at call time.
+broken precondition, not an unlucky input.  Every fixed limit is defined
+here and checked by check_work, and every guard reads its limit at call time.
 """
 
 # Work limit of the index-pair sweep, the optimality checker and the bad family.
@@ -22,6 +22,20 @@ MAX_KERNEL_STEPS = 10**9
 # Working memory of one block of every blocked loop, in bytes, read at call
 # time; in `sample --field 81` runs 2^20 beat 2^18 and 2^19 by 20-30%.
 BLOCK_BYTES = 1 << 20
+# Units of construct.stage_work in one construct_half_rate run.  On a 2-core
+# VM (Python 3.11.7, numpy 2.4.6, in process, no verification) a unit took
+# 7.0-7.9 ns at k = 4 (q = 1367, 0.09 s), 5.6-5.7 ns at k = 5 (q = 4507,
+# 0.8 s) and 5.3-5.4 ns at k = 6 (q = 11273, 5.0 s), so the limit is about
+# 11 s: it admits k = 6 at min_field_size(6) and refuses k = 7 at
+# min_field_size(7), 4.4*10^9 units.
+MAX_STAGE_OPS = 2_000_000_000
+# Python's default limit on converting an integer to decimal text: a report
+# holding a larger integer would fail in cli.dumps after all the work.
+MAX_DIGITS = 4300
+# Work ceiling of the exact fail-count sum: its number of terms times the
+# decimal digits of its largest term.  tail-bound at q = 1024, delta = 1/2
+# needs 1.1e6 (0.05 s); 1e7 takes about 1 s on a 2-core VM (Python 3.11).
+MAX_SUM_WORK = 10**7
 
 
 class GuardExceeded(RuntimeError):
@@ -32,9 +46,8 @@ class InvariantViolation(RuntimeError):
     """A mathematically impossible condition was observed."""
 
 
-def check_work(estimate: int, limit: int, what: str = "") -> None:
+def check_work(estimate: int, limit: int, what: str) -> None:
     """GuardExceeded, before any work, when estimate exceeds limit; what
     names the bounded work and its unit, and prefixes the message."""
     if estimate > limit:
-        prefix = f"{what}: " if what else ""
-        raise GuardExceeded(f"{prefix}estimated work {estimate} exceeds the limit of {limit}")
+        raise GuardExceeded(f"{what}: estimated work {estimate} exceeds the limit of {limit}")

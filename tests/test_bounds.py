@@ -6,7 +6,7 @@ import math
 import mpmath
 import pytest
 
-from rsinsdel import analyze, bounds, cli
+from rsinsdel import analyze, bounds, cli, errors
 from rsinsdel.errors import GuardExceeded
 from rsinsdel.gf import field_from_order, field_new
 
@@ -90,7 +90,7 @@ def test_bad_ordering_count_bound_matches_literal_oracle():
 
 def test_digit_guards_refuse_unprintable_results_before_any_factorial(monkeypatch):
     # (q-2)! has 4300 digits at q = 1560 and 4303 at q = 1561
-    assert len(str(bounds.good_class_lower_bound(1560))) == bounds.MAX_DIGITS
+    assert len(str(bounds.good_class_lower_bound(1560))) == errors.MAX_DIGITS
     message = r"^decimal digits of \(q-2\)! at q=1561: estimated work 4303 exceeds the limit of 4300$"
     with pytest.raises(GuardExceeded, match=message):
         bounds.good_class_lower_bound(1561)
@@ -104,9 +104,9 @@ def test_digit_guards_refuse_unprintable_results_before_any_factorial(monkeypatc
     # the lgamma estimate never undershoots, and overshoots by a few digits
     for q, ell in [(30, 7), (100, 50), (1000, 2), (1000, 500), (1400, 700)]:
         digits = len(str(bounds.bad_ordering_count_bound(q, ell)))
-        monkeypatch.setattr(bounds, "MAX_DIGITS", digits + 3)
+        monkeypatch.setattr(errors, "MAX_DIGITS", digits + 3)
         bounds.check_count_bound_digits(q, ell)
-        monkeypatch.setattr(bounds, "MAX_DIGITS", digits - 1)
+        monkeypatch.setattr(errors, "MAX_DIGITS", digits - 1)
         with pytest.raises(GuardExceeded):
             bounds.check_count_bound_digits(q, ell)
 
@@ -128,9 +128,9 @@ def test_sum_work_guard_refuses_before_any_factorial(monkeypatch):
     digits = bounds._digits(bounds._last_term_log(1024, 512))
     assert digits == len(str(last))
     assert bounds.normalized_bad_fraction_bound(1024, "0.5").verdict is True
-    monkeypatch.setattr(bounds, "MAX_SUM_WORK", 512 * digits)
+    monkeypatch.setattr(errors, "MAX_SUM_WORK", 512 * digits)
     bounds.bad_ordering_count_bound(1024, 512)
-    monkeypatch.setattr(bounds, "MAX_SUM_WORK", 512 * digits - 1)
+    monkeypatch.setattr(errors, "MAX_SUM_WORK", 512 * digits - 1)
     with pytest.raises(GuardExceeded, match="512 terms of up to"):
         bounds.bad_ordering_count_bound(1024, 512)
 

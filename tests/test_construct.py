@@ -534,14 +534,14 @@ def test_construct_small_q_guard_and_override():
 
 def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
-        assert construct.stage_work(q, k) <= construct.MAX_STAGE_OPS
-    assert construct.stage_work(construct.min_field_size(7), 7) > construct.MAX_STAGE_OPS
+        assert construct.stage_work(q, k) <= errors.MAX_STAGE_OPS
+    assert construct.stage_work(construct.min_field_size(7), 7) > errors.MAX_STAGE_OPS
     # 12 and 20 pairs at 1367 * (8 * 11 + 3) and 1367 * (8 * 11 + 3 * 9 * 11)
     assert construct.stage_work(1367, 4) == 12 * 1367 * 91 + 20 * 1367 * 385 == 12018664
     assert construct.stage_work(7, 2) == 0
     # k = 6 is admitted up to q = 22354 and k = 3 up to q = 1022494
-    assert construct.stage_work(22354, 6) <= construct.MAX_STAGE_OPS < construct.stage_work(22355, 6)
-    assert construct.stage_work(1022494, 3) <= construct.MAX_STAGE_OPS < construct.stage_work(1022495, 3)
+    assert construct.stage_work(22354, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(22355, 6)
+    assert construct.stage_work(1022494, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1022495, 3)
 
 
 def test_swept_pair_count_counts_the_swept_pairs():
@@ -582,13 +582,13 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
 
 
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
-    monkeypatch.setattr(construct, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
+    monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
     message = r"^element operations of stages 3\.\.3 at q=251: estimated work 201804 exceeds the limit of 201803$"
     with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
-    monkeypatch.setattr(construct, "MAX_STAGE_OPS", construct.stage_work(251, 3))
+    monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3))
     t = construct.construct_half_rate(F251, 3, verify_mode="none")
     assert t.alpha.points == (0, 1, 2, 5, 3, 4)
 

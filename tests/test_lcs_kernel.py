@@ -11,6 +11,7 @@ subsequence of the position map (Hunt-Szymanski).
 import bisect
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -317,41 +318,19 @@ def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
     assert best == 26
     a_vals, a_idx, b_rows = analyze._affine_rows(fld)
     row = next(r for r in range(len(b_rows)) if [b_rows[r], a_vals[a_idx[r]]] == g)
-    # a budget of five rows: a = 1's 13 rows and every later a in chunks
-    monkeypatch.setattr(errors, "BLOCK_BYTES", 5 * (insdel.kernel_row_bytes(27, source=True) + 8))
+    # a budget of five rows and the fixed part: ranges of five rows that split
+    # a = 1's 13 rows and every later a
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 5 * (insdel.kernel_row_bytes(27, source=True) + 8) + 16 * 27)
     seen = counting_kernel(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == (best, g)
     rows_per_block = len(seen[0])
     assert 1 < rows_per_block < 13
-    blocks = analyze._row_blocks(a_idx, rows_per_block)
+    blocks = [(start, min(start + rows_per_block, len(b_rows))) for start in range(0, len(b_rows), rows_per_block)]
     held = next(i for i, (start, stop) in enumerate(blocks) if start <= row < stop)
     assert held >= 3
     # no block after the one holding it
     assert [len(rows) for rows in seen] == [stop - start for start, stop in blocks[: held + 1]]
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 27, 32])
-def test_row_blocks_are_whole_groups_or_chunks_of_one(q):
-    fld = field_from_order(q)
-    _, a_idx, _ = analyze._affine_rows(fld)
-    for rows in (1, 2, q - 1, q, q + 1, 3 * q, len(a_idx), 10**6):
-        blocks = analyze._row_blocks(a_idx, rows)
-        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-        assert blocks[-1][1] == len(a_idx)
-        for start, stop in blocks:
-            groups = set(a_idx[start:stop].tolist())
-            assert stop - start <= rows and (len(groups) == 1 or whole_groups(a_idx, start, stop)), (rows, start)
-        # neighbouring blocks of whole groups would not fit in one
-        for (s0, _), (s1, e1) in itertools.pairwise(blocks):
-            if whole_groups(a_idx, s0, s1) and whole_groups(a_idx, s1, e1):
-                assert e1 - s0 > rows, (rows, s0, e1)
-
-
-def whole_groups(a_idx, start, stop):
-    # the rows of whole a groups
-    ends = stop == len(a_idx) or a_idx[stop] != a_idx[stop - 1]
-    return (start == 0 or a_idx[start - 1] != a_idx[start]) and ends
 
 
 def kernel_calls_by_shape(seen, rows):
@@ -373,7 +352,7 @@ def test_affine_core_matches_engine_and_lis_oracle_in_every_block_shape(q, monke
     assert [(r.lcs_of_code, r.witness["g"]) for r in reports] == want
     seen = counting_kernel(monkeypatch)
     shapes = set()
-    # from blocks of a few a groups of one ordering up to every ordering at once
+    # from ranges of a few a groups of one ordering up to every ordering at once
     for budget in (4 * q * q, *(4**k for k in range(4, 13) if 4**k > 4 * q * q)):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         del seen[:]
@@ -409,21 +388,53 @@ def seeded_ordering(q, s):
 @pytest.mark.parametrize("q, want", [(97, [23, 22]), (127, [27, 28])])
 def test_affine_core_agrees_in_whole_and_column_fed_blocks(q, want, monkeypatch):
     # the seeded orderings s = 0, 1: whole-ordering blocks (a large budget),
-    # one column-fed block run per ordering (the default) and column-fed
-    # blocks of a few a groups give the same (best, first), the LIS oracle's
+    # one column-fed block run per ordering (the default), column-fed ranges
+    # of a few a groups, and ranges of 37 rows, which split a = 1's
+    # (q - 1) / 2 rows and cross the boundaries of the q-row a groups, give
+    # the same (best, first), the LIS oracle's
     fld = field_new(q)
     orders = [seeded_ordering(q, s) for s in (0, 1)]
     seen = counting_kernel(monkeypatch)
     runs, kinds = [], []
-    for budget in (64 << 20, 1 << 20, 4 * q * q):
+    for budget in (64 << 20, 1 << 20, 4 * q * q, 37 * (insdel.kernel_row_bytes(q, source=True) + 8) + 16 * q):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         del seen[:]
         best, first = analyze._affine_lcs(fld, orders)
         runs.append((best.tolist(), first.tolist()))
         kinds.append({type(rows) for rows in seen})
-    assert runs[0] == runs[1] == runs[2]
-    assert kinds == [{np.ndarray}, {insdel.Columns}, {insdel.Columns}]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert kinds == [{np.ndarray}, {insdel.Columns}, {insdel.Columns}, {insdel.Columns}]
+    assert {len(rows) for rows in seen} == {37, (q * q - 1) // 2 % 37}
     assert runs[0][0] == want == [affine_lis_oracle(EvaluationVector(fld, tuple(o))) for o in orders]
+
+
+@pytest.mark.parametrize("q, want", [(97, (23, 645)), (127, (27, 7135)), (257, (37, 19238)), (509, (52, 68372))])
+def test_affine_core_pins_the_seeded_ordering(q, want):
+    # the seeded ordering s = 0: its code LCS and first maximal row
+    (best,), (first,) = analyze._affine_lcs(field_new(q), [seeded_ordering(q, 0)])
+    assert (int(best), int(first)) == want
+
+
+def test_column_fed_block_memory_grows_with_the_budget_alone(monkeypatch):
+    # one GF(257) ordering: the tables of the ordering are the same at every
+    # budget, so the traced peak grows by what a block holds; a block that
+    # held its rows of q symbols would grow it by about twice the budget
+    fld = field_new(257)
+    order = [seeded_ordering(257, 0)]
+    analyze._affine_lcs(fld, order)
+    peaks = []
+    for budget in (256 << 10, 512 << 10, 1 << 20):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            analyze._affine_lcs(fld, order)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (256 << 10) <= 1.15, peaks
+    assert (peaks[2] - peaks[1]) / (512 << 10) <= 1.15, peaks
 
 
 def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
@@ -744,24 +755,39 @@ def test_family_size_counts_the_normalized_polys():
 
 
 def test_kernel_work_guard_boundary(monkeypatch):
-    # each engine is refused one word-step below its estimate and runs at it
+    # each engine is refused one unit below its estimate, with a message
+    # naming its work and unit, and runs at it
     code = RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3)
     ev = EvaluationVector(field_new(11), analyze.random_ordering(11, analyze.SplitMix64(2)))
+    ap6, ap8 = EvaluationVector(field_new(7), tuple(range(6))), EvaluationVector(field_new(11), tuple(range(8)))
     runs = [
-        (-(-9 // 8) * 7**3 * 6, "", lambda: analyze.lcs_code_bruteforce(code)),  # 9 patterns of 6, 8 to a word
-        (60 * 11, "", lambda: analyze.lcs_code_affine(ev)),  # 60 rows of 11
-        (3 * 60 * 11, "", lambda: analyze.sample_orderings(ev.field, "0.5", 3, seed=1)),
+        # 9 patterns of 6, 8 to a word
+        ("MAX_KERNEL_STEPS", -(-9 // 8) * 7**3 * 6, "kernel word-steps of the brute force of n=6, k=3 over GF(7)",
+         lambda: analyze.lcs_code_bruteforce(code)),
+        # 60 rows of 11
+        ("MAX_KERNEL_STEPS", 60 * 11, "kernel word-steps of the affine scan of GF(11)",
+         lambda: analyze.lcs_code_affine(ev)),
+        ("MAX_KERNEL_STEPS", 3 * 60 * 11, "kernel word-steps of the affine scans of GF(11), trials=3",
+         lambda: analyze.sample_orderings(ev.field, "0.5", 3, seed=1)),
         # all 3! classes of GF(5), 12 rows of 5 each
-        (6 * 12 * 5, r"kernel word-steps of verifying 6 classes of GF\(5\): ",
+        ("MAX_KERNEL_STEPS", 6 * 12 * 5, "kernel word-steps of verifying 6 classes of GF(5)",
          lambda: analyze.census_2dim(field_new(5), verify="all")),
+        # k(k+1)(2k-1)^3 at k = 3, before any pair is built
+        ("MAX_OPS", 3 * 4 * 5**3, "field operations of the rank sweep at k=3",
+         lambda: analyze.is_optimal_half_rate(ap6, 3)),
+        # (121 + 12 + 1) members * 12 deficient pairs * 3 * 7, above the sweep's 4 * 5 * 7^3
+        ("MAX_OPS", 134 * 12 * 21, "product entries of the family scan of 12 deficient pairs at k=4 over GF(11)",
+         lambda: analyze.is_optimal_half_rate(ap8, 4)),
     ]
-    for estimate, prefix, run in runs:
-        monkeypatch.setattr(errors, "MAX_KERNEL_STEPS", estimate - 1)
-        message = f"^{prefix}estimated work {estimate} exceeds the limit of {estimate - 1}$"
+    for limit, estimate, what, run in runs:
+        monkeypatch.setattr(errors, limit, estimate - 1)
+        message = f"^{re.escape(what)}: estimated work {estimate} exceeds the limit of {estimate - 1}$"
         with pytest.raises(analyze.GuardExceeded, match=message):
             run()
-        monkeypatch.setattr(errors, "MAX_KERNEL_STEPS", estimate)
+        monkeypatch.setattr(errors, limit, estimate)
         run()
+    with pytest.raises(TypeError):
+        errors.check_work(2, 1)  # no message without its work named
 
 
 def test_bruteforce_guard_counts_kernel_steps(monkeypatch):
