@@ -564,13 +564,34 @@ class CensusResult:
     verified: int
 
 
-def _unrank(items: tuple, index: int) -> tuple:
-    # the index-th permutation of the sorted items, in itertools.permutations order
-    pool, out = list(items), []
-    for left in range(len(pool) - 1, -1, -1):
-        digit, index = divmod(index, math.factorial(left))
-        out.append(pool.pop(digit))
-    return tuple(out)
+def _class_rank(form) -> int:
+    """The rank of a (0, 1)-prefixed ordering of GF(q) in class order,
+    itertools.permutations order of 2 .. q-1: its Lehmer code, each item's
+    place among the items not yet placed, read in the factorial base."""
+    left, rank = sorted(form[2:]), 0
+    for x in form[2:]:
+        rank = rank * len(left) + left.index(x)
+        left.remove(x)
+    return rank
+
+
+def _decode_classes(q: int, ranks: np.ndarray) -> np.ndarray:
+    """The (0, 1)-prefixed orderings of GF(q) of the given ranks in class
+    order, as an (N, q) int64 array: one Lehmer decode of all ranks at
+    once, the rank's factorial-base digit j picking the item at position
+    2 + j among the items not yet placed.  Ranks of 2^63 and more come as
+    an object array of Python integers."""
+    n, count = q - 2, len(ranks)
+    out = np.empty((count, q), dtype=np.int64)
+    out[:, 0], out[:, 1] = 0, 1
+    left, each, rest = np.tile(np.arange(2, q), (count, 1)), np.arange(count), ranks
+    for j in range(n):
+        base = math.factorial(n - 1 - j)
+        digit = (rest // base).astype(np.int64)
+        rest = rest % base
+        out[:, 2 + j] = left[each, digit]
+        left = left[np.arange(n - j) != digit[:, None]].reshape(count, n - j - 1)
+    return out
 
 
 def _factorial_above(n: int, limit: int) -> bool:
@@ -593,10 +614,11 @@ def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str 
     evenly spaced sample of about SPOT_CHECKS, "none" none, "auto" "all" for
     q <= 8 and "spot" above; any other mode is a ValueError before any work.
     One loop re-measures the verified classes in rank order, in chunks of
-    errors.BLOCK_BYTES (each class held as a tuple and as an int64 row):
-    those among the bad forms one at a time by lcs_code_affine, each of which
-    must reach q - 1, and the others together by _affine_lcs, each of which
-    must stay below it.  The first disagreement in rank order is an
+    errors.BLOCK_BYTES (each class decoded from its rank into an int64 row
+    by _decode_classes, with its items not yet placed and their mask):
+    those whose rank is a bad form's one at a time by lcs_code_affine, each
+    of which must reach q - 1, and the others together by _affine_lcs, each
+    of which must stay below it.  The first disagreement in rank order is an
     invariant violation.  A second loop then lists the bad forms, sorted,
     with their verdicts.  q must be at least 3, and (q-2)! at
     most max_classes (GuardExceeded, decided without building a larger
@@ -621,20 +643,21 @@ def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str 
     stray = [form for form in forms if form[:2] != (0, 1) or sorted(form) != list(range(q))]
     if stray:  # the classes between bad forms are counted, so every form must be a class
         raise InvariantViolation(f"bad-class form {stray[0]} is not a (0, 1)-prefixed ordering of {fld.name()}")
-    bad = set(forms)
-    items = tuple(range(2, q))
-    classes = itertools.permutations(items) if verify == "all" else (_unrank(items, i) for i in verify_idx)
-    size = max(1, errors.BLOCK_BYTES // (16 * q + 48))
-    while chunk := [(0, 1) + perm for perm in itertools.islice(classes, size)]:
-        flagged = [i for i, points in enumerate(chunk) if points in bad]
-        others = [i for i, points in enumerate(chunk) if points not in bad]
-        lengths, _ = _affine_lcs(fld, [chunk[i] for i in others])
-        wrong = [others[i] for i in np.flatnonzero(lengths == q - 1)]
-        for i in flagged:
-            if lcs_code_affine(EvaluationVector(fld, chunk[i]), want_witness=False).lcs_of_code != q - 1:
+    bad = [_class_rank(form) for form in forms]
+    size = max(1, errors.BLOCK_BYTES // (17 * q + 32))
+    dtype = np.int64 if total <= 2**63 else object  # every rank is below total
+    for start in range(0, len(verify_idx), size):
+        ranks = np.array(verify_idx[start : start + size], dtype=dtype)
+        chunk = _decode_classes(q, ranks)
+        flagged = np.isin(ranks, bad)
+        lengths, _ = _affine_lcs(fld, chunk[~flagged])
+        wrong = np.flatnonzero(~flagged)[lengths == q - 1].tolist()
+        for i in np.flatnonzero(flagged).tolist():
+            ev = EvaluationVector(fld, tuple(chunk[i].tolist()))
+            if lcs_code_affine(ev, want_witness=False).lcs_of_code != q - 1:
                 wrong.append(i)
         if wrong:
-            ev = EvaluationVector(fld, chunk[min(wrong)])
+            ev = EvaluationVector(fld, tuple(chunk[min(wrong)].tolist()))
             raise InvariantViolation(f"classifier disagrees with exact LCS on {ev.serialize()}")
     bad_entries = []
     for form in sorted(forms):

@@ -16,10 +16,12 @@ solved for it in closed form.  The cross second points are the roots of
 one polynomial of degree at most i - 1 in y per (coefficient, point)
 solution.  Every pair hands these cross rows, tagged with their first
 point, to one poly.RootPool for the whole stage, which finds their roots
-in blocks: rows of degree at most 2 (all of stage 3) in closed form, the
-others by equal-degree splitting, so no row is tested at every y of
-GF(q).  Every completion (alpha_{2i-1}, alpha_{2i}) of such a
-near-collision joins the stage's bad set, kept as sorted codes x*q + y.
+with no row tested at every y of GF(q): rows of degree at most 2 (all of
+stage 3) and, in characteristic p > 3, the cubic rows (stage 4) whose
+Cardano radicand is a nonzero square, about half, in closed form, the
+others by equal-degree splitting in blocks.  Every completion
+(alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
+set, kept as sorted codes x*q + y.
 Any pair of fresh distinct points outside the bad set extends the code;
 the lexicographically least one is chosen, so runs are fully
 reproducible.
@@ -306,9 +308,14 @@ def stage_work(q: int, k: int) -> int:
     with half as many again allowed for the pieces split in later rounds.
     A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
     squares of the power mod P; its gcd cost less), a row of degree <= 2
-    one unit (the closed form).  On this package's test runs the estimate
-    is within 1.5 times the rows' units counted, and a unit takes 5-8 ns
-    on a 2-core x86-64 VM (see errors.MAX_STAGE_OPS)."""
+    one unit (the closed form).  The estimate charges every cubic row of
+    stage 4 as split, though about half of them, in characteristic p > 3,
+    are solved in closed form at one unit.  Counting the units spent that
+    way, the estimate on this package's test runs is 1.0-1.4 times them at
+    stages 3 and 5 and over GF(3^4), 1.9 at stage 4 over GF(251) and
+    GF(1367) and 2.05 over GF(1381), where cubic pieces are solved in
+    closed form too; a unit takes 5-6 ns on a 2-core x86-64 VM (see
+    errors.MAX_STAGE_OPS)."""
     bits = max(1, (q - 1).bit_length())
     return sum(
         swept_pair_count(i) * q * (8 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)

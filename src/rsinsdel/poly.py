@@ -9,10 +9,13 @@ ranks many small matrices in one call.  eval_all is the one stacked
 Horner evaluation.  The one root finder, split_round, takes a stack of
 coefficient rows of any degrees at once and finds their roots in rounds
 (Berlekamp 1970; Cantor & Zassenhaus 1981), with no scan of GF(q):
-closed forms up to degree 2, equal-degree splitting above.  Its one
-driver, RootPool, runs the rounds in blocks of errors.BLOCK_BYTES: roots
-drains one over a single row, the construction one over a stage's rows.
-All functions are pure; RootPool is the one object with state.
+closed forms up to degree 2, and for cubics in characteristic p > 3 whose
+Cardano radicand is a nonzero square (Cardano 1545), equal-degree
+splitting for the rest.  Its one driver, RootPool, solves the cubic rows
+that have a closed form as they arrive and runs the rounds on the others
+in blocks of errors.BLOCK_BYTES: roots drains one over a single row, the
+construction one over a stage's rows.  All functions are pure; RootPool
+is the one object with state.
 """
 
 from __future__ import annotations
@@ -92,33 +95,64 @@ def pencil_rows(fld: Field, a, b, lead, target) -> np.ndarray:
 
 class RootPool:
     """Coefficient rows with integer tags (the construction's first points)
-    waiting for their roots: the one driver of split_round.  split() runs it
-    on blocks of errors.BLOCK_BYTES // split_bytes(W) rows, W the rows'
-    width, in arrival order, and queues the pieces a round leaves behind the
-    waiting rows, so rows that need more rounds share blocks with fresh ones."""
+    waiting for their roots: the one driver of split_round.  split() first
+    solves the fresh rows' cubics that have a closed form (_cardano), in
+    chunks of errors.BLOCK_BYTES // cubic_bytes(W) rows, W the rows' width,
+    so that blocks hold only rows that split_round must split or solves in
+    closed form anyway (degree <= 2).  It runs split_round on the others in
+    blocks of errors.BLOCK_BYTES // split_bytes(W) rows, in arrival order,
+    and queues the pieces a round leaves behind the waiting rows, so rows
+    that need more rounds share blocks with fresh ones."""
 
     def __init__(self, fld: Field):
-        self.fld, self.queue, self.size = fld, [], 0  # queue: (tags, rows, rounds) in arrival order
+        self.fld = fld
+        self.fresh, self.untested = [], 0  # (tags, rows) not yet tested for a closed form
+        self.queue, self.size = [], 0  # (tags, rows, rounds) to split; both lists in arrival order
 
     def add(self, tags, rows, rounds=None) -> None:
-        """Queue (R, W) coefficient rows, low first, one W per pool, with R tags."""
-        self.queue.append((tags, rows, np.zeros(len(tags), np.int64) if rounds is None else rounds))
-        self.size += len(tags)
+        """Queue (R, W) coefficient rows, low first, one W per pool, with R
+        tags.  Fresh rows (no rounds given) wide enough for a cubic, in
+        characteristic p > 3, wait for the closed-form pass; a cubic that
+        fails it is split and not tested again."""
+        if rounds is None and rows.shape[1] >= 4 and self.fld.p > 3:
+            self.fresh.append((tags, rows))
+            self.untested += len(tags)
+        else:
+            self.queue.append((tags, rows, np.zeros(len(tags), np.int64) if rounds is None else rounds))
+            self.size += len(tags)
 
     def split(self, drain: bool = False) -> np.ndarray:
-        """The codes tag*q + y of the roots of every full block, or, with
-        drain, of every row until the pool is empty, in no set order."""
+        """The codes tag*q + y of the roots of every full chunk and block,
+        or, with drain, of every row until the pool is empty, in no set
+        order."""
         codes = [np.empty(0, np.int64)]
+        while self.untested:
+            chunk = max(1, errors.BLOCK_BYTES // cubic_bytes(self.fresh[0][1].shape[1]))
+            if self.untested < chunk and not drain:
+                break
+            (tags, rows), self.fresh = _first(self.fresh, chunk)
+            self.untested -= len(tags)
+            (hit, y), keep = _solve_cubics(self.fld, rows)
+            codes.append(tags[hit] * self.fld.q + y)
+            self.add(tags[keep], rows[keep], np.zeros(np.count_nonzero(keep), np.int64))
         while self.size:
             block = max(1, errors.BLOCK_BYTES // split_bytes(self.queue[0][1].shape[1]))
             if self.size < block and not drain:
                 break
-            tags, rows, rounds = (np.concatenate(part) for part in zip(*self.queue))
-            self.queue, self.size = [(tags[block:], rows[block:], rounds[block:])], len(tags[block:])
-            (hit, y), (left, pieces, after) = split_round(self.fld, rows[:block], rounds[:block])
+            (tags, rows, rounds), self.queue = _first(self.queue, block)
+            self.size -= len(tags)
+            (hit, y), (left, pieces, after) = split_round(self.fld, rows, rounds)
             codes.append(tags[hit] * self.fld.q + y)
             self.add(tags[left], pieces, after)
         return np.concatenate(codes)
+
+
+def _first(parts: list, count: int) -> tuple[list, list]:
+    """The first count rows of a list of tuples of arrays, joined, and the
+    list of the rest."""
+    joined = [np.concatenate(part) for part in zip(*parts)]
+    rest = [tuple(a[count:] for a in joined)] if len(joined[0]) > count else []
+    return [a[:count] for a in joined], rest
 
 
 def split_bytes(width: int) -> int:
@@ -132,6 +166,30 @@ def split_bytes(width: int) -> int:
     return 44 * max(width, 3) ** 2
 
 
+def cubic_bytes(width: int) -> int:
+    """Working memory of RootPool.add's closed-form pass (_solve_cubics)
+    per row of width W >= 4, in bytes: an upper bound of its peak under
+    tracemalloc (tests pin it), which holds the row's cubic test and, for a
+    cubic row, its logs, the Cardano temporaries and up to three roots: on
+    rows that are all cubic 131 bytes where q = 2 (mod 3) and up to 189
+    where q = 1 (mod 3) (GF(7^2) and GF(7^3), whose Zech additions hold the
+    most temporaries)."""
+    return 224 + width
+
+
+def _solve_cubics(fld: Field, rows) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The roots (rows, ys) of the cubic rows of an (R, W) stack, W >= 4,
+    that have a closed form, and a mask of the rows left to split: those
+    of other degrees and the cubics without one."""
+    cubic = np.flatnonzero((rows[:, 3] != 0) & ~rows[:, 4:].any(axis=1))
+    logs = fld.v_log(rows[cubic, :4].T)
+    (hit, y), unsolved = _cardano(fld, fld.v_exp(logs[:3] + (fld.q - 1 - logs[3])))  # made monic
+    keep = np.ones(len(rows), bool)
+    keep[cubic] = False
+    keep[cubic[unsolved]] = True
+    return (cubic[hit], y), keep
+
+
 def split_round(fld: Field, rows, rounds) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
     """One round of the root finder on an (R, W) stack of coefficient rows,
     low first, each with the number of rounds it has had.  Returns the
@@ -141,16 +199,18 @@ def split_round(fld: Field, rows, rounds) -> tuple[tuple[np.ndarray, np.ndarray]
 
     A zero row has every y as root and a nonzero constant none; rows of
     degree 1 and 2 are solved in closed form (_closed_form).  A row P of
-    degree d >= 3 is split by equal-degree splitting (Berlekamp 1970;
-    Cantor & Zassenhaus 1981) into gcd(P, w + c) for two constants c.  In
-    odd characteristic, in round j, delta = j (an element index),
-    w = (y + delta)^((q-1)/2) mod P and c = -1, +1, and y = -delta is tested
-    alone; in characteristic 2, delta = 2^j (the basis element x^j),
-    w = Tr(delta*y) mod P and c = 0, 1, so any two roots are apart within
-    m rounds.  Both gcd, from a Euclid of 2d - 1 masked steps
+    degree d >= 3, a cubic included, is split by equal-degree splitting
+    (Berlekamp 1970; Cantor & Zassenhaus 1981) into gcd(P, w + c) for two
+    constants c.  In odd characteristic, in round j, delta = j (an element
+    index), w = (y + delta)^((q-1)/2) mod P and c = -1, +1, and y = -delta
+    is tested alone; in characteristic 2, delta = 2^j (the basis element
+    x^j), w = Tr(delta*y) mod P and c = 0, 1, so any two roots are apart
+    within m rounds.  Both gcd, from a Euclid of 2d - 1 masked steps
     (_gcd_pieces), are squarefree products of lines that hold every root of
     P but -delta between them.  A piece of degree <= 2 is solved in closed
-    form at once; the others are split again with the next delta.
+    form at once, and so is a cubic piece when p > 3 and q = 1 (mod 3), the
+    fields where its radicand is a nonzero square (_cardano); the others
+    are split again with the next delta.
     """
     rows, rounds = np.asarray(rows, np.int64), np.asarray(rounds, np.int64)
     width = rows.shape[1]
@@ -165,20 +225,26 @@ def split_round(fld: Field, rows, rounds) -> tuple[tuple[np.ndarray, np.ndarray]
     small = np.flatnonzero((degree == 1) | (degree == 2))
     sources, pieces, sizes = [small], [monic[:3, small]], [degree[small]]
     left, split = [np.empty(0, np.int64)], [np.empty((0, width), np.int64)]
+    # a piece is a product of distinct lines, so a cubic piece's radicand D
+    # is a nonzero square exactly when -3 is one (its discriminant, -108 D,
+    # is a nonzero square), that is when q = 1 (mod 3)
+    closed = 3 if fld.p > 3 and fld.q % 3 == 1 else 2
     for d in np.flatnonzero(np.bincount(degree[degree >= 3])).tolist():
         source = np.flatnonzero(degree == d)
         (root, z), (size, g) = _split(fld, monic[:d, source], rounds[source])
         found.append(source[root])
         ys.append(z)
         source = np.concatenate((source, source))
-        few = (size == 1) | (size == 2)
+        few = (size >= 1) & (size <= closed)
         sources.append(source[few])
         pieces.append(g[:3, few])
         sizes.append(size[few])
-        left.append(source[size >= 3])
+        left.append(source[size > closed])
         split.append(np.zeros((len(left[-1]), width), np.int64))
-        split[-1][:, : d + 1] = g[:, size >= 3].T
-    hit, y = _closed_form(fld, np.concatenate(pieces, axis=1), np.concatenate(sizes))
+        split[-1][:, : d + 1] = g[:, size > closed].T
+    (hit, y), unsolved = _closed_form(fld, np.concatenate(pieces, axis=1), np.concatenate(sizes))
+    if len(unsolved):
+        raise errors.InvariantViolation(f"{len(unsolved)} cubic pieces over {fld.name()} have no closed form")
     found.append(np.concatenate(sources)[hit])
     ys.append(y)
     left = np.concatenate(left)
@@ -319,19 +385,20 @@ def _artin_schreier(fld: Field) -> np.ndarray:
     return table
 
 
-def _closed_form(fld: Field, monic, degree) -> tuple[np.ndarray, np.ndarray]:
-    """The roots (rows, ys) of monic rows of degree 1 or 2, given
-    coefficient-major as a (3, R) array, low first, with their degrees,
-    read off the field's tables: a line y + t has -t; a quadratic
-    y^2 + s*y + t has -s/2 +- sqrt(s^2/4 - t) in odd characteristic; in
-    characteristic 2 it has sqrt(t) when s = 0, and otherwise s*z and
-    s*(z + 1) for z^2 + z = t/s^2 (_artin_schreier; none when t/s^2 is not
-    such a value)."""
+def _closed_form(fld: Field, low, degree) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The roots (rows, ys) of monic rows of degree 1 to 3, given by their
+    low coefficients, coefficient-major as a (3, R) array, with their
+    degrees, read off the field's tables, and the cubic rows without a
+    closed form.  A line y + t has -t; a quadratic y^2 + s*y + t has
+    -s/2 +- sqrt(s^2/4 - t) in odd characteristic; in characteristic 2 it
+    has sqrt(t) when s = 0, and otherwise s*z and s*(z + 1) for
+    z^2 + z = t/s^2 (_artin_schreier; none when t/s^2 is not such a value).
+    Cubics, which need p > 3, go to _cardano."""
     minus = fld.neg(1)
     line = np.flatnonzero(degree == 1)
-    rows, ys = [line], [fld.v_mul(monic[0, line], minus)]
+    rows, ys = [line], [fld.v_mul(low[0, line], minus)]
     r = np.flatnonzero(degree == 2)
-    t, s = monic[:2, r]
+    t, s = low[:2, r]
     if fld.p == 2:
         flat = s == 0
         rows.append(r[flat])
@@ -349,7 +416,49 @@ def _closed_form(fld: Field, monic, degree) -> tuple[np.ndarray, np.ndarray]:
         two = root != 0
         rows += [r, r[two]]
         ys += [fld.v_add(centre, root), fld.v_add(centre[two], fld.v_mul(root[two], minus))]
-    return np.concatenate(rows), np.concatenate(ys)
+    cubic = np.flatnonzero(degree == 3)
+    if not len(cubic):
+        return (np.concatenate(rows), np.concatenate(ys)), cubic
+    (hit, y), unsolved = _cardano(fld, low[:, cubic])
+    return (np.concatenate(rows + [cubic[hit]]), np.concatenate(ys + [y])), cubic[unsolved]
+
+
+def _cardano(fld: Field, low) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The roots (rows, ys) of monic cubics y^3 + c2*y^2 + c1*y + c0 in
+    characteristic p > 3, given coefficient-major as a (3, R) array, whose
+    radicand is a nonzero square, and the rows whose radicand is not
+    (Cardano 1545).  y = z + t, t = -c2/3, gives z^3 + a*z + b; with
+    e = a/3 and h = b/2 the radicand is D = h^2 + e^3.  When D is a nonzero
+    square, c = -h + sqrt(D), or -h - sqrt(D) = -2h when that is 0 (both
+    are 0 only when D = 0), and the roots are exactly u - e/u + t, one for
+    each u in GF(q) with u^3 = c, all distinct: one u when 3 does not
+    divide N = q - 1 (log u = log c / 3 mod N), else three or none
+    (log c / 3 plus 0, N/3 and 2N/3, when 3 divides log c)."""
+    n = fld.q - 1
+    third = fld.inv(fld.int_embed(3))
+    c0, c1, c2 = low
+    t = fld.v_mul(c2, fld.neg(third))
+    e = fld.v_mul(fld.v_add(c1, fld.v_mul(c2, t)), third)  # a = c1 - c2^2/3
+    # -h = t^3 - (c0 + c1*t)/2, as b = c0 + c1*t - 2t^3
+    minus_h = fld.v_mul(fld.v_add(c0, fld.v_mul(c1, t)), fld.neg(fld.inv(fld.int_embed(2))))
+    minus_h = fld.v_add(minus_h, fld.v_mul(fld.v_mul(t, t), t))
+    radicand = fld.v_add(fld.v_mul(minus_h, minus_h), fld.v_mul(fld.v_mul(e, e), e))
+    square, root = fld.v_sqrt(radicand)
+    unsolved = ~square | (radicand == 0)
+    r = np.flatnonzero(~unsolved)
+    minus_h, e, t = minus_h[r], e[r], t[r]
+    c = fld.v_add(minus_h, root[r])
+    log = fld.v_log(np.where(c == 0, fld.v_add(minus_h, minus_h), c))
+    if n % 3:
+        logs = log[None] * pow(3, -1, n) % n
+    else:
+        has = log % 3 == 0
+        r, e, t = r[has], e[has], t[has]
+        logs = log[has] // 3 + np.arange(0, n, n // 3)[:, None]  # (3, R')
+    # -e/u = g^(log(-e) + N - log u), 0 when e = 0 (its log is 2N)
+    minus_e_over_u = fld.v_exp(fld.v_log(fld.v_mul(e, fld.neg(1))) + n - logs)
+    y = fld.v_add(fld.v_add(fld.v_exp(logs), t), minus_e_over_u)
+    return (np.broadcast_to(r, y.shape).ravel(), y.ravel()), np.flatnonzero(unsolved)
 
 
 # -- linear algebra ------------------------------------------------------

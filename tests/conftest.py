@@ -1,7 +1,8 @@
 """Shared oracles: the canonical form of an evaluation vector and every
 canonical ordering of a field, the bad family grouped by class, built
 member by member, the scalar single-pair LCS and the textbook dynamic
-program, and interpolation through one Vandermonde solve."""
+program, interpolation through one Vandermonde solve, and Cardano's
+terms of a cubic with the root finder's closed-form test."""
 
 import functools
 import itertools
@@ -64,6 +65,31 @@ def interpolate(fld, points, bound: int) -> tuple[int, ...] | None:
     vandermonde = poly.eval_all(fld, np.eye(bound, dtype=np.int64), xs).T
     solved = poly.solve_linear(fld, vandermonde, [y for _, y in points])
     return None if solved.solution is None else poly.trim(solved.solution)
+
+
+def cardano_terms(fld, coeffs) -> tuple[int, int, int]:
+    """(a, b, D) of a cubic c0 + c1*y + c2*y^2 + c3*y^3 (c3 != 0) in
+    characteristic p > 3, by scalar field operations: its monic form,
+    shifted by y = z - c2/3, is z^3 + a*z + b, and D = b^2/4 + a^3/27."""
+    inv = fld.inv(coeffs[3])
+    c0, c1, c2 = (fld.mul(c, inv) for c in coeffs[:3])
+    s = fld.div(c2, fld.int_embed(3))
+    a = fld.sub(c1, fld.mul(c2, s))
+    b = fld.add(fld.sub(c0, fld.mul(c1, s)), fld.mul(fld.int_embed(2), fld.pow(s, 3)))
+    d = fld.add(fld.div(fld.mul(b, b), fld.int_embed(4)), fld.div(fld.pow(a, 3), fld.int_embed(27)))
+    return a, b, d
+
+
+def has_closed_form(fld, coeffs) -> bool:
+    """Whether the root finder solves a row, given by its trimmed
+    coefficients, without splitting it: every row of degree <= 2, and a
+    cubic when p > 3 and its D is a nonzero square (Euler's criterion)."""
+    if len(coeffs) <= 3:
+        return True
+    if len(coeffs) > 4 or fld.p <= 3:
+        return False
+    d = cardano_terms(fld, coeffs)[2]
+    return d != 0 and fld.pow(d, (fld.q - 1) // 2) == 1
 
 
 def canonical_form(a: EvaluationVector) -> EvaluationVector:

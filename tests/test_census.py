@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rsinsdel import analyze, bounds, cli, errors
@@ -129,25 +130,36 @@ def test_census_names_the_first_disagreement_in_rank_order(monkeypatch):
             assert str(raised.value) == f"classifier disagrees with exact LCS on {named}", (missing, listed, budget)
 
 
-def test_unrank_matches_permutations_for_small_n():
-    for n in range(8):
-        items = tuple(range(2, n + 2))
-        perms = list(itertools.permutations(items))
-        assert [analyze._unrank(items, i) for i in range(len(perms))] == perms, n
+def test_decode_matches_permutations_for_small_n():
+    # every rank of GF(n + 2), decoded at once, against itertools, and each
+    # class's rank read back
+    for n in range(1, 8):
+        q = n + 2
+        perms = [(0, 1) + perm for perm in itertools.permutations(range(2, q))]
+        assert analyze._decode_classes(q, np.arange(len(perms))).tolist() == [list(p) for p in perms], n
+        assert [analyze._class_rank(p) for p in perms] == list(range(len(perms))), n
 
 
-def test_unrank_gf11_first_last_and_spot_indices():
-    items = tuple(range(2, 11))
-    total = math.factorial(9)
+def test_decode_gf11_first_last_and_spot_indices():
+    q, total = 11, math.factorial(9)
     wanted = {0, total - 1, *range(0, total, total // analyze.SPOT_CHECKS)}
-    seen = 0
-    for i, perm in enumerate(itertools.permutations(items)):
-        if i in wanted:
-            assert analyze._unrank(items, i) == perm, i
-            seen += 1
-    assert seen == len(wanted)
-    assert analyze._unrank(items, 0) == items
-    assert analyze._unrank(items, total - 1) == items[::-1]
+    perms = itertools.permutations(range(2, q))
+    expected = [(0, 1) + perm for i, perm in enumerate(perms) if i in wanted]
+    assert analyze._decode_classes(q, np.array(sorted(wanted))).tolist() == [list(p) for p in expected]
+    assert expected[0] == tuple(range(q)) and expected[-1] == (0, 1) + tuple(range(q - 1, 1, -1))
+
+
+def test_decode_ranks_beyond_64_bits():
+    # GF(149)'s spot ranks reach 147! - 1, far above 2^63: decoded as Python
+    # integers, each is a (0, 1)-prefixed ordering whose rank reads back, and
+    # the last of all ranks is the descending one
+    q, total = 149, math.factorial(147)
+    ranks = list(range(0, total, total // analyze.SPOT_CHECKS)) + [total - 1]
+    rows = analyze._decode_classes(q, np.array(ranks, dtype=object))
+    assert rows.dtype == np.int64 and rows.shape == (len(ranks), q)
+    assert all(sorted(row) == list(range(q)) and row[:2] == [0, 1] for row in rows.tolist())
+    assert [analyze._class_rank(row) for row in rows.tolist()] == ranks
+    assert rows[-1].tolist() == [0, 1] + list(range(q - 1, 1, -1))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import has_closed_form
 
 from rsinsdel import analyze, cli, construct, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
@@ -552,27 +553,39 @@ def test_swept_pair_count_counts_the_swept_pairs():
 
 def test_stage_work_bounds_the_counted_work(monkeypatch):
     # the units the sweep spends, counted as stage_work charges them: 8b per
-    # first point of each pair, and per row the root pool splits (pieces of
-    # later rounds again) d^2 b for degree d >= 3, else 1; the estimate is
-    # at least that and within twice it
+    # first point of each pair; per row reaching the root pool d^2 b for
+    # degree d >= 3, but 1 for a row of degree <= 2 or a cubic with a
+    # closed form (has_closed_form, from scalar field operations); and d^2 b
+    # per piece of a later round; the estimate is at least that and within
+    # twice it
     for q, k in ((251, 4), (251, 5), (field_new(3, 4).q, 4), (1367, 4)):
         fld = field_new(*{81: (3, 4)}.get(q, (q,)))
         bits, counted = max(1, (q - 1).bit_length()), {}
-        pair_bad_set_, split_round = construct._stage_pair_bad_set, poly.split_round
+        pair_bad_set_, add_, split_round = construct._stage_pair_bad_set, poly.RootPool.add, poly.split_round
 
         def pair(fld_, points, i, *rest):
             counted[i] = counted.get(i, 0) + 8 * bits * q
             return pair_bad_set_(fld_, points, i, *rest)
 
-        def split(fld_, rows, rounds):
-            degree = np.where(rows != 0, np.arange(rows.shape[1]), -1).max(axis=1, initial=-1)
-            i = rows.shape[1]
+        def charge(i, rows):
+            degree = np.array([poly.degree(poly.trim(row)) for row in rows])
             counted[i] = counted.get(i, 0) + int(np.where(degree >= 3, degree**2 * bits, 1).sum())
+
+        def add(pool, tags, rows, rounds=None):
+            if rounds is None:
+                coeffs = [poly.trim(row) for row in rows.tolist()]
+                charge(rows.shape[1], [c for c in coeffs if not has_closed_form(fld, c)])
+                counted[rows.shape[1]] += sum(has_closed_form(fld, c) for c in coeffs)
+            return add_(pool, tags, rows, rounds)
+
+        def split(fld_, rows, rounds):
+            charge(rows.shape[1], rows[rounds > 0].tolist())
             return split_round(fld_, rows, rounds)
 
         points = construct.base_case(fld).points
         with monkeypatch.context() as m:
             m.setattr(construct, "_stage_pair_bad_set", pair)
+            m.setattr(poly.RootPool, "add", add)
             m.setattr(poly, "split_round", split)
             for i in range(3, k + 1):
                 points, _ = construct.extend(fld, points, i)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import interpolate
+from conftest import cardano_terms, has_closed_form, interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +155,7 @@ def test_roots_examples():
         poly.roots(F7, (0, 0))
 
 
-def test_roots_match_definition_scan():
+def test_roots_match_definition_scan(monkeypatch):
     # seeded polynomials up to degree 4, and every one of degree <= 2 over
     # the smallest fields, where the closed form meets each of its cases
     rng = random.Random(5)
@@ -174,6 +174,105 @@ def test_roots_match_definition_scan():
         got = poly.roots(fld, coeffs)
         assert got == expected
         assert len(got) <= max(poly.degree(coeffs), 0)
+    # every monic cubic, in one pool per field, tagged by its index: each
+    # root once, and the cubics split are those whose D, from scalar field
+    # operations, is 0 or not a square; the closed form meets D = 0, a = 0,
+    # c = 0 on the + sign, and 0 and 3 roots when q = 1 (mod 3), 1 else
+    split_, split = poly._split, []
+
+    def counted(fld_, low, rounds):
+        split.extend(map(tuple, low[:, rounds == 0].T.tolist()))
+        return split_(fld_, low, rounds)
+
+    monkeypatch.setattr(poly, "_split", counted)
+    for fld in (field_new(5), F7, field_new(13), field_new(5, 2)):
+        q = fld.q
+        rows = np.array([c + (1,) for c in itertools.product(range(q), repeat=3)])
+        pool, split[:] = poly.RootPool(fld), []
+        pool.add(np.arange(len(rows)), rows)
+        codes = pool.split(drain=True)
+        assert len(set(codes.tolist())) == len(codes)
+        hit, y = np.nonzero(poly.eval_all(fld, rows) == 0)
+        assert np.array_equal(np.sort(codes), hit * q + y), fld
+        reached, closed_roots, expected_split = set(), set(), set()
+        for row, n in zip(rows.tolist(), np.bincount(hit, minlength=len(rows)).tolist()):
+            a, b, d = cardano_terms(fld, row)
+            if not has_closed_form(fld, row):
+                expected_split.add(tuple(row[:3]))
+                reached.add("D = 0" if d == 0 else "D not a square")
+                continue
+            closed_roots.add(n)
+            if a == 0:
+                reached.add("a = 0")
+                root = int(fld.v_sqrt(d)[1])
+                if root == fld.div(b, fld.int_embed(2)):  # -b/2 + sqrt(D) = 0
+                    reached.add("c = 0 on the + sign")
+        assert sorted(split) == sorted(expected_split), fld
+        assert reached == {"D = 0", "D not a square", "a = 0", "c = 0 on the + sign"}, (fld, reached)
+        assert closed_roots == ({0, 3} if q % 3 == 1 else {1}), (fld, closed_roots)
+
+
+@pytest.mark.parametrize("p", [1367, 1381, 65537])
+def test_cubic_rows_over_large_prime_fields(p, monkeypatch):
+    # seeded cubics, random and scaled products of three distinct lines or
+    # of a line and y^2 - n for a non-square n, against a full scan: each
+    # root once, and only the cubics without a closed form split
+    fld, rng = field_new(p), random.Random(p)
+    nonsquare = next(n for n in range(2, p) if fld.pow(n, (p - 1) // 2) == p - 1)
+    rows = []
+    for kind in range(300):
+        lines = rng.sample(range(p), 3 if kind % 3 == 0 else 1)
+        if kind % 3 == 2:
+            row = [rng.randrange(p) for _ in range(3)] + [rng.randrange(1, p)]
+        elif len(lines) == 3:
+            row = [fld.mul(c, kind + 1) for c in expand(fld, lines)]
+        else:  # (y - r)(y^2 - n)
+            row = [fld.mul(fld.neg(nonsquare), fld.neg(lines[0])), fld.neg(nonsquare), fld.neg(lines[0]), 1]
+        rows.append(row)
+    rows = np.array(rows, dtype=np.int64)
+    split_, split = poly._split, []
+
+    def counted(fld_, low, rounds):
+        split.append(int((rounds == 0).sum()))
+        return split_(fld_, low, rounds)
+
+    monkeypatch.setattr(poly, "_split", counted)
+    pool = poly.RootPool(fld)
+    pool.add(np.arange(len(rows)), rows)
+    codes = pool.split(drain=True)
+    assert len(set(codes.tolist())) == len(codes)
+    scans = (poly.eval_all(fld, rows[lo : lo + 10]) == 0 for lo in range(0, len(rows), 10))  # 10 rows of p values
+    expected = np.concatenate([np.flatnonzero(scan.ravel()) + lo * 10 * p for lo, scan in enumerate(scans)])
+    assert np.array_equal(np.sort(codes), expected)
+    closed = [has_closed_form(fld, row) for row in rows.tolist()]
+    assert sum(split) == closed.count(False) and 0 < closed.count(False) < len(rows)
+    # three-root products have a closed form exactly when q = 1 (mod 3)
+    assert all(c == (p % 3 == 1) for c in closed[::3])
+
+
+@pytest.mark.parametrize("fld", [field_new(2, 8), field_new(3, 4)], ids=str)
+def test_cubics_in_characteristic_2_and_3_are_split(fld, monkeypatch):
+    # with no closed form for cubics, every seeded cubic row, random or a
+    # product of three lines, is split in a first round, and gives the
+    # roots of a full scan
+    rng = np.random.default_rng(fld.q)
+    rows = rng.integers(0, fld.q, (200, 4))
+    rows[:, 3] = rng.integers(1, fld.q, len(rows))
+    for row in rows[::2]:
+        row[:] = expand(fld, rng.choice(fld.q, 3, replace=False).tolist())
+    split_, split = poly._split, []
+
+    def counted(fld_, low, rounds):
+        split.append(int((rounds == 0).sum()))
+        return split_(fld_, low, rounds)
+
+    monkeypatch.setattr(poly, "_split", counted)
+    pool = poly.RootPool(fld)
+    pool.add(np.arange(len(rows)), rows)
+    codes = pool.split(drain=True)
+    hit, y = np.nonzero(poly.eval_all(fld, rows) == 0)
+    assert np.array_equal(np.sort(codes), hit * fld.q + y)
+    assert sum(split) == len(rows) and not any(has_closed_form(fld, row) for row in rows.tolist())
 
 
 ROOT_FIELDS = [
@@ -277,7 +376,9 @@ def pencil_roots(fld, a, b, lead, target):
 def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     # rows (lead, t) for every target t: the row a(y) + lead*b(y) - t vanishes
     # exactly at t = a(y) + lead*b(y), so a full scan of the values gives
-    # every root; rows of degree >= 3, and only those, are split
+    # every root; rows of degree >= 4 and the cubics without a closed form
+    # (has_closed_form, from scalar field operations), and only those, are
+    # split
     q, rng = fld.q, random.Random(fld.q)
     split, rounds_seen = [], []
     split_round = poly._split
@@ -301,7 +402,7 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
         assert np.array_equal(got, expected), (a, b)
         coeffs = [poly.trim(c) for c in pencil_coefficients(fld, a, b, lead, target)]
         degrees = np.array([poly.degree(c) for c in coeffs])
-        assert sum(split) - before == (degrees >= 3).sum()
+        assert sum(split) - before == sum(not has_closed_form(fld, c) for c in coeffs)
         counts = np.bincount(expected // q, minlength=len(lead))
         for c, n in zip(coeffs, counts.tolist()):
             cases.add((poly.degree(c), n, len(c) == 3 and c[1] == 0))
@@ -314,12 +415,14 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     if fld.p > 2:
         assert (2, 1, False) in cases  # s^2/4 = t with s != 0
     # a double root among three roots of a quartic, and rows of degree >= 3
-    # that split completely, some only in a second round
+    # that split completely, some only in a second round (but for GF(7)'s
+    # class, a cubic with a closed form)
     if q > 3:
         assert (4, 3, False) in cases
-    full = len(one_class(fld))
-    if full >= 3:
-        assert (full, full, False) in cases and max(rounds_seen) >= 1
+    full = one_class(fld)
+    if len(full) >= 3:
+        assert (len(full), len(full), False) in cases
+        assert max(rounds_seen) >= 1 or has_closed_form(fld, expand(fld, full))
 
 
 def test_pencil_roots_of_no_rows():
@@ -353,9 +456,11 @@ def test_roots_honour_the_block_budget(fld, monkeypatch):
 @pytest.mark.parametrize("fld", ROOT_FIELDS, ids=str)
 def test_split_round_matches_a_full_scan_of_seeded_rows(fld):
     # rows of width 1..8 with random coefficients, zero rows, products of
-    # chosen lines with repeats, and a random factor; the roots of every
-    # row, round after round, against the values of the row on GF(q)
+    # chosen lines with repeats, and a random factor, and from width 5 on a
+    # row whose first round leaves a cubic piece; the roots of every row,
+    # round after round, against the values of the row on GF(q)
     rng = np.random.default_rng(fld.q)
+    together = one_class(fld)[:3]
     for width in range(1, 9):
         rows = rng.integers(0, fld.q, (60, width))
         rows[:10] = 0
@@ -363,11 +468,17 @@ def test_split_round_matches_a_full_scan_of_seeded_rows(fld):
             line_roots = rng.integers(0, fld.q, rng.integers(0, width)).tolist()
             row[:] = 0
             row[: len(line_roots) + 1] = [fld.mul(c, int(rng.integers(1, fld.q))) for c in expand(fld, line_roots)]
+        if width >= 5 and len(together) == 3:
+            rows[40] = 0
+            rows[40, :5] = expand(fld, together + [next(x for x in range(1, fld.q) if x not in together)])
         source, rounds, found = np.arange(len(rows)), np.zeros(len(rows), np.int64), []
         left = rows
         while len(left):
             (hit, ys), (cut, left, rounds) = poly.split_round(fld, left, rounds)
             found += list(zip(source[hit].tolist(), ys.tolist()))
+            # when q = 1 (mod 3), p > 3, every cubic piece is solved at once
+            if fld.p > 3 and fld.q % 3 == 1:
+                assert all(len(poly.trim(row)) > 4 for row in left.tolist()), width
             source = source[cut]
         assert len(found) == len(set(found))  # each root once
         values = poly.eval_all(fld, rows)
@@ -394,6 +505,28 @@ def test_split_round_stays_within_its_bytes_per_row(fld):
         finally:
             tracemalloc.stop()
         assert peak <= len(rows) * poly.split_bytes(width), (width, peak / len(rows))
+
+
+@pytest.mark.parametrize("fld", [field_new(1367), field_new(1381), field_new(7, 2), field_new(7, 3)], ids=str)
+def test_cubic_pass_stays_within_its_bytes_per_row(fld):
+    # the peak tracemalloc sees in one closed-form pass of RootPool.add
+    # over 512 rows of each width, all cubic and a third of them products
+    # of distinct lines, against cubic_bytes
+    rng = np.random.default_rng(fld.q)
+    for width in (4, 5, 6, 8, 10):
+        rows = np.zeros((512, width), np.int64)
+        rows[:, :3] = rng.integers(0, fld.q, (512, 3))
+        rows[:, 3] = 1
+        for row in rows[::3]:
+            row[:4] = expand(fld, rng.choice(fld.q, 3, replace=False).tolist())
+        poly._solve_cubics(fld, rows)
+        tracemalloc.start()
+        try:
+            poly._solve_cubics(fld, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(rows) * poly.cubic_bytes(width), (width, peak / len(rows))
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 1048573])
