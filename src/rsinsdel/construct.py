@@ -14,12 +14,17 @@ leading coefficient, so the pair is four polynomials evaluated once on
 GF(q), and every first-point condition, linear in that coefficient, is
 solved for it in closed form.  The cross second points are the roots of
 one polynomial of degree at most i - 1 in y per (coefficient, point)
-solution.  Every pair hands these cross rows, tagged with their first
-point, to one poly.RootPool for the whole stage, which finds their roots
-with no row tested at every y of GF(q): rows of degree at most 2 (all of
-stage 3) and, in characteristic p > 3, the cubic rows (stage 4) whose
-Cardano radicand is a nonzero square, about half, in closed form, the
-others by equal-degree splitting in blocks.  Every completion
+solution.  The reverse pair (J, I) describes the same near-collisions
+with the two polynomials' roles swapped, so its cross rows of one side
+repeat, up to a scalar, those of (I, J)'s other side at the same first
+points.  The stage therefore walks each unordered pair once, (I, J) beside
+(J, I), and hands one poly.RootPool for the whole stage the pair's cross
+rows, made monic and tagged with their first point, each repeated row
+once: about half the rows of the two directions.  The pool finds their
+roots with no row tested at every y of GF(q): rows of degree at most 2
+(all of stage 3) and, in characteristic p > 3, the cubic rows (stage 4)
+whose Cardano radicand is a nonzero square, about half, in closed form,
+the others by equal-degree splitting in blocks.  Every completion
 (alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
 set, kept as sorted codes x*q + y.
 Any pair of fresh distinct points outside the bad set extends the code;
@@ -118,12 +123,12 @@ def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarra
     return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
 
 
-def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv, pool) -> np.ndarray:
+def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv, cross: list) -> np.ndarray:
     """Bad pairs contributed by one ordered index-sequence pair, given its
     stage solutions (u0, u1), over all q values of the free leading
     coefficient, as sorted unique codes x*q + y, but for the cross second
-    points, whose rows go to the stage's root pool; neg_inv[v] = -1/v (and
-    0 at 0).
+    points, whose rows are appended to `cross` for the stage's root pool;
+    neg_inv[v] = -1/v (and 0 at 0).
 
     For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
     g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
@@ -137,8 +142,8 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     lead where num = den = 0; the agreement y are bucketed by lead, and only
     the cross second points need the roots y of A + lead*B (or C + lead*D)
     minus the hit's target per (lead, x) hit, of degree at most i - 1: one
-    poly.pencil_rows per side, added to the stage's poly.RootPool `pool`
-    tagged with the hits' x.  An x that hits at every lead pairs with every
+    poly.pencil_rows per side, appended to `cross` as (x, rows), side 0
+    (g(y) = f(x)) first.  An x that hits at every lead pairs with every
     y whose own equation some allowed lead solves.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
@@ -193,7 +198,7 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
-        pool.add(x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target))
+        cross.append((x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target)))
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
     side = np.repeat([0, 2], [len(es[0]), len(es[1])])
@@ -205,6 +210,27 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     return _sorted_unique(np.concatenate(codes))
 
 
+def _queue_cross_rows(fld: Field, pool, scale: np.ndarray, ij: list, ji: list) -> None:
+    """Queue on the stage's root pool the cross rows of one unordered index
+    pair, as _stage_pair_bad_set appends them for (I, J) and for (J, I),
+    side-0 rows made monic by scale[c] = 1/c (and 1 at 0) of their leading
+    coefficient c (side-1 rows are monic already): every row of (I, J), and
+    each side-s row of (J, I) that differs from (I, J)'s side-(1 - s) row
+    at the same first point x, found through a length-q slot array indexed
+    by x (within a side each x occurs once).  A dropped row has the tag and
+    the polynomial of a queued one, so it would add no root."""
+    ij, ji = ([(x, fld.v_mul(rows, scale[rows[:, -1], None])) for x, rows in sides[:1]] + sides[1:] for sides in (ij, ji))
+    for x, rows in ij:
+        pool.add(x, rows)
+    for (x, rows), (other_x, other) in zip(ji, ij[::-1]):
+        slot = np.full(fld.q, len(other_x))
+        slot[other_x] = np.arange(len(other_x))
+        # a first point the other side lacks meets a row of -1, which no row equals
+        known = np.concatenate((other, np.full((1, other.shape[1]), -1)))[slot[x]]
+        fresh = (known != rows).any(axis=1)
+        pool.add(x[fresh], rows[fresh])
+
+
 def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
     """One stage: extend a verified length-(2i-2) vector by two points.
 
@@ -214,9 +240,14 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     independent of that leading coefficient, so the systems of all index
     pairs are reduced together, once, and the per-coefficient solutions are
     affine combinations of two base solutions.
-    Each pair's bad set and the roots its cross rows get from the stage's
-    poly.RootPool, tagged with their first points, are merged, as sorted
-    codes x*q + y, into the union.
+    The pairs are walked as unordered pairs, (I, J) with I < J beside its
+    reverse (J, I).  The reverse normalizes (g, f) where (I, J) normalizes
+    (f, g), so at a shared first point x its side-s cross row is (I, J)'s
+    side-(1 - s) row up to a scalar; _queue_cross_rows makes both monic and
+    queues each equal row once, which drops nothing but repeats (same tag,
+    same polynomial, same roots).  Each direction's bad set and the roots
+    the stage's poly.RootPool finds, tagged with their first points, are
+    merged, as sorted codes x*q + y, into the union.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     a swept pair's system is singular, which the input's optimality forbids,
@@ -235,14 +266,24 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     # gives the row (1, a, .., a^mid, -a, .., -a^mid), mid = i - 2, and all
     # such rows span at most i - 1 dimensions, so the rank is at most
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
-    solutions = _stage_solutions(fld, points, i, list(insdel.index_pairs(n, n - 1, i - 2)))
-    neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
+    pairs = list(insdel.index_pairs(n, n - 1, i - 2))
+    solutions = _stage_solutions(fld, points, i, pairs)
+    reverse = {ij: p for p, ij in enumerate(pairs)}
+    scale = fld.v_inv(np.arange(q, dtype=np.int64))
+    neg_inv = fld.v_mul(scale, fld.neg(1))
+    scale[0] = 1  # 1/v, and 1 at 0: leaves a row with leading coefficient 0 as it is
     # new codes are merged into the bad set once they outnumber it four to
     # one, so memory stays within about five times the bad set, and the root
     # pool at one block
     pool, new = poly.RootPool(fld), []
-    for u0, u1 in solutions:
-        new += [_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, pool), pool.split()]
+    for p, (i_seq, j_seq) in enumerate(pairs):
+        if i_seq > j_seq:
+            continue
+        ij, ji = [], []
+        for (u0, u1), cross in ((solutions[p], ij), (solutions[reverse[j_seq, i_seq]], ji)):
+            new.append(_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross))
+        _queue_cross_rows(fld, pool, scale, ij, ji)
+        new.append(pool.split())
         if sum(map(len, new)) >= 4 * len(bad):
             bad, new = _sorted_unique(np.concatenate([bad, _sorted_unique(np.concatenate(new))]), "stable"), []
     new.append(pool.split(drain=True))
@@ -301,24 +342,26 @@ def swept_pair_count(i: int) -> int:
 
 def stage_work(q: int, k: int) -> int:
     """Estimated work of stages 3..k over GF(q), in units the sweep's loops
-    spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i) index
-    pairs.  Each pair costs 8b units per first point x (its vectors over
-    GF(q) and the sort of the codes it emits, a few per x) and sends at
-    most 2q cross rows, one per first point and side, to the root pool,
-    with half as many again allowed for the pieces split in later rounds.
+    spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i) / 2
+    unordered index pairs, each in both directions (see extend).  Each
+    direction costs 8b units per first point x (its vectors over GF(q) and
+    the sort of the codes it emits, a few per x).  The two directions send
+    at most about 2q cross rows to the root pool, one per first point and
+    side, since the reverse direction's rows repeat the others, with half as
+    many again allowed for the pieces split in later rounds.
     A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
     squares of the power mod P; its gcd cost less), a row of degree <= 2
     one unit (the closed form).  The estimate charges every cubic row of
     stage 4 as split, though about half of them, in characteristic p > 3,
     are solved in closed form at one unit.  Counting the units spent that
-    way, the estimate on this package's test runs is 1.0-1.4 times them at
-    stages 3 and 5 and over GF(3^4), 1.9 at stage 4 over GF(251) and
-    GF(1367) and 2.05 over GF(1381), where cubic pieces are solved in
-    closed form too; a unit takes 5-6 ns on a 2-core x86-64 VM (see
+    way, the estimate on this package's test runs is 1.01 times them at
+    stage 3, 1.25-1.32 over GF(3^4) and at stage 5, and 1.65-1.71 at stage
+    4 over GF(251), GF(1367) and GF(1381), where cubic pieces are solved in
+    closed form too; a unit takes 5.1-5.8 ns on a 2-core x86-64 VM (see
     errors.MAX_STAGE_OPS)."""
     bits = max(1, (q - 1).bit_length())
     return sum(
-        swept_pair_count(i) * q * (8 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)
+        swept_pair_count(i) // 2 * q * (16 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)
     )
 
 

@@ -101,10 +101,12 @@ def neg_inverses(fld):
 
 def pair_bad_set(fld, points, i, u0, u1, neg_inv, pool=None):
     """One pair's whole bad set as sorted unique codes: the codes the sweep
-    finds itself and the roots of its cross rows, from a pool of its own
-    (a poly.RootPool unless another is given), drained."""
-    pool = poly.RootPool(fld) if pool is None else pool
-    codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, pool)
+    finds itself and the roots of its cross rows, both sides queued on a
+    pool of its own (a poly.RootPool unless another is given), drained."""
+    pool, cross = poly.RootPool(fld) if pool is None else pool, []
+    codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
+    for x, rows in cross:
+        pool.add(x, rows)
     return construct._sorted_unique(np.concatenate((codes, pool.split(drain=True))))
 
 
@@ -253,6 +255,69 @@ def test_block_sweep_is_independent_of_block_size(monkeypatch):
             assert counts == sorted(set(counts)), counts  # more blocks for each smaller budget
             if i == 3:
                 points, _ = construct.extend(fld, points, i)
+
+
+def reference_stage(fld, points, i):
+    """Stage i as the sweep ran before it dropped repeated cross rows: every
+    ordered pair's rows queued, each pair's pool drained.  Returns the bad
+    set as sorted codes and the least fresh distinct pair outside it (None
+    when there is none)."""
+    neg_inv = neg_inverses(fld)
+    solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))
+    bad = np.unique(np.concatenate([pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]))
+    taken, q = set(bad.tolist()), fld.q
+    fresh = [v for v in range(q) if v not in points]
+    pair = next(((x, y) for x in fresh for y in fresh if y != x and x * q + y not in taken), None)
+    return bad, pair
+
+
+@pytest.mark.parametrize(
+    "fld, k",
+    [(F251, 5), (field_new(3, 4), 4), (field_new(5, 3), 4), (field_new(2, 8), 4), (field_new(13), 4), (F7, 3)],
+    ids=str,
+)
+def test_dropped_cross_rows_change_no_stage(fld, k, monkeypatch):
+    # extend queues each unordered pair's repeated cross rows once; per
+    # stage its bad set (the last merge) and chosen pair equal those of the
+    # sweep that queues every directed pair's rows (over GF(7) the bad set
+    # exhausts GF(7)^2 at stage 3 in both)
+    merged, sorted_unique = [], construct._sorted_unique
+    monkeypatch.setattr(construct, "_sorted_unique", lambda *args: merged.append(sorted_unique(*args)) or merged[-1])
+    points = construct.base_case(fld).points
+    for i in range(3, k + 1):
+        bad, pair = reference_stage(fld, points, i)
+        if pair is None:
+            with pytest.raises(construct.NoGoodPairError):
+                construct.extend(fld, points, i)
+            assert np.array_equal(merged[-1], bad) and len(bad) == fld.q**2
+            return
+        points, count = construct.extend(fld, points, i)
+        assert np.array_equal(merged[-1], bad) and count == len(bad), (fld, i)
+        assert points[-2:] == pair, (fld, i)
+    assert fld.q > 7
+
+
+def test_reverse_pairs_halve_the_queued_rows(monkeypatch):
+    # stage 4 over GF(1367): each pair's rows repeat its reverse's at the
+    # shared first points, so the pool gets about half the directed rows
+    fld = field_new(1367)
+    points, _ = construct.extend(fld, construct.base_case(fld).points, 3)
+    directed, queued = [], []
+    pair_bad_set_, add = construct._stage_pair_bad_set, poly.RootPool.add
+
+    def pair(*args):
+        codes = pair_bad_set_(*args)
+        directed.extend(len(x) for x, _ in args[-1])
+        return codes
+
+    def counted(pool, tags, rows, rounds=None):
+        queued.append(len(tags) if rounds is None else 0)
+        return add(pool, tags, rows, rounds)
+
+    monkeypatch.setattr(construct, "_stage_pair_bad_set", pair)
+    monkeypatch.setattr(poly.RootPool, "add", counted)
+    assert construct.extend(fld, points, 4) == ((0, 1, 2, 5, 3, 4, 6, 10), 61917)
+    assert sum(directed) == 54601 and 0 < sum(queued) <= 0.55 * sum(directed), sum(queued)
 
 
 def product_row(fld, roots, cofactor):
@@ -537,12 +602,12 @@ def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
         assert construct.stage_work(q, k) <= errors.MAX_STAGE_OPS
     assert construct.stage_work(construct.min_field_size(7), 7) > errors.MAX_STAGE_OPS
-    # 12 and 20 pairs at 1367 * (8 * 11 + 3) and 1367 * (8 * 11 + 3 * 9 * 11)
-    assert construct.stage_work(1367, 4) == 12 * 1367 * 91 + 20 * 1367 * 385 == 12018664
+    # 6 and 10 unordered pairs at 1367 * (16 * 11 + 3) and 1367 * (16 * 11 + 3 * 9 * 11)
+    assert construct.stage_work(1367, 4) == 6 * 1367 * 179 + 10 * 1367 * 473 == 7934068
     assert construct.stage_work(7, 2) == 0
-    # k = 6 is admitted up to q = 22354 and k = 3 up to q = 1022494
-    assert construct.stage_work(22354, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(22355, 6)
-    assert construct.stage_work(1022494, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1022495, 3)
+    # k = 6 is admitted up to q = 36784 and k = 3 up to q = 1031991
+    assert construct.stage_work(36784, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(36785, 6)
+    assert construct.stage_work(1031991, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1031992, 3)
 
 
 def test_swept_pair_count_counts_the_swept_pairs():
@@ -558,7 +623,7 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
     # closed form (has_closed_form, from scalar field operations); and d^2 b
     # per piece of a later round; the estimate is at least that and within
     # twice it
-    for q, k in ((251, 4), (251, 5), (field_new(3, 4).q, 4), (1367, 4)):
+    for q, k in ((251, 4), (251, 5), (field_new(3, 4).q, 4), (1367, 4), (1381, 4)):
         fld = field_new(*{81: (3, 4)}.get(q, (q,)))
         bits, counted = max(1, (q - 1).bit_length()), {}
         pair_bad_set_, add_, split_round = construct._stage_pair_bad_set, poly.RootPool.add, poly.split_round
@@ -597,7 +662,7 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    message = r"^element operations of stages 3\.\.3 at q=251: estimated work 201804 exceeds the limit of 201803$"
+    message = r"^element operations of stages 3\.\.3 at q=251: estimated work 197286 exceeds the limit of 197285$"
     with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
