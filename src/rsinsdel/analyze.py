@@ -4,14 +4,16 @@ Capability is governed by the largest LCS between distinct codewords: a
 length-n code corrects t insdel errors exactly when that maximum is at most
 n - t - 1.  Two exact engines are provided, both measuring their codeword
 pairs with insdel's batched LCS kernel: a guarded brute force for any
-parameters, and a guarded fast path for full-length 2-dimensional codes
-that exploits the affine edit-distance isometries.  In the fast path both
-words of a pair are orderings of the field, so relabelling every symbol by
-its position in the ordering turns each LCS into a longest increasing
-subsequence against 0 .. q-1, the mask table of 0 .. q-1 serves every row,
-and one batched core (_affine_lcs) measures a block of orderings, or above
-q = 89 a block of one ordering's rows read column by column, per kernel
-call; the engine is that core on one ordering.  Beside them: the complete
+parameters, which measures each normalized f shifted by every constant c
+against one table of the q^(k-1) codewords of zero constant term, and a
+guarded fast path for full-length 2-dimensional codes that exploits the
+affine edit-distance isometries.  In the fast path both words of a pair
+are orderings of the field, so relabelling every symbol by its position in
+the ordering turns each LCS into a longest increasing subsequence against
+0 .. q-1, the mask table of 0 .. q-1 serves every row, and one batched
+core (_affine_lcs) measures a block of orderings, or above q = 89 a block
+of one ordering's rows read column by column, per kernel call; the engine
+is that core on one ordering.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes (a
 rank sweep of the index pairs, then one stacked elimination of the
@@ -130,65 +132,71 @@ def _affine_steps(q: int) -> int:
     return kernel_steps(1, (q * q - 1) // 2, q, q)
 
 
-def _codeword_table(code: RsCode, count: int) -> np.ndarray:
-    """The first count codewords in rscode.codewords order, one int64 row
-    each: row i evaluates the coefficients (c_0, .., c_(k-1)) read off the
-    k base-q digits of i, most significant first, by one poly.eval_all
-    call at the points."""
-    k, q = code.k, code.q
-    digits = np.arange(count)[:, None] // q ** np.arange(k - 1, -1, -1) % q
-    return poly.eval_all(code.field, digits, code.ev.points)
+def _codeword_table(code: RsCode) -> np.ndarray:
+    """The q^(k-1) codewords of zero constant term, in rscode.codewords
+    order, column-major (each column one contiguous read for the kernel) and
+    in the narrowest unsigned dtype that holds q - 1: row w evaluates the
+    coefficients (0, c_1, .., c_(k-1)) read off the k base-q digits of w,
+    most significant first.  Built in blocks of rows, one poly.eval_all call
+    each, whose int64 temporaries stay within errors.BLOCK_BYTES beside the
+    table."""
+    k, q, n = code.k, code.q, code.n
+    table = np.empty((q ** (k - 1), n), dtype=np.min_scalar_type(q - 1), order="F")
+    step = max(1, (errors.BLOCK_BYTES - table.nbytes) // (48 * n + 16 * k))
+    for w0 in range(0, len(table), step):
+        digits = np.arange(w0, min(w0 + step, len(table)))[:, None] // q ** np.arange(k - 1, -1, -1) % q
+        table[w0 : w0 + step] = poly.eval_all(code.field, digits, code.ev.points)
+    return table
 
 
 def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisReport:
     """Exact code LCS by scanning normalized-vs-all codeword pairs.
 
-    Each normalized f is measured against the rows of every codeword g, in
-    codewords order, except g = f, with one kernel pass per block of
-    64 // insdel.lane_bits(n) normalized f, as many as the kernel packs into
-    a word.  The rows, in the narrowest unsigned dtype that holds q - 1, are
-    built once, in chunks of whole constant terms c sized by
-    errors.BLOCK_BYTES: the q^(k-1) words w with zero constant term come
-    from _codeword_table, and the rows of c are w + c, one v_add per c.  A
-    row's index and g's coefficients are each other's base-q digits, so f's
-    own codeword is the row of g = f, which its scan skips.  Per chunk and
-    block, one match_masks call on the block's rows of words gives the
-    tables, each f's own row is set to -1, and one argmax gives every f's
-    first maximum, kept where it beats f's earlier chunks.  The witness is
-    the first maximum in (f, g) order, so once some f reaches n - 1 the scan
-    drops every f after it.  A full scan of more than errors.MAX_KERNEL_STEPS
-    word-steps raises GuardExceeded before any table is built.
+    Subtracting c from both words keeps an LCS, so the pair of a normalized
+    f and the codeword g = w + c, w of zero constant term, is measured as the
+    pattern f - c against the row w: the rows are the q^(k-1) words w
+    (_codeword_table), each f gives q patterns, and pattern (f, c) against
+    row w is g at index c*q^(k-1) + w in codewords order.  The f-major
+    pattern list, each against every row, thus walks the pairs in (f, g)
+    order; (f, 0) against f's own row is g = f and skipped.  At k = 1 the one
+    row is 0 and the patterns' other symbols share the code 1.  One loop
+    measures fixed-size ranges of whole lane groups (64 //
+    insdel.lane_bits(n) patterns), one match_masks and one lcs_from_masks
+    call each, within errors.BLOCK_BYTES beside the rows, counting the
+    range's symbols and tables, the kernel's state and two ranges' lengths;
+    the floor, one lane group over every row, passes the default budget from
+    about q = 145 at k = 3 and n = 6, and q = 8,700 at k = 2 and n = 3.  It
+    keeps the first maximum and stops after the first range reaching n - 1.
+    More than errors.MAX_KERNEL_STEPS word-steps, counted as the |family|
+    patterns against all q^k codewords, raise GuardExceeded before any table
+    is built.
     """
     fld, k, n, q = code.field, code.k, code.n, code.q
     what = f"kernel word-steps of the brute force of n={n}, k={k} over {fld.name()}"
     errors.check_work(kernel_steps(_family_size(q, k), q**k, n, n), errors.MAX_KERNEL_STEPS, what)
-    words = _codeword_table(code, q ** (k - 1))
-    size = len(words)
+    words = _codeword_table(code)
     family = list(_normalized_polys(fld, k))
-    own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f is a row of words
-    best, first = np.full(len(family), -1), np.zeros(len(family), dtype=np.int64)  # f's longest LCS, its first row
-    stop, lanes, symbol = len(family), 64 // insdel.lane_bits(n), np.min_scalar_type(q - 1)
-    step = max(1, errors.BLOCK_BYTES // (size * (n * symbol.itemsize + kernel_row_bytes(n, lanes))))
-    for c0 in range(0, q, step):
-        # column-major, so each column is one contiguous read for the kernel
-        rows = np.empty((min(step, q - c0) * size, n), dtype=symbol, order="F")
-        for c in range(c0, min(c0 + step, q)):
-            rows[(c - c0) * size : (c - c0 + 1) * size] = fld.v_add(words, c)
-        for block in np.split(np.arange(stop), range(lanes, stop, lanes)):
-            lengths = lcs_from_masks(match_masks(words[own[block]], q), n, rows)
-            if c0 == 0:
-                lengths[np.arange(len(block)), own[block]] = -1
-            firsts = lengths.argmax(axis=1)
-            top = lengths[np.arange(len(block)), firsts]
-            gain = top > best[block]
-            best[block[gain]], first[block[gain]] = top[gain], c0 * size + firsts[gain]
-            if (top == n - 1).any():  # later chunks rescan only the f up to the first with n - 1
-                stop = block[0] + int((top == n - 1).argmax()) + 1
-                break
-    i = int(best[:stop].argmax())  # the first f with the maximum
-    g = poly.trim(int(first[i]) // q ** (k - 1 - j) % q for j in range(k))
+    own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f's row of words
+    alphabet, lanes = q if k > 1 else 2, 64 // insdel.lane_bits(n)  # c_1*x takes every value at x != 0
+    # per lane group: its kernel state and two ranges' lengths per row, its symbols and tables
+    group = len(words) * (kernel_row_bytes(n, lanes) - 8 + 2 * lanes) + lanes * (32 * n + 16 * alphabet * -(-n // 64))
+    step = lanes * max(1, (errors.BLOCK_BYTES - words.nbytes - 8 * len(words)) // group)
+    best = pattern = row = -1
+    for p0 in range(0, len(family) * q, step):
+        f, c = np.divmod(np.arange(p0, min(p0 + step, len(family) * q)), q)
+        symbols = np.minimum(fld.v_add(words[own[f]], fld.v_mul(c, fld.neg(1))[:, None]), alphabet - 1)
+        lengths = lcs_from_masks(match_masks(symbols, alphabet), n, words)
+        mine = np.flatnonzero(c == 0)
+        lengths[mine, own[f[mine]]] = -1  # g = f
+        if (top := int(lengths.max())) > best:
+            best, (i, row) = top, divmod(int(lengths.argmax()), len(words))
+            pattern = p0 + i
+        if best == n - 1:
+            break
+    i, c = divmod(pattern, q)
+    g = poly.trim((c, *(row // q ** (k - 1 - j) % q for j in range(1, k))))
     witness = _pair_witness(code, family[i], g) if want_witness else None
-    return _report(code, "brute_force", int(best[i]), witness)
+    return _report(code, "brute_force", best, witness)
 
 
 def _pair_witness(code: RsCode, f, g) -> dict:
@@ -233,7 +241,11 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     other a whole, joined by one concatenate.  Otherwise each ordering is
     scanned alone in fixed-size ranges of rows, each block a Columns source
     that holds no rows (_affine_columns), and stops at its first block
-    reaching q - 1.  The callers check the work.
+    reaching q - 1.  The whole-ordering path stays beside the column-fed
+    one because it is faster where it fits (2-core VM, Python 3.11.7, numpy
+    2.4.6): a column source took 1.37 against 1.25 ms per GF(3^4) ordering
+    and 0.42 against 0.34 ms at GF(61), and was even at GF(89) and GF(11).
+    The callers check the work.
     """
     q = fld.q
     arr = np.asarray(orderings, dtype=np.int64).reshape(-1, q)
@@ -622,7 +634,8 @@ def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str 
     invariant violation.  A second loop then lists the bad forms, sorted,
     with their verdicts.  q must be at least 3, and (q-2)! at
     most max_classes (GuardExceeded, decided without building a larger
-    (q-2)!).  The verified classes' affine scans share the engine's limit,
+    (q-2)!); a negative max_classes is a ValueError before any work.  The
+    verified classes' affine scans share the engine's limit,
     errors.MAX_KERNEL_STEPS, checked before the bad family is walked.
     """
     q = fld.q
@@ -630,6 +643,8 @@ def census_2dim(fld: Field, max_classes: int = DEFAULT_MAX_CLASSES, verify: str 
         verify = "all" if q <= 8 else "spot"
     if verify not in ("all", "spot", "none"):
         raise ValueError(f"unknown verify mode {verify!r}")
+    if max_classes < 0:
+        raise ValueError(f"max_classes must be >= 0, got {max_classes}")
     if _factorial_above(q - 2, max_classes):
         # the exact count only while it fits in 64 bits
         count = f"(q-2)! = {math.factorial(q - 2)}" if q <= 22 else f"(q-2)! at q={q}"

@@ -357,8 +357,8 @@ def stage_work(q: int, k: int) -> int:
     way, the estimate on this package's test runs is 1.01 times them at
     stage 3, 1.25-1.32 over GF(3^4) and at stage 5, and 1.65-1.71 at stage
     4 over GF(251), GF(1367) and GF(1381), where cubic pieces are solved in
-    closed form too; a unit takes 5.1-5.8 ns on a 2-core x86-64 VM (see
-    errors.MAX_STAGE_OPS)."""
+    closed form too.  The measured time of a unit is noted beside
+    errors.MAX_STAGE_OPS."""
     bits = max(1, (q - 1).bit_length())
     return sum(
         swept_pair_count(i) // 2 * q * (16 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)

@@ -10,14 +10,17 @@ here and checked by check_work, and every guard reads its limit at call time.
 # Work limit of the index-pair sweep, the optimality checker and the bad family.
 MAX_OPS = 100_000_000
 # Word-steps (insdel.kernel_steps) of one exact LCS engine run.  It bounds
-# kernel work, and wall time only for large scans: on a 2-core VM a
-# word-step of one affine ordering takes 2.1-2.4 ns from q = 81 to q = 577
-# (2.3 s at q = 577, the largest admitted), and of the full-length k = 3
-# brute force over GF(59) 1.7 ns.  The one-ordering affine scans that
-# sample repeats cost 37-338 ns per word-step at q = 7..16 (57-75 us per
-# ordering, mostly fixed cost per call); census measures its verified
-# classes in blocks of orderings instead, and `census --field 11
-# --verify all` (2.4*10^8 word-steps) takes about 1 s.
+# kernel work, and wall time only for large scans.  On a 2-core VM (Python
+# 3.11.7, numpy 2.4.6, in process) a word-step of one affine ordering takes
+# 2.3 ns at q = 81 (1.2 ms) and q = 127 (4.7 ms), 2.1 ns at q = 257
+# (0.09 s), 2.4 ns at q = 509 (1.27 s) and at q = 577 (2.3 s, the largest
+# admitted); one of the full-length k = 3 brute force over GF(59), counted
+# as its guard counts them, takes 1.1-1.25 ns (0.83-0.92 s on seeded
+# orderings).  The one-ordering affine scans that sample repeats cost
+# 37-338 ns per word-step at q = 7..16 (57-75 us per ordering, mostly fixed
+# cost per call); census measures its verified classes in blocks of
+# orderings instead, and `census --field 11 --verify all` (2.4*10^8
+# word-steps) takes about 1 s.
 MAX_KERNEL_STEPS = 10**9
 # Working memory of one block of every blocked loop, in bytes, read at call
 # time; in `sample --field 81` runs 2^20 beat 2^18 and 2^19 by 20-30%.

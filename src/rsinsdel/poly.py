@@ -102,7 +102,12 @@ class RootPool:
     closed form anyway (degree <= 2).  It runs split_round on the others in
     blocks of errors.BLOCK_BYTES // split_bytes(W) rows, in arrival order,
     and queues the pieces a round leaves behind the waiting rows, so rows
-    that need more rounds share blocks with fresh ones."""
+    that need more rounds share blocks with fresh ones.  The closed-form
+    pass stays a list of its own because running it inside split_round's
+    blocks measured slower (2-core VM, Python 3.11.7, numpy 2.4.6, in
+    process, construct with verification off): GF(1367), k = 4 went 46.7 ->
+    53.6 ms (22 -> 32 split_round calls), GF(1381) 42.9 -> 47.4 ms and
+    GF(4507), k = 5 0.442 -> 0.468 s."""
 
     def __init__(self, fld: Field):
         self.fld = fld

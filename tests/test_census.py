@@ -181,6 +181,21 @@ def test_census_refuses_malformed_index_key(monkeypatch, key):
             analyze.census_2dim(fld, verify=verify)
 
 
+def test_census_refuses_a_negative_max_classes_before_any_work(capsys, monkeypatch):
+    fld = field_new(5)
+    monkeypatch.setattr(analyze, "bad_classes", None)  # reached only after the limits are checked
+    with pytest.raises(ValueError, match="^max_classes must be >= 0, got -3$"):
+        analyze.census_2dim(fld, max_classes=-3)
+    monkeypatch.undo()
+    # 0 stays a limit: every census has at least one class, so it refuses with exit 3
+    runs = (("-3", 2, "max_classes must be >= 0, got -3"), ("0", 3, "(q-2)! = 6 exceeds max_classes=0"))
+    for limit, expected, message in runs:
+        code = cli.main(["census", "--field", "5", "--max-classes", limit])
+        out, err = capsys.readouterr()
+        assert (code, out) == (expected, "")
+        assert json.loads(err)["error"]["message"] == message
+
+
 def test_census_gf13_row_through_cli(capsys):
     # 11! = 39,916,800 classes: the old per-ordering scan took over 10 s
     code = cli.main(["census", "--field", "13", "--max-classes", "39916800"])

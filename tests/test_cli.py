@@ -451,7 +451,8 @@ MALFORMED = [
     pytest.param(2, ("classify", "--field", "7", "--alpha", "0,1,2"), id="2-argv18"),
     pytest.param(2, ("classify", "--alpha", "0,1"), id="2-argv19"),
     pytest.param(2, ("census", "--field", "6"), id="2-argv20"),
-    pytest.param(3, ("census", "--field", "7", "--max-classes", "-1"), id="3-argv21"),
+    # a negative limit is a usage error, not a guard refusal
+    pytest.param(2, ("census", "--field", "7", "--max-classes", "-1"), id="2-argv21"),
     # 14! classes verified at 2,032 kernel word-steps each: refused before the bad family is walked
     pytest.param(3, ("census", "--field", "16", "--max-classes", "100000000000", "--verify", "all"), id="3-argv22"),
     pytest.param(2, ("sample", "--field", "7", "--delta", "0", "--trials", "1", "--seed", "1"), id="2-argv23"),
@@ -495,6 +496,7 @@ MESSAGES = {
     ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10"): (
         "--field GF(7) and --alpha GF(11) name different fields"
     ),
+    ("census", "--field", "7", "--max-classes", "-1"): "max_classes must be >= 0, got -1",
     ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
     ("bounds", "class-lower-bound", "--q", "3"): "meaningful only for q >= 4",
     ("table1", "--qs", "3"): "meaningful only for q >= 4",

@@ -9,12 +9,14 @@ subsequence of the position map (Hunt-Szymanski).
 """
 
 import bisect
+import hashlib
 import itertools
 import random
 import re
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -287,13 +289,38 @@ def affine_kernel_reference(ev):
     return int(lengths[i]), [int(b_rows[i]), int(a_vals[a_idx[i]])]
 
 
-def counting_kernel(monkeypatch):
-    """Patch the kernel the exact engines call; the list collects its rows."""
+def digest(masks):
+    return hashlib.sha256(np.ascontiguousarray(masks)).hexdigest()
+
+
+@dataclass(frozen=True)
+class KernelCall:
+    """One kernel call: the shape (patterns, alphabet, words) of its stack
+    of tables and a digest of them, which holds no tables, the pattern
+    length and the rows."""
+
+    shape: tuple
+    tables: str
+    m: int
+    rows: object
+
+    @property
+    def steps(self) -> int:
+        """Word-steps, read off the arguments as the kernel lays them out:
+        one per word of each group of lanes, row and column."""
+        patterns, _, words = self.shape
+        lanes = min(64 // insdel.lane_bits(self.m), 1 << (patterns - 1).bit_length())
+        return -(-patterns // lanes) * self.rows.shape[0] * self.rows.shape[1] * words
+
+
+def kernel_calls(monkeypatch):
+    """Patch the kernel the exact engines call; the list collects a
+    KernelCall per call."""
     seen = []
     real = insdel.lcs_from_masks
 
     def kernel(masks, m, rows):
-        seen.append(rows)
+        seen.append(KernelCall(masks.shape, digest(masks), m, rows))
         return real(masks, m, rows)
 
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
@@ -321,22 +348,22 @@ def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
     # a budget of five rows and the fixed part: ranges of five rows that split
     # a = 1's 13 rows and every later a
     monkeypatch.setattr(errors, "BLOCK_BYTES", 5 * (insdel.kernel_row_bytes(27, source=True) + 8) + 16 * 27)
-    seen = counting_kernel(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == (best, g)
-    rows_per_block = len(seen[0])
+    rows_per_block = len(seen[0].rows)
     assert 1 < rows_per_block < 13
     blocks = [(start, min(start + rows_per_block, len(b_rows))) for start in range(0, len(b_rows), rows_per_block)]
     held = next(i for i, (start, stop) in enumerate(blocks) if start <= row < stop)
     assert held >= 3
     # no block after the one holding it
-    assert [len(rows) for rows in seen] == [stop - start for start, stop in blocks[: held + 1]]
+    assert [len(call.rows) for call in seen] == [stop - start for start, stop in blocks[: held + 1]]
 
 
 def kernel_calls_by_shape(seen, rows):
     """The block shapes of a run of the core: more rows than one ordering
     has, all of one ordering's rows, or fewer."""
-    return {("many" if len(r) > rows else "one" if len(r) == rows else "range") for r in seen}
+    return {("many" if len(c.rows) > rows else "one" if len(c.rows) == rows else "range") for c in seen}
 
 
 @pytest.mark.parametrize("q", [5, 8, 9, 16, 27, 81, 127])
@@ -350,7 +377,7 @@ def test_affine_core_matches_engine_and_lis_oracle_in_every_block_shape(q, monke
     assert [lcs for lcs, _ in want[: len(oracle)]] == [affine_lis_oracle(ev) for ev in oracle]
     reports = [analyze.lcs_code_affine(ev) for ev in evs]
     assert [(r.lcs_of_code, r.witness["g"]) for r in reports] == want
-    seen = counting_kernel(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     shapes = set()
     # from ranges of a few a groups of one ordering up to every ordering at once
     for budget in (4 * q * q, *(4**k for k in range(4, 13) if 4**k > 4 * q * q)):
@@ -394,17 +421,17 @@ def test_affine_core_agrees_in_whole_and_column_fed_blocks(q, want, monkeypatch)
     # the same (best, first), the LIS oracle's
     fld = field_new(q)
     orders = [seeded_ordering(q, s) for s in (0, 1)]
-    seen = counting_kernel(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     runs, kinds = [], []
     for budget in (64 << 20, 1 << 20, 4 * q * q, 37 * (insdel.kernel_row_bytes(q, source=True) + 8) + 16 * q):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         del seen[:]
         best, first = analyze._affine_lcs(fld, orders)
         runs.append((best.tolist(), first.tolist()))
-        kinds.append({type(rows) for rows in seen})
+        kinds.append({type(call.rows) for call in seen})
     assert runs[0] == runs[1] == runs[2] == runs[3]
     assert kinds == [{np.ndarray}, {insdel.Columns}, {insdel.Columns}, {insdel.Columns}]
-    assert {len(rows) for rows in seen} == {37, (q * q - 1) // 2 % 37}
+    assert {len(call.rows) for call in seen} == {37, (q * q - 1) // 2 % 37}
     assert runs[0][0] == want == [affine_lis_oracle(EvaluationVector(fld, tuple(o))) for o in orders]
 
 
@@ -439,13 +466,13 @@ def test_column_fed_block_memory_grows_with_the_budget_alone(monkeypatch):
 
 def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
     fld = field_new(3, 4)
-    seen = counting_kernel(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     adds = []
     real_add = type(fld).v_add
     monkeypatch.setattr(type(fld), "v_add", lambda self, a, b: adds.append(1) or real_add(self, a, b))
     analyze.sample_orderings(fld, "0.5", 5, seed=3)
     # 3,280 rows of 81 symbols per ordering; the q x q table is the one v_add
-    assert [rows.shape for rows in seen] == [(3280, 81)] * 5
+    assert [call.rows.shape for call in seen] == [(3280, 81)] * 5
     assert len(adds) == 5
 
 
@@ -455,16 +482,16 @@ def test_affine_on_both_sides_of_the_symbol_dtype_switch(q, monkeypatch):
     # into uint16; at the default budget a source feeds the kernel instead
     ev = orderings(q, 1, seed=q)[0]
     want = affine_kernel_reference(ev)
-    seen = counting_kernel(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == want
-    assert {type(rows) for rows in seen} == {insdel.Columns}
+    assert {type(call.rows) for call in seen} == {insdel.Columns}
     del seen[:]
     monkeypatch.setattr(errors, "BLOCK_BYTES", 64 << 20)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == want
-    assert [rows.shape for rows in seen] == [((q * q - 1) // 2, q)]
-    assert {rows.dtype for rows in seen} == {np.dtype(np.uint8 if q == 256 else np.uint16)}
+    assert [call.rows.shape for call in seen] == [((q * q - 1) // 2, q)]
+    assert {call.rows.dtype for call in seen} == {np.dtype(np.uint8 if q == 256 else np.uint16)}
 
 
 def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
@@ -580,42 +607,43 @@ def test_bruteforce_matches_reference(k):
 
 
 def test_bruteforce_rows_are_the_codewords(monkeypatch):
+    # every pass reads one table: the q^(k-1) codewords of zero constant term,
+    # column-major
     cases = [
         RsCode(EvaluationVector(field_new(7), (0, 1, 2, 3, 6, 4)), 3),
-        # k = 1 over a full-length GF(97) ordering: 97 rows of length 97
+        # k = 1 over a full-length GF(97) ordering: one row of 97 zeros
         RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1),
     ]
-    seen = counting_kernel(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     for code in cases:
         seen.clear()
         report = analyze.lcs_code_bruteforce(code)
-        assert np.array_equal(seen[0], [w for _, w in codewords(code)])
-        assert seen[0].flags.f_contiguous
+        assert all(call.rows is seen[0].rows for call in seen)
+        assert np.array_equal(seen[0].rows, [w for _, w in itertools.islice(codewords(code), code.q ** (code.k - 1))])
+        assert seen[0].rows.flags.f_contiguous
         best, (f, g) = bruteforce_reference(code)
         assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
     assert report.lcs_of_code == 0 and report.witness["g"] == [1]
 
 
-def pattern_counts(monkeypatch):
-    """Patch the kernel the exact engines call; the list collects the
-    number of patterns of each pass."""
-    seen = []
-    real = insdel.lcs_from_masks
-
-    def kernel(masks, m, rows):
-        seen.append(len(masks))
-        return real(masks, m, rows)
-
-    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
-    return seen
+def shifted_patterns(code):
+    """The brute force's pattern list: f - c for each normalized f, then
+    each c, on the code's points."""
+    fld = code.field
+    return [
+        poly.eval_on(fld, poly.trim((fld.neg(c), *f[1:])), code.ev.points)
+        for f in analyze._normalized_polys(fld, code.k)
+        for c in range(fld.q)
+    ]
 
 
-# (q, points, the witness f's place in _normalized_polys, patterns of each pass)
+# (q, points, the witness f's place in _normalized_polys, patterns of each
+# pass under a 1-byte budget: one lane group of 8)
 LANE_CASES = [
-    # a full scan whose first maximum, LCS 5, lies in lane 1 of the second pass
-    (17, (7, 4, 5, 3, 14, 15, 9), 9, [8, 8, 3]),
-    # n - 1 = 5 reached in lane 5 of the second pass: the third never runs
-    (16, (13, 12, 0, 2, 9, 4), 13, [8, 8]),
+    # a full scan of 19 * 17 patterns, whose first maximum, LCS 5, is f 9's
+    (17, (7, 4, 5, 3, 14, 15, 9), 9, [8] * 40 + [3]),
+    # n - 1 = 5 reached by pattern 13 * 16 + 2 of 288, in pass 26: the last nine never run
+    (16, (13, 12, 0, 2, 9, 4), 13, [8] * 27),
 ]
 
 
@@ -623,29 +651,46 @@ LANE_CASES = [
 def test_bruteforce_walks_each_pass_in_order(q, points, place, passes, monkeypatch):
     fld = field_from_order(q)
     code = RsCode(EvaluationVector(fld, points), 3)
-    seen = pattern_counts(monkeypatch)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
+    seen = kernel_calls(monkeypatch)
     report = analyze.lcs_code_bruteforce(code)
     best, (f, g) = bruteforce_reference(code)
     assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
     assert list(analyze._normalized_polys(fld, 3)).index(tuple(f)) == place
-    assert seen == passes
+    assert [call.shape[0] for call in seen] == passes
+    # pass i holds patterns 8i .. 8i + 7 of the f-major list
+    patterns = shifted_patterns(code)
+    for i, call in enumerate(seen):
+        assert call.tables == digest(insdel.match_masks(patterns[8 * i : 8 * i + 8], q))
 
 
 def test_bruteforce_packs_eight_polynomials_per_pass(monkeypatch):
-    # GF(23), k = 3: 25 normalized f of length 6, 8 to a 64-bit word
+    # GF(23), k = 3: 25 normalized f of length 6 give 575 patterns f - c, 8
+    # to a lane group; every pass but the last holds whole lane groups
     code = RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3)
-    seen = pattern_counts(monkeypatch)
-    report = analyze.lcs_code_bruteforce(code)
-    assert seen == [8, 8, 8, 1]  # ceil(25 / 8) passes
-    assert (report.lcs_of_code, report.witness) == (4, {"f": [0, 1], "g": [0, 19, 16], "I": [3, 4, 5, 6], "J": [1, 2, 5, 6]})
+    want = (4, {"f": [0, 1], "g": [0, 19, 16], "I": [3, 4, 5, 6], "J": [1, 2, 5, 6]})
+    seen = kernel_calls(monkeypatch)
+    for budget in (errors.BLOCK_BYTES, 1):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        seen.clear()
+        report = analyze.lcs_code_bruteforce(code)
+        assert (report.lcs_of_code, report.witness) == want
+        passes = [call.shape[0] for call in seen]
+        assert sum(passes) == 575 and all(p % 8 == 0 for p in passes[:-1])
+    assert passes == [8] * 71 + [7]
+    patterns = shifted_patterns(code)
+    tables = [digest(insdel.match_masks(patterns[i : i + 8], 23)) for i in range(0, 575, 8)]
+    assert [call.tables for call in seen] == tables
 
 
 def test_bruteforce_scan_stays_within_the_block_budget():
     cases = [
-        # the 12,167 rows, the kernel's state and the (8, R) lengths of a pass
+        # the 529 rows, the kernel's state and the lengths of whole lane groups
         (RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3), 4),
-        # 1021^2 rows of 3 symbols, about 40 MB in one piece: built and measured in chunks
+        # 1021 rows of 3 symbols, and 2042 patterns whose tables have 1021 entries each
         (RsCode(EvaluationVector(field_new(1021), (0, 1, 2)), 2), 2),
+        # 3,481 rows of 6 and 3,599 patterns: ranges of several lane groups
+        (RsCode(EvaluationVector(field_new(59), (0, 1, 2, 5, 3, 4)), 3), 4),
     ]
     for code, lcs_value in cases:
         analyze.lcs_code_bruteforce(code)
@@ -662,9 +707,9 @@ def test_bruteforce_scan_stays_within_the_block_budget():
 
 
 def test_bruteforce_chunk_size_does_not_change_results(monkeypatch):
-    # GF(7), (5, 2, 6, 4, 1), k = 3, one constant term per chunk: family member 3
-    # reaches n - 1 in the chunk of c = 0, member 2 in that of c = 1 and the
-    # witness, member 1, in that of c = 4, so later chunks rescan fewer members
+    # GF(7), (5, 2, 6, 4, 1), k = 3: the witness, member 1 at c = 4, is
+    # pattern 11 of 63, so under a 1-byte budget the scan stops after the
+    # second of its eight passes
     codes = [
         RsCode(EvaluationVector(field_new(7), (5, 2, 6, 4, 1)), 3),
         RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3),
@@ -679,56 +724,74 @@ def test_bruteforce_chunk_size_does_not_change_results(monkeypatch):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         assert [analyze.lcs_code_bruteforce(code) for code in codes] == want
     monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
-    seen = pattern_counts(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     analyze.lcs_code_bruteforce(codes[0])
-    assert seen == [8, 4, 3, 3, 3, 2, 2]
+    assert [call.shape[0] for call in seen] == [8, 8]
+
+
+def test_bruteforce_pattern_alphabets_at_the_edges(monkeypatch):
+    seen = kernel_calls(monkeypatch)
+    # GF(2^8), k = 2: the rows hold all 256 symbols in uint8, so no pattern
+    # symbol needs the extra code
+    code = RsCode(EvaluationVector(field_from_order(256), (5, 77, 130, 201, 9)), 2)
+    report = analyze.lcs_code_bruteforce(code)
+    best, (f, g) = bruteforce_reference(code)
+    assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
+    assert {(call.shape[1], call.rows.dtype) for call in seen} == {(256, np.dtype(np.uint8))}
+    # k = 1 over GF(65537), n = 3: the 65,537 constant patterns -c against
+    # the one row 0, every nonzero symbol on the extra code 1
+    seen.clear()
+    t0 = time.perf_counter()
+    report = analyze.lcs_code_bruteforce(RsCode(EvaluationVector(field_new(65537), (0, 1, 2)), 1))
+    assert time.perf_counter() - t0 < 1.0
+    assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (0, [], [1])
+    assert {call.shape[1] for call in seen} == {2}
+    assert sum(call.shape[0] for call in seen) == 65537
+    # k = 4 over GF(17), a seeded full-length ordering: 308 * 17 patterns
+    # against 17^3 rows, pinned
+    code = RsCode(EvaluationVector(field_new(17), tuple(seeded_ordering(17, 1))), 4)
+    report = analyze.lcs_code_bruteforce(code)
+    assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (12, [0, 1, 3, 1], [0, 12, 7, 11])
 
 
 # -- the kernel-work guard -------------------------------------------------------
 
 
-def step_counts(monkeypatch):
-    """Patch the kernel the exact engines call; the list collects the
-    word-steps of each pass, read off its arguments as the kernel lays them
-    out: one per word of each group of lanes, row and column."""
-    seen = []
-    real = insdel.lcs_from_masks
-
-    def kernel(masks, m, rows):
-        patterns, _, words = masks.shape
-        lanes = min(64 // insdel.lane_bits(m), 1 << (patterns - 1).bit_length())
-        seen.append(-(-patterns // lanes) * rows.shape[0] * rows.shape[1] * words)
-        return real(masks, m, rows)
-
-    monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
-    return seen
-
-
 def test_kernel_steps_count_the_bruteforce_passes(monkeypatch):
-    seen = step_counts(monkeypatch)
+    # a full scan takes exactly kernel_steps(|family| * q, q^(k-1), n, n), its
+    # patterns f - c against the zero-constant rows, at most the guard's
+    # estimate of |family| patterns against all q^k codewords; a scan that
+    # reaches n - 1 before its last pass takes fewer
+    seen = kernel_calls(monkeypatch)
     full_scans = [
-        RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3),  # 25 patterns, 8 to a word
+        RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3),  # 575 patterns, 8 to a word
         RsCode(EvaluationVector(field_new(17), (7, 4, 5, 3, 14, 15, 9)), 3),
         RsCode(EvaluationVector(field_new(97), tuple(range(97))), 1),  # two words per row
         RsCode(EvaluationVector(field_new(67), analyze.random_ordering(67, analyze.SplitMix64(1))), 2),
         RsCode(EvaluationVector(field_new(7), (0, 1, 2, 5)), 2),
     ]
     early_stops = [
-        RsCode(EvaluationVector(field_from_order(16), (13, 12, 0, 2, 9, 4)), 3),  # n - 1 in the second pass
+        RsCode(EvaluationVector(field_from_order(16), (13, 12, 0, 2, 9, 4)), 3),  # n - 1 in pass 26 of 36
         RsCode(EvaluationVector(field_new(7), tuple(range(7))), 2),
     ]
-    skipped = []
-    for code in full_scans + early_stops:
-        seen.clear()
-        report = analyze.lcs_code_bruteforce(code, want_witness=False)
-        estimate = insdel.kernel_steps(analyze._family_size(code.q, code.k), code.q**code.k, code.n, code.n)
-        assert (report.lcs_of_code < code.n - 1) == (code in full_scans)
-        if code in full_scans:
-            assert sum(seen) == estimate
-        else:
-            assert sum(seen) <= estimate
-            skipped.append(sum(seen) < estimate)
-    assert skipped == [True, False]  # GF(7)'s one pass reaches n - 1
+    # at 1 byte GF(16) skips its last passes and GF(7) reaches n - 1 in its last
+    for budget, want in ((errors.BLOCK_BYTES, [False, False]), (1, [True, False])):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        skipped = []
+        for code in full_scans + early_stops:
+            seen.clear()
+            report = analyze.lcs_code_bruteforce(code, want_witness=False)
+            family = analyze._family_size(code.q, code.k)
+            exact = insdel.kernel_steps(family * code.q, code.q ** (code.k - 1), code.n, code.n)
+            assert exact <= insdel.kernel_steps(family, code.q**code.k, code.n, code.n)
+            assert (report.lcs_of_code < code.n - 1) == (code in full_scans)
+            steps = sum(call.steps for call in seen)
+            if code in full_scans:
+                assert steps == exact
+            else:
+                assert steps <= exact
+                skipped.append(steps < exact)
+        assert skipped == want
 
 
 @pytest.mark.parametrize("q", [11, 27, 81, 131])
@@ -736,13 +799,14 @@ def test_kernel_steps_count_the_affine_passes(q, monkeypatch):
     # four blocks of uint8 symbols: the passes of one full scan add up to its estimate
     rows = (q * q - 1) // 2
     monkeypatch.setattr(errors, "BLOCK_BYTES", -(-rows // 4) * 2 * q)
-    seen = step_counts(monkeypatch)
+    seen = kernel_calls(monkeypatch)
     estimate = insdel.kernel_steps(1, rows, q, q)
     kinds = set()
     for ev in orderings(q, 2, seed=q):  # two random orderings, then two bad ones
         seen.clear()
         full = analyze.lcs_code_affine(ev, want_witness=False).lcs_of_code < q - 1
-        assert sum(seen) == estimate if full else sum(seen) <= estimate
+        steps = sum(call.steps for call in seen)
+        assert steps == estimate if full else steps <= estimate
         kinds.add(full)
     assert kinds == {True, False}
 
@@ -817,18 +881,20 @@ def test_bruteforce_guard_counts_kernel_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 23])
-def test_codeword_table_matches_codewords(q):
+def test_codeword_table_matches_codewords(q, monkeypatch):
+    # the q^(k-1) codewords of zero constant term, column-major in uint8,
+    # alike when built in one block and one row at a time
     fld = field_from_order(q)
     points = (3, 0, 5, 1, 6)
     for k in (1, 2, 3, 4):
         code = RsCode(EvaluationVector(fld, points), k)
-        # GF(23) at k = 4 has 279,841 codewords: the first 2 * 23^3 cover
-        # every lower digit and two leading ones
-        count = q**k if q**k < 20_000 else 2 * q ** (k - 1)
-        want = [w for _, w in itertools.islice(codewords(code), count)]
-        table = analyze._codeword_table(code, count)
-        assert table.dtype == np.int64 and np.array_equal(table, want)
-    assert analyze._codeword_table(code, q**4)[-1].tolist() == list(codeword(code, (q - 1,) * 4))
+        want = [w for _, w in itertools.islice(codewords(code), q ** (k - 1))]
+        for budget in (1 << 20, 1):
+            monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+            table = analyze._codeword_table(code)
+            assert table.dtype == np.uint8 and table.flags.f_contiguous
+            assert np.array_equal(table, want)
+    assert table[-1].tolist() == list(codeword(code, (0,) + (q - 1,) * 3))
 
 
 def test_normalized_polys_drop_scaled_copies():
