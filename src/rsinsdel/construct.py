@@ -22,9 +22,9 @@ points.  The stage therefore walks each unordered pair once, (I, J) beside
 rows, made monic and tagged with their first point, each repeated row
 once: about half the rows of the two directions.  The pool finds their
 roots with no row tested at every y of GF(q): rows of degree at most 2
-(all of stage 3) and, in characteristic p > 3, the cubic rows (stage 4)
-whose Cardano radicand is a nonzero square, about half, in closed form,
-the others by equal-degree splitting in blocks.  Every completion
+(all of stage 3) and, in characteristic p > 3, the cubic rows (all of
+stage 4) and the cubic pieces of later rounds in closed form, the others
+by equal-degree splitting in blocks.  Every completion
 (alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
 set, kept as sorted codes x*q + y.
 Any pair of fresh distinct points outside the bad set extends the code;
@@ -351,17 +351,18 @@ def stage_work(q: int, k: int) -> int:
     many again allowed for the pieces split in later rounds.
     A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
     squares of the power mod P; its gcd cost less), a row of degree <= 2
-    one unit (the closed form).  The estimate charges every cubic row of
-    stage 4 as split, though about half of them, in characteristic p > 3,
-    are solved in closed form at one unit.  Counting the units spent that
-    way, the estimate on this package's test runs is 1.01 times them at
-    stage 3, 1.25-1.32 over GF(3^4) and at stage 5, and 1.65-1.71 at stage
-    4 over GF(251), GF(1367) and GF(1381), where cubic pieces are solved in
-    closed form too.  The measured time of a unit is noted beside
+    one unit (the closed form), and so does a cubic row of stage 4 when q
+    is prime to 6 (characteristic p > 3, where every cubic has a closed
+    form).  Counting the units spent that way, the estimate on this
+    package's test runs is 1.01 times them at stage 3 and at stage 4 over
+    GF(251), GF(1367) and GF(1381), 1.25 at stage 4 over GF(3^4) and 1.34
+    at stage 5 over GF(251).  The measured time of a unit is noted beside
     errors.MAX_STAGE_OPS."""
     bits = max(1, (q - 1).bit_length())
+    closed = 4 if math.gcd(q, 6) == 1 else 3  # the last stage whose rows have a closed form
     return sum(
-        swept_pair_count(i) // 2 * q * (16 * bits + 3 * ((i - 1) ** 2 * bits if i >= 4 else 1)) for i in range(3, k + 1)
+        swept_pair_count(i) // 2 * q * (16 * bits + 3 * ((i - 1) ** 2 * bits if i > closed else 1))
+        for i in range(3, k + 1)
     )
 
 

@@ -2,7 +2,8 @@
 canonical ordering of a field, the bad family grouped by class, built
 member by member, the scalar single-pair LCS and the textbook dynamic
 program, interpolation through one Vandermonde solve, and Cardano's
-terms of a cubic with the root finder's closed-form test."""
+terms of a cubic, Euler's criterion and the root finder's closed-form
+test."""
 
 import functools
 import itertools
@@ -80,16 +81,16 @@ def cardano_terms(fld, coeffs) -> tuple[int, int, int]:
     return a, b, d
 
 
+def is_square(fld, x) -> bool:
+    """Whether x is a nonzero square of odd-order GF(q) (Euler's criterion)."""
+    return x != 0 and fld.pow(x, (fld.q - 1) // 2) == 1
+
+
 def has_closed_form(fld, coeffs) -> bool:
     """Whether the root finder solves a row, given by its trimmed
-    coefficients, without splitting it: every row of degree <= 2, and a
-    cubic when p > 3 and its D is a nonzero square (Euler's criterion)."""
-    if len(coeffs) <= 3:
-        return True
-    if len(coeffs) > 4 or fld.p <= 3:
-        return False
-    d = cardano_terms(fld, coeffs)[2]
-    return d != 0 and fld.pow(d, (fld.q - 1) // 2) == 1
+    coefficients, without splitting it: every row of degree <= 2, and
+    every cubic when p > 3."""
+    return len(coeffs) <= 3 or (len(coeffs) == 4 and fld.p > 3)
 
 
 def canonical_form(a: EvaluationVector) -> EvaluationVector:

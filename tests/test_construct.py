@@ -227,33 +227,44 @@ def test_constant_g_side_skips_lead_zero(monkeypatch):
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
-    # stages 3 and 4 over a prime and an extension field: budgets of a few
+    # stages 3 to 5 over GF(1367) and 3 and 4 over GF(3^4): budgets of a few
     # rows and (over GF(3^4)) of less than one row, one row per block, give
     # the default's codes on the first swept pair, from more blocks of the
-    # root pool, none above its budget
-    split_round, blocks = poly.split_round, []
+    # root pool for each smaller budget, none above its budget; the cubic
+    # rows of stage 4 over GF(1367) are all solved by the closed-form pass,
+    # whose chunks obey the same rule with cubic_bytes
+    split_round, solve_cubics, blocks, chunks = poly.split_round, poly._solve_cubics, [], []
 
     def counted(fld, rows, rounds):
         blocks.append(len(rows))
         return split_round(fld, rows, rounds)
 
+    def chunked(fld, rows):
+        chunks.append(len(rows))
+        return solve_cubics(fld, rows)
+
     monkeypatch.setattr(poly, "split_round", counted)
-    for fld in (field_new(1367), field_new(3, 4)):
+    monkeypatch.setattr(poly, "_solve_cubics", chunked)
+    for fld, stages in ((field_new(1367), (3, 4, 5)), (field_new(3, 4), (3, 4))):
         points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
-        for i in (3, 4):
+        for i in stages:
             solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))[:1]
+            cubic = i == 4 and fld.p > 3
+            per_row = poly.cubic_bytes(i) if cubic else poly.split_bytes(i)
             counts, full = [], None
-            for budget in (errors.BLOCK_BYTES, 3 * poly.split_bytes(i)) + ((1,) if fld.q < 1367 else ()):
+            for budget in (errors.BLOCK_BYTES, 3 * per_row) + ((1,) if fld.q < 1367 else ()):
                 with monkeypatch.context() as m:
                     m.setattr(errors, "BLOCK_BYTES", budget)
                     blocks.clear()
+                    chunks.clear()
                     got = [pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
                 full = got if full is None else full
                 assert all(np.array_equal(a, b) for a, b in zip(got, full))
-                assert max(blocks) <= max(1, budget // poly.split_bytes(i))
-                counts.append(len(blocks))
+                seen = chunks if cubic else blocks
+                assert max(seen) <= max(1, budget // per_row)
+                counts.append(len(seen))
             assert counts == sorted(set(counts)), counts  # more blocks for each smaller budget
-            if i == 3:
+            if i < stages[-1]:
                 points, _ = construct.extend(fld, points, i)
 
 
@@ -443,8 +454,8 @@ def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
 def test_closed_form_rows_match_the_row_scan(fld, monkeypatch):
     # every swept pair of stages 3 and 4 (and 5 over GF(1367)) against the
     # sweep that tests every cross row at every y; the splitter sees no
-    # stage-3 row (all are of degree <= 2), and from stage 4 on the rows of
-    # degree 3 or more
+    # stage-3 row (all are of degree <= 2), no stage-4 row when p > 3 (all
+    # are cubic), and from then on the rows of degree 3 or more
     points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
     stages = (3, 4, 5) if fld.q == 1367 else (3, 4)
     split = poly._split
@@ -460,7 +471,7 @@ def test_closed_form_rows_match_the_row_scan(fld, monkeypatch):
             scanned = [pair_bad_set(fld, points, i, *uu, neg_inv, ScanPool(fld, reduced_matcher(fld, []))) for uu in solutions]
         for ij, new, old in zip(pairs, swept, scanned):
             assert np.array_equal(new, old), ij
-        assert (sum(split_rows) == 0) == (i == 3), sum(split_rows)
+        assert (sum(split_rows) == 0) == (i == 3 or (i == 4 and fld.p > 3)), sum(split_rows)
         if i < stages[-1]:
             points, _ = construct.extend(fld, points, i)
 
@@ -602,11 +613,15 @@ def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
         assert construct.stage_work(q, k) <= errors.MAX_STAGE_OPS
     assert construct.stage_work(construct.min_field_size(7), 7) > errors.MAX_STAGE_OPS
-    # 6 and 10 unordered pairs at 1367 * (16 * 11 + 3) and 1367 * (16 * 11 + 3 * 9 * 11)
-    assert construct.stage_work(1367, 4) == 6 * 1367 * 179 + 10 * 1367 * 473 == 7934068
+    # 6 and 10 unordered pairs at 1367 * (16 * 11 + 3): for q prime to 6
+    # the cubic rows of stage 4 take one unit, and over GF(3^4) 3 * 9 * 7
+    assert construct.stage_work(1367, 4) == 16 * 1367 * 179 == 3915088
+    assert construct.stage_work(81, 4) == 6 * 81 * (16 * 7 + 3) + 10 * 81 * (16 * 7 + 3 * 9 * 7) == 299700
     assert construct.stage_work(7, 2) == 0
-    # k = 6 is admitted up to q = 36784 and k = 3 up to q = 1031991
-    assert construct.stage_work(36784, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(36785, 6)
+    # k = 6 is admitted up to q = 39935 for q prime to 6 and up to q = 36784
+    # for the others, and k = 3 up to q = 1031991
+    assert construct.stage_work(39935, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(39937, 6)
+    assert construct.stage_work(36784, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(36786, 6)
     assert construct.stage_work(1031991, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1031992, 3)
 
 
@@ -620,8 +635,8 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
     # the units the sweep spends, counted as stage_work charges them: 8b per
     # first point of each pair; per row reaching the root pool d^2 b for
     # degree d >= 3, but 1 for a row of degree <= 2 or a cubic with a
-    # closed form (has_closed_form, from scalar field operations); and d^2 b
-    # per piece of a later round; the estimate is at least that and within
+    # closed form (has_closed_form: every cubic when p > 3); and d^2 b per
+    # piece of a later round; the estimate is at least that and within
     # twice it
     for q, k in ((251, 4), (251, 5), (field_new(3, 4).q, 4), (1367, 4), (1381, 4)):
         fld = field_new(*{81: (3, 4)}.get(q, (q,)))

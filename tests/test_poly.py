@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cardano_terms, has_closed_form, interpolate
+from conftest import cardano_terms, has_closed_form, interpolate, is_square
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,48 +175,63 @@ def test_roots_match_definition_scan(monkeypatch):
         assert got == expected
         assert len(got) <= max(poly.degree(coeffs), 0)
     # every monic cubic, in one pool per field, tagged by its index: each
-    # root once, and the cubics split are those whose D, from scalar field
-    # operations, is 0 or not a square; the closed form meets D = 0, a = 0,
-    # c = 0 on the + sign, and 0 and 3 roots when q = 1 (mod 3), 1 else
+    # root once and none split, and every branch of the closed form met, as
+    # read off scalar field operations: D a nonzero square (with a = 0 and
+    # c = 0 on the + sign), D = 0 with e = a/3 zero and nonzero, and D not
+    # a square with -e a square and not one; and rows of 0, 1, 2 and 3
+    # roots.  GF(11) and GF(17) have q = 2 (mod 3), and 9 divides 17 + 1
     split_, split = poly._split, []
 
-    def counted(fld_, low, rounds):
-        split.extend(map(tuple, low[:, rounds == 0].T.tolist()))
-        return split_(fld_, low, rounds)
+    def counted(fld, low, rounds):
+        split.append(len(rounds))
+        return split_(fld, low, rounds)
 
     monkeypatch.setattr(poly, "_split", counted)
-    for fld in (field_new(5), F7, field_new(13), field_new(5, 2)):
+    for fld in (field_new(5), F7, field_new(11), field_new(13), field_new(17), field_new(5, 2)):
         q = fld.q
         rows = np.array([c + (1,) for c in itertools.product(range(q), repeat=3)])
-        pool, split[:] = poly.RootPool(fld), []
+        pool = poly.RootPool(fld)
         pool.add(np.arange(len(rows)), rows)
         codes = pool.split(drain=True)
         assert len(set(codes.tolist())) == len(codes)
         hit, y = np.nonzero(poly.eval_all(fld, rows) == 0)
         assert np.array_equal(np.sort(codes), hit * q + y), fld
-        reached, closed_roots, expected_split = set(), set(), set()
+        assert not split, fld
+        reached = set()
         for row, n in zip(rows.tolist(), np.bincount(hit, minlength=len(rows)).tolist()):
             a, b, d = cardano_terms(fld, row)
-            if not has_closed_form(fld, row):
-                expected_split.add(tuple(row[:3]))
-                reached.add("D = 0" if d == 0 else "D not a square")
-                continue
-            closed_roots.add(n)
-            if a == 0:
-                reached.add("a = 0")
-                root = int(fld.v_sqrt(d)[1])
-                if root == fld.div(b, fld.int_embed(2)):  # -b/2 + sqrt(D) = 0
-                    reached.add("c = 0 on the + sign")
-        assert sorted(split) == sorted(expected_split), fld
-        assert reached == {"D = 0", "D not a square", "a = 0", "c = 0 on the + sign"}, (fld, reached)
-        assert closed_roots == ({0, 3} if q % 3 == 1 else {1}), (fld, closed_roots)
+            minus_e = fld.neg(fld.div(a, fld.int_embed(3)))
+            reached.add(f"{n} roots")
+            if d == 0:
+                reached.add("D = 0, e = 0" if a == 0 else "D = 0, e != 0")
+            elif not is_square(fld, d):
+                reached.add("D not a square, -e " + ("a square" if is_square(fld, minus_e) else "not a square"))
+            else:
+                reached.add("D a nonzero square")
+                if a == 0:
+                    reached.add("a = 0")
+                    if int(fld.v_sqrt(d)[1]) == fld.div(b, fld.int_embed(2)):  # -b/2 + sqrt(D) = 0
+                        reached.add("c = 0 on the + sign")
+        assert reached == {
+            "D a nonzero square",
+            "a = 0",
+            "c = 0 on the + sign",
+            "D = 0, e = 0",
+            "D = 0, e != 0",
+            "D not a square, -e a square",
+            "D not a square, -e not a square",
+            "0 roots",
+            "1 roots",
+            "2 roots",
+            "3 roots",
+        }, (fld, reached)
 
 
 @pytest.mark.parametrize("p", [1367, 1381, 65537])
 def test_cubic_rows_over_large_prime_fields(p, monkeypatch):
     # seeded cubics, random and scaled products of three distinct lines or
     # of a line and y^2 - n for a non-square n, against a full scan: each
-    # root once, and only the cubics without a closed form split
+    # root once, and none split
     fld, rng = field_new(p), random.Random(p)
     nonsquare = next(n for n in range(2, p) if fld.pow(n, (p - 1) // 2) == p - 1)
     rows = []
@@ -244,10 +259,62 @@ def test_cubic_rows_over_large_prime_fields(p, monkeypatch):
     scans = (poly.eval_all(fld, rows[lo : lo + 10]) == 0 for lo in range(0, len(rows), 10))  # 10 rows of p values
     expected = np.concatenate([np.flatnonzero(scan.ravel()) + lo * 10 * p for lo, scan in enumerate(scans)])
     assert np.array_equal(np.sort(codes), expected)
-    closed = [has_closed_form(fld, row) for row in rows.tolist()]
-    assert sum(split) == closed.count(False) and 0 < closed.count(False) < len(rows)
-    # three-root products have a closed form exactly when q = 1 (mod 3)
-    assert all(c == (p % 3 == 1) for c in closed[::3])
+    assert sum(split) == 0
+    # both kinds of radicand, and three-root products have a non-square one
+    # (their discriminant -108 D is a square) exactly when q = 2 (mod 3)
+    square = [is_square(fld, cardano_terms(fld, row)[2]) for row in rows.tolist()]
+    assert 0 < square.count(False) < len(rows)
+    assert all(s == (p % 3 == 1) for s in square[::3])
+
+
+def test_torus_table_holds_every_norm_one_element_in_12_bytes_each():
+    # over GF(65537): the q + 1 powers of the generator are distinct and of
+    # norm x^2 - g*y^2 = 1, every x indexes a power with that x (or none
+    # has it), beta = x + s has a norm that is not a square, the inverse of
+    # the one given, and conj(beta)^3 is as given; and the table takes 12
+    # bytes per element, its build at most errors.BLOCK_BYTES more
+    fld = field_new(65537)
+    g = fld.generator()
+    (powers, index), (bx, inv_norm, cube) = poly._torus(fld)
+    x, y = powers.astype(np.int64)
+    norm = fld.v_add(fld.v_mul(x, x), fld.v_mul(fld.v_mul(y, y), fld.neg(g)))
+    assert powers.shape == (2, fld.q + 1) and (norm == 1).all()
+    assert len(np.unique(x * fld.q + y)) == fld.q + 1
+    has = index >= 0
+    assert np.array_equal(powers[0, index[has]], np.flatnonzero(has)) and np.array_equal(np.flatnonzero(has), np.unique(x))
+    norm = fld.sub(fld.mul(bx, bx), g)
+    assert not is_square(fld, norm) and fld.mul(norm, inv_norm) == 1
+    conj = [(bx, fld.neg(1))]
+    for _ in range(2):  # (x + y s)(bx - s) = (x bx - g y) + (y bx - x) s
+        x, y = conj[-1]
+        conj.append((fld.sub(fld.mul(x, bx), fld.mul(g, y)), fld.sub(fld.mul(y, bx), x)))
+    assert conj[-1] == cube
+    assert powers.nbytes + index.nbytes == 12 * fld.q + 8
+    tracemalloc.start()
+    try:
+        poly._torus.__wrapped__(fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * fld.q + 8 + errors.BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("broken", ["index", "y"])
+def test_torus_lookup_that_misses_raises(broken, monkeypatch):
+    # a table whose index finds no power, or finds one whose y is not +-y,
+    # stops the torus path: the cubics are products of three lines over
+    # GF(1367), q = 2 (mod 3), so their D is not a square
+    fld = field_new(1367)
+    (powers, index), beta = poly._torus(fld)
+    if broken == "index":
+        index = np.full_like(index, -1)
+    else:
+        powers = powers.copy()
+        powers[1] = (powers[1] + 1) % fld.q
+    monkeypatch.setattr(poly, "_torus", lambda fld_: ((powers, index), beta))
+    rows = np.array([expand(fld, [r, r + 1, r + 5]) for r in range(20)])
+    with pytest.raises(errors.InvariantViolation, match=r"^an element of norm 1 over GF\(1367\) is missing from its torus table$"):
+        poly._cardano(fld, rows[:, :3].T)
 
 
 @pytest.mark.parametrize("fld", [field_new(2, 8), field_new(3, 4)], ids=str)
@@ -377,16 +444,20 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     # rows (lead, t) for every target t: the row a(y) + lead*b(y) - t vanishes
     # exactly at t = a(y) + lead*b(y), so a full scan of the values gives
     # every root; rows of degree >= 4 and the cubics without a closed form
-    # (has_closed_form, from scalar field operations), and only those, are
-    # split
+    # (has_closed_form: in characteristic 2 and 3), and only those, are
+    # split, and the cubic pieces a round leaves are split again only when
+    # p <= 3
     q, rng = fld.q, random.Random(fld.q)
-    split, rounds_seen = [], []
+    split, rounds_seen, cubic_pieces, cubic_split = [], [], [], []
     split_round = poly._split
 
     def counted(fld_, low, rounds):
         split.append(int((rounds == 0).sum()))  # the rows of a first round
         rounds_seen.append(int(rounds.max(initial=0)))
-        return split_round(fld_, low, rounds)
+        cubic_split.append(int((rounds > 0).sum()) if len(low) == 3 else 0)
+        (root, z), (size, g) = split_round(fld_, low, rounds)
+        cubic_pieces.append(int((size == 3).sum()))
+        return (root, z), (size, g)
 
     monkeypatch.setattr(poly, "_split", counted)
     cases = set()
@@ -419,6 +490,8 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     # class, a cubic with a closed form)
     if q > 3:
         assert (4, 3, False) in cases
+    if q >= 7:
+        assert sum(cubic_pieces) > 0 and (sum(cubic_split) == 0) == (fld.p > 3), (cubic_pieces, cubic_split)
     full = one_class(fld)
     if len(full) >= 3:
         assert (len(full), len(full), False) in cases
@@ -433,11 +506,11 @@ def test_pencil_roots_of_no_rows():
 @pytest.mark.parametrize("fld", [field_new(1367), field_new(2, 8)], ids=str)
 def test_roots_honour_the_block_budget(fld, monkeypatch):
     # with a budget below one row, no split_round call sees more than one
-    # row: a sextic of three roots the first round keeps together (nonzero
-    # squares, trace 0) and three others it keeps together (non-squares,
-    # trace 1), so two cubic pieces need a second round
-    first = one_class(fld)[:3]
-    other = [x for x in range(1, fld.q) if (trace(fld, x) if fld.p == 2 else fld.pow(x, fld.q // 2)) == fld.neg(1)][:3]
+    # row: an octic of four roots the first round keeps together (nonzero
+    # squares, trace 0) and four others it keeps together (non-squares,
+    # trace 1), so two quartic pieces need a second round
+    first = one_class(fld)[:4]
+    other = [x for x in range(1, fld.q) if (trace(fld, x) if fld.p == 2 else fld.pow(x, fld.q // 2)) == fld.neg(1)][:4]
     coeffs = expand(fld, first + other)
     split_round, blocks = poly.split_round, []
 
@@ -476,9 +549,8 @@ def test_split_round_matches_a_full_scan_of_seeded_rows(fld):
         while len(left):
             (hit, ys), (cut, left, rounds) = poly.split_round(fld, left, rounds)
             found += list(zip(source[hit].tolist(), ys.tolist()))
-            # when q = 1 (mod 3), p > 3, every cubic piece is solved at once
-            if fld.p > 3 and fld.q % 3 == 1:
-                assert all(len(poly.trim(row)) > 4 for row in left.tolist()), width
+            # every piece of degree <= 2 is solved at once
+            assert all(len(poly.trim(row)) >= 4 for row in left.tolist()), width
             source = source[cut]
         assert len(found) == len(set(found))  # each root once
         values = poly.eval_all(fld, rows)
@@ -507,11 +579,14 @@ def test_split_round_stays_within_its_bytes_per_row(fld):
         assert peak <= len(rows) * poly.split_bytes(width), (width, peak / len(rows))
 
 
-@pytest.mark.parametrize("fld", [field_new(1367), field_new(1381), field_new(7, 2), field_new(7, 3)], ids=str)
+@pytest.mark.parametrize(
+    "fld", [field_new(1367), field_new(1381), field_new(7, 2), field_new(7, 3), field_new(5, 3)], ids=str
+)
 def test_cubic_pass_stays_within_its_bytes_per_row(fld):
     # the peak tracemalloc sees in one closed-form pass of RootPool.add
     # over 512 rows of each width, all cubic and a third of them products
-    # of distinct lines, against cubic_bytes
+    # of distinct lines, against cubic_bytes; over GF(1367) and GF(5^3),
+    # q = 2 (mod 3), the products of lines take the torus path
     rng = np.random.default_rng(fld.q)
     for width in (4, 5, 6, 8, 10):
         rows = np.zeros((512, width), np.int64)
