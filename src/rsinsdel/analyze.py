@@ -9,8 +9,8 @@ against one table of the q^(k-1) codewords of zero constant term, and a
 guarded fast path for full-length 2-dimensional codes that exploits the
 affine edit-distance isometries.  In the fast path both words of a pair
 are orderings of the field, so relabelling every symbol by its position in
-the ordering turns each LCS into a longest increasing subsequence against
-0 .. q-1, the mask table of 0 .. q-1 serves every row, and one batched
+the ordering turns each LCS into a longest increasing subsequence, so the
+one pattern 0 .. q-1 serves every row, and one batched
 core (_affine_lcs) measures a block of orderings, or above q = 89 a block
 of one ordering's rows read column by column, per kernel call; the engine
 is that core on one ordering.  Beside them: the complete
@@ -43,7 +43,7 @@ import numpy as np
 from . import errors, insdel, poly
 from .errors import GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
-from .insdel import Columns, kernel_row_bytes, kernel_steps, lcs_from_masks, match_masks
+from .insdel import Columns, kernel_row_bytes, kernel_steps, lcs_from_masks
 from .rscode import EvaluationVector, RsCode, equivalent
 
 DEFAULT_MAX_CLASSES = 5_040
@@ -161,12 +161,13 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     order; (f, 0) against f's own row is g = f and skipped.  At k = 1 the one
     row is 0 and the patterns' other symbols share the code 1.  One loop
     measures fixed-size ranges of whole lane groups (64 //
-    insdel.lane_bits(n) patterns), one match_masks and one lcs_from_masks
-    call each, within errors.BLOCK_BYTES beside the rows, counting the
-    range's symbols and tables, the kernel's state and two ranges' lengths;
-    the floor, one lane group over every row, passes the default budget from
-    about q = 145 at k = 3 and n = 6, and q = 8,700 at k = 2 and n = 3.  It
-    keeps the first maximum and stops after the first range reaching n - 1.
+    insdel.lane_bits(n) patterns), one lcs_from_masks call on the range's
+    symbols each, within errors.BLOCK_BYTES beside the rows, counting the
+    range's symbols, the kernel's tables (8 bytes per symbol and word of a
+    lane group) and state, and two ranges' lengths; the floor, one lane
+    group over every row, exceeds the default budget from q = 137 at k = 3
+    and n = 6, and q = 16,373 at k = 2 and n = 3.  It keeps the first
+    maximum and stops after the first range reaching n - 1.
     More than errors.MAX_KERNEL_STEPS word-steps, counted as the |family|
     patterns against all q^k codewords, raise GuardExceeded before any table
     is built.
@@ -179,13 +180,13 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f's row of words
     alphabet, lanes = q if k > 1 else 2, 64 // insdel.lane_bits(n)  # c_1*x takes every value at x != 0
     # per lane group: its kernel state and two ranges' lengths per row, its symbols and tables
-    group = len(words) * (kernel_row_bytes(n, lanes) - 8 + 2 * lanes) + lanes * (32 * n + 16 * alphabet * -(-n // 64))
+    group = len(words) * (kernel_row_bytes(n, lanes) - 8 + 2 * lanes) + lanes * 32 * n + 8 * alphabet * -(-n // 64)
     step = lanes * max(1, (errors.BLOCK_BYTES - words.nbytes - 8 * len(words)) // group)
     best = pattern = row = -1
     for p0 in range(0, len(family) * q, step):
         f, c = np.divmod(np.arange(p0, min(p0 + step, len(family) * q)), q)
         symbols = np.minimum(fld.v_add(words[own[f]], fld.v_mul(c, fld.neg(1))[:, None]), alphabet - 1)
-        lengths = lcs_from_masks(match_masks(symbols, alphabet), n, words)
+        lengths = lcs_from_masks(symbols, alphabet, words)
         mine = np.flatnonzero(c == 0)
         lengths[mine, own[f[mine]]] = -1  # g = f
         if (top := int(lengths.max())) > best:
@@ -229,16 +230,17 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     Renaming every symbol x by its position pos[x] in alpha keeps an LCS,
     so each row (A, B) is measured against 0 .. q-1: its LCS is the longest
     increasing subsequence of pos[A*alpha_j + B] (Hunt and Szymanski).  The
-    _affine_rows geometry, the table x + b and the mask table of 0 .. q-1
-    are built once per call, and each ordering gathers its relabel table
-    pos[x + b] from that table.  Each block is one lcs_from_masks call
-    within errors.BLOCK_BYTES, every temporary per row or per ordering of
-    the block counted; the tables of one call or one ordering scanned alone
-    (x + b, pos[x + b], A*alpha_j) lie beside it.  While one
-    ordering's (q^2 - 1) // 2 rows fit beside their gathers (q <= 89 at the
-    default budget), a block holds as many whole orderings as fit, their
-    rows gathered from the relabel rows A*alpha_j: a = 1 by its kept b, the
-    other a whole, joined by one concatenate.  Otherwise each ordering is
+    _affine_rows geometry and the table x + b are built once per call, and
+    each ordering gathers its relabel table pos[x + b] from that table.
+    Each block is one lcs_from_masks call of the pattern 0 .. q-1 within
+    errors.BLOCK_BYTES, every temporary per row or per ordering of the block
+    counted; the tables of one call or one ordering scanned alone (x + b,
+    pos[x + b], A*alpha_j) and the kernel's bit tables of that one pattern
+    lie beside it.  While one ordering's (q^2 - 1) // 2 rows fit beside
+    their gathers (q <= 89 at the default budget), a block holds as many
+    whole orderings as fit, their rows gathered from the relabel rows
+    A*alpha_j: a = 1 by its kept b, the other a whole, joined by one
+    concatenate.  Otherwise each ordering is
     scanned alone in fixed-size ranges of rows, each block a Columns source
     that holds no rows (_affine_columns), and stops at its first block
     reaching q - 1.  The whole-ordering path stays beside the column-fed
@@ -254,7 +256,6 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     elements = np.arange(q)
     shifted = fld.v_add(elements[:, None], elements)  # shifted[x, b] = x + b
     a_vals, a_idx, b_rows = _affine_rows(fld)
-    masks = match_masks(elements[None], q)
     symbol = np.min_scalar_type(q - 1)
     s = symbol.itemsize
     # a whole ordering: its relabel table, two int64 (the gather index and
@@ -274,7 +275,7 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
             # C-order (q, count, rows), so the kernel's rows are column-major
             kept = relabel[index[..., :1], b_rows[:ones]]
             seqs = np.concatenate((kept, relabel[index[..., 1:]].reshape(q, count, -1)), axis=2)
-            lengths = lcs_from_masks(masks, q, seqs.reshape(q, -1).T)[0].reshape(count, -1)
+            lengths = lcs_from_masks(elements[None], q, seqs.reshape(q, -1).T)[0].reshape(count, -1)
             first[o0 : o0 + count] = lengths.argmax(axis=1)
             best[o0 : o0 + count] = lengths[np.arange(count), first[o0 : o0 + count]]
         return best, first
@@ -288,7 +289,7 @@ def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
         scaled = fld.v_mul(points[:, None], a_vals)  # (q, A): A * alpha_j
         for start in range(0, len(a_idx), rows):
             source = _affine_columns(relabel, scaled, a_idx[start : start + rows], b_rows[start : start + rows])
-            lengths = lcs_from_masks(masks, q, source)[0]
+            lengths = lcs_from_masks(elements[None], q, source)[0]
             f = int(lengths.argmax())
             if lengths[f] > best[o]:
                 best[o], first[o] = lengths[f], start + f
@@ -339,18 +340,6 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
         a_vals, a_idx, b_rows = _affine_rows(fld)
         witness = _pair_witness(code, (0, 1), (int(b_rows[row]), int(a_vals[a_idx[row]])))
     return _report(code, "affine", int(best), witness)
-
-
-def corrects(code: RsCode, t: int) -> bool:
-    """True iff the code corrects t insdel errors (exact LCS test, by the
-    cheapest exact engine for these parameters)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if code.k == 2 and code.ev.is_full_length():
-        report = lcs_code_affine(code.ev, want_witness=False)
-    else:
-        report = lcs_code_bruteforce(code, want_witness=False)
-    return report.lcs_of_code <= code.n - t - 1
 
 
 # -- optimality of length-2k dimension-k codes -------------------------------

@@ -9,18 +9,19 @@ certificate (deficient_pairs ranks a sweep block by block), the exact
 optimality check (analyze) and the stage systems (construct).  All pure.
 
 The exact capability engines measure LCS values of a few patterns of one
-length m against many rows: match_masks builds the stack of the patterns'
-bit tables by one numpy scatter, and lcs_from_masks runs the Allison-Dix /
-Hyyro bit-vector recurrence over every row at once, one numpy pass per
-column and word, below m = 64 with the patterns packed side by side into
-lanes of lane_bits(m) bits, each with a guard bit above m for its carry
-(Hyyro, Fredriksson and Navarro's increased bit-parallelism), and from
-m = 65 up with a top word no wider than its bits.  The rows are an array
-or a Columns source that writes each column when the kernel reads it.
-The engines check kernel_steps, the word-steps of a scan, against the one
-limit before building anything, and size their blocks by
-kernel_row_bytes, the kernel's memory per row.  lcs_with_witness is the dynamic program that recovers
-one common subsequence of a single pair.
+length m against many rows: lcs_from_masks takes the (P, m) stack of the
+patterns' symbols, scatters their position bits into its bit tables, and
+runs the Allison-Dix / Hyyro bit-vector recurrence over every row at once,
+one numpy pass per column and word, below m = 64 with the patterns packed
+side by side into lanes of lane_bits(m) bits, each with a guard bit above m
+for its carry (Hyyro, Fredriksson and Navarro's increased
+bit-parallelism), and from m = 65 up with a top word no wider than its
+bits.  The rows are an array or a Columns source that writes each column
+when the kernel reads it.  The engines check kernel_steps, the word-steps
+of a scan, against the one limit before building anything, and size their
+blocks by kernel_row_bytes, the kernel's memory per row.  lcs_with_witness
+is the dynamic program that recovers one common subsequence of a single
+pair.
 """
 
 from __future__ import annotations
@@ -34,20 +35,6 @@ import numpy as np
 
 from . import errors, poly
 from .rscode import RsCode
-
-
-def match_masks(seqs, alphabet: int) -> np.ndarray:
-    """Position bitmasks of a (P, m) stack of sequences: the (P, alphabet,
-    words) uint64 stack of their tables, words = ceil(m/64), from one
-    scatter.  Row c of table p has bit j % 64 of word j // 64 set exactly
-    where seqs[p][j] == c.  Symbols must lie in [0, alphabet)."""
-    seqs = np.asarray(seqs, dtype=np.intp)
-    patterns, m = seqs.shape
-    j = np.arange(m)
-    table = np.zeros((patterns, alphabet, -(-m // 64)), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
-    np.bitwise_or.at(table, (np.arange(patterns)[:, None], seqs, j // 64), bits)  # repeated symbols accumulate
-    return table
 
 
 def lane_bits(m: int) -> int:
@@ -105,11 +92,11 @@ class Columns:
         return self.shape[0]
 
 
-def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
-    """LCS lengths of P patterns of length m, given by match_masks' (P,
-    alphabet, words) stack of tables, against every row of an (R, n)
-    symbol array or a Columns source of R rows: the (P, R) lengths, in the
-    narrowest signed dtype that holds every length and -1.
+def lcs_from_masks(patterns, alphabet: int, rows) -> np.ndarray:
+    """LCS lengths of a (P, m) stack of patterns, their symbols in [0,
+    alphabet), against every row of an (R, n) symbol array or a Columns
+    source of R rows: the (P, R) lengths, in the narrowest signed dtype that
+    holds every length and -1.
 
     v keeps one bit per position of a pattern, set while that position is
     still unmatched.  Each column c updates u = v & M[c], v = (v + u) |
@@ -123,22 +110,22 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     every lane from m up before the addition, so bit m, the guard, catches
     the lane's carry before it reaches the next lane.  From m = 64 up each
     pattern has its own words, 64-bit ones under a top word as narrow as
-    its bits allow, whose carry out is dropped.  Column-major rows
-    (order="F") make each column one contiguous read.
+    its bits allow, whose carry out is dropped.  Each word has its own
+    table M, one row of lane groups per symbol, built by one scatter of
+    the patterns' position bits: bit j % 64 of pattern p's lane in row c
+    of word j // 64 is set exactly where patterns[p][j] == c.  Column-major
+    rows (order="F") make each column one contiguous read.
     """
+    patterns = np.asarray(patterns, dtype=np.intp)
     source = isinstance(rows, Columns)
     if not source:
         rows = np.asarray(rows)
     count, n = rows.shape
-    patterns, alphabet, words = table.shape
-    if not words:  # m = 0
-        return np.zeros((patterns, count), dtype=np.int8)
-    lane, lanes, word, widths = _layout(m, patterns)
-    groups = -(-patterns // lanes)
-    # a word's lanes lie side by side in memory, so viewing them as words packs them
-    packed = np.zeros((words, alphabet, groups * lanes), dtype=lane)
-    packed[..., :patterns] = table.transpose(2, 1, 0)
-    masks = packed.view(word)  # (words, alphabet, groups)
+    p, m = patterns.shape
+    if not m:
+        return np.zeros((p, count), dtype=np.int8)
+    lane, lanes, word, widths = _layout(m, p)
+    groups, words = -(-p // lanes), len(widths)
     if lanes > 1:  # m < 64: each lane's bits below m
         keep = np.array([(1 << m) - 1] * lanes, dtype=lane).view(word)
     u = np.empty((count, groups), dtype=word)
@@ -146,16 +133,22 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
     carry = np.zeros((count, groups), dtype=bool)
     spill = np.zeros((count, groups), dtype=bool)
     col = np.empty(count, dtype=np.intp)
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64) % 64)
     v, state = [], []
-    for mw, width in zip(masks, widths):
+    for w, width in enumerate(widths):
+        # lane i takes pattern i's bits, repeated symbols accumulating; a word's
+        # lanes lie side by side in memory, so viewing them as words packs them
+        span = slice(64 * w, 64 * w + 64)
+        table = np.zeros((alphabet, groups * lanes), dtype=lane if width == word else width)
+        np.bitwise_or.at(table, (patterns[:, span], np.arange(p)[:, None]), bits[span].astype(table.dtype))
         vw = np.empty((count, groups), dtype=width)
         vw.fill((1 << 8 * width.itemsize) - 1)
         v.append(vw)
         if width == word:
-            state.append((mw, vw, u, rest))
+            state.append((table.view(word), vw, u, rest))
         else:  # the narrow top word, over the first bytes of u and rest
             uw, rw = (a.reshape(-1).view(width)[: count * groups].reshape(count, groups) for a in (u, rest))
-            state.append((mw.astype(width), vw, uw, rw))
+            state.append((table, vw, uw, rw))
     for j in range(n):
         if source:
             rows.read(j, col)
@@ -176,12 +169,12 @@ def lcs_from_masks(table: np.ndarray, m: int, rows) -> np.ndarray:
                     spill |= carry & (vw == 0)
             vw |= rw
             carry, spill = spill, carry
-    u = rest = uw = rw = col = carry = spill = state = None  # the read-out's arrays take their place
+    u = rest = uw = rw = col = carry = spill = state = table = None  # the read-out's arrays take their place
     total = sum(8 * w.itemsize for w in widths) // lanes
     unmatched = np.bitwise_count(v[0].view(lane)).astype(np.min_scalar_type(-1 - total))  # (R, groups * lanes)
     for vw in v[1:]:
         unmatched += np.bitwise_count(vw)
-    return total - unmatched[:, :patterns].T
+    return total - unmatched[:, :p].T
 
 
 def lcs_with_witness(s, t) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -227,24 +220,30 @@ def hamming_increasing(i_seq, j_seq) -> int:
     return sum(1 for a, b in zip(i_seq, j_seq) if a != b)
 
 
-def enumerate_increasing(n: int, ell: int):
-    """All strictly increasing sequences in [1, n]^ell, lexicographically."""
-    if not 0 <= ell <= n:
-        raise ValueError("need 0 <= ell <= n")
-    return itertools.combinations(range(1, n + 1), ell)
-
-
 def index_pairs(n: int, ell: int, min_distance: int):
     """The ordered pairs (I, J) of increasing length-ell sequences over 1..n
     at Hamming distance >= min_distance, I-major, each lexicographically.
 
     More than errors.MAX_OPS candidate pairs, C(n, ell)^2, raise
-    GuardExceeded at the call, before any sequence is built.
+    GuardExceeded at the call, before any sequence is built.  The
+    candidates are one (C(n, ell), ell) array in the narrowest unsigned
+    dtype that holds n, and each I keeps its J by one comparison with it.
     """
-    combos = enumerate_increasing(n, ell)
-    errors.check_work(math.comb(n, ell) ** 2, errors.MAX_OPS, f"C({n},{ell})^2 index pairs")
-    combos = list(combos)
-    return ((i, j) for i in combos for j in combos if hamming_increasing(i, j) >= min_distance)
+    if not 0 <= ell <= n:
+        raise ValueError("need 0 <= ell <= n")
+    count = math.comb(n, ell)
+    errors.check_work(count**2, errors.MAX_OPS, f"C({n},{ell})^2 index pairs")
+    flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), ell))
+    combos = np.fromiter(flat, dtype=np.min_scalar_type(n), count=count * ell).reshape(count, ell)
+
+    def sweep():
+        for row in combos:
+            kept = np.count_nonzero(combos != row, axis=1) >= min_distance
+            i_seq = tuple(row.tolist())
+            for j_seq in combos[kept].tolist():
+                yield i_seq, tuple(j_seq)
+
+    return sweep()
 
 
 # -- the ell x (2k-1) coefficient matrix and its rank certificate -----------

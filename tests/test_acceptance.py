@@ -53,8 +53,7 @@ def test_criterion_01_known_optimal_length4_code():
     code = RsCode(EvaluationVector(field_new(7), (0, 1, 2, 5)), 2)
     report = analyze.lcs_code_bruteforce(code)
     assert report.lcs_of_code == 2
-    assert analyze.corrects(code, 1)
-    assert not analyze.corrects(code, 2)
+    assert report.max_correctable == 1  # corrects one insdel error, not two
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -132,7 +131,7 @@ def test_criterion_04b_reference_table_rows_q5_q7_as_stated():
         assert x_plus_1 == tuple(range(1, q)) + (0,)
         tail = tuple(range(1, q))
         assert is_subsequence(tail, x) and is_subsequence(tail, x_plus_1)
-        assert not analyze.corrects(ap, 1)
+        assert analyze.lcs_code_bruteforce(ap, want_witness=False).max_correctable == 0
 
         # ...and its class is none of the geometric / reversed-geometric ones
         tally = bounds.bad_class_count(fld)
@@ -244,7 +243,7 @@ def test_criterion_09_certificate_soundness():
         result = insdel.rank_certificate(code, t)
         if result.certified:
             certified += 1
-            if not analyze.corrects(code, t):
+            if analyze.lcs_code_bruteforce(code, want_witness=False).max_correctable < t:
                 violations += 1
     assert violations == 0
     assert checked >= 100

@@ -157,7 +157,7 @@ def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
     class Admitted(Exception):
         pass
 
-    def kernel(masks, m, rows):
+    def kernel(patterns, alphabet, rows):
         raise Admitted
 
     # q = 577 (960,497,280 word-steps) passes the guard and reaches the kernel

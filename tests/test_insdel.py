@@ -1,5 +1,6 @@
 """Tests for LCS, index sequences, and rank certificates."""
 
+import itertools
 import random
 
 import numpy as np
@@ -99,16 +100,8 @@ def test_missing_index_distance_identity():
         assert set(range(1, n + 1)) - set(i_seq) == {s_i} and len(i_seq) == n - 1
 
 
-def test_enumerate_increasing():
-    assert list(insdel.enumerate_increasing(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(insdel.enumerate_increasing(4, 4)) == [(1, 2, 3, 4)]
-    assert len(list(insdel.enumerate_increasing(6, 3))) == 20
-    with pytest.raises(ValueError):
-        list(insdel.enumerate_increasing(3, 4))
-
-
 def test_index_pairs_order_and_distance():
-    seqs = list(insdel.enumerate_increasing(6, 4))
+    seqs = list(itertools.combinations(range(1, 7), 4))
     for d in range(5):
         pairs = list(insdel.index_pairs(6, 4, d))
         assert pairs == sorted(pairs)  # I-major, each lexicographic
@@ -116,8 +109,15 @@ def test_index_pairs_order_and_distance():
     assert len(list(insdel.index_pairs(6, 4, 0))) == 15**2
     assert list(insdel.index_pairs(3, 2, 2)) == [((1, 2), (2, 3)), ((2, 3), (1, 2))]
     assert list(insdel.index_pairs(4, 3, 4)) == []
+    assert list(insdel.index_pairs(3, 0, 0)) == [((), ())]
+    assert all(type(x) is int for pair in insdel.index_pairs(6, 4, 3) for seq in pair for x in seq)
     with pytest.raises(ValueError):
         insdel.index_pairs(3, 4, 0)
+    # n = 300 > 255: I and J of length n - 1 omit s_i and s_j (1 + .. + 300 =
+    # 45150 less their sums), lie in descending order of the omitted index,
+    # and differ in |s_i - s_j| places
+    omitted = [tuple(45150 - sum(seq) for seq in pair) for pair in insdel.index_pairs(300, 299, 297)]
+    assert omitted == [(a, b) for a in range(300, 0, -1) for b in range(300, 0, -1) if abs(a - b) >= 297]
 
 
 def test_index_pairs_guard_refuses_at_the_call(monkeypatch):

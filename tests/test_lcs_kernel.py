@@ -9,7 +9,6 @@ subsequence of the position map (Hunt-Szymanski).
 """
 
 import bisect
-import hashlib
 import itertools
 import random
 import re
@@ -38,35 +37,43 @@ def lis_length(seq):
 # -- the kernel ---------------------------------------------------------------
 
 
-def test_match_masks_layout():
-    stack = insdel.match_masks([[2, 0, 2] + [1] * 62 + [2]], 3)
-    assert stack.dtype == np.uint64 and stack.shape == (1, 3, 2)
-    table = stack[0]
-    assert table[2].tolist() == [0b101, 1 << 1]  # positions 0, 2 and 65
-    assert table[0].tolist() == [0b10, 0]
-    assert int(table[1, 0]) == ((1 << 61) - 1) << 3 and int(table[1, 1]) == 1  # positions 3..64
-    assert insdel.match_masks([[]], 4).shape == (1, 4, 0)
-
-
-@pytest.mark.parametrize("m", [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 72, 80, 81, 96, 97, 112, 113, 127, 128, 129, 200])
+@pytest.mark.parametrize(
+    "m", [0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 72, 80, 81, 96, 97, 112, 113, 127, 128, 129, 130, 200, 509]
+)
 def test_kernel_matches_dp(m):
-    # Word counts 1..4, so carries cross up to three word boundaries, and
+    # Word counts 0..8, so carries cross up to seven word boundaries, and
     # below 64 lanes of 8, 16, 32 and 64 bits on both sides of each width;
-    # from 65 up top words of 8, 16, 17, 32, 33, 48 and 49 bits, in 8-, 16-,
-    # 32- and 64-bit words; small alphabets give long carry chains, large
-    # ones sparse matches.
+    # from 65 up top words of 1 to 64 bits (8, 16, 17, 32, 33, 48, 49 and 61
+    # among them), in 8-, 16-, 32- and 64-bit words; small alphabets give
+    # long carry chains, large ones sparse matches.
     rng = random.Random(1000 + m)
     for alphabet in (2, 3, 11, 200):
         s = [rng.randrange(alphabet) for _ in range(m)]
-        table = insdel.match_masks([s], alphabet)
-        shapes = ((1, "C", np.uint8), (m, "F", np.uint8), (rng.randrange(2, 260), "C", np.int64))
+        shapes = ((1, "C", np.uint8), (min(m, 200), "F", np.uint8), (rng.randrange(2, 260), "C", np.int64))
         for n, order, dtype in shapes:
             rows = [[rng.randrange(alphabet) for _ in range(n)] for _ in range(9)]
             rows = np.array(rows, dtype=dtype, order=order)
-            rows[0] = (s * n)[:n]  # a row sharing a prefix with s
-            got = insdel.lcs_from_masks(table, m, rows)
+            if m:
+                rows[0] = (s * n)[:n]  # a row sharing a prefix with s
+            got = insdel.lcs_from_masks([s], alphabet, rows)
             assert got.shape == (1, len(rows)) and got.dtype.kind == "i"
             assert got.tolist() == [[lcs_dp(s, list(r)) for r in rows]]
+    # The kernel's scatter: alphabets of 1 and 2 repeat symbols, whose bits
+    # must accumulate, and 509 leaves most entries empty; a pattern given as
+    # a list, tuple, int64 or uint16 sequence, and a stack of them given
+    # either way, measure alike; the pattern 0 .. m-1 sets one bit per symbol.
+    for alphabet in (1, 2, 7, 509):
+        seqs = [[rng.randrange(alphabet) for _ in range(m)] for _ in range(3)]
+        rows = np.array([[rng.randrange(alphabet) for _ in range(24)] for _ in range(3)], dtype=np.uint16)
+        want = [[lcs_dp(s, list(r)) for r in rows] for s in seqs]
+        s = seqs[0]
+        for seq in (s, tuple(s), np.array(s, dtype=np.int64), np.array(s, dtype=np.uint16)):
+            assert insdel.lcs_from_masks([seq], alphabet, rows).tolist() == want[:1]
+        for stack in (seqs, np.array(seqs, dtype=np.int64), np.array(seqs, dtype=np.uint16)):
+            assert insdel.lcs_from_masks(stack, alphabet, rows).tolist() == want
+    rows = np.array([[rng.randrange(max(m, 1)) for _ in range(24)] for _ in range(3)])
+    got = insdel.lcs_from_masks(np.arange(m)[None], m, rows)
+    assert got.tolist() == [[lcs_dp(list(range(m)), list(r)) for r in rows]]
 
 
 def test_kernel_all_ones_carry_chain():
@@ -74,18 +81,21 @@ def test_kernel_all_ones_carry_chain():
     # into a narrow top word (72: 8 bits, 81: 17 bits in 32, 96: all 32,
     # 129: 1 bit in 8) and out of it.
     for m in (64, 72, 81, 96, 97, 129, 200):
-        table = insdel.match_masks([[0] * m], 2)
         rows = np.zeros((3, 150), dtype=np.int32)
         rows[1, ::2] = 1
         rows[2, :] = 1
-        assert insdel.lcs_from_masks(table, m, rows).tolist() == [[min(m, 150), min(m, 75), 0]]
+        assert insdel.lcs_from_masks([[0] * m], 2, rows).tolist() == [[min(m, 150), min(m, 75), 0]]
 
 
 def test_kernel_edge_shapes():
-    table = insdel.match_masks([[1, 2, 3]], 4)
-    assert insdel.lcs_from_masks(table, 3, np.zeros((0, 5), dtype=np.uint8)).tolist() == [[]]
-    assert insdel.lcs_from_masks(table, 3, np.zeros((2, 0), dtype=np.uint8)).tolist() == [[0, 0]]
-    assert insdel.lcs_from_masks(insdel.match_masks([[]], 4), 0, [[1, 2]]).tolist() == [[0]]
+    assert insdel.lcs_from_masks([[1, 2, 3]], 4, np.zeros((0, 5), dtype=np.uint8)).tolist() == [[]]
+    assert insdel.lcs_from_masks([[1, 2, 3]], 4, np.zeros((2, 0), dtype=np.uint8)).tolist() == [[0, 0]]
+    assert insdel.lcs_from_masks([[]], 4, [[1, 2]]).tolist() == [[0]]
+    # repeated symbols on both sides of the word edge: 2 at positions 0, 2
+    # and 65, 1 at 3 .. 64
+    s = [2, 0, 2] + [1] * 62 + [2]
+    rows = [s, s[::-1], [2] * 66, [1, 0] * 33]
+    assert insdel.lcs_from_masks([s], 3, rows).tolist() == [[lcs_dp(s, r) for r in rows]]
 
 
 @pytest.mark.parametrize("m", [1, 6, 7, 8, 15, 16, 31, 32, 63, 64, 65])
@@ -98,15 +108,14 @@ def test_stacked_kernel_matches_lcs(m):
     for patterns in (1, 2, 7, 8, 9, 17):
         alphabet = rng.choice((2, 3, 23))
         seqs = [[rng.randrange(alphabet) for _ in range(m)] for _ in range(patterns)]
-        stack = np.concatenate([insdel.match_masks([s], alphabet) for s in seqs])
         n = rng.randrange(1, 2 * m + 3)
         rows = np.array([[rng.randrange(alphabet) for _ in range(n)] for _ in range(7)], dtype=np.uint8, order="F")
         rows[0] = (seqs[-1] * n)[:n]  # a row sharing a prefix with the last pattern
-        got = insdel.lcs_from_masks(stack, m, rows)
+        got = insdel.lcs_from_masks(seqs, alphabet, rows)
         assert got.shape == (patterns, 7) and got.dtype.kind == "i"
         assert got.tolist() == [[lcs(s, list(r)) for r in rows] for s in seqs]
-        for table, lengths in zip(stack, got):
-            alone = insdel.lcs_from_masks(table[None], m, rows)
+        for s, lengths in zip(seqs, got):
+            alone = insdel.lcs_from_masks([s], alphabet, rows)
             assert alone.dtype == got.dtype and np.array_equal(alone, [lengths])
 
 
@@ -119,19 +128,18 @@ def test_stacked_kernel_all_carry_in_every_lane(m):
     rows = np.ones((3, n), dtype=np.uint8)
     rows[0] = 0
     rows[1, ::2] = 0
-    table = insdel.match_masks([[0] * m], 2)
     for patterns in (2, 8, 9, 17):
-        got = insdel.lcs_from_masks(np.concatenate([table] * patterns), m, rows)
+        got = insdel.lcs_from_masks([[0] * m] * patterns, 2, rows)
         assert got.tolist() == [[m, min(m, (n + 1) // 2), 0]] * patterns
 
 
 def test_stacked_kernel_edge_shapes():
-    stack = np.concatenate([insdel.match_masks([s], 4) for s in ([1, 2, 3], [3, 3, 0], [0, 1, 2])])
+    stack = [[1, 2, 3], [3, 3, 0], [0, 1, 2]]
     for rows, want in ((np.zeros((0, 5), dtype=np.uint8), (3, 0)), (np.zeros((2, 0), dtype=np.uint8), (3, 2))):
-        got = insdel.lcs_from_masks(stack, 3, rows)
+        got = insdel.lcs_from_masks(stack, 4, rows)
         assert got.shape == want and not got.any()
-    empty = np.concatenate([insdel.match_masks([[]], 4)] * 9)  # m = 0: no words at all
-    assert insdel.lcs_from_masks(empty, 0, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
+    # m = 0: no words at all
+    assert insdel.lcs_from_masks([[]] * 9, 4, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
 
 
 def array_columns(rows):
@@ -148,19 +156,20 @@ def array_columns(rows):
 @pytest.mark.parametrize("m", [3, 31, 64, 65, 81, 100, 128, 129, 193, 257, 577])
 def test_kernel_stays_within_its_bytes_per_row(m):
     # the tracemalloc peak of one call at two row counts separates the
-    # per-row slope from the fixed buffers; one pattern in its narrow lane
-    # and a full word group each reach kernel_row_bytes(m, patterns) within
-    # a byte, and a Columns source adds its gather index
+    # per-row slope from the fixed buffers, the bit tables the call builds
+    # among them; one pattern in its narrow lane and a full word group each
+    # reach kernel_row_bytes(m, patterns) within a byte, and a Columns
+    # source adds its gather index
     rng = np.random.default_rng(m)
     for patterns in sorted({1, 64 // insdel.lane_bits(m)}):
-        table = insdel.match_masks(rng.integers(0, 8, (patterns, m)), 8)
+        seqs = rng.integers(0, 8, (patterns, m))
         for source in (False, True):
             peaks = []
             for count in (20_000, 60_000):
                 rows = np.asfortranarray(rng.integers(0, 8, (count, 3), dtype=np.intp))
                 tracemalloc.start()
                 try:
-                    insdel.lcs_from_masks(table, m, array_columns(rows) if source else rows)
+                    insdel.lcs_from_masks(seqs, 8, array_columns(rows) if source else rows)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -177,13 +186,12 @@ def test_column_source_matches_the_array(m):
     rng = np.random.default_rng(100 + m)
     for patterns in (1, 64 // insdel.lane_bits(m) + 1):
         seqs = rng.integers(0, 5, (patterns, m))
-        table = insdel.match_masks(seqs, 5)
         for count, n in ((0, 4), (3, 0), (40, 2 * m + 1)):
             rows = rng.integers(0, 5, (count, n))
             source = array_columns(rows)
             assert len(source) == count and source.shape == rows.shape
-            got = insdel.lcs_from_masks(table, m, source)
-            want = insdel.lcs_from_masks(table, m, rows)
+            got = insdel.lcs_from_masks(seqs, 5, source)
+            want = insdel.lcs_from_masks(seqs, 5, rows)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert got.tolist() == [[lcs_dp(list(t), list(r)) for r in rows] for t in seqs]
 
@@ -275,8 +283,8 @@ def test_affine_large_fields(q):
 
 def affine_kernel_reference(ev):
     """The scan on the original symbols: every row a*alpha + b of
-    _affine_rows built with v_mul/v_add, one kernel call against
-    match_masks(alpha), the first maximum."""
+    _affine_rows built with v_mul/v_add, one kernel call against the
+    pattern alpha, the first maximum."""
     fld, q = ev.field, ev.field.q
     arr = np.array(ev.points, dtype=np.int64)
     a_vals, a_idx, b_rows = analyze._affine_rows(fld)
@@ -284,33 +292,27 @@ def affine_kernel_reference(ev):
     for i, a in enumerate(a_vals):
         sel = a_idx == i
         rows[sel] = fld.v_add(fld.v_mul(arr, a)[None, :], b_rows[sel, None])
-    lengths = insdel.lcs_from_masks(insdel.match_masks([ev.points], q), q, rows)[0]
+    lengths = insdel.lcs_from_masks([ev.points], q, rows)[0]
     i = int(lengths.argmax())
     return int(lengths[i]), [int(b_rows[i]), int(a_vals[a_idx[i]])]
 
 
-def digest(masks):
-    return hashlib.sha256(np.ascontiguousarray(masks)).hexdigest()
-
-
 @dataclass(frozen=True)
 class KernelCall:
-    """One kernel call: the shape (patterns, alphabet, words) of its stack
-    of tables and a digest of them, which holds no tables, the pattern
-    length and the rows."""
+    """One kernel call: a copy of its (P, m) patterns, its alphabet and
+    its rows."""
 
-    shape: tuple
-    tables: str
-    m: int
+    patterns: np.ndarray
+    alphabet: int
     rows: object
 
     @property
     def steps(self) -> int:
         """Word-steps, read off the arguments as the kernel lays them out:
         one per word of each group of lanes, row and column."""
-        patterns, _, words = self.shape
-        lanes = min(64 // insdel.lane_bits(self.m), 1 << (patterns - 1).bit_length())
-        return -(-patterns // lanes) * self.rows.shape[0] * self.rows.shape[1] * words
+        patterns, m = self.patterns.shape
+        lanes = min(64 // insdel.lane_bits(m), 1 << (patterns - 1).bit_length())
+        return -(-patterns // lanes) * self.rows.shape[0] * self.rows.shape[1] * -(-m // 64)
 
 
 def kernel_calls(monkeypatch):
@@ -319,9 +321,9 @@ def kernel_calls(monkeypatch):
     seen = []
     real = insdel.lcs_from_masks
 
-    def kernel(masks, m, rows):
-        seen.append(KernelCall(masks.shape, digest(masks), m, rows))
-        return real(masks, m, rows)
+    def kernel(patterns, alphabet, rows):
+        seen.append(KernelCall(np.array(patterns), alphabet, rows))
+        return real(patterns, alphabet, rows)
 
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
     return seen
@@ -510,54 +512,13 @@ def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
     class Admitted(Exception):
         pass
 
-    def kernel(masks, m, rows):
+    def kernel(patterns, alphabet, rows):
         raise Admitted
 
     # q = 577 (960,497,280 word-steps) passes the guard and reaches the kernel
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
     with pytest.raises(Admitted):
         analyze.lcs_code_affine(EvaluationVector(field_new(577), tuple(range(577))))
-
-
-def bigint_masks(s, alphabet):
-    """match_masks as first built: one Python integer of position bits per
-    symbol, cut into 64-bit words."""
-    words = -(-len(s) // 64)
-    bits = [0] * alphabet
-    for j, c in enumerate(s):
-        bits[c] |= 1 << j
-    low = (1 << 64) - 1
-    table = [[(x >> (64 * w)) & low for w in range(words)] for x in bits]
-    return np.array(table, dtype=np.uint64).reshape(alphabet, words)
-
-
-@pytest.mark.parametrize("n", [0, 1, 6, 63, 64, 65, 130, 509])
-def test_match_masks_equal_the_bigint_construction(n):
-    # small alphabets repeat symbols, so the scatter must accumulate them
-    rng = random.Random(n)
-    for alphabet in (1, 2, 7, 509):
-        s = [rng.randrange(alphabet) for _ in range(n)]
-        for seq in (s, tuple(s), np.array(s, dtype=np.int64), np.array(s, dtype=np.uint16)):
-            masks = insdel.match_masks([seq], alphabet)
-            assert masks.dtype == np.uint64 and masks.shape == (1, alphabet, -(-n // 64))
-            assert np.array_equal(masks[0], bigint_masks(s, alphabet))
-        # a (P, n) stack of sequences gives the stack of their tables
-        seqs = [s] + [[rng.randrange(alphabet) for _ in range(n)] for _ in range(4)]
-        for stack in (seqs, np.array(seqs, dtype=np.int64), np.array(seqs, dtype=np.uint16)[:1]):
-            masks = insdel.match_masks(stack, alphabet)
-            assert masks.dtype == np.uint64
-            assert np.array_equal(masks, np.stack([bigint_masks(r, alphabet) for r in seqs[: len(stack)]]))
-
-
-def test_identity_masks_match_the_general_table():
-    # the table of 0 .. m-1, built directly: row c holds bit c alone
-    for m in (0, 1, 11, 63, 64, 65, 81, 128, 257):
-        table = np.zeros((m, -(-m // 64)), dtype=np.uint64)
-        for c in range(m):
-            table[c, c // 64] = np.uint64(1) << np.uint64(c % 64)
-        masks = insdel.match_masks(np.arange(m)[None], m)
-        assert masks.dtype == np.uint64
-        assert np.array_equal(masks, table[None])
 
 
 # -- the brute-force engine -------------------------------------------------------
@@ -631,7 +592,7 @@ def shifted_patterns(code):
     each c, on the code's points."""
     fld = code.field
     return [
-        poly.eval_on(fld, poly.trim((fld.neg(c), *f[1:])), code.ev.points)
+        list(poly.eval_on(fld, poly.trim((fld.neg(c), *f[1:])), code.ev.points))
         for f in analyze._normalized_polys(fld, code.k)
         for c in range(fld.q)
     ]
@@ -657,11 +618,11 @@ def test_bruteforce_walks_each_pass_in_order(q, points, place, passes, monkeypat
     best, (f, g) = bruteforce_reference(code)
     assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
     assert list(analyze._normalized_polys(fld, 3)).index(tuple(f)) == place
-    assert [call.shape[0] for call in seen] == passes
+    assert [len(call.patterns) for call in seen] == passes
     # pass i holds patterns 8i .. 8i + 7 of the f-major list
     patterns = shifted_patterns(code)
     for i, call in enumerate(seen):
-        assert call.tables == digest(insdel.match_masks(patterns[8 * i : 8 * i + 8], q))
+        assert call.patterns.tolist() == patterns[8 * i : 8 * i + 8]
 
 
 def test_bruteforce_packs_eight_polynomials_per_pass(monkeypatch):
@@ -675,12 +636,11 @@ def test_bruteforce_packs_eight_polynomials_per_pass(monkeypatch):
         seen.clear()
         report = analyze.lcs_code_bruteforce(code)
         assert (report.lcs_of_code, report.witness) == want
-        passes = [call.shape[0] for call in seen]
+        passes = [len(call.patterns) for call in seen]
         assert sum(passes) == 575 and all(p % 8 == 0 for p in passes[:-1])
     assert passes == [8] * 71 + [7]
     patterns = shifted_patterns(code)
-    tables = [digest(insdel.match_masks(patterns[i : i + 8], 23)) for i in range(0, 575, 8)]
-    assert [call.tables for call in seen] == tables
+    assert [call.patterns.tolist() for call in seen] == [patterns[i : i + 8] for i in range(0, 575, 8)]
 
 
 def test_bruteforce_scan_stays_within_the_block_budget():
@@ -691,6 +651,9 @@ def test_bruteforce_scan_stays_within_the_block_budget():
         (RsCode(EvaluationVector(field_new(1021), (0, 1, 2)), 2), 2),
         # 3,481 rows of 6 and 3,599 patterns: ranges of several lane groups
         (RsCode(EvaluationVector(field_new(59), (0, 1, 2, 5, 3, 4)), 3), 4),
+        # 10,007 rows of 3: the floor, one lane group against every row, with
+        # tables of 10,007 entries
+        (RsCode(EvaluationVector(field_new(10007), (0, 1, 2)), 2), 2),
     ]
     for code, lcs_value in cases:
         analyze.lcs_code_bruteforce(code)
@@ -726,7 +689,7 @@ def test_bruteforce_chunk_size_does_not_change_results(monkeypatch):
     monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
     seen = kernel_calls(monkeypatch)
     analyze.lcs_code_bruteforce(codes[0])
-    assert [call.shape[0] for call in seen] == [8, 8]
+    assert [len(call.patterns) for call in seen] == [8, 8]
 
 
 def test_bruteforce_pattern_alphabets_at_the_edges(monkeypatch):
@@ -737,7 +700,7 @@ def test_bruteforce_pattern_alphabets_at_the_edges(monkeypatch):
     report = analyze.lcs_code_bruteforce(code)
     best, (f, g) = bruteforce_reference(code)
     assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
-    assert {(call.shape[1], call.rows.dtype) for call in seen} == {(256, np.dtype(np.uint8))}
+    assert {(call.alphabet, call.rows.dtype) for call in seen} == {(256, np.dtype(np.uint8))}
     # k = 1 over GF(65537), n = 3: the 65,537 constant patterns -c against
     # the one row 0, every nonzero symbol on the extra code 1
     seen.clear()
@@ -745,8 +708,8 @@ def test_bruteforce_pattern_alphabets_at_the_edges(monkeypatch):
     report = analyze.lcs_code_bruteforce(RsCode(EvaluationVector(field_new(65537), (0, 1, 2)), 1))
     assert time.perf_counter() - t0 < 1.0
     assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (0, [], [1])
-    assert {call.shape[1] for call in seen} == {2}
-    assert sum(call.shape[0] for call in seen) == 65537
+    assert {call.alphabet for call in seen} == {2}
+    assert sum(len(call.patterns) for call in seen) == 65537
     # k = 4 over GF(17), a seeded full-length ordering: 308 * 17 patterns
     # against 17^3 rows, pinned
     code = RsCode(EvaluationVector(field_new(17), tuple(seeded_ordering(17, 1))), 4)
@@ -868,7 +831,7 @@ def test_bruteforce_guard_counts_kernel_steps(monkeypatch):
     class Admitted(Exception):
         pass
 
-    def kernel(masks, m, rows):
+    def kernel(patterns, alphabet, rows):
         raise Admitted
 
     # k = 3 over all of GF(59), 739,159,021 word-steps, and k = 2 over all of
