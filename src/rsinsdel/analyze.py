@@ -164,10 +164,12 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     insdel.lane_bits(n) patterns), one lcs_from_masks call on the range's
     symbols each, within errors.BLOCK_BYTES beside the rows, counting the
     range's symbols, the kernel's tables (8 bytes per symbol and word of a
-    lane group) and state, and two ranges' lengths; the floor, one lane
-    group over every row, exceeds the default budget from q = 137 at k = 3
-    and n = 6, and q = 16,373 at k = 2 and n = 3.  It keeps the first
-    maximum and stops after the first range reaching n - 1.
+    lane group) and state, and two ranges' lengths.  Where one lane group
+    over every row exceeds the budget (at the default from q = 137 to 140 at
+    k = 3 and n = 6 down to 4, and from q = 16,373 at k = 2 and n = 3), each
+    range is one lane group, measured against blocks of rows, one call
+    each.  It keeps the first maximum in (pattern, row) order and
+    stops after the first range reaching n - 1.
     More than errors.MAX_KERNEL_STEPS word-steps, counted as the |family|
     patterns against all q^k codewords, raise GuardExceeded before any table
     is built.
@@ -179,19 +181,28 @@ def lcs_code_bruteforce(code: RsCode, want_witness: bool = True) -> AnalysisRepo
     family = list(_normalized_polys(fld, k))
     own = np.array([sum(c * q ** (k - 1 - j) for j, c in enumerate(f)) for f in family])  # f's row of words
     alphabet, lanes = q if k > 1 else 2, 64 // insdel.lane_bits(n)  # c_1*x takes every value at x != 0
-    # per lane group: its kernel state and two ranges' lengths per row, its symbols and tables
-    group = len(words) * (kernel_row_bytes(n, lanes) - 8 + 2 * lanes) + lanes * 32 * n + 8 * alphabet * -(-n // 64)
-    step = lanes * max(1, (errors.BLOCK_BYTES - words.nbytes - 8 * len(words)) // group)
+    # per lane group: its symbols and tables, and per row its kernel state
+    # and two ranges' lengths; the kernel's 8-byte column index per row
+    fixed, per_row = lanes * 32 * n + 8 * alphabet * -(-n // 64), kernel_row_bytes(n, lanes) - 8 + 2 * lanes
+    groups = (errors.BLOCK_BYTES - words.nbytes - 8 * len(words)) // (len(words) * per_row + fixed)
+    step = lanes * max(1, groups)
+    rows = len(words) if groups > 0 else max(1, (errors.BLOCK_BYTES - words.nbytes - fixed) // (per_row + 8))
     best = pattern = row = -1
     for p0 in range(0, len(family) * q, step):
         f, c = np.divmod(np.arange(p0, min(p0 + step, len(family) * q)), q)
         symbols = np.minimum(fld.v_add(words[own[f]], fld.v_mul(c, fld.neg(1))[:, None]), alphabet - 1)
-        lengths = lcs_from_masks(symbols, alphabet, words)
         mine = np.flatnonzero(c == 0)
-        lengths[mine, own[f[mine]]] = -1  # g = f
-        if (top := int(lengths.max())) > best:
-            best, (i, row) = top, divmod(int(lengths.argmax()), len(words))
-            pattern = p0 + i
+        mine_rows = own[f[mine]]
+        for r0 in range(0, len(words), rows):
+            lengths = lcs_from_masks(symbols, alphabet, words[r0 : r0 + rows])
+            inside = (mine_rows >= r0) & (mine_rows < r0 + rows)
+            lengths[mine[inside], mine_rows[inside] - r0] = -1  # g = f
+            # a later block of rows may hold an earlier pattern of this range
+            # at the same length
+            if (top := int(lengths.max())) > best or (top == best and pattern >= p0):
+                i, r = divmod(int(lengths.argmax()), lengths.shape[1])
+                if top > best or p0 + i < pattern:
+                    best, pattern, row = top, p0 + i, r0 + r
         if best == n - 1:
             break
     i, c = divmod(pattern, q)

@@ -14,17 +14,18 @@ leading coefficient, so the pair is four polynomials evaluated once on
 GF(q), and every first-point condition, linear in that coefficient, is
 solved for it in closed form.  The cross second points are the roots of
 one polynomial of degree at most i - 1 in y per (coefficient, point)
-solution.  The reverse pair (J, I) describes the same near-collisions
-with the two polynomials' roles swapped, so its cross rows of one side
-repeat, up to a scalar, those of (I, J)'s other side at the same first
-points.  The stage therefore walks each unordered pair once, (I, J) beside
-(J, I), and hands one poly.RootPool for the whole stage the pair's cross
-rows, made monic and tagged with their first point, each repeated row
-once: about half the rows of the two directions.  The pool finds their
-roots with no row tested at every y of GF(q): rows of degree at most 2
-(all of stage 3) and, in characteristic p > 3, the cubic rows (all of
-stage 4) and the cubic pieces of later rounds in closed form, the others
-by equal-degree splitting in blocks.  Every completion
+solution.  The reverse pair (J, I) normalizes the same two polynomials
+swapped: at a nonzero lead l' both of its sides have full degree, and
+scaled by 1/l' and shifted by a constant it is (I, J) at lead 1/l'.  Only
+its lead 0, where (I, J)'s f-side would fall below degree i - 1, is new.
+The stage therefore sweeps each unordered pair once, (I, J) with I < J
+over every lead and its reverse at lead 0 alone, three fixed first-point
+equations and their cross rows, and hands one poly.RootPool for the whole
+stage the pair's cross rows, tagged with their first point.  The pool
+finds their roots with no row tested at every y of GF(q): rows of degree
+at most 2 (all of stage 3) and, in characteristic p > 3, the cubic rows
+(all of stage 4) and the cubic pieces of later rounds in closed form, the
+others by equal-degree splitting in blocks.  Every completion
 (alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
 set, kept as sorted codes x*q + y.
 Any pair of fresh distinct points outside the bad set extends the code;
@@ -210,25 +211,30 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     return _sorted_unique(np.concatenate(codes))
 
 
-def _queue_cross_rows(fld: Field, pool, scale: np.ndarray, ij: list, ji: list) -> None:
-    """Queue on the stage's root pool the cross rows of one unordered index
-    pair, as _stage_pair_bad_set appends them for (I, J) and for (J, I),
-    side-0 rows made monic by scale[c] = 1/c (and 1 at 0) of their leading
-    coefficient c (side-1 rows are monic already): every row of (I, J), and
-    each side-s row of (J, I) that differs from (I, J)'s side-(1 - s) row
-    at the same first point x, found through a length-q slot array indexed
-    by x (within a side each x occurs once).  A dropped row has the tag and
-    the polynomial of a queued one, so it would add no root."""
-    ij, ji = ([(x, fld.v_mul(rows, scale[rows[:, -1], None])) for x, rows in sides[:1]] + sides[1:] for sides in (ij, ji))
-    for x, rows in ij:
-        pool.add(x, rows)
-    for (x, rows), (other_x, other) in zip(ji, ij[::-1]):
-        slot = np.full(fld.q, len(other_x))
-        slot[other_x] = np.arange(len(other_x))
-        # a first point the other side lacks meets a row of -1, which no row equals
-        known = np.concatenate((other, np.full((1, other.shape[1]), -1)))[slot[x]]
-        fresh = (known != rows).any(axis=1)
-        pool.add(x[fresh], rows[fresh])
+def _lead_zero_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, cross: list) -> np.ndarray:
+    """Bad pairs contributed by one ordered index-sequence pair at leading
+    coefficient 0 alone, given the fixed part u0 of its stage solutions, as
+    sorted unique codes x*q + y, but for the cross second points, whose
+    rows are appended to `cross` as in _stage_pair_bad_set.
+
+    At lead 0 the pair is g = A and f = C of _stage_pair_bad_set, so each
+    tail shape is a fixed equation: x with g(x) = f(a_last), then y with
+    g(y) = f(x), the row A - C(x); x with f(x) = g(a_last), then y with
+    f(y) = g(x), the row C - A(x); x in either first set or the agreement
+    set f = g, with y in the agreement set.  A constant g adds nothing, as
+    lead 0 is not allowed there (see _stage_pair_bad_set); otherwise f = g
+    cannot hold, f being of higher degree."""
+    mid = i - 2
+    if not any(u0[1 : mid + 1]):
+        return np.empty(0, dtype=np.int64)
+    polys = np.array([list(u0[: mid + 1]) + [0], [0] + list(u0[mid + 1 :]) + [1]], dtype=np.int64)  # A, C
+    g, f = poly.eval_all(fld, polys)
+    last = points[-1]
+    firsts = [np.flatnonzero(g == f[last]), np.flatnonzero(f == g[last])]
+    agree = np.flatnonzero(f == g)
+    for x, coeffs, target in ((firsts[0], polys[0], f), (firsts[1], polys[1], g)):
+        cross.append((x, poly.pencil_rows(fld, coeffs, (), np.zeros(len(x), np.int64), target[x])))
+    return _sorted_unique((np.concatenate(firsts + [agree])[:, None] * fld.q + agree).ravel())
 
 
 def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
@@ -240,14 +246,17 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     independent of that leading coefficient, so the systems of all index
     pairs are reduced together, once, and the per-coefficient solutions are
     affine combinations of two base solutions.
-    The pairs are walked as unordered pairs, (I, J) with I < J beside its
-    reverse (J, I).  The reverse normalizes (g, f) where (I, J) normalizes
-    (f, g), so at a shared first point x its side-s cross row is (I, J)'s
-    side-(1 - s) row up to a scalar; _queue_cross_rows makes both monic and
-    queues each equal row once, which drops nothing but repeats (same tag,
-    same polynomial, same roots).  Each direction's bad set and the roots
-    the stage's poly.RootPool finds, tagged with their first points, are
-    merged, as sorted codes x*q + y, into the union.
+    The pairs are walked as unordered pairs: (I, J) with I < J over every
+    lead (_stage_pair_bad_set) and its reverse (J, I) at lead 0 alone
+    (_lead_zero_bad_set).  The reverse normalizes (g, f) where (I, J)
+    normalizes (f, g), so at a lead l' != 0, where both its sides have full
+    degree, it is (I, J)'s near-collision at lead 1/l', rescaled by 1/l' and
+    shifted by a constant, and adds nothing; at lead 0 its f-side has degree
+    below i - 1, which (I, J) cannot represent.  Both passes hand their
+    cross rows to the stage's poly.RootPool, and their bad sets and the
+    roots the pool finds, tagged with their first points, are merged, as
+    sorted codes x*q + y, into the union.  Both directions are still
+    solved, so the first singular system in sweep order raises.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     a swept pair's system is singular, which the input's optimality forbids,
@@ -269,9 +278,7 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     pairs = list(insdel.index_pairs(n, n - 1, i - 2))
     solutions = _stage_solutions(fld, points, i, pairs)
     reverse = {ij: p for p, ij in enumerate(pairs)}
-    scale = fld.v_inv(np.arange(q, dtype=np.int64))
-    neg_inv = fld.v_mul(scale, fld.neg(1))
-    scale[0] = 1  # 1/v, and 1 at 0: leaves a row with leading coefficient 0 as it is
+    neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
     # new codes are merged into the bad set once they outnumber it four to
     # one, so memory stays within about five times the bad set, and the root
     # pool at one block
@@ -279,10 +286,11 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     for p, (i_seq, j_seq) in enumerate(pairs):
         if i_seq > j_seq:
             continue
-        ij, ji = [], []
-        for (u0, u1), cross in ((solutions[p], ij), (solutions[reverse[j_seq, i_seq]], ji)):
-            new.append(_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross))
-        _queue_cross_rows(fld, pool, scale, ij, ji)
+        cross = []
+        new.append(_stage_pair_bad_set(fld, points, i, *solutions[p], neg_inv, cross))
+        new.append(_lead_zero_bad_set(fld, points, i, solutions[reverse[j_seq, i_seq]][0], cross))
+        for x, rows in cross:
+            pool.add(x, rows)
         new.append(pool.split())
         if sum(map(len, new)) >= 4 * len(bad):
             bad, new = _sorted_unique(np.concatenate([bad, _sorted_unique(np.concatenate(new))]), "stable"), []
@@ -343,25 +351,26 @@ def swept_pair_count(i: int) -> int:
 def stage_work(q: int, k: int) -> int:
     """Estimated work of stages 3..k over GF(q), in units the sweep's loops
     spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i) / 2
-    unordered index pairs, each in both directions (see extend).  Each
-    direction costs 8b units per first point x (its vectors over GF(q) and
-    the sort of the codes it emits, a few per x).  The two directions send
-    at most about 2q cross rows to the root pool, one per first point and
-    side, since the reverse direction's rows repeat the others, with half as
-    many again allowed for the pieces split in later rounds.
+    unordered index pairs (see extend).  Each costs 8b units per first
+    point x for its forward direction over every lead (its vectors over
+    GF(q) and the sort of the codes it emits, a few per x), and 2i per x for
+    its reverse at lead 0 (one Horner pass of two polynomials of i
+    coefficients).  The pair sends at most about 2q cross rows to the root
+    pool, one per first point and side, with half as many again allowed
+    for the pieces split in later rounds.
     A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
     squares of the power mod P; its gcd cost less), a row of degree <= 2
     one unit (the closed form), and so does a cubic row of stage 4 when q
     is prime to 6 (characteristic p > 3, where every cubic has a closed
     form).  Counting the units spent that way, the estimate on this
-    package's test runs is 1.01 times them at stage 3 and at stage 4 over
-    GF(251), GF(1367) and GF(1381), 1.25 at stage 4 over GF(3^4) and 1.34
-    at stage 5 over GF(251).  The measured time of a unit is noted beside
-    errors.MAX_STAGE_OPS."""
+    package's test runs is 1.01 to 1.02 times them at stage 3 and at stage
+    4 over GF(251), GF(1367) and GF(1381), 1.30 at stage 4 over GF(3^4)
+    and 1.39 at stage 5 over GF(251).  The measured time of a unit is noted
+    beside errors.MAX_STAGE_OPS."""
     bits = max(1, (q - 1).bit_length())
     closed = 4 if math.gcd(q, 6) == 1 else 3  # the last stage whose rows have a closed form
     return sum(
-        swept_pair_count(i) // 2 * q * (16 * bits + 3 * ((i - 1) ** 2 * bits if i > closed else 1))
+        swept_pair_count(i) // 2 * q * (8 * bits + 2 * i + 3 * ((i - 1) ** 2 * bits if i > closed else 1))
         for i in range(3, k + 1)
     )
 

@@ -27,11 +27,11 @@ MAX_KERNEL_STEPS = 10**9
 BLOCK_BYTES = 1 << 20
 # Units of construct.stage_work in one construct_half_rate run.  On a 2-core
 # VM (Python 3.11.7, numpy 2.4.6, in process, no verification) a unit took
-# 8.0 ns at k = 4 (q = 1367 and 1381, 0.032 s, where every cubic row is
-# one unit), 5.5 ns at k = 5 (q = 4507, 0.39 s), 5.2 ns at k = 6
-# (q = 11273, 2.6 s) and 5.5-5.7 ns at k = 7 (q = 23789, 13.0-13.3 s), so
-# the limit is about 11 s: it admits k = 6 at min_field_size(6) and
-# refuses k = 7 at min_field_size(7), 2.36*10^9 units.
+# 13 ns at k = 4 (q = 1367 and 1381, 0.028 s, where every cubic row is one
+# unit), 7.8 ns at k = 5 (q = 4507, 0.45 s), 7.4 ns at k = 6 (q = 11273,
+# 3.2 s) and 7.9 ns at k = 7 (q = 23789, 16.9 s), so the limit is about
+# 16 s: it admits k = 6 at min_field_size(6) and refuses k = 7 at
+# min_field_size(7), 2.15*10^9 units.
 MAX_STAGE_OPS = 2_000_000_000
 # Python's default limit on converting an integer to decimal text: a report
 # holding a larger integer would fail in cli.dumps after all the work.

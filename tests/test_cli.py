@@ -238,7 +238,7 @@ def test_construct_stage_guard_exit_3(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
     assert error["message"] == (
-        "element operations of stages 3..7 at q=65537: estimated work 7355283047 exceeds the limit of 2000000000"
+        "element operations of stages 3..7 at q=65537: estimated work 6701879157 exceeds the limit of 2000000000"
     )
 
 

@@ -71,13 +71,14 @@ def pair_solutions(fld, points, i, i_seq, j_seq):
     return solution
 
 
-def reference_bad_set(fld, points, i, i_seq, j_seq):
+def reference_bad_set(fld, points, i, i_seq, j_seq, leads=None):
     """Set-based per-coefficient sweep: two eval_all calls and the five
-    tail-shape loops for each leading coefficient in turn."""
+    tail-shape loops for each leading coefficient in turn (every one of
+    GF(q) unless `leads` names them)."""
     u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
     bad = set()
     mid = i - 2
-    for lead in range(fld.q):
+    for lead in range(fld.q) if leads is None else leads:
         u = tuple(fld.sub(a, fld.mul(lead, b)) for a, b in zip(u0, u1))
         gcoef = poly.trim(u[: mid + 1] + (lead,))
         fcoef = poly.trim((0,) + u[mid + 1 :] + (1,))
@@ -114,6 +115,17 @@ def swept_bad_set(fld, points, i, i_seq, j_seq):
     u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
     codes = pair_bad_set(fld, points, i, u0, u1, neg_inverses(fld))
     return {divmod(int(c), fld.q) for c in codes}
+
+
+def lead_zero_bad_set(fld, points, i, i_seq, j_seq):
+    """One pair's bad set at lead 0 alone: the codes of
+    construct._lead_zero_bad_set and the roots of its cross rows."""
+    u0, _ = pair_solutions(fld, points, i, i_seq, j_seq)
+    pool, cross = poly.RootPool(fld), []
+    codes = construct._lead_zero_bad_set(fld, points, i, u0, cross)
+    for x, rows in cross:
+        pool.add(x, rows)
+    return {divmod(int(c), fld.q) for c in np.concatenate((codes, pool.split(drain=True)))}
 
 
 def system_rank(fld, points, i, i_seq, j_seq):
@@ -224,6 +236,7 @@ def test_constant_g_side_skips_lead_zero(monkeypatch):
         for i_seq, j_seq in stage_pairs(len(points), i):
             assert poly.degree(poly.trim(pair_solutions(fld, points, i, i_seq, j_seq)[0][: i - 1])) < 1
             assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
+            assert lead_zero_bad_set(fld, points, i, i_seq, j_seq) == set()
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
@@ -269,10 +282,9 @@ def test_block_sweep_is_independent_of_block_size(monkeypatch):
 
 
 def reference_stage(fld, points, i):
-    """Stage i as the sweep ran before it dropped repeated cross rows: every
-    ordered pair's rows queued, each pair's pool drained.  Returns the bad
-    set as sorted codes and the least fresh distinct pair outside it (None
-    when there is none)."""
+    """Stage i with every ordered pair swept over every lead, its rows
+    queued and its pool drained.  Returns the bad set as sorted codes and
+    the least fresh distinct pair outside it (None when there is none)."""
     neg_inv = neg_inverses(fld)
     solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))
     bad = np.unique(np.concatenate([pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]))
@@ -288,10 +300,11 @@ def reference_stage(fld, points, i):
     ids=str,
 )
 def test_dropped_cross_rows_change_no_stage(fld, k, monkeypatch):
-    # extend queues each unordered pair's repeated cross rows once; per
-    # stage its bad set (the last merge) and chosen pair equal those of the
-    # sweep that queues every directed pair's rows (over GF(7) the bad set
-    # exhausts GF(7)^2 at stage 3 in both)
+    # extend sweeps each unordered pair's reverse at lead 0 alone, dropping
+    # its cross rows at every other lead; per stage its bad set (the last
+    # merge) and chosen pair equal those of the sweep of every directed pair
+    # over every lead (over GF(7) the bad set exhausts GF(7)^2 at stage 3
+    # in both)
     merged, sorted_unique = [], construct._sorted_unique
     monkeypatch.setattr(construct, "_sorted_unique", lambda *args: merged.append(sorted_unique(*args)) or merged[-1])
     points = construct.base_case(fld).points
@@ -308,27 +321,51 @@ def test_dropped_cross_rows_change_no_stage(fld, k, monkeypatch):
     assert fld.q > 7
 
 
-def test_reverse_pairs_halve_the_queued_rows(monkeypatch):
-    # stage 4 over GF(1367): each pair's rows repeat its reverse's at the
-    # shared first points, so the pool gets about half the directed rows
-    fld = field_new(1367)
-    points, _ = construct.extend(fld, construct.base_case(fld).points, 3)
-    directed, queued = [], []
-    pair_bad_set_, add = construct._stage_pair_bad_set, poly.RootPool.add
+@pytest.mark.parametrize("fld, points", SWEEP_INPUTS, ids=str)
+def test_forward_sweep_and_reverse_lead_zero_cover_both_directions(fld, points):
+    # each unordered pair {I, J}, I < J: (I, J) over every lead and (J, I)
+    # at lead 0 alone find the near-collisions of both directions, and the
+    # lead-0 pass is the reference at lead 0
+    i = len(points) // 2 + 1
+    for i_seq, j_seq in stage_pairs(len(points), i):
+        reverse = lead_zero_bad_set(fld, points, i, j_seq, i_seq)
+        assert reverse == reference_bad_set(fld, points, i, j_seq, i_seq, leads=(0,))
+        if i_seq < j_seq:
+            both = reference_bad_set(fld, points, i, i_seq, j_seq) | reference_bad_set(fld, points, i, j_seq, i_seq)
+            assert swept_bad_set(fld, points, i, i_seq, j_seq) | reverse == both
 
-    def pair(*args):
-        codes = pair_bad_set_(*args)
-        directed.extend(len(x) for x, _ in args[-1])
-        return codes
 
-    def counted(pool, tags, rows, rounds=None):
-        queued.append(len(tags) if rounds is None else 0)
-        return add(pool, tags, rows, rounds)
+def test_reverse_lead_zero_is_not_covered_by_the_forward_sweep():
+    # the reverse's lead 0 has an f-side of degree below i - 1, which (I, J)
+    # cannot represent: on every input some pair's lead-0 set holds pairs
+    # the forward sweep lacks, so dropping the lead-0 pass changes the union
+    for fld, points in SWEEP_INPUTS:
+        i = len(points) // 2 + 1
+        fresh = [
+            lead_zero_bad_set(fld, points, i, j_seq, i_seq) - swept_bad_set(fld, points, i, i_seq, j_seq)
+            for i_seq, j_seq in stage_pairs(len(points), i)
+            if i_seq < j_seq
+        ]
+        assert any(fresh), (fld, points)
 
-    monkeypatch.setattr(construct, "_stage_pair_bad_set", pair)
-    monkeypatch.setattr(poly.RootPool, "add", counted)
-    assert construct.extend(fld, points, 4) == ((0, 1, 2, 5, 3, 4, 6, 10), 61917)
-    assert sum(directed) == 54601 and 0 < sum(queued) <= 0.55 * sum(directed), sum(queued)
+
+def test_extend_sweeps_each_unordered_pair_once(monkeypatch):
+    # stage i runs the all-lead pass once per unordered pair, not per
+    # ordered pair, and the lead-0 pass on each pair's reverse
+    calls = {}
+    for name in ("_stage_pair_bad_set", "_lead_zero_bad_set"):
+        original = getattr(construct, name)
+
+        def counted(fld_, points, i, *rest, name=name, original=original):
+            calls[name, i] = calls.get((name, i), 0) + 1
+            return original(fld_, points, i, *rest)
+
+        monkeypatch.setattr(construct, name, counted)
+    construct.construct_half_rate(F251, 5, verify_mode="none", allow_small_q=True)
+    for i in (3, 4, 5):
+        assert construct.swept_pair_count(i) == 2 * calls["_stage_pair_bad_set", i]
+        assert calls["_lead_zero_bad_set", i] == calls["_stage_pair_bad_set", i]
+    assert [calls["_stage_pair_bad_set", i] for i in (3, 4, 5)] == [6, 10, 15]
 
 
 def product_row(fld, roots, cofactor):
@@ -539,6 +576,7 @@ def test_singular_swept_pair_raises():
 
 def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
     q = F251.q
+    monkeypatch.setattr(construct, "_lead_zero_bad_set", lambda *args: np.empty(0, np.int64))
     monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: np.array([3 * q + 4]))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 3, 6), 1)
     # row 3 is free only at y = 3, which repeats x
@@ -613,16 +651,16 @@ def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
         assert construct.stage_work(q, k) <= errors.MAX_STAGE_OPS
     assert construct.stage_work(construct.min_field_size(7), 7) > errors.MAX_STAGE_OPS
-    # 6 and 10 unordered pairs at 1367 * (16 * 11 + 3): for q prime to 6
-    # the cubic rows of stage 4 take one unit, and over GF(3^4) 3 * 9 * 7
-    assert construct.stage_work(1367, 4) == 16 * 1367 * 179 == 3915088
-    assert construct.stage_work(81, 4) == 6 * 81 * (16 * 7 + 3) + 10 * 81 * (16 * 7 + 3 * 9 * 7) == 299700
+    # 6 and 10 unordered pairs at 1367 * (8 * 11 + 2i + 3): for q prime to
+    # 6 the cubic rows of stage 4 take one unit, and over GF(3^4) 3 * 9 * 7
+    assert construct.stage_work(1367, 4) == 6 * 1367 * 97 + 10 * 1367 * 99 == 2148924
+    assert construct.stage_work(81, 4) == 6 * 81 * (8 * 7 + 6 + 3) + 10 * 81 * (8 * 7 + 8 + 3 * 9 * 7) == 236520
     assert construct.stage_work(7, 2) == 0
-    # k = 6 is admitted up to q = 39935 for q prime to 6 and up to q = 36784
-    # for the others, and k = 3 up to q = 1031991
-    assert construct.stage_work(39935, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(39937, 6)
-    assert construct.stage_work(36784, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(36786, 6)
-    assert construct.stage_work(1031991, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1031992, 3)
+    # k = 6 is admitted up to q = 45511 for q prime to 6 and up to q = 41466
+    # for the others, and k = 3 up to q = 1883239
+    assert construct.stage_work(45511, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(45515, 6)
+    assert construct.stage_work(41466, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(41468, 6)
+    assert construct.stage_work(1883239, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1883240, 3)
 
 
 def test_swept_pair_count_counts_the_swept_pairs():
@@ -633,7 +671,8 @@ def test_swept_pair_count_counts_the_swept_pairs():
 
 def test_stage_work_bounds_the_counted_work(monkeypatch):
     # the units the sweep spends, counted as stage_work charges them: 8b per
-    # first point of each pair; per row reaching the root pool d^2 b for
+    # first point of each all-lead pass, 2i per first point of each lead-0
+    # pass; per row reaching the root pool d^2 b for
     # degree d >= 3, but 1 for a row of degree <= 2 or a cubic with a
     # closed form (has_closed_form: every cubic when p > 3); and d^2 b per
     # piece of a later round; the estimate is at least that and within
@@ -642,10 +681,15 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
         fld = field_new(*{81: (3, 4)}.get(q, (q,)))
         bits, counted = max(1, (q - 1).bit_length()), {}
         pair_bad_set_, add_, split_round = construct._stage_pair_bad_set, poly.RootPool.add, poly.split_round
+        lead_zero_bad_set_ = construct._lead_zero_bad_set
 
         def pair(fld_, points, i, *rest):
             counted[i] = counted.get(i, 0) + 8 * bits * q
             return pair_bad_set_(fld_, points, i, *rest)
+
+        def lead_zero(fld_, points, i, *rest):
+            counted[i] = counted.get(i, 0) + 2 * i * q
+            return lead_zero_bad_set_(fld_, points, i, *rest)
 
         def charge(i, rows):
             degree = np.array([poly.degree(poly.trim(row)) for row in rows])
@@ -665,6 +709,7 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
         points = construct.base_case(fld).points
         with monkeypatch.context() as m:
             m.setattr(construct, "_stage_pair_bad_set", pair)
+            m.setattr(construct, "_lead_zero_bad_set", lead_zero)
             m.setattr(poly.RootPool, "add", add)
             m.setattr(poly, "split_round", split)
             for i in range(3, k + 1):
@@ -677,7 +722,7 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    message = r"^element operations of stages 3\.\.3 at q=251: estimated work 197286 exceeds the limit of 197285$"
+    message = r"^element operations of stages 3\.\.3 at q=251: estimated work 109938 exceeds the limit of 109937$"
     with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
@@ -707,6 +752,7 @@ def test_extend_refuses_a_bad_set_above_its_ceiling(monkeypatch):
     # every code of GF(251)^2 is far above the stage-3 ceiling C(4,2) * 5 * 2^2 * 251
     everything = np.arange(F251.q**2, dtype=np.int64)
     monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: everything)
+    monkeypatch.setattr(construct, "_lead_zero_bad_set", lambda *args: np.empty(0, np.int64))
     with pytest.raises(InvariantViolation, match=r"^stage 3: bad set has 63001 pairs, above the ceiling 30120$"):
         construct.extend(F251, (0, 1, 2, 5), 3)
 

@@ -598,8 +598,22 @@ def shifted_patterns(code):
     ]
 
 
+def bruteforce_budget(code, rows=None):
+    """The least errors.BLOCK_BYTES at which the brute force measures one
+    lane group against `rows` rows a call (every row when None), as
+    lcs_code_bruteforce counts its memory: the word table, per row the
+    kernel's column index and state and two ranges' lengths, and the lane
+    group's symbols and tables.  Below it for every row, the rows come in
+    blocks."""
+    n, q = code.n, code.q
+    words = analyze._codeword_table(code)
+    lanes, alphabet = 64 // insdel.lane_bits(n), q if code.k > 1 else 2
+    per_row = insdel.kernel_row_bytes(n, lanes) + 2 * lanes
+    return words.nbytes + (len(words) if rows is None else rows) * per_row + lanes * 32 * n + 8 * alphabet * -(-n // 64)
+
+
 # (q, points, the witness f's place in _normalized_polys, patterns of each
-# pass under a 1-byte budget: one lane group of 8)
+# pass under the budget of one lane group against every row)
 LANE_CASES = [
     # a full scan of 19 * 17 patterns, whose first maximum, LCS 5, is f 9's
     (17, (7, 4, 5, 3, 14, 15, 9), 9, [8] * 40 + [3]),
@@ -612,13 +626,14 @@ LANE_CASES = [
 def test_bruteforce_walks_each_pass_in_order(q, points, place, passes, monkeypatch):
     fld = field_from_order(q)
     code = RsCode(EvaluationVector(fld, points), 3)
-    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", bruteforce_budget(code))
     seen = kernel_calls(monkeypatch)
     report = analyze.lcs_code_bruteforce(code)
     best, (f, g) = bruteforce_reference(code)
     assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
     assert list(analyze._normalized_polys(fld, 3)).index(tuple(f)) == place
     assert [len(call.patterns) for call in seen] == passes
+    assert all(len(call.rows) == q * q for call in seen)
     # pass i holds patterns 8i .. 8i + 7 of the f-major list
     patterns = shifted_patterns(code)
     for i, call in enumerate(seen):
@@ -631,13 +646,14 @@ def test_bruteforce_packs_eight_polynomials_per_pass(monkeypatch):
     code = RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3)
     want = (4, {"f": [0, 1], "g": [0, 19, 16], "I": [3, 4, 5, 6], "J": [1, 2, 5, 6]})
     seen = kernel_calls(monkeypatch)
-    for budget in (errors.BLOCK_BYTES, 1):
+    for budget in (errors.BLOCK_BYTES, bruteforce_budget(code)):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         seen.clear()
         report = analyze.lcs_code_bruteforce(code)
         assert (report.lcs_of_code, report.witness) == want
         passes = [len(call.patterns) for call in seen]
         assert sum(passes) == 575 and all(p % 8 == 0 for p in passes[:-1])
+        assert all(len(call.rows) == 529 for call in seen)
     assert passes == [8] * 71 + [7]
     patterns = shifted_patterns(code)
     assert [call.patterns.tolist() for call in seen] == [patterns[i : i + 8] for i in range(0, 575, 8)]
@@ -654,6 +670,10 @@ def test_bruteforce_scan_stays_within_the_block_budget():
         # 10,007 rows of 3: the floor, one lane group against every row, with
         # tables of 10,007 entries
         (RsCode(EvaluationVector(field_new(10007), (0, 1, 2)), 2), 2),
+        # 39,601 and 38,809 rows of 4 and 5: one lane group against every row
+        # exceeds the budget, so the rows come in blocks
+        (RsCode(EvaluationVector(field_new(199), (0, 1, 2, 3)), 3), 3),
+        (RsCode(EvaluationVector(field_new(197), (0, 1, 2, 3, 4)), 3), 4),
     ]
     for code, lcs_value in cases:
         analyze.lcs_code_bruteforce(code)
@@ -672,7 +692,8 @@ def test_bruteforce_scan_stays_within_the_block_budget():
 def test_bruteforce_chunk_size_does_not_change_results(monkeypatch):
     # GF(7), (5, 2, 6, 4, 1), k = 3: the witness, member 1 at c = 4, is
     # pattern 11 of 63, so under a 1-byte budget the scan stops after the
-    # second of its eight passes
+    # second of its eight passes, each one lane group against one row at a
+    # time; below one lane group against every row the rows come in blocks
     codes = [
         RsCode(EvaluationVector(field_new(7), (5, 2, 6, 4, 1)), 3),
         RsCode(EvaluationVector(field_new(23), (3, 20, 17, 18, 0, 19)), 3),
@@ -683,13 +704,19 @@ def test_bruteforce_chunk_size_does_not_change_results(monkeypatch):
     for code, report in zip(codes, want):
         best, (f, g) = bruteforce_reference(code)
         assert (report.lcs_of_code, report.witness["f"], report.witness["g"]) == (best, f, g)
+    for code, report in zip(codes, want):
+        rows = code.q ** (code.k - 1)
+        for budget in {bruteforce_budget(code), bruteforce_budget(code, rows - 1), bruteforce_budget(code, -(-rows // 3))}:
+            monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+            assert analyze.lcs_code_bruteforce(code) == report, (code.q, budget)
     for budget in (1, 300, 3000):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
-        assert [analyze.lcs_code_bruteforce(code) for code in codes] == want
+        assert [analyze.lcs_code_bruteforce(code) for code in codes[::3]] == want[::3]
     monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
     seen = kernel_calls(monkeypatch)
     analyze.lcs_code_bruteforce(codes[0])
-    assert [len(call.patterns) for call in seen] == [8, 8]
+    assert [len(call.patterns) for call in seen] == [8] * 98
+    assert [len(call.rows) for call in seen] == [1] * 98
 
 
 def test_bruteforce_pattern_alphabets_at_the_edges(monkeypatch):
@@ -737,11 +764,14 @@ def test_kernel_steps_count_the_bruteforce_passes(monkeypatch):
         RsCode(EvaluationVector(field_from_order(16), (13, 12, 0, 2, 9, 4)), 3),  # n - 1 in pass 26 of 36
         RsCode(EvaluationVector(field_new(7), tuple(range(7))), 2),
     ]
-    # at 1 byte GF(16) skips its last passes and GF(7) reaches n - 1 in its last
-    for budget, want in ((errors.BLOCK_BYTES, [False, False]), (1, [True, False])):
-        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+    # at one lane group a pass, against every row or (one byte less) in two
+    # blocks of rows, GF(16) skips its last passes and GF(7) reaches n - 1 in
+    # its last
+    for less, want in ((None, [False, False]), (0, [True, False]), (1, [True, False])):
         skipped = []
         for code in full_scans + early_stops:
+            budget = errors.BLOCK_BYTES if less is None else bruteforce_budget(code) - less
+            monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
             seen.clear()
             report = analyze.lcs_code_bruteforce(code, want_witness=False)
             family = analyze._family_size(code.q, code.k)
@@ -749,6 +779,8 @@ def test_kernel_steps_count_the_bruteforce_passes(monkeypatch):
             assert exact <= insdel.kernel_steps(family, code.q**code.k, code.n, code.n)
             assert (report.lcs_of_code < code.n - 1) == (code in full_scans)
             steps = sum(call.steps for call in seen)
+            rows = code.q ** (code.k - 1)
+            assert {len(call.rows) for call in seen} == ({rows} if less != 1 or rows == 1 else {rows - 1, 1})
             if code in full_scans:
                 assert steps == exact
             else:
