@@ -16,10 +16,10 @@ of one ordering's rows read column by column, per kernel call; the engine
 is that core on one ordering.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes (a
-rank sweep of the index pairs, then one stacked elimination of the
-deficient ones that reads g off as a linear map of f), a census visiting
-only the verified classes, measured in blocks by the core, and then the bad
-ones, and seeded random sampling.
+rank sweep of the index pairs, then one elimination of the deficient ones,
+whose first free column names each pair's least collision), a census
+visiting only the verified classes, measured in blocks by the core, and
+then the bad ones, and seeded random sampling.
 Every blocked loop sizes its blocks by errors.BLOCK_BYTES.
 
 No exact report may ever show a code LCS below 2k-2 (any k-dimensional
@@ -362,12 +362,6 @@ class OptimalityResult:
     witness: dict | None = None
 
 
-def _dot(fld: Field, a, b) -> np.ndarray:
-    """sum_j a[..., j] * b[..., j] over the field, broadcasting the other
-    axes: a stacked matrix product."""
-    return fld.v_sum(fld.v_mul(a, b), axis=-1)
-
-
 def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     """Decide whether the length-2k code corrects one insdel error.
 
@@ -380,23 +374,21 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     which holds (f0-g0, f1.., -g1..), is zero).  So the rank sweep runs
     first, and the code is optimal at once when no pair is rank-deficient.
 
-    Otherwise g(a_J) = f(a_I) is a linear system in g whose right-hand side
-    is linear in f (every family member has zero constant term).  The
-    deficient pairs' build_V(J, I) matrices, g's k columns first, are
-    stacked and reduced once by poly._row_echelon over those k columns:
-    the J points are distinct, so each pair has k pivot rows, which give g
-    as a linear map of f's other coefficients, and k-1 rows that give the
-    conditions on them.  The family is then tested in f-major blocks, which
-    double from one member up to errors.BLOCK_BYTES of the conditions
-    product, conditions.nbytes per member: the conditions of every (f, pair)
-    of a block, then g for the pairs that meet them.  The first (f, pair)
-    with g != f in (f, I, J) order is the witness.  A deficient pair always
-    yields one (see insdel.rank_certificate), so a scan that finds none
-    raises InvariantViolation.
-    Each phase's estimated work is checked against errors.MAX_OPS before
-    it runs (GuardExceeded): k(k+1)(2k-1)^3 for the sweep, and for the scan
-    the entries of its two field products, |family| * (deficient pairs) *
-    (k-1)(2k-1), with |family| = _family_size(q, k).
+    Otherwise the witness is read off one elimination.  On a deficient pair
+    g = f forces f = 0 (f would take one value on the d + 1 > k points of
+    the shifted run), and the nonzero family members, whose first nonzero
+    coefficient in the key order (f_(k-1), f_1, .., f_(k-2)) is 1, come
+    sorted by that key, so the least in a pair's solution space is the one
+    whose leading coefficient comes latest.  Each pair's build_V(J, I), its
+    columns g_0 .. g_(k-1) and then f's in reversed key order, is reduced by
+    poly._row_echelon: g's columns pivot (the J points are distinct), and
+    the first free column c is that coefficient, the kernel vector -1 at c
+    and R[pivot row, c] at each earlier pivot column being (g, -f).  A pair
+    with no free f column has no collision (InvariantViolation).  Blocks of
+    pairs within errors.BLOCK_BYTES, poly.echelon_bytes per matrix, each
+    give their least (f, pair) by one np.lexsort.  Only the sweep's work,
+    k(k+1)(2k-1)^3, is checked against errors.MAX_OPS, before any pair is
+    built (GuardExceeded).
     """
     fld = ev.field
     n = ev.n
@@ -404,34 +396,31 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
         raise ValueError("optimality checker requires n = 2k")
     errors.check_work(k * (k + 1) * (2 * k - 1) ** 3, errors.MAX_OPS, f"field operations of the rank sweep at k={k}")
     points = ev.points
-    pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))]
-    if not pairs:
+    sweep = insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))
+    flat = itertools.chain.from_iterable(i_seq + j_seq for _, (i_seq, j_seq) in sweep)
+    seqs = np.fromiter(flat, np.min_scalar_type(n)).reshape(-1, 2, n - 1)  # (pairs, I/J, 2k-1), no tuples held
+    order = np.r_[:k, 2 * k - 3 : k - 1 : -1, 2 * k - 2]  # g, then f_(k-2) .. f_1, f_(k-1)
+    size = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(n - 1, n - 1))
+    best = None
+    for s in range(0, len(seqs), size):
+        block = seqs[s : s + size]
+        matrices = insdel.build_V(fld, points, k, block[:, 1], block[:, 0])[:, :, order]
+        reduced, pivots = poly._row_echelon(fld, matrices, n - 1)
+        each, free = np.arange(len(block)), (pivots < 0).argmax(axis=1)  # free: 0 where every column pivots
+        if (bad := np.flatnonzero(free < k)).size:
+            i_seq, j_seq = block[bad[0]].tolist()
+            raise InvariantViolation(f"rank-deficient pair I={i_seq}, J={j_seq} has no collision on {ev.serialize()}")
+        vec = np.where(pivots >= 0, reduced[each[:, None], np.maximum(pivots, 0), free[:, None]], 0)
+        vec[each, free] = fld.neg(1)
+        f = fld.v_mul(vec[:, k:], fld.neg(1))  # reversed key order: the keys of np.lexsort
+        i = np.lexsort(f.T)[0]
+        if best is None or f[i, ::-1].tolist() < best[0]:
+            best = f[i, ::-1].tolist(), vec[i, :k].tolist(), block[i].tolist()
+    if best is None:
         return OptimalityResult(True, None)
-    what = f"product entries of the family scan of {len(pairs)} deficient pairs at k={k} over {fld.name()}"
-    errors.check_work(_family_size(fld.q, k) * len(pairs) * (k - 1) * (2 * k - 1), errors.MAX_OPS, what)
-    seqs = np.array(pairs)  # (pairs, 2, 2k-1)
-    reduced, pivots = poly._row_echelon(fld, insdel.build_V(fld, points, k, seqs[:, 1], seqs[:, 0]), k)
-    maps = reduced[:, :, k:]  # linear forms in f_1 ..: g_c on the pivot row of c, 0 on the others
-    pivot_rows = np.arange(len(pairs))[:, None], pivots
-    to_g = maps[pivot_rows]
-    free = np.ones(reduced.shape[:2], dtype=bool)
-    free[pivot_rows] = False
-    conditions = maps[free].reshape(len(pairs), k - 1, k - 1)
-    family = _normalized_polys(fld, k)
-    size = 1
-    while block := list(itertools.islice(family, size)):
-        fs = np.fromiter(itertools.chain.from_iterable(f + (0,) * (k - len(f)) for f in block), np.int64)
-        fs = fs.reshape(len(block), k)
-        met = ~_dot(fld, fs[:, None, None, 1:], conditions).any(axis=2)  # (f, pair)
-        b, p = np.nonzero(met)
-        g = _dot(fld, fs[b, None, 1:], to_g[p])
-        new = np.flatnonzero((g != fs[b]).any(axis=1))
-        if len(new):
-            i = new[0]
-            f, g, (i_seq, j_seq) = block[b[i]], poly.trim(g[i].tolist()), pairs[p[i]]
-            return OptimalityResult(False, {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)})
-        size = min(2 * size, max(1, errors.BLOCK_BYTES // conditions.nbytes))
-    raise InvariantViolation(f"{len(pairs)} rank-deficient index pairs but no collision on {ev.serialize()}")
+    (lead, *mids), g, (i_seq, j_seq) = best
+    witness = {"f": list(poly.trim((0, *mids, lead))), "g": list(poly.trim(g)), "I": i_seq, "J": j_seq}
+    return OptimalityResult(False, witness)
 
 
 def optimal_4_2_pair(fld: Field, a1: int, a2: int) -> bool:

@@ -268,8 +268,9 @@ def deficient_pairs(fld, points, k: int, pairs):
     """Yield (position from 1, (I, J)) for each index pair whose build_V
     matrix has rank below 2k - 1, in sweep order; return the number swept.
     Blocks of pairs, one poly.rank call each, double from one pair up to
-    errors.BLOCK_BYTES of build_V matrices, so stopping at the first
-    deficient pair ranks at most about twice the pairs before it."""
+    errors.BLOCK_BYTES of working memory, poly.echelon_bytes per build_V
+    matrix, so stopping at the first deficient pair ranks at most about
+    twice the pairs before it."""
     pairs = iter(pairs)
     size, swept = 1, 0
     while block := list(itertools.islice(pairs, size)):
@@ -278,7 +279,7 @@ def deficient_pairs(fld, points, k: int, pairs):
         for b in np.flatnonzero(poly.rank(fld, matrices) < 2 * k - 1).tolist():
             yield swept + b + 1, block[b]
         swept += len(block)
-        size = min(2 * size, max(1, errors.BLOCK_BYTES // matrices[0].nbytes))
+        size = min(2 * size, max(1, errors.BLOCK_BYTES // poly.echelon_bytes(*matrices.shape[1:])))
     return swept
 
 

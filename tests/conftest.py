@@ -1,9 +1,9 @@
 """Shared oracles: the canonical form of an evaluation vector and every
 canonical ordering of a field, the bad family grouped by class, built
 member by member, the scalar single-pair LCS and the textbook dynamic
-program, interpolation through one Vandermonde solve, and Cardano's
-terms of a cubic, Euler's criterion and the root finder's closed-form
-test."""
+program, interpolation through one Vandermonde solve, Cardano's terms
+of a cubic, Euler's criterion and the root finder's closed-form test,
+and the message family before its scaled copies were dropped."""
 
 import functools
 import itertools
@@ -66,6 +66,17 @@ def interpolate(fld, points, bound: int) -> tuple[int, ...] | None:
     vandermonde = poly.eval_all(fld, np.eye(bound, dtype=np.int64), xs).T
     solved = poly.solve_linear(fld, vandermonde, [y for _, y in points])
     return None if solved.solution is None else poly.trim(solved.solution)
+
+
+def normalized_with_scaled_copies(fld, k):
+    """analyze._normalized_polys before scaled copies were dropped: every
+    lead-0 polynomial, then the lead-1 ones, in the same order."""
+    if k == 1:
+        yield ()
+        return
+    for lead in (0, 1):
+        for mids in itertools.product(range(fld.q), repeat=k - 2):
+            yield poly.trim((0, *mids, lead))
 
 
 def cardano_terms(fld, coeffs) -> tuple[int, int, int]:

@@ -155,12 +155,17 @@ def test_is_optimal_witness_is_a_real_collision():
 
 
 def test_is_optimal_refuses_a_deficient_pair_without_collision(monkeypatch, capsys):
-    # GF(7):0,1,2,4 has rank-deficient pairs, so a scan finding no collision
-    # is a broken engine, never an optimal code
-    monkeypatch.setattr(analyze, "_normalized_polys", lambda fld, k: iter(()))
-    with pytest.raises(InvariantViolation, match="rank-deficient index pairs but no collision"):
-        analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 4)), 2)
-    argv = ["analyze", "--field", "7", "--alpha", "0,1,2,4", "--k", "2", "--method", "optimal"]
+    # GF(7):0,1,2,5 is optimal, so its first index pair has full rank: a
+    # sweep naming it leaves the elimination no free column of f, which is a
+    # broken engine, never a collision
+    def names_a_full_rank_pair(fld, points, k, pairs):
+        yield 1, next(pairs)
+
+    monkeypatch.setattr(insdel, "deficient_pairs", names_a_full_rank_pair)
+    message = r"^rank-deficient pair I=\[1, 2, 3\], J=\[1, 3, 4\] has no collision on GF\(7\):0,1,2,5$"
+    with pytest.raises(InvariantViolation, match=message):
+        analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5)), 2)
+    argv = ["analyze", "--field", "7", "--alpha", "0,1,2,5", "--k", "2", "--method", "optimal"]
     assert cli.main(argv) == 4
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvariantViolation"
 
@@ -193,10 +198,6 @@ def test_is_optimal_agrees_with_bruteforce_k3_random():
 
 
 def test_is_optimal_guard(monkeypatch):
-    # range(8) over GF(1367) leaves 12 rank-deficient pairs: the family's
-    # 1367^2 + 1368 + 1 members * 12 * (k-1)(2k-1) = 21 product entries
-    with pytest.raises(GuardExceeded, match="estimated work 471254616 exceeds the limit of 100000000"):
-        analyze.is_optimal_half_rate(EvaluationVector(field_new(1367), tuple(range(8))), 4)
     # k = 3: the rank sweep is 3 * 4 * 5^3 = 1500, refused before any pair is built
     ap = EvaluationVector(F7, (0, 1, 2, 3, 4, 5))
     monkeypatch.setattr(errors, "MAX_OPS", 1499)
@@ -204,25 +205,20 @@ def test_is_optimal_guard(monkeypatch):
         m.setattr(insdel, "index_pairs", None)
         with pytest.raises(GuardExceeded, match="estimated work 1500 exceeds the limit of 1499"):
             analyze.is_optimal_half_rate(ap, 3)
-    # no pair of the optimal (0,1,2,5,3,4) is rank-deficient, so the scan is never estimated
     monkeypatch.setattr(errors, "MAX_OPS", 1500)
     assert analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5, 3, 4)), 3).optimal is True
-    # the arithmetic progression leaves 6 deficient pairs: (7 + 1 + 1) * 6 * 2 * 5 = 540,
-    # below its sweep estimate, so the sweep's limit admits the scan too; between
-    # them index_pairs checks its C(6, 5)^2 = 36 candidate pairs
+    # the arithmetic progression leaves 6 deficient pairs, and the sweep's
+    # limit is the only one: after it index_pairs checks its C(6, 5)^2 = 36
+    # candidate pairs
     estimates = []
     check_work = errors.check_work
     monkeypatch.setattr(errors, "check_work", lambda work, *args: estimates.append(work) or check_work(work, *args))
     res = analyze.is_optimal_half_rate(ap, 3)
-    assert estimates == [1500, 36, 540]
+    assert estimates == [1500, 36]
     assert res.witness == {"f": [0, 1], "g": [6, 1], "I": [1, 2, 3, 4, 5], "J": [2, 3, 4, 5, 6]}
-    # range(8) over GF(11), k = 4: 12 deficient pairs, (121 + 12 + 1) * 12 * 21 = 33768,
-    # above its sweep estimate 4 * 5 * 7^3 = 6860
+    # range(8) over GF(11), k = 4: 12 deficient pairs, answered at the sweep's 4 * 5 * 7^3 = 6860
     ap8 = EvaluationVector(field_new(11), tuple(range(8)))
-    monkeypatch.setattr(errors, "MAX_OPS", 33767)
-    with pytest.raises(GuardExceeded, match="estimated work 33768 exceeds the limit of 33767"):
-        analyze.is_optimal_half_rate(ap8, 4)
-    monkeypatch.setattr(errors, "MAX_OPS", 33768)
+    monkeypatch.setattr(errors, "MAX_OPS", 6860)
     assert analyze.is_optimal_half_rate(ap8, 4).witness == {
         "f": [0, 0, 1], "g": [1, 9, 1], "I": [1, 2, 3, 4, 5, 6, 7], "J": [2, 3, 4, 5, 6, 7, 8]
     }

@@ -776,6 +776,22 @@ def test_every_verify_mode_checks_what_extend_returns(monkeypatch, capsys):
     assert error["type"] == "InvariantViolation" and "failed the exact optimality check" in error["message"]
 
 
+def test_exact_verification_names_the_collision_of_a_late_stage(monkeypatch, capsys):
+    # stage 3 runs the real extend; stage 4 returns range(8), which is not
+    # optimal over GF(1367): the exact check names its collision (exit 4)
+    # instead of refusing the scan of its 1367^2 family members (exit 3)
+    real = construct.extend
+    monkeypatch.setattr(construct, "extend", lambda fld, points, i: real(fld, points, i) if i == 3 else (tuple(range(8)), 0))
+    assert cli.main(["construct", "--field", "1367", "--k", "4", "--verify", "exact"]) == cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert captured.out == "" and error["type"] == "InvariantViolation"
+    assert error["message"] == (
+        "stage 4 output (0, 1, 2, 3, 4, 5, 6, 7) failed the exact optimality check: witness "
+        "{'f': [0, 0, 1], 'g': [1, 1365, 1], 'I': [1, 2, 3, 4, 5, 6, 7], 'J': [2, 3, 4, 5, 6, 7, 8]}"
+    )
+
+
 def test_unknown_verify_mode_is_refused_before_any_work(monkeypatch):
     def never(fld):
         raise AssertionError("the base case ran")

@@ -1,16 +1,20 @@
 """The two lemmas behind the rank certificate and the exact optimality
 check, against the brute-force engine and against the all-pairs scan that
-the optimality check ran before it swept only the rank-deficient pairs."""
+the optimality check ran before it swept only the rank-deficient pairs;
+the witness the check reads off one elimination, against the family scan
+that it ran before, and the check's memory."""
 
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
+from conftest import normalized_with_scaled_copies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsinsdel import analyze, errors, insdel, poly
-from rsinsdel.errors import InvariantViolation
+from rsinsdel import analyze, cli, errors, insdel, poly
 from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
 
@@ -140,16 +144,20 @@ def test_pairs_closer_than_k_never_witness(fld):
                     assert g is None or g == f
 
 
-# -- the stacked witness scan against the former one ---------------------------
+# -- the elimination's witness against the family scan ------------------------
 
 
-def deficient_pair_scan(ev, k):
-    """The former witness scan: every (f, I, J) over the rank-deficient pairs,
-    in order, g by the Lagrange reference through the J points."""
+def deficient_pair_scan(ev, k, pairs=None, family=analyze._normalized_polys):
+    """The family scan that the optimality check once ran, kept as the
+    reference for its witness: every (f, I, J) over the rank-deficient pairs
+    (or the given ones), f in family order and the pairs in sweep order, g
+    by the Lagrange reference through the J points, the first with g != f.
+    Lagrange shares no code with poly._row_echelon, which the check reduces
+    its pairs with."""
     fld, points = ev.field, ev.points
-    sweep = insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))
-    pairs = [ij for _, ij in sweep]
-    for f in analyze._normalized_polys(fld, k):
+    if pairs is None:
+        pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))]
+    for f in family(fld, k):
         f_vals = poly.eval_on(fld, f, points)
         for i_seq, j_seq in pairs:
             g = lagrange(fld, [(points[j - 1], f_vals[i - 1]) for i, j in zip(i_seq, j_seq)], k)
@@ -209,25 +217,39 @@ def test_stacked_scan_on_pairs_with_large_kernels():
 
 
 def test_stacked_scan_skips_g_equal_to_f(monkeypatch):
-    # the zero polynomial meets every pair's conditions with g = 0 = f: it
-    # is never a witness, so a family of it alone finds no collision
-    ev = EvaluationVector(field_new(7), (0, 1, 2, 4))
-    witness = deficient_pair_scan(ev, 2).witness
-    monkeypatch.setattr(analyze, "_normalized_polys", lambda fld, k: iter([()]))
-    with pytest.raises(InvariantViolation, match="rank-deficient index pairs but no collision"):
-        analyze.is_optimal_half_rate(ev, 2)
-    monkeypatch.setattr(analyze, "_normalized_polys", lambda fld, k: iter([(), tuple(witness["f"])]))
-    assert analyze.is_optimal_half_rate(ev, 2).witness == witness
+    # the zero polynomial leads the family and meets every pair with
+    # g = 0 = f, so it is never a witness: a sweep naming one deficient pair
+    # gives that pair's least nonzero member, its leading coefficient 1
+    f9 = field_new(3, 2)
+    evs = [
+        EvaluationVector(field_new(7), (0, 1, 2, 4)),
+        first_non_optimal(random.Random(4), field_new(2, 3), 3),
+        first_non_optimal(random.Random(4), field_new(13), 3),
+        EvaluationVector(field_new(11), (6, 4, 1, 3, 0, 8, 10, 9)),
+        EvaluationVector(f9, tuple(f9.pow(f9.generator(), e) for e in range(8))),  # kernels of dimension 3
+    ]
+    for ev in evs:
+        fld, k = ev.field, ev.n // 2
+        sweep = list(insdel.deficient_pairs(fld, ev.points, k, insdel.index_pairs(2 * k, 2 * k - 1, k)))
+        for at, pair in sweep:
+            with monkeypatch.context() as m:
+                m.setattr(insdel, "deficient_pairs", lambda *args, one=(at, pair): iter([one]))
+                got = analyze.is_optimal_half_rate(ev, k)
+            assert got == deficient_pair_scan(ev, k, [pair]) and got.witness["f"] != [], (ev, pair)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
-    # non-optimal codes whose witness f comes 33 to 116 members into the family
+    # non-optimal codes with 2 to 12 deficient pairs, swept and then reduced
+    # `rows` matrices at a time; the first two find their witness at the
+    # fifth and the second pair, and the arithmetic progression's least f
+    # comes at its third and tenth, where a later block must not win
     cases = [
         (field_new(2, 3), (3, 0, 6, 5, 2, 7, 4, 1)),
         (field_new(3, 2), (1, 2, 7, 8, 5, 6, 3, 0)),
         (field_new(11), (6, 4, 1, 3, 0, 8, 10, 9)),
         (field_new(13), (10, 8, 9, 1, 3, 7, 11, 0)),
+        (field_new(11), tuple(range(8))),
     ]
     for fld, points in cases:
         ev, k = EvaluationVector(fld, points), len(points) // 2
@@ -235,13 +257,106 @@ def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
         pairs = len(list(insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))))
         blocks = []
 
-        def conditions_dot(fld, a, b, dot=analyze._dot):
-            if a.ndim == 4:  # the (f, pair) conditions product, one row per f
-                blocks.append(len(a))
-            return dot(fld, a, b)
+        def counted(fld, stack, ncols, echelon=poly._row_echelon):
+            blocks.append(len(stack))
+            return echelon(fld, stack, ncols)
 
         with monkeypatch.context() as m:
-            m.setattr(errors, "BLOCK_BYTES", rows * pairs * (k - 1) ** 2 * 8)  # rows x conditions.nbytes
-            m.setattr(analyze, "_dot", conditions_dot)
+            m.setattr(errors, "BLOCK_BYTES", rows * poly.echelon_bytes(2 * k - 1, 2 * k - 1))
+            m.setattr(poly, "_row_echelon", counted)
             assert analyze.is_optimal_half_rate(ev, k) == want and not want.optimal
-        assert max(blocks) == rows and sum(blocks) > 33
+        # the sweep ranks all k(k+1) pairs, then the deficient ones are reduced
+        assert max(blocks) == rows and sum(blocks) == k * (k + 1) + pairs
+
+
+def small_vectors():
+    """Every length-2k vector (0, 1, ..) over GF(q <= 7) at k = 2 and 3,
+    and seeded ones over GF(8) and GF(9) at k = 3 and GF(11) at k = 4."""
+    for q in (4, 5, 7):
+        fld = field_from_order(q)
+        for k in (2, 3):
+            for rest in itertools.permutations(range(2, q), 2 * k - 2):
+                yield EvaluationVector(fld, (0, 1) + rest)
+    rng = random.Random(39)
+    for q, k, count in ((8, 3, 12), (9, 3, 12), (11, 4, 6)):
+        fld = field_from_order(q)
+        yield from (EvaluationVector(fld, tuple(rng.sample(range(q), 2 * k))) for _ in range(count))
+
+
+def test_witness_equals_the_family_scan():
+    # alike over the family with its scaled copies: a copy lam*f meets the
+    # pairs f meets and comes after f
+    verdicts = []
+    for ev in small_vectors():
+        k = ev.n // 2
+        result = analyze.is_optimal_half_rate(ev, k)
+        assert result == deficient_pair_scan(ev, k) == deficient_pair_scan(ev, k, family=normalized_with_scaled_copies), ev
+        verdicts.append(result.optimal)
+    assert len(verdicts) == 178 and verdicts.count(False) >= 100 and verdicts.count(True) >= 20
+
+
+def collides(ev, witness):
+    fld, points, (f, g) = ev.field, ev.points, (tuple(witness[key]) for key in "fg")
+    f_vals = [poly.eval_poly(fld, f, points[i - 1]) for i in witness["I"]]
+    return f != g and f_vals == [poly.eval_poly(fld, g, points[j - 1]) for j in witness["J"]]
+
+
+def test_witnesses_beyond_the_family_scan(capsys):
+    # inputs whose family scan (about q^(k-2) members) the former check
+    # refused: each witness is a real collision
+    ap = EvaluationVector(field_new(1367), tuple(range(8)))
+    want = {"f": [0, 0, 1], "g": [1, 1365, 1], "I": [1, 2, 3, 4, 5, 6, 7], "J": [2, 3, 4, 5, 6, 7, 8]}
+    assert analyze.is_optimal_half_rate(ap, 4) == analyze.OptimalityResult(False, want)
+    assert collides(ap, want)
+    argv = ["analyze", "--field", "1367", "--alpha", "0,1,2,3,4,5,6,7", "--k", "4", "--method", "optimal"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"optimal": False, "witness": want}
+    rng = random.Random(16)
+    f16 = field_from_order(16)
+    for _ in range(3):
+        ev = EvaluationVector(f16, tuple(rng.sample(range(16), 16)))
+        result = analyze.is_optimal_half_rate(ev, 8)
+        assert not result.optimal and collides(ev, result.witness), ev
+    # the admitted example of the former guard's table, its witness as the
+    # family scan found it
+    ev = EvaluationVector(field_new(13), (0, 12, 6, 1, 9, 4, 7, 3, 11, 5, 10, 2))
+    assert analyze.is_optimal_half_rate(ev, 6).witness == {
+        "f": [0, 1, 7, 6, 6, 1], "g": [8, 8, 0, 8, 4, 9], "I": [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12], "J": list(range(2, 13))
+    }
+
+
+def test_dimension_one_is_always_optimal(capsys):
+    # k = 1: the one column of build_V is all ones, so no pair is deficient
+    for q in (2, 7, 16):
+        fld = field_from_order(q)
+        for points in itertools.permutations(range(q), 2):
+            assert analyze.is_optimal_half_rate(EvaluationVector(fld, points), 1) == analyze.OptimalityResult(True)
+    assert cli.main(["analyze", "--field", "7", "--alpha", "3,5", "--k", "1", "--method", "optimal"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"optimal": True, "witness": None}
+
+
+@pytest.mark.parametrize("q, k", [(37, 16), (53, 26)])
+def test_sweep_and_witness_stay_within_the_block_budget(monkeypatch, q, k):
+    # the arithmetic progression leaves 240 of 272 and 650 of 702 pairs
+    # deficient; k = 26 is the largest k the sweep's guard admits.  The
+    # sweep's peak is read as it ends, and the witness's from there on.
+    peaks, deficient, sweep = [], [], insdel.deficient_pairs
+
+    def measured(*args):
+        for item in sweep(*args):
+            deficient.append(item[0])
+            yield item
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(insdel, "deficient_pairs", measured)
+    ev = EvaluationVector(field_new(q), tuple(range(2 * k)))
+    tracemalloc.start()
+    try:
+        result = analyze.is_optimal_half_rate(ev, k)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 and max(peaks) <= errors.BLOCK_BYTES, peaks
+    assert len(deficient) == {16: 240, 26: 650}[k]
+    assert result.witness["f"] == [0] * (k - 2) + [1] and collides(ev, result.witness)

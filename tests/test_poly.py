@@ -579,6 +579,24 @@ def test_split_round_stays_within_its_bytes_per_row(fld):
         assert peak <= len(rows) * poly.split_bytes(width), (width, peak / len(rows))
 
 
+@pytest.mark.parametrize("fld", [field_new(53), field_new(2, 4), field_new(3, 2)], ids=str)
+def test_row_echelon_stays_within_its_bytes_per_matrix(fld):
+    # the peak tracemalloc sees in one elimination of a block of random
+    # matrices as its callers size it, the stack included, against
+    # echelon_bytes: the square build_V matrices of k = 2, 4, 16 and 26 at
+    # t = 1, and a tall one of k = 3 at t = 2
+    rng = np.random.default_rng(fld.q)
+    for rows, cols in ((3, 3), (7, 7), (31, 31), (51, 51), (29, 5)):
+        count = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(rows, cols))
+        tracemalloc.start()
+        try:
+            poly._row_echelon(fld, rng.integers(0, fld.q, (count, rows, cols)), cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * poly.echelon_bytes(rows, cols) <= errors.BLOCK_BYTES, (rows, cols, peak / count)
+
+
 @pytest.mark.parametrize(
     "fld", [field_new(1367), field_new(1381), field_new(7, 2), field_new(7, 3), field_new(5, 3)], ids=str
 )
