@@ -3,29 +3,28 @@ error: a scanned length-4 base case plus an inductive two-points-per-stage
 extension.
 
 Stage i takes a verified length-(2i-2) evaluation vector and appends two
-fresh points.  For every ordered pair of increasing index sequences over
-the current positions at Hamming distance at least i - 2
+fresh points.  For every unordered pair {I, J} of increasing index
+sequences over the current positions at Hamming distance at least i - 2
 (insdel.index_pairs; closer pairs have singular systems and cannot
-contribute), the stage needs one square linear system, read off
-insdel.build_V, for the normalized polynomial pair that could realize a
-long common subsequence; one stacked poly.solve_linear call solves the
-systems of all the stage's pairs.  Each solution is affine in the free
-leading coefficient, so the pair is four polynomials evaluated once on
-GF(q), and every first-point condition, linear in that coefficient, is
-solved for it in closed form.  The cross second points are the roots of
-one polynomial of degree at most i - 1 in y per (coefficient, point)
-solution.  The reverse pair (J, I) normalizes the same two polynomials
-swapped: at a nonzero lead l' both of its sides have full degree, and
-scaled by 1/l' and shifted by a constant it is (I, J) at lead 1/l'.  Only
-its lead 0, where (I, J)'s f-side would fall below degree i - 1, is new.
-The stage therefore sweeps each unordered pair once, (I, J) with I < J
-over every lead and its reverse at lead 0 alone, three fixed first-point
-equations and their cross rows, and hands one poly.RootPool for the whole
-stage the pair's cross rows, tagged with their first point.  The pool
-finds their roots with no row tested at every y of GF(q): rows of degree
-at most 2 (all of stage 3) and, in characteristic p > 3, the cubic rows
-(all of stage 4) and the cubic pieces of later rounds in closed form, the
-others by equal-degree splitting in blocks.  Every completion
+contribute), the stage needs one square linear system for (I, J), I < J,
+read off insdel.build_V, for the normalized polynomial pair that could
+realize a long common subsequence; one stacked poly.solve_linear call
+solves the systems of all the stage's pairs.  Each solution is affine in
+the free leading coefficient, so the pair is four polynomials evaluated
+once on GF(q), and every first-point condition, linear in that
+coefficient, is solved for it in closed form.  The cross second points
+are the roots of one polynomial of degree at most i - 1 in y per
+(coefficient, point) solution.  The reverse (J, I) normalizes the same two
+polynomials swapped: at a nonzero lead l' it is (I, J) at lead 1/l',
+scaled and shifted by a constant, and its lead 0 is (I, J)'s pencil at
+the lead infinity, shifted by a constant.  The stage therefore sweeps
+each unordered pair once, (I, J) over every lead of GF(q) and infinity,
+and hands one poly.RootPool for the whole stage the pair's cross rows,
+tagged with their first point.  The pool finds their roots with no row
+tested at every y of GF(q): rows of degree at most 2 (all of stage 3)
+and, in characteristic p > 3, the cubic rows (all of stage 4) and the
+cubic pieces of later rounds in closed form, the others by equal-degree
+splitting in blocks.  Every completion
 (alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
 set, kept as sorted codes x*q + y.
 Any pair of fresh distinct points outside the bad set extends the code;
@@ -87,9 +86,9 @@ def base_case(fld: Field) -> EvaluationVector:
 
 
 def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, pairs) -> list:
-    """Solutions (u0, u1) of the stage system of every swept index pair (see
-    extend), in sweep order, from one stacked poly.solve_linear call: per
-    pair, insdel.build_V of dimension i over (J, I), its I block negated,
+    """Solutions (u0, u1) of the stage system of every index pair (I, J) in
+    `pairs` (see extend), in order, from one stacked poly.solve_linear call:
+    per pair, insdel.build_V of dimension i over (J, I), its I block negated,
     its two top-degree columns moved to the right-hand sides (fixed part,
     leading-coefficient part).  The unknowns for leading coefficient `lead`
     are u0 - lead*u1.  The first singular system raises."""
@@ -125,11 +124,11 @@ def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarra
 
 
 def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv, cross: list) -> np.ndarray:
-    """Bad pairs contributed by one ordered index-sequence pair, given its
-    stage solutions (u0, u1), over all q values of the free leading
-    coefficient, as sorted unique codes x*q + y, but for the cross second
-    points, whose rows are appended to `cross` for the stage's root pool;
-    neg_inv[v] = -1/v (and 0 at 0).
+    """Bad pairs contributed by one unordered index-sequence pair {I, J},
+    given the stage solutions (u0, u1) of (I, J), over every value of the
+    free leading coefficient in GF(q) and infinity, as sorted unique codes
+    x*q + y, but for the cross second points, whose rows are appended to
+    `cross` for the stage's root pool; neg_inv[v] = -1/v (and 0 at 0).
 
     For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
     g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
@@ -146,13 +145,18 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     poly.pencil_rows per side, appended to `cross` as (x, rows), side 0
     (g(y) = f(x)) first.  An x that hits at every lead pairs with every
     y whose own equation some allowed lead solves.
+    At the lead infinity the pair, divided by the lead, is g = B, f = D,
+    still a solution (B(a_J) = D(a_I)); shifted by -B(0) it is the reverse
+    (J, I) at lead 0, f = B - B(0) and g = D - B(0).  The shift cancels from
+    every equation, so the first points are the zeros of den, y is in the
+    agreement set D = B, and the cross rows are B - D(x) and D - B(x).
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
     allowed:
 
-    * constant g-side (only possible at lead = 0): the collision would force
-      the monic nonconstant f-side to take a single value at 2i-1 distinct
-      points;
+    * a constant side (the g-side, only possible at lead 0, or the f-side
+      at infinity): the collision would force the other, monic and
+      nonconstant, side to take a single value at 2i-1 distinct points;
     * f = g as polynomials (only possible at lead = 1, as f is monic of
       degree mid + 1): a collision needs two distinct codewords, and the
       normalization preserves distinctness, so only the cross-point tail
@@ -200,6 +204,11 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
         cross.append((x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target)))
+    if any(u1[mid + 1 :]):  # lead infinity, where the f-side D is nonconstant
+        inf = [np.flatnonzero(row == 0) for row in den]
+        for x, side in zip(inf, (1, 3)):
+            cross.append((x, poly.pencil_rows(fld, polys[side], (), np.zeros(len(x), np.int64), vals[4 - side, x])))
+        codes.append((np.concatenate(inf)[:, None] * q + inf[2]).ravel())
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
     side = np.repeat([0, 2], [len(es[0]), len(es[1])])
@@ -211,52 +220,25 @@ def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg
     return _sorted_unique(np.concatenate(codes))
 
 
-def _lead_zero_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, cross: list) -> np.ndarray:
-    """Bad pairs contributed by one ordered index-sequence pair at leading
-    coefficient 0 alone, given the fixed part u0 of its stage solutions, as
-    sorted unique codes x*q + y, but for the cross second points, whose
-    rows are appended to `cross` as in _stage_pair_bad_set.
-
-    At lead 0 the pair is g = A and f = C of _stage_pair_bad_set, so each
-    tail shape is a fixed equation: x with g(x) = f(a_last), then y with
-    g(y) = f(x), the row A - C(x); x with f(x) = g(a_last), then y with
-    f(y) = g(x), the row C - A(x); x in either first set or the agreement
-    set f = g, with y in the agreement set.  A constant g adds nothing, as
-    lead 0 is not allowed there (see _stage_pair_bad_set); otherwise f = g
-    cannot hold, f being of higher degree."""
-    mid = i - 2
-    if not any(u0[1 : mid + 1]):
-        return np.empty(0, dtype=np.int64)
-    polys = np.array([list(u0[: mid + 1]) + [0], [0] + list(u0[mid + 1 :]) + [1]], dtype=np.int64)  # A, C
-    g, f = poly.eval_all(fld, polys)
-    last = points[-1]
-    firsts = [np.flatnonzero(g == f[last]), np.flatnonzero(f == g[last])]
-    agree = np.flatnonzero(f == g)
-    for x, coeffs, target in ((firsts[0], polys[0], f), (firsts[1], polys[1], g)):
-        cross.append((x, poly.pencil_rows(fld, coeffs, (), np.zeros(len(x), np.int64), target[x])))
-    return _sorted_unique((np.concatenate(firsts + [agree])[:, None] * fld.q + agree).ravel())
-
-
 def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
     """One stage: extend a verified length-(2i-2) vector by two points.
 
-    Sweeps the ordered pairs of length-(2i-3) increasing index sequences at
-    Hamming distance at least i - 2 (no other pair can contribute) and every
-    leading coefficient of the g-side.  The stage linear system's matrix is
-    independent of that leading coefficient, so the systems of all index
-    pairs are reduced together, once, and the per-coefficient solutions are
-    affine combinations of two base solutions.
-    The pairs are walked as unordered pairs: (I, J) with I < J over every
-    lead (_stage_pair_bad_set) and its reverse (J, I) at lead 0 alone
-    (_lead_zero_bad_set).  The reverse normalizes (g, f) where (I, J)
-    normalizes (f, g), so at a lead l' != 0, where both its sides have full
-    degree, it is (I, J)'s near-collision at lead 1/l', rescaled by 1/l' and
-    shifted by a constant, and adds nothing; at lead 0 its f-side has degree
-    below i - 1, which (I, J) cannot represent.  Both passes hand their
-    cross rows to the stage's poly.RootPool, and their bad sets and the
-    roots the pool finds, tagged with their first points, are merged, as
-    sorted codes x*q + y, into the union.  Both directions are still
-    solved, so the first singular system in sweep order raises.
+    Sweeps the unordered pairs {I, J} of length-(2i-3) increasing index
+    sequences at Hamming distance at least i - 2 (no other pair can
+    contribute), as (I, J) with I < J, and every leading coefficient of the
+    g-side in GF(q) and infinity (_stage_pair_bad_set).  The reverse (J, I)
+    normalizes (g, f) where (I, J) normalizes (f, g): at a lead l' != 0 it
+    is (I, J)'s near-collision at lead 1/l', and at lead 0 (I, J)'s at
+    infinity, each rescaled and shifted by a constant, so it adds nothing.
+    The stage linear system's matrix is independent of the leading
+    coefficient, so the systems of all index pairs are reduced together,
+    once, and the per-coefficient solutions are affine combinations of two
+    base solutions.  The reverse's matrix is (I, J)'s with columns negated
+    and permuted, so the two are singular together, and the first singular
+    pair in sweep order is an (I, J).  Each pair's cross rows go to the
+    stage's poly.RootPool, and its bad set and the roots the pool finds,
+    tagged with their first points, are merged, as sorted codes x*q + y,
+    into the union.
 
     Returns (extended points, bad-set size).  Raises SingularSystemError if
     a swept pair's system is singular, which the input's optimality forbids,
@@ -275,20 +257,15 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     # gives the row (1, a, .., a^mid, -a, .., -a^mid), mid = i - 2, and all
     # such rows span at most i - 1 dimensions, so the rank is at most
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
-    pairs = list(insdel.index_pairs(n, n - 1, i - 2))
-    solutions = _stage_solutions(fld, points, i, pairs)
-    reverse = {ij: p for p, ij in enumerate(pairs)}
+    pairs = [(i_seq, j_seq) for i_seq, j_seq in insdel.index_pairs(n, n - 1, i - 2) if i_seq < j_seq]
     neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
     # new codes are merged into the bad set once they outnumber it four to
     # one, so memory stays within about five times the bad set, and the root
     # pool at one block
     pool, new = poly.RootPool(fld), []
-    for p, (i_seq, j_seq) in enumerate(pairs):
-        if i_seq > j_seq:
-            continue
+    for u0, u1 in _stage_solutions(fld, points, i, pairs):
         cross = []
-        new.append(_stage_pair_bad_set(fld, points, i, *solutions[p], neg_inv, cross))
-        new.append(_lead_zero_bad_set(fld, points, i, solutions[reverse[j_seq, i_seq]][0], cross))
+        new.append(_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross))
         for x, rows in cross:
             pool.add(x, rows)
         new.append(pool.split())
@@ -342,20 +319,20 @@ class ConstructionTrace:
 
 
 def swept_pair_count(i: int) -> int:
-    """The ordered index-sequence pairs stage i sweeps (see extend): two of
-    the 2i - 2 sequences of length 2i - 3, omitting positions a and b, are
-    at Hamming distance |a - b|, which must be at least i - 2."""
-    return 2 * sum(2 * i - 2 - t for t in range(i - 2, 2 * i - 2))
+    """The unordered index-sequence pairs stage i sweeps (see extend): two
+    of the 2i - 2 sequences of length 2i - 3, omitting positions a and b,
+    are at Hamming distance |a - b|, which must be at least i - 2."""
+    return sum(2 * i - 2 - t for t in range(i - 2, 2 * i - 2))
 
 
 def stage_work(q: int, k: int) -> int:
     """Estimated work of stages 3..k over GF(q), in units the sweep's loops
-    spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i) / 2
+    spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i)
     unordered index pairs (see extend).  Each costs 8b units per first
-    point x for its forward direction over every lead (its vectors over
-    GF(q) and the sort of the codes it emits, a few per x), and 2i per x for
-    its reverse at lead 0 (one Horner pass of two polynomials of i
-    coefficients).  The pair sends at most about 2q cross rows to the root
+    point x over the leads of GF(q) (its vectors over GF(q) and the sort of
+    the codes it emits, a few per x), and 2i per x at the lead infinity
+    (three comparisons of values already evaluated, and the agreement codes
+    they emit).  The pair sends at most about 2q cross rows to the root
     pool, one per first point and side, with half as many again allowed
     for the pieces split in later rounds.
     A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
@@ -370,7 +347,7 @@ def stage_work(q: int, k: int) -> int:
     bits = max(1, (q - 1).bit_length())
     closed = 4 if math.gcd(q, 6) == 1 else 3  # the last stage whose rows have a closed form
     return sum(
-        swept_pair_count(i) // 2 * q * (8 * bits + 2 * i + 3 * ((i - 1) ** 2 * bits if i > closed else 1))
+        swept_pair_count(i) * q * (8 * bits + 2 * i + 3 * ((i - 1) ** 2 * bits if i > closed else 1))
         for i in range(3, k + 1)
     )
 

@@ -117,15 +117,10 @@ def swept_bad_set(fld, points, i, i_seq, j_seq):
     return {divmod(int(c), fld.q) for c in codes}
 
 
-def lead_zero_bad_set(fld, points, i, i_seq, j_seq):
-    """One pair's bad set at lead 0 alone: the codes of
-    construct._lead_zero_bad_set and the roots of its cross rows."""
-    u0, _ = pair_solutions(fld, points, i, i_seq, j_seq)
-    pool, cross = poly.RootPool(fld), []
-    codes = construct._lead_zero_bad_set(fld, points, i, u0, cross)
-    for x, rows in cross:
-        pool.add(x, rows)
-    return {divmod(int(c), fld.q) for c in np.concatenate((codes, pool.split(drain=True)))}
+def reference_pass(fld, points, i, i_seq, j_seq):
+    """What one pair's pass must find: (I, J) over every lead and the
+    reverse (J, I) at lead 0, each from its own system."""
+    return reference_bad_set(fld, points, i, i_seq, j_seq) | reference_bad_set(fld, points, i, j_seq, i_seq, leads=(0,))
 
 
 def system_rank(fld, points, i, i_seq, j_seq):
@@ -159,7 +154,7 @@ SWEEP_INPUTS = [
 def test_block_sweep_matches_per_coefficient_reference(fld, points):
     i = len(points) // 2 + 1
     for i_seq, j_seq in stage_pairs(len(points), i):
-        assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
+        assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_pass(fld, points, i, i_seq, j_seq)
 
 
 def test_closed_form_matches_reference_at_q1367():
@@ -167,7 +162,7 @@ def test_closed_form_matches_reference_at_q1367():
     # every-lead first points in each
     fld, points = field_new(1367), (0, 1, 2, 5, 3, 4)
     for i_seq, j_seq in (((1, 2, 3, 5, 6), (1, 3, 4, 5, 6)), ((1, 2, 4, 5, 6), (1, 2, 3, 4, 5))):
-        assert swept_bad_set(fld, points, 4, i_seq, j_seq) == reference_bad_set(fld, points, 4, i_seq, j_seq)
+        assert swept_bad_set(fld, points, 4, i_seq, j_seq) == reference_pass(fld, points, 4, i_seq, j_seq)
 
 
 @pytest.mark.parametrize(
@@ -222,21 +217,29 @@ def test_reference_inputs_reach_every_branch():
 
 
 def test_constant_g_side_skips_lead_zero(monkeypatch):
-    # no real input has a constant g-side at lead 0: force one by zeroing the
-    # nonconstant g coefficients of u0; the reference solves through the
-    # same function, so both see the same system
+    # no real input has a constant g-side at lead 0, nor a constant f-side D
+    # at the lead infinity (the reverse's g-side at its lead 0): force both
+    # by zeroing the nonconstant g coefficients of u0 and the f-part of u1;
+    # neither lead then adds a code, and lead infinity no cross row, so the
+    # pass is (I, J)'s reference, which solves through the same function
     solve = construct._stage_solutions
 
-    def constant_g_side(fld, points, i, pairs):
-        return [((u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), u1) for u0, u1 in solve(fld, points, i, pairs)]
+    def constant_sides(fld, points, i, pairs):
+        return [
+            ((u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), tuple(u1[: i - 1]) + (0,) * (i - 2))
+            for u0, u1 in solve(fld, points, i, pairs)
+        ]
 
-    monkeypatch.setattr(construct, "_stage_solutions", constant_g_side)
+    monkeypatch.setattr(construct, "_stage_solutions", constant_sides)
     for fld, points in SWEEP_INPUTS[:2] + SWEEP_INPUTS[-1:]:
-        i = len(points) // 2 + 1
+        i, neg_inv = len(points) // 2 + 1, neg_inverses(fld)
         for i_seq, j_seq in stage_pairs(len(points), i):
-            assert poly.degree(poly.trim(pair_solutions(fld, points, i, i_seq, j_seq)[0][: i - 1])) < 1
+            u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
+            assert poly.degree(poly.trim(u0[: i - 1])) < 1 and not any(u1[i - 1 :])
+            cross = []
+            construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
+            assert len(cross) == 2  # the two sides over the leads of GF(q)
             assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
-            assert lead_zero_bad_set(fld, points, i, i_seq, j_seq) == set()
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
@@ -300,8 +303,8 @@ def reference_stage(fld, points, i):
     ids=str,
 )
 def test_dropped_cross_rows_change_no_stage(fld, k, monkeypatch):
-    # extend sweeps each unordered pair's reverse at lead 0 alone, dropping
-    # its cross rows at every other lead; per stage its bad set (the last
+    # extend sweeps each unordered pair once, leaving out the reverse's
+    # cross rows at every lead but 0; per stage its bad set (the last
     # merge) and chosen pair equal those of the sweep of every directed pair
     # over every lead (over GF(7) the bad set exhausts GF(7)^2 at stage 3
     # in both)
@@ -323,49 +326,70 @@ def test_dropped_cross_rows_change_no_stage(fld, k, monkeypatch):
 
 @pytest.mark.parametrize("fld, points", SWEEP_INPUTS, ids=str)
 def test_forward_sweep_and_reverse_lead_zero_cover_both_directions(fld, points):
-    # each unordered pair {I, J}, I < J: (I, J) over every lead and (J, I)
-    # at lead 0 alone find the near-collisions of both directions, and the
-    # lead-0 pass is the reference at lead 0
+    # each ordered pair's pass, over every lead of GF(q) and infinity, finds
+    # the near-collisions of both directions over every lead, each solved
+    # from its own system, so the passes of (I, J) and (J, I) agree
     i = len(points) // 2 + 1
     for i_seq, j_seq in stage_pairs(len(points), i):
-        reverse = lead_zero_bad_set(fld, points, i, j_seq, i_seq)
-        assert reverse == reference_bad_set(fld, points, i, j_seq, i_seq, leads=(0,))
-        if i_seq < j_seq:
-            both = reference_bad_set(fld, points, i, i_seq, j_seq) | reference_bad_set(fld, points, i, j_seq, i_seq)
-            assert swept_bad_set(fld, points, i, i_seq, j_seq) | reverse == both
+        both = reference_bad_set(fld, points, i, i_seq, j_seq) | reference_bad_set(fld, points, i, j_seq, i_seq)
+        assert swept_bad_set(fld, points, i, i_seq, j_seq) == both
 
 
 def test_reverse_lead_zero_is_not_covered_by_the_forward_sweep():
-    # the reverse's lead 0 has an f-side of degree below i - 1, which (I, J)
-    # cannot represent: on every input some pair's lead-0 set holds pairs
-    # the forward sweep lacks, so dropping the lead-0 pass changes the union
+    # the reverse's lead 0 has a g-side of degree below i - 1, (I, J)'s
+    # f-side, which no lead of GF(q) can give: on every input some pair's pass
+    # holds pairs that (I, J)'s reference lacks, all of them the reverse's
+    # at lead 0, so dropping the lead infinity changes the union
     for fld, points in SWEEP_INPUTS:
         i = len(points) // 2 + 1
-        fresh = [
-            lead_zero_bad_set(fld, points, i, j_seq, i_seq) - swept_bad_set(fld, points, i, i_seq, j_seq)
-            for i_seq, j_seq in stage_pairs(len(points), i)
-            if i_seq < j_seq
-        ]
+        fresh = []
+        for i_seq, j_seq in stage_pairs(len(points), i):
+            if i_seq < j_seq:
+                extra = swept_bad_set(fld, points, i, i_seq, j_seq) - reference_bad_set(fld, points, i, i_seq, j_seq)
+                assert extra <= reference_bad_set(fld, points, i, j_seq, i_seq, leads=(0,))
+                fresh.append(extra)
         assert any(fresh), (fld, points)
 
 
+@pytest.mark.parametrize("fld", [F251, field_new(1367), field_new(3, 4), field_new(2, 8), field_new(5, 3)], ids=str)
+def test_reverse_lead_zero_is_the_forward_pencil_at_infinity(fld):
+    # every unordered pair of stages 3 to 5: the reverse's own lead-0
+    # solution u0 is the forward's pencil at infinity, (B, D) shifted by
+    # -B(0), read off the forward's u1
+    points = construct.base_case(fld).points
+    for i in (3, 4, 5):
+        mid = i - 2
+        pairs = stage_pairs(len(points), i)
+        solutions = dict(zip(pairs, construct._stage_solutions(fld, points, i, pairs)))
+        for (i_seq, j_seq), (_, u1) in solutions.items():
+            if i_seq < j_seq:
+                neg = [fld.neg(c) for c in u1]
+                assert solutions[j_seq, i_seq][0] == (u1[0], *neg[mid + 1 :], *neg[1 : mid + 1]), (i, i_seq, j_seq)
+        if i < 5:
+            points, _ = construct.extend(fld, points, i)
+
+
 def test_extend_sweeps_each_unordered_pair_once(monkeypatch):
-    # stage i runs the all-lead pass once per unordered pair, not per
-    # ordered pair, and the lead-0 pass on each pair's reverse
-    calls = {}
-    for name in ("_stage_pair_bad_set", "_lead_zero_bad_set"):
-        original = getattr(construct, name)
+    # stage i solves and sweeps each unordered pair once, as (I, J) with
+    # I < J, not each ordered pair
+    calls, solved = {}, {}
+    sweep, solve = construct._stage_pair_bad_set, construct._stage_solutions
 
-        def counted(fld_, points, i, *rest, name=name, original=original):
-            calls[name, i] = calls.get((name, i), 0) + 1
-            return original(fld_, points, i, *rest)
+    def counted(fld_, points, i, *rest):
+        calls[i] = calls.get(i, 0) + 1
+        return sweep(fld_, points, i, *rest)
 
-        monkeypatch.setattr(construct, name, counted)
+    def solve_counted(fld_, points, i, pairs):
+        assert all(i_seq < j_seq for i_seq, j_seq in pairs)
+        solved[i] = solved.get(i, 0) + len(pairs)
+        return solve(fld_, points, i, pairs)
+
+    monkeypatch.setattr(construct, "_stage_pair_bad_set", counted)
+    monkeypatch.setattr(construct, "_stage_solutions", solve_counted)
     construct.construct_half_rate(F251, 5, verify_mode="none", allow_small_q=True)
     for i in (3, 4, 5):
-        assert construct.swept_pair_count(i) == 2 * calls["_stage_pair_bad_set", i]
-        assert calls["_lead_zero_bad_set", i] == calls["_stage_pair_bad_set", i]
-    assert [calls["_stage_pair_bad_set", i] for i in (3, 4, 5)] == [6, 10, 15]
+        assert construct.swept_pair_count(i) == calls[i] == solved[i]
+    assert [calls[i] for i in (3, 4, 5)] == [solved[i] for i in (3, 4, 5)] == [6, 10, 15]
 
 
 def product_row(fld, roots, cofactor):
@@ -454,7 +478,7 @@ class ScanPool:
 
     def add(self, xs, pencil):
         a, b, lead, target = pencil
-        va, vb = poly.eval_all(self.fld, [a, b])
+        va, vb = (poly.eval_all(self.fld, c or (0,)) for c in (a, b))
         hit, y = self.matcher(vb, va)(lead, target)
         self.codes.append(xs[hit] * self.fld.q + y)
 
@@ -523,7 +547,7 @@ def test_block_sweep_singular_branch():
         except construct.SingularSystemError:
             raised += 1
             continue
-        assert swept == reference_bad_set(F251, (0, 1, 2, 4), 3, i_seq, j_seq)
+        assert swept == reference_pass(F251, (0, 1, 2, 4), 3, i_seq, j_seq)
     assert raised > 0
 
 
@@ -554,13 +578,16 @@ def test_pairs_below_the_distance_threshold_are_singular(fld):
 
 def test_singular_swept_pair_raises():
     # random length-6 point sets over GF(13) are rarely optimal, so some
-    # swept pairs are singular; each one, and extend, must raise
+    # swept pairs are singular; each one, and extend, must raise; the
+    # reverse's matrix is the forward's with columns negated and permuted,
+    # so (I, J) is singular exactly when (J, I) is
     fld = field_new(13)
     rng = random.Random(6)
     singular = 0
     for _ in range(5):
         points = tuple(rng.sample(range(fld.q), 6))
         hits = [ij for ij in stage_pairs(6, 4) if system_rank(fld, points, 4, *ij) < 5]
+        assert {(j_seq, i_seq) for i_seq, j_seq in hits} == set(hits)
         for i_seq, j_seq in hits:
             distance = abs(omitted(6, j_seq) - omitted(6, i_seq))
             with pytest.raises(construct.SingularSystemError, match=f"distance {distance} >= 2"):
@@ -576,7 +603,6 @@ def test_singular_swept_pair_raises():
 
 def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
     q = F251.q
-    monkeypatch.setattr(construct, "_lead_zero_bad_set", lambda *args: np.empty(0, np.int64))
     monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: np.array([3 * q + 4]))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 3, 6), 1)
     # row 3 is free only at y = 3, which repeats x
@@ -666,13 +692,24 @@ def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
 def test_swept_pair_count_counts_the_swept_pairs():
     for i in range(3, 9):
         n = 2 * i - 2
-        assert construct.swept_pair_count(i) == len(stage_pairs(n, i))
+        assert construct.swept_pair_count(i) == sum(i_seq < j_seq for i_seq, j_seq in stage_pairs(n, i))
+
+
+def test_stage_work_charges_half_the_ordered_pairs():
+    # the estimate per stage is half the ordered pairs times the per-pair
+    # units at every (q, k), so no guard boundary moves
+    for q in (7, 8, 81, 251, 256, 1367, 1381, 4507, 11273, 23789, 65537):
+        bits, closed = max(1, (q - 1).bit_length()), 4 if math.gcd(q, 6) == 1 else 3
+        for k in range(3, 9):
+            units = [8 * bits + 2 * i + 3 * ((i - 1) ** 2 * bits if i > closed else 1) for i in range(3, k + 1)]
+            ordered = [len(stage_pairs(2 * i - 2, i)) for i in range(3, k + 1)]
+            assert construct.stage_work(q, k) == sum(n // 2 * q * u for n, u in zip(ordered, units)), (q, k)
 
 
 def test_stage_work_bounds_the_counted_work(monkeypatch):
     # the units the sweep spends, counted as stage_work charges them: 8b per
-    # first point of each all-lead pass, 2i per first point of each lead-0
-    # pass; per row reaching the root pool d^2 b for
+    # first point of each pass over the leads of GF(q), 2i per first point
+    # at its lead infinity; per row reaching the root pool d^2 b for
     # degree d >= 3, but 1 for a row of degree <= 2 or a cubic with a
     # closed form (has_closed_form: every cubic when p > 3); and d^2 b per
     # piece of a later round; the estimate is at least that and within
@@ -681,15 +718,10 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
         fld = field_new(*{81: (3, 4)}.get(q, (q,)))
         bits, counted = max(1, (q - 1).bit_length()), {}
         pair_bad_set_, add_, split_round = construct._stage_pair_bad_set, poly.RootPool.add, poly.split_round
-        lead_zero_bad_set_ = construct._lead_zero_bad_set
 
         def pair(fld_, points, i, *rest):
-            counted[i] = counted.get(i, 0) + 8 * bits * q
+            counted[i] = counted.get(i, 0) + 8 * bits * q + 2 * i * q
             return pair_bad_set_(fld_, points, i, *rest)
-
-        def lead_zero(fld_, points, i, *rest):
-            counted[i] = counted.get(i, 0) + 2 * i * q
-            return lead_zero_bad_set_(fld_, points, i, *rest)
 
         def charge(i, rows):
             degree = np.array([poly.degree(poly.trim(row)) for row in rows])
@@ -709,7 +741,6 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
         points = construct.base_case(fld).points
         with monkeypatch.context() as m:
             m.setattr(construct, "_stage_pair_bad_set", pair)
-            m.setattr(construct, "_lead_zero_bad_set", lead_zero)
             m.setattr(poly.RootPool, "add", add)
             m.setattr(poly, "split_round", split)
             for i in range(3, k + 1):
@@ -752,7 +783,6 @@ def test_extend_refuses_a_bad_set_above_its_ceiling(monkeypatch):
     # every code of GF(251)^2 is far above the stage-3 ceiling C(4,2) * 5 * 2^2 * 251
     everything = np.arange(F251.q**2, dtype=np.int64)
     monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: everything)
-    monkeypatch.setattr(construct, "_lead_zero_bad_set", lambda *args: np.empty(0, np.int64))
     with pytest.raises(InvariantViolation, match=r"^stage 3: bad set has 63001 pairs, above the ceiling 30120$"):
         construct.extend(F251, (0, 1, 2, 5), 3)
 
