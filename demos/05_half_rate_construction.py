@@ -6,7 +6,9 @@ deletion, and a length-2k dimension-k code at that ceiling exists once the
 field is large enough (growing like k^4).  The construction is fully
 deterministic: a lexicographic scan finds the length-4 base, then each stage
 solves small linear systems to rule out every pair of new points that could
-create a long common subsequence, and picks the least surviving pair.
+create a long common subsequence, and picks the least surviving pair.  A
+stage builds only the rows of the excluded set up to its choice, so it
+reports the bad pairs in those rows.
 """
 
 import time
@@ -32,7 +34,7 @@ trace = construct.construct_half_rate(f251, 3, verify_mode="exact")
 print(f"k=3 over GF(251)  ({time.time()-t0:.1f}s):")
 for stage in trace.stages:
     print(f"  stage {stage.i}: chose {stage.chosen_pair}, "
-          f"excluded {stage.bad_pair_count} pairs, verification={stage.verification}")
+          f"{stage.row_bad_pair_count} bad pairs in the rows scanned, verification={stage.verification}")
 print("  final evaluation vector:", trace.alpha.points)
 print("  independent re-check:", analyze.is_optimal_half_rate(trace.alpha, 3).optimal)
 
@@ -43,6 +45,6 @@ trace = construct.construct_half_rate(f1367, 4)  # the default exact check
 print(f"k=4 over GF(1367)  ({time.time()-t0:.1f}s):")
 for stage in trace.stages:
     print(f"  stage {stage.i}: chose {stage.chosen_pair}, "
-          f"excluded {stage.bad_pair_count} pairs, verification={stage.verification}")
+          f"{stage.row_bad_pair_count} bad pairs in the rows scanned, verification={stage.verification}")
 print("  final evaluation vector:", trace.alpha.points)
 print("  independent re-check:", analyze.is_optimal_half_rate(trace.alpha, 4).optimal)

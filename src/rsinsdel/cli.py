@@ -2,7 +2,7 @@
 
 Every command function returns (params, result), and main times the
 command and emits that pair as a single JSON document on stdout (schema
-version 1, sorted keys, compact separators), so identical configurations
+version 2, sorted keys, compact separators), so identical configurations
 produce byte-identical output; --timing adds a volatile top-level
 wall_time_s, outside the byte-stable result.  table1 --format csv writes
 its text itself and returns None.  Failures emit a diagnostic JSON object on
@@ -28,7 +28,7 @@ from .errors import GuardExceeded, InvariantViolation
 from .gf import Field, field_from_order, field_new
 from .rscode import EvaluationVector, RsCode, parse_vector
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -3,38 +3,28 @@ error: a scanned length-4 base case plus an inductive two-points-per-stage
 extension.
 
 Stage i takes a verified length-(2i-2) evaluation vector and appends two
-fresh points.  For every unordered pair {I, J} of increasing index
+fresh points (x, y).  For every unordered pair {I, J} of increasing index
 sequences over the current positions at Hamming distance at least i - 2
 (insdel.index_pairs; closer pairs have singular systems and cannot
 contribute), the stage needs one square linear system for (I, J), I < J,
 read off insdel.build_V, for the normalized polynomial pair that could
 realize a long common subsequence; one stacked poly.solve_linear call
 solves the systems of all the stage's pairs.  Each solution is affine in
-the free leading coefficient, so the pair is four polynomials evaluated
-once on GF(q), and every first-point condition, linear in that
-coefficient, is solved for it in closed form.  The cross second points
-are the roots of one polynomial of degree at most i - 1 in y per
-(coefficient, point) solution.  The reverse (J, I) normalizes the same two
-polynomials swapped: at a nonzero lead l' it is (I, J) at lead 1/l',
-scaled and shifted by a constant, and its lead 0 is (I, J)'s pencil at
-the lead infinity, shifted by a constant.  The stage therefore sweeps
-each unordered pair once, (I, J) over every lead of GF(q) and infinity,
-and hands one poly.RootPool for the whole stage the pair's cross rows,
-tagged with their first point.  The pool finds their roots with no row
-tested at every y of GF(q): rows of degree at most 2 (all of stage 3)
-and, in characteristic p > 3, the cubic rows (all of stage 4) and the
-cubic pieces of later rounds in closed form, the others by equal-degree
-splitting in blocks.  Every completion
-(alpha_{2i-1}, alpha_{2i}) of such a near-collision joins the stage's bad
-set, kept as sorted codes x*q + y.
-Any pair of fresh distinct points outside the bad set extends the code;
-the lexicographically least one is chosen, so runs are fully
-reproducible.
+the free leading coefficient (the lead), so a pair is four polynomials,
+and every first-point condition, linear in the lead, is solved for it in
+closed form.  The pair (x, y) is bad when it can complete such a
+near-collision.  The least fresh pair outside the bad set is chosen, so
+runs are fully reproducible, and it depends only on the rows of the bad
+set up to its x: the stage builds row x for the least fresh x, and the
+next only when that row is full (_stage_row).  A row costs, per pair, the
+four polynomials at x and a_last and the roots of at most 5 rows of
+degree at most i - 1, found by poly.tagged_roots with no scan of GF(q);
+only a pair whose condition holds at x for every lead is evaluated on all
+of GF(q).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +40,7 @@ class NoBaseCaseError(ValueError):
 
 
 class NoGoodPairError(RuntimeError):
-    """The bad set exhausted all candidate point pairs."""
+    """Every fresh row of the bad set is full."""
 
 
 class SingularSystemError(InvariantViolation):
@@ -106,118 +96,101 @@ def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, pairs) -> list
     return [tuple(zip(*s.solution)) for s in solved]
 
 
-def _sorted_unique(codes: np.ndarray, kind: str = "quicksort") -> np.ndarray:
-    """np.unique for int64 codes, which in numpy 2.x is over ten times
-    slower than one sort and a neighbour comparison.  kind="stable" suits
-    codes that are two sorted runs: numpy's stable sort finds the runs and
-    merges them in linear time, where quicksort sorts them again."""
-    codes = np.sort(codes, kind=kind)
-    return np.concatenate((codes[:1], codes[1:][codes[1:] != codes[:-1]]))
+def _pencils(fld: Field, i: int, solutions) -> np.ndarray:
+    """The coefficient rows, low first, of A, B, C, D, C - A and D - B for
+    the stage solution (u0, u1) of every pair, as a (pairs, 6, i) array.
+    For lead l the pair's near-collision is f = (0, u[mid+1:], 1),
+    g = (u[:mid+1], l) with u = u0 - l*u1 and mid = i - 2, so g = A + l*B
+    and f = C + l*D."""
+    mid, minus = i - 2, fld.neg(1)
+    u0, u1 = (np.array(u, np.int64) for u in zip(*solutions))
+    u1 = fld.v_mul(u1, minus)
+    polys = np.zeros((len(u0), 6, i), np.int64)
+    polys[:, 0, : mid + 1] = u0[:, : mid + 1]
+    polys[:, 1, : mid + 1], polys[:, 1, mid + 1] = u1[:, : mid + 1], 1
+    polys[:, 2, 1 : mid + 1], polys[:, 2, mid + 1] = u0[:, mid + 1 :], 1
+    polys[:, 3, 1 : mid + 1] = u1[:, mid + 1 :]
+    polys[:, 4:] = fld.v_add(polys[:, 2:4], fld.v_mul(polys[:, :2], minus))
+    return polys
 
 
-def _lead_roots(fld: Field, num: np.ndarray, den: np.ndarray, neg_inv: np.ndarray, allowed: np.ndarray):
-    """Leads solving num + lead*den = 0 pointwise: the one lead -num/den and
-    whether it is allowed, where den != 0; and where num = den = 0, whether
-    every lead solves it."""
-    lead = fld.v_mul(num, neg_inv[den])
-    return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
+# the pencils X + lead*Y whose roots _stage_row takes, by row kind: the two
+# cross rows, the agreement row of each condition, and at the lead infinity
+# (lead 0 here) the two cross rows and the agreement row
+_ROW_X = np.array([0, 2, 4, 4, 4, 1, 3, 5])
+_ROW_Y = np.array([1, 3, 5, 5, 5, 1, 1, 1])
 
 
-def _stage_pair_bad_set(fld: Field, points: tuple[int, ...], i: int, u0, u1, neg_inv, cross: list) -> np.ndarray:
-    """Bad pairs contributed by one unordered index-sequence pair {I, J},
-    given the stage solutions (u0, u1) of (I, J), over every value of the
-    free leading coefficient in GF(q) and infinity, as sorted unique codes
-    x*q + y, but for the cross second points, whose rows are appended to
-    `cross` for the stage's root pool; neg_inv[v] = -1/v (and 0 at 0).
+def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.ndarray, bool]:
+    """Row x of the stage's bad set: the sorted y such that (x, y) can
+    complete a near-collision of some pair, given the pairs' _pencils and
+    a_last, and whether some pair's first-point condition holds at x for
+    every lead.
 
-    For coefficient `lead` the near-collision is f = (0, u[mid+1:], 1),
-    g = (u[:mid+1], lead) with u = u0 - lead*u1, so g = A + lead*B and
-    f = C + lead*D for four fixed polynomials.  The five tail shapes of a
-    hypothetical length-(2i-1) common subsequence reduce to pairs of
-    single-point equations in x = alpha_{2i-1} and y = alpha_{2i}:
-    g(x) = f(a_last) with g(y) = f(x); f(x) = g(a_last) with f(y) = g(x); and
-    x in either first set or in the agreement set f = g, with y in the
-    agreement set.  Every first-point equation is linear in the lead,
-    num(x) + lead*den(x) = 0, so each x has the one lead -num/den, or every
-    lead where num = den = 0; the agreement y are bucketed by lead, and only
-    the cross second points need the roots y of A + lead*B (or C + lead*D)
-    minus the hit's target per (lead, x) hit, of degree at most i - 1: one
-    poly.pencil_rows per side, appended to `cross` as (x, rows), side 0
-    (g(y) = f(x)) first.  An x that hits at every lead pairs with every
-    y whose own equation some allowed lead solves.
-    At the lead infinity the pair, divided by the lead, is g = B, f = D,
-    still a solution (B(a_J) = D(a_I)); shifted by -B(0) it is the reverse
-    (J, I) at lead 0, f = B - B(0) and g = D - B(0).  The shift cancels from
-    every equation, so the first points are the zeros of den, y is in the
-    agreement set D = B, and the cross rows are B - D(x) and D - B(x).
+    The five tail shapes of a hypothetical length-(2i-1) common subsequence
+    reduce to pairs of single-point equations in x = alpha_{2i-1} and
+    y = alpha_{2i}: g(x) = f(a_last) with g(y) = f(x); f(x) = g(a_last)
+    with f(y) = g(x); and x in either first set or in the agreement set
+    f = g, with y in the agreement set.  Every first-point condition is
+    linear in the lead, num + lead*den = 0, so x has the one lead -num/den,
+    or every lead where num = den = 0.  At a hit's lead l the bad y are the
+    roots of A + l*B - f(x) (first condition), of C + l*D - g(x) (second)
+    and of the agreement pencil (C - A) + l*(D - B), each of degree at most
+    i - 1.  At the lead infinity the pair, divided by the lead, is g = B,
+    f = D, still a solution (B(a_J) = D(a_I)); shifted by -B(0) it is the
+    reverse (J, I) at lead 0, f = B - B(0) and g = D - B(0), and at a lead
+    l' != 0 the reverse is (I, J) at lead 1/l', rescaled and shifted, so
+    the reverse adds nothing.  The shift cancels from every equation, so x
+    is a first point there where den = 0, with the rows B - D(x), D - B(x)
+    and D - B.  A condition either hits at one lead or has den = 0, so a
+    pair gives at most 5 rows; all go to one poly.tagged_roots call.  A
+    pair whose condition holds at x for every lead evaluates its pencils on
+    GF(q): there y is bad when some allowed lead solves its own equation.
     Degenerate shapes whose solution set would be all of GF(q) cannot
     complete an actual collision and are skipped, as leads that are not
     allowed:
 
-    * a constant side (the g-side, only possible at lead 0, or the f-side
-      at infinity): the collision would force the other, monic and
+    * a constant side (the g-side A, at lead 0, or the f-side D at
+      infinity): the collision would force the other, monic and
       nonconstant, side to take a single value at 2i-1 distinct points;
     * f = g as polynomials (only possible at lead = 1, as f is monic of
       degree mid + 1): a collision needs two distinct codewords, and the
       normalization preserves distinctness, so only the cross-point tail
       shapes are kept for that lead.
     """
-    q = fld.q
-    mid = i - 2
-    u = tuple(fld.sub(c0, c1) for c0, c1 in zip(u0, u1))  # lead 1
-    allowed = np.ones(q, dtype=bool)
-    allowed[0] = any(u0[1 : mid + 1])  # the g-side at lead 0 is nonconstant
-    agree_allowed = allowed.copy()
-    agree_allowed[1] = poly.trim((0,) + u[mid + 1 :] + (1,)) != poly.trim(u[: mid + 1] + (1,))
-    a, c = list(u0[: mid + 1]), list(u0[mid + 1 :])
-    b, d = [fld.neg(v) for v in u1[: mid + 1]], [fld.neg(v) for v in u1[mid + 1 :]]
-    polys = [a + [0], b + [1], [0] + c + [1], [0] + d + [0]]  # A, B, C, D
-    vals = poly.eval_all(fld, polys)
-    neg = fld.v_mul(vals, fld.neg(1))
-    last = points[-1]
-    # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x)
-    other = neg[[2, 0, 0, 3, 1, 1]]
-    other[[0, 1, 3, 4]] = other[[0, 1, 3, 4], last, None]
-    num, den = fld.v_add(vals[[0, 2, 2, 1, 3, 3]], other).reshape(2, 3, q)
-    one, lead, every = _lead_roots(fld, num, den, neg_inv, allowed)
-    one[2] &= agree_allowed[lead[2]]
-    xs = [np.flatnonzero(row) for row in one]
-    ls = [lead[s, x] for s, x in enumerate(xs)]
-    # every den is a nonzero polynomial of degree <= i - 1, or num is, so
-    # each every-lead set has at most i - 1 points
-    es = [np.flatnonzero(row) for row in every]
-    # agreement second points: the hit's own lead bucket, plus the y that
-    # agree at every lead when the hit's lead allows agreement
-    agree_ys = xs[2][np.argsort(ls[2], kind="stable")]
-    bucket = np.bincount(ls[2], minlength=q)
-    hit_x, hit_l = np.concatenate(xs), np.concatenate(ls)
-    counts = bucket[hit_l]
-    lo = (np.cumsum(bucket) - bucket)[hit_l]
-    offsets = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    codes = [np.repeat(hit_x, counts) * q + agree_ys[offsets]]
-    every_x = np.concatenate(es)
-    codes.append((every_x[:, None] * q + agree_ys).ravel())
-    joined = np.concatenate((hit_x[agree_allowed[hit_l]], every_x))
-    codes.append((joined[:, None] * q + es[2]).ravel())
-    # g(y) = f(x) for x in the first set (g = vals[0] + lead*vals[1]), and
-    # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
-    for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
-        target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
-        cross.append((x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target)))
-    if any(u1[mid + 1 :]):  # lead infinity, where the f-side D is nonconstant
-        inf = [np.flatnonzero(row == 0) for row in den]
-        for x, side in zip(inf, (1, 3)):
-            cross.append((x, poly.pencil_rows(fld, polys[side], (), np.zeros(len(x), np.int64), vals[4 - side, x])))
-        codes.append((np.concatenate(inf)[:, None] * q + inf[2]).ravel())
-    # the same equations for x that hit at every lead: y is bad when some
-    # allowed lead solves its equation
-    side = np.repeat([0, 2], [len(es[0]), len(es[1])])
-    e = np.concatenate(es[:2])
-    num, den = fld.v_add(vals[[side, side + 1]], neg[[2 - side, 3 - side], e][..., None])
-    one_e, _, every_e = _lead_roots(fld, num, den, neg_inv, allowed)
-    hit, y = divmod(np.flatnonzero(one_e | every_e), q)
-    codes.append(e[hit] * q + y)
-    return _sorted_unique(np.concatenate(codes))
+    pairs, _, width = polys.shape
+    minus = fld.neg(1)
+    values = poly.eval_all(fld, polys[:, :4].reshape(-1, width), (x, last)).reshape(pairs, 4, 2)
+    (ax, bx, cx, dx), (al, bl, cl, dl) = values.transpose(2, 1, 0)
+    # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x); a lead
+    # l is 0 where num = 0 and 1 where num + den = 0
+    num = fld.v_add(np.stack((ax, cx, cx)), fld.v_mul(np.stack((cl, al, ax)), minus))
+    den = fld.v_add(np.stack((bx, dx, dx)), fld.v_mul(np.stack((dl, bl, bx)), minus))
+    lead = fld.v_mul(num, fld.v_mul(fld.v_inv(den), minus))
+    zero_allowed = polys[:, 0, 1:].any(axis=1)
+    one_agrees = fld.v_add(polys[:, 4], polys[:, 5]).any(axis=1)
+    hit = (den != 0) & (zero_allowed | (num != 0))
+    agree = hit & (one_agrees | (fld.v_add(num, den) != 0))
+    infinity = (den == 0) & polys[:, 3].any(axis=1)
+    every = (den == 0) & (num == 0)
+    zero = np.zeros(pairs, np.int64)
+    leads = np.stack((lead[0], lead[1], *lead, zero, zero, zero))
+    g_x, f_x = fld.v_add(ax, fld.v_mul(lead[1], bx)), fld.v_add(cx, fld.v_mul(lead[0], dx))
+    targets = np.stack((f_x, g_x, zero, zero, zero, dx, bx, zero))
+    kind, pair = np.nonzero(np.stack((hit[0], hit[1], *agree, infinity[0], infinity[1], infinity.any(axis=0))))
+    rows = poly.pencil_rows(fld, polys[pair, _ROW_X[kind]], polys[pair, _ROW_Y[kind]], leads[kind, pair], targets[kind, pair])
+    bad = [poly.tagged_roots(fld, np.zeros(len(rows), np.int64), rows)]
+    for p in np.flatnonzero(every.any(axis=0)).tolist():
+        a, b, c, d, c_a, d_b = poly.eval_all(fld, polys[p])
+        sides = [(c_a, d_b, one_agrees[p])]
+        if every[0, p]:  # g(y) = f(x)
+            sides.append((fld.v_add(a, fld.neg(int(cx[p]))), fld.v_add(b, fld.neg(int(dx[p]))), True))
+        if every[1, p]:  # f(y) = g(x)
+            sides.append((fld.v_add(c, fld.neg(int(ax[p]))), fld.v_add(d, fld.neg(int(bx[p]))), True))
+        for num_y, den_y, one_allowed in sides:
+            solved = (den_y != 0) & (zero_allowed[p] | (num_y != 0)) & (one_allowed | (fld.v_add(num_y, den_y) != 0))
+            bad.append(np.flatnonzero(solved | ((num_y == 0) & (den_y == 0))))
+    return np.unique(np.concatenate(bad)), bool(every.any())
 
 
 def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
@@ -225,24 +198,23 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
 
     Sweeps the unordered pairs {I, J} of length-(2i-3) increasing index
     sequences at Hamming distance at least i - 2 (no other pair can
-    contribute), as (I, J) with I < J, and every leading coefficient of the
-    g-side in GF(q) and infinity (_stage_pair_bad_set).  The reverse (J, I)
-    normalizes (g, f) where (I, J) normalizes (f, g): at a lead l' != 0 it
-    is (I, J)'s near-collision at lead 1/l', and at lead 0 (I, J)'s at
-    infinity, each rescaled and shifted by a constant, so it adds nothing.
-    The stage linear system's matrix is independent of the leading
-    coefficient, so the systems of all index pairs are reduced together,
-    once, and the per-coefficient solutions are affine combinations of two
-    base solutions.  The reverse's matrix is (I, J)'s with columns negated
-    and permuted, so the two are singular together, and the first singular
-    pair in sweep order is an (I, J).  Each pair's cross rows go to the
-    stage's poly.RootPool, and its bad set and the roots the pool finds,
-    tagged with their first points, are merged, as sorted codes x*q + y,
-    into the union.
+    contribute), as (I, J) with I < J: the reverse (J, I) adds nothing
+    (_stage_row).  The stage linear system's matrix is independent of the
+    leading coefficient, so the systems of all index pairs are reduced
+    together, once, and the per-coefficient solutions are affine
+    combinations of two base solutions (_pencils).  The reverse's matrix is
+    (I, J)'s with columns negated and permuted, so the two are singular
+    together, and the first singular pair in sweep order is an (I, J).
+    Then the rows of the bad set are built for the fresh x in increasing
+    order (_stage_row), and the first row with a fresh y, other than x,
+    outside it gives the least such y.
 
-    Returns (extended points, bad-set size).  Raises SingularSystemError if
-    a swept pair's system is singular, which the input's optimality forbids,
-    NoGoodPairError if the bad set exhausts all candidates.
+    Returns (extended points, bad pairs in the rows scanned).  Raises
+    SingularSystemError if a swept pair's system is singular, which the
+    input's optimality forbids, InvariantViolation if a row where no
+    condition holds at every lead has more than 5 (i - 1) bad pairs per
+    swept pair (a pair's at most 5 nonzero rows of degree at most i - 1
+    have no more roots), and NoGoodPairError if every fresh row is full.
     """
     n = len(points)
     q = fld.q
@@ -252,42 +224,27 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
         raise ValueError(f"stage {i} needs {2*i - 2} input points, got {n}")
     if len(set(points)) != n:
         raise ValueError("input points must be pairwise distinct")
-    bad = np.empty(0, dtype=np.int64)
     # Closer pairs have a singular system: a position with I_t = J_t = a
     # gives the row (1, a, .., a^mid, -a, .., -a^mid), mid = i - 2, and all
     # such rows span at most i - 1 dimensions, so the rank is at most
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
     pairs = [(i_seq, j_seq) for i_seq, j_seq in insdel.index_pairs(n, n - 1, i - 2) if i_seq < j_seq]
-    neg_inv = fld.v_mul(fld.v_inv(np.arange(q, dtype=np.int64)), fld.neg(1))
-    # new codes are merged into the bad set once they outnumber it four to
-    # one, so memory stays within about five times the bad set, and the root
-    # pool at one block
-    pool, new = poly.RootPool(fld), []
-    for u0, u1 in _stage_solutions(fld, points, i, pairs):
-        cross = []
-        new.append(_stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross))
-        for x, rows in cross:
-            pool.add(x, rows)
-        new.append(pool.split())
-        if sum(map(len, new)) >= 4 * len(bad):
-            bad, new = _sorted_unique(np.concatenate([bad, _sorted_unique(np.concatenate(new))]), "stable"), []
-    new.append(pool.split(drain=True))
-    bad = _sorted_unique(np.concatenate([bad, _sorted_unique(np.concatenate(new))]), "stable")
-    bad_count = len(bad)
-    ceiling = math.comb(n, 2) * 5 * (i - 1) ** 2 * q
-    if bad_count > ceiling:
-        raise InvariantViolation(
-            f"stage {i}: bad set has {bad_count} pairs, above the ceiling {ceiling}"
-        )
-    for x in range(q):
-        if x in points:
-            continue
-        lo, hi = np.searchsorted(bad, (x * q, (x + 1) * q))
-        free = np.setdiff1d(np.arange(q), np.concatenate((bad[lo:hi] - x * q, points, (x,))))
-        if len(free):
-            return points + (x, int(free[0])), bad_count
+    polys = _pencils(fld, i, _stage_solutions(fld, points, i, pairs))
+    ceiling = 5 * len(pairs) * (i - 1)
+    fresh = np.ones(q, bool)
+    fresh[list(points)] = False
+    count = 0
+    for x in map(int, np.flatnonzero(fresh)):
+        bad, every = _stage_row(fld, polys, points[-1], x)
+        count += len(bad)
+        if len(bad) > ceiling and not every:
+            raise InvariantViolation(f"stage {i}: row {x} has {len(bad)} bad pairs, above the ceiling {ceiling}")
+        free = fresh.copy()
+        free[bad] = free[x] = False
+        if free.any():
+            return points + (x, int(free.argmax())), count
     raise NoGoodPairError(
-        f"stage {i}: bad set ({bad_count} pairs) exhausted GF({q})^2; "
+        f"stage {i}: every fresh row of GF({q})^2 is full ({count} bad pairs); "
         + (
             f"q={q} is below the guaranteed bound {min_field_size(i)} for this stage"
             if q < min_field_size(i)
@@ -304,7 +261,7 @@ VERIFY_NONE = "none"
 @dataclass(frozen=True)
 class StageRecord:
     i: int
-    bad_pair_count: int
+    row_bad_pair_count: int
     chosen_pair: tuple[int, int]
     verification: str
 
@@ -326,30 +283,38 @@ def swept_pair_count(i: int) -> int:
 
 
 def stage_work(q: int, k: int) -> int:
-    """Estimated work of stages 3..k over GF(q), in units the sweep's loops
-    spend, with b = ceil(log2 q).  Stage i sweeps swept_pair_count(i)
-    unordered index pairs (see extend).  Each costs 8b units per first
-    point x over the leads of GF(q) (its vectors over GF(q) and the sort of
-    the codes it emits, a few per x), and 2i per x at the lead infinity
-    (three comparisons of values already evaluated, and the agreement codes
-    they emit).  The pair sends at most about 2q cross rows to the root
-    pool, one per first point and side, with half as many again allowed
-    for the pieces split in later rounds.
-    A row of degree d = i - 1 >= 3 costs d^2 units per bit of q (the
-    squares of the power mod P; its gcd cost less), a row of degree <= 2
-    one unit (the closed form), and so does a cubic row of stage 4 when q
-    is prime to 6 (characteristic p > 3, where every cubic has a closed
-    form).  Counting the units spent that way, the estimate on this
-    package's test runs is 1.01 to 1.02 times them at stage 3 and at stage
-    4 over GF(251), GF(1367) and GF(1381), 1.30 at stage 4 over GF(3^4)
-    and 1.39 at stage 5 over GF(251).  The measured time of a unit is noted
-    beside errors.MAX_STAGE_OPS."""
+    """Estimated work of stages 3..k over GF(q) in the worst case, in units
+    the row loop spends, with b = ceil(log2 q), P = swept_pair_count(i) and
+    d = i - 1 at stage i.
+
+    * A row costs 10^5 units for the calls it makes, whatever its size, and
+      per swept pair 26i units for the values at x and a_last, the leads
+      and the rows, and 8 rows of 4d^2 units per bit of q in the root
+      finder (the products of a square of the power mod P): the at most 5
+      rows a pair hands it (_stage_row) and 3 for the pieces of later
+      rounds.  A row of degree d <= 2 (stage 3) costs 1 unit instead.
+    * A condition that holds at x for every lead has num = den = 0 there,
+      and one of its num and den is a nonzero polynomial of degree at most
+      d: den for the first and the agreement condition, as B is monic of
+      degree d and D of lower degree; for the second den when D != 0 (D(0)
+      = 0, so D is nonconstant), else num, as C is monic.  So each pair and
+      condition admit at most d such x: at most 3Pd per stage, each
+      evaluating a pair on GF(q) at (12i + 24) units per element.
+    * A row where no condition holds at every lead has at most 5Pd bad
+      pairs (extend checks it), so it is full only while
+      q - (2i - 2) - 1 <= 5Pd.  Above that, at most 1 + 3Pd rows are
+      scanned; below it, every fresh row may be.
+
+    The measured time of a unit is noted beside errors.MAX_STAGE_OPS."""
     bits = max(1, (q - 1).bit_length())
-    closed = 4 if math.gcd(q, 6) == 1 else 3  # the last stage whose rows have a closed form
-    return sum(
-        swept_pair_count(i) * q * (8 * bits + 2 * i + 3 * ((i - 1) ** 2 * bits if i > closed else 1))
-        for i in range(3, k + 1)
-    )
+    total = 0
+    for i in range(3, k + 1):
+        pairs, d = swept_pair_count(i), i - 1
+        fresh, every = q - (2 * i - 2), 3 * pairs * d
+        rows = fresh if fresh - 1 <= 5 * pairs * d else min(fresh, 1 + every)
+        per_row = 10**5 + pairs * (26 * i + 32 * (d * d * bits if d >= 3 else 1))
+        total += rows * per_row + min(every, pairs * rows) * q * (12 * i + 24)
+    return total
 
 
 def _verify_stage(fld: Field, points: tuple[int, ...], i: int, verify_mode: str) -> str:
@@ -385,7 +350,7 @@ def construct_half_rate(
     vector per verify_mode ("exact" runs analyze.is_optimal_half_rate,
     "certificate" runs the rank certificate at t = 1, "none" trusts the
     counting guarantee); any other verify_mode raises ValueError before
-    any work.  Stage 2, the base case, records a bad-pair count of 0.
+    any work.  Stage 2, the base case, records a row bad-pair count of 0.
     q >= min_field_size(k) is required unless allow_small_q is set, in
     which case NoGoodPairError is a legitimate outcome.  An estimated stage
     work (see stage_work) above errors.MAX_STAGE_OPS raises GuardExceeded
@@ -400,7 +365,7 @@ def construct_half_rate(
             f"q={fld.q} is below the guaranteed bound {min_field_size(k)} for k={k}; "
             "pass allow_small_q=True to attempt anyway"
         )
-    errors.check_work(stage_work(fld.q, k), errors.MAX_STAGE_OPS, f"element operations of stages 3..{k} at q={fld.q}")
+    errors.check_work(stage_work(fld.q, k), errors.MAX_STAGE_OPS, f"units of the row sweep of stages 3..{k} at q={fld.q}")
     stages, points, bad_count = [], base_case(fld).points, 0
     for i in range(2, k + 1):
         if i > 2:

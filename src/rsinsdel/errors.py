@@ -25,13 +25,17 @@ MAX_KERNEL_STEPS = 10**9
 # Working memory of one block of every blocked loop, in bytes, read at call
 # time; in `sample --field 81` runs 2^20 beat 2^18 and 2^19 by 20-30%.
 BLOCK_BYTES = 1 << 20
-# Units of construct.stage_work in one construct_half_rate run.  On a 2-core
-# VM (Python 3.11.7, numpy 2.4.6, in process, no verification) a unit took
-# 13 ns at k = 4 (q = 1367 and 1381, 0.028 s, where every cubic row is one
-# unit), 7.8 ns at k = 5 (q = 4507, 0.45 s), 7.4 ns at k = 6 (q = 11273,
-# 3.2 s) and 7.9 ns at k = 7 (q = 23789, 16.9 s), so the limit is about
-# 16 s: it admits k = 6 at min_field_size(6) and refuses k = 7 at
-# min_field_size(7), 2.15*10^9 units.
+# Units of construct.stage_work in one construct_half_rate run, a bound of
+# the worst case.  On a 2-core VM (Python 3.11.7, numpy 2.4.6, in process,
+# no verification) the units real runs spend, counted as stage_work charges
+# them, took 10-19 ns each at the guaranteed field sizes from k = 4
+# (GF(1367), 2.6 ms) to k = 16 (GF(978821), 0.67 s), 14 ns at k = 8 over
+# GF(29), where rows fill, and one evaluation on GF(q) of a pair whose
+# condition holds at every lead 2-9 ns per unit (GF(1367) to GF(978821)),
+# so the limit is about 5 to 40 s.  At those sizes real runs spend 125 to
+# 94,000 times fewer units than estimated (4 and 9 times over GF(13) and
+# GF(29), where rows fill); the limit admits k = 6 at min_field_size(6)
+# (7.7*10^8) and refuses k = 7 at min_field_size(7), 3.0*10^9.
 MAX_STAGE_OPS = 2_000_000_000
 # Python's default limit on converting an integer to decimal text: a report
 # holding a larger integer would fail in cli.dumps after all the work.

@@ -9,15 +9,10 @@ ranks many small matrices in one call.  eval_all is the one stacked
 Horner evaluation.  The one root finder, split_round, takes a stack of
 coefficient rows of any degrees at once and finds their roots in rounds
 (Berlekamp 1970; Cantor & Zassenhaus 1981), with no scan of GF(q):
-closed forms up to degree 2, and for every cubic in characteristic p > 3
-(Cardano 1545, through the norm-1 torus of GF(q^2) when the radicand is
-not a square), equal-degree splitting for the rest.  Its one driver,
-RootPool, solves the cubic rows and the cubic pieces of later rounds in
-closed form as they arrive and runs the rounds on the others in blocks
-of errors.BLOCK_BYTES: roots drains one over a single row, the
-construction one over a stage's rows.  The torus table of a
-field (_torus) takes 12 bytes per element, built on first use.  All
-functions are pure; RootPool is the one object with state.
+closed forms up to degree 2, equal-degree splitting for the rest.  Its
+one driver, tagged_roots, runs the rounds over tagged rows in blocks of
+errors.BLOCK_BYTES: roots hands it a single row, the construction the
+pencil rows of one row x of a stage's bad set.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .gf import Field, factorize
+from .gf import Field
 
 
 class ZeroPolynomialError(ValueError):
@@ -74,99 +69,42 @@ def eval_all(fld: Field, coeffs, xs=None) -> np.ndarray:
 
 
 def roots(fld: Field, coeffs) -> list[int]:
-    """All roots in GF(q), ascending: a drained RootPool of one row, tag 0."""
+    """All roots in GF(q), ascending: tagged_roots of one row, tag 0."""
     coeffs = trim(coeffs)
     if not coeffs:
         raise ZeroPolynomialError("every field element is a root of the zero polynomial")
-    pool = RootPool(fld)
-    pool.add(np.zeros(1, np.int64), np.array([coeffs], np.int64))
-    return sorted(pool.split(drain=True).tolist())
+    return sorted(tagged_roots(fld, [0], [coeffs]).tolist())
 
 
 def pencil_rows(fld: Field, a, b, lead, target) -> np.ndarray:
-    """The coefficient rows, low first, of a + lead[r]*b - target[r] for
-    coefficient tuples a and b and 1-D lead and target of one length: an
-    (R, W) array, W = max(len(a), len(b), 1)."""
+    """The coefficient rows, low first, of a[r] + lead[r]*b[r] - target[r]
+    for (R, W) coefficient arrays a and b (or one W-row each, shared by
+    every r) and 1-D lead and target of length R: an (R, W) array."""
     lead, target = np.asarray(lead, np.int64), np.asarray(target, np.int64)
-    ab = np.zeros((2, max(len(a), len(b), 1)), np.int64)
-    ab[0, : len(a)], ab[1, : len(b)] = a, b
-    rows = fld.v_add(ab[0], fld.v_mul(ab[1], lead[:, None]))
+    rows = fld.v_add(a, fld.v_mul(b, lead[:, None]))
     rows[:, 0] = fld.v_add(rows[:, 0], fld.v_mul(target, fld.neg(1)))
     return rows
 
 
-class RootPool:
-    """Coefficient rows with integer tags (the construction's first points)
-    waiting for their roots: the one driver of split_round.  In
-    characteristic p > 3 every row wide enough for a cubic, fresh or a
-    piece a round left, first waits for the closed-form pass, which solves
-    the cubics (_cardano) in chunks of errors.BLOCK_BYTES // cubic_bytes(W)
-    rows, W the rows' width, so that blocks hold only rows that split_round
-    must split or solves in closed form anyway (degree <= 2).  split() runs
-    split_round on the others in blocks of errors.BLOCK_BYTES //
-    split_bytes(W) rows, in arrival order, and queues the pieces a round
-    leaves behind the waiting rows, so rows that need more rounds share
-    blocks with fresh ones.  The closed-form pass stays a list of its own
-    because running it inside split_round's blocks measured slower (2-core
-    VM, Python 3.11.7, numpy 2.4.6, in process, construct with verification
-    off): for fresh rows GF(1367), k = 4 went 46.7 -> 53.6 ms (22 -> 32
-    split_round calls), GF(1381) 42.9 -> 47.4 ms and GF(4507), k = 5 0.442
-    -> 0.468 s; for the cubic pieces of later rounds GF(11273), k = 6 went
-    2.60 -> 2.72 s and GF(23789), k = 7 13.0-13.3 -> 13.7 s, one _cardano
-    call per split_round block costing more than the rounds it saves."""
-
-    def __init__(self, fld: Field):
-        self.fld = fld
-        self.fresh, self.untested = [], 0  # (tags, rows, rounds) not yet tested for a cubic
-        self.queue, self.size = [], 0  # (tags, rows, rounds) to split; both lists in arrival order
-
-    def add(self, tags, rows, rounds=None) -> None:
-        """Queue (R, W) coefficient rows, low first, one W per pool, with R
-        tags and the rounds each has had (none unless given).  Rows wide
-        enough for a cubic, in characteristic p > 3, wait for the
-        closed-form pass, which solves the cubics and queues the others."""
-        rounds = np.zeros(len(tags), np.int64) if rounds is None else rounds
-        if rows.shape[1] >= 4 and self.fld.p > 3:
-            self.fresh.append((tags, rows, rounds))
-            self.untested += len(tags)
-        else:
-            self.queue.append((tags, rows, rounds))
-            self.size += len(tags)
-
-    def split(self, drain: bool = False) -> np.ndarray:
-        """The codes tag*q + y of the roots of every full chunk and block,
-        or, with drain, of every row until the pool is empty, in no set
-        order."""
-        codes = [np.empty(0, np.int64)]
-        while True:
-            if self.untested:
-                chunk = max(1, errors.BLOCK_BYTES // cubic_bytes(self.fresh[0][1].shape[1]))
-                if drain or self.untested >= chunk:
-                    (tags, rows, rounds), self.fresh = _first(self.fresh, chunk)
-                    self.untested -= len(tags)
-                    (hit, y), keep = _solve_cubics(self.fld, rows)
-                    codes.append(tags[hit] * self.fld.q + y)
-                    self.queue.append((tags[keep], rows[keep], rounds[keep]))
-                    self.size += np.count_nonzero(keep)
-                    continue
-            if self.size:
-                block = max(1, errors.BLOCK_BYTES // split_bytes(self.queue[0][1].shape[1]))
-                if drain or self.size >= block:
-                    (tags, rows, rounds), self.queue = _first(self.queue, block)
-                    self.size -= len(tags)
-                    (hit, y), (left, pieces, after) = split_round(self.fld, rows, rounds)
-                    codes.append(tags[hit] * self.fld.q + y)
-                    self.add(tags[left], pieces, after)
-                    continue
-            return np.concatenate(codes)
-
-
-def _first(parts: list, count: int) -> tuple[list, list]:
-    """The first count rows of a list of tuples of arrays, joined, and the
-    list of the rest."""
-    joined = [np.concatenate(part) for part in zip(*parts)]
-    rest = [tuple(a[count:] for a in joined)] if len(joined[0]) > count else []
-    return [a[:count] for a in joined], rest
+def tagged_roots(fld: Field, tags, rows) -> np.ndarray:
+    """The codes tag*q + y of the roots y in GF(q) of (R, W) coefficient
+    rows, low first, each with an integer tag, in no set order: the one
+    driver of split_round.  It runs split_round on blocks of
+    errors.BLOCK_BYTES // split_bytes(W) rows in arrival order and queues
+    the pieces a round leaves behind the rows still waiting, so rows that
+    need more rounds share blocks with fresh ones."""
+    tags, rows = np.asarray(tags, np.int64), np.asarray(rows, np.int64)
+    rounds, codes = np.zeros(len(tags), np.int64), [np.empty(0, np.int64)]
+    block = max(1, errors.BLOCK_BYTES // split_bytes(rows.shape[1]))
+    while len(tags):
+        (hit, y), (left, pieces, after) = split_round(fld, rows[:block], rounds[:block])
+        codes.append(tags[hit] * fld.q + y)
+        tags, rows, rounds = (
+            np.concatenate((tags[block:], tags[left])),
+            np.concatenate((rows[block:], pieces)),
+            np.concatenate((rounds[block:], after)),
+        )
+    return np.concatenate(codes)
 
 
 def split_bytes(width: int) -> int:
@@ -178,30 +116,6 @@ def split_bytes(width: int) -> int:
     whose Zech additions hold the most temporaries), below 190 bytes for
     shorter rows, which are padded to 3 columns."""
     return 44 * max(width, 3) ** 2
-
-
-def cubic_bytes(width: int) -> int:
-    """Working memory of RootPool.add's closed-form pass (_solve_cubics)
-    per row of width W >= 4, in bytes: an upper bound of its peak under
-    tracemalloc (tests pin it), which holds the row's cubic test and, for a
-    cubic row, its coefficients, the Cardano temporaries and up to three
-    roots: on rows that are all cubic up to 203 bytes where q = 1 (mod 3)
-    (GF(7^2) and GF(7^3), whose Zech additions hold the most temporaries)
-    and up to 222 where q = 2 (mod 3) (GF(1367), GF(5^3) and GF(65537)),
-    where the products of three lines take the torus path."""
-    return 224 + width
-
-
-def _solve_cubics(fld: Field, rows) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The roots (rows, ys) of the cubic rows of an (R, W) stack, W >= 4,
-    in characteristic p > 3, and a mask of the other rows, left to split."""
-    keep = (rows[:, 3] == 0) | rows[:, 4:].any(axis=1)
-    cubic = np.flatnonzero(~keep)
-    logs = fld.v_log(rows[cubic, :4].T)
-    low = fld.v_exp(logs[:3] + (fld.q - 1 - logs[3]))  # made monic
-    del logs  # freed before _cardano, whose temporaries set the peak (cubic_bytes)
-    hit, y = _cardano(fld, low)
-    return (cubic[hit], y), keep
 
 
 def split_round(fld: Field, rows, rounds) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
@@ -222,8 +136,7 @@ def split_round(fld: Field, rows, rounds) -> tuple[tuple[np.ndarray, np.ndarray]
     within m rounds.  Both gcd, from a Euclid of 2d - 1 masked steps
     (_gcd_pieces), are squarefree products of lines that hold every root of
     P but -delta between them.  A piece of degree <= 2 is solved in closed
-    form at once; the others are left to split again with the next delta
-    (RootPool solves the cubic ones first when p > 3).
+    form at once; the others are left to split again with the next delta.
     """
     rows, rounds = np.asarray(rows, np.int64), np.asarray(rounds, np.int64)
     width = rows.shape[1]
@@ -423,151 +336,6 @@ def _closed_form(fld: Field, low, degree) -> tuple[np.ndarray, np.ndarray]:
         rows += [r, r[two]]
         ys += [fld.v_add(centre, root), fld.v_add(centre[two], fld.v_mul(root[two], minus))]
     return np.concatenate(rows), np.concatenate(ys)
-
-
-def _cardano(fld: Field, low) -> tuple[np.ndarray, np.ndarray]:
-    """The roots (rows, ys) of monic cubics y^3 + c2*y^2 + c1*y + c0 in
-    characteristic p > 3, given coefficient-major as a (3, R) array
-    (Cardano 1545).  y = z + t, t = -c2/3, gives z^3 + a*z + b; with
-    e = a/3 and h = b/2 the radicand is D = h^2 + e^3, and the roots z are
-    exactly the u - e/u, one for each cube root u of c = -h + sqrt(D) that
-    lies in GF(q) when D is a square and has norm -e when it is not.
-    D = 0 gives -h/e, twice, and 2h/e, or 0 alone when e = 0.  A nonzero
-    square D gives c = -h + sqrt(D), or -h - sqrt(D) = -2h when that is 0,
-    and its cube roots u in GF(q) are read off the logs: one when 3 does not
-    divide N = q - 1 (log u = log c / 3 mod N), else three or none (log c / 3
-    plus 0, N/3 and 2N/3, when 3 divides log c).  A non-square D has
-    sqrt(D) = r*s in GF(q^2) = GF(q)[s]/(s^2 - g), g the field's generator,
-    r = sqrt(D/g), and u - e/u = u + conj(u) = Tr(u) for u of norm -e:
-    u = m*beta*tau with m^2 = -e and beta = 1, or m^2 = -e/N(beta) when -e
-    is not a square (beta of _torus), and tau a cube root of
-    c/(m*beta)^3 = c*conj(m*beta)^3/(-e)^3 in the norm-1 torus, of order
-    q + 1: one (log / 3 mod q + 1) when q = 1 (mod 3), else three or none,
-    as above.  A torus element missing from _torus's table is an
-    InvariantViolation."""
-    n, minus = fld.q - 1, fld.neg(1)
-    third = fld.inv(fld.int_embed(3))
-    c0, c1, c2 = low
-    t = fld.v_mul(c2, fld.neg(third))
-    e = fld.v_mul(fld.v_add(c1, fld.v_mul(c2, t)), third)  # a = c1 - c2^2/3
-    # -h = t^3 - (c0 + c1*t)/2, as b = c0 + c1*t - 2t^3
-    minus_h = fld.v_mul(fld.v_add(c0, fld.v_mul(c1, t)), fld.neg(fld.inv(fld.int_embed(2))))
-    minus_h = fld.v_add(minus_h, fld.v_mul(fld.v_mul(t, t), t))
-    radicand = fld.v_add(fld.v_mul(minus_h, minus_h), fld.v_mul(fld.v_mul(e, e), e))
-    square, root = fld.v_sqrt(radicand)
-    r = np.flatnonzero(radicand == 0)
-    double = fld.v_mul(minus_h[r], fld.v_inv(e[r]))  # -h/e, and 0 when e = h = 0
-    two = e[r] != 0
-    rows, zs = [r, r[two]], [double, fld.v_mul(double[two], fld.neg(fld.int_embed(2)))]  # and 2h/e
-    r = np.flatnonzero(~square)
-    if len(r):
-        zs.append(_torus_roots(fld, r, minus_h[r], radicand[r], e[r], rows))
-    r = np.flatnonzero(square & (radicand != 0))
-    c = fld.v_add(minus_h[r], root[r])
-    log = fld.v_log(np.where(c == 0, fld.v_add(minus_h[r], minus_h[r]), c))
-    r, logs = _cube_roots(r, log, n)
-    # -e/u = g^(log(-e) + N - log u), 0 when e = 0 (its log is 2N)
-    zs.append(fld.v_add(fld.v_exp(logs), fld.v_exp(fld.v_log(fld.v_mul(e[r], minus)) + n - logs)).ravel())
-    rows.append(np.broadcast_to(r, logs.shape).ravel())
-    rows = np.concatenate(rows)
-    return rows, fld.v_add(np.concatenate(zs), t[rows])
-
-
-def _cube_roots(rows, log, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cube roots, as logs, of the elements with the given logs in a
-    cyclic group of the given order: rows whose element has a cube root,
-    and a (1, R') or (3, R') array of their roots' logs."""
-    if order % 3:
-        return rows, log[None] * pow(3, -1, order) % order
-    has = log % 3 == 0
-    return rows[has], log[has] // 3 + np.arange(0, order, order // 3)[:, None]
-
-
-def _torus_roots(fld: Field, rows, minus_h, radicand, e, found: list) -> np.ndarray:
-    """The roots z = Tr(m*beta*tau) of _cardano for its rows of non-square
-    D, given their -h, D and e; appends the rows of the roots to found."""
-    (powers, _), (bx, inv_norm, _) = _torus(fld)
-    log_me = fld.v_log(fld.v_mul(e, fld.neg(1)))  # e != 0, as D is not a square
-    flat = log_me % 2 == 0  # -e is a square: beta = 1
-    log_m = (log_me + np.where(flat, 0, fld.v_log(inv_norm))) // 2
-    j = _torus_log(fld, minus_h, radicand, log_me, log_m, flat)
-    which, logs = _cube_roots(np.arange(len(rows)), j, fld.q + 1)
-    x, y = powers[:, logs]
-    real = np.where(flat[which], x, fld.v_add(fld.v_mul(x, bx), fld.v_mul(y, fld.generator())))  # of beta*tau
-    found.append(np.broadcast_to(rows[which], logs.shape).ravel())
-    return fld.v_mul(fld.v_exp(log_m[which]), fld.v_mul(real, fld.int_embed(2))).ravel()
-
-
-def _torus_log(fld: Field, minus_h, radicand, log_me, log_m, flat) -> np.ndarray:
-    """The logs in _torus's table of c/(m*beta)^3 = c*conj(beta)^3*(m/(-e))^3
-    for _torus_roots' rows, c = -h + r*s, given -h, D, the logs of -e and m,
-    and whether beta = 1.  An element missing from the table, or found at a
-    y that is not +-y, is an InvariantViolation.  A function of its own so
-    that its temporaries are freed before the roots are formed, which keeps
-    the closed-form pass within cubic_bytes."""
-    (powers, index), (_, _, cube) = _torus(fld)
-    n, order, minus = fld.q - 1, fld.q + 1, fld.neg(1)
-    scale = fld.v_exp(3 * (log_m + n - log_me) % n)  # (m/(-e))^3
-    r = fld.v_exp((fld.v_log(radicand) - 1) // 2)  # sqrt(D/g), the log of g being 1
-    tx, ty = _times(fld, (minus_h, r), (np.where(flat, 1, cube[0]), np.where(flat, 0, cube[1])))
-    tx, ty = fld.v_mul(tx, scale), fld.v_mul(ty, scale)
-    j = index[tx]
-    y = powers[1, j]
-    if not ((j >= 0) & ((y == ty) | (fld.v_mul(y, minus) == ty))).all():
-        raise errors.InvariantViolation(f"an element of norm 1 over {fld.name()} is missing from its torus table")
-    return np.where(y == ty, j, (order - j) % order)
-
-
-def _times(fld: Field, a, b) -> tuple:
-    """The product, as (x, y), of x + y*s and x' + y'*s in GF(q)[s]/(s^2 - g),
-    g the field's generator, for a = (x, y) and b = (x', y')."""
-    (ax, ay), (bx, by) = a, b
-    return (
-        fld.v_add(fld.v_mul(ax, bx), fld.v_mul(fld.v_mul(ay, by), fld.generator())),
-        fld.v_add(fld.v_mul(ax, by), fld.v_mul(ay, bx)),
-    )
-
-
-@lru_cache(maxsize=None)
-def _torus(fld: Field) -> tuple[tuple[np.ndarray, np.ndarray], tuple[int, int, tuple[int, int]]]:
-    """The norm-1 torus T of GF(q^2) = GF(q)[s]/(s^2 - g), g the field's
-    generator (a non-square), for odd q, and beta = x + s, x the least with
-    a non-square norm x^2 - g.  T is cyclic of order q + 1; its table is
-    the powers tau^j, j <= q, of a generator tau = w/conj(w), w = x + s for
-    the least such x, as a (2, q + 1) array of (x, y), and for each x of
-    GF(q) one j with tau^j = (x, +-y), -1 when there is none: 12 bytes per
-    element, int32, built once per field on first use by doubling, in
-    blocks of errors.BLOCK_BYTES.  Returns the table and beta's x, 1/N(beta)
-    and conj(beta)^3 = (x^3 + 3gx, -3x^2 - g)."""
-    nu = fld.generator()
-
-    def power(a, k):
-        out = (1, 0)
-        for bit in bin(k)[2:]:
-            out = _times(fld, out, out)
-            out = _times(fld, out, a) if bit == "1" else out
-        return out
-
-    order, tau = fld.q + 1, (1, 0)
-    for x in range(1, fld.q):  # x = 0 gives -1
-        norm = fld.sub(fld.mul(x, x), nu)
-        tau = tuple(fld.mul(v, fld.inv(norm)) for v in _times(fld, (x, 1), (x, 1)))
-        if all(power(tau, order // f) != (1, 0) for f in factorize(order)):
-            break
-    powers, index = np.empty((2, order), np.int32), np.full(fld.q, -1, np.int32)
-    powers[:, 0], index[1] = (1, 0), 0
-    step, done, block = tau, 1, max(1, errors.BLOCK_BYTES // 64)  # _times' int64 temporaries
-    while done < order:
-        count = min(done, order - done)
-        for lo in range(done, done + count, block):
-            hi = min(lo + block, done + count)
-            powers[:, lo:hi] = _times(fld, powers[:, lo - done : hi - done], step)
-            index[powers[0, lo:hi]] = np.arange(lo, hi)
-        step, done = _times(fld, step, step), done + count
-    x = next(x for x in range(fld.q) if not fld.v_sqrt(fld.sub(fld.mul(x, x), nu))[0])
-    square, three = fld.mul(x, x), fld.int_embed(3)
-    cube = (fld.mul(x, fld.add(square, fld.mul(three, nu))), fld.neg(fld.add(fld.mul(three, square), nu)))
-    return (powers, index), (x, fld.inv(fld.sub(square, nu)), cube)
 
 
 # -- linear algebra ------------------------------------------------------

@@ -1,9 +1,9 @@
 """Shared oracles: the canonical form of an evaluation vector and every
 canonical ordering of a field, the bad family grouped by class, built
 member by member, the scalar single-pair LCS and the textbook dynamic
-program, interpolation through one Vandermonde solve, Cardano's terms
-of a cubic, Euler's criterion and the root finder's closed-form test,
-and the message family before its scaled copies were dropped."""
+program, interpolation through one Vandermonde solve, the root
+finder's closed-form test, and the message family before its scaled
+copies were dropped."""
 
 import functools
 import itertools
@@ -79,29 +79,10 @@ def normalized_with_scaled_copies(fld, k):
             yield poly.trim((0, *mids, lead))
 
 
-def cardano_terms(fld, coeffs) -> tuple[int, int, int]:
-    """(a, b, D) of a cubic c0 + c1*y + c2*y^2 + c3*y^3 (c3 != 0) in
-    characteristic p > 3, by scalar field operations: its monic form,
-    shifted by y = z - c2/3, is z^3 + a*z + b, and D = b^2/4 + a^3/27."""
-    inv = fld.inv(coeffs[3])
-    c0, c1, c2 = (fld.mul(c, inv) for c in coeffs[:3])
-    s = fld.div(c2, fld.int_embed(3))
-    a = fld.sub(c1, fld.mul(c2, s))
-    b = fld.add(fld.sub(c0, fld.mul(c1, s)), fld.mul(fld.int_embed(2), fld.pow(s, 3)))
-    d = fld.add(fld.div(fld.mul(b, b), fld.int_embed(4)), fld.div(fld.pow(a, 3), fld.int_embed(27)))
-    return a, b, d
-
-
-def is_square(fld, x) -> bool:
-    """Whether x is a nonzero square of odd-order GF(q) (Euler's criterion)."""
-    return x != 0 and fld.pow(x, (fld.q - 1) // 2) == 1
-
-
 def has_closed_form(fld, coeffs) -> bool:
     """Whether the root finder solves a row, given by its trimmed
-    coefficients, without splitting it: every row of degree <= 2, and
-    every cubic when p > 3."""
-    return len(coeffs) <= 3 or (len(coeffs) == 4 and fld.p > 3)
+    coefficients, without splitting it: every row of degree <= 2."""
+    return len(coeffs) <= 3
 
 
 def canonical_form(a: EvaluationVector) -> EvaluationVector:

@@ -39,7 +39,7 @@ def replay_golden(capsys, name):
 
 def test_analyze_brute(capsys):
     doc = run_json(capsys, "analyze", "--field", "7", "--k", "2", "--alpha", "0,1,2,5")
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["result"]["lcs_of_code"] == 2
     assert doc["result"]["optimal"] is True
     assert doc["result"]["max_correctable"] == 1
@@ -238,7 +238,7 @@ def test_construct_stage_guard_exit_3(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
     assert error["message"] == (
-        "element operations of stages 3..7 at q=65537: estimated work 6701879157 exceeds the limit of 2000000000"
+        "units of the row sweep of stages 3..7 at q=65537: estimated work 7618642770 exceeds the limit of 2000000000"
     )
 
 

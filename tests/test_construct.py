@@ -3,12 +3,10 @@
 import functools
 import itertools
 import json
-import math
 import random
 
 import numpy as np
 import pytest
-from conftest import has_closed_form
 
 from rsinsdel import analyze, cli, construct, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
@@ -100,15 +98,108 @@ def neg_inverses(fld):
     return fld.v_mul(fld.v_inv(np.arange(fld.q)), fld.neg(1))
 
 
+# -- the full sweep: every row of the bad set, kept as the row sweep's oracle
+
+
+def lead_roots(fld, num, den, neg_inv, allowed):
+    """Leads solving num + lead*den = 0 pointwise: the one lead -num/den and
+    whether it is allowed, where den != 0; and where num = den = 0, whether
+    every lead solves it."""
+    lead = fld.v_mul(num, neg_inv[den])
+    return (den != 0) & allowed[lead], lead, (den == 0) & (num == 0)
+
+
+def full_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross):
+    """Bad pairs contributed by one unordered index-sequence pair {I, J},
+    given the stage solutions (u0, u1) of (I, J), over every value of the
+    free leading coefficient in GF(q) and infinity and every first point x
+    of GF(q), as unique codes x*q + y, but for the cross second points,
+    whose rows are appended to `cross` as (x, rows); neg_inv[v] = -1/v (and
+    0 at 0).  The equations are construct._stage_row's, solved for every x
+    at once: the agreement y are bucketed by lead, an x that hits at every
+    lead pairs with every y whose own equation some allowed lead solves."""
+    q = fld.q
+    mid = i - 2
+    u = tuple(fld.sub(c0, c1) for c0, c1 in zip(u0, u1))  # lead 1
+    allowed = np.ones(q, dtype=bool)
+    allowed[0] = any(u0[1 : mid + 1])  # the g-side at lead 0 is nonconstant
+    agree_allowed = allowed.copy()
+    agree_allowed[1] = poly.trim((0,) + u[mid + 1 :] + (1,)) != poly.trim(u[: mid + 1] + (1,))
+    a, c = list(u0[: mid + 1]), list(u0[mid + 1 :])
+    b, d = [fld.neg(v) for v in u1[: mid + 1]], [fld.neg(v) for v in u1[mid + 1 :]]
+    polys = [a + [0], b + [1], [0] + c + [1], [0] + d + [0]]  # A, B, C, D
+    vals = poly.eval_all(fld, polys)
+    neg = fld.v_mul(vals, fld.neg(1))
+    last = points[-1]
+    # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x)
+    other = neg[[2, 0, 0, 3, 1, 1]]
+    other[[0, 1, 3, 4]] = other[[0, 1, 3, 4], last, None]
+    num, den = fld.v_add(vals[[0, 2, 2, 1, 3, 3]], other).reshape(2, 3, q)
+    one, lead, every = lead_roots(fld, num, den, neg_inv, allowed)
+    one[2] &= agree_allowed[lead[2]]
+    xs = [np.flatnonzero(row) for row in one]
+    ls = [lead[s, x] for s, x in enumerate(xs)]
+    es = [np.flatnonzero(row) for row in every]
+    # agreement second points: the hit's own lead bucket, plus the y that
+    # agree at every lead when the hit's lead allows agreement
+    agree_ys = xs[2][np.argsort(ls[2], kind="stable")]
+    bucket = np.bincount(ls[2], minlength=q)
+    hit_x, hit_l = np.concatenate(xs), np.concatenate(ls)
+    counts = bucket[hit_l]
+    lo = (np.cumsum(bucket) - bucket)[hit_l]
+    offsets = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    codes = [np.repeat(hit_x, counts) * q + agree_ys[offsets]]
+    every_x = np.concatenate(es)
+    codes.append((every_x[:, None] * q + agree_ys).ravel())
+    joined = np.concatenate((hit_x[agree_allowed[hit_l]], every_x))
+    codes.append((joined[:, None] * q + es[2]).ravel())
+    # g(y) = f(x) for x in the first set (g = vals[0] + lead*vals[1]), and
+    # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
+    for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
+        target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
+        cross.append((x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target)))
+    if any(u1[mid + 1 :]):  # lead infinity, where the f-side D is nonconstant
+        inf = [np.flatnonzero(row == 0) for row in den]
+        for x, side in zip(inf, (1, 3)):
+            zero = np.zeros(len(x), np.int64)
+            cross.append((x, poly.pencil_rows(fld, polys[side], polys[side], zero, vals[4 - side, x])))
+        codes.append((np.concatenate(inf)[:, None] * q + inf[2]).ravel())
+    # the same equations for x that hit at every lead: y is bad when some
+    # allowed lead solves its equation
+    side = np.repeat([0, 2], [len(es[0]), len(es[1])])
+    e = np.concatenate(es[:2])
+    num, den = fld.v_add(vals[[side, side + 1]], neg[[2 - side, 3 - side], e][..., None])
+    one_e, _, every_e = lead_roots(fld, num, den, neg_inv, allowed)
+    hit, y = divmod(np.flatnonzero(one_e | every_e), q)
+    codes.append(e[hit] * q + y)
+    return np.unique(np.concatenate(codes))
+
+
+class SplitPool:
+    """Tagged rows waiting for their roots, found by poly.tagged_roots."""
+
+    def __init__(self, fld):
+        self.fld, self.parts = fld, []
+
+    def add(self, tags, rows):
+        self.parts.append((tags, rows))
+
+    def split(self):
+        parts, self.parts = self.parts, []
+        if not parts:
+            return np.empty(0, np.int64)
+        return poly.tagged_roots(self.fld, *(np.concatenate(a) for a in zip(*parts)))
+
+
 def pair_bad_set(fld, points, i, u0, u1, neg_inv, pool=None):
-    """One pair's whole bad set as sorted unique codes: the codes the sweep
-    finds itself and the roots of its cross rows, both sides queued on a
-    pool of its own (a poly.RootPool unless another is given), drained."""
-    pool, cross = poly.RootPool(fld) if pool is None else pool, []
-    codes = construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
+    """One pair's whole bad set as sorted unique codes: the codes the full
+    sweep finds itself and the roots of its cross rows, both sides queued
+    on a pool of its own (a SplitPool unless another is given)."""
+    pool, cross = SplitPool(fld) if pool is None else pool, []
+    codes = full_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
     for x, rows in cross:
         pool.add(x, rows)
-    return construct._sorted_unique(np.concatenate((codes, pool.split(drain=True))))
+    return np.unique(np.concatenate((codes, pool.split())))
 
 
 def swept_bad_set(fld, points, i, i_seq, j_seq):
@@ -133,6 +224,33 @@ def system_rank(fld, points, i, i_seq, j_seq):
 def stage_pairs(n, i):
     """The index pairs stage i sweeps over n points."""
     return list(insdel.index_pairs(n, n - 1, i - 2))
+
+
+def forward_pairs(n, i):
+    """The pairs (I, J), I < J, that extend solves."""
+    return [(i_seq, j_seq) for i_seq, j_seq in stage_pairs(n, i) if i_seq < j_seq]
+
+
+def full_rows(fld, points, i, solutions):
+    """The full sweep's bad set over the given pair solutions, as sorted
+    codes x*q + y."""
+    neg_inv = neg_inverses(fld)
+    return np.unique(np.concatenate([pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]))
+
+
+def assert_rows_match(fld, points, i, solutions, bad, rows=None):
+    """construct._stage_row over the pencils of the given solutions equals
+    the row of `bad`, sorted codes, at every fresh x (or the first `rows`
+    of them).  Returns the number of rows where some condition holds at
+    every lead."""
+    polys = construct._pencils(fld, i, solutions)
+    q, every_lead = fld.q, 0
+    for x in [x for x in range(q) if x not in points][:rows]:
+        got, every = construct._stage_row(fld, polys, points[-1], x)
+        lo, hi = np.searchsorted(bad, (x * q, (x + 1) * q))
+        assert np.array_equal(got, bad[lo:hi] - x * q), (fld, points, i, x)
+        every_lead += every
+    return every_lead
 
 
 def omitted(n, seq):
@@ -221,7 +339,8 @@ def test_constant_g_side_skips_lead_zero(monkeypatch):
     # at the lead infinity (the reverse's g-side at its lead 0): force both
     # by zeroing the nonconstant g coefficients of u0 and the f-part of u1;
     # neither lead then adds a code, and lead infinity no cross row, so the
-    # pass is (I, J)'s reference, which solves through the same function
+    # pass is (I, J)'s reference, which solves through the same function,
+    # and every row of the row sweep is the full sweep's
     solve = construct._stage_solutions
 
     def constant_sides(fld, points, i, pairs):
@@ -237,56 +356,53 @@ def test_constant_g_side_skips_lead_zero(monkeypatch):
             u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
             assert poly.degree(poly.trim(u0[: i - 1])) < 1 and not any(u1[i - 1 :])
             cross = []
-            construct._stage_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
+            full_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
             assert len(cross) == 2  # the two sides over the leads of GF(q)
             assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
+        # the row sweep skips the same leads
+        solutions = construct._stage_solutions(fld, points, i, forward_pairs(len(points), i))
+        assert_rows_match(fld, points, i, solutions, full_rows(fld, points, i, solutions))
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
     # stages 3 to 5 over GF(1367) and 3 and 4 over GF(3^4): budgets of a few
     # rows and (over GF(3^4)) of less than one row, one row per block, give
-    # the default's codes on the first swept pair, from more blocks of the
-    # root pool for each smaller budget, none above its budget; the cubic
-    # rows of stage 4 over GF(1367) are all solved by the closed-form pass,
-    # whose chunks obey the same rule with cubic_bytes
-    split_round, solve_cubics, blocks, chunks = poly.split_round, poly._solve_cubics, [], []
+    # the default's codes on the first swept pair of the full sweep and on
+    # the first three rows of the row sweep, from more blocks of the root
+    # finder for each smaller budget, none above its budget
+    split_round, blocks = poly.split_round, []
 
     def counted(fld, rows, rounds):
         blocks.append(len(rows))
         return split_round(fld, rows, rounds)
 
-    def chunked(fld, rows):
-        chunks.append(len(rows))
-        return solve_cubics(fld, rows)
-
     monkeypatch.setattr(poly, "split_round", counted)
-    monkeypatch.setattr(poly, "_solve_cubics", chunked)
     for fld, stages in ((field_new(1367), (3, 4, 5)), (field_new(3, 4), (3, 4))):
         points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
         for i in stages:
-            solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))[:1]
-            cubic = i == 4 and fld.p > 3
-            per_row = poly.cubic_bytes(i) if cubic else poly.split_bytes(i)
+            solutions = construct._stage_solutions(fld, points, i, forward_pairs(len(points), i))
+            polys = construct._pencils(fld, i, solutions)
+            fresh = [x for x in range(fld.q) if x not in points][:3]
+            per_row = poly.split_bytes(i)
             counts, full = [], None
             for budget in (errors.BLOCK_BYTES, 3 * per_row) + ((1,) if fld.q < 1367 else ()):
                 with monkeypatch.context() as m:
                     m.setattr(errors, "BLOCK_BYTES", budget)
                     blocks.clear()
-                    chunks.clear()
-                    got = [pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]
+                    got = [pair_bad_set(fld, points, i, *solutions[0], neg_inv)]
+                    got += [construct._stage_row(fld, polys, points[-1], x)[0] for x in fresh]
                 full = got if full is None else full
                 assert all(np.array_equal(a, b) for a, b in zip(got, full))
-                seen = chunks if cubic else blocks
-                assert max(seen) <= max(1, budget // per_row)
-                counts.append(len(seen))
+                assert max(blocks) <= max(1, budget // per_row)
+                counts.append(len(blocks))
             assert counts == sorted(set(counts)), counts  # more blocks for each smaller budget
             if i < stages[-1]:
                 points, _ = construct.extend(fld, points, i)
 
 
 def reference_stage(fld, points, i):
-    """Stage i with every ordered pair swept over every lead, its rows
-    queued and its pool drained.  Returns the bad set as sorted codes and
+    """Stage i with every ordered pair swept over every lead and every row
+    of GF(q).  Returns the bad set as sorted codes and
     the least fresh distinct pair outside it (None when there is none)."""
     neg_inv = neg_inverses(fld)
     solutions = construct._stage_solutions(fld, points, i, stage_pairs(len(points), i))
@@ -302,26 +418,81 @@ def reference_stage(fld, points, i):
     [(F251, 5), (field_new(3, 4), 4), (field_new(5, 3), 4), (field_new(2, 8), 4), (field_new(13), 4), (F7, 3)],
     ids=str,
 )
-def test_dropped_cross_rows_change_no_stage(fld, k, monkeypatch):
+def test_dropped_cross_rows_change_no_stage(fld, k):
     # extend sweeps each unordered pair once, leaving out the reverse's
-    # cross rows at every lead but 0; per stage its bad set (the last
-    # merge) and chosen pair equal those of the sweep of every directed pair
-    # over every lead (over GF(7) the bad set exhausts GF(7)^2 at stage 3
-    # in both)
-    merged, sorted_unique = [], construct._sorted_unique
-    monkeypatch.setattr(construct, "_sorted_unique", lambda *args: merged.append(sorted_unique(*args)) or merged[-1])
+    # cross rows at every lead but 0, and builds only the rows up to its x;
+    # per stage its chosen pair is the least fresh pair outside the bad set
+    # of every directed pair over every lead, and its count is that set's
+    # bad pairs in the fresh rows up to the chosen x (over GF(7) the bad set
+    # exhausts GF(7)^2 at stage 3 in both)
     points = construct.base_case(fld).points
     for i in range(3, k + 1):
         bad, pair = reference_stage(fld, points, i)
         if pair is None:
             with pytest.raises(construct.NoGoodPairError):
                 construct.extend(fld, points, i)
-            assert np.array_equal(merged[-1], bad) and len(bad) == fld.q**2
+            assert len(bad) == fld.q**2
             return
+        scanned = [x for x in range(pair[0] + 1) if x not in points]
         points, count = construct.extend(fld, points, i)
-        assert np.array_equal(merged[-1], bad) and count == len(bad), (fld, i)
         assert points[-2:] == pair, (fld, i)
+        assert count == np.isin(bad // fld.q, scanned).sum(), (fld, i)
     assert fld.q > 7
+
+
+def test_row_sweep_matches_the_full_sweep_on_random_inputs():
+    # seeded stage-3 and stage-4 inputs over fields with q <= 101 whose
+    # swept systems are all nonsingular: at every fresh x the row equals the
+    # full sweep's, of every ordered pair over every lead; some rows have a
+    # condition that holds at every lead
+    rng = random.Random(41)
+    fields = [field_new(p, m) for p, m in ((11, 1), (13, 1), (2, 4), (17, 1), (3, 3), (31, 1), (7, 2), (2, 6), (67, 1), (101, 1))]
+    stages, every_lead = 0, 0
+    while stages < 28:
+        fld, i = rng.choice(fields), rng.choice((3, 4))
+        points = tuple(rng.sample(range(fld.q), 2 * i - 2))
+        pairs = stage_pairs(2 * i - 2, i)
+        try:
+            solutions = construct._stage_solutions(fld, points, i, pairs)
+        except construct.SingularSystemError:
+            continue
+        forward = [s for (i_seq, j_seq), s in zip(pairs, solutions) if i_seq < j_seq]
+        every_lead += assert_rows_match(fld, points, i, forward, full_rows(fld, points, i, solutions))
+        stages += 1
+    assert every_lead > 0
+
+
+@pytest.mark.parametrize(
+    "fld, k",
+    [(field_new(*f), k) for f, k in (((13,), 6), ((23,), 6), ((29,), 6), ((3, 4), 6), ((5, 3), 6), ((251,), 6), ((2, 8), 6), ((1367,), 6), ((4507,), 5))],
+    ids=str,
+)
+def test_row_sweep_matches_the_full_sweep_on_construction_chains(fld, k):
+    # the first three rows of every stage of the construction chain, up to
+    # k or the stage whose every fresh row is full (stage 5 over GF(13))
+    points = construct.base_case(fld).points
+    for i in range(3, k + 1):
+        solutions = construct._stage_solutions(fld, points, i, forward_pairs(len(points), i))
+        assert_rows_match(fld, points, i, solutions, full_rows(fld, points, i, solutions), rows=3)
+        try:
+            points, _ = construct.extend(fld, points, i)
+        except construct.NoGoodPairError:
+            assert (fld.q, i) == (13, 5)
+            return
+
+
+def test_extend_chains_to_k12_at_the_guaranteed_field_size():
+    # stages 3 to 12 over GF(279557), min_field_size(12) = 279555 rounded up
+    # to a prime: the vector is optimal, and its prefix is the integer one
+    # that every large field builds
+    fld = field_new(279557)
+    assert construct.min_field_size(12) <= fld.q
+    points = construct.base_case(fld).points
+    for i in range(3, 13):
+        points, count = construct.extend(fld, points, i)
+        assert count > 0
+    assert points == (0, 1, 2, 5, 3, 4, 6, 10, 7, 8, 9, 12, 11, 13, 14, 16, 15, 17, 18, 20, 19, 21, 22, 24)
+    assert analyze.is_optimal_half_rate(EvaluationVector(fld, points), 12).optimal
 
 
 @pytest.mark.parametrize("fld, points", SWEEP_INPUTS, ids=str)
@@ -373,18 +544,18 @@ def test_extend_sweeps_each_unordered_pair_once(monkeypatch):
     # stage i solves and sweeps each unordered pair once, as (I, J) with
     # I < J, not each ordered pair
     calls, solved = {}, {}
-    sweep, solve = construct._stage_pair_bad_set, construct._stage_solutions
+    pencils, solve = construct._pencils, construct._stage_solutions
 
-    def counted(fld_, points, i, *rest):
-        calls[i] = calls.get(i, 0) + 1
-        return sweep(fld_, points, i, *rest)
+    def counted(fld_, i, solutions):
+        calls[i] = calls.get(i, 0) + len(solutions)
+        return pencils(fld_, i, solutions)
 
     def solve_counted(fld_, points, i, pairs):
         assert all(i_seq < j_seq for i_seq, j_seq in pairs)
         solved[i] = solved.get(i, 0) + len(pairs)
         return solve(fld_, points, i, pairs)
 
-    monkeypatch.setattr(construct, "_stage_pair_bad_set", counted)
+    monkeypatch.setattr(construct, "_pencils", counted)
     monkeypatch.setattr(construct, "_stage_solutions", solve_counted)
     construct.construct_half_rate(F251, 5, verify_mode="none", allow_small_q=True)
     for i in (3, 4, 5):
@@ -405,10 +576,10 @@ def product_row(fld, roots, cofactor):
 @pytest.mark.parametrize("p, m", [(1367, 1), (2, 8), (3, 4), (65537, 1)])
 def test_root_pool_is_independent_of_block_size(p, m, monkeypatch):
     # rows of degree 3 to 5 with known roots (a double one, five that the
-    # first round leaves together), a zero row and a constant, added in
-    # ragged batches with a split after each: every budget, from one row per
-    # block to blocks with a ragged end, gives the roots of a full scan, from
-    # blocks none above its budget; an empty pool gives none
+    # first round leaves together), a zero row and a constant, tagged: every
+    # budget, from one row per block to blocks with a ragged end, gives the
+    # roots of a full scan, from blocks none above its budget; no rows give
+    # none
     fld, width = field_new(p, m), 6
     rng = random.Random(fld.q)
     r = lambda: rng.randrange(fld.q)
@@ -434,18 +605,16 @@ def test_root_pool_is_independent_of_block_size(p, m, monkeypatch):
         return split_round(fld_, rows_, rounds)
 
     monkeypatch.setattr(poly, "split_round", counted)
-    for budget in (errors.BLOCK_BYTES, 1, 2 * poly.split_bytes(width), 7 * poly.split_bytes(width)):
+    default = errors.BLOCK_BYTES
+    for budget in (default, 1, 2 * poly.split_bytes(width), 7 * poly.split_bytes(width)):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
-        pool, codes, blocks[:] = poly.RootPool(fld), [], []
-        for start in range(0, len(rows), 13):
-            pool.add(xs[start : start + 13], rows[start : start + 13])
-            codes.append(pool.split())
-        codes.append(pool.split(drain=True))
-        assert np.array_equal(np.sort(np.concatenate(codes)), expected), budget
-        assert pool.size == 0 and max(blocks) <= max(1, budget // poly.split_bytes(width))
-        assert budget == errors.BLOCK_BYTES or len(blocks) > len(rows) // 7
+        blocks[:] = []
+        codes = poly.tagged_roots(fld, xs, rows)
+        assert np.array_equal(np.sort(codes), expected), budget
+        assert max(blocks) <= max(1, budget // poly.split_bytes(width))
+        assert budget == default or len(blocks) > len(rows) // 7
     assert max(rounds_seen) >= 1  # the five together need a second round
-    assert poly.RootPool(fld).split(drain=True).shape == (0,)
+    assert poly.tagged_roots(fld, [], np.zeros((0, width), np.int64)).shape == (0,)
 
 
 def reduced_matcher(fld, calls):
@@ -482,7 +651,7 @@ class ScanPool:
         hit, y = self.matcher(vb, va)(lead, target)
         self.codes.append(xs[hit] * self.fld.q + y)
 
-    def split(self, drain=False):
+    def split(self):
         codes, self.codes = np.concatenate(self.codes), [np.empty(0, np.int64)]
         return codes
 
@@ -515,8 +684,8 @@ def test_division_free_rows_match_reduced_rows(fld, stages, monkeypatch):
 def test_closed_form_rows_match_the_row_scan(fld, monkeypatch):
     # every swept pair of stages 3 and 4 (and 5 over GF(1367)) against the
     # sweep that tests every cross row at every y; the splitter sees no
-    # stage-3 row (all are of degree <= 2), no stage-4 row when p > 3 (all
-    # are cubic), and from then on the rows of degree 3 or more
+    # stage-3 row (all are of degree <= 2), and from then on the rows of
+    # degree 3 or more
     points, neg_inv = construct.base_case(fld).points, neg_inverses(fld)
     stages = (3, 4, 5) if fld.q == 1367 else (3, 4)
     split = poly._split
@@ -532,7 +701,7 @@ def test_closed_form_rows_match_the_row_scan(fld, monkeypatch):
             scanned = [pair_bad_set(fld, points, i, *uu, neg_inv, ScanPool(fld, reduced_matcher(fld, []))) for uu in solutions]
         for ij, new, old in zip(pairs, swept, scanned):
             assert np.array_equal(new, old), ij
-        assert (sum(split_rows) == 0) == (i == 3 or (i == 4 and fld.p > 3)), sum(split_rows)
+        assert (sum(split_rows) == 0) == (i == 3), sum(split_rows)
         if i < stages[-1]:
             points, _ = construct.extend(fld, points, i)
 
@@ -603,11 +772,13 @@ def test_singular_swept_pair_raises():
 
 def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
     q = F251.q
-    monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: np.array([3 * q + 4]))
+    empty = np.empty(0, np.int64)
+    monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (np.array([4]) if x == 3 else empty, False))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 3, 6), 1)
-    # row 3 is free only at y = 3, which repeats x
-    row3 = np.array([3 * q + y for y in range(q) if y != 3])
-    monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: row3)
+    # row 3 is free only at y = 3, which repeats x; every lead there lifts
+    # the row's ceiling
+    row3 = np.array([y for y in range(q) if y != 3])
+    monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (row3, True) if x == 3 else (empty, False))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 4, 3), q - 1)
 
 
@@ -615,8 +786,7 @@ def test_extend_produces_verified_stage():
     points, bad_count = construct.extend(F251, (0, 1, 2, 5), 3)
     assert len(points) == 6 and len(set(points)) == 6
     assert analyze.is_optimal_half_rate(EvaluationVector(F251, points), 3).optimal
-    ceiling = math.comb(4, 2) * 5 * 4 * 251
-    assert 0 < bad_count <= ceiling
+    assert 0 < bad_count <= 5 * construct.swept_pair_count(3) * 2  # one row, below its ceiling
 
 
 def test_extend_thread_invariance():
@@ -641,7 +811,8 @@ def test_construct_k3_exact_and_deterministic():
 
 def test_construct_restricted_sweep_also_verifies():
     # stage 4 over GF(251) sweeps only the pairs at distance >= 2; every
-    # other ordered pair is singular and adds nothing to the bad set
+    # other ordered pair is singular and adds nothing to the bad set, so
+    # the rows scanned, up to the chosen x, hold as many bad pairs
     t = construct.construct_half_rate(F251, 4, verify_mode="certificate", allow_small_q=True)
     assert all(s.verification == "rank_certified" for s in t.stages)
     points = t.alpha.points[:6]
@@ -649,7 +820,9 @@ def test_construct_restricted_sweep_also_verifies():
     for i_seq, j_seq in insdel.index_pairs(6, 5, 1):
         if system_rank(F251, points, 4, i_seq, j_seq) == 5:
             full |= swept_bad_set(F251, points, 4, i_seq, j_seq)
-    assert len(full) == t.stages[2].bad_pair_count
+    chosen = t.stages[2].chosen_pair[0]
+    scanned = [x for x in range(chosen + 1) if x not in points]
+    assert sum(x in scanned for x, _ in full) == t.stages[2].row_bad_pair_count > 0
 
 
 def test_construct_certificate_mode():
@@ -677,16 +850,18 @@ def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
         assert construct.stage_work(q, k) <= errors.MAX_STAGE_OPS
     assert construct.stage_work(construct.min_field_size(7), 7) > errors.MAX_STAGE_OPS
-    # 6 and 10 unordered pairs at 1367 * (8 * 11 + 2i + 3): for q prime to
-    # 6 the cubic rows of stage 4 take one unit, and over GF(3^4) 3 * 9 * 7
-    assert construct.stage_work(1367, 4) == 6 * 1367 * 97 + 10 * 1367 * 99 == 2148924
-    assert construct.stage_work(81, 4) == 6 * 81 * (8 * 7 + 6 + 3) + 10 * 81 * (8 * 7 + 8 + 3 * 9 * 7) == 236520
+    # over GF(1367) no row is full without a condition that holds at every
+    # lead (1362 > 5Pd), so 1 + 3Pd rows: at stage 3, 6 pairs, 37 rows of
+    # 10^5 + 6 * (26 * 3 + 32) units and 36 evaluations of 1367 * 60; at
+    # stage 4, 10 pairs, 91 rows of 10^5 + 10 * (26 * 4 + 32 * 3^2 * 11)
+    # and 90 evaluations of 1367 * 72
+    assert construct.stage_work(1367, 4) == 37 * 100660 + 36 * 1367 * 60 + 91 * 132720 + 90 * 1367 * 72 == 27612820
+    # over GF(7) every fresh row can be full: 3 rows, 18 evaluations
+    assert construct.stage_work(7, 3) == 3 * (10**5 + 6 * 110) + 18 * 7 * 60
     assert construct.stage_work(7, 2) == 0
-    # k = 6 is admitted up to q = 45511 for q prime to 6 and up to q = 41466
-    # for the others, and k = 3 up to q = 1883239
-    assert construct.stage_work(45511, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(45515, 6)
-    assert construct.stage_work(41466, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(41468, 6)
-    assert construct.stage_work(1883239, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(1883240, 3)
+    # k = 6 is admitted up to q = 33789, and k = 3 up to q = 924201
+    assert construct.stage_work(33789, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(33790, 6)
+    assert construct.stage_work(924201, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(924202, 3)
 
 
 def test_swept_pair_count_counts_the_swept_pairs():
@@ -696,64 +871,84 @@ def test_swept_pair_count_counts_the_swept_pairs():
 
 
 def test_stage_work_charges_half_the_ordered_pairs():
-    # the estimate per stage is half the ordered pairs times the per-pair
-    # units at every (q, k), so no guard boundary moves
+    # the estimate per stage charges P, half the ordered pairs, at every
+    # (q, k), in each of its three parts
     for q in (7, 8, 81, 251, 256, 1367, 1381, 4507, 11273, 23789, 65537):
-        bits, closed = max(1, (q - 1).bit_length()), 4 if math.gcd(q, 6) == 1 else 3
+        bits = max(1, (q - 1).bit_length())
         for k in range(3, 9):
-            units = [8 * bits + 2 * i + 3 * ((i - 1) ** 2 * bits if i > closed else 1) for i in range(3, k + 1)]
-            ordered = [len(stage_pairs(2 * i - 2, i)) for i in range(3, k + 1)]
-            assert construct.stage_work(q, k) == sum(n // 2 * q * u for n, u in zip(ordered, units)), (q, k)
+            total = 0
+            for i in range(3, k + 1):
+                pairs, d = len(stage_pairs(2 * i - 2, i)) // 2, i - 1
+                rows = q - 2 * i + 2 if q - 2 * i + 1 <= 5 * pairs * d else min(q - 2 * i + 2, 1 + 3 * pairs * d)
+                per_pair = 26 * i + 32 * (d * d * bits if d >= 3 else 1)
+                total += rows * (10**5 + pairs * per_pair) + min(3 * pairs * d, pairs * rows) * q * (12 * i + 24)
+            assert construct.stage_work(q, k) == total, (q, k)
 
 
 def test_stage_work_bounds_the_counted_work(monkeypatch):
-    # the units the sweep spends, counted as stage_work charges them: 8b per
-    # first point of each pass over the leads of GF(q), 2i per first point
-    # at its lead infinity; per row reaching the root pool d^2 b for
-    # degree d >= 3, but 1 for a row of degree <= 2 or a cubic with a
-    # closed form (has_closed_form: every cubic when p > 3); and d^2 b per
-    # piece of a later round; the estimate is at least that and within
-    # twice it
-    for q, k in ((251, 4), (251, 5), (field_new(3, 4).q, 4), (1367, 4), (1381, 4)):
-        fld = field_new(*{81: (3, 4)}.get(q, (q,)))
-        bits, counted = max(1, (q - 1).bit_length()), {}
-        pair_bad_set_, add_, split_round = construct._stage_pair_bad_set, poly.RootPool.add, poly.split_round
+    # real stages, counted as stage_work charges them: 10^5 + 26i units per
+    # pair per row, 4d^2 units per bit of q for every row the root finder
+    # splits, fresh or a later piece, of degree d >= 3 (1 below), and
+    # (12i + 24) q per evaluation on GF(q); within the estimate, and within
+    # each part of the worst case: at most 5 rows per pair handed to the
+    # root finder per row, at most 3P(i - 1) evaluations on GF(q), and the
+    # rows scanned within the bound; over the small fields rows fill and
+    # conditions hold at every lead
+    row_, roots_, split_, eval_ = construct._stage_row, poly.tagged_roots, poly.split_round, poly.eval_all
+    full_rows_seen, every_seen = 0, 0
+    for spec, k in (((7,), 3), ((13,), 6), ((23,), 6), ((29,), 8), ((3, 4), 4), ((251,), 5), ((1367,), 4), ((4507,), 5)):
+        fld = field_new(*spec)
+        q, bits, counted, current = fld.q, max(1, (fld.q - 1).bit_length()), {}, []
 
-        def pair(fld_, points, i, *rest):
-            counted[i] = counted.get(i, 0) + 8 * bits * q + 2 * i * q
-            return pair_bad_set_(fld_, points, i, *rest)
+        def row(fld_, polys, last, x):
+            pairs, _, i = polys.shape
+            current[:] = [counted.setdefault(i, {"i": i, "pairs": pairs, "rows": 0, "every": 0, "units": 0})]
+            current[0]["rows"] += 1
+            current[0]["units"] += 10**5 + pairs * 26 * i
+            return row_(fld_, polys, last, x)
 
-        def charge(i, rows):
-            degree = np.array([poly.degree(poly.trim(row)) for row in rows])
-            counted[i] = counted.get(i, 0) + int(np.where(degree >= 3, degree**2 * bits, 1).sum())
-
-        def add(pool, tags, rows, rounds=None):
-            if rounds is None:
-                coeffs = [poly.trim(row) for row in rows.tolist()]
-                charge(rows.shape[1], [c for c in coeffs if not has_closed_form(fld, c)])
-                counted[rows.shape[1]] += sum(has_closed_form(fld, c) for c in coeffs)
-            return add_(pool, tags, rows, rounds)
+        def roots(fld_, tags, rows):
+            assert len(rows) <= 5 * current[0]["pairs"] and rows.shape[1] == current[0]["i"]
+            return roots_(fld_, tags, rows)
 
         def split(fld_, rows, rounds):
-            charge(rows.shape[1], rows[rounds > 0].tolist())
-            return split_round(fld_, rows, rounds)
+            degree = np.array([poly.degree(poly.trim(r)) for r in rows.tolist()])
+            current[0]["units"] += int(np.where(degree >= 3, 4 * degree**2 * bits, 1).sum())
+            return split_(fld_, rows, rounds)
 
-        points = construct.base_case(fld).points
+        def evaluate(fld_, coeffs, xs=None):
+            if xs is None:
+                current[0]["every"] += 1
+                current[0]["units"] += q * (12 * current[0]["i"] + 24)
+            return eval_(fld_, coeffs, xs)
+
         with monkeypatch.context() as m:
-            m.setattr(construct, "_stage_pair_bad_set", pair)
-            m.setattr(poly.RootPool, "add", add)
+            m.setattr(construct, "_stage_row", row)
+            m.setattr(poly, "tagged_roots", roots)
             m.setattr(poly, "split_round", split)
-            for i in range(3, k + 1):
-                points, _ = construct.extend(fld, points, i)
-        for i in range(3, k + 1):
+            m.setattr(poly, "eval_all", evaluate)
+            points = construct.base_case(fld).points
+            try:
+                for i in range(3, k + 1):
+                    points, _ = construct.extend(fld, points, i)
+            except construct.NoGoodPairError:
+                assert (q, i) in ((7, 3), (13, 5))
+        for i, c in counted.items():
+            pairs, d = construct.swept_pair_count(i), i - 1
+            fresh = q - 2 * i + 2
+            assert c["pairs"] == pairs and c["every"] <= 3 * pairs * d
+            assert c["rows"] <= (fresh if fresh - 1 <= 5 * pairs * d else 1 + 3 * pairs * d)
             estimate = construct.stage_work(q, i) - construct.stage_work(q, i - 1)
-            assert counted[i] <= estimate <= 2 * counted[i], (q, i, counted[i], estimate)
+            assert c["units"] <= estimate, (q, i, c, estimate)
+            full_rows_seen += c["rows"] > 1
+            every_seen += c["every"]
+    assert full_rows_seen and every_seen
 
 
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    message = r"^element operations of stages 3\.\.3 at q=251: estimated work 109938 exceeds the limit of 109937$"
+    message = r"^units of the row sweep of stages 3\.\.3 at q=251: estimated work 4266580 exceeds the limit of 4266579$"
     with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
@@ -776,14 +971,15 @@ def test_construct_small_q_can_succeed_between_bounds():
 def test_bad_set_stays_under_ceiling_k3():
     t = construct.construct_half_rate(F251, 3, verify_mode="none")
     stage3 = t.stages[1]
-    assert stage3.bad_pair_count <= math.comb(4, 2) * 5 * 4 * 251
+    assert stage3.row_bad_pair_count <= 5 * construct.swept_pair_count(3) * 2
 
 
 def test_extend_refuses_a_bad_set_above_its_ceiling(monkeypatch):
-    # every code of GF(251)^2 is far above the stage-3 ceiling C(4,2) * 5 * 2^2 * 251
-    everything = np.arange(F251.q**2, dtype=np.int64)
-    monkeypatch.setattr(construct, "_stage_pair_bad_set", lambda *args: everything)
-    with pytest.raises(InvariantViolation, match=r"^stage 3: bad set has 63001 pairs, above the ceiling 30120$"):
+    # a root finder that calls every y a root fills row 3 of stage 3 over
+    # GF(251), far above the row's ceiling of 5 rows of degree 2 for each
+    # of its 6 pairs, where no condition holds at every lead
+    monkeypatch.setattr(poly, "tagged_roots", lambda fld, tags, rows: np.arange(fld.q))
+    with pytest.raises(InvariantViolation, match=r"^stage 3: row 3 has 251 bad pairs, above the ceiling 60$"):
         construct.extend(F251, (0, 1, 2, 5), 3)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cardano_terms, has_closed_form, interpolate, is_square
+from conftest import has_closed_form, interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,64 +174,33 @@ def test_roots_match_definition_scan(monkeypatch):
         got = poly.roots(fld, coeffs)
         assert got == expected
         assert len(got) <= max(poly.degree(coeffs), 0)
-    # every monic cubic, in one pool per field, tagged by its index: each
-    # root once and none split, and every branch of the closed form met, as
-    # read off scalar field operations: D a nonzero square (with a = 0 and
-    # c = 0 on the + sign), D = 0 with e = a/3 zero and nonzero, and D not
-    # a square with -e a square and not one; and rows of 0, 1, 2 and 3
+    # every monic cubic, tagged by its index, in one tagged_roots call per
+    # field: each root once, every row split, and rows of 0, 1, 2 and 3
     # roots.  GF(11) and GF(17) have q = 2 (mod 3), and 9 divides 17 + 1
     split_, split = poly._split, []
 
     def counted(fld, low, rounds):
-        split.append(len(rounds))
+        split.append(int((rounds == 0).sum()))
         return split_(fld, low, rounds)
 
     monkeypatch.setattr(poly, "_split", counted)
     for fld in (field_new(5), F7, field_new(11), field_new(13), field_new(17), field_new(5, 2)):
         q = fld.q
         rows = np.array([c + (1,) for c in itertools.product(range(q), repeat=3)])
-        pool = poly.RootPool(fld)
-        pool.add(np.arange(len(rows)), rows)
-        codes = pool.split(drain=True)
+        split.clear()
+        codes = poly.tagged_roots(fld, np.arange(len(rows)), rows)
         assert len(set(codes.tolist())) == len(codes)
         hit, y = np.nonzero(poly.eval_all(fld, rows) == 0)
         assert np.array_equal(np.sort(codes), hit * q + y), fld
-        assert not split, fld
-        reached = set()
-        for row, n in zip(rows.tolist(), np.bincount(hit, minlength=len(rows)).tolist()):
-            a, b, d = cardano_terms(fld, row)
-            minus_e = fld.neg(fld.div(a, fld.int_embed(3)))
-            reached.add(f"{n} roots")
-            if d == 0:
-                reached.add("D = 0, e = 0" if a == 0 else "D = 0, e != 0")
-            elif not is_square(fld, d):
-                reached.add("D not a square, -e " + ("a square" if is_square(fld, minus_e) else "not a square"))
-            else:
-                reached.add("D a nonzero square")
-                if a == 0:
-                    reached.add("a = 0")
-                    if int(fld.v_sqrt(d)[1]) == fld.div(b, fld.int_embed(2)):  # -b/2 + sqrt(D) = 0
-                        reached.add("c = 0 on the + sign")
-        assert reached == {
-            "D a nonzero square",
-            "a = 0",
-            "c = 0 on the + sign",
-            "D = 0, e = 0",
-            "D = 0, e != 0",
-            "D not a square, -e a square",
-            "D not a square, -e not a square",
-            "0 roots",
-            "1 roots",
-            "2 roots",
-            "3 roots",
-        }, (fld, reached)
+        assert sum(split) == len(rows), fld
+        assert set(np.bincount(hit, minlength=len(rows)).tolist()) == {0, 1, 2, 3}, fld
 
 
 @pytest.mark.parametrize("p", [1367, 1381, 65537])
 def test_cubic_rows_over_large_prime_fields(p, monkeypatch):
     # seeded cubics, random and scaled products of three distinct lines or
     # of a line and y^2 - n for a non-square n, against a full scan: each
-    # root once, and none split
+    # root once, and every row split
     fld, rng = field_new(p), random.Random(p)
     nonsquare = next(n for n in range(2, p) if fld.pow(n, (p - 1) // 2) == p - 1)
     rows = []
@@ -252,76 +221,18 @@ def test_cubic_rows_over_large_prime_fields(p, monkeypatch):
         return split_(fld_, low, rounds)
 
     monkeypatch.setattr(poly, "_split", counted)
-    pool = poly.RootPool(fld)
-    pool.add(np.arange(len(rows)), rows)
-    codes = pool.split(drain=True)
+    codes = poly.tagged_roots(fld, np.arange(len(rows)), rows)
     assert len(set(codes.tolist())) == len(codes)
     scans = (poly.eval_all(fld, rows[lo : lo + 10]) == 0 for lo in range(0, len(rows), 10))  # 10 rows of p values
     expected = np.concatenate([np.flatnonzero(scan.ravel()) + lo * 10 * p for lo, scan in enumerate(scans)])
     assert np.array_equal(np.sort(codes), expected)
-    assert sum(split) == 0
-    # both kinds of radicand, and three-root products have a non-square one
-    # (their discriminant -108 D is a square) exactly when q = 2 (mod 3)
-    square = [is_square(fld, cardano_terms(fld, row)[2]) for row in rows.tolist()]
-    assert 0 < square.count(False) < len(rows)
-    assert all(s == (p % 3 == 1) for s in square[::3])
-
-
-def test_torus_table_holds_every_norm_one_element_in_12_bytes_each():
-    # over GF(65537): the q + 1 powers of the generator are distinct and of
-    # norm x^2 - g*y^2 = 1, every x indexes a power with that x (or none
-    # has it), beta = x + s has a norm that is not a square, the inverse of
-    # the one given, and conj(beta)^3 is as given; and the table takes 12
-    # bytes per element, its build at most errors.BLOCK_BYTES more
-    fld = field_new(65537)
-    g = fld.generator()
-    (powers, index), (bx, inv_norm, cube) = poly._torus(fld)
-    x, y = powers.astype(np.int64)
-    norm = fld.v_add(fld.v_mul(x, x), fld.v_mul(fld.v_mul(y, y), fld.neg(g)))
-    assert powers.shape == (2, fld.q + 1) and (norm == 1).all()
-    assert len(np.unique(x * fld.q + y)) == fld.q + 1
-    has = index >= 0
-    assert np.array_equal(powers[0, index[has]], np.flatnonzero(has)) and np.array_equal(np.flatnonzero(has), np.unique(x))
-    norm = fld.sub(fld.mul(bx, bx), g)
-    assert not is_square(fld, norm) and fld.mul(norm, inv_norm) == 1
-    conj = [(bx, fld.neg(1))]
-    for _ in range(2):  # (x + y s)(bx - s) = (x bx - g y) + (y bx - x) s
-        x, y = conj[-1]
-        conj.append((fld.sub(fld.mul(x, bx), fld.mul(g, y)), fld.sub(fld.mul(y, bx), x)))
-    assert conj[-1] == cube
-    assert powers.nbytes + index.nbytes == 12 * fld.q + 8
-    tracemalloc.start()
-    try:
-        poly._torus.__wrapped__(fld)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * fld.q + 8 + errors.BLOCK_BYTES, peak
-
-
-@pytest.mark.parametrize("broken", ["index", "y"])
-def test_torus_lookup_that_misses_raises(broken, monkeypatch):
-    # a table whose index finds no power, or finds one whose y is not +-y,
-    # stops the torus path: the cubics are products of three lines over
-    # GF(1367), q = 2 (mod 3), so their D is not a square
-    fld = field_new(1367)
-    (powers, index), beta = poly._torus(fld)
-    if broken == "index":
-        index = np.full_like(index, -1)
-    else:
-        powers = powers.copy()
-        powers[1] = (powers[1] + 1) % fld.q
-    monkeypatch.setattr(poly, "_torus", lambda fld_: ((powers, index), beta))
-    rows = np.array([expand(fld, [r, r + 1, r + 5]) for r in range(20)])
-    with pytest.raises(errors.InvariantViolation, match=r"^an element of norm 1 over GF\(1367\) is missing from its torus table$"):
-        poly._cardano(fld, rows[:, :3].T)
+    assert sum(split) == len(rows)
 
 
 @pytest.mark.parametrize("fld", [field_new(2, 8), field_new(3, 4)], ids=str)
 def test_cubics_in_characteristic_2_and_3_are_split(fld, monkeypatch):
-    # with no closed form for cubics, every seeded cubic row, random or a
-    # product of three lines, is split in a first round, and gives the
-    # roots of a full scan
+    # every seeded cubic row, random or a product of three lines, is split
+    # in a first round, and gives the roots of a full scan
     rng = np.random.default_rng(fld.q)
     rows = rng.integers(0, fld.q, (200, 4))
     rows[:, 3] = rng.integers(1, fld.q, len(rows))
@@ -334,9 +245,7 @@ def test_cubics_in_characteristic_2_and_3_are_split(fld, monkeypatch):
         return split_(fld_, low, rounds)
 
     monkeypatch.setattr(poly, "_split", counted)
-    pool = poly.RootPool(fld)
-    pool.add(np.arange(len(rows)), rows)
-    codes = pool.split(drain=True)
+    codes = poly.tagged_roots(fld, np.arange(len(rows)), rows)
     hit, y = np.nonzero(poly.eval_all(fld, rows) == 0)
     assert np.array_equal(np.sort(codes), hit * fld.q + y)
     assert sum(split) == len(rows) and not any(has_closed_form(fld, row) for row in rows.tolist())
@@ -431,22 +340,20 @@ def pencil_coefficients(fld, a, b, lead, target):
 
 def pencil_roots(fld, a, b, lead, target):
     """Every (r, y) with a(y) + lead[r]*b(y) == target[r], as index arrays
-    (rows, ys) in no set order: poly.pencil_rows, then one drained
-    poly.RootPool with each row tagged by its index."""
-    rows = poly.pencil_rows(fld, a, b, lead, target)
-    pool = poly.RootPool(fld)
-    pool.add(np.arange(len(rows)), rows)
-    return divmod(pool.split(drain=True), fld.q)
+    (rows, ys) in no set order: poly.pencil_rows of a and b padded to one
+    width, then poly.tagged_roots with each row tagged by its index."""
+    ab = np.zeros((2, max(len(a), len(b), 1)), np.int64)
+    ab[0, : len(a)], ab[1, : len(b)] = a, b
+    rows = poly.pencil_rows(fld, ab[0], ab[1], lead, target)
+    return divmod(poly.tagged_roots(fld, np.arange(len(rows)), rows), fld.q)
 
 
 @pytest.mark.parametrize("fld", ROOT_FIELDS, ids=str)
 def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     # rows (lead, t) for every target t: the row a(y) + lead*b(y) - t vanishes
     # exactly at t = a(y) + lead*b(y), so a full scan of the values gives
-    # every root; rows of degree >= 4 and the cubics without a closed form
-    # (has_closed_form: in characteristic 2 and 3), and only those, are
-    # split, and the cubic pieces a round leaves are split again only when
-    # p <= 3
+    # every root; rows of degree >= 3 (no has_closed_form), and only those,
+    # are split, and the cubic pieces a round leaves are split again
     q, rng = fld.q, random.Random(fld.q)
     split, rounds_seen, cubic_pieces, cubic_split = [], [], [], []
     split_round = poly._split
@@ -486,16 +393,15 @@ def test_pencil_roots_match_a_full_scan(fld, monkeypatch):
     if fld.p > 2:
         assert (2, 1, False) in cases  # s^2/4 = t with s != 0
     # a double root among three roots of a quartic, and rows of degree >= 3
-    # that split completely, some only in a second round (but for GF(7)'s
-    # class, a cubic with a closed form)
+    # that split completely, some only in a second round
     if q > 3:
         assert (4, 3, False) in cases
     if q >= 7:
-        assert sum(cubic_pieces) > 0 and (sum(cubic_split) == 0) == (fld.p > 3), (cubic_pieces, cubic_split)
+        assert sum(cubic_pieces) > 0 and sum(cubic_split) > 0, (cubic_pieces, cubic_split)
     full = one_class(fld)
     if len(full) >= 3:
         assert (len(full), len(full), False) in cases
-        assert max(rounds_seen) >= 1 or has_closed_form(fld, expand(fld, full))
+        assert max(rounds_seen) >= 1
 
 
 def test_pencil_roots_of_no_rows():
@@ -601,10 +507,11 @@ def test_row_echelon_stays_within_its_bytes_per_matrix(fld):
     "fld", [field_new(1367), field_new(1381), field_new(7, 2), field_new(7, 3), field_new(5, 3)], ids=str
 )
 def test_cubic_pass_stays_within_its_bytes_per_row(fld):
-    # the peak tracemalloc sees in one closed-form pass of RootPool.add
-    # over 512 rows of each width, all cubic and a third of them products
-    # of distinct lines, against cubic_bytes; over GF(1367) and GF(5^3),
-    # q = 2 (mod 3), the products of lines take the torus path
+    # the peak tracemalloc sees in one split_round pass over 512 cubic rows
+    # of each width, a third of them products of distinct lines, against
+    # split_bytes: the cubic rows of stage 4 and the cubic pieces of later
+    # rounds, over fields whose Zech additions (GF(7^2), GF(7^3), GF(5^3))
+    # hold the most temporaries
     rng = np.random.default_rng(fld.q)
     for width in (4, 5, 6, 8, 10):
         rows = np.zeros((512, width), np.int64)
@@ -612,14 +519,15 @@ def test_cubic_pass_stays_within_its_bytes_per_row(fld):
         rows[:, 3] = 1
         for row in rows[::3]:
             row[:4] = expand(fld, rng.choice(fld.q, 3, replace=False).tolist())
-        poly._solve_cubics(fld, rows)
+        rounds = np.zeros(len(rows), np.int64)
+        poly.split_round(fld, rows, rounds)  # the cached index arrays
         tracemalloc.start()
         try:
-            poly._solve_cubics(fld, rows)
+            poly.split_round(fld, rows, rounds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= len(rows) * poly.cubic_bytes(width), (width, peak / len(rows))
+        assert peak <= len(rows) * poly.split_bytes(width), (width, peak / len(rows))
 
 
 @pytest.mark.parametrize("p", [65521, 65537, 1048573])
