@@ -369,18 +369,22 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     some g of degree < k with g != f agree along a pair of increasing index
     sequences I, J of length 2k-1.  Two kinds of pair would force g = f: a
     pair closer than k (f = g on the k or more points a_t with I_t = J_t;
-    index_pairs(n, n-1, k) keeps k(k+1) of the 2k(2k-1) pairs I != J), and
-    a pair whose insdel.build_V matrix has full rank 2k-1 (its kernel,
+    index_pairs(n, n-1, k) keeps k(k+1)/2 of the k(2k-1) unordered pairs),
+    and a pair whose insdel.build_V matrix has full rank 2k-1 (its kernel,
     which holds (f0-g0, f1.., -g1..), is zero).  So the rank sweep runs
-    first, and the code is optimal at once when no pair is rank-deficient.
+    first, one rank per unordered pair, since (I, J) and (J, I) hold the
+    same columns, and the code is optimal at once when no pair is
+    rank-deficient.
 
     Otherwise the witness is read off one elimination.  On a deficient pair
     g = f forces f = 0 (f would take one value on the d + 1 > k points of
     the shifted run), and the nonzero family members, whose first nonzero
     coefficient in the key order (f_(k-1), f_1, .., f_(k-2)) is 1, come
     sorted by that key, so the least in a pair's solution space is the one
-    whose leading coefficient comes latest.  Each pair's build_V(J, I), its
-    columns g_0 .. g_(k-1) and then f's in reversed key order, is reduced by
+    whose leading coefficient comes latest.  Both orientations of each
+    deficient pair are reduced, in the order of the ordered sweep, which
+    breaks ties between pairs.  Each pair's build_V(J, I), its columns
+    g_0 .. g_(k-1) and then f's in reversed key order, is reduced by
     poly._row_echelon: g's columns pivot (the J points are distinct), and
     the first free column c is that coefficient, the kernel vector -1 at c
     and R[pivot row, c] at each earlier pivot column being (g, -f).  A pair
@@ -399,6 +403,8 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     sweep = insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))
     flat = itertools.chain.from_iterable(i_seq + j_seq for _, (i_seq, j_seq) in sweep)
     seqs = np.fromiter(flat, np.min_scalar_type(n)).reshape(-1, 2, n - 1)  # (pairs, I/J, 2k-1), no tuples held
+    seqs = np.concatenate((seqs, seqs[:, ::-1]))  # (J, I) is deficient with (I, J)
+    seqs = seqs[np.lexsort(seqs.reshape(len(seqs), 2 * n - 2).T[::-1])]  # the ordered sweep's order
     order = np.r_[:k, 2 * k - 3 : k - 1 : -1, 2 * k - 2]  # g, then f_(k-2) .. f_1, f_(k-1)
     size = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(n - 1, n - 1))
     best = None

@@ -198,13 +198,14 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
 
     Sweeps the unordered pairs {I, J} of length-(2i-3) increasing index
     sequences at Hamming distance at least i - 2 (no other pair can
-    contribute), as (I, J) with I < J: the reverse (J, I) adds nothing
-    (_stage_row).  The stage linear system's matrix is independent of the
-    leading coefficient, so the systems of all index pairs are reduced
-    together, once, and the per-coefficient solutions are affine
-    combinations of two base solutions (_pencils).  The reverse's matrix is
-    (I, J)'s with columns negated and permuted, so the two are singular
-    together, and the first singular pair in sweep order is an (I, J).
+    contribute), as insdel.index_pairs yields them, (I, J) with I < J: the
+    reverse (J, I) adds nothing (_stage_row).  The stage linear system's
+    matrix is independent of the leading coefficient, so the systems of all
+    index pairs are reduced together, once, and the per-coefficient
+    solutions are affine combinations of two base solutions (_pencils).
+    The reverse's matrix is (I, J)'s with columns negated and permuted, so
+    the two are singular together, and the first singular pair in sweep
+    order is an (I, J).
     Then the rows of the bad set are built for the fresh x in increasing
     order (_stage_row), and the first row with a fresh y, other than x,
     outside it gives the least such y.
@@ -228,7 +229,7 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     # gives the row (1, a, .., a^mid, -a, .., -a^mid), mid = i - 2, and all
     # such rows span at most i - 1 dimensions, so the rank is at most
     # (i - 1) + d_H(I, J) < 2i - 3, the number of unknowns.
-    pairs = [(i_seq, j_seq) for i_seq, j_seq in insdel.index_pairs(n, n - 1, i - 2) if i_seq < j_seq]
+    pairs = list(insdel.index_pairs(n, n - 1, i - 2))
     polys = _pencils(fld, i, _stage_solutions(fld, points, i, pairs))
     ceiling = 5 * len(pairs) * (i - 1)
     fresh = np.ones(q, bool)

@@ -3,10 +3,14 @@ certificates for insdel-correction capability.
 
 Sequences are tuples/lists of field element indices (the scalar routines
 accept any hashable symbols).  Index sequences are 1-based strictly
-increasing tuples; index_pairs is the one sweep over pairs of them, and
-build_V the one matrix over a pair or a stack of pairs, behind the rank
-certificate (deficient_pairs ranks a sweep block by block), the exact
-optimality check (analyze) and the stage systems (construct).  All pure.
+increasing tuples; index_pairs is the one sweep over pairs of them, each
+unordered pair once as (I, J) with I < J (at ell = n - 1 built from the
+two omitted positions), and build_V the one matrix over a pair or a stack
+of pairs, behind the rank certificate, the exact optimality check
+(analyze) and the stage systems (construct).  (I, J) and (J, I) hold the
+same columns, so deficient_pairs ranks each unordered pair once, in blocks
+of errors.BLOCK_BYTES, and names each deficient one by its place in the
+ordered sweep.  All pure.
 
 The exact capability engines measure LCS values of a few patterns of one
 length m against many rows: lcs_from_masks takes the (P, m) stack of the
@@ -26,6 +30,7 @@ pair.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -221,26 +226,39 @@ def hamming_increasing(i_seq, j_seq) -> int:
 
 
 def index_pairs(n: int, ell: int, min_distance: int):
-    """The ordered pairs (I, J) of increasing length-ell sequences over 1..n
-    at Hamming distance >= min_distance, I-major, each lexicographically.
+    """The pairs (I, J), I < J, of increasing length-ell sequences over 1..n
+    at Hamming distance >= min_distance, I-major, each lexicographically:
+    one of each unordered pair, in the order of the ordered sweep that
+    holds (J, I) too.
 
-    More than errors.MAX_OPS candidate pairs, C(n, ell)^2, raise
-    GuardExceeded at the call, before any sequence is built.  The
-    candidates are one (C(n, ell), ell) array in the narrowest unsigned
-    dtype that holds n, and each I keeps its J by one comparison with it.
+    More than errors.MAX_OPS ordered candidate pairs, C(n, ell)^2, raise
+    GuardExceeded at the call, before any sequence is built.  At ell = n - 1
+    the pairs are built from the positions a > b that I and J omit, at
+    distance a - b, with no candidates: I omits a in n, n - 1, .. and J
+    omits b in a - max(min_distance, 1), .., 1.  Otherwise the candidates are one
+    (C(n, ell), ell) array in the narrowest unsigned dtype that holds n, and
+    each I keeps its J by one comparison with the candidates after it.
     """
     if not 0 <= ell <= n:
         raise ValueError("need 0 <= ell <= n")
     count = math.comb(n, ell)
     errors.check_work(count**2, errors.MAX_OPS, f"C({n},{ell})^2 index pairs")
+    if ell == n - 1:
+        full = tuple(range(1, n + 1))
+        return (
+            (full[: a - 1] + full[a:], full[: b - 1] + full[b:])
+            for a in range(n, 0, -1)
+            for b in range(a - max(min_distance, 1), 0, -1)
+        )
     flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), ell))
     combos = np.fromiter(flat, dtype=np.min_scalar_type(n), count=count * ell).reshape(count, ell)
 
     def sweep():
-        for row in combos:
-            kept = np.count_nonzero(combos != row, axis=1) >= min_distance
+        for r, row in enumerate(combos):
+            later = combos[r + 1 :]
+            kept = np.count_nonzero(later != row, axis=1) >= min_distance
             i_seq = tuple(row.tolist())
-            for j_seq in combos[kept].tolist():
+            for j_seq in later[kept].tolist():
                 yield i_seq, tuple(j_seq)
 
     return sweep()
@@ -265,22 +283,32 @@ def build_V(fld, points, k: int, i_seq, j_seq) -> np.ndarray:
 
 
 def deficient_pairs(fld, points, k: int, pairs):
-    """Yield (position from 1, (I, J)) for each index pair whose build_V
-    matrix has rank below 2k - 1, in sweep order; return the number swept.
-    Blocks of pairs, one poly.rank call each, double from one pair up to
-    errors.BLOCK_BYTES of working memory, poly.echelon_bytes per build_V
-    matrix, so stopping at the first deficient pair ranks at most about
-    twice the pairs before it."""
+    """Yield (position from 1, (I, J)) for each pair of index_pairs' sweep
+    whose build_V matrix has rank below 2k - 1, in sweep order; return the
+    number of ordered pairs swept, twice the pairs.
+
+    (I, J) and (J, I) hold the same columns, so one rank serves both, and
+    the position is (I, J)'s in the ordered sweep that holds (J, I) too:
+    its place among the pairs plus the pairs (X, Y) with Y <= I, whose
+    reverses come before it.  Those have X < I, so they are swept before
+    (I, J).  The pairs are ranked in blocks of errors.BLOCK_BYTES //
+    poly.echelon_bytes(ell, 2k - 1), one poly.rank call each, so a consumer
+    that stops at the first deficient pair ranks only through its block.
+    """
     pairs = iter(pairs)
-    size, swept = 1, 0
+    if (first := next(pairs, None)) is None:
+        return 0
+    size = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(len(first[0]), 2 * k - 1))
+    pairs, swept, seconds = itertools.chain([first], pairs), 0, collections.Counter()
     while block := list(itertools.islice(pairs, size)):
         seqs = np.array(block)  # (pairs, 2, ell)
         matrices = build_V(fld, points, k, seqs[:, 0], seqs[:, 1])
+        seconds.update(j_seq for _, j_seq in block)
         for b in np.flatnonzero(poly.rank(fld, matrices) < 2 * k - 1).tolist():
-            yield swept + b + 1, block[b]
+            i_seq = block[b][0]
+            yield swept + b + 1 + sum(c for j_seq, c in seconds.items() if j_seq <= i_seq), block[b]
         swept += len(block)
-        size = min(2 * size, max(1, errors.BLOCK_BYTES // poly.echelon_bytes(*matrices.shape[1:])))
-    return swept
+    return 2 * swept
 
 
 @dataclass(frozen=True)
@@ -308,7 +336,12 @@ def rank_certificate(code: RsCode, t: int) -> CertificateResult:
     proves failure: its kernel vector gives f(a_I) = g(a_J), g0 = 0, and
     f = g would be constant on the d + 1 > k points of the one run of d >=
     n - k shifted positions, hence 0.  The witness is the first deficient
-    pair in lexicographic order; index_pairs' guard runs before any pair.
+    ordered pair in lexicographic order, which is an (I, J) with I < J (the
+    reverse of a deficient pair is deficient and comes later), and
+    pairs_checked is its position among the ordered pairs, or all of them,
+    twice the pairs swept, when the code is certified.  deficient_pairs
+    ranks the pairs in budget-sized blocks and stops after the first block
+    that holds a deficient one; index_pairs' guard runs before any pair.
     """
     fld, n, k = code.field, code.n, code.k
     ell = n - t

@@ -294,11 +294,12 @@ def _gcd_pieces(fld: Field, low, w, constants) -> tuple[np.ndarray, np.ndarray]:
     return size, fld.v_exp(g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _artin_schreier(fld: Field) -> np.ndarray:
     """For each c of GF(2^m), a root z of the Artin-Schreier equation
-    z^2 + z = c, or -1 when there is none: one table per field, built on
-    first use, so that no call scans GF(q)."""
+    z^2 + z = c, or -1 when there is none: a table of the field last used,
+    built on its first use, so that no call scans GF(q) and a process holds
+    one such table at a time."""
     z = np.arange(fld.q)
     table = np.full(fld.q, -1)
     table[fld.v_add(fld.v_mul(z, z), z)] = z

@@ -2,8 +2,9 @@
 canonical ordering of a field, the bad family grouped by class, built
 member by member, the scalar single-pair LCS and the textbook dynamic
 program, interpolation through one Vandermonde solve, the root
-finder's closed-form test, and the message family before its scaled
-copies were dropped."""
+finder's closed-form test, the message family before its scaled
+copies were dropped, and the ordered index-pair sweep with the rank
+certificate on it."""
 
 import functools
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rsinsdel import analyze, poly
+from rsinsdel import analyze, insdel, poly
 from rsinsdel.rscode import EvaluationVector
 
 
@@ -77,6 +78,41 @@ def normalized_with_scaled_copies(fld, k):
     for lead in (0, 1):
         for mids in itertools.product(range(fld.q), repeat=k - 2):
             yield poly.trim((0, *mids, lead))
+
+
+def ordered_index_pairs(n, ell, min_distance):
+    """The ordered index-pair sweep that ranked (I, J) and (J, I) both:
+    every pair of increasing length-ell sequences over 1..n, I == J
+    included, I-major and each lexicographically, each I keeping its J by
+    one comparison with every candidate."""
+    combos = np.array(list(itertools.combinations(range(1, n + 1), ell)), dtype=np.int64, ndmin=2)
+    for row in combos:
+        kept = np.count_nonzero(combos != row, axis=1) >= min_distance
+        for j_seq in combos[kept].tolist():
+            yield tuple(row.tolist()), tuple(j_seq)
+
+
+def ordered_deficient_pairs(fld, points, k, ell, min_distance):
+    """(position from 1, (I, J)) for every ordered pair of the ordered sweep
+    whose build_V matrix has rank below 2k - 1, each ranked on its own
+    orientation, and the number of pairs swept."""
+    pairs = list(ordered_index_pairs(len(points), ell, min_distance))
+    if not pairs:
+        return [], 0
+    seqs = np.array(pairs)
+    ranks = poly.rank(fld, insdel.build_V(fld, points, k, seqs[:, 0], seqs[:, 1]))
+    return [(at + 1, pairs[at]) for at in np.flatnonzero(ranks < 2 * k - 1).tolist()], len(pairs)
+
+
+def ordered_certificate(code, t):
+    """insdel.rank_certificate on the ordered sweep: the first deficient
+    ordered pair and its position, or every ordered pair swept."""
+    ell = code.n - t
+    deficient, swept = ordered_deficient_pairs(code.field, code.ev.points, code.k, ell, ell - code.k + 1)
+    if not deficient:
+        return insdel.CertificateResult(True, t, None, swept)
+    at, witness = deficient[0]
+    return insdel.CertificateResult(False, t, witness, at)
 
 
 def has_closed_form(fld, coeffs) -> bool:

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import ordered_index_pairs
 
 from rsinsdel import analyze, cli, construct, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
@@ -222,8 +223,9 @@ def system_rank(fld, points, i, i_seq, j_seq):
 
 
 def stage_pairs(n, i):
-    """The index pairs stage i sweeps over n points."""
-    return list(insdel.index_pairs(n, n - 1, i - 2))
+    """The ordered index pairs, both orientations, at stage i's distance over
+    n points."""
+    return list(ordered_index_pairs(n, n - 1, i - 2))
 
 
 def forward_pairs(n, i):
@@ -736,7 +738,7 @@ def test_pairs_below_the_distance_threshold_are_singular(fld):
     rng = random.Random(fld.q)
     for i in (4, 5, 6):
         n = 2 * i - 2
-        skipped = set(insdel.index_pairs(n, n - 1, 0)) - set(stage_pairs(n, i))
+        skipped = set(ordered_index_pairs(n, n - 1, 0)) - set(stage_pairs(n, i))
         distance = {ij: insdel.hamming_increasing(*ij) for ij in skipped}
         assert set(distance.values()) == set(range(i - 2))
         for _ in range(10):
@@ -817,7 +819,7 @@ def test_construct_restricted_sweep_also_verifies():
     assert all(s.verification == "rank_certified" for s in t.stages)
     points = t.alpha.points[:6]
     full = set()
-    for i_seq, j_seq in insdel.index_pairs(6, 5, 1):
+    for i_seq, j_seq in ordered_index_pairs(6, 5, 1):
         if system_rank(F251, points, 4, i_seq, j_seq) == 5:
             full |= swept_bad_set(F251, points, 4, i_seq, j_seq)
     chosen = t.stages[2].chosen_pair[0]

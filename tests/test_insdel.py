@@ -1,15 +1,16 @@
 """Tests for LCS, index sequences, and rank certificates."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from conftest import lcs, lcs_dp
+from conftest import lcs, lcs_dp, ordered_certificate, ordered_index_pairs
 
-from rsinsdel import errors, insdel, poly
+from rsinsdel import analyze, errors, insdel, poly
 from rsinsdel.errors import GuardExceeded
-from rsinsdel.gf import field_new
+from rsinsdel.gf import field_from_order, field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
 
 F7 = field_new(7)
@@ -105,23 +106,47 @@ def test_index_pairs_order_and_distance():
     for d in range(5):
         pairs = list(insdel.index_pairs(6, 4, d))
         assert pairs == sorted(pairs)  # I-major, each lexicographic
-        assert pairs == [(a, b) for a in seqs for b in seqs if insdel.hamming_increasing(a, b) >= d]
-    assert len(list(insdel.index_pairs(6, 4, 0))) == 15**2
-    assert list(insdel.index_pairs(3, 2, 2)) == [((1, 2), (2, 3)), ((2, 3), (1, 2))]
+        assert pairs == [(a, b) for a in seqs for b in seqs if a < b and insdel.hamming_increasing(a, b) >= d]
+    assert len(list(insdel.index_pairs(6, 4, 0))) == 15 * 14 // 2
+    assert list(insdel.index_pairs(3, 2, 2)) == [((1, 2), (2, 3))]
     assert list(insdel.index_pairs(4, 3, 4)) == []
-    assert list(insdel.index_pairs(3, 0, 0)) == [((), ())]
+    assert list(insdel.index_pairs(3, 0, 0)) == []  # the one sequence () pairs only with itself
     assert all(type(x) is int for pair in insdel.index_pairs(6, 4, 3) for seq in pair for x in seq)
+    assert all(type(x) is int for pair in insdel.index_pairs(6, 5, 3) for seq in pair for x in seq)
     with pytest.raises(ValueError):
         insdel.index_pairs(3, 4, 0)
     # n = 300 > 255: I and J of length n - 1 omit s_i and s_j (1 + .. + 300 =
     # 45150 less their sums), lie in descending order of the omitted index,
     # and differ in |s_i - s_j| places
     omitted = [tuple(45150 - sum(seq) for seq in pair) for pair in insdel.index_pairs(300, 299, 297)]
-    assert omitted == [(a, b) for a in range(300, 0, -1) for b in range(300, 0, -1) if abs(a - b) >= 297]
+    assert omitted == [(a, b) for a in range(300, 0, -1) for b in range(a - 1, 0, -1) if a - b >= 297]
+
+
+def test_index_pairs_is_the_upper_half_of_the_ordered_sweep():
+    # every ell and distance at n <= 11, and at n = 12 every ell with at most
+    # 220 sequences (the five middle ones would add about 5 s): the pairs
+    # I < J of the ordered sweep, in its order, its distances one comparison
+    # of each I with every candidate (the closed form at ell = n - 1
+    # included); at ell = 0 the one sequence pairs only with itself
+    for n in range(13):
+        assert list(insdel.index_pairs(n, 0, 0)) == list(insdel.index_pairs(n, 0, 1)) == []
+        for ell in range(1, n + 1):
+            if n == 12 and math.comb(n, ell) > 220:
+                continue
+            combos = np.array(list(itertools.combinations(range(1, n + 1), ell)), np.int8)
+            distance = np.count_nonzero(combos[:, None] != combos[None], axis=2)
+            for d in range(ell + 2):
+                first, second = np.nonzero(np.triu(distance >= d, 1))  # I-major; I < J as combos is sorted
+                flat = itertools.chain.from_iterable(i_seq + j_seq for i_seq, j_seq in insdel.index_pairs(n, ell, d))
+                got = np.fromiter(flat, np.int8).reshape(-1, 2, ell)
+                assert np.array_equal(got, np.stack((combos[first], combos[second]), axis=1)), (n, ell, d)
+    for n, ell, d in ((6, 4, 2), (7, 6, 3), (8, 5, 0)):
+        assert list(insdel.index_pairs(n, ell, d)) == [(a, b) for a, b in ordered_index_pairs(n, ell, d) if a < b]
 
 
 def test_index_pairs_guard_refuses_at_the_call(monkeypatch):
-    # C(20, 10)^2 pairs are refused before the generator is even iterated
+    # C(20, 10)^2 ordered candidates are refused before the generator is
+    # even iterated, at ell = n - 1 too, where no candidate is built
     message = r"^C\(20,10\)\^2 index pairs: estimated work 34134779536 exceeds the limit of 100000000$"
     with pytest.raises(GuardExceeded, match=message):
         insdel.index_pairs(20, 10, 0)
@@ -129,7 +154,7 @@ def test_index_pairs_guard_refuses_at_the_call(monkeypatch):
     with pytest.raises(GuardExceeded, match=r"C\(8,7\)\^2 index pairs: estimated work 64 exceeds the limit of 63"):
         insdel.index_pairs(8, 7, 0)
     monkeypatch.setattr(errors, "MAX_OPS", 64)
-    assert len(list(insdel.index_pairs(8, 7, 0))) == 64
+    assert len(list(insdel.index_pairs(8, 7, 0))) == 28
 
 
 def test_build_v_examples():
@@ -178,9 +203,9 @@ def test_rank_certificate_examples():
         insdel.rank_certificate(RsCode(ev, 2), 2)  # ell would drop below 2k-1
 
 
-def test_rank_certificate_stops_early_in_growing_blocks(monkeypatch):
-    # the AP code fails at its second k = 20 pair: blocks of 1 and 2 pairs
-    # rank 3 matrices, not the whole 420-pair sweep
+def test_rank_certificate_stops_after_one_budget_block(monkeypatch):
+    # the AP code fails at its second k = 20 pair: one block of the budget
+    # over poly.echelon_bytes(39, 39), 13 pairs, is ranked, not all 210
     ranked = []
     rank = poly.rank
 
@@ -191,7 +216,39 @@ def test_rank_certificate_stops_early_in_growing_blocks(monkeypatch):
     monkeypatch.setattr(poly, "rank", counting_rank)
     res = insdel.rank_certificate(RsCode(EvaluationVector(field_new(41), tuple(range(40))), 20), 1)
     assert (res.certified, res.pairs_checked) == (False, 2)
-    assert ranked == [1, 2]
+    assert ranked == [errors.BLOCK_BYTES // poly.echelon_bytes(39, 39)] == [13]
+
+
+def test_rank_certificate_matches_the_ordered_sweep():
+    # seeded codes at k = 2..5 and n = 2k..2k+2, t = 1 and 2, over prime and
+    # extension fields: the witness is the first deficient ordered pair, and
+    # pairs_checked its position among the ordered pairs, or all of them
+    rng = random.Random(42)
+    verdicts = []
+    for q in (11, 13, 1367, 8, 9, 16):
+        fld = field_from_order(q)
+        for k in range(2, 6):
+            for n in range(2 * k, min(2 * k + 2, q) + 1):
+                for points in [tuple(range(n))] + [tuple(rng.sample(range(q), n)) for _ in range(2)]:
+                    code = RsCode(EvaluationVector(fld, points), k)
+                    for t in range(1, min(2, n - 2 * k + 1) + 1):
+                        res = insdel.rank_certificate(code, t)
+                        assert res == ordered_certificate(code, t), (fld, points, k, t)
+                        verdicts.append((t, res.certified))
+    assert min(verdicts.count((t, c)) for t in (1, 2) for c in (True, False)) >= 10, verdicts
+
+
+def test_t1_certificate_equals_the_brute_force_on_every_k3_class():
+    # the certificate is exact at t = 1: certified exactly where the code
+    # LCS is at most n - 2, on every class of GF(7) and GF(8)
+    for q, bad in ((7, 86), (8, 258)):
+        fld, failed = field_from_order(q), 0
+        for rest in itertools.permutations(range(2, q)):
+            code = RsCode(EvaluationVector(fld, (0, 1, *rest)), 3)
+            certified = insdel.rank_certificate(code, 1).certified
+            assert certified == (analyze.lcs_code_bruteforce(code, want_witness=False).lcs_of_code <= q - 2), rest
+            failed += not certified
+        assert failed == bad
 
 
 def test_rank_certificate_skips_low_distance_pairs():

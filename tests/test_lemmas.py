@@ -9,8 +9,9 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
-from conftest import normalized_with_scaled_copies
+from conftest import normalized_with_scaled_copies, ordered_certificate, ordered_deficient_pairs, ordered_index_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,9 +131,10 @@ def test_pairs_closer_than_k_never_witness(fld):
     rng = random.Random(fld.q)
     for k in (2, 3):
         n = 2 * k
-        kept = set(insdel.index_pairs(n, n - 1, k))
-        close = [ij for ij in insdel.index_pairs(n, n - 1, 1) if ij not in kept]
+        kept = set(ordered_index_pairs(n, n - 1, k))
+        close = [ij for ij in ordered_index_pairs(n, n - 1, 1) if ij not in kept]
         assert len(kept) == k * (k + 1) and len(close) == 2 * k * (2 * k - 1) - k * (k + 1)
+        assert set(insdel.index_pairs(n, n - 1, k)) == {(i_seq, j_seq) for i_seq, j_seq in kept if i_seq < j_seq}
         for _ in range(3):
             points = tuple(rng.sample(range(fld.q), n))
             for f in analyze._normalized_polys(fld, k):
@@ -150,13 +152,13 @@ def test_pairs_closer_than_k_never_witness(fld):
 def deficient_pair_scan(ev, k, pairs=None, family=analyze._normalized_polys):
     """The family scan that the optimality check once ran, kept as the
     reference for its witness: every (f, I, J) over the rank-deficient pairs
-    (or the given ones), f in family order and the pairs in sweep order, g
-    by the Lagrange reference through the J points, the first with g != f.
-    Lagrange shares no code with poly._row_echelon, which the check reduces
-    its pairs with."""
+    of the ordered sweep, both orientations ranked (or the given pairs), f
+    in family order and the pairs in sweep order, g by the Lagrange
+    reference through the J points, the first with g != f.  Lagrange shares
+    no code with poly._row_echelon, which the check reduces its pairs with."""
     fld, points = ev.field, ev.points
     if pairs is None:
-        pairs = [ij for _, ij in insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))]
+        pairs = [ij for _, ij in ordered_deficient_pairs(fld, points, k, 2 * k - 1, k)[0]]
     for f in family(fld, k):
         f_vals = poly.eval_on(fld, f, points)
         for i_seq, j_seq in pairs:
@@ -183,6 +185,45 @@ def test_stacked_scan_matches_the_former_scan_at_k5_and_k6():
     for ev in evs:
         result = analyze.is_optimal_half_rate(ev, ev.n // 2)
         assert not result.optimal and result == deficient_pair_scan(ev, ev.n // 2), ev
+
+
+def test_witness_matches_the_ordered_sweep():
+    # seeded length-2k codes at k = 2..5 over prime and extension fields: the
+    # elimination over both orientations of the unordered deficient pairs
+    # gives the family scan's witness over the deficient pairs of the
+    # ordered sweep, and the t = 1 certificate is the ordered sweep's
+    rng = random.Random(42)
+    verdicts = []
+    for q in (11, 13, 8, 9, 16):
+        fld = field_from_order(q)
+        for k in range(2, min(5, q // 2) + 1):
+            for _ in range(2):
+                ev = EvaluationVector(fld, tuple(rng.sample(range(q), 2 * k)))
+                result = analyze.is_optimal_half_rate(ev, k)
+                assert result == deficient_pair_scan(ev, k), ev
+                assert insdel.rank_certificate(RsCode(ev, k), 1) == ordered_certificate(RsCode(ev, k), 1), ev
+                verdicts.append(result.optimal)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_witness_reduces_the_ordered_sweeps_deficient_pairs_in_its_order(monkeypatch):
+    # ties between pairs go to the earlier one, so the elimination takes both
+    # orientations of each deficient pair in the ordered sweep's order: its
+    # build_V(J, I) calls follow the sweep's one call
+    calls, build = [], insdel.build_V
+
+    def recorded(fld, points, k, i_seq, j_seq):
+        calls.append(list(zip(map(tuple, np.asarray(j_seq).tolist()), map(tuple, np.asarray(i_seq).tolist()))))
+        return build(fld, points, k, i_seq, j_seq)
+
+    monkeypatch.setattr(insdel, "build_V", recorded)
+    for ev in (EvaluationVector(field_new(11), tuple(range(8))), first_non_optimal(random.Random(3), field_new(3, 2), 3)):
+        k = ev.n // 2
+        calls.clear()
+        assert not analyze.is_optimal_half_rate(ev, k).optimal
+        reduced = [ij for block in calls[1:] for ij in block]
+        want = [ij for _, ij in ordered_deficient_pairs(ev.field, ev.points, k, 2 * k - 1, k)[0]]
+        assert reduced == want and len(want) >= 2, ev
 
 
 def test_stacked_scan_over_extension_fields():
@@ -235,7 +276,7 @@ def test_stacked_scan_skips_g_equal_to_f(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(insdel, "deficient_pairs", lambda *args, one=(at, pair): iter([one]))
                 got = analyze.is_optimal_half_rate(ev, k)
-            assert got == deficient_pair_scan(ev, k, [pair]) and got.witness["f"] != [], (ev, pair)
+            assert got == deficient_pair_scan(ev, k, [pair, pair[::-1]]) and got.witness["f"] != [], (ev, pair)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -265,8 +306,9 @@ def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
             m.setattr(errors, "BLOCK_BYTES", rows * poly.echelon_bytes(2 * k - 1, 2 * k - 1))
             m.setattr(poly, "_row_echelon", counted)
             assert analyze.is_optimal_half_rate(ev, k) == want and not want.optimal
-        # the sweep ranks all k(k+1) pairs, then the deficient ones are reduced
-        assert max(blocks) == rows and sum(blocks) == k * (k + 1) + pairs
+        # the sweep ranks the k(k+1)/2 unordered pairs, then both orientations
+        # of the deficient ones are reduced
+        assert max(blocks) == rows and sum(blocks) == k * (k + 1) // 2 + 2 * pairs
 
 
 def small_vectors():
@@ -337,8 +379,8 @@ def test_dimension_one_is_always_optimal(capsys):
 
 @pytest.mark.parametrize("q, k", [(37, 16), (53, 26)])
 def test_sweep_and_witness_stay_within_the_block_budget(monkeypatch, q, k):
-    # the arithmetic progression leaves 240 of 272 and 650 of 702 pairs
-    # deficient; k = 26 is the largest k the sweep's guard admits.  The
+    # the arithmetic progression leaves 120 of 136 and 325 of 351 unordered
+    # pairs deficient; k = 26 is the largest k the sweep's guard admits.  The
     # sweep's peak is read as it ends, and the witness's from there on.
     peaks, deficient, sweep = [], [], insdel.deficient_pairs
 
@@ -358,5 +400,5 @@ def test_sweep_and_witness_stay_within_the_block_budget(monkeypatch, q, k):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 2 and max(peaks) <= errors.BLOCK_BYTES, peaks
-    assert len(deficient) == {16: 240, 26: 650}[k]
+    assert len(deficient) == {16: 120, 26: 325}[k]
     assert result.witness["f"] == [0] * (k - 2) + [1] and collides(ev, result.witness)

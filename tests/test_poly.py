@@ -251,6 +251,18 @@ def test_cubics_in_characteristic_2_and_3_are_split(fld, monkeypatch):
     assert sum(split) == len(rows) and not any(has_closed_form(fld, row) for row in rows.tolist())
 
 
+def test_artin_schreier_keeps_the_last_fields_table_only():
+    # quadratics y^2 + s*y + t, s != 0, in characteristic 2 read their roots
+    # off the table of z^2 + z = c; only the last field's table is kept, and
+    # a field used again rebuilds it
+    for fld in (field_new(2, 3), field_new(2, 4), field_new(2, 3)):
+        for s, t in itertools.product(range(1, fld.q), range(fld.q)):
+            want = [y for y in range(fld.q) if fld.add(fld.mul(y, fld.add(y, s)), t) == 0]
+            assert poly.roots(fld, (t, s, 1)) == want, (fld, s, t)
+        info = poly._artin_schreier.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+
+
 ROOT_FIELDS = [
     field_new(2),
     field_new(3),
