@@ -362,6 +362,28 @@ class OptimalityResult:
     witness: dict | None = None
 
 
+def _least_collision(ev: EvaluationVector, k: int, seqs: np.ndarray):
+    """The rank-deficient pairs of a (pairs, I/J, 2k-1) stack and their
+    least (f key, pair, g), or None, off one reduction (is_optimal_half_rate)."""
+    fld = ev.field
+    order = np.r_[:k, 2 * k - 3 : k - 1 : -1, 2 * k - 2]  # g, then f_(k-2) .. f_1, f_(k-1)
+    matrices = insdel.build_V(fld, ev.points, k, seqs[:, 1], seqs[:, 0])[:, :, order]
+    reduced, pivots = poly._row_echelon(fld, matrices, 2 * k - 1)
+    deficient = (pivots < 0).any(axis=1)
+    if not deficient.any():
+        return seqs[deficient], None
+    seqs, reduced, pivots = seqs[deficient], reduced[deficient], pivots[deficient]
+    each, free = np.arange(len(seqs)), (pivots < 0).argmax(axis=1)
+    if (bad := np.flatnonzero(free < k)).size:
+        i_seq, j_seq = seqs[bad[0]].tolist()
+        raise InvariantViolation(f"rank-deficient pair I={i_seq}, J={j_seq} has no collision on {ev.serialize()}")
+    vec = np.where(pivots >= 0, reduced[each[:, None], np.maximum(pivots, 0), free[:, None]], 0)
+    vec[each, free] = fld.neg(1)
+    f = fld.v_mul(vec[:, k:], fld.neg(1))  # reversed key order: with the pairs, the keys of np.lexsort
+    i = np.lexsort(np.hstack((seqs.reshape(len(seqs), -1)[:, ::-1], f)).T)[0]
+    return seqs, (f[i, ::-1].tolist(), seqs[i].tolist(), vec[i, :k].tolist())
+
+
 def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     """Decide whether the length-2k code corrects one insdel error.
 
@@ -371,60 +393,41 @@ def is_optimal_half_rate(ev: EvaluationVector, k: int) -> OptimalityResult:
     pair closer than k (f = g on the k or more points a_t with I_t = J_t;
     index_pairs(n, n-1, k) keeps k(k+1)/2 of the k(2k-1) unordered pairs),
     and a pair whose insdel.build_V matrix has full rank 2k-1 (its kernel,
-    which holds (f0-g0, f1.., -g1..), is zero).  So the rank sweep runs
-    first, one rank per unordered pair, since (I, J) and (J, I) hold the
-    same columns, and the code is optimal at once when no pair is
-    rank-deficient.
+    which holds (f0-g0, f1.., -g1..), is zero).
 
-    Otherwise the witness is read off one elimination.  On a deficient pair
-    g = f forces f = 0 (f would take one value on the d + 1 > k points of
-    the shifted run), and the nonzero family members, whose first nonzero
-    coefficient in the key order (f_(k-1), f_1, .., f_(k-2)) is 1, come
-    sorted by that key, so the least in a pair's solution space is the one
-    whose leading coefficient comes latest.  Both orientations of each
-    deficient pair are reduced, in the order of the ordered sweep, which
-    breaks ties between pairs.  Each pair's build_V(J, I), its columns
-    g_0 .. g_(k-1) and then f's in reversed key order, is reduced by
-    poly._row_echelon: g's columns pivot (the J points are distinct), and
-    the first free column c is that coefficient, the kernel vector -1 at c
-    and R[pivot row, c] at each earlier pivot column being (g, -f).  A pair
-    with no free f column has no collision (InvariantViolation).  Blocks of
-    pairs within errors.BLOCK_BYTES, poly.echelon_bytes per matrix, each
-    give their least (f, pair) by one np.lexsort.  Only the sweep's work,
-    k(k+1)(2k-1)^3, is checked against errors.MAX_OPS, before any pair is
-    built (GuardExceeded).
+    Each pair (I, J), I < J, is reduced once: poly._row_echelon on its
+    build_V(J, I), the columns g_0 .. g_(k-1) and then f's in reversed key
+    order (f_(k-1), f_1, .., f_(k-2)).  A free column marks it deficient,
+    and only the reverses (J, I) of the deficient pairs, which hold the
+    same columns, are reduced again; the code is optimal when no pair is
+    deficient.  On a deficient pair g = f forces f = 0 (f would take one
+    value on the d + 1 > k points of the shifted run), and the nonzero
+    family members, whose first nonzero coefficient in the key order is 1,
+    come sorted by that key, so the least in a pair's solution space is the
+    one whose leading coefficient comes latest: g's columns pivot (the J
+    points are distinct), and the first free column c is that coefficient,
+    the kernel vector -1 at c and R[pivot row, c] at each earlier pivot
+    column being (g, -f).  A pair with no free f column has no collision
+    (InvariantViolation).  The witness is the least (f, pair), ties going
+    to the pair first in the ordered sweep: one np.lexsort per reduction,
+    compared across blocks of errors.BLOCK_BYTES // poly.echelon_bytes(2k-1,
+    2k-1) pairs.  At most k(k+1) eliminations, k(k+1)(2k-1)^3, are checked
+    against errors.MAX_OPS before any pair is built (GuardExceeded).
     """
-    fld = ev.field
     n = ev.n
     if n != 2 * k:
         raise ValueError("optimality checker requires n = 2k")
     errors.check_work(k * (k + 1) * (2 * k - 1) ** 3, errors.MAX_OPS, f"field operations of the rank sweep at k={k}")
-    points = ev.points
-    sweep = insdel.deficient_pairs(fld, points, k, insdel.index_pairs(n, n - 1, k))
-    flat = itertools.chain.from_iterable(i_seq + j_seq for _, (i_seq, j_seq) in sweep)
-    seqs = np.fromiter(flat, np.min_scalar_type(n)).reshape(-1, 2, n - 1)  # (pairs, I/J, 2k-1), no tuples held
-    seqs = np.concatenate((seqs, seqs[:, ::-1]))  # (J, I) is deficient with (I, J)
-    seqs = seqs[np.lexsort(seqs.reshape(len(seqs), 2 * n - 2).T[::-1])]  # the ordered sweep's order
-    order = np.r_[:k, 2 * k - 3 : k - 1 : -1, 2 * k - 2]  # g, then f_(k-2) .. f_1, f_(k-1)
+    pairs, best = insdel.index_pairs(n, n - 1, k), None
     size = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(n - 1, n - 1))
-    best = None
-    for s in range(0, len(seqs), size):
-        block = seqs[s : s + size]
-        matrices = insdel.build_V(fld, points, k, block[:, 1], block[:, 0])[:, :, order]
-        reduced, pivots = poly._row_echelon(fld, matrices, n - 1)
-        each, free = np.arange(len(block)), (pivots < 0).argmax(axis=1)  # free: 0 where every column pivots
-        if (bad := np.flatnonzero(free < k)).size:
-            i_seq, j_seq = block[bad[0]].tolist()
-            raise InvariantViolation(f"rank-deficient pair I={i_seq}, J={j_seq} has no collision on {ev.serialize()}")
-        vec = np.where(pivots >= 0, reduced[each[:, None], np.maximum(pivots, 0), free[:, None]], 0)
-        vec[each, free] = fld.neg(1)
-        f = fld.v_mul(vec[:, k:], fld.neg(1))  # reversed key order: the keys of np.lexsort
-        i = np.lexsort(f.T)[0]
-        if best is None or f[i, ::-1].tolist() < best[0]:
-            best = f[i, ::-1].tolist(), vec[i, :k].tolist(), block[i].tolist()
+    while block := list(itertools.islice(pairs, size)):
+        seqs, least = _least_collision(ev, k, np.array(block))  # (pairs, I/J, 2k-1)
+        if least is not None:
+            _, reverse = _least_collision(ev, k, seqs[:, ::-1])  # (J, I) is deficient with (I, J)
+            best = min(filter(None, (best, least, reverse)))
     if best is None:
         return OptimalityResult(True, None)
-    (lead, *mids), g, (i_seq, j_seq) = best
+    (lead, *mids), (i_seq, j_seq), g = best
     witness = {"f": list(poly.trim((0, *mids, lead))), "g": list(poly.trim(g)), "I": i_seq, "J": j_seq}
     return OptimalityResult(False, witness)
 

@@ -103,6 +103,8 @@ def _floor3(x: float) -> str:
 def cmd_analyze(args):
     ev = _parse_alpha(args)
     params = {"alpha": ev.serialize(), "k": args.k, "method": args.method}
+    if args.t is not None and args.method != "certificate":
+        raise ValueError("--t applies only to --method certificate")
     if args.method == "brute":
         result = analyze.lcs_code_bruteforce(RsCode(ev, args.k))
     elif args.method == "affine":

@@ -8,9 +8,8 @@ unordered pair once as (I, J) with I < J (at ell = n - 1 built from the
 two omitted positions), and build_V the one matrix over a pair or a stack
 of pairs, behind the rank certificate, the exact optimality check
 (analyze) and the stage systems (construct).  (I, J) and (J, I) hold the
-same columns, so deficient_pairs ranks each unordered pair once, in blocks
-of errors.BLOCK_BYTES, and names each deficient one by its place in the
-ordered sweep.  All pure.
+same columns, so the certificate and the optimality check reduce one of
+them per unordered pair, in blocks of errors.BLOCK_BYTES.  All pure.
 
 The exact capability engines measure LCS values of a few patterns of one
 length m against many rows: lcs_from_masks takes the (P, m) stack of the
@@ -282,35 +281,6 @@ def build_V(fld, points, k: int, i_seq, j_seq) -> np.ndarray:
     return np.concatenate((powers[i_idx - 1], powers[j_idx - 1, 1:]), axis=-1)
 
 
-def deficient_pairs(fld, points, k: int, pairs):
-    """Yield (position from 1, (I, J)) for each pair of index_pairs' sweep
-    whose build_V matrix has rank below 2k - 1, in sweep order; return the
-    number of ordered pairs swept, twice the pairs.
-
-    (I, J) and (J, I) hold the same columns, so one rank serves both, and
-    the position is (I, J)'s in the ordered sweep that holds (J, I) too:
-    its place among the pairs plus the pairs (X, Y) with Y <= I, whose
-    reverses come before it.  Those have X < I, so they are swept before
-    (I, J).  The pairs are ranked in blocks of errors.BLOCK_BYTES //
-    poly.echelon_bytes(ell, 2k - 1), one poly.rank call each, so a consumer
-    that stops at the first deficient pair ranks only through its block.
-    """
-    pairs = iter(pairs)
-    if (first := next(pairs, None)) is None:
-        return 0
-    size = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(len(first[0]), 2 * k - 1))
-    pairs, swept, seconds = itertools.chain([first], pairs), 0, collections.Counter()
-    while block := list(itertools.islice(pairs, size)):
-        seqs = np.array(block)  # (pairs, 2, ell)
-        matrices = build_V(fld, points, k, seqs[:, 0], seqs[:, 1])
-        seconds.update(j_seq for _, j_seq in block)
-        for b in np.flatnonzero(poly.rank(fld, matrices) < 2 * k - 1).tolist():
-            i_seq = block[b][0]
-            yield swept + b + 1 + sum(c for j_seq, c in seconds.items() if j_seq <= i_seq), block[b]
-        swept += len(block)
-    return 2 * swept
-
-
 @dataclass(frozen=True)
 class CertificateResult:
     """Outcome of the full-rank sweep.
@@ -339,17 +309,28 @@ def rank_certificate(code: RsCode, t: int) -> CertificateResult:
     ordered pair in lexicographic order, which is an (I, J) with I < J (the
     reverse of a deficient pair is deficient and comes later), and
     pairs_checked is its position among the ordered pairs, or all of them,
-    twice the pairs swept, when the code is certified.  deficient_pairs
-    ranks the pairs in budget-sized blocks and stops after the first block
-    that holds a deficient one; index_pairs' guard runs before any pair.
+    twice the pairs swept, when the code is certified.  (I, J) and (J, I)
+    hold the same columns, so each unordered pair is ranked once, in blocks
+    of errors.BLOCK_BYTES // poly.echelon_bytes(ell, 2k - 1) pairs, one
+    poly.rank call each, and the sweep stops after the first block that
+    holds a deficient pair.  Its position is its place among the pairs
+    plus the pairs (X, Y) with Y <= I, whose reverses come before it: those
+    have X < I, so they are swept before (I, J).  index_pairs' guard runs
+    before any pair.
     """
     fld, n, k = code.field, code.n, code.k
     ell = n - t
     if not 2 * k - 1 <= ell <= n:
         raise ValueError(f"need 2k-1 <= n-t <= n, got ell={ell}, k={k}, n={n}")
-    sweep = deficient_pairs(fld, code.ev.points, k, index_pairs(n, ell, ell - k + 1))
-    try:
-        checked, witness = next(sweep)
-    except StopIteration as done:
-        return CertificateResult(True, t, None, done.value)
-    return CertificateResult(False, t, witness, checked)
+    pairs, swept, seconds = index_pairs(n, ell, ell - k + 1), 0, collections.Counter()
+    size = max(1, errors.BLOCK_BYTES // poly.echelon_bytes(ell, 2 * k - 1))
+    while block := list(itertools.islice(pairs, size)):
+        seqs = np.array(block)  # (pairs, 2, ell)
+        seconds.update(j_seq for _, j_seq in block)
+        ranks = poly.rank(fld, build_V(fld, code.ev.points, k, seqs[:, 0], seqs[:, 1]))
+        if (deficient := np.flatnonzero(ranks < 2 * k - 1)).size:
+            b = int(deficient[0])
+            before = sum(c for j_seq, c in seconds.items() if j_seq <= block[b][0])
+            return CertificateResult(False, t, block[b], swept + b + 1 + before)
+        swept += len(block)
+    return CertificateResult(True, t, None, 2 * swept)

@@ -155,13 +155,17 @@ def test_is_optimal_witness_is_a_real_collision():
 
 
 def test_is_optimal_refuses_a_deficient_pair_without_collision(monkeypatch, capsys):
-    # GF(7):0,1,2,5 is optimal, so its first index pair has full rank: a
-    # sweep naming it leaves the elimination no free column of f, which is a
-    # broken engine, never a collision
-    def names_a_full_rank_pair(fld, points, k, pairs):
-        yield 1, next(pairs)
+    # GF(7):0,1,2,5 is optimal; with g's constant column zeroed its first
+    # index pair is deficient at a g column and leaves no free column of f,
+    # which is a broken engine, never a collision
+    build = insdel.build_V
 
-    monkeypatch.setattr(insdel, "deficient_pairs", names_a_full_rank_pair)
+    def without_g0(*args):
+        matrices = build(*args)
+        matrices[..., 0] = 0
+        return matrices
+
+    monkeypatch.setattr(insdel, "build_V", without_g0)
     message = r"^rank-deficient pair I=\[1, 2, 3\], J=\[1, 3, 4\] has no collision on GF\(7\):0,1,2,5$"
     with pytest.raises(InvariantViolation, match=message):
         analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5)), 2)

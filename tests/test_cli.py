@@ -484,6 +484,11 @@ MALFORMED = [
     pytest.param(2, ("classify", "--field", "7", "--alpha", "GF(11):0,1,2,3,4,5,6,7,8,9,10"), id="2-argv53"),
     # the class-count lower bound needs q >= 4, in table1 as in bounds class-lower-bound (2-argv34)
     pytest.param(2, ("table1", "--qs", "3"), id="2-table1-q3"),
+    # --t belongs to the certificate alone; no other method takes it
+    pytest.param(
+        2, ("analyze", "--field", "7", "--alpha", "0,1,2,5", "--k", "2", "--method", "optimal", "--t", "3"), id="2-t-optimal"
+    ),
+    pytest.param(2, ("analyze", "--field", "7", "--alpha", "0,1,2,5", "--k", "2", "--t", "1"), id="2-t-brute"),
 ]
 # The message of some MALFORMED rows, pinned where it names the offending input.
 MESSAGES = {
@@ -500,6 +505,9 @@ MESSAGES = {
     ("bounds", "bad-classes", "--q", "6"): "6 is not a prime power",
     ("bounds", "class-lower-bound", "--q", "3"): "meaningful only for q >= 4",
     ("table1", "--qs", "3"): "meaningful only for q >= 4",
+    ("analyze", "--field", "7", "--alpha", "0,1,2,5", "--k", "2", "--method", "optimal", "--t", "3"): (
+        "--t applies only to --method certificate"
+    ),
     ("sample", "--field", "2", "--delta", "0.5", "--trials", "1", "--seed", "1"): (
         "sampling needs q >= 3 (full-length codes of dimension 2), got q=2"
     ),

@@ -251,6 +251,26 @@ def test_t1_certificate_equals_the_brute_force_on_every_k3_class():
         assert failed == bad
 
 
+def test_t1_certificate_equals_the_brute_force_on_seeded_k4_codes(monkeypatch):
+    # at k = 4, n = 8 the certificate is certified exactly where the brute
+    # force corrects one insdel, at the default budget and at one pair per
+    # block; GF(8) and GF(9) give few certified codes, GF(11) more
+    rng = random.Random(43)
+    verdicts = []
+    for q, count in ((8, 10), (9, 20), (11, 40)):
+        fld = field_from_order(q)
+        for _ in range(count):
+            code = RsCode(EvaluationVector(fld, tuple(rng.sample(range(q), 8))), 4)
+            corrects = analyze.lcs_code_bruteforce(code, want_witness=False).max_correctable >= 1
+            result = insdel.rank_certificate(code, 1)
+            with monkeypatch.context() as m:
+                m.setattr(errors, "BLOCK_BYTES", 1)
+                assert insdel.rank_certificate(code, 1) == result, code.ev
+            assert result.certified == corrects, code.ev
+            verdicts.append(corrects)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 50
+
+
 def test_rank_certificate_skips_low_distance_pairs():
     ev = EvaluationVector(F7, (0, 1, 2, 5))
     res = insdel.rank_certificate(RsCode(ev, 2), 1)

@@ -207,9 +207,10 @@ def test_witness_matches_the_ordered_sweep():
 
 
 def test_witness_reduces_the_ordered_sweeps_deficient_pairs_in_its_order(monkeypatch):
-    # ties between pairs go to the earlier one, so the elimination takes both
-    # orientations of each deficient pair in the ordered sweep's order: its
-    # build_V(J, I) calls follow the sweep's one call
+    # each pair (I, J), I < J, is reduced once, in the sweep's order, and
+    # then the reverses (J, I) of the deficient ones, in the same order: one
+    # block, so two build_V(J, I) calls; ties go to the earlier pair of the
+    # ordered sweep by the pairs' sequences, not by the order of reduction
     calls, build = [], insdel.build_V
 
     def recorded(fld, points, k, i_seq, j_seq):
@@ -219,11 +220,11 @@ def test_witness_reduces_the_ordered_sweeps_deficient_pairs_in_its_order(monkeyp
     monkeypatch.setattr(insdel, "build_V", recorded)
     for ev in (EvaluationVector(field_new(11), tuple(range(8))), first_non_optimal(random.Random(3), field_new(3, 2), 3)):
         k = ev.n // 2
+        deficient = [ij for _, ij in ordered_deficient_pairs(ev.field, ev.points, k, 2 * k - 1, k)[0] if ij[0] < ij[1]]
         calls.clear()
         assert not analyze.is_optimal_half_rate(ev, k).optimal
-        reduced = [ij for block in calls[1:] for ij in block]
-        want = [ij for _, ij in ordered_deficient_pairs(ev.field, ev.points, k, 2 * k - 1, k)[0]]
-        assert reduced == want and len(want) >= 2, ev
+        assert calls == [list(insdel.index_pairs(2 * k, 2 * k - 1, k)), [ij[::-1] for ij in deficient]], ev
+        assert deficient, ev
 
 
 def test_stacked_scan_over_extension_fields():
@@ -251,15 +252,15 @@ def test_stacked_scan_on_pairs_with_large_kernels():
         (EvaluationVector(f9, geometric), 4),
     ):
         fld = ev.field
-        sweep = insdel.deficient_pairs(fld, ev.points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))
-        ranks = [int(poly.rank(fld, insdel.build_V(fld, ev.points, k, *ij))) for _, ij in sweep]
+        deficient = ordered_deficient_pairs(fld, ev.points, k, 2 * k - 1, k)[0]
+        ranks = [int(poly.rank(fld, insdel.build_V(fld, ev.points, k, *ij))) for _, ij in deficient]
         assert min(ranks) <= 2 * k - 3
         assert analyze.is_optimal_half_rate(ev, k) == deficient_pair_scan(ev, k)
 
 
 def test_stacked_scan_skips_g_equal_to_f(monkeypatch):
     # the zero polynomial leads the family and meets every pair with
-    # g = 0 = f, so it is never a witness: a sweep naming one deficient pair
+    # g = 0 = f, so it is never a witness: a sweep of one deficient pair
     # gives that pair's least nonzero member, its leading coefficient 1
     f9 = field_new(3, 2)
     evs = [
@@ -271,20 +272,20 @@ def test_stacked_scan_skips_g_equal_to_f(monkeypatch):
     ]
     for ev in evs:
         fld, k = ev.field, ev.n // 2
-        sweep = list(insdel.deficient_pairs(fld, ev.points, k, insdel.index_pairs(2 * k, 2 * k - 1, k)))
-        for at, pair in sweep:
+        deficient = ordered_deficient_pairs(fld, ev.points, k, 2 * k - 1, k)[0]
+        for pair in [ij for _, ij in deficient if ij[0] < ij[1]]:
             with monkeypatch.context() as m:
-                m.setattr(insdel, "deficient_pairs", lambda *args, one=(at, pair): iter([one]))
+                m.setattr(insdel, "index_pairs", lambda *args, one=pair: iter([one]))
                 got = analyze.is_optimal_half_rate(ev, k)
             assert got == deficient_pair_scan(ev, k, [pair, pair[::-1]]) and got.witness["f"] != [], (ev, pair)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
-    # non-optimal codes with 2 to 12 deficient pairs, swept and then reduced
-    # `rows` matrices at a time; the first two find their witness at the
-    # fifth and the second pair, and the arithmetic progression's least f
-    # comes at its third and tenth, where a later block must not win
+    # non-optimal codes with 2 to 12 deficient ordered pairs, reduced `rows`
+    # pairs at a time; the first two find their witness at the fifth and the
+    # second ordered pair, and the arithmetic progression's least f comes at
+    # its third and tenth, where a later block must not win
     cases = [
         (field_new(2, 3), (3, 0, 6, 5, 2, 7, 4, 1)),
         (field_new(3, 2), (1, 2, 7, 8, 5, 6, 3, 0)),
@@ -295,20 +296,19 @@ def test_stacked_scan_is_independent_of_block_size(monkeypatch, rows):
     for fld, points in cases:
         ev, k = EvaluationVector(fld, points), len(points) // 2
         want = deficient_pair_scan(ev, k)
-        pairs = len(list(insdel.deficient_pairs(fld, points, k, insdel.index_pairs(2 * k, 2 * k - 1, k))))
-        blocks = []
-
-        def counted(fld, stack, ncols, echelon=poly._row_echelon):
-            blocks.append(len(stack))
-            return echelon(fld, stack, ncols)
-
+        pairs = list(insdel.index_pairs(2 * k, 2 * k - 1, k))
+        deficient = {ij for _, ij in ordered_deficient_pairs(fld, points, k, 2 * k - 1, k)[0]}
         with monkeypatch.context() as m:
             m.setattr(errors, "BLOCK_BYTES", rows * poly.echelon_bytes(2 * k - 1, 2 * k - 1))
-            m.setattr(poly, "_row_echelon", counted)
+            blocks = counted_reductions(m)
             assert analyze.is_optimal_half_rate(ev, k) == want and not want.optimal
-        # the sweep ranks the k(k+1)/2 unordered pairs, then both orientations
-        # of the deficient ones are reduced
-        assert max(blocks) == rows and sum(blocks) == k * (k + 1) // 2 + 2 * pairs
+        # each block of the k(k+1)/2 unordered pairs is reduced once, and
+        # then the reverses of its deficient pairs, if it has any
+        want_blocks = []
+        for s in range(0, len(pairs), rows):
+            reverses = sum(ij in deficient for ij in pairs[s : s + rows])
+            want_blocks += [len(pairs[s : s + rows])] + [reverses] * (reverses > 0)
+        assert blocks == want_blocks and max(blocks) == rows, (points, blocks)
 
 
 def small_vectors():
@@ -377,28 +377,50 @@ def test_dimension_one_is_always_optimal(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == {"optimal": True, "witness": None}
 
 
+def counted_reductions(monkeypatch):
+    """Patch poly._row_echelon to record the size of every stack it reduces."""
+    reduced, echelon = [], poly._row_echelon
+
+    def counted(fld, stack, ncols):
+        reduced.append(len(stack))
+        return echelon(fld, stack, ncols)
+
+    monkeypatch.setattr(poly, "_row_echelon", counted)
+    return reduced
+
+
 @pytest.mark.parametrize("q, k", [(37, 16), (53, 26)])
 def test_sweep_and_witness_stay_within_the_block_budget(monkeypatch, q, k):
     # the arithmetic progression leaves 120 of 136 and 325 of 351 unordered
-    # pairs deficient; k = 26 is the largest k the sweep's guard admits.  The
-    # sweep's peak is read as it ends, and the witness's from there on.
-    peaks, deficient, sweep = [], [], insdel.deficient_pairs
-
-    def measured(*args):
-        for item in sweep(*args):
-            deficient.append(item[0])
-            yield item
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-
-    monkeypatch.setattr(insdel, "deficient_pairs", measured)
+    # pairs deficient; k = 26 is the largest k the guard admits.  One peak
+    # covers the whole check: each block's pairs and its deficient reverses,
+    # 256 and 676 eliminations, within the k(k+1) the guard charges.
+    reduced = counted_reductions(monkeypatch)
     ev = EvaluationVector(field_new(q), tuple(range(2 * k)))
     tracemalloc.start()
     try:
         result = analyze.is_optimal_half_rate(ev, k)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 2 and max(peaks) <= errors.BLOCK_BYTES, peaks
-    assert len(deficient) == {16: 120, 26: 325}[k]
+    assert peak <= errors.BLOCK_BYTES, peak
+    assert sum(reduced) - k * (k + 1) // 2 == {16: 120, 26: 325}[k] and sum(reduced) <= k * (k + 1)
     assert result.witness["f"] == [0] * (k - 2) + [1] and collides(ev, result.witness)
+
+
+def test_check_runs_at_most_the_eliminations_its_guard_charges(monkeypatch):
+    # the guard charges k(k+1) eliminations of (2k-1)^3: each of the
+    # k(k+1)/2 unordered pairs is reduced once, and only the reverses of the
+    # deficient ones a second time (the arithmetic progressions at k = 16
+    # and 26 are in the block-budget test)
+    reduced = counted_reductions(monkeypatch)
+    rng, verdicts = random.Random(43), []
+    for q in (11, 13, 16, 29):
+        fld = field_from_order(q)
+        for k in range(2, min(6, q // 2) + 1):
+            ev = EvaluationVector(fld, tuple(rng.sample(range(q), 2 * k)))
+            deficient = len(ordered_deficient_pairs(fld, ev.points, k, 2 * k - 1, k)[0]) // 2
+            reduced.clear()
+            verdicts.append(analyze.is_optimal_half_rate(ev, k).optimal)
+            assert sum(reduced) == k * (k + 1) // 2 + deficient <= k * (k + 1), ev
+    assert verdicts.count(True) >= 4 and verdicts.count(False) >= 4, verdicts
