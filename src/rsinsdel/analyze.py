@@ -7,13 +7,13 @@ pairs with insdel's batched LCS kernel: a guarded brute force for any
 parameters, which measures each normalized f shifted by every constant c
 against one table of the q^(k-1) codewords of zero constant term, and a
 guarded fast path for full-length 2-dimensional codes that exploits the
-affine edit-distance isometries.  In the fast path both words of a pair
-are orderings of the field, so relabelling every symbol by its position in
-the ordering turns each LCS into a longest increasing subsequence, so the
-one pattern 0 .. q-1 serves every row, and one batched
-core (_affine_lcs) measures a block of orderings, or above q = 89 a block
-of one ordering's rows read column by column, per kernel call; the engine
-is that core on one ordering.  Beside them: the complete
+affine edit-distance isometries.  In the fast path subtracting B from
+both words of the pair (alpha, A*alpha + B) leaves the pattern A*alpha
+against the row alpha - B, so an ordering's scan is one grid of its kept
+A values against its q shifts, and one batched core (_affine_lcs)
+measures a block of orderings as class patterns, or above q = 157 a block
+of one ordering's A values, per kernel call; the engine is that core on
+one ordering.  Beside them: the complete
 classification of full-length 2-dimensional orderings that fail to correct
 even one error, an optimality checker for length-2k dimension-k codes (a
 rank sweep of the index pairs, then one elimination of the deficient ones,
@@ -43,7 +43,7 @@ import numpy as np
 from . import errors, insdel, poly
 from .errors import GuardExceeded, InvariantViolation
 from .gf import Field, euler_phi
-from .insdel import Columns, kernel_row_bytes, kernel_steps, lcs_from_masks
+from .insdel import kernel_row_bytes, kernel_steps, lcs_from_masks
 from .rscode import EvaluationVector, RsCode, equivalent
 
 DEFAULT_MAX_CLASSES = 5_040
@@ -128,8 +128,8 @@ def _family_size(q: int, k: int) -> int:
 
 
 def _affine_steps(q: int) -> int:
-    # kernel_steps of lcs_code_affine's full scan: one pattern against (q^2 - 1) // 2 rows of q
-    return kernel_steps(1, (q * q - 1) // 2, q, q)
+    # kernel_steps of lcs_code_affine's full scan: the (q + 1) // 2 patterns A*alpha against the q rows alpha - B
+    return kernel_steps((q + 1) // 2, q, q, q)
 
 
 def _codeword_table(code: RsCode) -> np.ndarray:
@@ -217,113 +217,83 @@ def _pair_witness(code: RsCode, f, g) -> dict:
     return {"f": list(f), "g": list(g), "I": list(i_seq), "J": list(j_seq)}
 
 
-def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (a, b) of the affine scan in scan order (a, then b, ascending):
-    every a != 0 and b, less (1, 0) and the larger of each pair (a, b),
-    (1/a, -b/a).  a < 1/a keeps every b and a > 1/a none; a = 1 pairs b
-    with -b and keeps 0 < b <= -b; a = -1 is its own pair and keeps all.
-    That leaves (q^2 - 1) // 2 rows.  Returns the kept a values, each
-    row's index into them, and its b."""
+def _affine_rows(fld: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) of the affine scan: every a != 0 and b, less (1, 0) and
+    the larger of each pair (a, b), (1/a, -b/a).  a < 1/a keeps every b and
+    a > 1/a none; a = 1 pairs b with -b and keeps 0 < b <= -b; a = -1 is its
+    own pair and keeps all.  That leaves (q^2 - 1) // 2 rows.  Returns the
+    kept a values ((q + 1) // 2 of them, kept[0] = 1) and the (kept, q) mask
+    of the rows, whose cells [a index, b] in C order are the scan order (a,
+    then b, ascending)."""
     q = fld.q
     a = np.arange(1, q)
-    kept = a[a <= fld.v_inv(a)]  # kept[0] = 1
+    kept = a[a <= fld.v_inv(a)]
     b = np.arange(q)
     rows = np.ones((len(kept), q), dtype=bool)
     rows[0] = (b != 0) & (b <= fld.v_mul(b, fld.neg(1)))
-    a_idx, b_rows = np.nonzero(rows)
-    return kept, a_idx, b_rows
+    return kept, rows
 
 
 def _affine_lcs(fld: Field, orderings) -> tuple[np.ndarray, np.ndarray]:
     """The code LCS of each full-length ordering of an (N, q) array, and
     the first row of _affine_rows, in scan order, that reaches it.
 
-    Renaming every symbol x by its position pos[x] in alpha keeps an LCS,
-    so each row (A, B) is measured against 0 .. q-1: its LCS is the longest
-    increasing subsequence of pos[A*alpha_j + B] (Hunt and Szymanski).  The
-    _affine_rows geometry and the table x + b are built once per call, and
-    each ordering gathers its relabel table pos[x + b] from that table.
-    Each block is one lcs_from_masks call of the pattern 0 .. q-1 within
-    errors.BLOCK_BYTES, every temporary per row or per ordering of the block
-    counted; the tables of one call or one ordering scanned alone (x + b,
-    pos[x + b], A*alpha_j) and the kernel's bit tables of that one pattern
-    lie beside it.  While one ordering's (q^2 - 1) // 2 rows fit beside
-    their gathers (q <= 89 at the default budget), a block holds as many
-    whole orderings as fit, their rows gathered from the relabel rows
-    A*alpha_j: a = 1 by its kept b, the other a whole, joined by one
-    concatenate.  Otherwise each ordering is
-    scanned alone in fixed-size ranges of rows, each block a Columns source
-    that holds no rows (_affine_columns), and stops at its first block
-    reaching q - 1.  The whole-ordering path stays beside the column-fed
-    one because it is faster where it fits (2-core VM, Python 3.11.7, numpy
-    2.4.6): a column source took 1.37 against 1.25 ms per GF(3^4) ordering
-    and 0.42 against 0.34 ms at GF(61), and was even at GF(89) and GF(11).
-    The callers check the work.
+    Subtracting B from both words keeps an LCS, so LCS(alpha, A*alpha + B)
+    = LCS(A*alpha, alpha - B): an ordering's scan is one grid of kernel
+    cells, the patterns A*alpha of the kept A against the q rows alpha - B,
+    gathered from the q x q table x - b, and row (A, B) is cell [A, B], read
+    in _affine_rows' scan order.  Orderings share a call as class patterns:
+    ordering o of a block maps each symbol x to o*q + x, so each pattern
+    position holds one symbol per ordering and each row matches only its
+    own ordering's.  Each call stays within errors.BLOCK_BYTES, counting per
+    grid row and lane group the kernel's state, the tables' entries for the
+    row's symbol, and each lane's int64 pattern symbols and lengths, read
+    twice; per row its column index and, for blocks of whole orderings, its
+    q symbols gathered twice.  The tables of one call (x - b, the scan mask)
+    lie beside it.  While a whole ordering fits (q <= 157 at the default
+    budget) a block holds as many as fit.  Otherwise each ordering's rows,
+    which then lie beside the budget too, meet its A values in A-major
+    blocks of whole lane groups, and the scan stops after the first block
+    reaching q - 1.  On a 2-core VM (Python 3.11.7, numpy 2.4.6) one GF(3^4)
+    ordering takes about 1.5 ms, one GF(257) ordering 0.12 s and one
+    GF(509) ordering 1.8 s.  The callers check the work.
     """
     q = fld.q
     arr = np.asarray(orderings, dtype=np.int64).reshape(-1, q)
     best = np.full(len(arr), -1, dtype=np.int64)
     first = np.zeros(len(arr), dtype=np.int64)
-    elements = np.arange(q)
-    shifted = fld.v_add(elements[:, None], elements)  # shifted[x, b] = x + b
-    a_vals, a_idx, b_rows = _affine_rows(fld)
-    symbol = np.min_scalar_type(q - 1)
-    s = symbol.itemsize
-    # a whole ordering: its relabel table, two int64 (the gather index and
-    # its product) and a relabel row of q symbols per (A, alpha_j), then
-    # each row again, joined, and its kernel state
-    whole = q * q * s + len(a_vals) * q * (16 + q * s) + len(a_idx) * (q * s + kernel_row_bytes(q))
+    a_vals, scan = _affine_rows(fld)
+    elements, diff = np.arange(q), np.empty((q, q), dtype=np.min_scalar_type(q - 1))
+    negated = fld.v_mul(elements, fld.neg(1))
+    step = max(1, errors.BLOCK_BYTES // (16 * q))  # rows of the int64 sum and v_add's temporary
+    for x0 in range(0, q, step):
+        diff[x0 : x0 + step] = fld.v_add(elements[x0 : x0 + step, None], negated)  # diff[x, b] = x - b
+    lanes = 64 // insdel.lane_bits(q)
+    per_group = kernel_row_bytes(q, lanes) - 8 + 8 * -(-q // 64) + 12 * lanes
+    whole = q * (-(-len(a_vals) // lanes) * per_group + 8 + 4 * q)
     if whole <= errors.BLOCK_BYTES:
-        per_block, ones = errors.BLOCK_BYTES // whole, int(np.count_nonzero(a_idx == 0))  # a = 1's rows
-        for o0 in range(0, len(arr), per_block):
-            block = arr[o0 : o0 + per_block]
-            count = len(block)
-            pos = np.empty((count, q), dtype=symbol)
-            pos[np.arange(count)[:, None], block] = elements
-            relabel = pos[:, shifted].reshape(count * q, q)  # row o*q + x holds pos_o[x + b] over b
-            index = fld.v_mul(block.T[:, :, None], a_vals)  # (q, count, A): A * alpha_j
-            index += np.arange(0, count * q, q)[:, None]
-            # C-order (q, count, rows), so the kernel's rows are column-major
-            kept = relabel[index[..., :1], b_rows[:ones]]
-            seqs = np.concatenate((kept, relabel[index[..., 1:]].reshape(q, count, -1)), axis=2)
-            lengths = lcs_from_masks(elements[None], q, seqs.reshape(q, -1).T)[0].reshape(count, -1)
-            first[o0 : o0 + count] = lengths.argmax(axis=1)
-            best[o0 : o0 + count] = lengths[np.arange(count), first[o0 : o0 + count]]
-        return best, first
-    # per row: the kernel's state with the source's gather index, and its share of the
-    # gathered relabel rows; per block: the gathered rows of the two a groups at its ends
-    rows = max(1, (errors.BLOCK_BYTES - 16 * q) // (kernel_row_bytes(q, source=True) + 8))
-    for o, points in enumerate(arr):
-        pos = np.empty(q, dtype=np.intp)
-        pos[points] = elements
-        relabel = pos[shifted]  # relabel[x, b] = pos[x + b]
-        scaled = fld.v_mul(points[:, None], a_vals)  # (q, A): A * alpha_j
-        for start in range(0, len(a_idx), rows):
-            source = _affine_columns(relabel, scaled, a_idx[start : start + rows], b_rows[start : start + rows])
-            lengths = lcs_from_masks(elements[None], q, source)[0]
-            f = int(lengths.argmax())
-            if lengths[f] > best[o]:
-                best[o], first[o] = lengths[f], start + f
-            if best[o] == q - 1:
+        count, width = errors.BLOCK_BYTES // whole, len(a_vals)
+    else:
+        count, width = 1, lanes * max(1, (errors.BLOCK_BYTES // q - 8) // per_group)
+    for o0 in range(0, len(arr), count):
+        block = arr[o0 : o0 + count]
+        n, best_o, first_o = len(block), best[o0 : o0 + count], first[o0 : o0 + count]
+        symbol = np.min_scalar_type(n * q - 1)
+        rows = diff[block.T].astype(symbol, copy=False)  # rows[j, o, b] = alpha_o[j] - b
+        rows += np.arange(0, n * q, q, dtype=symbol)[:, None]
+        rows = rows.reshape(q, n * q).T  # column-major; row o*q + b is ordering o's alpha - b
+        for a0 in range(0, len(a_vals), width):
+            patterns = fld.v_mul(a_vals[a0 : a0 + width, None, None], block.T)  # (A, j, o): A * alpha_o[j]
+            patterns += np.arange(0, n * q, q)
+            lengths = lcs_from_masks(patterns, n * q, rows).reshape(-1, n, q)
+            cells = lengths.transpose(1, 0, 2)[:, scan[a0 : a0 + width]]  # (o, this block's scan rows)
+            f = cells.argmax(axis=1)
+            top = cells[np.arange(n), f]
+            better = top > best_o
+            best_o[better], first_o[better] = top[better], np.count_nonzero(scan[:a0]) + f[better]
+            if (best_o == q - 1).all():
                 break
     return best, first
-
-
-def _affine_columns(relabel: np.ndarray, scaled: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray) -> Columns:
-    """Consecutive rows of _affine_rows, given by their a index and b, as a
-    Columns source: column j of row (A, b) is relabel[A*alpha_j, b], read
-    by gathering the relabel rows A*alpha_j of the block's A values,
-    scaled[j] holding every kept A's, then each row's b from them by one
-    fixed gather index."""
-    lo, hi = a_rows[0], a_rows[-1] + 1
-    held = np.empty((hi - lo, relabel.shape[1]), dtype=np.intp)
-    index = (a_rows - lo) * relabel.shape[1] + b_rows
-
-    def read(j: int, out: np.ndarray) -> None:
-        relabel.take(scaled[j, lo:hi], axis=0, out=held, mode="clip")
-        held.reshape(-1).take(index, out=out, mode="clip")
-
-    return Columns(len(index), len(scaled), read)
 
 
 def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> AnalysisReport:
@@ -348,8 +318,9 @@ def lcs_code_affine(ev: EvaluationVector, want_witness: bool = True) -> Analysis
     (best,), (row,) = _affine_lcs(fld, [ev.points])
     witness = None
     if want_witness:
-        a_vals, a_idx, b_rows = _affine_rows(fld)
-        witness = _pair_witness(code, (0, 1), (int(b_rows[row]), int(a_vals[a_idx[row]])))
+        a_vals, scan = _affine_rows(fld)
+        a, b = divmod(int(np.flatnonzero(scan)[row]), fld.q)
+        witness = _pair_witness(code, (0, 1), (b, int(a_vals[a])))
     return _report(code, "affine", int(best), witness)
 
 

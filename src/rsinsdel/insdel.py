@@ -13,18 +13,19 @@ them per unordered pair, in blocks of errors.BLOCK_BYTES.  All pure.
 
 The exact capability engines measure LCS values of a few patterns of one
 length m against many rows: lcs_from_masks takes the (P, m) stack of the
-patterns' symbols, scatters their position bits into its bit tables, and
-runs the Allison-Dix / Hyyro bit-vector recurrence over every row at once,
-one numpy pass per column and word, below m = 64 with the patterns packed
-side by side into lanes of lane_bits(m) bits, each with a guard bit above m
-for its carry (Hyyro, Fredriksson and Navarro's increased
-bit-parallelism), and from m = 65 up with a top word no wider than its
-bits.  The rows are an array or a Columns source that writes each column
-when the kernel reads it.  The engines check kernel_steps, the word-steps
-of a scan, against the one limit before building anything, and size their
-blocks by kernel_row_bytes, the kernel's memory per row.  lcs_with_witness
-is the dynamic program that recovers one common subsequence of a single
-pair.
+patterns' symbols, or a (P, m, S) stack of symbol classes, scatters their
+position bits into its bit tables, and runs the Allison-Dix / Hyyro
+bit-vector recurrence over every row of an (R, n) array at once, one numpy
+pass per column and word, below m = 64 with the patterns packed side by
+side into lanes of lane_bits(m) bits, each with a guard bit above m for its
+carry (Hyyro, Fredriksson and Navarro's increased bit-parallelism), and
+from m = 65 up with a top word no wider than its bits.  A class pattern
+matches any symbol of its class at each position (Baeza-Yates and Gonnet's
+shift-and classes), so rows over disjoint alphabets share one call.  The
+engines check kernel_steps, the word-steps of a scan, against the one limit
+before building anything, and size their blocks by kernel_row_bytes, the
+kernel's memory per row.  lcs_with_witness is the dynamic program that
+recovers one common subsequence of a single pair.
 """
 
 from __future__ import annotations
@@ -71,36 +72,24 @@ def kernel_steps(patterns: int, rows: int, m: int, n: int) -> int:
     return -(-patterns // (64 // lane_bits(m))) * rows * n * -(-m // 64)
 
 
-def kernel_row_bytes(m: int, patterns: int = 1, source: bool = False) -> int:
+def kernel_row_bytes(m: int, patterns: int = 1) -> int:
     """Working memory of lcs_from_masks per row, in bytes, for P patterns of
     length m: per group of lanes v's words (_layout), u and v & ~u at the
     word width, two one-byte carry flags and, from three words on, about 2
     bytes more for the carry test of a middle word; per row the 8-byte
-    column index, and for a Columns source its 8-byte gather index too."""
+    column index."""
     _, lanes, word, widths = _layout(m, patterns)
     group = sum(w.itemsize for w in widths) + 2 * word.itemsize + 2 + (2 if len(widths) >= 3 else 0)
-    return -(-patterns // lanes) * group + (16 if source else 8)
-
-
-class Columns:
-    """Rows for lcs_from_masks that are read column by column and never held:
-    count rows of length n, whose column j read(j, out) writes, as intp, into
-    out.  kernel_row_bytes(m, P, source=True) counts one 8-byte gather index
-    per row for the source."""
-
-    def __init__(self, count: int, n: int, read):
-        self.shape = (count, n)
-        self.read = read
-
-    def __len__(self) -> int:
-        return self.shape[0]
+    return -(-patterns // lanes) * group + 8
 
 
 def lcs_from_masks(patterns, alphabet: int, rows) -> np.ndarray:
     """LCS lengths of a (P, m) stack of patterns, their symbols in [0,
-    alphabet), against every row of an (R, n) symbol array or a Columns
-    source of R rows: the (P, R) lengths, in the narrowest signed dtype that
-    holds every length and -1.
+    alphabet), against every row of an (R, n) symbol array: the (P, R)
+    lengths, in the narrowest signed dtype that holds every length and -1.
+    A (P, m, S) stack gives each position of a pattern a class of S
+    symbols, any of which it matches (repeats allowed); S = 1 is the (P, m)
+    stack.
 
     v keeps one bit per position of a pattern, set while that position is
     still unmatched.  Each column c updates u = v & M[c], v = (v + u) |
@@ -117,15 +106,15 @@ def lcs_from_masks(patterns, alphabet: int, rows) -> np.ndarray:
     its bits allow, whose carry out is dropped.  Each word has its own
     table M, one row of lane groups per symbol, built by one scatter of
     the patterns' position bits: bit j % 64 of pattern p's lane in row c
-    of word j // 64 is set exactly where patterns[p][j] == c.  Column-major
-    rows (order="F") make each column one contiguous read.
+    of word j // 64 is set exactly where c is in the class patterns[p][j].
+    Column-major rows (order="F") make each column one contiguous read.
     """
     patterns = np.asarray(patterns, dtype=np.intp)
-    source = isinstance(rows, Columns)
-    if not source:
-        rows = np.asarray(rows)
+    if patterns.ndim == 2:
+        patterns = patterns[..., None]
+    rows = np.asarray(rows)
     count, n = rows.shape
-    p, m = patterns.shape
+    p, m, _ = patterns.shape
     if not m:
         return np.zeros((p, count), dtype=np.int8)
     lane, lanes, word, widths = _layout(m, p)
@@ -144,7 +133,7 @@ def lcs_from_masks(patterns, alphabet: int, rows) -> np.ndarray:
         # lanes lie side by side in memory, so viewing them as words packs them
         span = slice(64 * w, 64 * w + 64)
         table = np.zeros((alphabet, groups * lanes), dtype=lane if width == word else width)
-        np.bitwise_or.at(table, (patterns[:, span], np.arange(p)[:, None]), bits[span].astype(table.dtype))
+        np.bitwise_or.at(table, (patterns[:, span], np.arange(p)[:, None, None]), bits[span, None].astype(table.dtype))
         vw = np.empty((count, groups), dtype=width)
         vw.fill((1 << 8 * width.itemsize) - 1)
         v.append(vw)
@@ -154,10 +143,7 @@ def lcs_from_masks(patterns, alphabet: int, rows) -> np.ndarray:
             uw, rw = (a.reshape(-1).view(width)[: count * groups].reshape(count, groups) for a in (u, rest))
             state.append((table, vw, uw, rw))
     for j in range(n):
-        if source:
-            rows.read(j, col)
-        else:
-            col[...] = rows[:, j]
+        col[...] = rows[:, j]
         for w, (mw, vw, uw, rw) in enumerate(state):
             mw.take(col, axis=0, out=uw, mode="clip")
             uw &= vw
@@ -230,25 +216,30 @@ def index_pairs(n: int, ell: int, min_distance: int):
     one of each unordered pair, in the order of the ordered sweep that
     holds (J, I) too.
 
-    More than errors.MAX_OPS ordered candidate pairs, C(n, ell)^2, raise
-    GuardExceeded at the call, before any sequence is built.  At ell = n - 1
-    the pairs are built from the positions a > b that I and J omit, at
-    distance a - b, with no candidates: I omits a in n, n - 1, .. and J
-    omits b in a - max(min_distance, 1), .., 1.  Otherwise the candidates are one
-    (C(n, ell), ell) array in the narrowest unsigned dtype that holds n, and
-    each I keeps its J by one comparison with the candidates after it.
+    At ell = n - 1 the pairs are built from the positions a > b that I and
+    J omit, at distance a - b, with no candidates: I omits a in n, n - 1, ..
+    and J omits b in a - d, .., 1, d = max(min_distance, 1), which makes (n
+    - d)(n - d + 1)/2 pairs.  Otherwise the candidates are one (C(n, ell),
+    ell) array in the narrowest unsigned dtype that holds n, and each I
+    keeps its J by one comparison with the candidates after it.  More than
+    errors.MAX_OPS pairs built, or ordered candidate pairs C(n, ell)^2
+    below ell = n - 1, raise GuardExceeded at the call, before any sequence
+    is built.
     """
     if not 0 <= ell <= n:
         raise ValueError("need 0 <= ell <= n")
-    count = math.comb(n, ell)
-    errors.check_work(count**2, errors.MAX_OPS, f"C({n},{ell})^2 index pairs")
     if ell == n - 1:
+        d = max(min_distance, 1)
+        built = max(0, n - d) * (n - d + 1) // 2
+        errors.check_work(built, errors.MAX_OPS, f"index pairs of length {ell} of 1..{n} at distance >= {d}")
         full = tuple(range(1, n + 1))
         return (
             (full[: a - 1] + full[a:], full[: b - 1] + full[b:])
             for a in range(n, 0, -1)
-            for b in range(a - max(min_distance, 1), 0, -1)
+            for b in range(a - d, 0, -1)
         )
+    count = math.comb(n, ell)
+    errors.check_work(count**2, errors.MAX_OPS, f"C({n},{ell})^2 index pairs")
     flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), ell))
     combos = np.fromiter(flat, dtype=np.min_scalar_type(n), count=count * ell).reshape(count, ell)
 

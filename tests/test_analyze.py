@@ -212,13 +212,13 @@ def test_is_optimal_guard(monkeypatch):
     monkeypatch.setattr(errors, "MAX_OPS", 1500)
     assert analyze.is_optimal_half_rate(EvaluationVector(F7, (0, 1, 2, 5, 3, 4)), 3).optimal is True
     # the arithmetic progression leaves 6 deficient pairs, and the sweep's
-    # limit is the only one: after it index_pairs checks its C(6, 5)^2 = 36
-    # candidate pairs
+    # limit is the only one: after it index_pairs checks the (6 - 3)(6 - 3 +
+    # 1)/2 = 6 pairs it builds
     estimates = []
     check_work = errors.check_work
     monkeypatch.setattr(errors, "check_work", lambda work, *args: estimates.append(work) or check_work(work, *args))
     res = analyze.is_optimal_half_rate(ap, 3)
-    assert estimates == [1500, 36]
+    assert estimates == [1500, 6]
     assert res.witness == {"f": [0, 1], "g": [6, 1], "I": [1, 2, 3, 4, 5], "J": [2, 3, 4, 5, 6]}
     # range(8) over GF(11), k = 4: 12 deficient pairs, answered at the sweep's 4 * 5 * 7^3 = 6860
     ap8 = EvaluationVector(field_new(11), tuple(range(8)))
@@ -417,20 +417,20 @@ def test_census_refuses_before_walking_the_bad_family(monkeypatch):
     for fld in (field_new(2, 4), F7):
         with pytest.raises(ValueError, match="unknown verify mode 'bogus'"):
             analyze.census_2dim(fld, verify="bogus")
-    # verification over the kernel limit: 14! classes of GF(16) at 2,032
-    # word-steps each, 200 of GF(151) at 5,164,200, 11! of GF(13) at 1,092
+    # verification over the kernel limit: 14! classes of GF(16) at 1,024
+    # word-steps each, 200 of GF(151) at 5,198,628, 11! of GF(13) at 338
     refused = [
-        (field_new(2, 4), "all", "verifying 87178291200 classes of GF\\(2\\^4\\): estimated work 177146287718400 "),
-        (field_new(151), "auto", "verifying 200 classes of GF\\(151\\): estimated work 1032840000 "),
-        (field_new(13), "all", "estimated work 43589145600 "),
+        (field_new(2, 4), "all", "verifying 87178291200 classes of GF\\(2\\^4\\): estimated work 89270570188800 "),
+        (field_new(151), "auto", "verifying 200 classes of GF\\(151\\): estimated work 1039725600 "),
+        (field_new(13), "all", "estimated work 13491878400 "),
     ]
     for fld, verify, message in refused:
         t0 = time.perf_counter()
         with pytest.raises(GuardExceeded, match=message):
             analyze.census_2dim(fld, max_classes=10**300, verify=verify)
         assert time.perf_counter() - t0 < 1.0
-    # GF(149)'s default verification, 200 classes at 4,961,700 word-steps, and
-    # GF(11)'s 9! classes at 660 are admitted and walk the bad family
+    # GF(149)'s default verification, 200 classes at 4,995,225 word-steps, and
+    # GF(11)'s 9! classes at 242 are admitted and walk the bad family
     for fld, verify in ((field_new(149), "auto"), (field_new(11), "all")):
         with pytest.raises(AssertionError, match="walked"):
             analyze.census_2dim(fld, max_classes=10**300, verify=verify)
@@ -492,9 +492,10 @@ def test_sample_reproducible_across_threads(capsys):
 
 
 def test_sample_guard(monkeypatch):
-    # trials full affine scans of (q^2 - 1) // 2 rows of q symbols, one
-    # word-step per word of each symbol, refused before the first trial
+    # trials full affine scans of the (q + 1) // 2 patterns A*alpha against
+    # the q rows alpha - B, one word-step per word of each pattern and
+    # symbol, refused before the first trial
     monkeypatch.setattr(analyze, "lcs_code_affine", None)
-    for q, trials, work in ((587, 1, 1_011_307_080), (257, 24, 24 * 42_435_840)):
+    for q, trials, work in ((587, 1, 1_013_032_860), (257, 24, 24 * 42_601_605)):
         with pytest.raises(GuardExceeded, match=f"estimated work {work} exceeds the limit of 1000000000"):
             analyze.sample_orderings(field_new(q), "0.5", trials, seed=0)

@@ -142,7 +142,7 @@ def test_large_q_class_guards_exit_3_at_once(capsys, argv):
 
 
 def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
-    # (1021^2 - 1) / 2 rows of 1021 symbols, 16 words each: refused before any table is built
+    # 511 patterns of 1021 symbols, 16 words each, against 1021 rows: refused before any table is built
     alpha = ",".join(map(str, range(1021)))
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", "--field", "1021", "--k", "2", "--alpha", alpha, "--method", "affine")
@@ -151,7 +151,7 @@ def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
     assert error["message"] == (
-        "kernel word-steps of the affine scan of GF(1021): estimated work 8514649920 exceeds the limit of 1000000000"
+        "kernel word-steps of the affine scan of GF(1021): estimated work 8522997616 exceeds the limit of 1000000000"
     )
 
     class Admitted(Exception):
@@ -160,7 +160,7 @@ def test_analyze_affine_guard_exit_3_at_once(capsys, monkeypatch):
     def kernel(patterns, alphabet, rows):
         raise Admitted
 
-    # q = 577 (960,497,280 word-steps) passes the guard and reaches the kernel
+    # q = 577 (962,164,810 word-steps) passes the guard and reaches the kernel
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
     with pytest.raises(Admitted):
         cli.main(["analyze", "--field", "577", "--k", "2", "--alpha", ",".join(map(str, range(577))), "--method", "affine"])
@@ -215,7 +215,7 @@ def test_sample_reproducible(capsys):
 
 
 def test_sample_runs_above_q_128(capsys):
-    # one GF(2^8) scan is 32,767 rows of 256 symbols, 4 words each: 33,553,408 word-steps
+    # one GF(2^8) scan is 128 patterns of 256 symbols, 4 words each, against 256 rows: 33,554,432 word-steps
     doc = run_json(capsys, "sample", "--field", "256", "--delta", "0.5", "--trials", "1", "--seed", "1")
     assert len(doc["result"]["lcs_values"]) == 1
 
@@ -453,7 +453,7 @@ MALFORMED = [
     pytest.param(2, ("census", "--field", "6"), id="2-argv20"),
     # a negative limit is a usage error, not a guard refusal
     pytest.param(2, ("census", "--field", "7", "--max-classes", "-1"), id="2-argv21"),
-    # 14! classes verified at 2,032 kernel word-steps each: refused before the bad family is walked
+    # 14! classes verified at 1,024 kernel word-steps each: refused before the bad family is walked
     pytest.param(3, ("census", "--field", "16", "--max-classes", "100000000000", "--verify", "all"), id="3-argv22"),
     pytest.param(2, ("sample", "--field", "7", "--delta", "0", "--trials", "1", "--seed", "1"), id="2-argv23"),
     pytest.param(2, ("sample", "--field", "7", "--delta", "abc", "--trials", "1", "--seed", "1"), id="2-argv24"),

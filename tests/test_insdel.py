@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -146,15 +147,25 @@ def test_index_pairs_is_the_upper_half_of_the_ordered_sweep():
 
 def test_index_pairs_guard_refuses_at_the_call(monkeypatch):
     # C(20, 10)^2 ordered candidates are refused before the generator is
-    # even iterated, at ell = n - 1 too, where no candidate is built
+    # even iterated; at ell = n - 1, where no candidate is built, the
+    # (n - d)(n - d + 1)/2 pairs built are, d = max(min_distance, 1)
     message = r"^C\(20,10\)\^2 index pairs: estimated work 34134779536 exceeds the limit of 100000000$"
     with pytest.raises(GuardExceeded, match=message):
         insdel.index_pairs(20, 10, 0)
-    monkeypatch.setattr(errors, "MAX_OPS", 63)
-    with pytest.raises(GuardExceeded, match=r"C\(8,7\)\^2 index pairs: estimated work 64 exceeds the limit of 63"):
-        insdel.index_pairs(8, 7, 0)
-    monkeypatch.setattr(errors, "MAX_OPS", 64)
+    monkeypatch.setattr(errors, "MAX_OPS", 27)
+    message = r"^index pairs of length 7 of 1\.\.8 at distance >= 1: estimated work 28 exceeds the limit of 27$"
+    for d in (0, 1):
+        with pytest.raises(GuardExceeded, match=message):
+            insdel.index_pairs(8, 7, d)
+    monkeypatch.setattr(errors, "MAX_OPS", 28)
     assert len(list(insdel.index_pairs(8, 7, 0))) == 28
+    monkeypatch.setattr(errors, "MAX_OPS", 0)
+    for n, d in ((8, 8), (3, 9)):  # no pair is built
+        assert list(insdel.index_pairs(n, n - 1, d)) == []
+    monkeypatch.setattr(errors, "MAX_OPS", 10**8)
+    message = r"^index pairs of length 20000 of 1\.\.20001 at distance >= 1: estimated work 200010000 exceeds"
+    with pytest.raises(GuardExceeded, match=message):
+        insdel.index_pairs(20001, 20000, 0)
 
 
 def test_build_v_examples():
@@ -284,12 +295,25 @@ def test_rank_certificate_guard(monkeypatch):
     message = r"^C\(20,10\)\^2 index pairs: estimated work 34134779536 exceeds the limit of 100000000$"
     with pytest.raises(GuardExceeded, match=message):
         insdel.rank_certificate(RsCode(ev, 2), 10)
-    # the k = 4 construction's certificate (C(8, 7)^2 = 64 pairs) still runs
+    # the k = 4 construction's certificate ((8 - 4)(8 - 4 + 1)/2 = 10 pairs) still runs
     ev = EvaluationVector(field_new(1367), (0, 1, 2, 5, 3, 4, 6, 10))
     res = insdel.rank_certificate(RsCode(ev, 4), 1)
-    assert res.certified and res.pairs_checked > 0
-    monkeypatch.setattr(errors, "MAX_OPS", 63)
-    with pytest.raises(GuardExceeded, match=r"C\(8,7\)\^2 index pairs: estimated work 64 exceeds the limit of 63"):
+    assert res.certified and res.pairs_checked == 20
+    monkeypatch.setattr(errors, "MAX_OPS", 9)
+    message = r"^index pairs of length 7 of 1\.\.8 at distance >= 4: estimated work 10 exceeds the limit of 9$"
+    with pytest.raises(GuardExceeded, match=message):
         insdel.rank_certificate(RsCode(ev, 4), 1)
-    monkeypatch.setattr(errors, "MAX_OPS", 64)
+    monkeypatch.setattr(errors, "MAX_OPS", 10)
     assert insdel.rank_certificate(RsCode(ev, 4), 1) == res
+
+
+def test_rank_certificate_sweeps_a_long_code_at_t_1():
+    # a seeded full-length k = 3 code over GF(10007): the t = 1 sweep builds
+    # (n - 3)(n - 2)/2 = 6 pairs at distance n - 3, not C(n, n-1)^2 = n^2
+    # candidates, which the guard once charged and refused
+    points = list(range(10007))
+    random.Random(3).shuffle(points)
+    t0 = time.perf_counter()
+    res = insdel.rank_certificate(RsCode(EvaluationVector(field_new(10007), tuple(points)), 3), 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert res == insdel.CertificateResult(True, 1, None, 12)

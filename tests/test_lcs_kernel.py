@@ -142,58 +142,61 @@ def test_stacked_kernel_edge_shapes():
     assert insdel.lcs_from_masks([[]] * 9, 4, [[1, 2], [0, 3]]).tolist() == [[0, 0]] * 9
 
 
-def array_columns(rows):
-    """An (R, n) array as a Columns source with a gather index of its own:
-    column j is taken through an index of R int64."""
-    index = np.arange(len(rows))
-
-    def read(j, out):
-        rows[:, j].take(index, out=out, mode="clip")  # unbuffered
-
-    return insdel.Columns(*rows.shape, read)
-
-
 @pytest.mark.parametrize("m", [3, 31, 64, 65, 81, 100, 128, 129, 193, 257, 577])
 def test_kernel_stays_within_its_bytes_per_row(m):
     # the tracemalloc peak of one call at two row counts separates the
     # per-row slope from the fixed buffers, the bit tables the call builds
     # among them; one pattern in its narrow lane and a full word group each
-    # reach kernel_row_bytes(m, patterns) within a byte, and a Columns
-    # source adds its gather index
+    # reach kernel_row_bytes(m, patterns) within a byte
     rng = np.random.default_rng(m)
     for patterns in sorted({1, 64 // insdel.lane_bits(m)}):
         seqs = rng.integers(0, 8, (patterns, m))
-        for source in (False, True):
-            peaks = []
-            for count in (20_000, 60_000):
-                rows = np.asfortranarray(rng.integers(0, 8, (count, 3), dtype=np.intp))
-                tracemalloc.start()
-                try:
-                    insdel.lcs_from_masks(seqs, 8, array_columns(rows) if source else rows)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            slope = (peaks[1] - peaks[0]) / 40_000
-            fixed = peaks[0] - 20_000 * slope
-            charge = insdel.kernel_row_bytes(m, patterns, source)
-            assert charge - 1 < slope <= charge and fixed <= 128 << 10, (patterns, source, slope, fixed)
+        peaks = []
+        for count in (20_000, 60_000):
+            rows = np.asfortranarray(rng.integers(0, 8, (count, 3), dtype=np.intp))
+            tracemalloc.start()
+            try:
+                insdel.lcs_from_masks(seqs, 8, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / 40_000
+        fixed = peaks[0] - 20_000 * slope
+        charge = insdel.kernel_row_bytes(m, patterns)
+        assert charge - 1 < slope <= charge and fixed <= 128 << 10, (patterns, slope, fixed)
 
 
-@pytest.mark.parametrize("m", [3, 31, 64, 81, 129])
-def test_column_source_matches_the_array(m):
-    # the same rows as an array and as a Columns source give equal lengths,
-    # those of the dynamic program, for one pattern and more than a word group
-    rng = np.random.default_rng(100 + m)
+def lcs_class_dp(classes, row):
+    """The LCS dynamic program of a pattern whose position j matches every
+    symbol of classes[j]."""
+    prev = [0] * (len(row) + 1)
+    for cls in classes:
+        cur = [0]
+        for j, x in enumerate(row):
+            cur.append(prev[j] + 1 if x in cls else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+@pytest.mark.parametrize("m", [3, 31, 64, 65, 81, 129])
+def test_class_patterns_match_the_dp(m):
+    # a (P, m, S) stack: position j of pattern p matches any of its S
+    # symbols, repeats among them, for one pattern and more than a word
+    # group; S = 1 is the (P, m) stack, to the dtype
+    rng = np.random.default_rng(300 + m)
     for patterns in (1, 64 // insdel.lane_bits(m) + 1):
-        seqs = rng.integers(0, 5, (patterns, m))
-        for count, n in ((0, 4), (3, 0), (40, 2 * m + 1)):
-            rows = rng.integers(0, 5, (count, n))
-            source = array_columns(rows)
-            assert len(source) == count and source.shape == rows.shape
-            got = insdel.lcs_from_masks(seqs, 5, source)
-            want = insdel.lcs_from_masks(seqs, 5, rows)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert got.tolist() == [[lcs_dp(list(t), list(r)) for r in rows] for t in seqs]
+        for size in (1, 2, 5):
+            alphabet = 4 * size
+            stack = rng.integers(0, alphabet, (patterns, m, size))
+            stack[:, ::3, -1] = stack[:, ::3, 0]  # a repeated symbol in every third class
+            rows = rng.integers(0, alphabet, (12, 2 * m + 1))
+            rows[0] = stack[-1, np.arange(2 * m + 1) % m, 0]  # a row sharing a prefix with the last pattern
+            got = insdel.lcs_from_masks(stack, alphabet, rows)
+            assert got.shape == (patterns, 12) and got.dtype.kind == "i"
+            assert got.tolist() == [[lcs_class_dp([set(c) for c in p.tolist()], r.tolist()) for r in rows] for p in stack]
+            if size == 1:
+                flat = insdel.lcs_from_masks(stack[..., 0], alphabet, rows)
+                assert flat.dtype == got.dtype and np.array_equal(flat, got)
 
 
 # -- the affine engine ----------------------------------------------------------
@@ -248,15 +251,16 @@ def orderings(q, count, seed):
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49])
 def test_affine_rows_match_the_pairwise_filter(q):
     fld = field_from_order(q)
-    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
-    a_rows = a_vals[a_idx]
+    a_vals, scan = analyze._affine_rows(fld)
+    assert scan.shape == ((q + 1) // 2, q) and scan.dtype == bool
+    a_idx, b_rows = np.nonzero(scan)  # C order, the scan order
     want = [
         (a, b)
         for a in range(1, q)
         for b in range(q)
         if not (a == 1 and b == 0) and (a, b) <= (fld.inv(a), fld.neg(fld.mul(fld.inv(a), b)))
     ]
-    assert list(zip(a_rows.tolist(), b_rows.tolist())) == want
+    assert list(zip(a_vals[a_idx].tolist(), b_rows.tolist())) == want
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
@@ -287,7 +291,8 @@ def affine_kernel_reference(ev):
     pattern alpha, the first maximum."""
     fld, q = ev.field, ev.field.q
     arr = np.array(ev.points, dtype=np.int64)
-    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
+    a_vals, scan = analyze._affine_rows(fld)
+    a_idx, b_rows = np.nonzero(scan)
     rows = np.empty((len(b_rows), q), dtype=np.uint16, order="F")
     for i, a in enumerate(a_vals):
         sel = a_idx == i
@@ -297,10 +302,18 @@ def affine_kernel_reference(ev):
     return int(lengths[i]), [int(b_rows[i]), int(a_vals[a_idx[i]])]
 
 
+def scan_rows(fld, best, first):
+    """The core's (best, first) as (LCS, [b, a]) of each ordering's first
+    maximal row."""
+    a_vals, scan = analyze._affine_rows(fld)
+    cells = np.flatnonzero(scan)[first]
+    return [(int(lcs), [int(c % fld.q), int(a_vals[c // fld.q])]) for lcs, c in zip(best, cells)]
+
+
 @dataclass(frozen=True)
 class KernelCall:
-    """One kernel call: a copy of its (P, m) patterns, its alphabet and
-    its rows."""
+    """One kernel call: a copy of its (P, m) or (P, m, S) patterns, its
+    alphabet and its rows."""
 
     patterns: np.ndarray
     alphabet: int
@@ -310,7 +323,7 @@ class KernelCall:
     def steps(self) -> int:
         """Word-steps, read off the arguments as the kernel lays them out:
         one per word of each group of lanes, row and column."""
-        patterns, m = self.patterns.shape
+        patterns, m = self.patterns.shape[:2]
         lanes = min(64 // insdel.lane_bits(m), 1 << (patterns - 1).bit_length())
         return -(-patterns // lanes) * self.rows.shape[0] * self.rows.shape[1] * -(-m // 64)
 
@@ -332,47 +345,41 @@ def kernel_calls(monkeypatch):
 def test_affine_block_size_does_not_change_results(monkeypatch):
     evs = orderings(27, 1, seed=5) + orderings(11, 3, seed=6)
     want = [analyze.lcs_code_affine(ev) for ev in evs]
-    # 1 byte: one-row blocks; 10 rows of q symbols held twice: blocks that
-    # split the 27 (or 11) rows of one a
-    for budget in (1, 10 * 2 * 27, 10 * 2 * 11):
+    # 1 byte: blocks of one lane group of A values; 4 KiB: a few lane groups
+    # of GF(27) and a whole GF(11) ordering; 16 KiB: a whole GF(27) ordering
+    for budget in (1, 1 << 12, 1 << 14):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         assert [analyze.lcs_code_affine(ev) for ev in evs] == want
 
 
 def test_affine_stops_at_the_first_block_reaching_q_minus_1(monkeypatch):
-    # a geometric ordering of GF(27): its q - 1 row lies past the first blocks
+    # a geometric ordering of GF(27): its q - 1 row (a = 3, b = 0) is in the
+    # second of the seven blocks of one lane group (two A values) that a
+    # 1-byte budget gives, and the blocks after it never run
     fld = field_new(3, 3)
     ev = EvaluationVector(fld, next(analyze.bad_ordering_family(fld))[2])
-    best, g = affine_kernel_reference(ev)
-    assert best == 26
-    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
-    row = next(r for r in range(len(b_rows)) if [b_rows[r], a_vals[a_idx[r]]] == g)
-    # a budget of five rows and the fixed part: ranges of five rows that split
-    # a = 1's 13 rows and every later a
-    monkeypatch.setattr(errors, "BLOCK_BYTES", 5 * (insdel.kernel_row_bytes(27, source=True) + 8) + 16 * 27)
+    want = affine_kernel_reference(ev)
+    assert want == (26, [0, 3])
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)
     seen = kernel_calls(monkeypatch)
     report = analyze.lcs_code_affine(ev)
-    assert (report.lcs_of_code, report.witness["g"]) == (best, g)
-    rows_per_block = len(seen[0].rows)
-    assert 1 < rows_per_block < 13
-    blocks = [(start, min(start + rows_per_block, len(b_rows))) for start in range(0, len(b_rows), rows_per_block)]
-    held = next(i for i, (start, stop) in enumerate(blocks) if start <= row < stop)
-    assert held >= 3
-    # no block after the one holding it
-    assert [len(call.rows) for call in seen] == [stop - start for start, stop in blocks[: held + 1]]
+    assert (report.lcs_of_code, report.witness["g"]) == want
+    assert [(call.patterns.shape, call.rows.shape) for call in seen] == [((2, 27, 1), (27, 27))] * 2
+    a_vals, _ = analyze._affine_rows(fld)
+    assert seen[1].patterns[:, :, 0].tolist() == [fld.v_mul(np.array(ev.points), a).tolist() for a in a_vals[2:4]]
 
 
-def kernel_calls_by_shape(seen, rows):
-    """The block shapes of a run of the core: more rows than one ordering
-    has, all of one ordering's rows, or fewer."""
-    return {("many" if len(c.rows) > rows else "one" if len(c.rows) == rows else "range") for c in seen}
+def kernel_calls_by_shape(seen, q):
+    """The block shapes of a run of the core: several orderings, one whole
+    ordering (all (q + 1) // 2 patterns), or a block of one ordering's A
+    values."""
+    return {"many" if len(c.rows) > q else "one" if len(c.patterns) == (q + 1) // 2 else "range" for c in seen}
 
 
 @pytest.mark.parametrize("q", [5, 8, 9, 16, 27, 81, 127])
 def test_affine_core_matches_engine_and_lis_oracle_in_every_block_shape(q, monkeypatch):
     fld = field_from_order(q)
     evs = orderings(q, 4, seed=100 + q)
-    a_vals, a_idx, b_rows = analyze._affine_rows(fld)
     # the first maximal row of a scan of every row on the original symbols
     want = [affine_kernel_reference(ev) for ev in evs]
     oracle = evs if q < 81 else evs[:1]
@@ -381,16 +388,16 @@ def test_affine_core_matches_engine_and_lis_oracle_in_every_block_shape(q, monke
     assert [(r.lcs_of_code, r.witness["g"]) for r in reports] == want
     seen = kernel_calls(monkeypatch)
     shapes = set()
-    # from ranges of a few a groups of one ordering up to every ordering at once
-    for budget in (4 * q * q, *(4**k for k in range(4, 13) if 4**k > 4 * q * q)):
+    # from blocks of one lane group of A values up to every ordering at once
+    for budget in (1, *(4**k for k in range(6, 13))):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         del seen[:]
         lengths, first = analyze._affine_lcs(fld, [ev.points for ev in evs])
-        got = [(int(lcs), [int(b_rows[r]), int(a_vals[a_idx[r]])]) for lcs, r in zip(lengths, first)]
-        assert got == want, budget
+        assert scan_rows(fld, lengths, first) == want, budget
         assert [analyze.lcs_code_affine(ev) for ev in evs] == reports, budget
-        shapes |= kernel_calls_by_shape(seen, len(b_rows))
-    assert shapes == {"many", "one", "range"}
+        shapes |= kernel_calls_by_shape(seen, q)
+    # one lane group holds every A value of GF(5) and GF(8)
+    assert shapes == ({"many", "one"} if q in (5, 8) else {"many", "one", "range"})
 
 
 def test_affine_core_gf11_spectrum():
@@ -415,25 +422,24 @@ def seeded_ordering(q, s):
 
 
 @pytest.mark.parametrize("q, want", [(97, [23, 22]), (127, [27, 28])])
-def test_affine_core_agrees_in_whole_and_column_fed_blocks(q, want, monkeypatch):
-    # the seeded orderings s = 0, 1: whole-ordering blocks (a large budget),
-    # one column-fed block run per ordering (the default), column-fed ranges
-    # of a few a groups, and ranges of 37 rows, which split a = 1's
-    # (q - 1) / 2 rows and cross the boundaries of the q-row a groups, give
-    # the same (best, first), the LIS oracle's
+def test_affine_core_agrees_in_whole_and_a_blocks(q, want, monkeypatch):
+    # the seeded orderings s = 0, 1: both in one call (a large budget), at
+    # the default budget (both at GF(97), one whole ordering a call at
+    # GF(127)), and in A blocks of several lane groups and of one, give the
+    # same (best, first), the LIS oracle's
     fld = field_new(q)
     orders = [seeded_ordering(q, s) for s in (0, 1)]
     seen = kernel_calls(monkeypatch)
     runs, kinds = [], []
-    for budget in (64 << 20, 1 << 20, 4 * q * q, 37 * (insdel.kernel_row_bytes(q, source=True) + 8) + 16 * q):
+    for budget in (64 << 20, 1 << 20, 1 << 18, 1):
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
         del seen[:]
         best, first = analyze._affine_lcs(fld, orders)
         runs.append((best.tolist(), first.tolist()))
-        kinds.append({type(call.rows) for call in seen})
+        kinds.append(kernel_calls_by_shape(seen, q))
     assert runs[0] == runs[1] == runs[2] == runs[3]
-    assert kinds == [{np.ndarray}, {insdel.Columns}, {insdel.Columns}, {insdel.Columns}]
-    assert {len(call.rows) for call in seen} == {37, (q * q - 1) // 2 % 37}
+    assert kinds == [{"many"}, {"many" if q == 97 else "one"}, {"range"}, {"range"}]
+    assert {len(call.patterns) for call in seen} == {1}
     assert runs[0][0] == want == [affine_lis_oracle(EvaluationVector(fld, tuple(o))) for o in orders]
 
 
@@ -444,26 +450,28 @@ def test_affine_core_pins_the_seeded_ordering(q, want):
     assert (int(best), int(first)) == want
 
 
-def test_column_fed_block_memory_grows_with_the_budget_alone(monkeypatch):
-    # one GF(257) ordering: the tables of the ordering are the same at every
-    # budget, so the traced peak grows by what a block holds; a block that
-    # held its rows of q symbols would grow it by about twice the budget
-    fld = field_new(257)
-    order = [seeded_ordering(257, 0)]
-    analyze._affine_lcs(fld, order)
-    peaks = []
-    for budget in (256 << 10, 512 << 10, 1 << 20):
+def test_affine_core_stays_within_the_block_budget(monkeypatch):
+    # the traced peak of a call, past its per-call tables (the q x q table x
+    # - b, an ordering's q x q rows and the scan mask), stays within
+    # errors.BLOCK_BYTES: blocks of 200 GF(11) and 8 GF(3^4) orderings, one
+    # whole GF(127) ordering, and a GF(257) ordering in A blocks at two budgets
+    cases = [(11, 200, 1 << 20), (81, 8, 1 << 20), (127, 1, 1 << 20), (257, 1, 1 << 20), (257, 1, 256 << 10)]
+    for q, count, budget in cases:
+        fld = field_from_order(q)
+        orders = [seeded_ordering(q, s) for s in range(count)]
         monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        want = analyze._affine_lcs(fld, orders)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            analyze._affine_lcs(fld, order)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            got = analyze._affine_lcs(fld, orders)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (256 << 10) <= 1.15, peaks
-    assert (peaks[2] - peaks[1]) / (512 << 10) <= 1.15, peaks
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        tables = 2 * q * q * np.min_scalar_type(q - 1).itemsize + (q + 1) // 2 * q
+        assert peak <= budget + tables, (q, count, budget, peak)
 
 
 def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
@@ -473,36 +481,42 @@ def test_affine_runs_one_kernel_call_per_gf81_ordering(monkeypatch):
     real_add = type(fld).v_add
     monkeypatch.setattr(type(fld), "v_add", lambda self, a, b: adds.append(1) or real_add(self, a, b))
     analyze.sample_orderings(fld, "0.5", 5, seed=3)
-    # 3,280 rows of 81 symbols per ordering; the q x q table is the one v_add
-    assert [call.rows.shape for call in seen] == [(3280, 81)] * 5
+    # the 41 patterns A*alpha against the 81 rows alpha - B per ordering; the
+    # q x q table x - b is the one v_add
+    assert [(call.patterns.shape, call.rows.shape) for call in seen] == [((41, 81, 1), (81, 81))] * 5
     assert len(adds) == 5
 
 
 @pytest.mark.parametrize("q", [256, 257])
 def test_affine_on_both_sides_of_the_symbol_dtype_switch(q, monkeypatch):
-    # whole-ordering blocks relabel q = 256 into uint8 up to 255 and q = 257
-    # into uint16; at the default budget a source feeds the kernel instead
+    # a block of N orderings of GF(q') has rows over N * q' symbols: one
+    # GF(256) ordering and 16 of GF(16) have 256, in uint8, one GF(257)
+    # ordering and 17 of GF(16) more, in uint16; GF(256) and GF(257) run in
+    # A blocks at the default budget
+    dtype = np.dtype(np.uint8 if q == 256 else np.uint16)
     ev = orderings(q, 1, seed=q)[0]
     want = affine_kernel_reference(ev)
     seen = kernel_calls(monkeypatch)
     report = analyze.lcs_code_affine(ev)
     assert (report.lcs_of_code, report.witness["g"]) == want
-    assert {type(call.rows) for call in seen} == {insdel.Columns}
-    del seen[:]
+    assert kernel_calls_by_shape(seen, q) == {"range"} and {call.rows.dtype for call in seen} == {dtype}
+    count = 16 if q == 256 else 17
+    evs = orderings(16, count - 2, seed=q)
     monkeypatch.setattr(errors, "BLOCK_BYTES", 64 << 20)
-    report = analyze.lcs_code_affine(ev)
-    assert (report.lcs_of_code, report.witness["g"]) == want
-    assert [call.rows.shape for call in seen] == [((q * q - 1) // 2, q)]
-    assert {call.rows.dtype for call in seen} == {np.dtype(np.uint8 if q == 256 else np.uint16)}
+    del seen[:]
+    best, first = analyze._affine_lcs(field_from_order(16), [ev.points for ev in evs])
+    assert [(call.alphabet, call.rows.shape, call.rows.dtype) for call in seen] == [(16 * count, (16 * count, 16), dtype)]
+    assert scan_rows(field_from_order(16), best, first) == [affine_kernel_reference(ev) for ev in evs]
 
 
 def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
-    # the scan has (q^2 - 1) // 2 rows of q symbols, one word-step per word of
-    # the pattern 0 .. q-1 for each symbol
+    # the scan is (q + 1) // 2 patterns of q symbols against q rows of q, one
+    # word-step per word of a pattern for each symbol
     for q in (3, 4, 5, 8, 9, 25, 32):
-        assert len(analyze._affine_rows(field_from_order(q))[2]) == (q * q - 1) // 2
-    for q, work in ((587, 1_011_307_080), (1021, 8_514_649_920), (1024, 8_589_918_208)):
-        assert work == (q * q - 1) // 2 * q * -(-q // 64)
+        a_vals, scan = analyze._affine_rows(field_from_order(q))
+        assert len(a_vals) == (q + 1) // 2 and np.count_nonzero(scan) == (q * q - 1) // 2
+    for q, work in ((587, 1_013_032_860), (1021, 8_522_997_616), (1024, 8_589_934_592)):
+        assert work == (q + 1) // 2 * q * q * -(-q // 64)
         ev = EvaluationVector(field_from_order(q), tuple(range(q)))
         t0 = time.perf_counter()
         with pytest.raises(analyze.GuardExceeded, match=f"estimated work {work} exceeds the limit of 1000000000"):
@@ -515,10 +529,12 @@ def test_affine_guard_counts_the_scanned_symbols(monkeypatch):
     def kernel(patterns, alphabet, rows):
         raise Admitted
 
-    # q = 577 (960,497,280 word-steps) passes the guard and reaches the kernel
+    # q = 577 (962,164,810 word-steps) and GF(2^9) (536,870,912) pass the
+    # guard and reach the kernel
     monkeypatch.setattr(analyze, "lcs_from_masks", kernel)
-    with pytest.raises(Admitted):
-        analyze.lcs_code_affine(EvaluationVector(field_new(577), tuple(range(577))))
+    for q in (577, 512):
+        with pytest.raises(Admitted):
+            analyze.lcs_code_affine(EvaluationVector(field_from_order(q), tuple(range(q))))
 
 
 # -- the brute-force engine -------------------------------------------------------
@@ -781,18 +797,20 @@ def test_kernel_steps_count_the_bruteforce_passes(monkeypatch):
 
 @pytest.mark.parametrize("q", [11, 27, 81, 131])
 def test_kernel_steps_count_the_affine_passes(q, monkeypatch):
-    # four blocks of uint8 symbols: the passes of one full scan add up to its estimate
-    rows = (q * q - 1) // 2
-    monkeypatch.setattr(errors, "BLOCK_BYTES", -(-rows // 4) * 2 * q)
+    # the passes of one full scan add up to its estimate, in one call and
+    # in blocks of one lane group of A values
     seen = kernel_calls(monkeypatch)
-    estimate = insdel.kernel_steps(1, rows, q, q)
+    patterns, lanes = (q + 1) // 2, 64 // insdel.lane_bits(q)
+    estimate = insdel.kernel_steps(patterns, q, q, q)
     kinds = set()
-    for ev in orderings(q, 2, seed=q):  # two random orderings, then two bad ones
-        seen.clear()
-        full = analyze.lcs_code_affine(ev, want_witness=False).lcs_of_code < q - 1
-        steps = sum(call.steps for call in seen)
-        assert steps == estimate if full else steps <= estimate
-        kinds.add(full)
+    for budget, calls in ((errors.BLOCK_BYTES, 1), (1, -(-patterns // lanes))):
+        monkeypatch.setattr(errors, "BLOCK_BYTES", budget)
+        for ev in orderings(q, 2, seed=q):  # two random orderings, then two bad ones
+            seen.clear()
+            full = analyze.lcs_code_affine(ev, want_witness=False).lcs_of_code < q - 1
+            steps = sum(call.steps for call in seen)
+            assert (steps == estimate and len(seen) == calls) if full else steps <= estimate
+            kinds.add(full)
     assert kinds == {True, False}
 
 
@@ -813,13 +831,13 @@ def test_kernel_work_guard_boundary(monkeypatch):
         # 9 patterns of 6, 8 to a word
         ("MAX_KERNEL_STEPS", -(-9 // 8) * 7**3 * 6, "kernel word-steps of the brute force of n=6, k=3 over GF(7)",
          lambda: analyze.lcs_code_bruteforce(code)),
-        # 60 rows of 11
-        ("MAX_KERNEL_STEPS", 60 * 11, "kernel word-steps of the affine scan of GF(11)",
+        # 6 patterns of 11, 4 to a word, against 11 rows of 11
+        ("MAX_KERNEL_STEPS", 2 * 11 * 11, "kernel word-steps of the affine scan of GF(11)",
          lambda: analyze.lcs_code_affine(ev)),
-        ("MAX_KERNEL_STEPS", 3 * 60 * 11, "kernel word-steps of the affine scans of GF(11), trials=3",
+        ("MAX_KERNEL_STEPS", 3 * 2 * 11 * 11, "kernel word-steps of the affine scans of GF(11), trials=3",
          lambda: analyze.sample_orderings(ev.field, "0.5", 3, seed=1)),
-        # all 3! classes of GF(5), 12 rows of 5 each
-        ("MAX_KERNEL_STEPS", 6 * 12 * 5, "kernel word-steps of verifying 6 classes of GF(5)",
+        # all 3! classes of GF(5), 3 patterns in one word against 5 rows of 5 each
+        ("MAX_KERNEL_STEPS", 6 * 5 * 5, "kernel word-steps of verifying 6 classes of GF(5)",
          lambda: analyze.census_2dim(field_new(5), verify="all")),
         # k(k+1)(2k-1)^3 at k = 3, before any pair is built
         ("MAX_OPS", 3 * 4 * 5**3, "field operations of the rank sweep at k=3",
