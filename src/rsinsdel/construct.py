@@ -18,9 +18,8 @@ runs are fully reproducible, and it depends only on the rows of the bad
 set up to its x: the stage builds row x for the least fresh x, and the
 next only when that row is full (_stage_row).  A row costs, per pair, the
 four polynomials at x and a_last and the roots of at most 5 rows of
-degree at most i - 1, found by poly.tagged_roots with no scan of GF(q);
-only a pair whose condition holds at x for every lead is evaluated on all
-of GF(q).
+degree at most i - 1 (and 2 per side of a condition that holds at every
+lead), found by poly.tagged_roots: no pair is evaluated on GF(q).
 """
 
 from __future__ import annotations
@@ -116,16 +115,16 @@ def _pencils(fld: Field, i: int, solutions) -> np.ndarray:
 
 # the pencils X + lead*Y whose roots _stage_row takes, by row kind: the two
 # cross rows, the agreement row of each condition, and at the lead infinity
-# (lead 0 here) the two cross rows and the agreement row
-_ROW_X = np.array([0, 2, 4, 4, 4, 1, 3, 5])
-_ROW_Y = np.array([1, 3, 5, 5, 5, 1, 1, 1])
+# (lead 0 here) the two cross rows and the agreement row; at lead 0, the Ns
+# then the Ds of the every-lead sides: agreement, g(y) = f(x), f(y) = g(x)
+_ROW_X = np.array([0, 2, 4, 4, 4, 1, 3, 5, 4, 0, 2, 5, 1, 3])
+_ROW_Y = np.array([1, 3, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1])
 
 
-def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.ndarray, bool]:
+def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.ndarray, int]:
     """Row x of the stage's bad set: the sorted y such that (x, y) can
     complete a near-collision of some pair, given the pairs' _pencils and
-    a_last, and whether some pair's first-point condition holds at x for
-    every lead.
+    a_last, and the number of roots of its plain rows (below).
 
     The five tail shapes of a hypothetical length-(2i-1) common subsequence
     reduce to pairs of single-point equations in x = alpha_{2i-1} and
@@ -143,12 +142,15 @@ def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.nda
     the reverse adds nothing.  The shift cancels from every equation, so x
     is a first point there where den = 0, with the rows B - D(x), D - B(x)
     and D - B.  A condition either hits at one lead or has den = 0, so a
-    pair gives at most 5 rows; all go to one poly.tagged_roots call.  A
-    pair whose condition holds at x for every lead evaluates its pencils on
-    GF(q): there y is bad when some allowed lead solves its own equation.
-    Degenerate shapes whose solution set would be all of GF(q) cannot
-    complete an actual collision and are skipped, as leads that are not
-    allowed:
+    pair gives at most 5 such plain rows.  Where a condition holds at x for
+    every lead, y is bad on its side (agreement, g(y) = f(x) or f(y) = g(x))
+    unless no allowed lead solves N(y) + lead*D(y) = 0: at the roots of D
+    but not N, or of just one where lead 0 is barred; where f = g at lead
+    1, N = -D and the side is the plain row D - B.  All rows go to one
+    poly.tagged_roots call, the sides' Ns tagged 1..s and Ds s+1..2s for
+    q-wide masks; no pair is evaluated on GF(q).  Degenerate shapes whose
+    solution set would be all of GF(q) cannot complete an actual collision
+    and are skipped, as leads that are not allowed:
 
     * a constant side (the g-side A, at lead 0, or the f-side D at
       infinity): the collision would force the other, monic and
@@ -173,24 +175,23 @@ def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.nda
     agree = hit & (one_agrees | (fld.v_add(num, den) != 0))
     infinity = (den == 0) & polys[:, 3].any(axis=1)
     every = (den == 0) & (num == 0)
+    sides = (every.any(axis=0) & one_agrees, every[0], every[1]) * 2 if every.any() else ()
     zero = np.zeros(pairs, np.int64)
-    leads = np.stack((lead[0], lead[1], *lead, zero, zero, zero))
+    leads = np.stack((lead[0], lead[1], *lead, *[zero] * 9))
     g_x, f_x = fld.v_add(ax, fld.v_mul(lead[1], bx)), fld.v_add(cx, fld.v_mul(lead[0], dx))
-    targets = np.stack((f_x, g_x, zero, zero, zero, dx, bx, zero))
-    kind, pair = np.nonzero(np.stack((hit[0], hit[1], *agree, infinity[0], infinity[1], infinity.any(axis=0))))
+    targets = np.stack((f_x, g_x, zero, zero, zero, dx, bx, zero, zero, cx, ax, zero, dx, bx))
+    plain = (hit[0], hit[1], *agree, infinity[0], infinity[1], infinity.any(axis=0) | (every.any(axis=0) & ~one_agrees))
+    kind, pair = np.nonzero(np.stack(plain + sides))
     rows = poly.pencil_rows(fld, polys[pair, _ROW_X[kind]], polys[pair, _ROW_Y[kind]], leads[kind, pair], targets[kind, pair])
-    bad = [poly.tagged_roots(fld, np.zeros(len(rows), np.int64), rows)]
-    for p in np.flatnonzero(every.any(axis=0)).tolist():
-        a, b, c, d, c_a, d_b = poly.eval_all(fld, polys[p])
-        sides = [(c_a, d_b, one_agrees[p])]
-        if every[0, p]:  # g(y) = f(x)
-            sides.append((fld.v_add(a, fld.neg(int(cx[p]))), fld.v_add(b, fld.neg(int(dx[p]))), True))
-        if every[1, p]:  # f(y) = g(x)
-            sides.append((fld.v_add(c, fld.neg(int(ax[p]))), fld.v_add(d, fld.neg(int(bx[p]))), True))
-        for num_y, den_y, one_allowed in sides:
-            solved = (den_y != 0) & (zero_allowed[p] | (num_y != 0)) & (one_allowed | (fld.v_add(num_y, den_y) != 0))
-            bad.append(np.flatnonzero(solved | ((num_y == 0) & (den_y == 0))))
-    return np.unique(np.concatenate(bad)), bool(every.any())
+    codes = poly.tagged_roots(fld, (kind >= len(plain)).cumsum(), rows)
+    count = np.count_nonzero(kind >= len(plain)) // 2
+    if not count:
+        return np.unique(codes), len(codes)
+    found = np.zeros((1 + 2 * count) * fld.q, bool)
+    found[codes] = True
+    plain_y, num_y, den_y = np.split(found.reshape(-1, fld.q), (1, 1 + count))
+    free = np.where(zero_allowed[pair[-count:], None], den_y & ~num_y, den_y ^ num_y)
+    return np.flatnonzero(plain_y[0] | ~free.all(axis=0)), int(np.count_nonzero(codes < fld.q))
 
 
 def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
@@ -212,10 +213,9 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
 
     Returns (extended points, bad pairs in the rows scanned).  Raises
     SingularSystemError if a swept pair's system is singular, which the
-    input's optimality forbids, InvariantViolation if a row where no
-    condition holds at every lead has more than 5 (i - 1) bad pairs per
-    swept pair (a pair's at most 5 nonzero rows of degree at most i - 1
-    have no more roots), and NoGoodPairError if every fresh row is full.
+    input's optimality forbids, InvariantViolation if the plain rows of a
+    row have more than 5 (i - 1) roots per swept pair, more than their
+    degrees allow, and NoGoodPairError if every fresh row is full.
     """
     n = len(points)
     q = fld.q
@@ -236,10 +236,10 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
     fresh[list(points)] = False
     count = 0
     for x in map(int, np.flatnonzero(fresh)):
-        bad, every = _stage_row(fld, polys, points[-1], x)
+        bad, roots = _stage_row(fld, polys, points[-1], x)
         count += len(bad)
-        if len(bad) > ceiling and not every:
-            raise InvariantViolation(f"stage {i}: row {x} has {len(bad)} bad pairs, above the ceiling {ceiling}")
+        if roots > ceiling:
+            raise InvariantViolation(f"stage {i}: row {x} has {roots} roots of its plain rows, above the ceiling {ceiling}")
         free = fresh.copy()
         free[bad] = free[x] = False
         if free.any():
@@ -279,8 +279,8 @@ class ConstructionTrace:
 def swept_pair_count(i: int) -> int:
     """The unordered index-sequence pairs stage i sweeps (see extend): two
     of the 2i - 2 sequences of length 2i - 3, omitting positions a and b,
-    are at Hamming distance |a - b|, which must be at least i - 2."""
-    return sum(2 * i - 2 - t for t in range(i - 2, 2 * i - 2))
+    are at Hamming distance |a - b| >= i - 2, 2i - 2 - t pairs at each t."""
+    return i * (i + 1) // 2
 
 
 def stage_work(q: int, k: int) -> int:
@@ -292,15 +292,17 @@ def stage_work(q: int, k: int) -> int:
       per swept pair 26i units for the values at x and a_last, the leads
       and the rows, and 8 rows of 4d^2 units per bit of q in the root
       finder (the products of a square of the power mod P): the at most 5
-      rows a pair hands it (_stage_row) and 3 for the pieces of later
-      rounds.  A row of degree d <= 2 (stage 3) costs 1 unit instead.
+      plain rows a pair hands it (_stage_row) and 3 for the pieces of
+      later rounds.  A row of degree d <= 2 (stage 3) costs 4 units instead.
     * A condition that holds at x for every lead has num = den = 0 there,
       and one of its num and den is a nonzero polynomial of degree at most
       d: den for the first and the agreement condition, as B is monic of
       degree d and D of lower degree; for the second den when D != 0 (D(0)
       = 0, so D is nonconstant), else num, as C is monic.  So each pair and
-      condition admit at most d such x: at most 3Pd per stage, each
-      evaluating a pair on GF(q) at (12i + 24) units per element.
+      condition admit at most d such x: at most 3Pd per stage.  Each adds
+      two sides at most (its own and the agreement side), a row three per
+      pair, each an N and a D row: 6P min(2d, rows) side rows, each 8d^2
+      units per bit (itself and a piece) and q for its q-byte root mask.
     * A row where no condition holds at every lead has at most 5Pd bad
       pairs (extend checks it), so it is full only while
       q - (2i - 2) - 1 <= 5Pd.  Above that, at most 1 + 3Pd rows are
@@ -311,10 +313,9 @@ def stage_work(q: int, k: int) -> int:
     total = 0
     for i in range(3, k + 1):
         pairs, d = swept_pair_count(i), i - 1
-        fresh, every = q - (2 * i - 2), 3 * pairs * d
-        rows = fresh if fresh - 1 <= 5 * pairs * d else min(fresh, 1 + every)
-        per_row = 10**5 + pairs * (26 * i + 32 * (d * d * bits if d >= 3 else 1))
-        total += rows * per_row + min(every, pairs * rows) * q * (12 * i + 24)
+        fresh, split = q - (2 * i - 2), 8 * (d * d * bits if d >= 3 else 1)
+        rows = fresh if fresh - 1 <= 5 * pairs * d else min(fresh, 1 + 3 * pairs * d)
+        total += rows * (10**5 + pairs * (26 * i + 4 * split)) + 6 * pairs * min(2 * d, rows) * (q + split)
     return total
 
 

@@ -11,16 +11,15 @@ here and checked by check_work, and every guard reads its limit at call time.
 MAX_OPS = 100_000_000
 # Word-steps (insdel.kernel_steps) of one exact LCS engine run.  It bounds
 # kernel work, and wall time only for large scans.  On a 2-core VM (Python
-# 3.11.7, numpy 2.4.6, in process) a word-step of one affine ordering takes
-# 2.3 ns at q = 81 (1.2 ms) and q = 127 (4.7 ms), 2.1 ns at q = 257
-# (0.09 s), 2.4 ns at q = 509 (1.27 s) and at q = 577 (2.3 s, the largest
-# admitted); one of the full-length k = 3 brute force over GF(59), counted
-# as its guard counts them, takes 1.1-1.25 ns (0.83-0.92 s on seeded
-# orderings).  The one-ordering affine scans that sample repeats cost
-# 37-338 ns per word-step at q = 7..16 (57-75 us per ordering, mostly fixed
-# cost per call); census measures its verified classes in blocks of
-# orderings instead, and `census --field 11 --verify all` (2.4*10^8
-# word-steps) takes about 1 s.
+# 3.11.7, numpy 2.4.6, in process) a word-step of one seeded ordering's
+# affine grid takes 2.8 ns at q = 81 (1.5 ms), 2.5 ns at q = 127 (5.2 ms),
+# 3.5 ns at q = 257 (0.15 s) and 4.5 ns at q = 509 (2.4 s) and q = 577
+# (4.3 s, the largest admitted); one of the full-length k = 3 brute force
+# over GF(59), counted as its guard counts them, 1.1-1.25 ns (0.83-0.92 s
+# on seeded orderings).  A one-ordering grid, as sample runs them, costs
+# 114-1,753 ns per word-step at q = 7..16 (86-116 us, mostly fixed cost);
+# census measures its verified classes in blocks of orderings, and `census
+# --field 11 --verify all` (8.8*10^7 word-steps) takes about 1.4 s.
 MAX_KERNEL_STEPS = 10**9
 # Working memory of one block of every blocked loop, in bytes, read at call
 # time; in `sample --field 81` runs 2^20 beat 2^18 and 2^19 by 20-30%.
@@ -28,14 +27,14 @@ BLOCK_BYTES = 1 << 20
 # Units of construct.stage_work in one construct_half_rate run, a bound of
 # the worst case.  On a 2-core VM (Python 3.11.7, numpy 2.4.6, in process,
 # no verification) the units real runs spend, counted as stage_work charges
-# them, took 10-19 ns each at the guaranteed field sizes from k = 4
-# (GF(1367), 2.6 ms) to k = 16 (GF(978821), 0.67 s), 14 ns at k = 8 over
-# GF(29), where rows fill, and one evaluation on GF(q) of a pair whose
-# condition holds at every lead 2-9 ns per unit (GF(1367) to GF(978821)),
-# so the limit is about 5 to 40 s.  At those sizes real runs spend 125 to
-# 94,000 times fewer units than estimated (4 and 9 times over GF(13) and
-# GF(29), where rows fill); the limit admits k = 6 at min_field_size(6)
-# (7.7*10^8) and refuses k = 7 at min_field_size(7), 3.0*10^9.
+# them, took 11-20 ns each at the guaranteed field sizes from k = 4
+# (GF(1367), 2.8 ms) to k = 16 (GF(978821), 0.69 s), 19 ns at k = 8 over
+# GF(29), where rows fill, and about 0.7 ns in the q-wide masks of forced
+# every-lead sides at GF(279557) and GF(978821): the limit is at most about
+# 40 s.  Real runs spend 76 to 7,500 times fewer units than estimated at
+# those sizes (4 and 11 times over GF(13) and GF(29)); the limit admits
+# k = 8 at 44,621, the least prime above min_field_size(8) (1.6*10^9), and
+# refuses k = 9 at 76,837 (4.1*10^9).
 MAX_STAGE_OPS = 2_000_000_000
 # Python's default limit on converting an integer to decimal text: a report
 # holding a larger integer would fail in cli.dumps after all the work.

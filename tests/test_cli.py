@@ -233,13 +233,21 @@ def test_construct(capsys):
 
 
 def test_construct_stage_guard_exit_3(capsys):
-    code, out, err = run_cli(capsys, "construct", "--field", "65537", "--k", "7")
+    code, out, err = run_cli(capsys, "construct", "--field", "76837", "--k", "9")
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
     assert error["message"] == (
-        "units of the row sweep of stages 3..7 at q=65537: estimated work 7618642770 exceeds the limit of 2000000000"
+        "units of the row sweep of stages 3..9 at q=76837: estimated work 4117213256 exceeds the limit of 2000000000"
     )
+
+
+def test_construct_k7_at_its_guaranteed_field_size(capsys):
+    # the least prime above min_field_size(7) is admitted, and every stage
+    # passes the exact check
+    result = run_json(capsys, "construct", "--field", "23789", "--k", "7")["result"]
+    assert result["alpha"] == "GF(23789):0,1,2,5,3,4,6,10,7,8,9,12,11,13"
+    assert [s["verification"] for s in result["stages"]] == ["exact_optimal"] * 6
 
 
 def test_construct_matches_golden_file(capsys):

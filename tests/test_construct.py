@@ -1,5 +1,6 @@
 """Tests for the rate-1/2 construction."""
 
+import collections
 import functools
 import itertools
 import json
@@ -240,19 +241,32 @@ def full_rows(fld, points, i, solutions):
     return np.unique(np.concatenate([pair_bad_set(fld, points, i, *uu, neg_inv) for uu in solutions]))
 
 
-def assert_rows_match(fld, points, i, solutions, bad, rows=None):
+def every_lead_conditions(fld, polys, last):
+    """Where each pair's first-point condition holds at every lead, from
+    A, B, C and D evaluated on GF(q): a (3, pairs, q) mask of num(x) =
+    den(x) = 0 for g(x) = f(a_last), f(x) = g(a_last) and f(x) = g(x)."""
+    pairs, _, width = polys.shape
+    vals = poly.eval_all(fld, polys[:, :4].reshape(-1, width)).reshape(pairs, 4, fld.q)
+    a, b, c, d = vals.transpose(1, 0, 2)
+    al, bl, cl, dl = vals[:, :, last, None].transpose(1, 0, 2)
+    return np.stack(((a == cl) & (b == dl), (c == al) & (d == bl), (c == a) & (d == b)))
+
+
+def assert_rows_match(fld, points, i, solutions, bad, xs=None):
     """construct._stage_row over the pencils of the given solutions equals
-    the row of `bad`, sorted codes, at every fresh x (or the first `rows`
-    of them).  Returns the number of rows where some condition holds at
-    every lead."""
+    the row of `bad`, sorted codes, at every fresh x (or the given ones),
+    and the roots of its plain rows stay within 5 (i - 1) per pair.
+    Returns the number of those rows where some condition holds at every
+    lead."""
     polys = construct._pencils(fld, i, solutions)
-    q, every_lead = fld.q, 0
-    for x in [x for x in range(q) if x not in points][:rows]:
-        got, every = construct._stage_row(fld, polys, points[-1], x)
+    q = fld.q
+    xs = [x for x in range(q) if x not in points] if xs is None else xs
+    for x in xs:
+        got, roots = construct._stage_row(fld, polys, points[-1], x)
         lo, hi = np.searchsorted(bad, (x * q, (x + 1) * q))
         assert np.array_equal(got, bad[lo:hi] - x * q), (fld, points, i, x)
-        every_lead += every
-    return every_lead
+        assert roots <= 5 * len(polys) * (i - 1), (fld, points, i, x)
+    return int(every_lead_conditions(fld, polys, points[-1]).any(axis=(0, 1))[xs].sum())
 
 
 def omitted(n, seq):
@@ -464,6 +478,63 @@ def test_row_sweep_matches_the_full_sweep_on_random_inputs():
     assert every_lead > 0
 
 
+def degenerate_solutions(fld, i, last, solutions, shape):
+    """Stage solutions made degenerate as no real input is.  "constant g"
+    zeroes the nonconstant coefficients of the g-side A, which bars lead 0.
+    "f = g" sets D = 0 and C = A + B, so f = g at lead 1, with B(a_last)
+    = 0: at a root x of B no condition of the pair hits, so its agreement
+    y are its every-lead side's alone."""
+    mid, degenerate = i - 2, []
+    for u0, u1 in solutions:
+        if shape == "constant g":
+            degenerate.append(((u0[0],) + (0,) * mid + u0[mid + 1 :], u1))
+            continue
+        b_last = poly.eval_all(fld, [(0,) + tuple(fld.neg(v) for v in u1[1 : mid + 1]) + (1,)], (last,))
+        v1 = (int(b_last[0, 0]),) + u1[1 : mid + 1] + (0,) * mid
+        degenerate.append(((v1[0],) + u0[1 : mid + 1] + tuple(fld.sub(u0[t], v1[t]) for t in range(1, mid + 1)), v1))
+    return degenerate
+
+
+def test_row_sweep_matches_the_full_sweep_on_every_lead_rows():
+    # seeded stage-3 to stage-5 inputs over fields with q <= 101, each
+    # compared with the full sweep only at the fresh x where some pair's
+    # condition holds at every lead (rare: about 5 of the random test's
+    # 1,100 rows), until 50 such rows.  Those of real inputs come out full
+    # here (where D != 0 the plain rows root a side's free y), so then 20
+    # rows each of inputs made degenerate, some of them not full
+    rng = random.Random(45)
+    fields = [field_new(*f) for f in ((11,), (13,), (23,), (31,), (67,), (101,), (3, 3), (3, 4), (5, 2), (7, 2), (2, 4), (2, 5), (2, 6))]
+    seen = collections.Counter()
+    for shape, wanted in ((None, 50), ("constant g", 20), ("f = g", 20)):
+        while seen[shape] < wanted:
+            fld, i = rng.choice(fields), rng.choice((3, 4, 5))
+            points = tuple(rng.sample(range(fld.q), 2 * i - 2))
+            try:
+                solutions = construct._stage_solutions(fld, points, i, forward_pairs(2 * i - 2, i))
+            except construct.SingularSystemError:
+                continue
+            if shape:
+                solutions = degenerate_solutions(fld, i, points[-1], solutions, shape)
+            polys = construct._pencils(fld, i, solutions)
+            every = every_lead_conditions(fld, polys, points[-1])
+            every[..., list(points)] = False
+            xs = np.flatnonzero(every.any(axis=(0, 1))).tolist()
+            if not xs:
+                continue
+            bad = full_rows(fld, points, i, solutions)
+            assert assert_rows_match(fld, points, i, solutions, bad, xs) == len(xs)
+            f_equals_g = ~fld.v_add(polys[:, 4], polys[:, 5]).any(axis=1)
+            family = "characteristic 2" if fld.p == 2 else "odd extension" if fld.m > 1 else "prime"
+            for x in xs:
+                kinds = (every[0, :, x].any(), every[1, :, x].any(), every[:, f_equals_g, x].any())
+                names = ("g(x) = f(a_last)", "f(x) = g(a_last)", "f = g side")
+                full = np.searchsorted(bad, (x + 1) * fld.q) - np.searchsorted(bad, x * fld.q) == fld.q
+                seen.update([shape, family, (shape, full)] + [name for name, hit in zip(names, kinds) if hit])
+    kinds = ("prime", "odd extension", "characteristic 2", "g(x) = f(a_last)", "f(x) = g(a_last)", "f = g side")
+    assert all(seen[kind] for kind in kinds), seen
+    assert seen["constant g", False] and seen["f = g", False], seen
+
+
 @pytest.mark.parametrize(
     "fld, k",
     [(field_new(*f), k) for f, k in (((13,), 6), ((23,), 6), ((29,), 6), ((3, 4), 6), ((5, 3), 6), ((251,), 6), ((2, 8), 6), ((1367,), 6), ((4507,), 5))],
@@ -475,7 +546,8 @@ def test_row_sweep_matches_the_full_sweep_on_construction_chains(fld, k):
     points = construct.base_case(fld).points
     for i in range(3, k + 1):
         solutions = construct._stage_solutions(fld, points, i, forward_pairs(len(points), i))
-        assert_rows_match(fld, points, i, solutions, full_rows(fld, points, i, solutions), rows=3)
+        fresh = [x for x in range(fld.q) if x not in points][:3]
+        assert_rows_match(fld, points, i, solutions, full_rows(fld, points, i, solutions), fresh)
         try:
             points, _ = construct.extend(fld, points, i)
         except construct.NoGoodPairError:
@@ -775,12 +847,12 @@ def test_singular_swept_pair_raises():
 def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
     q = F251.q
     empty = np.empty(0, np.int64)
-    monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (np.array([4]) if x == 3 else empty, False))
+    monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (np.array([4]) if x == 3 else empty, 1))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 3, 6), 1)
-    # row 3 is free only at y = 3, which repeats x; every lead there lifts
-    # the row's ceiling
+    # row 3 is free only at y = 3, which repeats x; the ceiling bounds the
+    # roots of its plain rows, not its every-lead sides
     row3 = np.array([y for y in range(q) if y != 3])
-    monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (row3, True) if x == 3 else (empty, False))
+    monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (row3, 2) if x == 3 else (empty, 0))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 4, 3), q - 1)
 
 
@@ -848,26 +920,31 @@ def test_construct_small_q_guard_and_override():
         construct.construct_half_rate(F7, 3, allow_small_q=True)
 
 
-def test_stage_work_guard_admits_guaranteed_sizes_up_to_k6():
+def test_stage_work_guard_admits_guaranteed_sizes_up_to_k8():
     for q, k in ((1367, 4), (1399, 4), (construct.min_field_size(5), 5), (construct.min_field_size(6), 6)):
         assert construct.stage_work(q, k) <= errors.MAX_STAGE_OPS
-    assert construct.stage_work(construct.min_field_size(7), 7) > errors.MAX_STAGE_OPS
+    # the least primes above min_field_size(k), k = 7, 8 and 9
+    assert construct.stage_work(23789, 7) <= errors.MAX_STAGE_OPS
+    assert construct.stage_work(44621, 8) <= errors.MAX_STAGE_OPS < construct.stage_work(76837, 9)
     # over GF(1367) no row is full without a condition that holds at every
-    # lead (1362 > 5Pd), so 1 + 3Pd rows: at stage 3, 6 pairs, 37 rows of
-    # 10^5 + 6 * (26 * 3 + 32) units and 36 evaluations of 1367 * 60; at
-    # stage 4, 10 pairs, 91 rows of 10^5 + 10 * (26 * 4 + 32 * 3^2 * 11)
-    # and 90 evaluations of 1367 * 72
-    assert construct.stage_work(1367, 4) == 37 * 100660 + 36 * 1367 * 60 + 91 * 132720 + 90 * 1367 * 72 == 27612820
-    # over GF(7) every fresh row can be full: 3 rows, 18 evaluations
-    assert construct.stage_work(7, 3) == 3 * (10**5 + 6 * 110) + 18 * 7 * 60
+    # lead (1362 > 5Pd), so 1 + 3Pd rows, and 6P min(2d, rows) side rows:
+    # at stage 3, 6 pairs, 37 rows of 10^5 + 6 * (26 * 3 + 32) units and
+    # 144 side rows of 1367 + 8; at stage 4, 10 pairs, 91 rows of
+    # 10^5 + 10 * (26 * 4 + 32 * 3^2 * 11) and 360 side rows of
+    # 1367 + 8 * 3^2 * 11
+    assert construct.stage_work(1367, 4) == 37 * 100660 + 144 * 1375 + 91 * 132720 + 360 * 2159 == 16777180
+    # over GF(7) every fresh row can be full: 3 rows, 108 side rows
+    assert construct.stage_work(7, 3) == 3 * (10**5 + 6 * 110) + 108 * (7 + 8)
     assert construct.stage_work(7, 2) == 0
-    # k = 6 is admitted up to q = 33789, and k = 3 up to q = 924201
-    assert construct.stage_work(33789, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(33790, 6)
-    assert construct.stage_work(924201, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(924202, 3)
+    # k = 8 is admitted up to q = 85533, k = 6 up to q = 720358 and k = 3
+    # up to q = 13863016
+    assert construct.stage_work(85533, 8) <= errors.MAX_STAGE_OPS < construct.stage_work(85534, 8)
+    assert construct.stage_work(720358, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(720359, 6)
+    assert construct.stage_work(13863016, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(13863017, 3)
 
 
 def test_swept_pair_count_counts_the_swept_pairs():
-    for i in range(3, 9):
+    for i in range(3, 13):
         n = 2 * i - 2
         assert construct.swept_pair_count(i) == sum(i_seq < j_seq for i_seq, j_seq in stage_pairs(n, i))
 
@@ -882,35 +959,39 @@ def test_stage_work_charges_half_the_ordered_pairs():
             for i in range(3, k + 1):
                 pairs, d = len(stage_pairs(2 * i - 2, i)) // 2, i - 1
                 rows = q - 2 * i + 2 if q - 2 * i + 1 <= 5 * pairs * d else min(q - 2 * i + 2, 1 + 3 * pairs * d)
-                per_pair = 26 * i + 32 * (d * d * bits if d >= 3 else 1)
-                total += rows * (10**5 + pairs * per_pair) + min(3 * pairs * d, pairs * rows) * q * (12 * i + 24)
+                split = 4 * (d * d * bits if d >= 3 else 1)
+                sides = min(2 * 3 * pairs * d * 2, 3 * pairs * rows * 2)
+                total += rows * (10**5 + pairs * (26 * i + 8 * split)) + sides * (q + 2 * split)
             assert construct.stage_work(q, k) == total, (q, k)
 
 
 def test_stage_work_bounds_the_counted_work(monkeypatch):
     # real stages, counted as stage_work charges them: 10^5 + 26i units per
     # pair per row, 4d^2 units per bit of q for every row the root finder
-    # splits, fresh or a later piece, of degree d >= 3 (1 below), and
-    # (12i + 24) q per evaluation on GF(q); within the estimate, and within
-    # each part of the worst case: at most 5 rows per pair handed to the
-    # root finder per row, at most 3P(i - 1) evaluations on GF(q), and the
-    # rows scanned within the bound; over the small fields rows fill and
-    # conditions hold at every lead
-    row_, roots_, split_, eval_ = construct._stage_row, poly.tagged_roots, poly.split_round, poly.eval_all
-    full_rows_seen, every_seen = 0, 0
+    # splits, fresh or a later piece, of degree d >= 3 (1 below), and q per
+    # side row (tagged above 0) for its root mask; within the estimate, and
+    # within each part of the worst case: at most 5 plain rows per pair
+    # handed to the root finder per row, at most 6P min(2(i - 1), rows)
+    # side rows, and the rows scanned within the bound; over the small
+    # fields rows fill and conditions hold at every lead
+    row_, roots_, split_ = construct._stage_row, poly.tagged_roots, poly.split_round
+    full_rows_seen, sides_seen = 0, 0
     for spec, k in (((7,), 3), ((13,), 6), ((23,), 6), ((29,), 8), ((3, 4), 4), ((251,), 5), ((1367,), 4), ((4507,), 5)):
         fld = field_new(*spec)
         q, bits, counted, current = fld.q, max(1, (fld.q - 1).bit_length()), {}, []
 
         def row(fld_, polys, last, x):
             pairs, _, i = polys.shape
-            current[:] = [counted.setdefault(i, {"i": i, "pairs": pairs, "rows": 0, "every": 0, "units": 0})]
+            current[:] = [counted.setdefault(i, {"i": i, "pairs": pairs, "rows": 0, "sides": 0, "units": 0})]
             current[0]["rows"] += 1
             current[0]["units"] += 10**5 + pairs * 26 * i
             return row_(fld_, polys, last, x)
 
         def roots(fld_, tags, rows):
-            assert len(rows) <= 5 * current[0]["pairs"] and rows.shape[1] == current[0]["i"]
+            sides = np.count_nonzero(tags)
+            assert len(rows) - sides <= 5 * current[0]["pairs"] and rows.shape[1] == current[0]["i"]
+            current[0]["sides"] += sides
+            current[0]["units"] += sides * q
             return roots_(fld_, tags, rows)
 
         def split(fld_, rows, rounds):
@@ -918,17 +999,10 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
             current[0]["units"] += int(np.where(degree >= 3, 4 * degree**2 * bits, 1).sum())
             return split_(fld_, rows, rounds)
 
-        def evaluate(fld_, coeffs, xs=None):
-            if xs is None:
-                current[0]["every"] += 1
-                current[0]["units"] += q * (12 * current[0]["i"] + 24)
-            return eval_(fld_, coeffs, xs)
-
         with monkeypatch.context() as m:
             m.setattr(construct, "_stage_row", row)
             m.setattr(poly, "tagged_roots", roots)
             m.setattr(poly, "split_round", split)
-            m.setattr(poly, "eval_all", evaluate)
             points = construct.base_case(fld).points
             try:
                 for i in range(3, k + 1):
@@ -938,19 +1012,19 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
         for i, c in counted.items():
             pairs, d = construct.swept_pair_count(i), i - 1
             fresh = q - 2 * i + 2
-            assert c["pairs"] == pairs and c["every"] <= 3 * pairs * d
+            assert c["pairs"] == pairs and c["sides"] <= 6 * pairs * min(2 * d, c["rows"])
             assert c["rows"] <= (fresh if fresh - 1 <= 5 * pairs * d else 1 + 3 * pairs * d)
             estimate = construct.stage_work(q, i) - construct.stage_work(q, i - 1)
             assert c["units"] <= estimate, (q, i, c, estimate)
             full_rows_seen += c["rows"] > 1
-            every_seen += c["every"]
-    assert full_rows_seen and every_seen
+            sides_seen += c["sides"]
+    assert full_rows_seen and sides_seen
 
 
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    message = r"^units of the row sweep of stages 3\.\.3 at q=251: estimated work 4266580 exceeds the limit of 4266579$"
+    message = r"^units of the row sweep of stages 3\.\.3 at q=251: estimated work 3761716 exceeds the limit of 3761715$"
     with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
@@ -981,7 +1055,7 @@ def test_extend_refuses_a_bad_set_above_its_ceiling(monkeypatch):
     # GF(251), far above the row's ceiling of 5 rows of degree 2 for each
     # of its 6 pairs, where no condition holds at every lead
     monkeypatch.setattr(poly, "tagged_roots", lambda fld, tags, rows: np.arange(fld.q))
-    with pytest.raises(InvariantViolation, match=r"^stage 3: row 3 has 251 bad pairs, above the ceiling 60$"):
+    with pytest.raises(InvariantViolation, match=r"^stage 3: row 3 has 251 roots of its plain rows, above the ceiling 60$"):
         construct.extend(F251, (0, 1, 2, 5), 3)
 
 
