@@ -261,6 +261,14 @@ def cmd_table1(args):
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which main reports as JSON (exit 2);
+    subparsers inherit the class, and --help stays plain text."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use and shared
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.DEFAULT_MAX_CLASSES, so patching those names after the first
     call changes nothing; the engines the cmd_* functions call are still
     looked up at call time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rsinsdel",
         description="Reed-Solomon codes under insertion/deletion errors",
     )
@@ -357,9 +365,8 @@ def _fail(exit_code: int, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
         t0 = time.perf_counter()

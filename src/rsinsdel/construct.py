@@ -18,8 +18,9 @@ runs are fully reproducible, and it depends only on the rows of the bad
 set up to its x: the stage builds row x for the least fresh x, and the
 next only when that row is full (_stage_row).  A row costs, per pair, the
 four polynomials at x and a_last and the roots of at most 5 rows of
-degree at most i - 1 (and 2 per side of a condition that holds at every
-lead), found by poly.tagged_roots: no pair is evaluated on GF(q).
+degree at most i - 1, found by poly.tagged_roots: no pair is evaluated on
+GF(q).  A row where a condition holds at x for every lead is all of GF(q)
+(_stage_row), unless it is only the agreement of a pair with f = g.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _pencils(fld: Field, i: int, solutions) -> np.ndarray:
     the stage solution (u0, u1) of every pair, as a (pairs, 6, i) array.
     For lead l the pair's near-collision is f = (0, u[mid+1:], 1),
     g = (u[:mid+1], l) with u = u0 - l*u1 and mid = i - 2, so g = A + l*B
-    and f = C + l*D."""
+    and f = C + l*D.  A constant A or D = 0, which no swept pair can have
+    (_stage_row), raises InvariantViolation."""
     mid, minus = i - 2, fld.neg(1)
     u0, u1 = (np.array(u, np.int64) for u in zip(*solutions))
     u1 = fld.v_mul(u1, minus)
@@ -110,15 +112,16 @@ def _pencils(fld: Field, i: int, solutions) -> np.ndarray:
     polys[:, 2, 1 : mid + 1], polys[:, 2, mid + 1] = u0[:, mid + 1 :], 1
     polys[:, 3, 1 : mid + 1] = u1[:, mid + 1 :]
     polys[:, 4:] = fld.v_add(polys[:, 2:4], fld.v_mul(polys[:, :2], minus))
+    if not (polys[:, 0, 1:].any(axis=1) & polys[:, 3].any(axis=1)).all():
+        raise InvariantViolation(f"stage {i}: a swept pair has a constant A or D = 0, which its {2*i - 3} distinct points rule out")
     return polys
 
 
 # the pencils X + lead*Y whose roots _stage_row takes, by row kind: the two
 # cross rows, the agreement row of each condition, and at the lead infinity
-# (lead 0 here) the two cross rows and the agreement row; at lead 0, the Ns
-# then the Ds of the every-lead sides: agreement, g(y) = f(x), f(y) = g(x)
-_ROW_X = np.array([0, 2, 4, 4, 4, 1, 3, 5, 4, 0, 2, 5, 1, 3])
-_ROW_Y = np.array([1, 3, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1])
+# (lead 0 here) the two cross rows and the agreement row
+_ROW_X = np.array([0, 2, 4, 4, 4, 1, 3, 5])
+_ROW_Y = np.array([1, 3, 5, 5, 5, 1, 1, 1])
 
 
 def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.ndarray, int]:
@@ -142,56 +145,46 @@ def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.nda
     the reverse adds nothing.  The shift cancels from every equation, so x
     is a first point there where den = 0, with the rows B - D(x), D - B(x)
     and D - B.  A condition either hits at one lead or has den = 0, so a
-    pair gives at most 5 such plain rows.  Where a condition holds at x for
-    every lead, y is bad on its side (agreement, g(y) = f(x) or f(y) = g(x))
-    unless no allowed lead solves N(y) + lead*D(y) = 0: at the roots of D
-    but not N, or of just one where lead 0 is barred; where f = g at lead
-    1, N = -D and the side is the plain row D - B.  All rows go to one
-    poly.tagged_roots call, the sides' Ns tagged 1..s and Ds s+1..2s for
-    q-wide masks; no pair is evaluated on GF(q).  Degenerate shapes whose
-    solution set would be all of GF(q) cannot complete an actual collision
-    and are skipped, as leads that are not allowed:
+    pair gives at most 5 such plain rows, all handed to one
+    poly.tagged_roots call: no pair is evaluated on GF(q).  f = g as
+    polynomials (only possible at lead 1, as f is monic of degree mid + 1)
+    cannot give a collision of two distinct codewords, so the agreement
+    shapes skip that lead.
 
-    * a constant side (the g-side A, at lead 0, or the f-side D at
-      infinity): the collision would force the other, monic and
-      nonconstant, side to take a single value at 2i-1 distinct points;
-    * f = g as polynomials (only possible at lead = 1, as f is monic of
-      degree mid + 1): a collision needs two distinct codewords, and the
-      normalization preserves distinctness, so only the cross-point tail
-      shapes are kept for that lead.
+    Every swept pair has a nonconstant A and a nonzero D (_pencils checks
+    it): its system, solved uniquely, gives g(a_J) = f(a_I) at every lead,
+    so A(a_J) = C(a_I) and B(a_J) = D(a_I) at 2i - 3 distinct points, where
+    the monic C and B, of degree i - 1 < 2i - 3, can neither take one value
+    (A constant) nor vanish (D = 0).  So lead 0 is never barred, and a
+    condition with den = 0 has its lead-infinity row.  Where a condition
+    holds at x for every lead, y is bad on its side (agreement, g(y) = f(x)
+    or f(y) = g(x)) unless no lead solves N(y) + lead*D(y) = 0, so D(y) =
+    0: a root of the condition's own lead-infinity row (D - B, B - D(x),
+    D - B(x)).  Such a row is all of GF(q), but for the agreement of a pair
+    with f = g at lead 1, which opens no side.
     """
     pairs, _, width = polys.shape
     minus = fld.neg(1)
     values = poly.eval_all(fld, polys[:, :4].reshape(-1, width), (x, last)).reshape(pairs, 4, 2)
     (ax, bx, cx, dx), (al, bl, cl, dl) = values.transpose(2, 1, 0)
-    # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x); a lead
-    # l is 0 where num = 0 and 1 where num + den = 0
+    # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x)
     num = fld.v_add(np.stack((ax, cx, cx)), fld.v_mul(np.stack((cl, al, ax)), minus))
     den = fld.v_add(np.stack((bx, dx, dx)), fld.v_mul(np.stack((dl, bl, bx)), minus))
     lead = fld.v_mul(num, fld.v_mul(fld.v_inv(den), minus))
-    zero_allowed = polys[:, 0, 1:].any(axis=1)
     one_agrees = fld.v_add(polys[:, 4], polys[:, 5]).any(axis=1)
-    hit = (den != 0) & (zero_allowed | (num != 0))
+    hit, infinity = den != 0, den == 0
     agree = hit & (one_agrees | (fld.v_add(num, den) != 0))
-    infinity = (den == 0) & polys[:, 3].any(axis=1)
-    every = (den == 0) & (num == 0)
-    sides = (every.any(axis=0) & one_agrees, every[0], every[1]) * 2 if every.any() else ()
+    every = infinity & (num == 0)
     zero = np.zeros(pairs, np.int64)
-    leads = np.stack((lead[0], lead[1], *lead, *[zero] * 9))
+    leads = np.stack((lead[0], lead[1], *lead, zero, zero, zero))
     g_x, f_x = fld.v_add(ax, fld.v_mul(lead[1], bx)), fld.v_add(cx, fld.v_mul(lead[0], dx))
-    targets = np.stack((f_x, g_x, zero, zero, zero, dx, bx, zero, zero, cx, ax, zero, dx, bx))
-    plain = (hit[0], hit[1], *agree, infinity[0], infinity[1], infinity.any(axis=0) | (every.any(axis=0) & ~one_agrees))
-    kind, pair = np.nonzero(np.stack(plain + sides))
+    targets = np.stack((f_x, g_x, zero, zero, zero, dx, bx, zero))
+    kind, pair = np.nonzero(np.stack((hit[0], hit[1], *agree, infinity[0], infinity[1], infinity.any(axis=0))))
     rows = poly.pencil_rows(fld, polys[pair, _ROW_X[kind]], polys[pair, _ROW_Y[kind]], leads[kind, pair], targets[kind, pair])
-    codes = poly.tagged_roots(fld, (kind >= len(plain)).cumsum(), rows)
-    count = np.count_nonzero(kind >= len(plain)) // 2
-    if not count:
-        return np.unique(codes), len(codes)
-    found = np.zeros((1 + 2 * count) * fld.q, bool)
-    found[codes] = True
-    plain_y, num_y, den_y = np.split(found.reshape(-1, fld.q), (1, 1 + count))
-    free = np.where(zero_allowed[pair[-count:], None], den_y & ~num_y, den_y ^ num_y)
-    return np.flatnonzero(plain_y[0] | ~free.all(axis=0)), int(np.count_nonzero(codes < fld.q))
+    codes = poly.tagged_roots(fld, np.zeros_like(kind), rows)
+    if (every[0] | every[1] | every[2] & one_agrees).any():
+        return np.arange(fld.q), len(codes)
+    return np.unique(codes), len(codes)
 
 
 def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
@@ -213,9 +206,9 @@ def extend(fld: Field, points: tuple[int, ...], i: int) -> tuple[tuple[int, ...]
 
     Returns (extended points, bad pairs in the rows scanned).  Raises
     SingularSystemError if a swept pair's system is singular, which the
-    input's optimality forbids, InvariantViolation if the plain rows of a
-    row have more than 5 (i - 1) roots per swept pair, more than their
-    degrees allow, and NoGoodPairError if every fresh row is full.
+    input's optimality forbids, InvariantViolation if _pencils finds a
+    constant A or D = 0 or a row's plain rows have more than 5 (i - 1)
+    roots per swept pair, and NoGoodPairError if every fresh row is full.
     """
     n = len(points)
     q = fld.q
@@ -288,21 +281,19 @@ def stage_work(q: int, k: int) -> int:
     the row loop spends, with b = ceil(log2 q), P = swept_pair_count(i) and
     d = i - 1 at stage i.
 
-    * A row costs 10^5 units for the calls it makes, whatever its size, and
-      per swept pair 26i units for the values at x and a_last, the leads
-      and the rows, and 8 rows of 4d^2 units per bit of q in the root
-      finder (the products of a square of the power mod P): the at most 5
-      plain rows a pair hands it (_stage_row) and 3 for the pieces of
-      later rounds.  A row of degree d <= 2 (stage 3) costs 4 units instead.
+    * A row costs 10^5 units for the calls it makes, whatever its size, q
+      for the values a full row materializes, and per swept pair 26i units
+      for the values at x and a_last, the leads and the rows, and 8 rows of
+      4d^2 units per bit of q in the root finder (the products of a square
+      of the power mod P): the at most 5 plain rows a pair hands it
+      (_stage_row) and 3 for the pieces of later rounds.  A row of degree
+      d <= 2 (stage 3) costs 4 units instead.
     * A condition that holds at x for every lead has num = den = 0 there,
       and one of its num and den is a nonzero polynomial of degree at most
       d: den for the first and the agreement condition, as B is monic of
-      degree d and D of lower degree; for the second den when D != 0 (D(0)
-      = 0, so D is nonconstant), else num, as C is monic.  So each pair and
-      condition admit at most d such x: at most 3Pd per stage.  Each adds
-      two sides at most (its own and the agreement side), a row three per
-      pair, each an N and a D row: 6P min(2d, rows) side rows, each 8d^2
-      units per bit (itself and a piece) and q for its q-byte root mask.
+      degree d and D of lower degree; for the second den, as D(0) = 0 and
+      D != 0 make D nonconstant.  So each pair and condition admit at most
+      d such x: at most 3Pd per stage.
     * A row where no condition holds at every lead has at most 5Pd bad
       pairs (extend checks it), so it is full only while
       q - (2i - 2) - 1 <= 5Pd.  Above that, at most 1 + 3Pd rows are
@@ -315,7 +306,7 @@ def stage_work(q: int, k: int) -> int:
         pairs, d = swept_pair_count(i), i - 1
         fresh, split = q - (2 * i - 2), 8 * (d * d * bits if d >= 3 else 1)
         rows = fresh if fresh - 1 <= 5 * pairs * d else min(fresh, 1 + 3 * pairs * d)
-        total += rows * (10**5 + pairs * (26 * i + 4 * split)) + 6 * pairs * min(2 * d, rows) * (q + split)
+        total += rows * (10**5 + q + pairs * (26 * i + 4 * split))
     return total
 
 

@@ -27,14 +27,14 @@ BLOCK_BYTES = 1 << 20
 # Units of construct.stage_work in one construct_half_rate run, a bound of
 # the worst case.  On a 2-core VM (Python 3.11.7, numpy 2.4.6, in process,
 # no verification) the units real runs spend, counted as stage_work charges
-# them, took 11-20 ns each at the guaranteed field sizes from k = 4
-# (GF(1367), 2.8 ms) to k = 16 (GF(978821), 0.69 s), 19 ns at k = 8 over
-# GF(29), where rows fill, and about 0.7 ns in the q-wide masks of forced
-# every-lead sides at GF(279557) and GF(978821): the limit is at most about
-# 40 s.  Real runs spend 76 to 7,500 times fewer units than estimated at
-# those sizes (4 and 11 times over GF(13) and GF(29)); the limit admits
-# k = 8 at 44,621, the least prime above min_field_size(8) (1.6*10^9), and
-# refuses k = 9 at 76,837 (4.1*10^9).
+# them, took 9-22 ns each at the guaranteed field sizes from k = 4
+# (GF(1367), 2.8 ms) to k = 16 (GF(978821), 0.71 s), and 11-15 ns at k = 6
+# over GF(13) and k = 8 over GF(29), where rows fill: the limit is at most
+# about 45 s.  Real runs spend 71 to 4,800 times fewer units than estimated
+# at those sizes (4 and 7 times over GF(13) and GF(29)); the limit admits
+# k <= 7 at every field order up to gf.MAX_ORDER and k = 8 up to
+# q = 290,357 (1.3*10^9 at GF(44621)), and refuses k = 9 at 76,837
+# (3.4*10^9).
 MAX_STAGE_OPS = 2_000_000_000
 # Python's default limit on converting an integer to decimal text: a report
 # holding a larger integer would fail in cli.dumps after all the work.

@@ -80,10 +80,38 @@ def test_parse_error_exit_2(capsys):
     assert out == ""
 
 
-def test_usage_error_exit_2():
+def test_usage_error_exit_2(capsys):
+    # argparse's own errors are JSON errors with exit 2, like every other
+    # usage error
+    code, out, err = run_cli(capsys, "analyze")  # missing required flags
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "rsinsdel analyze: the following arguments are required: --alpha, --k"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "rsinsdel: the following arguments are required: command"),
+        (["bogus"], "rsinsdel: argument command: invalid choice: 'bogus'"),
+        (["bounds", "nope"], "rsinsdel bounds: argument bound: invalid choice: 'nope'"),
+        (["analyze", "--field", "7", "--alpha", "0,1,2,5", "--k", "x"], "rsinsdel analyze: argument --k: invalid int value: 'x'"),
+        (["construct", "--field", "7"], "rsinsdel construct: the following arguments are required: --k"),
+        (["census", "--field", "5", "--bogus"], "rsinsdel: unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-bound", "non-integer", "missing-flag", "unknown-flag"],
+)
+def test_parse_errors_are_json_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith(message), error
+
+
+def test_help_stays_plain_text(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze"])  # missing required flags
-    assert exc.value.code == 2
+        cli.main(["construct", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.out.startswith("usage: rsinsdel construct") and captured.err == ""
 
 
 def test_classify(capsys):
@@ -238,7 +266,7 @@ def test_construct_stage_guard_exit_3(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "GuardExceeded"
     assert error["message"] == (
-        "units of the row sweep of stages 3..9 at q=76837: estimated work 4117213256 exceeds the limit of 2000000000"
+        "units of the row sweep of stages 3..9 at q=76837: estimated work 3361291980 exceeds the limit of 2000000000"
     )
 
 
@@ -606,10 +634,8 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert run_cli(capsys, *census_argv, "--output", str(target))[:2] == (0, "")
     assert target.read_text() == alone[tuple(census_argv)]
     plain.append((census_argv, run_cli(capsys, *census_argv)))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze", "--field", "7", "--alpha", "0,1,2,5"])  # no --k
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run_cli(capsys, "analyze", "--field", "7", "--alpha", "0,1,2,5")  # no --k
+    assert (code, out) == (2, "") and json.loads(err)["error"]["message"].endswith("required: --k")
     plain.append((sample_argv, run_cli(capsys, *sample_argv)))
     plain.append((analyze_argv, run_cli(capsys, *analyze_argv)))
     for argv, (code, out, err) in plain:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import ordered_index_pairs
 
-from rsinsdel import analyze, cli, construct, errors, insdel, poly
+from rsinsdel import analyze, cli, construct, errors, gf, insdel, poly
 from rsinsdel.errors import GuardExceeded, InvariantViolation
 from rsinsdel.gf import field_new
 from rsinsdel.rscode import EvaluationVector, RsCode
@@ -350,34 +350,35 @@ def test_reference_inputs_reach_every_branch():
     assert sum(degenerate) == 6 and len(degenerate) == 12
 
 
-def test_constant_g_side_skips_lead_zero(monkeypatch):
-    # no real input has a constant g-side at lead 0, nor a constant f-side D
-    # at the lead infinity (the reverse's g-side at its lead 0): force both
-    # by zeroing the nonconstant g coefficients of u0 and the f-part of u1;
-    # neither lead then adds a code, and lead infinity no cross row, so the
-    # pass is (I, J)'s reference, which solves through the same function,
-    # and every row of the row sweep is the full sweep's
+def test_degenerate_stage_solutions_are_refused(monkeypatch, capsys):
+    # no swept pair has a constant g-side A (lead 0 barred) or a zero f-side
+    # D (no lead infinity): g(a_J) = f(a_I) at 2i - 3 distinct points rules
+    # both out.  Forced solutions of either shape, A constant, or D = 0
+    # with C = A + B, make extend and the construct command refuse the stage
     solve = construct._stage_solutions
 
-    def constant_sides(fld, points, i, pairs):
-        return [
-            ((u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), tuple(u1[: i - 1]) + (0,) * (i - 2))
-            for u0, u1 in solve(fld, points, i, pairs)
-        ]
+    def constant_g(fld, points, i, pairs):
+        return [((u0[0],) + (0,) * (i - 2) + tuple(u0[i - 1 :]), u1) for u0, u1 in solve(fld, points, i, pairs)]
 
-    monkeypatch.setattr(construct, "_stage_solutions", constant_sides)
-    for fld, points in SWEEP_INPUTS[:2] + SWEEP_INPUTS[-1:]:
-        i, neg_inv = len(points) // 2 + 1, neg_inverses(fld)
-        for i_seq, j_seq in stage_pairs(len(points), i):
-            u0, u1 = pair_solutions(fld, points, i, i_seq, j_seq)
-            assert poly.degree(poly.trim(u0[: i - 1])) < 1 and not any(u1[i - 1 :])
-            cross = []
-            full_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross)
-            assert len(cross) == 2  # the two sides over the leads of GF(q)
-            assert swept_bad_set(fld, points, i, i_seq, j_seq) == reference_bad_set(fld, points, i, i_seq, j_seq)
-        # the row sweep skips the same leads
-        solutions = construct._stage_solutions(fld, points, i, forward_pairs(len(points), i))
-        assert_rows_match(fld, points, i, solutions, full_rows(fld, points, i, solutions))
+    def zero_d(fld, points, i, pairs):
+        mid, out = i - 2, []
+        for u0, u1 in solve(fld, points, i, pairs):
+            v1 = u1[: mid + 1] + (0,) * mid
+            out.append(((v1[0],) + u0[1 : mid + 1] + tuple(fld.sub(u0[t], v1[t]) for t in range(1, mid + 1)), v1))
+        return out
+
+    for degenerate in (constant_g, zero_d):
+        monkeypatch.setattr(construct, "_stage_solutions", degenerate)
+        for fld, points in SWEEP_INPUTS[:2] + SWEEP_INPUTS[-1:]:
+            i = len(points) // 2 + 1
+            for u0, u1 in construct._stage_solutions(fld, points, i, forward_pairs(len(points), i)):
+                assert not any(u0[1 : i - 1]) if degenerate is constant_g else not any(u1[i - 1 :])
+            with pytest.raises(InvariantViolation, match=rf"^stage {i}: a swept pair has a constant A or D = 0, which its {2 * i - 3} distinct points rule out$"):
+                construct.extend(fld, points, i)
+        assert cli.main(["construct", "--field", "1367", "--k", "4"]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert captured.out == "" and error == {"type": "InvariantViolation", "message": "stage 3: a swept pair has a constant A or D = 0, which its 3 distinct points rule out"}
 
 
 def test_block_sweep_is_independent_of_block_size(monkeypatch):
@@ -478,61 +479,73 @@ def test_row_sweep_matches_the_full_sweep_on_random_inputs():
     assert every_lead > 0
 
 
-def degenerate_solutions(fld, i, last, solutions, shape):
-    """Stage solutions made degenerate as no real input is.  "constant g"
-    zeroes the nonconstant coefficients of the g-side A, which bars lead 0.
-    "f = g" sets D = 0 and C = A + B, so f = g at lead 1, with B(a_last)
-    = 0: at a root x of B no condition of the pair hits, so its agreement
-    y are its every-lead side's alone."""
-    mid, degenerate = i - 2, []
-    for u0, u1 in solutions:
-        if shape == "constant g":
-            degenerate.append(((u0[0],) + (0,) * mid + u0[mid + 1 :], u1))
-            continue
-        b_last = poly.eval_all(fld, [(0,) + tuple(fld.neg(v) for v in u1[1 : mid + 1]) + (1,)], (last,))
-        v1 = (int(b_last[0, 0]),) + u1[1 : mid + 1] + (0,) * mid
-        degenerate.append(((v1[0],) + u0[1 : mid + 1] + tuple(fld.sub(u0[t], v1[t]) for t in range(1, mid + 1)), v1))
-    return degenerate
-
-
 def test_row_sweep_matches_the_full_sweep_on_every_lead_rows():
     # seeded stage-3 to stage-5 inputs over fields with q <= 101, each
     # compared with the full sweep only at the fresh x where some pair's
     # condition holds at every lead (rare: about 5 of the random test's
-    # 1,100 rows), until 50 such rows.  Those of real inputs come out full
-    # here (where D != 0 the plain rows root a side's free y), so then 20
-    # rows each of inputs made degenerate, some of them not full
+    # 1,100 rows), until 50 such rows.  Every row where such a condition
+    # opens a side (all but an agreement of a pair with f = g at lead 1) is
+    # all of GF(q), as _stage_row proves
     rng = random.Random(45)
     fields = [field_new(*f) for f in ((11,), (13,), (23,), (31,), (67,), (101,), (3, 3), (3, 4), (5, 2), (7, 2), (2, 4), (2, 5), (2, 6))]
     seen = collections.Counter()
-    for shape, wanted in ((None, 50), ("constant g", 20), ("f = g", 20)):
-        while seen[shape] < wanted:
-            fld, i = rng.choice(fields), rng.choice((3, 4, 5))
-            points = tuple(rng.sample(range(fld.q), 2 * i - 2))
-            try:
-                solutions = construct._stage_solutions(fld, points, i, forward_pairs(2 * i - 2, i))
-            except construct.SingularSystemError:
-                continue
-            if shape:
-                solutions = degenerate_solutions(fld, i, points[-1], solutions, shape)
-            polys = construct._pencils(fld, i, solutions)
-            every = every_lead_conditions(fld, polys, points[-1])
-            every[..., list(points)] = False
-            xs = np.flatnonzero(every.any(axis=(0, 1))).tolist()
-            if not xs:
-                continue
-            bad = full_rows(fld, points, i, solutions)
-            assert assert_rows_match(fld, points, i, solutions, bad, xs) == len(xs)
-            f_equals_g = ~fld.v_add(polys[:, 4], polys[:, 5]).any(axis=1)
-            family = "characteristic 2" if fld.p == 2 else "odd extension" if fld.m > 1 else "prime"
-            for x in xs:
-                kinds = (every[0, :, x].any(), every[1, :, x].any(), every[:, f_equals_g, x].any())
-                names = ("g(x) = f(a_last)", "f(x) = g(a_last)", "f = g side")
-                full = np.searchsorted(bad, (x + 1) * fld.q) - np.searchsorted(bad, x * fld.q) == fld.q
-                seen.update([shape, family, (shape, full)] + [name for name, hit in zip(names, kinds) if hit])
-    kinds = ("prime", "odd extension", "characteristic 2", "g(x) = f(a_last)", "f(x) = g(a_last)", "f = g side")
+    while seen["rows"] < 50:
+        fld, i = rng.choice(fields), rng.choice((3, 4, 5))
+        points = tuple(rng.sample(range(fld.q), 2 * i - 2))
+        try:
+            solutions = construct._stage_solutions(fld, points, i, forward_pairs(2 * i - 2, i))
+        except construct.SingularSystemError:
+            continue
+        polys = construct._pencils(fld, i, solutions)
+        every = every_lead_conditions(fld, polys, points[-1])
+        every[..., list(points)] = False
+        xs = np.flatnonzero(every.any(axis=(0, 1))).tolist()
+        if not xs:
+            continue
+        bad = full_rows(fld, points, i, solutions)
+        assert assert_rows_match(fld, points, i, solutions, bad, xs) == len(xs)
+        f_equals_g = ~fld.v_add(polys[:, 4], polys[:, 5]).any(axis=1)
+        family = "characteristic 2" if fld.p == 2 else "odd extension" if fld.m > 1 else "prime"
+        for x in xs:
+            kinds = (every[0, :, x].any(), every[1, :, x].any(), every[:, f_equals_g, x].any())
+            names = ("g(x) = f(a_last)", "f(x) = g(a_last)", "f = g side")
+            opens = bool((every[0, :, x] | every[1, :, x] | every[2, :, x] & ~f_equals_g).any())
+            full = np.searchsorted(bad, (x + 1) * fld.q) - np.searchsorted(bad, x * fld.q) == fld.q
+            assert full or not opens, (fld, points, i, x)
+            seen.update(["rows", family, ("opens", opens)] + [name for name, hit in zip(names, kinds) if hit])
+    kinds = ("prime", "odd extension", "characteristic 2", "g(x) = f(a_last)", "f(x) = g(a_last)", "f = g side", ("opens", True))
     assert all(seen[kind] for kind in kinds), seen
-    assert seen["constant g", False] and seen["f = g", False], seen
+
+
+def test_f_equals_g_agreement_rows_match_the_full_sweep():
+    # no real input has a fresh x where an f = g pair's agreement holds at
+    # every lead, so force every pair to f = g at lead 1 (C = A + B - D,
+    # A and D kept): where that agreement is a row's only every-lead
+    # condition it opens no side, and the row, not always full, still
+    # equals the full sweep's
+    rng = random.Random(46)
+    fields = [field_new(*f) for f in ((11,), (13,), (23,), (31,), (3, 3), (5, 2), (2, 4), (2, 5))]
+    seen = collections.Counter()
+    while seen["agreement only"] < 10:
+        fld, i = rng.choice(fields), rng.choice((3, 4))
+        points, mid = tuple(rng.sample(range(fld.q), 2 * i - 2)), i - 2
+        try:
+            solutions = construct._stage_solutions(fld, points, i, forward_pairs(2 * i - 2, i))
+        except construct.SingularSystemError:
+            continue
+        solutions = [((u1[0],) + u0[1 : mid + 1] + tuple(fld.add(fld.sub(u0[t], u1[t]), u1[mid + t]) for t in range(1, mid + 1)), u1) for u0, u1 in solutions]
+        polys = construct._pencils(fld, i, solutions)
+        assert not fld.v_add(polys[:, 4], polys[:, 5]).any()
+        every = every_lead_conditions(fld, polys, points[-1])
+        every[..., list(points)] = False
+        xs = np.flatnonzero(every[2].any(axis=0) & ~every[:2].any(axis=(0, 1))).tolist()
+        if not xs:
+            continue
+        bad = full_rows(fld, points, i, solutions)
+        assert_rows_match(fld, points, i, solutions, bad, xs)
+        seen["agreement only"] += len(xs)
+        seen["not full"] += int(sum(np.searchsorted(bad, (x + 1) * fld.q) - np.searchsorted(bad, x * fld.q) < fld.q for x in xs))
+    assert seen["not full"], seen
 
 
 @pytest.mark.parametrize(
@@ -850,7 +863,7 @@ def test_extend_picks_least_fresh_distinct_pair(monkeypatch):
     monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (np.array([4]) if x == 3 else empty, 1))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 3, 6), 1)
     # row 3 is free only at y = 3, which repeats x; the ceiling bounds the
-    # roots of its plain rows, not its every-lead sides
+    # roots of its plain rows, not the y of a row that opens a side
     row3 = np.array([y for y in range(q) if y != 3])
     monkeypatch.setattr(construct, "_stage_row", lambda fld, polys, last, x: (row3, 2) if x == 3 else (empty, 0))
     assert construct.extend(F251, (0, 1, 2, 5), 3) == ((0, 1, 2, 5, 4, 3), q - 1)
@@ -927,20 +940,17 @@ def test_stage_work_guard_admits_guaranteed_sizes_up_to_k8():
     assert construct.stage_work(23789, 7) <= errors.MAX_STAGE_OPS
     assert construct.stage_work(44621, 8) <= errors.MAX_STAGE_OPS < construct.stage_work(76837, 9)
     # over GF(1367) no row is full without a condition that holds at every
-    # lead (1362 > 5Pd), so 1 + 3Pd rows, and 6P min(2d, rows) side rows:
-    # at stage 3, 6 pairs, 37 rows of 10^5 + 6 * (26 * 3 + 32) units and
-    # 144 side rows of 1367 + 8; at stage 4, 10 pairs, 91 rows of
-    # 10^5 + 10 * (26 * 4 + 32 * 3^2 * 11) and 360 side rows of
-    # 1367 + 8 * 3^2 * 11
-    assert construct.stage_work(1367, 4) == 37 * 100660 + 144 * 1375 + 91 * 132720 + 360 * 2159 == 16777180
-    # over GF(7) every fresh row can be full: 3 rows, 108 side rows
-    assert construct.stage_work(7, 3) == 3 * (10**5 + 6 * 110) + 108 * (7 + 8)
+    # lead (1362 > 5Pd), so 1 + 3Pd rows, each charged q: at stage 3,
+    # 6 pairs, 37 rows of 10^5 + 1367 + 6 * (26 * 3 + 32) units; at stage 4,
+    # 10 pairs, 91 rows of 10^5 + 1367 + 10 * (26 * 4 + 32 * 3^2 * 11)
+    assert construct.stage_work(1367, 4) == 37 * 102027 + 91 * 134087 == 15976916
+    # over GF(7) every fresh row can be full: 3 rows
+    assert construct.stage_work(7, 3) == 3 * (10**5 + 7 + 6 * 110) == 302001
     assert construct.stage_work(7, 2) == 0
-    # k = 8 is admitted up to q = 85533, k = 6 up to q = 720358 and k = 3
-    # up to q = 13863016
-    assert construct.stage_work(85533, 8) <= errors.MAX_STAGE_OPS < construct.stage_work(85534, 8)
-    assert construct.stage_work(720358, 6) <= errors.MAX_STAGE_OPS < construct.stage_work(720359, 6)
-    assert construct.stage_work(13863016, 3) <= errors.MAX_STAGE_OPS < construct.stage_work(13863017, 3)
+    # k = 8 is admitted up to q = 290357, and k = 7 at every order of the
+    # library (above the few rows where rows fill, the work grows with q)
+    assert construct.stage_work(290357, 8) <= errors.MAX_STAGE_OPS < construct.stage_work(290358, 8)
+    assert construct.stage_work(gf.MAX_ORDER, 7) <= errors.MAX_STAGE_OPS
 
 
 def test_swept_pair_count_counts_the_swept_pairs():
@@ -951,7 +961,7 @@ def test_swept_pair_count_counts_the_swept_pairs():
 
 def test_stage_work_charges_half_the_ordered_pairs():
     # the estimate per stage charges P, half the ordered pairs, at every
-    # (q, k), in each of its three parts
+    # (q, k), in each of its parts
     for q in (7, 8, 81, 251, 256, 1367, 1381, 4507, 11273, 23789, 65537):
         bits = max(1, (q - 1).bit_length())
         for k in range(3, 9):
@@ -960,38 +970,36 @@ def test_stage_work_charges_half_the_ordered_pairs():
                 pairs, d = len(stage_pairs(2 * i - 2, i)) // 2, i - 1
                 rows = q - 2 * i + 2 if q - 2 * i + 1 <= 5 * pairs * d else min(q - 2 * i + 2, 1 + 3 * pairs * d)
                 split = 4 * (d * d * bits if d >= 3 else 1)
-                sides = min(2 * 3 * pairs * d * 2, 3 * pairs * rows * 2)
-                total += rows * (10**5 + pairs * (26 * i + 8 * split)) + sides * (q + 2 * split)
+                total += rows * (10**5 + q + pairs * (26 * i + 8 * split))
             assert construct.stage_work(q, k) == total, (q, k)
 
 
 def test_stage_work_bounds_the_counted_work(monkeypatch):
-    # real stages, counted as stage_work charges them: 10^5 + 26i units per
-    # pair per row, 4d^2 units per bit of q for every row the root finder
-    # splits, fresh or a later piece, of degree d >= 3 (1 below), and q per
-    # side row (tagged above 0) for its root mask; within the estimate, and
-    # within each part of the worst case: at most 5 plain rows per pair
-    # handed to the root finder per row, at most 6P min(2(i - 1), rows)
-    # side rows, and the rows scanned within the bound; over the small
-    # fields rows fill and conditions hold at every lead
+    # real stages, counted as stage_work charges them: 10^5 + q + 26i units
+    # per pair per row, and 4d^2 units per bit of q for every row the root
+    # finder splits, fresh or a later piece, of degree d >= 3 (1 below);
+    # within the estimate, and within each part of the worst case: at most
+    # 5 plain rows per pair handed to the root finder per row, and the rows
+    # scanned within the bound; over the small fields rows fill, some of
+    # them the whole field
     row_, roots_, split_ = construct._stage_row, poly.tagged_roots, poly.split_round
-    full_rows_seen, sides_seen = 0, 0
+    full_rows_seen, whole_field_seen = 0, 0
     for spec, k in (((7,), 3), ((13,), 6), ((23,), 6), ((29,), 8), ((3, 4), 4), ((251,), 5), ((1367,), 4), ((4507,), 5)):
         fld = field_new(*spec)
         q, bits, counted, current = fld.q, max(1, (fld.q - 1).bit_length()), {}, []
 
         def row(fld_, polys, last, x):
+            nonlocal whole_field_seen
             pairs, _, i = polys.shape
-            current[:] = [counted.setdefault(i, {"i": i, "pairs": pairs, "rows": 0, "sides": 0, "units": 0})]
+            current[:] = [counted.setdefault(i, {"i": i, "pairs": pairs, "rows": 0, "units": 0})]
             current[0]["rows"] += 1
-            current[0]["units"] += 10**5 + pairs * 26 * i
-            return row_(fld_, polys, last, x)
+            current[0]["units"] += 10**5 + q + pairs * 26 * i
+            bad, roots = row_(fld_, polys, last, x)
+            whole_field_seen += len(bad) == q
+            return bad, roots
 
         def roots(fld_, tags, rows):
-            sides = np.count_nonzero(tags)
-            assert len(rows) - sides <= 5 * current[0]["pairs"] and rows.shape[1] == current[0]["i"]
-            current[0]["sides"] += sides
-            current[0]["units"] += sides * q
+            assert len(rows) <= 5 * current[0]["pairs"] and rows.shape[1] == current[0]["i"]
             return roots_(fld_, tags, rows)
 
         def split(fld_, rows, rounds):
@@ -1012,19 +1020,18 @@ def test_stage_work_bounds_the_counted_work(monkeypatch):
         for i, c in counted.items():
             pairs, d = construct.swept_pair_count(i), i - 1
             fresh = q - 2 * i + 2
-            assert c["pairs"] == pairs and c["sides"] <= 6 * pairs * min(2 * d, c["rows"])
+            assert c["pairs"] == pairs
             assert c["rows"] <= (fresh if fresh - 1 <= 5 * pairs * d else 1 + 3 * pairs * d)
             estimate = construct.stage_work(q, i) - construct.stage_work(q, i - 1)
             assert c["units"] <= estimate, (q, i, c, estimate)
             full_rows_seen += c["rows"] > 1
-            sides_seen += c["sides"]
-    assert full_rows_seen and sides_seen
+    assert full_rows_seen and whole_field_seen
 
 
 def test_stage_work_guard_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(errors, "MAX_STAGE_OPS", construct.stage_work(251, 3) - 1)
     monkeypatch.setattr(construct, "extend", None)  # never reached
-    message = r"^units of the row sweep of stages 3\.\.3 at q=251: estimated work 3761716 exceeds the limit of 3761715$"
+    message = r"^units of the row sweep of stages 3\.\.3 at q=251: estimated work 3733707 exceeds the limit of 3733706$"
     with pytest.raises(GuardExceeded, match=message):
         construct.construct_half_rate(F251, 3)
     monkeypatch.undo()
