@@ -1,6 +1,6 @@
 """Deterministic construction of rate-1/2 RS codes correcting one insdel
-error: a scanned length-4 base case plus an inductive two-points-per-stage
-extension.
+error: a length-4 base case given by a rule plus an inductive
+two-points-per-stage extension.
 
 Stage i takes a verified length-(2i-2) evaluation vector and appends two
 fresh points (x, y).  For every unordered pair {I, J} of increasing index
@@ -10,17 +10,19 @@ contribute), the stage needs one square linear system for (I, J), I < J,
 read off insdel.build_V, for the normalized polynomial pair that could
 realize a long common subsequence; one stacked poly.solve_linear call
 solves the systems of all the stage's pairs.  Each solution is affine in
-the free leading coefficient (the lead), so a pair is four polynomials,
-and every first-point condition, linear in the lead, is solved for it in
-closed form.  The pair (x, y) is bad when it can complete such a
-near-collision.  The least fresh pair outside the bad set is chosen, so
-runs are fully reproducible, and it depends only on the rows of the bad
-set up to its x: the stage builds row x for the least fresh x, and the
-next only when that row is full (_stage_row).  A row costs, per pair, the
-four polynomials at x and a_last and the roots of at most 5 rows of
-degree at most i - 1, found by poly.tagged_roots: no pair is evaluated on
-GF(q).  A row where a condition holds at x for every lead is all of GF(q)
-(_stage_row), unless it is only the agreement of a pair with f = g.
+the free leading coefficient (the lead), so a pair is four polynomials.
+Every first-point condition, linear in the lead, holds at x at one
+projective lead (-num : den), infinity included, and every second-point
+equation is a pencil X + lead*Y whose row there is den*X - num*Y.  The
+pair (x, y) is bad when it can complete such a near-collision.  The least
+fresh pair outside the bad set is chosen, so runs are fully reproducible,
+and it depends only on the rows of the bad set up to its x: the stage
+builds row x for the least fresh x, and the next only when that row is
+full (_stage_row).  A row costs, per pair, the four polynomials at x and
+a_last and the roots of 5 rows of degree at most i - 1, found by
+poly.tagged_roots: no pair is evaluated on GF(q).  A row where a
+condition holds at x for every lead is all of GF(q) (_stage_row), unless
+it is only the agreement of a pair with f = g.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def min_field_size(k: int) -> int:
     """Smallest field order for which stage-by-stage success is guaranteed.
 
     The guarantee polynomial is 20k^4 - 90k^3 + 150k^2 - 106k + 27; for k = 2
-    the base-case scan only needs q >= 7.
+    the base case only needs q >= 7.
     """
     if k < 2:
         raise ValueError("rate-1/2 construction needs k >= 2")
@@ -63,16 +65,14 @@ def min_field_size(k: int) -> int:
 
 def base_case(fld: Field) -> EvaluationVector:
     """Lexicographically least (0, 1, a1, a2) whose length-4 code corrects
-    one insdel error; raises NoBaseCaseError when none exists (q < 7)."""
-    for a1 in range(fld.q):
-        if a1 in (0, 1):
-            continue
-        for a2 in range(fld.q):
-            if a2 in (0, 1, a1):
-                continue
-            if analyze.optimal_4_2_pair(fld, a1, a2):
-                return EvaluationVector(fld, (0, 1, a1, a2))
-    raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
+    one insdel error; raises NoBaseCaseError when none exists (q < 7).
+
+    a1 = 2 is the least candidate a1, and analyze.optimal_4_2_pair bars at
+    most three a2 besides 0, 1 and a1, so one of 3, .., 6 is admitted once
+    q >= 7; below 7 no (a1, a2) is."""
+    if fld.q < 7:
+        raise NoBaseCaseError(f"no admissible length-4 vector over {fld.name()} (q={fld.q})")
+    return EvaluationVector(fld, (0, 1, 2, next(a2 for a2 in range(3, 7) if analyze.optimal_4_2_pair(fld, 2, a2))))
 
 
 def _stage_solutions(fld: Field, points: tuple[int, ...], i: int, pairs) -> list:
@@ -117,13 +117,6 @@ def _pencils(fld: Field, i: int, solutions) -> np.ndarray:
     return polys
 
 
-# the pencils X + lead*Y whose roots _stage_row takes, by row kind: the two
-# cross rows, the agreement row of each condition, and at the lead infinity
-# (lead 0 here) the two cross rows and the agreement row
-_ROW_X = np.array([0, 2, 4, 4, 4, 1, 3, 5])
-_ROW_Y = np.array([1, 3, 5, 5, 5, 1, 1, 1])
-
-
 def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.ndarray, int]:
     """Row x of the stage's bad set: the sorted y such that (x, y) can
     complete a near-collision of some pair, given the pairs' _pencils and
@@ -134,34 +127,40 @@ def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.nda
     y = alpha_{2i}: g(x) = f(a_last) with g(y) = f(x); f(x) = g(a_last)
     with f(y) = g(x); and x in either first set or in the agreement set
     f = g, with y in the agreement set.  Every first-point condition is
-    linear in the lead, num + lead*den = 0, so x has the one lead -num/den,
-    or every lead where num = den = 0.  At a hit's lead l the bad y are the
-    roots of A + l*B - f(x) (first condition), of C + l*D - g(x) (second)
-    and of the agreement pencil (C - A) + l*(D - B), each of degree at most
-    i - 1.  At the lead infinity the pair, divided by the lead, is g = B,
+    linear in the lead, num + lead*den = 0, so x is a first point at the
+    projective lead (-num : den), or at every lead where num = den = 0.
+    The lead infinity, den = 0, is the pair divided by the lead, g = B,
     f = D, still a solution (B(a_J) = D(a_I)); shifted by -B(0) it is the
     reverse (J, I) at lead 0, f = B - B(0) and g = D - B(0), and at a lead
     l' != 0 the reverse is (I, J) at lead 1/l', rescaled and shifted, so
-    the reverse adds nothing.  The shift cancels from every equation, so x
-    is a first point there where den = 0, with the rows B - D(x), D - B(x)
-    and D - B.  A condition either hits at one lead or has den = 0, so a
-    pair gives at most 5 such plain rows, all handed to one
-    poly.tagged_roots call: no pair is evaluated on GF(q).  f = g as
-    polynomials (only possible at lead 1, as f is monic of degree mid + 1)
-    cannot give a collision of two distinct codewords, so the agreement
-    shapes skip that lead.
+    the reverse adds nothing.  Each second-point equation is a pencil
+    X + lead*Y of degree at most i - 1: X = A - C(x), Y = B - D(x) for
+    g(y) = f(x); X = C - A(x), Y = D - B(x) for f(y) = g(x); X = C - A,
+    Y = D - B for the agreement.  Its row at the lead (-num : den) is
+    den*X - num*Y, the pencil at lead -num/den scaled by den, and -num*Y
+    at the lead infinity.  A pair gives 5 plain rows, its two cross rows
+    at their own condition's lead and its agreement row at each
+    condition's, all handed to one poly.tagged_roots call: no pair is
+    evaluated on GF(q).
+
+    A cross row vanishes only where num = den = 0, since its X and Y are
+    nonzero and of different degrees, and so does an agreement row, unless
+    the monic C - A is -(D - B): f = g at lead 1, where the row is
+    -(num + den)(D - B).  f = g as polynomials cannot give a collision of
+    two distinct codewords, so the agreement shapes skip lead 1, where that
+    row vanishes, and such a pair's agreement that holds at every lead is
+    read at the lead infinity (num := 1), its row D - B.  Vanishing rows
+    are dropped.
 
     Every swept pair has a nonconstant A and a nonzero D (_pencils checks
     it): its system, solved uniquely, gives g(a_J) = f(a_I) at every lead,
     so A(a_J) = C(a_I) and B(a_J) = D(a_I) at 2i - 3 distinct points, where
     the monic C and B, of degree i - 1 < 2i - 3, can neither take one value
-    (A constant) nor vanish (D = 0).  So lead 0 is never barred, and a
-    condition with den = 0 has its lead-infinity row.  Where a condition
-    holds at x for every lead, y is bad on its side (agreement, g(y) = f(x)
-    or f(y) = g(x)) unless no lead solves N(y) + lead*D(y) = 0, so D(y) =
-    0: a root of the condition's own lead-infinity row (D - B, B - D(x),
-    D - B(x)).  Such a row is all of GF(q), but for the agreement of a pair
-    with f = g at lead 1, which opens no side.
+    (A constant) nor vanish (D = 0).  So no lead of GF(q) or infinity is
+    barred but the agreement's lead 1.  Where any other row vanishes, its
+    condition holds at x for every lead, and every y solves its side's
+    pencil at the lead (-X(y) : Y(y)), or at every lead: the row is all of
+    GF(q).
     """
     pairs, _, width = polys.shape
     minus = fld.neg(1)
@@ -170,19 +169,17 @@ def _stage_row(fld: Field, polys: np.ndarray, last: int, x: int) -> tuple[np.nda
     # first points: g(x) = f(a_last), f(x) = g(a_last), f(x) = g(x)
     num = fld.v_add(np.stack((ax, cx, cx)), fld.v_mul(np.stack((cl, al, ax)), minus))
     den = fld.v_add(np.stack((bx, dx, dx)), fld.v_mul(np.stack((dl, bl, bx)), minus))
-    lead = fld.v_mul(num, fld.v_mul(fld.v_inv(den), minus))
     one_agrees = fld.v_add(polys[:, 4], polys[:, 5]).any(axis=1)
-    hit, infinity = den != 0, den == 0
-    agree = hit & (one_agrees | (fld.v_add(num, den) != 0))
-    every = infinity & (num == 0)
-    zero = np.zeros(pairs, np.int64)
-    leads = np.stack((lead[0], lead[1], *lead, zero, zero, zero))
-    g_x, f_x = fld.v_add(ax, fld.v_mul(lead[1], bx)), fld.v_add(cx, fld.v_mul(lead[0], dx))
-    targets = np.stack((f_x, g_x, zero, zero, zero, dx, bx, zero))
-    kind, pair = np.nonzero(np.stack((hit[0], hit[1], *agree, infinity[0], infinity[1], infinity.any(axis=0))))
-    rows = poly.pencil_rows(fld, polys[pair, _ROW_X[kind]], polys[pair, _ROW_Y[kind]], leads[kind, pair], targets[kind, pair])
-    codes = poly.tagged_roots(fld, np.zeros_like(kind), rows)
-    if (every[0] | every[1] | every[2] & one_agrees).any():
+    # second points: g(y) = f(x), f(y) = g(x), and the agreement at each lead
+    xrow, yrow = (polys[:, cols].transpose(1, 0, 2) for cols in ([0, 2, 4, 4, 4], [1, 3, 5, 5, 5]))
+    xrow[:2, :, 0] = fld.v_add(xrow[:2, :, 0], fld.v_mul(np.stack((cx, ax)), minus))
+    yrow[:2, :, 0] = fld.v_add(yrow[:2, :, 0], fld.v_mul(np.stack((dx, bx)), minus))
+    agree = np.where(one_agrees | (num != 0) | (den != 0), num, 1)  # f = g's every-lead agreement at infinity
+    neg_num = fld.v_mul(np.concatenate((num[:2], agree)), minus)
+    rows = fld.v_add(fld.v_mul(xrow, den[[0, 1, 0, 1, 2], :, None]), fld.v_mul(yrow, neg_num[..., None]))
+    live = rows.any(axis=-1)
+    codes = poly.tagged_roots(fld, np.zeros(live.sum(), np.int64), rows[live])
+    if not live[:2].all() or (one_agrees & ~live[2:]).any():
         return np.arange(fld.q), len(codes)
     return np.unique(codes), len(codes)
 
@@ -283,11 +280,11 @@ def stage_work(q: int, k: int) -> int:
 
     * A row costs 10^5 units for the calls it makes, whatever its size, q
       for the values a full row materializes, and per swept pair 26i units
-      for the values at x and a_last, the leads and the rows, and 8 rows of
-      4d^2 units per bit of q in the root finder (the products of a square
-      of the power mod P): the at most 5 plain rows a pair hands it
-      (_stage_row) and 3 for the pieces of later rounds.  A row of degree
-      d <= 2 (stage 3) costs 4 units instead.
+      for the values at x and a_last, num, den and the rows, and 8 rows
+      of 4d^2 units per bit of q in the root finder (the products of a
+      square of the power mod P): the at most 5 plain rows a pair hands
+      it (_stage_row) and 3 for the pieces of later rounds.  A row of
+      degree d <= 2 (stage 3) costs 4 units instead.
     * A condition that holds at x for every lead has num = den = 0 there,
       and one of its num and den is a nonzero polynomial of degree at most
       d: den for the first and the agreement condition, as B is monic of

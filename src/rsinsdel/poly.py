@@ -76,16 +76,6 @@ def roots(fld: Field, coeffs) -> list[int]:
     return sorted(tagged_roots(fld, [0], [coeffs]).tolist())
 
 
-def pencil_rows(fld: Field, a, b, lead, target) -> np.ndarray:
-    """The coefficient rows, low first, of a[r] + lead[r]*b[r] - target[r]
-    for (R, W) coefficient arrays a and b (or one W-row each, shared by
-    every r) and 1-D lead and target of length R: an (R, W) array."""
-    lead, target = np.asarray(lead, np.int64), np.asarray(target, np.int64)
-    rows = fld.v_add(a, fld.v_mul(b, lead[:, None]))
-    rows[:, 0] = fld.v_add(rows[:, 0], fld.v_mul(target, fld.neg(1)))
-    return rows
-
-
 def tagged_roots(fld: Field, tags, rows) -> np.ndarray:
     """The codes tag*q + y of the roots y in GF(q) of (R, W) coefficient
     rows, low first, each with an integer tag, in no set order: the one

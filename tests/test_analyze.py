@@ -1,11 +1,13 @@
 """Tests for the capability engines, classifier, census, and sampling."""
 
+import collections
 import itertools
 import json
 import math
 import random
 import time
 
+import numpy as np
 import pytest
 from conftest import canonical_orderings
 
@@ -121,6 +123,32 @@ def test_capability_is_monotone_in_k(q):
         assert lcs2 <= lcs3, points
         assert certified2 == (lcs2 <= q - 2) and certified3 == (lcs3 <= q - 2), points
         assert certified2 or not certified3, points
+
+
+@pytest.mark.parametrize("q, two_runs, one_run", [(7, 4, 1), (8, 12, 0), (9, 8, 0)])
+def test_two_runs_of_an_affine_map_fail_at_k3(q, two_runs, one_run):
+    # an ordering is two runs of phi(x) = lam*x + mu != id when
+    # alpha_(s+1) = phi(alpha_s) at every s but s0; with u = alpha_(s0),
+    # v = alpha_(s0+1), f = (x - phi(u))(x - v) and g = f o phi give
+    # g(alpha_s) = f(alpha_(s+1)) at every s, and f != g (f has degree
+    # 2 < q, so its values decide), so the k = 3 code has a collision and
+    # the t = 1 certificate refuses it.  A single run (GF(7)'s arithmetic
+    # progression) is the case v = phi(u), at any s0
+    fld = field_from_order(q)
+    xs = np.arange(q)
+    maps = [fld.v_add(fld.v_mul(xs, lam), mu) for lam in range(1, q) for mu in range(q) if (lam, mu) != (1, 0)]
+    alphas, runs = np.array([ev.points for ev in canonical_orderings(fld)]), collections.Counter()
+    for phi in maps:
+        breaks = phi[alphas[:, :-1]] != alphas[:, 1:]
+        keep = breaks.sum(axis=1) <= 1
+        for alpha, jumps in zip(alphas[keep], breaks[keep]):
+            s0 = jumps.argmax()
+            u, v = alpha[s0 : s0 + 2]
+            f = poly.eval_all(fld, (fld.mul(phi[u], v), fld.neg(fld.add(phi[u], v)), 1))
+            assert np.array_equal(f[phi[alpha[:-1]]], f[alpha[1:]]) and (f[phi] != f).any(), (alpha, phi)
+            assert not insdel.rank_certificate(RsCode(EvaluationVector(fld, tuple(alpha.tolist())), 3), 1).certified, alpha
+            runs[int(jumps.sum())] += 1
+    assert (runs[1], runs[0]) == (two_runs, one_run)
 
 
 def test_half_singleton_floor_is_enforced():

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsinsdel import analyze, cli, rscode
 
@@ -681,3 +685,66 @@ def test_docs_and_cli_options_agree():
         assert command in commands, line[0]
         for option in re.findall(r"--[\w-]+", rest):
             assert option in commands[command]._option_string_actions, line[0]
+
+
+# Edge values for the drawn command lines: fields up to 31 beside malformed
+# ones and one above the order ceiling, and sizes either small or far past
+# a guard, so every drawn run answers at once.
+BIG = str(10**20)
+EDGE_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "11", "13", "16", "25", "27", "29", "31", "2^3", "3^2", "6", "1", "0", "-7", "x", "4^2", "2^0", "1000000000000000003"]
+EDGE_ALPHAS = ["0,1,2,5", "0,1,1", "", "0,1,99", "GF(7):0,1,2,5", "GF(7:0,1"]
+ORDERS = {"2^3": 8, "3^2": 9, **{f: int(f) for f in EDGE_FIELDS[:14]}}
+EDGE_INTS = ["-1", "0", "1", "2", "3", "4", "8", BIG, "x"]
+
+
+@st.composite
+def command_lines(draw):
+    pick = lambda values: draw(st.sampled_from(values))
+    optional = lambda flag, values: [flag, pick(values)] if draw(st.booleans()) else []
+    command = pick(["analyze", "classify", "census", "sample", "construct", "bounds", "table1", "bogus"])
+    threads = optional("--threads", ["-1", "0", "1", "2", BIG])
+    field = pick(EDGE_FIELDS)
+    points = ",".join(map(str, range(min(ORDERS.get(field, 7), pick([2, 4, 6, 31])))))
+    alpha = pick([["--field", field, "--alpha", points], ["--alpha", f"GF({field}):{points}"], ["--field", field, "--alpha", pick(EDGE_ALPHAS)]])
+    if command == "analyze":
+        argv = alpha + ["--k", pick(EDGE_INTS)] + optional("--method", ["brute", "affine", "certificate", "optimal", "bogus"]) + optional("--t", EDGE_INTS)
+    elif command == "classify":
+        argv = alpha
+    elif command == "census":
+        argv = ["--field", field] + optional("--verify", ["auto", "spot", "none", "all", "bogus"])
+        argv += optional("--max-classes", ["-1", "0", "1", "120", "5040", BIG]) + threads
+    elif command == "sample":
+        argv = ["--field", field, "--delta", pick(["0.5", "1/2", "0", "1", "2", "-0.5", "1e-400", "1/31", "abc", "1/0"])]
+        argv += ["--trials", pick(["-1", "0", "1", "2", "30", BIG]), "--seed", pick(["-1", "0", "1", str(2**64)])] + threads
+    elif command == "construct":
+        allow = draw(st.booleans())
+        # with --allow-small-q stage_work sums every stage up to k before its
+        # guard, so k stays small there
+        argv = ["--field", field, "--k", pick(EDGE_INTS[:-2] if allow else EDGE_INTS)] + ["--allow-small-q"] * allow
+        argv += optional("--verify", ["exact", "certificate", "none", "bogus"]) + threads
+    elif command == "bounds":
+        argv = [pick([*cli.BOUND_REQUIRED, "bogus"])] + optional("--q", ["-5", "0", "3", "4", "7", "31", "8000", BIG])
+        argv += optional("--n", EDGE_INTS) + optional("--k", EDGE_INTS) + optional("--ell", EDGE_INTS) + optional("--delta", ["0.5", "1e-400", "2", "1/0"])
+    elif command == "table1":
+        argv = optional("--qs", ["4", "5,7", "29,31", "4,5,7,8,9,11,13", "6", "1", "3", "a", "1000000000000000003"])
+        argv += optional("--census-max-q", ["-1", "0", "9", "31"]) + optional("--format", ["json", "csv", "bogus"]) + threads
+    else:
+        argv = []
+    return [command] + argv + ["--timing"] * draw(st.booleans())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command_lines())
+def test_every_command_line_exits_with_a_documented_code(argv):
+    # the exit-code contract: 0, or 2, 3 or 4 with one JSON error object on
+    # stderr and nothing on stdout; never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue(), argv
+    else:
+        doc = json.loads(err.getvalue())
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert doc["schema"] == cli.SCHEMA and set(doc["error"]) == {"type", "message"}, argv

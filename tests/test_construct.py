@@ -44,6 +44,30 @@ def test_base_case_extension_fields():
         assert analyze.is_optimal_half_rate(ev, 2).optimal
 
 
+def scanned_base_case(fld):
+    """The lexicographically least admissible (0, 1, a1, a2) by a double
+    scan of a1 and a2 over GF(q), or None."""
+    for a1 in range(2, fld.q):
+        for a2 in range(2, fld.q):
+            if a2 != a1 and analyze.optimal_4_2_pair(fld, a1, a2):
+                return (0, 1, a1, a2)
+    return None
+
+
+def test_base_case_rule_matches_the_double_scan():
+    # every prime power 2 <= q <= 1024: the rule (a1 = 2, the least a2 in
+    # 3..6 from q = 7 on, none below) gives the double scan's vector
+    orders = [q for q in range(2, 1025) if gf.prime_power(q)]
+    for q in orders:
+        fld = field_new(*gf.prime_power(q))
+        try:
+            got = construct.base_case(fld).points
+        except construct.NoBaseCaseError:
+            got = None
+        assert got == scanned_base_case(fld) and (got is None) == (q < 7), q
+    assert len(orders) == 198
+
+
 def test_extend_validates_input():
     with pytest.raises(ValueError):
         construct.extend(F251, (0, 1, 2, 5), 2)
@@ -94,6 +118,13 @@ def reference_bad_set(fld, points, i, i_seq, j_seq, leads=None):
             agree = np.flatnonzero(f_vals == g_vals)
             bad |= {(x, y) for x in (*xs_1, *xs_3, *agree) for y in agree}
     return {(int(x), int(y)) for x, y in bad}
+
+
+def pencil_rows(fld, a, b, lead, target):
+    """The coefficient rows, low first, of a + lead[r]*b - target[r]."""
+    rows = fld.v_add(a, fld.v_mul(b, np.asarray(lead, np.int64)[:, None]))
+    rows[:, 0] = fld.v_add(rows[:, 0], fld.v_mul(np.asarray(target, np.int64), fld.neg(1)))
+    return rows
 
 
 def neg_inverses(fld):
@@ -159,12 +190,12 @@ def full_pair_bad_set(fld, points, i, u0, u1, neg_inv, cross):
     # f(y) = g(x) for x in the second (f = vals[2] + lead*vals[3])
     for x, l, base in ((xs[0], ls[0], 0), (xs[1], ls[1], 2)):
         target = fld.v_add(fld.v_mul(l, vals[3 - base, x]), vals[2 - base, x])
-        cross.append((x, poly.pencil_rows(fld, polys[base], polys[base + 1], l, target)))
+        cross.append((x, pencil_rows(fld, polys[base], polys[base + 1], l, target)))
     if any(u1[mid + 1 :]):  # lead infinity, where the f-side D is nonconstant
         inf = [np.flatnonzero(row == 0) for row in den]
         for x, side in zip(inf, (1, 3)):
             zero = np.zeros(len(x), np.int64)
-            cross.append((x, poly.pencil_rows(fld, polys[side], polys[side], zero, vals[4 - side, x])))
+            cross.append((x, pencil_rows(fld, polys[side], polys[side], zero, vals[4 - side, x])))
         codes.append((np.concatenate(inf)[:, None] * q + inf[2]).ravel())
     # the same equations for x that hit at every lead: y is bad when some
     # allowed lead solves its equation
@@ -548,6 +579,36 @@ def test_f_equals_g_agreement_rows_match_the_full_sweep():
     assert seen["not full"], seen
 
 
+def test_every_lead_agreement_of_an_f_equals_g_pair_is_read_at_infinity():
+    # one seeded pair at a time with f = g at lead 1 (h = A + B = C + D),
+    # at an x where its agreement holds at every lead (D(x) = B(x)) and
+    # both cross conditions sit at lead 1 (h(x) = h(a_last), den != 0): the
+    # agreement rows at those leads vanish, so only the agreement read at
+    # the lead infinity gives the y with D(y) = B(y); the row equals the
+    # full sweep's
+    rng = random.Random(48)
+    fields = [field_new(*f) for f in ((11,), (13,), (17,), (3, 2), (5, 2), (2, 4))]
+    rows = collections.Counter()
+    while rows["x"] < 20:
+        fld, i = rng.choice(fields), rng.choice((3, 4))
+        mid, r = i - 2, lambda: rng.randrange(fld.q)
+        u0, u1 = tuple(r() for _ in range(2 * i - 3)), tuple(r() for _ in range(2 * i - 3))
+        u0 = (u1[0],) + u0[1 : mid + 1] + tuple(fld.add(fld.sub(u0[t], u1[t]), u1[mid + t]) for t in range(1, mid + 1))
+        if not (any(u0[1 : mid + 1]) and any(u1[mid + 1 :])):
+            continue
+        polys = construct._pencils(fld, i, [(u0, u1)])
+        a, b, _, d = poly.eval_all(fld, polys[0, :4])
+        last = r()
+        h = fld.v_add(a, b)
+        xs = np.flatnonzero((d == b) & (h == h[last]) & (b != d[last]) & (d != b[last]))
+        xs = [x for x in xs.tolist() if x != last]
+        if xs:
+            assert not fld.v_add(polys[:, 4], polys[:, 5]).any()
+            assert_rows_match(fld, (last,), i, [(u0, u1)], pair_bad_set(fld, (last,), i, u0, u1, neg_inverses(fld)), xs)
+            rows.update(x=len(xs), extension=len(xs) * (fld.m > 1))
+    assert rows["extension"], rows
+
+
 @pytest.mark.parametrize(
     "fld, k",
     [(field_new(*f), k) for f, k in (((13,), 6), ((23,), 6), ((29,), 6), ((3, 4), 6), ((5, 3), 6), ((251,), 6), ((2, 8), 6), ((1367,), 6), ((4507,), 5))],
@@ -726,8 +787,8 @@ def reduced_matcher(fld, calls):
 class ScanPool:
     """The root pool as the sweep ran before the splitter: every cross row
     a + lead*b - target tested at every y by `matcher` on the values of a
-    and b over GF(q).  Needs poly.pencil_rows patched to hand over the
-    pencil itself (scan_pencils)."""
+    and b over GF(q).  Needs pencil_rows patched to hand over the pencil
+    itself (scan_pencils)."""
 
     def __init__(self, fld, matcher):
         self.fld, self.matcher, self.codes = fld, matcher, [np.empty(0, np.int64)]
@@ -744,7 +805,7 @@ class ScanPool:
 
 
 def scan_pencils(monkeypatch):
-    monkeypatch.setattr(poly, "pencil_rows", lambda fld, a, b, lead, target: (a, b, lead, target))
+    monkeypatch.setitem(globals(), "pencil_rows", lambda fld, a, b, lead, target: (a, b, lead, target))
 
 
 @pytest.mark.parametrize("fld, stages", [(F251, (3, 4)), (field_new(1367), (3, 4)), (field_new(3, 4), (3,))], ids=str)

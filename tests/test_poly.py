@@ -350,13 +350,20 @@ def pencil_coefficients(fld, a, b, lead, target):
     ]
 
 
+def pencil_rows(fld, a, b, lead, target):
+    """The coefficient rows, low first, of a + lead[r]*b - target[r]."""
+    rows = fld.v_add(a, fld.v_mul(b, np.asarray(lead, np.int64)[:, None]))
+    rows[:, 0] = fld.v_add(rows[:, 0], fld.v_mul(np.asarray(target, np.int64), fld.neg(1)))
+    return rows
+
+
 def pencil_roots(fld, a, b, lead, target):
     """Every (r, y) with a(y) + lead[r]*b(y) == target[r], as index arrays
-    (rows, ys) in no set order: poly.pencil_rows of a and b padded to one
-    width, then poly.tagged_roots with each row tagged by its index."""
+    (rows, ys) in no set order: pencil_rows of a and b padded to one width,
+    then poly.tagged_roots with each row tagged by its index."""
     ab = np.zeros((2, max(len(a), len(b), 1)), np.int64)
     ab[0, : len(a)], ab[1, : len(b)] = a, b
-    rows = poly.pencil_rows(fld, ab[0], ab[1], lead, target)
+    rows = pencil_rows(fld, ab[0], ab[1], lead, target)
     return divmod(poly.tagged_roots(fld, np.arange(len(rows)), rows), fld.q)
 
 
